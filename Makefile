@@ -2,7 +2,7 @@ GO ?= go
 
 BENCHES = treeadd power tsp mst bisort voronoi em3d barneshut perimeter health
 
-.PHONY: check build vet fmt static test race fuzz oldenvet lint analyze phases bench report perfgate wallclock profile benchstat serve load servesmoke cluster clustersmoke update-goldens
+.PHONY: check build vet fmt static test perf-test race fuzz oldenvet lint analyze phases bench report perfgate wallclock profile benchstat serve load servesmoke cluster clustersmoke update-goldens
 
 # Each fuzz target gets a short smoke run in check; raise FUZZTIME for a
 # real fuzzing session.
@@ -45,6 +45,12 @@ static:
 
 test:
 	$(GO) test ./...
+
+# perf/ is its own module (the benchmark builds from its own go.mod), so
+# `go test ./...` never compiles it against the root: this target does, and
+# fails when a refactor breaks the exported surface the benchmark drives.
+perf-test:
+	cd perf && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...

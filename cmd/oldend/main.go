@@ -90,7 +90,9 @@ func main() {
 		cfg.AccessLog = server.NewAccessLogger(os.Stderr)
 	}
 	s := server.New(cfg)
-	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler()}
+	// A client that never finishes its request headers must not pin a
+	// connection forever.
+	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -91,7 +91,9 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: rt.Handler()}
+	// A client that never finishes its request headers must not pin a
+	// connection forever.
+	httpSrv := &http.Server{Addr: *addr, Handler: rt.Handler(), ReadHeaderTimeout: 10 * time.Second}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -54,19 +54,14 @@ type Config struct {
 	// DownCooldown is how long a replica stays marked down after a
 	// connection failure before the router tries it again (default 2s).
 	DownCooldown time.Duration
-	// ProbeTimeout caps one peer cache probe (default 2s) — probes are
-	// an optimization and must never stall the routed path.
-	ProbeTimeout time.Duration
 	// Metrics receives the router's counters; a fresh registry when nil.
 	Metrics *metrics.Registry
 	// Tracer owns request sampling; when nil one is built from
-	// SampleEvery/DebugRequests, as in the server.
+	// SampleEvery, as in the server.
 	Tracer *obs.Tracer
 	// SampleEvery is head sampling when Tracer is nil (same semantics as
 	// the server's flag of the same name).
 	SampleEvery int
-	// DebugRequests bounds the router's finished-request ring.
-	DebugRequests int
 	// AccessLog, when non-nil, receives one JSON line per request.
 	AccessLog io.Writer
 	// Client substitutes the outbound HTTP client (tests); nil builds
@@ -75,6 +70,11 @@ type Config struct {
 	// Now substitutes the wall clock (tests).
 	Now func() time.Time
 }
+
+// peerTimeout caps one auxiliary exchange with a replica — a cache probe
+// or a fan-out query. Those are optimizations and introspection; they must
+// never stall the routed path.
+const peerTimeout = 2 * time.Second
 
 func (c Config) withDefaults() Config {
 	if c.ProbeOwners <= 0 {
@@ -89,9 +89,6 @@ func (c Config) withDefaults() Config {
 	if c.DownCooldown <= 0 {
 		c.DownCooldown = 2 * time.Second
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 2 * time.Second
-	}
 	if c.Metrics == nil {
 		c.Metrics = metrics.NewRegistry()
 	}
@@ -102,11 +99,7 @@ func (c Config) withDefaults() Config {
 		c.Now = time.Now
 	}
 	if c.Tracer == nil {
-		c.Tracer = obs.New(obs.Config{
-			SampleEvery: c.SampleEvery,
-			RequestRing: c.DebugRequests,
-			Now:         c.Now,
-		})
+		c.Tracer = obs.New(obs.Config{SampleEvery: c.SampleEvery, Now: c.Now})
 	}
 	return c
 }
@@ -129,7 +122,7 @@ type Router struct {
 	ring   *Ring
 	shards map[string]*shard
 	names  []string // ring order-independent replica list (config order)
-	log    *slog.Logger
+	log    *server.AccessLogger
 
 	rr      atomic.Uint64 // round-robin cursor over a key's first R owners
 	verifyN atomic.Uint64 // every-Kth counter for cross-replica verify
@@ -155,7 +148,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		names:  ring.Replicas(),
 	}
 	if cfg.AccessLog != nil {
-		rt.log = slog.New(slog.NewJSONHandler(cfg.AccessLog, nil))
+		rt.log = server.NewAccessLogger(cfg.AccessLog)
 	}
 	for _, name := range rt.names {
 		rt.shards[name] = &shard{
@@ -331,44 +324,69 @@ func (rt *Router) candidates(owners []string, target string) []*shard {
 	return append(live, down...)
 }
 
-// handleRun is the routed execution path:
+// forward is the router's one remote execute step: try the ordered
+// candidates, each attempt a proxy:<shard> span, retrying the next ring
+// owner on connection failure — safe even after a half-sent request,
+// because every forwarded path is deterministic and idempotent, the
+// property the whole cluster design leans on. An HTTP answer of any
+// status ends the chain. When no candidate answers, the request is
+// counted unroutable and ok is false.
+func (rt *Router) forward(r *http.Request, sp *obs.Span, owners []string, target, path string, body []byte) (reply, *shard, bool) {
+	hdr := downstreamHeader(r, sp)
+	for attempt, sh := range rt.candidates(owners, target) {
+		if attempt > 0 {
+			rt.retries.Inc()
+		}
+		ps := sp.StartChild("proxy:" + sh.name)
+		rep, err := rt.exchange(r.Context(), sh, r.Method, path, body, hdr)
+		if err != nil {
+			ps.SetAttr("error", err.Error())
+			ps.EndAborted()
+			if r.Context().Err() != nil {
+				break // the client is gone; stop burning replicas
+			}
+			continue
+		}
+		ps.SetAttrInt("status", int64(rep.status))
+		ps.End()
+		return rep, sh, true
+	}
+	rt.unroutable.Inc()
+	return reply{}, nil, false
+}
+
+// unroutable503 answers a request forward could not place.
+func (rt *Router) unroutable503(w http.ResponseWriter, msg string) {
+	w.Header().Set("Retry-After", server.RetryAfterSeconds(rt.cfg.RetryAfter))
+	server.WriteError(w, http.StatusServiceUnavailable, msg)
+}
+
+// handleRun is the replica's /run pipeline with a remote execute step:
 //
-//  1. canonicalize the request with the replicas' own normalization and
-//     key function (server.Normalize / server.CacheKey), so the ring
-//     hashes exactly the string the replica caches under;
+//  1. the same prologue (server.DecodeRun), so the ring hashes exactly the
+//     string the replica caches under;
 //  2. for cacheable requests with ProbeOwners > 1, probe the key's first
 //     R owners' caches and serve the first hit — hot keys end up
 //     resident on R shards and any of them can answer;
-//  3. otherwise proxy to the round-robin target among those owners
-//     (primary owner when R == 1), retrying the next ring owner on
-//     connection failure, 503 + Retry-After when every owner is down;
+//  3. otherwise forward to the round-robin target among those owners
+//     (primary owner when R == 1);
 //  4. every Kth successful execution is duplicated to a second replica
 //     and the two answers must be byte-identical (verify mode).
 func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: "+err.Error())
+		server.WriteError(w, http.StatusBadRequest, "read body: "+err.Error())
 		return
 	}
-	var req server.RunRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	req, err = server.Normalize(req)
+	req, key, err := server.DecodeRun(bytes.NewReader(body))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	key := server.CacheKey(req)
 	owners := rt.ring.Owners(key, len(rt.names))
-	rc := requestCtx(r)
-	rc.key = key
-	rc.benchmark = req.Benchmark
+	st := server.RequestState(r)
+	st.Key = key
+	st.Benchmark = req.Benchmark
 
 	cacheable := !req.NoCache && !req.Verify
 	ridx := 0
@@ -382,8 +400,8 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 			if !rt.alive(sh) {
 				continue
 			}
-			ps := rc.sp.StartChild("probe:" + sh.name)
-			pctx, cancel := context.WithTimeout(r.Context(), rt.cfg.ProbeTimeout)
+			ps := st.Span.StartChild("probe:" + sh.name)
+			pctx, cancel := context.WithTimeout(r.Context(), peerTimeout)
 			rep, err := rt.exchange(pctx, sh, http.MethodGet,
 				"/cache/probe?key="+url.QueryEscape(key), nil, downstreamHeader(r, ps))
 			cancel()
@@ -401,52 +419,26 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 			rt.cfg.Metrics.Counter("oldenrouter_probe_total",
 				metrics.L("shard", sh.name), metrics.L("outcome", outcome)).Inc()
 			if outcome == "hit" {
-				rc.shard, rc.cache = sh.name, "hit"
+				st.Shard, st.Cache = sh.name, "hit"
 				serveReply(w, rep, sh.name)
 				return
 			}
 		}
 	}
-	target := owners[ridx%len(owners)]
 
-	// Proxy phase with retry-on-next-owner. Safe to retry even after a
-	// half-sent request: /run is deterministic and idempotent, the
-	// property the whole cluster design leans on.
-	hdr := downstreamHeader(r, rc.sp)
-	var served bool
-	for attempt, sh := range rt.candidates(owners, target) {
-		if attempt > 0 {
-			rt.retries.Inc()
-		}
-		ps := rc.sp.StartChild("proxy:" + sh.name)
-		rep, err := rt.exchange(r.Context(), sh, http.MethodPost, "/run", body, hdr)
-		if err != nil {
-			ps.SetAttr("error", err.Error())
-			ps.EndAborted()
-			if r.Context().Err() != nil {
-				break // the client is gone; stop burning replicas
-			}
-			continue
-		}
-		ps.SetAttrInt("status", int64(rep.status))
-		ps.End()
-		rc.shard = sh.name
-		rc.cache = rep.header.Get("X-Oldend-Cache")
-		if rep.status == http.StatusOK && cacheable && rt.cfg.VerifyEvery > 0 &&
-			rt.verifyN.Add(1)%uint64(rt.cfg.VerifyEvery) == 0 {
-			rt.verifyAgainstPeer(r, rc.sp, owners, sh.name, body, rep)
-		}
-		serveReply(w, rep, sh.name)
-		served = true
-		break
+	rep, sh, ok := rt.forward(r, st.Span, owners, owners[ridx%len(owners)], "/run", body)
+	if !ok {
+		st.ShedReason = "no_owner_reachable"
+		rt.unroutable503(w, fmt.Sprintf("no reachable replica for key %q (tried %d owners)", key, len(owners)))
+		return
 	}
-	if !served {
-		rt.unroutable.Inc()
-		rc.shed = "no_owner_reachable"
-		w.Header().Set("Retry-After", rt.retryAfterSeconds())
-		writeError(w, http.StatusServiceUnavailable,
-			fmt.Sprintf("no reachable replica for key %q (tried %d owners)", key, len(owners)))
+	st.Shard = sh.name
+	st.Cache = rep.header.Get("X-Oldend-Cache")
+	if rep.status == http.StatusOK && cacheable && rt.cfg.VerifyEvery > 0 &&
+		rt.verifyN.Add(1)%uint64(rt.cfg.VerifyEvery) == 0 {
+		rt.verifyAgainstPeer(r, st.Span, owners, sh.name, body, rep)
 	}
+	serveReply(w, rep, sh.name)
 }
 
 // verifyAgainstPeer duplicates one already-served execution to the next
@@ -485,177 +477,87 @@ func (rt *Router) verifyAgainstPeer(r *http.Request, sp *obs.Span, owners []stri
 	rt.verifyMismatch.Inc()
 	vs.SetAttr("verify", "mismatch")
 	vs.EndAborted()
-	if rt.log != nil {
-		rt.log.Error("cross-replica verify mismatch",
-			slog.String("primary", primary),
-			slog.String("peer", peer.name),
-			slog.String("primary_digest", primeDigest),
-			slog.String("peer_digest", peerDigest),
-			slog.Int("primary_bytes", len(prime.body)),
-			slog.Int("peer_bytes", len(rep.body)),
-		)
-	}
+	rt.log.Error("cross-replica verify mismatch",
+		slog.String("primary", primary),
+		slog.String("peer", peer.name),
+		slog.String("primary_digest", primeDigest),
+		slog.String("peer_digest", peerDigest),
+		slog.Int("primary_bytes", len(prime.body)),
+		slog.Int("peer_bytes", len(rep.body)),
+	)
 }
 
-// handleBatch shards a /batch body: normalize every run with the
-// replicas' own rules, group the valid ones by primary owner, forward
-// one sub-batch per shard concurrently, and merge the per-item answers
-// back into request order. Invalid items fail 400 item-locally, exactly
-// as the replica would have answered; a shard whose whole exchange fails
-// (after retrying the next ring owner) yields 503 items.
+// handleBatch shards a /batch body: the replicas' own prologue
+// (server.DecodeBatch), the valid runs grouped by primary owner, one
+// sub-batch forwarded per shard concurrently, and the per-item answers
+// merged back into request order. Invalid items fail 400 item-locally,
+// exactly as the replica would have answered; a shard whose whole
+// exchange fails (after retrying the next ring owner) yields 503 items.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+	breq, items, err := server.DecodeBatch(r.Body)
+	if err != nil {
+		server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	var breq server.BatchRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&breq); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	if len(breq.Runs) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch (runs is required)")
-		return
-	}
-	items := make([]server.BatchItem, len(breq.Runs))
 	groups := map[string][]int{} // primary owner -> original indices
-	keys := map[int]string{}
-	for i, q := range breq.Runs {
-		nq, err := server.Normalize(q)
-		if err != nil {
-			items[i] = server.BatchItem{Benchmark: q.Benchmark, Status: http.StatusBadRequest, Error: err.Error()}
-			continue
+	for i := range items {
+		if items[i].Status == 0 {
+			owner := rt.ring.Owner(items[i].Key)
+			groups[owner] = append(groups[owner], i)
 		}
-		breq.Runs[i] = nq
-		key := server.CacheKey(nq)
-		keys[i] = key
-		owner := rt.ring.Owner(key)
-		groups[owner] = append(groups[owner], i)
 	}
-	hdr := downstreamHeader(r, requestCtx(r).sp)
+	sp := server.RequestState(r).Span
 	var wg sync.WaitGroup
-	var mu sync.Mutex
 	for owner, idxs := range groups {
 		wg.Add(1)
 		go func(owner string, idxs []int) {
 			defer wg.Done()
-			sub := server.BatchRequest{DeadlineMS: breq.DeadlineMS, Runs: make([]server.RunRequest, len(idxs))}
+			fail := func(status int, msg string) {
+				for _, i := range idxs { // groups are disjoint: no lock needed
+					items[i].Status, items[i].Error = status, msg
+				}
+			}
+			sub := server.BatchRequest{Runs: make([]server.RunRequest, len(idxs))}
 			for j, i := range idxs {
 				sub.Runs[j] = breq.Runs[i]
 			}
 			body, err := json.Marshal(sub)
 			if err != nil {
-				rt.failBatchItems(items, idxs, &mu, http.StatusInternalServerError, err.Error())
+				fail(http.StatusInternalServerError, err.Error())
 				return
 			}
 			// Retry chain for the sub-batch: the group's owner first, then
 			// the remaining ring owners of the group's first key — any
 			// replica computes the same answers, so fallback is safe.
-			owners := rt.ring.Owners(keys[idxs[0]], len(rt.names))
-			var rep reply
-			ok := false
-			for attempt, sh := range rt.candidates(owners, owner) {
-				if attempt > 0 {
-					rt.retries.Inc()
-				}
-				rep, err = rt.exchange(r.Context(), sh, http.MethodPost, "/batch", body, hdr)
-				if err == nil {
-					ok = true
-					break
-				}
-				if r.Context().Err() != nil {
-					break
-				}
-			}
+			owners := rt.ring.Owners(items[idxs[0]].Key, len(rt.names))
+			rep, _, ok := rt.forward(r, sp, owners, owner, "/batch", body)
 			if !ok {
-				rt.unroutable.Inc()
-				rt.failBatchItems(items, idxs, &mu, http.StatusServiceUnavailable, "no reachable replica for batch group")
+				fail(http.StatusServiceUnavailable, "no reachable replica for batch group")
 				return
 			}
 			var subItems []server.BatchItem
 			if rep.status != http.StatusOK || json.Unmarshal(rep.body, &subItems) != nil || len(subItems) != len(idxs) {
-				rt.failBatchItems(items, idxs, &mu, http.StatusBadGateway,
-					fmt.Sprintf("replica %s answered batch with status %d", owner, rep.status))
+				fail(http.StatusBadGateway, fmt.Sprintf("replica %s answered batch with status %d", owner, rep.status))
 				return
 			}
-			mu.Lock()
 			for j, i := range idxs {
 				items[i] = subItems[j]
 			}
-			mu.Unlock()
 		}(owner, idxs)
 	}
 	wg.Wait()
-
-	retryAfter := false
-	cacheHits, phaseHits := 0, 0
-	for i := range items {
-		switch items[i].Status {
-		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-			retryAfter = true
-		}
-		if items[i].Cache == "hit" || items[i].Cache == "dedup" {
-			cacheHits++
-		}
-		if items[i].PhaseCache == "hit" {
-			phaseHits++
-		}
-	}
-	if retryAfter {
-		w.Header().Set("Retry-After", rt.retryAfterSeconds())
-	}
-	w.Header().Set("X-Oldend-Batch",
-		fmt.Sprintf("runs=%d cache-hits=%d phase-hits=%d shards=%d", len(items), cacheHits, phaseHits, len(groups)))
-	writeJSON(w, http.StatusOK, items)
-}
-
-func (rt *Router) failBatchItems(items []server.BatchItem, idxs []int, mu *sync.Mutex, status int, msg string) {
-	mu.Lock()
-	defer mu.Unlock()
-	for _, i := range idxs {
-		items[i].Status = status
-		items[i].Error = msg
-	}
+	server.WriteBatch(w, items, rt.cfg.RetryAfter, fmt.Sprintf(" shards=%d", len(groups)))
 }
 
 // proxyAny forwards a shard-agnostic request (catalog, analyze) to the
 // first reachable replica.
-func (rt *Router) proxyAny(w http.ResponseWriter, r *http.Request, method, path string, body []byte) {
-	hdr := downstreamHeader(r, requestCtx(r).sp)
-	for attempt, sh := range rt.candidates(rt.names, rt.names[0]) {
-		if attempt > 0 {
-			rt.retries.Inc()
-		}
-		rep, err := rt.exchange(r.Context(), sh, method, path, body, hdr)
-		if err != nil {
-			if r.Context().Err() != nil {
-				break
-			}
-			continue
-		}
-		requestCtx(r).shard = sh.name
-		serveReply(w, rep, sh.name)
+func (rt *Router) proxyAny(w http.ResponseWriter, r *http.Request, path string, body []byte) {
+	st := server.RequestState(r)
+	rep, sh, ok := rt.forward(r, st.Span, rt.names, rt.names[0], path, body)
+	if !ok {
+		rt.unroutable503(w, "no reachable replica")
 		return
 	}
-	rt.unroutable.Inc()
-	w.Header().Set("Retry-After", rt.retryAfterSeconds())
-	writeError(w, http.StatusServiceUnavailable, "no reachable replica")
-}
-
-func (rt *Router) retryAfterSeconds() string {
-	secs := int64((rt.cfg.RetryAfter + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.FormatInt(secs, 10)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
+	st.Shard = sh.name
+	serveReply(w, rep, sh.name)
 }

@@ -2,8 +2,6 @@ package machine
 
 import (
 	"container/heap"
-	"fmt"
-	"os"
 	"sync"
 
 	"repro/internal/trace"
@@ -75,16 +73,16 @@ type Scheduler interface {
 type SchedKind int
 
 const (
-	// SchedDefault resolves to the event loop, unless the OLDEN_SCHED
-	// environment variable names the channel scheduler.
+	// SchedDefault is the event loop.
 	SchedDefault SchedKind = iota
 	// SchedEventLoop is the virtual-time event loop (sched_loop.go).
 	SchedEventLoop
-	// SchedChannel is the original per-yield channel-handoff scheduler.
+	// SchedChannel is the original per-yield channel-handoff scheduler,
+	// kept as the reference the differential tests compare against.
 	SchedChannel
 )
 
-// String names the kind as OLDEN_SCHED and the differential tests spell it.
+// String names the kind as the differential tests spell it.
 func (k SchedKind) String() string {
 	switch k {
 	case SchedEventLoop:
@@ -95,37 +93,11 @@ func (k SchedKind) String() string {
 	return "default"
 }
 
-// ParseSchedKind maps a scheduler name back to its kind.
-func ParseSchedKind(s string) (SchedKind, error) {
-	switch s {
-	case "", "default":
-		return SchedDefault, nil
-	case "eventloop":
-		return SchedEventLoop, nil
-	case "channel":
-		return SchedChannel, nil
-	}
-	return 0, fmt.Errorf("machine: unknown scheduler %q (want eventloop or channel)", s)
-}
-
-// envSchedKind reads the OLDEN_SCHED fallback flag once per process: set it
-// to "channel" to run every default-constructed scheduler on the original
-// channel-handoff implementation (differential debugging).
-var envSchedKind = sync.OnceValue(func() SchedKind {
-	if k, err := ParseSchedKind(os.Getenv("OLDEN_SCHED")); err == nil && k != SchedDefault {
-		return k
-	}
-	return SchedEventLoop
-})
-
 // NewScheduler returns an empty scheduler of the default kind.
 func NewScheduler() Scheduler { return NewSchedulerOf(SchedDefault) }
 
 // NewSchedulerOf returns an empty scheduler of the named kind.
 func NewSchedulerOf(kind SchedKind) Scheduler {
-	if kind == SchedDefault {
-		kind = envSchedKind()
-	}
 	if kind == SchedChannel {
 		return NewChanScheduler()
 	}
@@ -170,7 +142,7 @@ func (e *SchedEntry) less(o *SchedEntry) bool {
 // every yield point takes the scheduler mutex, re-heaps the entry, and —
 // when activeness transfers — hands off through the winner's wake channel.
 // It is kept as the differential-testing fallback for the event loop
-// (OLDEN_SCHED=channel or SchedChannel).
+// (SchedChannel).
 type ChanScheduler struct {
 	trace *trace.Recorder
 

@@ -207,32 +207,6 @@ func TestSchedulerDeadlockPanics(t *testing.T) {
 	})
 }
 
-func TestParseSchedKind(t *testing.T) {
-	cases := []struct {
-		in   string
-		want SchedKind
-		ok   bool
-	}{
-		{"", SchedDefault, true},
-		{"default", SchedDefault, true},
-		{"eventloop", SchedEventLoop, true},
-		{"channel", SchedChannel, true},
-		{"turnip", 0, false},
-	}
-	for _, c := range cases {
-		got, err := ParseSchedKind(c.in)
-		if c.ok != (err == nil) || (c.ok && got != c.want) {
-			t.Errorf("ParseSchedKind(%q) = %v, %v; want %v, ok=%v", c.in, got, err, c.want, c.ok)
-		}
-	}
-	for _, k := range []SchedKind{SchedDefault, SchedEventLoop, SchedChannel} {
-		back, err := ParseSchedKind(k.String())
-		if err != nil || back != k {
-			t.Errorf("round trip %v -> %q -> %v, %v", k, k.String(), back, err)
-		}
-	}
-}
-
 func TestNewSchedulerOfKinds(t *testing.T) {
 	if _, ok := NewSchedulerOf(SchedEventLoop).(*LoopScheduler); !ok {
 		t.Error("SchedEventLoop did not build a LoopScheduler")

@@ -145,9 +145,9 @@ type Config struct {
 	// cost model and all statistics are unaffected either way.
 	Trace *trace.Recorder
 	// Sched selects the scheduler implementation (default: the
-	// virtual-time event loop; machine.SchedChannel keeps the original
-	// channel-handoff scheduler for differential testing, as does the
-	// OLDEN_SCHED=channel environment flag).
+	// virtual-time event loop; machine.SchedChannel selects the original
+	// channel-handoff scheduler, the reference the differential tests
+	// compare against).
 	Sched machine.SchedKind
 	// Metrics, when non-nil, is a registry the runtime binds the
 	// machine's statistics into and registers its own counters and

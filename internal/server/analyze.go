@@ -94,22 +94,18 @@ func admitAgainst(res *effects.Result, budget *Budget) []string {
 // answer. Analysis is pure computation over a few kilobytes of source,
 // so it runs inline on the request goroutine — no queue, no worker.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	var req AnalyzeRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	if req.Source == "" {
-		writeError(w, http.StatusBadRequest, "source is required")
+		WriteError(w, http.StatusBadRequest, "source is required")
 		return
 	}
 	res, err := effects.AnalyzeSource(req.Source, core.DefaultParams())
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "program does not parse: "+err.Error())
+		WriteError(w, http.StatusUnprocessableEntity, "program does not parse: "+err.Error())
 		return
 	}
 	reasons := admitAgainst(res, req.Budget)
@@ -129,5 +125,5 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	s.cfg.Metrics.Counter("oldend_analyze_total",
 		metrics.L("admitted", strconv.FormatBool(resp.Admitted))).Inc()
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }

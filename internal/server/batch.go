@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"sync"
+	"time"
 )
 
 // BatchRequest is the POST /batch body: a set of run configurations to
@@ -34,6 +35,75 @@ type BatchItem struct {
 	Record     json.RawMessage `json:"record,omitempty"`
 }
 
+// fill renders a run result into the item — the /batch counterpart of
+// writeRun.
+func (it *BatchItem) fill(res result) {
+	it.Status = res.status
+	it.Cache = res.cache
+	it.PhaseCache = res.phase
+	if res.status != http.StatusOK {
+		it.Error = res.errMsg
+		return
+	}
+	it.Record = json.RawMessage(res.body)
+}
+
+// DecodeBatch is the /batch prologue replica and router share: decode,
+// refuse an empty batch, and canonicalise every run exactly as DecodeRun
+// would. On return Runs[i] is the normalized configuration (the batch
+// deadline folded in) and items[i] names its Benchmark and Key — or, for
+// an invalid run, is the item-local 400 the same configuration would have
+// received from /run.
+func DecodeBatch(body io.Reader) (BatchRequest, []BatchItem, error) {
+	var breq BatchRequest
+	if err := json.NewDecoder(io.LimitReader(body, 1<<20)).Decode(&breq); err != nil {
+		return breq, nil, fmt.Errorf("bad request body: %w", err)
+	}
+	if len(breq.Runs) == 0 {
+		return breq, nil, fmt.Errorf("empty batch (runs is required)")
+	}
+	items := make([]BatchItem, len(breq.Runs))
+	for i, q := range breq.Runs {
+		nq, err := Normalize(q)
+		if err != nil {
+			items[i] = BatchItem{Benchmark: q.Benchmark, Status: http.StatusBadRequest, Error: err.Error()}
+			continue
+		}
+		if breq.DeadlineMS > 0 && nq.DeadlineMS == 0 {
+			nq.DeadlineMS = breq.DeadlineMS
+		}
+		breq.Runs[i] = nq
+		items[i] = BatchItem{Benchmark: nq.Benchmark, Key: CacheKey(nq)}
+	}
+	return breq, items, nil
+}
+
+// WriteBatch answers a /batch request with its items in request order:
+// Retry-After when any item was shed (429/503), and the X-Oldend-Batch
+// summary (suffix lets the router append its shard count).
+func WriteBatch(w http.ResponseWriter, items []BatchItem, retryAfter time.Duration, suffix string) {
+	shed := false
+	cacheHits, phaseHits := 0, 0
+	for i := range items {
+		switch items[i].Status {
+		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+			shed = true
+		}
+		if items[i].Cache == "hit" || items[i].Cache == "dedup" {
+			cacheHits++
+		}
+		if items[i].PhaseCache == "hit" {
+			phaseHits++
+		}
+	}
+	if shed {
+		w.Header().Set("Retry-After", RetryAfterSeconds(retryAfter))
+	}
+	w.Header().Set("X-Oldend-Batch",
+		fmt.Sprintf("runs=%d cache-hits=%d phase-hits=%d%s", len(items), cacheHits, phaseHits, suffix))
+	WriteJSON(w, http.StatusOK, items)
+}
+
 // handleBatch resolves a configuration set in one request:
 //
 //  1. normalize every run; invalid ones fail item-locally with 400;
@@ -48,61 +118,42 @@ type BatchItem struct {
 // Groups themselves run concurrently; the bounded worker pool is still
 // the only execution throttle.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+	breq, items, err := DecodeBatch(r.Body)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	var breq BatchRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&breq); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	if len(breq.Runs) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch (runs is required)")
-		return
-	}
-	if len(breq.Runs) > s.cfg.QueueDepth {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d exceeds queue depth %d", len(breq.Runs), s.cfg.QueueDepth))
+	reqs := breq.Runs
+	if len(reqs) > s.cfg.QueueDepth {
+		WriteError(w, http.StatusBadRequest,
+			fmt.Sprintf("batch of %d exceeds queue depth %d", len(reqs), s.cfg.QueueDepth))
 		return
 	}
 
-	items := make([]BatchItem, len(breq.Runs))
-	reqs := make([]RunRequest, len(breq.Runs))
 	first := map[string]int{} // key -> index of the item that executes it
 	var order []int           // unique, valid, unserved indices
-	for i, q := range breq.Runs {
-		nq, err := normalize(q)
-		if err != nil {
-			items[i] = BatchItem{Benchmark: q.Benchmark, Status: http.StatusBadRequest, Error: err.Error()}
-			continue
+	for i := range items {
+		if items[i].Status != 0 {
+			continue // invalid: already answered item-locally
 		}
-		if breq.DeadlineMS > 0 && nq.DeadlineMS == 0 {
-			nq.DeadlineMS = breq.DeadlineMS
-		}
-		reqs[i] = nq
-		key := nq.Key()
-		items[i] = BatchItem{Benchmark: nq.Benchmark, Key: key}
+		key := items[i].Key
 		if _, dup := first[key]; dup {
 			items[i].Cache = "dedup"
 			continue
 		}
 		first[key] = i
-		if !nq.NoCache && !nq.Verify {
-			if e, ok := s.cache.get(key); ok {
-				s.cacheHits.Inc()
-				items[i].Status = http.StatusOK
-				items[i].Cache = "hit"
-				items[i].Record = json.RawMessage(e.body)
+		if !reqs[i].NoCache && !reqs[i].Verify {
+			if res, ok := s.lookup(key, s.cacheHits, s.cacheMisses); ok {
+				items[i].fill(res)
 				continue
 			}
-			s.cacheMisses.Inc()
 		}
 		order = append(order, i)
 	}
 
 	// Group the residue by phase-cache key; configurations that cannot
-	// share build state each form their own group.
+	// share build state each form their own group. The result cache was
+	// probed first, so a group's head is always a miss that builds.
 	groups := map[string][]int{}
 	for _, i := range order {
 		g := "key:" + items[i].Key
@@ -114,21 +165,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		groups[g] = append(groups[g], i)
 	}
 
-	rc := requestCtx(r)
+	st := RequestState(r)
 	var wg sync.WaitGroup
 	for _, idxs := range groups {
 		wg.Add(1)
 		go func(idxs []int) {
 			defer wg.Done()
 			// Warm: the group head builds (or finds) the shared state.
-			s.runBatchItem(r.Context(), rc, reqs[idxs[0]], &items[idxs[0]])
+			s.runBatchItem(r.Context(), st, reqs[idxs[0]], &items[idxs[0]])
 			// Fan: everyone else restores it concurrently.
 			var fan sync.WaitGroup
 			for _, i := range idxs[1:] {
 				fan.Add(1)
 				go func(i int) {
 					defer fan.Done()
-					s.runBatchItem(r.Context(), rc, reqs[i], &items[i])
+					s.runBatchItem(r.Context(), st, reqs[i], &items[i])
 				}(i)
 			}
 			fan.Wait()
@@ -137,97 +188,30 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	wg.Wait()
 
 	// Fill duplicates from the item that executed their key.
-	retryAfter := false
-	cacheHits, phaseHits := 0, 0
 	for i := range items {
 		if items[i].Cache == "dedup" {
 			src := items[first[items[i].Key]]
-			items[i].Status = src.Status
-			items[i].Error = src.Error
-			items[i].Record = src.Record
-		}
-		switch items[i].Status {
-		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-			retryAfter = true
-		}
-		if items[i].Cache == "hit" || items[i].Cache == "dedup" {
-			cacheHits++
-		}
-		if items[i].PhaseCache == "hit" {
-			phaseHits++
+			items[i].Status, items[i].Error, items[i].Record = src.Status, src.Error, src.Record
 		}
 	}
-	if retryAfter {
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
-	}
-	w.Header().Set("X-Oldend-Batch",
-		fmt.Sprintf("runs=%d cache-hits=%d phase-hits=%d", len(items), cacheHits, phaseHits))
-	writeJSON(w, http.StatusOK, items)
+	WriteBatch(w, items, s.cfg.RetryAfter, "")
 }
 
-// runBatchItem pushes one normalized configuration through the same
-// admission queue and worker pool /run uses and fills the item in place.
-// On sampled batch requests each item hangs a "run:<benchmark>" span off
-// the request root, so one batch trace shows every item's queue wait and
-// execution side by side.
-func (s *Server) runBatchItem(parent context.Context, rc *reqCtx, req RunRequest, item *BatchItem) {
-	ctx, cancel := context.WithTimeout(parent, s.clampDeadline(req.DeadlineMS))
-	defer cancel()
-	isp := rc.sp.StartChild("run:" + req.Benchmark)
+// runBatchItem submits one normalized configuration through the same
+// admission point /run uses and fills the item in place. On sampled batch
+// requests each item hangs a "run:<benchmark>" span off the request root,
+// so one batch trace shows every item's queue wait and execution side by
+// side.
+func (s *Server) runBatchItem(ctx context.Context, st *ReqState, req RunRequest, item *BatchItem) {
+	isp := st.Span.StartChild("run:" + req.Benchmark)
 	isp.SetAttr("key", item.Key)
-	j := &job{
-		req:      req,
-		key:      item.Key,
-		cache:    req.Disposition(),
-		ctx:      ctx,
-		enqueued: s.cfg.Now(),
-		done:     make(chan result, 1),
-		sp:       isp,
-	}
-	if isp.Sampled() {
-		j.exemplar = rc.traceID
-	}
-	j.qspan = isp.StartChild("queue_wait")
-	switch s.admit(j) {
-	case admitShed:
-		j.qspan.EndAborted()
-		isp.SetAttr("shed_reason", "queue_full")
+	res := s.submit(ctx, isp, st.TraceID, req, item.Key)
+	if res.cache == "" { // refused at admission, or the deadline beat the worker
+		isp.SetAttr("shed_reason", res.shed)
 		isp.EndAborted()
-		s.shed.Inc()
-		item.Status = http.StatusTooManyRequests
-		item.Error = "admission queue full; retry after backoff"
-		return
-	case admitDraining:
-		j.qspan.EndAborted()
-		isp.SetAttr("shed_reason", "draining")
-		isp.EndAborted()
-		item.Status = http.StatusServiceUnavailable
-		item.Error = "server is draining"
-		return
+	} else {
+		isp.SetAttr("cache", res.cache)
+		isp.End()
 	}
-	var res result
-	select {
-	case res = <-j.done:
-	case <-ctx.Done():
-		select {
-		case res = <-j.done:
-		default:
-			// The worker will discard the stale job; the dangling
-			// queue_wait under isp is flushed (aborted) at finish.
-			isp.SetAttr("shed_reason", "deadline")
-			item.Status = http.StatusGatewayTimeout
-			item.Error = "deadline exceeded: " + ctx.Err().Error()
-			return
-		}
-	}
-	isp.SetAttr("cache", res.cache)
-	isp.End()
-	item.Status = res.status
-	item.Cache = res.cache
-	item.PhaseCache = res.phase
-	if res.status != http.StatusOK {
-		item.Error = res.errMsg
-		return
-	}
-	item.Record = json.RawMessage(res.body)
+	item.fill(res)
 }

@@ -20,11 +20,7 @@ import (
 // carry the dominant span name and depth, so a glance answers "where
 // did the time go" before anyone opens a trace.
 func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"in_flight": s.cfg.Tracer.InFlight(),
 		"requests":  s.cfg.Tracer.Requests(),
 	})
@@ -39,22 +35,18 @@ func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 // means the id was never sampled or has been evicted — the access log
 // line with that trace_id still exists either way.
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	idStr := strings.TrimPrefix(r.URL.Path, "/debug/trace/")
 	if _, err := obs.ParseTraceID(idStr); err != nil {
-		writeError(w, http.StatusBadRequest, "bad trace id: "+err.Error())
+		WriteError(w, http.StatusBadRequest, "bad trace id: "+err.Error())
 		return
 	}
 	root, ok := s.cfg.Tracer.Lookup(idStr)
 	if !ok {
-		writeError(w, http.StatusNotFound, "trace not retained (unsampled or evicted)")
+		WriteError(w, http.StatusNotFound, "trace not retained (unsampled or evicted)")
 		return
 	}
 	if r.URL.Query().Get("format") == "tree" {
-		writeJSON(w, http.StatusOK, obs.Tree(root))
+		WriteJSON(w, http.StatusOK, obs.Tree(root))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

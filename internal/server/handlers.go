@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -29,11 +30,30 @@ func NewAccessLogger(w io.Writer) *AccessLogger {
 	return &AccessLogger{h: slog.NewJSONHandler(w, nil)}
 }
 
-// logExtra carries the run-specific fields the /run handler and workers
-// contribute to the request's access-log line.
-type logExtra struct {
+// Error logs one error-level line outside the per-request sequence (the
+// router's cross-replica verify alarm) through the same handler, so it
+// interleaves cleanly with the access lines. Nil-safe.
+func (l *AccessLogger) Error(msg string, attrs ...slog.Attr) {
+	if l == nil {
+		return
+	}
+	rec := slog.NewRecord(time.Now(), slog.LevelError, msg, 0)
+	rec.AddAttrs(attrs...)
+	_ = l.h.Handle(context.Background(), rec)
+}
+
+// ReqState is the per-request state the envelope threads through the
+// context: the request's root span (nil when unsampled), the trace id
+// every response advertises, and the fields handlers contribute to the
+// access-log line and the /debug/requests ring. Every field is omitted
+// from the log line when empty.
+type ReqState struct {
+	Span    *obs.Span
+	TraceID string
+
 	Benchmark   string
 	Key         string
+	Shard       string // the replica that answered (router only)
 	Cache       string
 	PhaseCache  string
 	ShedReason  string
@@ -41,62 +61,53 @@ type logExtra struct {
 	RunUS       int64
 }
 
-// accessLine is one structured access-log record.
-type accessLine struct {
-	Start   time.Time
-	Method  string
-	Path    string
-	Status  int
-	Bytes   int64
-	DurUS   int64
-	Remote  string
-	TraceID string
-	Sampled bool
-	logExtra
+type reqStateKey struct{}
+
+// RequestState returns the request's ReqState (a throwaway one when the
+// handler runs outside an Envelope, as in direct tests).
+func RequestState(r *http.Request) *ReqState {
+	if st, ok := r.Context().Value(reqStateKey{}).(*ReqState); ok {
+		return st
+	}
+	return &ReqState{}
 }
 
-func (l *AccessLogger) emit(line accessLine) {
+// emit writes one access-log record, timestamped at the request's start.
+func (l *AccessLogger) emit(start time.Time, r *http.Request, sw *statusWriter, durUS int64, st *ReqState) {
 	if l == nil {
 		return
 	}
-	rec := slog.NewRecord(line.Start, slog.LevelInfo, "request", 0)
+	rec := slog.NewRecord(start, slog.LevelInfo, "request", 0)
 	rec.AddAttrs(
-		slog.String("method", line.Method),
-		slog.String("path", line.Path),
-		slog.Int("status", line.Status),
-		slog.Int64("bytes", line.Bytes),
-		slog.Int64("dur_us", line.DurUS),
+		slog.String("method", r.Method),
+		slog.String("path", r.URL.Path),
+		slog.Int("status", sw.status),
+		slog.Int64("bytes", sw.bytes),
+		slog.Int64("dur_us", durUS),
 	)
-	if line.Remote != "" {
-		rec.AddAttrs(slog.String("remote", line.Remote))
+	str := func(k, v string) {
+		if v != "" {
+			rec.AddAttrs(slog.String(k, v))
+		}
 	}
-	if line.TraceID != "" {
-		rec.AddAttrs(slog.String("trace_id", line.TraceID))
+	num := func(k string, v int64) {
+		if v != 0 {
+			rec.AddAttrs(slog.Int64(k, v))
+		}
 	}
-	if line.Sampled {
+	str("remote", r.RemoteAddr)
+	str("trace_id", st.TraceID)
+	if st.Span.Sampled() {
 		rec.AddAttrs(slog.Bool("sampled", true))
 	}
-	if line.Benchmark != "" {
-		rec.AddAttrs(slog.String("benchmark", line.Benchmark))
-	}
-	if line.Key != "" {
-		rec.AddAttrs(slog.String("key", line.Key))
-	}
-	if line.Cache != "" {
-		rec.AddAttrs(slog.String("cache", line.Cache))
-	}
-	if line.PhaseCache != "" {
-		rec.AddAttrs(slog.String("phase_cache", line.PhaseCache))
-	}
-	if line.ShedReason != "" {
-		rec.AddAttrs(slog.String("shed_reason", line.ShedReason))
-	}
-	if line.QueueWaitUS != 0 {
-		rec.AddAttrs(slog.Int64("queue_wait_us", line.QueueWaitUS))
-	}
-	if line.RunUS != 0 {
-		rec.AddAttrs(slog.Int64("run_us", line.RunUS))
-	}
+	str("benchmark", st.Benchmark)
+	str("key", st.Key)
+	str("shard", st.Shard)
+	str("cache", st.Cache)
+	str("phase_cache", st.PhaseCache)
+	str("shed_reason", st.ShedReason)
+	num("queue_wait_us", st.QueueWaitUS)
+	num("run_us", st.RunUS)
 	_ = l.h.Handle(context.Background(), rec) // an unloggable request must not fail the request
 }
 
@@ -123,78 +134,31 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return n, err
 }
 
-// reqCtx is the per-request state instrument threads through the context:
-// the log fields handlers fill in, the request's root span (nil when
-// unsampled) and the trace id every response advertises.
-type reqCtx struct {
-	extra   logExtra
-	sp      *obs.Span
-	traceID string
+// Envelope is the one HTTP wrapper oldend and oldenrouter both serve
+// behind: tracing, access logging and request accounting, parameterised
+// only by the metric prefix and the shard name.
+type Envelope struct {
+	// Prefix names the request counter: <Prefix>_requests_total{path,code}.
+	Prefix string
+	// Shard, when set, is stamped on every response as X-Oldend-Shard.
+	Shard     string
+	Metrics   *metrics.Registry
+	Tracer    *obs.Tracer
+	AccessLog *AccessLogger
+	Now       func() time.Time
 }
 
-type reqCtxKey struct{}
-
-// requestCtx returns the request's reqCtx (a throwaway one when the
-// handler runs outside instrument, as in direct tests).
-func requestCtx(r *http.Request) *reqCtx {
-	if rc, ok := r.Context().Value(reqCtxKey{}).(*reqCtx); ok {
-		return rc
-	}
-	return &reqCtx{}
-}
-
-// Handler returns the service's HTTP surface:
-//
-//	POST /run             execute (or memo-serve) one benchmark run
-//	POST /batch           execute a set of runs, deduped against both caches
-//	POST /analyze         static effect/cost analysis with budget admission
-//	GET  /benchmarks      the shared machine-readable catalog
-//	GET  /metrics         Prometheus exposition of the server registry
-//	GET  /debug/requests  recent + in-flight requests, slowest first
-//	GET  /debug/trace/<id>  one sampled request's merged Chrome trace
-//	GET  /healthz         liveness (200 while the process serves)
-//	GET  /readyz          readiness (503 once drain begins)
-//
-// Every request is access-logged (when a logger is configured), counted
-// in oldend_requests_total by endpoint and status, and answered with an
-// X-Oldend-Trace-Id header — on shed and error paths too — so any
-// response can be quoted back at the trace endpoints.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/run", s.handleRun)
-	mux.HandleFunc("/batch", s.handleBatch)
-	mux.HandleFunc("/analyze", s.handleAnalyze)
-	mux.HandleFunc("/cache/probe", s.handleCacheProbe)
-	mux.HandleFunc("/benchmarks", s.handleBenchmarks)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/debug/requests", s.handleDebugRequests)
-	mux.HandleFunc("/debug/trace/", s.handleDebugTrace)
-	if s.cfg.EnablePprof {
-		mountPprof(mux)
-	}
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if s.draining.Load() {
-			w.Header().Set("Retry-After", s.retryAfterSeconds())
-			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-	})
-	return s.instrument(mux)
-}
-
-// instrument wraps the mux with tracing, access logging and request
-// accounting: it parses the incoming traceparent, makes the sampling
-// decision, stamps the trace id on the response before the handler can
-// write headers, and finishes the request's span tree afterwards.
-func (s *Server) instrument(next http.Handler) http.Handler {
+// Wrap instruments next: it parses the incoming traceparent, makes the
+// sampling decision, stamps the trace id on the response before the
+// handler can write headers — so 429/503/504 answers carry the id a
+// client can quote in a bug report too — and afterwards counts the
+// request, finishes its span tree and writes its access line.
+func (e Envelope) Wrap(next http.Handler) http.Handler {
+	counter := e.Prefix + "_requests_total"
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := s.cfg.Now()
+		start := e.Now()
 		parent, _ := obs.ParseTraceparent(r.Header.Get("traceparent"))
-		sp := s.cfg.Tracer.StartRequest(r.Method, r.URL.Path, parent)
+		sp := e.Tracer.StartRequest(r.Method, r.URL.Path, parent)
 		var traceID string
 		switch {
 		case sp.Sampled():
@@ -202,169 +166,177 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		case parent.Valid():
 			traceID = parent.TraceID.String()
 		default:
-			traceID = s.cfg.Tracer.NewTraceID().String()
+			traceID = e.Tracer.NewTraceID().String()
 		}
-		// Every response — including 429/504 sheds — carries the id a
-		// client can quote in a bug report.
 		w.Header().Set("X-Request-Id", traceID)
 		w.Header().Set("X-Oldend-Trace-Id", traceID)
-		if s.cfg.ShardName != "" {
-			w.Header().Set("X-Oldend-Shard", s.cfg.ShardName)
+		if e.Shard != "" {
+			w.Header().Set("X-Oldend-Shard", e.Shard)
 		}
 
-		rc := &reqCtx{sp: sp, traceID: traceID}
+		st := &ReqState{Span: sp, TraceID: traceID}
 		sw := &statusWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, r.WithContext(context.WithValue(r.Context(), reqCtxKey{}, rc)))
+		next.ServeHTTP(sw, r.WithContext(context.WithValue(r.Context(), reqStateKey{}, st)))
 		if sw.status == 0 {
 			sw.status = http.StatusOK
 		}
-		durUS := s.cfg.Now().Sub(start).Microseconds()
-		s.cfg.Metrics.Counter("oldend_requests_total",
+		durUS := e.Now().Sub(start).Microseconds()
+		e.Metrics.Counter(counter,
 			metrics.L("path", r.URL.Path),
 			metrics.L("code", strconv.Itoa(sw.status))).Inc()
-		s.cfg.Tracer.FinishRequest(sp, obs.ReqInfo{
+		e.Tracer.FinishRequest(sp, obs.ReqInfo{
 			TraceID:    traceID,
 			Method:     r.Method,
 			Path:       r.URL.Path,
 			Status:     sw.status,
 			Start:      start,
 			DurUS:      durUS,
-			Benchmark:  rc.extra.Benchmark,
-			Cache:      rc.extra.Cache,
-			ShedReason: rc.extra.ShedReason,
+			Benchmark:  st.Benchmark,
+			Cache:      st.Cache,
+			ShedReason: st.ShedReason,
 		})
-		s.cfg.AccessLog.emit(accessLine{
-			Start:    start,
-			Method:   r.Method,
-			Path:     r.URL.Path,
-			Status:   sw.status,
-			Bytes:    sw.bytes,
-			DurUS:    durUS,
-			Remote:   r.RemoteAddr,
-			TraceID:  traceID,
-			Sampled:  sp.Sampled(),
-			logExtra: rc.extra,
-		})
+		e.AccessLog.emit(start, r, sw, durUS, st)
 	})
 }
 
-// handleRun admits, waits and responds for one run request. Phases:
-// parse → cache probe → admission → queue wait → execution, with the
-// request deadline checked at every boundary; each phase is a span on
-// sampled requests.
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
+// Handler returns the service's HTTP surface:
+//
+//	POST /run             execute (or memo-serve) one benchmark run
+//	POST /batch           execute a set of runs, deduped against both caches
+//	POST /analyze         static effect/cost analysis with budget admission
+//	GET  /cache/probe     peer-cache lookup (no execution)
+//	GET  /benchmarks      the shared machine-readable catalog
+//	GET  /metrics         Prometheus exposition of the server registry
+//	GET  /debug/requests  recent + in-flight requests, slowest first
+//	GET  /debug/trace/<id>  one sampled request's merged Chrome trace
+//	GET  /healthz         liveness (200 while the process serves)
+//	GET  /readyz          readiness (503 once drain begins)
+//
+// Every request passes through the Envelope: access-logged (when a
+// logger is configured), counted in oldend_requests_total by endpoint
+// and status, and answered with an X-Oldend-Trace-Id header — on shed
+// and error paths too.
+func (s *Server) Handler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/run", Only(http.MethodPost, s.handleRun))
+	mux.HandleFunc("/batch", Only(http.MethodPost, s.handleBatch))
+	mux.HandleFunc("/analyze", Only(http.MethodPost, s.handleAnalyze))
+	mux.HandleFunc("/cache/probe", Only(http.MethodGet, s.handleCacheProbe))
+	mux.HandleFunc("/benchmarks", Only(http.MethodGet, s.handleBenchmarks))
+	mux.HandleFunc("/metrics", Only(http.MethodGet, ServeMetrics(s.cfg.Metrics)))
+	mux.HandleFunc("/debug/requests", Only(http.MethodGet, s.handleDebugRequests))
+	mux.HandleFunc("/debug/trace/", Only(http.MethodGet, s.handleDebugTrace))
+	if s.cfg.EnablePprof {
+		mountPprof(mux)
 	}
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	})
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
+		if s.draining.Load() {
+			w.Header().Set("Retry-After", RetryAfterSeconds(s.cfg.RetryAfter))
+			WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+			return
+		}
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	})
+	return Envelope{
+		Prefix:    "oldend",
+		Shard:     s.cfg.ShardName,
+		Metrics:   s.cfg.Metrics,
+		Tracer:    s.cfg.Tracer,
+		AccessLog: s.cfg.AccessLog,
+		Now:       s.cfg.Now,
+	}.Wrap(mux)
+}
+
+// DecodeRun is the request prologue every /run path shares — replica and
+// router alike: decode the body, validate and fill catalog defaults, and
+// derive the canonical cache key the result cache stores under and the
+// ring hashes. Every error is the client's (400).
+func DecodeRun(body io.Reader) (RunRequest, string, error) {
 	var req RunRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
+	if err := json.NewDecoder(io.LimitReader(body, 1<<20)).Decode(&req); err != nil {
+		return req, "", fmt.Errorf("bad request body: %w", err)
 	}
-	req, err := normalize(req)
+	req, err := Normalize(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		return req, "", err
+	}
+	return req, CacheKey(req), nil
+}
+
+// lookup is the one result-cache read, shared by /run, /batch and
+// /cache/probe (each counting into its own hit/miss pair). A hit is a
+// complete 200 result: the memoized bytes — verifiably identical to a
+// fresh run by determinism — and the digest they were stored with.
+func (s *Server) lookup(key string, hits, misses *metrics.Counter) (result, bool) {
+	e, ok := s.cache.get(key)
+	if !ok {
+		misses.Inc()
+		return result{}, false
+	}
+	hits.Inc()
+	return result{status: http.StatusOK, body: e.body, digest: e.digest, cache: "hit"}, true
+}
+
+// writeRun renders a run result as an HTTP response. It is the only
+// writer of a 200 run answer — result-cache hit, probe hit or fresh
+// execution — so all three carry the same headers, which is what lets the
+// router compare any two of them byte for byte.
+func (s *Server) writeRun(w http.ResponseWriter, res result) {
+	switch res.status {
+	case http.StatusOK:
+		h := w.Header()
+		h.Set("X-Oldend-Cache", res.cache)
+		if res.phase != "" {
+			h.Set("X-Oldend-Phase-Cache", res.phase)
+		}
+		h.Set("X-Oldend-Trace-Digest", res.digest)
+		h.Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		w.Write(res.body)
+		return
+	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+		w.Header().Set("Retry-After", RetryAfterSeconds(s.cfg.RetryAfter))
+	}
+	WriteError(w, res.status, res.errMsg)
+}
+
+// handleRun serves one run request: prologue → cache probe → submit →
+// render, each stage a span on sampled requests.
+func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+	req, key, err := DecodeRun(r.Body)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	key := req.Key()
-	rc := requestCtx(r)
-	rc.extra.Benchmark = req.Benchmark
-	rc.extra.Key = key
+	st := RequestState(r)
+	st.Benchmark = req.Benchmark
+	st.Key = key
 
-	// Phase: cache probe. A hit returns the memoized bytes — verifiably
-	// identical to a fresh run by determinism — unless the request asked
-	// to bypass or cross-check.
-	probe := rc.sp.StartChild("cache_probe")
+	// A request that bypasses or cross-checks the cache skips the lookup
+	// but still records the probe stage with its disposition.
+	probe := st.Span.StartChild("cache_probe")
 	probe.SetAttr("key", key)
-	if !req.NoCache && !req.Verify {
-		if e, ok := s.cache.get(key); ok {
-			s.cacheHits.Inc()
-			rc.extra.Cache = "hit"
-			probe.SetAttr("cache", "hit")
-			probe.End()
-			w.Header().Set("X-Oldend-Cache", "hit")
-			w.Header().Set("X-Oldend-Trace-Digest", e.digest)
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusOK)
-			w.Write(e.body)
-			return
-		}
-		s.cacheMisses.Inc()
-	}
-	cacheState := req.Disposition()
-	rc.extra.Cache = cacheState
-	probe.SetAttr("cache", cacheState)
-	probe.End()
-
-	// Phase: admission. Deadline starts covering queue wait + run.
-	ctx, cancel := context.WithTimeout(r.Context(), s.clampDeadline(req.DeadlineMS))
-	defer cancel()
-	j := &job{
-		req:      req,
-		key:      key,
-		cache:    cacheState,
-		ctx:      ctx,
-		enqueued: s.cfg.Now(),
-		done:     make(chan result, 1),
-		sp:       rc.sp,
-	}
-	if rc.sp.Sampled() {
-		j.exemplar = rc.traceID
-	}
-	// The queue_wait span must exist before admit: a worker may dequeue
-	// (and close it) before admit even returns.
-	j.qspan = rc.sp.StartChild("queue_wait")
-	switch s.admit(j) {
-	case admitShed:
-		j.qspan.EndAborted()
-		s.shed.Inc()
-		rc.extra.ShedReason = "queue_full"
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
-		writeError(w, http.StatusTooManyRequests,
-			"admission queue full; retry after backoff")
-		return
-	case admitDraining:
-		j.qspan.EndAborted()
-		rc.extra.ShedReason = "draining"
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-
-	// Phase: wait for a worker. If the deadline fires first the handler
-	// answers 504 and the worker discards the stale job when it surfaces;
-	// the dangling queue_wait span is flushed (aborted) at finish, so the
-	// 504's span tree is still complete.
+	st.Cache = req.Disposition()
 	var res result
-	select {
-	case res = <-j.done:
-	case <-ctx.Done():
-		select {
-		case res = <-j.done: // result arrived in the same instant; serve it
-		default:
-			rc.extra.QueueWaitUS = s.cfg.Now().Sub(j.enqueued).Microseconds()
-			rc.extra.ShedReason = "deadline"
-			writeError(w, http.StatusGatewayTimeout, "deadline exceeded: "+ctx.Err().Error())
-			return
+	hit := false
+	if !req.NoCache && !req.Verify {
+		if res, hit = s.lookup(key, s.cacheHits, s.cacheMisses); hit {
+			st.Cache = res.cache
 		}
 	}
-	rc.extra.Cache = res.cache
-	rc.extra.PhaseCache = res.phase
-	rc.extra.ShedReason = res.shed
-	rc.extra.QueueWaitUS = res.queueWaitUS
-	rc.extra.RunUS = res.runUS
-	if res.status != http.StatusOK {
-		writeError(w, res.status, res.errMsg)
-		return
+	probe.SetAttr("cache", st.Cache)
+	probe.End()
+	if !hit {
+		res = s.submit(r.Context(), st.Span, st.TraceID, req, key)
+		st.PhaseCache = res.phase
+		st.ShedReason = res.shed
+		st.QueueWaitUS = res.queueWaitUS
+		st.RunUS = res.runUS
 	}
-	w.Header().Set("X-Oldend-Cache", res.cache)
-	if res.phase != "" {
-		w.Header().Set("X-Oldend-Phase-Cache", res.phase)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(res.body)
+	s.writeRun(w, res)
 }
 
 // handleCacheProbe is the peer-cache lookup a cluster router (or any
@@ -373,73 +345,75 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 //
 //	GET /cache/probe?key=<canonical cache key>
 //
-// A hit serves the memoized bytes exactly as a /run cache hit would —
-// X-Oldend-Cache: hit, the trace digest header, the identical body — so
-// a router can treat a probe hit and a routed hit interchangeably. A
-// miss is a 404 and nothing else: probes are deliberately lightweight
-// (no queueing, no simulation) so a router can afford to ask several
-// owners about a hot key before committing an execution anywhere.
+// A hit is rendered by the same writer as a /run cache hit, so a router
+// can treat a probe hit and a routed hit interchangeably. A miss is a 404
+// and nothing else: probes are deliberately lightweight (no queueing, no
+// simulation) so a router can afford to ask several owners about a hot
+// key before committing an execution anywhere.
 func (s *Server) handleCacheProbe(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	key := r.URL.Query().Get("key")
 	if key == "" {
-		writeError(w, http.StatusBadRequest, "missing key (the canonical run-config cache key)")
+		WriteError(w, http.StatusBadRequest, "missing key (the canonical run-config cache key)")
 		return
 	}
-	rc := requestCtx(r)
-	rc.extra.Key = key
-	e, ok := s.cache.get(key)
+	st := RequestState(r)
+	st.Key = key
+	res, ok := s.lookup(key, s.probeHits, s.probeMisses)
 	if !ok {
-		s.probeMisses.Inc()
-		rc.extra.Cache = "probe-miss"
-		writeError(w, http.StatusNotFound, "not cached")
+		st.Cache = "probe-miss"
+		WriteError(w, http.StatusNotFound, "not cached")
 		return
 	}
-	s.probeHits.Inc()
-	rc.extra.Cache = "probe-hit"
-	w.Header().Set("X-Oldend-Cache", "hit")
-	w.Header().Set("X-Oldend-Trace-Digest", e.digest)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(e.body)
+	st.Cache = "probe-hit"
+	s.writeRun(w, res)
 }
 
 // handleBenchmarks serves the shared catalog — the same bytes
 // `oldenbench -list` prints, so clients and CLIs cannot drift.
 func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	b, err := bench.CatalogJSON()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(b)
 }
 
-// handleMetrics serves the registry in the Prometheus text exposition
+// ServeMetrics serves a registry in the Prometheus text exposition
 // format with the exporter's Content-Type.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
+func ServeMetrics(reg *metrics.Registry) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", metrics.ContentType)
+		io.WriteString(w, reg.Snapshot().Prometheus())
 	}
-	w.Header().Set("Content-Type", metrics.ContentType)
-	io.WriteString(w, s.cfg.Metrics.Snapshot().Prometheus())
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// Only restricts h to one HTTP method; anything else is a 405.
+func Only(method string, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != method {
+			WriteError(w, http.StatusMethodNotAllowed, method+" only")
+			return
+		}
+		h(w, r)
+	}
+}
+
+// WriteJSON and WriteError are the only response writers for non-run
+// bodies, shared with the cluster router so error shapes cannot drift.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
+func WriteError(w http.ResponseWriter, status int, msg string) {
+	WriteJSON(w, status, map[string]string{"error": msg})
+}
+
+// RetryAfterSeconds renders a backoff hint as a Retry-After header value:
+// whole seconds, rounded up, at least 1.
+func RetryAfterSeconds(d time.Duration) string {
+	return strconv.FormatInt(max(1, int64((d+time.Second-1)/time.Second)), 10)
 }

@@ -18,7 +18,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,12 +69,6 @@ func CacheKey(q RunRequest) string {
 		q.Benchmark, q.Baseline, q.Procs, q.Scale, q.Scheme, q.Mode)
 }
 
-// Normalize validates a request and fills catalog defaults, returning
-// the canonical configuration CacheKey is defined over. Exported so the
-// cluster router canonicalizes requests exactly the way the replicas
-// will — same validation, same defaults, same key.
-func Normalize(q RunRequest) (RunRequest, error) { return normalize(q) }
-
 // Disposition returns the cache disposition a (normalized) request
 // carries into execution: "bypass" when it refuses the cache, "verify"
 // when it cross-checks it, else "miss".
@@ -96,10 +89,11 @@ func (q RunRequest) Disposition() string {
 // safe to use either way.
 type ExecuteFunc func(req RunRequest, sp *obs.Span) (record.RunRecord, error)
 
-// ExecutePhasedFunc is ExecuteFunc with the phase-cache disposition:
-// "hit" (build state restored), "miss" (built and stored) or "none" (the
-// configuration is not phase-cacheable).
-type ExecutePhasedFunc func(req RunRequest, sp *obs.Span) (record.RunRecord, string, error)
+// executePhasedFunc is what the worker calls: ExecuteFunc plus the
+// phase-cache disposition — "hit" (build state restored), "miss" (built
+// and stored), "none" (not phase-cacheable) or "" (a substituted
+// executor, which has no phase path).
+type executePhasedFunc func(req RunRequest, sp *obs.Span) (record.RunRecord, string, error)
 
 // Config tunes a Server. The zero value is usable: every field has a
 // default chosen for a small local instance.
@@ -155,13 +149,9 @@ type Config struct {
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
 	// Execute substitutes the run executor (tests); nil means the real
-	// benchmark executor. A substituted executor bypasses the phase
-	// cache; use ExecutePhased to substitute that path too.
+	// phase-cached benchmark executor. A substituted executor bypasses
+	// the phase cache.
 	Execute ExecuteFunc
-	// ExecutePhased substitutes the phase-aware executor (tests); when
-	// both it and Execute are nil the server uses its own phase-cached
-	// benchmark executor.
-	ExecutePhased ExecutePhasedFunc
 	// Now substitutes the wall clock (tests); nil means time.Now.
 	Now func() time.Time
 }
@@ -204,16 +194,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// result is what a worker (or the admission path) delivers for one job.
-// Phase timings ride along so the handler can log them without sharing
-// mutable state with the worker.
+// result is the outcome of one run request, whichever stage produced it
+// — the result cache, the admission step or a worker — in the one shape
+// /run renders as a response and /batch as a BatchItem. Phase timings ride
+// along so the handler can log them without sharing mutable state with
+// the worker.
 type result struct {
 	status      int
 	body        []byte
+	digest      string // trace digest of body (200 only)
 	errMsg      string
-	cache       string // hit | miss | bypass | verify
+	cache       string // hit | miss | bypass | verify; "" when no worker answered
 	phase       string // hit | miss | none | "" (executor has no phase path)
-	shed        string // shed reason when the worker refused the job
+	shed        string // why admission or the worker refused the job
 	queueWaitUS int64
 	runUS       int64
 }
@@ -242,10 +235,9 @@ type Server struct {
 	cfg    Config
 	cache  *resultCache
 	phases *phaseCache
-	// execute is the worker's run path: the substituted Execute, the
-	// substituted ExecutePhased, or the server's own phase-cached
-	// executor.
-	execute ExecutePhasedFunc
+	// execute is the worker's run path: the substituted Execute or the
+	// server's own phase-cached executor.
+	execute executePhasedFunc
 
 	queue    chan *job
 	wg       sync.WaitGroup
@@ -279,16 +271,12 @@ func New(cfg Config) *Server {
 		phases: newLRU[*bench.BuildState](cfg.PhaseCacheEntries),
 		queue:  make(chan *job, cfg.QueueDepth),
 	}
-	switch {
-	case cfg.Execute != nil:
+	s.execute = s.defaultExecutePhased
+	if cfg.Execute != nil {
 		s.execute = func(req RunRequest, sp *obs.Span) (record.RunRecord, string, error) {
 			rec, err := cfg.Execute(req, sp)
 			return rec, "", err
 		}
-	case cfg.ExecutePhased != nil:
-		s.execute = cfg.ExecutePhased
-	default:
-		s.execute = s.defaultExecutePhased
 	}
 	m := cfg.Metrics
 	m.SetHelp("oldend_requests_total", "Requests served, by endpoint and status code.")
@@ -392,6 +380,56 @@ func (s *Server) admit(j *job) int {
 	}
 }
 
+// submit is the one admission point: it builds the job, opens its
+// queue_wait span under sp, offers it to the queue and waits for a worker
+// within the request's deadline (queue wait + run). Shed, draining and
+// deadline outcomes come back as results like any other, so /run and
+// /batch only differ in how they render what submit returns.
+func (s *Server) submit(parent context.Context, sp *obs.Span, traceID string, req RunRequest, key string) result {
+	ctx, cancel := context.WithTimeout(parent, s.clampDeadline(req.DeadlineMS))
+	defer cancel()
+	j := &job{
+		req:      req,
+		key:      key,
+		cache:    req.Disposition(),
+		ctx:      ctx,
+		enqueued: s.cfg.Now(),
+		done:     make(chan result, 1),
+		sp:       sp,
+	}
+	if sp.Sampled() {
+		j.exemplar = traceID
+	}
+	// The queue_wait span must exist before admit: a worker may dequeue
+	// (and close it) before admit even returns.
+	j.qspan = sp.StartChild("queue_wait")
+	switch s.admit(j) {
+	case admitShed:
+		j.qspan.EndAborted()
+		s.shed.Inc()
+		return result{status: http.StatusTooManyRequests, errMsg: "admission queue full; retry after backoff", shed: "queue_full"}
+	case admitDraining:
+		j.qspan.EndAborted()
+		return result{status: http.StatusServiceUnavailable, errMsg: "server is draining", shed: "draining"}
+	}
+	// If the deadline fires first the caller answers 504 and the worker
+	// discards the stale job when it surfaces; the dangling queue_wait
+	// span is flushed (aborted) at finish, so the 504's span tree is
+	// still complete.
+	select {
+	case res := <-j.done:
+		return res
+	case <-ctx.Done():
+		select {
+		case res := <-j.done: // result arrived in the same instant; serve it
+			return res
+		default:
+			return result{status: http.StatusGatewayTimeout, errMsg: "deadline exceeded: " + ctx.Err().Error(),
+				shed: "deadline", queueWaitUS: s.cfg.Now().Sub(j.enqueued).Microseconds()}
+		}
+	}
+}
+
 // worker executes admitted jobs until drain closes the queue. Deadlines
 // are honored at phase boundaries: a job whose context expired while
 // queued is skipped (freeing the slot for live work), and one whose
@@ -437,7 +475,7 @@ func (s *Server) worker() {
 		}
 		s.cfg.Metrics.Counter("oldend_runs_total", metrics.L("benchmark", j.req.Benchmark)).Inc()
 		s.simCycles.Add(rec.Cycles)
-		res := result{status: http.StatusOK, body: body, cache: j.cache, phase: phase, queueWaitUS: wait, runUS: runUS}
+		res := result{status: http.StatusOK, body: body, digest: rec.TraceDigest, cache: j.cache, phase: phase, queueWaitUS: wait, runUS: runUS}
 		if j.req.Verify {
 			if hit, ok := s.cache.get(j.key); ok {
 				if hit.digest == rec.TraceDigest {
@@ -472,10 +510,10 @@ func marshalRecord(rec record.RunRecord) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// normalize validates the request and fills catalog defaults, returning
-// the canonical configuration every downstream phase (cache key, executor,
-// log) agrees on.
-func normalize(q RunRequest) (RunRequest, error) {
+// Normalize validates the request and fills catalog defaults, returning
+// the canonical configuration every downstream stage (cache key, ring,
+// executor, log) agrees on and CacheKey is defined over.
+func Normalize(q RunRequest) (RunRequest, error) {
 	if q.Benchmark == "" {
 		return q, fmt.Errorf("missing benchmark (GET /benchmarks lists them)")
 	}
@@ -526,12 +564,4 @@ func (s *Server) clampDeadline(ms int64) time.Duration {
 		d = s.cfg.MaxDeadline
 	}
 	return d
-}
-
-func (s *Server) retryAfterSeconds() string {
-	secs := int64((s.cfg.RetryAfter + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.FormatInt(secs, 10)
 }

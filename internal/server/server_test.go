@@ -316,8 +316,13 @@ func TestCacheHitByteIdentical(t *testing.T) {
 	if !bytes.Equal(b1, b2) {
 		t.Fatalf("cache hit not byte-identical:\n%s\nvs\n%s", b1, b2)
 	}
-	if h2.Get("X-Oldend-Trace-Digest") != "events=7 hash=abc" {
-		t.Fatalf("hit digest header = %q", h2.Get("X-Oldend-Trace-Digest"))
+	// Fresh and memoized answers come from one renderer: the miss carries
+	// the digest too, which is what lets a router compare a hit on one
+	// replica with an execution on another.
+	for label, h := range map[string]http.Header{"miss": h1, "hit": h2} {
+		if got := h.Get("X-Oldend-Trace-Digest"); got != "events=7 hash=abc" {
+			t.Fatalf("%s digest header = %q", label, got)
+		}
 	}
 	if exec.calls.Load() != 1 {
 		t.Fatalf("executor ran %d times, want 1", exec.calls.Load())

@@ -6,9 +6,11 @@
 #      same configuration directly from the answering replica returns the
 #      same bytes — ⟨replica, run-config⟩ addressing is real;
 #   2. a verify sweep (every 4th routed execution duplicated to a second
-#      replica) over the full kernel catalog ends with
+#      replica) over the full kernel catalog, run twice, ends with
 #      oldenrouter_verify_mismatch_total = 0 — replicas agree
-#      byte-for-byte, the determinism contract holds across processes;
+#      byte-for-byte, the determinism contract holds across processes —
+#      and so does the same double sweep through a second router without
+#      the probe phase, where memoized answers meet fresh executions;
 #   3. routed load spreads over all three shards within the balance gate
 #      (oldenload -via-router -expect-shards/-max-shard-spread) and the
 #      repeated mix is served mostly from the federated caches;
@@ -21,6 +23,7 @@
 set -euo pipefail
 
 ROUTER_ADDR=${CLUSTER_ADDR:-127.0.0.1:18090}
+VERIFY_ADDR=${CLUSTER_VERIFY_ADDR:-127.0.0.1:18089}
 BASE_PORT=${CLUSTER_BASE_PORT:-18091}
 OUT=${CLUSTER_OUT:-/tmp/oldend-cluster}
 mkdir -p "$OUT"
@@ -44,7 +47,13 @@ REPLICAS=${REPLICAS#,}
   -probe-owners 2 -verify-every 4 -down-cooldown 5s \
   2>"$OUT/oldenrouter.log" &
 ROUTER_PID=$!
-trap 'kill -9 $ROUTER_PID "${PIDS[@]}" 2>/dev/null || true' EXIT
+# A second router over the same replicas with no probe phase: its repeats
+# reach the primary owner as plain cache hits, so its verifier compares
+# memoized answers against fresh executions (step 2).
+"$OUT/oldenrouter" -addr "$VERIFY_ADDR" -replicas "$REPLICAS" -verify-every 3 \
+  2>"$OUT/oldenrouter-verify.log" &
+VERIFY_PID=$!
+trap 'kill -9 $ROUTER_PID $VERIFY_PID "${PIDS[@]}" 2>/dev/null || true' EXIT
 
 for _ in $(seq 1 50); do
   curl -fsS "http://$ROUTER_ADDR/readyz" >/dev/null 2>&1 && break
@@ -76,25 +85,38 @@ curl -fsS -X POST -d "$BODY" "http://127.0.0.1:$SHARD_PORT/run" | cmp - "$OUT/r1
 echo "cluster-smoke: routed repeat byte-identical ($SHARD), direct replica fetch agrees"
 
 # 2. Cross-replica verify sweep: run the whole catalog through the
-# router twice (the second pass is cache-hit traffic on the primaries,
-# and every 4th execution was duplicated to a peer). Zero mismatches is
-# the gate; at least one match proves the verifier actually ran.
+# router twice — every 4th execution is duplicated to a peer; the second
+# pass is cache-hit traffic served by the probe phase. Zero mismatches is
+# the gate; at least one match proves the verifier actually ran. Then the
+# same double sweep through the probe-less router: by now some owners
+# hold a key and some do not, and its every-3rd counter lands on
+# different keys in the second pass, so hits are verified against fresh
+# runs (and the reverse) — a memoized answer and an execution must be
+# indistinguishable on the wire, digest header included.
 BENCHES=$(grep -o '"name": "[a-z0-9]*"' "$OUT/benchmarks.json" | cut -d'"' -f4)
 [ -n "$BENCHES" ]
-for b in $BENCHES; do
-  for p in 1 4; do
-    curl -fsS -X POST -d "{\"benchmark\":\"$b\",\"procs\":$p,\"scale\":64}" \
-      "http://$ROUTER_ADDR/run" -o /dev/null
+curl -fsS --retry 25 --retry-delay 0 --retry-connrefused "http://$VERIFY_ADDR/readyz" >/dev/null
+for target in "$ROUTER_ADDR" "$VERIFY_ADDR"; do
+  prom="$OUT/router-metrics-verify-${target##*:}.prom"
+  for _pass in 1 2; do
+    for b in $BENCHES; do
+      for p in 1 4; do
+        curl -fsS -X POST -d "{\"benchmark\":\"$b\",\"procs\":$p,\"scale\":64}" \
+          "http://$target/run" -o /dev/null
+      done
+    done
   done
+  curl -fsS "http://$target/metrics" >"$prom"
+  grep -Eq 'oldenrouter_verify_total\{outcome="match"\} [1-9]' "$prom" \
+    || { echo "cluster-smoke: verify mode never ran a duplicate on $target" >&2; exit 1; }
+  if grep -E 'oldenrouter_verify_mismatch_total [1-9]' "$prom"; then
+    echo "cluster-smoke: CROSS-REPLICA VERIFY MISMATCH on $target — replicas disagreed byte-for-byte" >&2
+    exit 1
+  fi
 done
-curl -fsS "http://$ROUTER_ADDR/metrics" >"$OUT/router-metrics-verify.prom"
-grep -Eq 'oldenrouter_verify_total\{outcome="match"\} [1-9]' "$OUT/router-metrics-verify.prom" \
-  || { echo "cluster-smoke: verify mode never ran a duplicate" >&2; exit 1; }
-if grep -E 'oldenrouter_verify_mismatch_total [1-9]' "$OUT/router-metrics-verify.prom"; then
-  echo "cluster-smoke: CROSS-REPLICA VERIFY MISMATCH — replicas disagreed byte-for-byte" >&2
-  exit 1
-fi
-echo "cluster-smoke: verify sweep over the catalog, zero mismatches"
+kill -TERM "$VERIFY_PID"
+wait "$VERIFY_PID"
+echo "cluster-smoke: double verify sweep over the catalog (fresh and memoized), zero mismatches"
 
 # 3. Balance: a closed-loop mix of distinct configurations must reach
 # all three shards within the spread gate, and the repeats must be

@@ -2,7 +2,7 @@ GO ?= go
 
 BENCHES = treeadd power tsp mst bisort voronoi em3d barneshut perimeter health
 
-.PHONY: check build vet fmt static test perf-test race fuzz oldenvet lint analyze phases bench report perfgate wallclock profile benchstat serve load servesmoke cluster clustersmoke update-goldens
+.PHONY: check build vet fmt static test perf-test race fuzz oldenvet lint analyze phases bench report perfgate profile serve load servesmoke cluster clustersmoke update-goldens
 
 # Each fuzz target gets a short smoke run in check; raise FUZZTIME for a
 # real fuzzing session.
@@ -84,27 +84,16 @@ perfgate:
 	$(GO) run ./cmd/oldenbench -record $(PERFGATE_DIR) -maxprocs $(BASELINE_PROCS)
 	$(GO) run ./cmd/oldenreport -candidate $(PERFGATE_DIR)
 
-# Simulator wall-clock throughput. Everything above gates on simulated
-# cycles (deterministic, zero tolerance); these targets measure how fast
-# the simulator executes them — ns per simulated cycle, the host-dependent
-# number that bounds served throughput per oldend core. Nothing here is
-# pinned or gated.
-#
-#   make wallclock   measure every benchmark × scheme and render the
-#                    report with its ns/sim-cycle section
-#   make profile     pprof CPU + allocation profiles over the wall-clock
-#                    benchmark suite (go test -bench WallClock)
-#   make benchstat   run the suite -benchtime=1x -count=5 and compare
-#                    against the committed testdata/wallclock_baseline.txt
+# Simulator wall clock. Everything above gates on simulated cycles
+# (deterministic, zero tolerance). How fast the simulator executes them is
+# measured by the repository benchmark — `go run -C perf . -workload
+# sim_table` reports records/s, ns per simulated cycle and allocations per
+# run — and `make profile` writes pprof CPU + allocation profiles over the
+# same thirty configurations (go test -bench WallClock: a test binary is
+# what -cpuprofile needs).
 WALL_DIR ?= /tmp/olden-wallclock
 WALL_SCALE ?= 16
 PROFILE_BENCHTIME ?= 3x
-BENCHSTAT_VERSION ?= latest
-
-wallclock:
-	@mkdir -p $(WALL_DIR)
-	$(GO) run ./cmd/oldenbench -wallclock $(WALL_DIR)/WALLCLOCK.json -maxprocs $(BASELINE_PROCS) -scale $(WALL_SCALE)
-	$(GO) run ./cmd/oldenreport -wallclock $(WALL_DIR)/WALLCLOCK.json
 
 profile:
 	@mkdir -p $(WALL_DIR)
@@ -114,16 +103,6 @@ profile:
 		-o $(WALL_DIR)/repro.test .
 	@echo "inspect: $(GO) tool pprof $(WALL_DIR)/repro.test $(WALL_DIR)/cpu.out"
 	@echo "inspect: $(GO) tool pprof $(WALL_DIR)/repro.test $(WALL_DIR)/mem.out"
-
-benchstat:
-	@mkdir -p $(WALL_DIR)
-	BENCH_SCALE=64 $(GO) test -run '^$$' -bench 'WallClock' -benchmem \
-		-benchtime 1x -count 5 . | tee $(WALL_DIR)/new.txt
-	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat testdata/wallclock_baseline.txt $(WALL_DIR)/new.txt; \
-	else \
-		echo "benchstat not installed; skipping comparison (go install golang.org/x/perf/cmd/benchstat@$(BENCHSTAT_VERSION))"; \
-	fi
 
 # The serving layer. `make serve` runs oldend in the foreground (ctrl-C
 # or SIGTERM drains gracefully); `make load` fires a short closed-loop

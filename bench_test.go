@@ -21,16 +21,7 @@ import (
 	"repro/internal/rt"
 	"repro/olden"
 
-	_ "repro/internal/bench/barneshut"
-	_ "repro/internal/bench/bisort"
-	_ "repro/internal/bench/em3d"
-	_ "repro/internal/bench/health"
-	_ "repro/internal/bench/mst"
-	_ "repro/internal/bench/perimeter"
-	_ "repro/internal/bench/power"
-	_ "repro/internal/bench/treeadd"
-	_ "repro/internal/bench/tsp"
-	_ "repro/internal/bench/voronoi"
+	_ "repro/internal/bench/all"
 )
 
 // benchScale is the default size divisor for the testing.B harness; the

@@ -25,31 +25,9 @@ import (
 	"repro/internal/analysis/effects"
 	"repro/internal/analysis/phases"
 	"repro/internal/bench"
-	"repro/internal/bench/barneshut"
-	"repro/internal/bench/bisort"
-	"repro/internal/bench/em3d"
-	"repro/internal/bench/health"
-	"repro/internal/bench/mst"
-	"repro/internal/bench/perimeter"
-	"repro/internal/bench/power"
-	"repro/internal/bench/treeadd"
-	"repro/internal/bench/tsp"
-	"repro/internal/bench/voronoi"
+	_ "repro/internal/bench/all"
 	"repro/olden"
 )
-
-var kernels = map[string]string{
-	"treeadd":   treeadd.KernelSource,
-	"power":     power.KernelSource,
-	"tsp":       tsp.KernelSource,
-	"mst":       mst.KernelSource,
-	"bisort":    bisort.KernelSource,
-	"voronoi":   voronoi.KernelSource,
-	"em3d":      em3d.KernelSource,
-	"barneshut": barneshut.KernelSource,
-	"perimeter": perimeter.KernelSource,
-	"health":    health.KernelSource,
-}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
@@ -94,18 +72,16 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	includeBuild := false
 	switch {
 	case *benchName != "":
-		s, ok := kernels[*benchName]
+		info, ok := bench.Get(*benchName)
 		if !ok {
 			return fail("unknown benchmark %q", *benchName)
 		}
-		src = s
+		src = info.Source
 		file = "bench:" + *benchName
 		// A benchmark kernel runs under the harness, whose build happens
 		// before virtual time starts; phased benchmarks expose it as a
 		// synthetic invariant phase.
-		if info, registered := bench.Get(*benchName); registered {
-			includeBuild = info.Phased != nil
-		}
+		includeBuild = info.Phased != nil
 	case fs.NArg() == 1 && fs.Arg(0) == "-":
 		data, err := io.ReadAll(stdin)
 		if err != nil {

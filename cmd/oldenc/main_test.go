@@ -231,7 +231,7 @@ func TestAnalyzeJSONShape(t *testing.T) {
 // TestAnalyzeBenchKernels smoke-runs -analyze over every pinned kernel:
 // the analysis must terminate and produce a certificate line for each.
 func TestAnalyzeBenchKernels(t *testing.T) {
-	for name := range kernels {
+	for _, name := range bench.Names() {
 		stdout, stderr, code := runOldenc(t, "", "-analyze", "-bench", name)
 		if code != 0 {
 			t.Errorf("%s: exit %d, stderr: %s", name, code, stderr)
@@ -274,7 +274,7 @@ func TestPhasesJSON(t *testing.T) {
 // TestPhasesBenchKernels smoke-runs -phases over every pinned kernel and
 // checks the phased benchmarks expose the synthetic build phase.
 func TestPhasesBenchKernels(t *testing.T) {
-	for name := range kernels {
+	for _, name := range bench.Names() {
 		stdout, stderr, code := runOldenc(t, "", "-phases", "-json", "-bench", name)
 		if code != 0 {
 			t.Errorf("%s: exit %d, stderr: %s", name, code, stderr)

@@ -44,16 +44,7 @@ import (
 
 	"repro/internal/server"
 
-	_ "repro/internal/bench/barneshut"
-	_ "repro/internal/bench/bisort"
-	_ "repro/internal/bench/em3d"
-	_ "repro/internal/bench/health"
-	_ "repro/internal/bench/mst"
-	_ "repro/internal/bench/perimeter"
-	_ "repro/internal/bench/power"
-	_ "repro/internal/bench/treeadd"
-	_ "repro/internal/bench/tsp"
-	_ "repro/internal/bench/voronoi"
+	_ "repro/internal/bench/all"
 )
 
 func main() {
@@ -68,7 +59,6 @@ func main() {
 	quiet := flag.Bool("quiet", false, "disable the JSON access log on stderr")
 	traceSample := flag.Int("trace-sample", 0, "head-sample every Nth request for span tracing (1 = all, 0 = only requests with a sampled traceparent, negative disables)")
 	traceRequests := flag.Int("trace-requests", 256, "finished-request ring size behind /debug/requests")
-	traceCapacity := flag.Int("trace-capacity", 0, "per-sampled-request simulation event ring (0 = simulator default; overflow is counted, never silent)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	shardName := flag.String("shard", "", "shard name this replica advertises in X-Oldend-Shard when serving behind oldenrouter")
 	flag.Parse()
@@ -82,7 +72,6 @@ func main() {
 		MaxDeadline:       *maxDeadline,
 		SampleEvery:       *traceSample,
 		DebugRequests:     *traceRequests,
-		TraceCapacity:     *traceCapacity,
 		EnablePprof:       *pprofOn,
 		ShardName:         *shardName,
 	}

@@ -8,15 +8,10 @@
 //	oldenreport -against old/            # Δ-prev columns vs an older pin set
 //	oldenreport -candidate new/          # gate new/ against ./BENCH_*.json
 //	oldenreport -candidate new/ -tol-cycles 0.02 -out report.md
-//	oldenreport -wallclock WALLCLOCK.json      # + ns/sim-cycle section
 //
 // In gate mode the exit status is 1 when any configuration regressed
 // beyond tolerance; the simulator is deterministic, so the default zero
 // tolerance passes byte-identical reruns and fails any slowdown at all.
-// The -wallclock section (a WallFile written by `oldenbench -wallclock`)
-// is the one host-dependent part of the report: it renders simulator
-// throughput as wall-clock ns per simulated cycle and is informational
-// only — never part of the gate.
 package main
 
 import (
@@ -34,7 +29,6 @@ func main() {
 	procs := flag.Int("procs", 0, "machine size to render (0 = infer from the records)")
 	tolCycles := flag.Float64("tol-cycles", 0, "allowed fractional cycle increase (0.02 = 2%)")
 	tolMiss := flag.Float64("tol-miss", 0, "allowed absolute miss-percentage increase in points")
-	wallclock := flag.String("wallclock", "", "append the ns/sim-cycle section from this WallFile JSON (written by oldenbench -wallclock; informational, never gated)")
 	out := flag.String("out", "", "write the markdown report to this file instead of stdout")
 	flag.Parse()
 
@@ -66,14 +60,6 @@ func main() {
 		report = record.Report(base, prev, renderProcs(*procs, base), nil)
 	default:
 		report = record.Report(base, nil, renderProcs(*procs, base), nil)
-	}
-
-	if *wallclock != "" {
-		wf, err := record.LoadWall(*wallclock)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		report += "\n" + record.WallMarkdown(wf)
 	}
 
 	if *out != "" {

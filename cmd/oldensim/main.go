@@ -1,15 +1,19 @@
 // Command oldensim runs one Olden benchmark at one configuration and
 // prints cycles, speedup against the sequential baseline, and the runtime
-// statistics behind Tables 2 and 3.
+// statistics behind Tables 2 and 3. It is the one single-run tool: the
+// table, record and serving commands all run many configurations.
 //
 //	oldensim -bench treeadd -procs 8
-//	oldensim -bench voronoi -procs 32 -mode migrate -scale 8
+//	oldensim -bench voronoi -procs 32 -mode migrate-only -scale 8
 //	oldensim -bench health -procs 16 -scheme bilateral
 //
-// With -trace the timed region is recorded on the simulation clock and
-// exported in Chrome trace_event JSON (load the file in chrome://tracing
-// or ui.perfetto.dev); the trace digest is printed either way tracing is
-// on. -profile aggregates the trace into per-site and per-page profiles.
+// -mode and -scheme take the catalog's names (oldenbench -list, oldend's
+// GET /benchmarks). With -trace the timed region is recorded on the
+// simulation clock and exported in Chrome trace_event JSON (load the file
+// in chrome://tracing or ui.perfetto.dev); the trace digest is printed
+// either way tracing is on. -profile aggregates the trace into per-site
+// and per-page profiles and adds the runtime's per-site mechanism
+// counters.
 //
 //	oldensim -bench em3d -procs 4 -scheme global -trace em3d.json -profile
 package main
@@ -25,24 +29,15 @@ import (
 	"repro/internal/rt"
 	"repro/internal/trace"
 
-	_ "repro/internal/bench/barneshut"
-	_ "repro/internal/bench/bisort"
-	_ "repro/internal/bench/em3d"
-	_ "repro/internal/bench/health"
-	_ "repro/internal/bench/mst"
-	_ "repro/internal/bench/perimeter"
-	_ "repro/internal/bench/power"
-	_ "repro/internal/bench/treeadd"
-	_ "repro/internal/bench/tsp"
-	_ "repro/internal/bench/voronoi"
+	_ "repro/internal/bench/all"
 )
 
 func main() {
 	name := flag.String("bench", "", "benchmark name ("+strings.Join(bench.Names(), ", ")+")")
 	procs := flag.Int("procs", 8, "simulated machine size")
 	scale := flag.Int("scale", bench.DefaultScale, "divide the paper's problem size (1 = full)")
-	mode := flag.String("mode", "heuristic", "mechanism mode: heuristic, migrate, cache")
-	scheme := flag.String("scheme", "local", "coherence scheme: local, global, bilateral")
+	mode := flag.String("mode", "heuristic", "mechanism mode: "+names(rt.Modes()))
+	scheme := flag.String("scheme", "local", "coherence scheme: "+names(coherence.Kinds()))
 	traceOut := flag.String("trace", "", "record the timed region and write Chrome trace JSON to this file")
 	profile := flag.Bool("profile", false, "print per-site and per-page profiles of the timed region")
 	traceCap := flag.Int("tracecap", 0, "trace ring capacity in events (0 = default)")
@@ -52,18 +47,7 @@ func main() {
 	if !ok {
 		fatalf("unknown benchmark %q (want one of %s)", *name, strings.Join(bench.Names(), ", "))
 	}
-	var m rt.Mode
-	switch *mode {
-	case "heuristic":
-		m = rt.Heuristic
-	case "migrate":
-		m = rt.MigrateOnly
-	case "cache":
-		m = rt.CacheOnly
-	default:
-		fatalf("unknown -mode %q", *mode)
-	}
-	k, err := coherence.Parse(*scheme)
+	cfg, err := configFor(*procs, *scale, *mode, *scheme)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -73,17 +57,20 @@ func main() {
 		fatalf("baseline failed verification: %#x != %#x", base.Check, base.WantCheck)
 	}
 	var rec *trace.Recorder
+	var rtm *rt.Runtime
 	if *traceOut != "" || *profile {
 		rec = trace.New(*traceCap)
+		cfg.Trace = rec
+		cfg.RuntimeHook = func(r *rt.Runtime) { rtm = r }
 	}
-	res := info.Run(bench.Config{Procs: *procs, Scale: *scale, Mode: m, Scheme: k, Trace: rec})
+	res := info.Run(cfg)
 	status := "verified"
 	if !res.Verified() {
 		status = fmt.Sprintf("FAILED (%#x != %#x)", res.Check, res.WantCheck)
 	}
 
 	fmt.Printf("%s: %s (%s)\n", *name, info.Description, info.PaperSize)
-	fmt.Printf("procs=%d scale=1/%d mode=%s scheme=%s\n", *procs, *scale, m, k)
+	fmt.Printf("procs=%d scale=1/%d mode=%s scheme=%s\n", *procs, *scale, cfg.Mode, cfg.Scheme)
 	fmt.Printf("result: %s\n", status)
 	fmt.Printf("sequential baseline: %d cycles\n", base.Cycles)
 	fmt.Printf("parallel makespan:   %d cycles  (speedup %.2f)\n",
@@ -115,11 +102,41 @@ func main() {
 		if *profile {
 			fmt.Println()
 			fmt.Print(rec.Profile().Format(20))
+			fmt.Println("\nper-site mechanism counters (runtime view):")
+			fmt.Printf("%-28s %-8s %10s %10s %10s %10s\n",
+				"site", "mech", "reads", "writes", "remote", "migrations")
+			for _, s := range rtm.SiteStats() {
+				fmt.Printf("%-28s %-8s %10d %10d %10d %10d\n",
+					s.Name, s.Mech, s.Reads, s.Writes, s.Remote, s.Migrations)
+			}
 		}
 	}
 	if !res.Verified() {
 		os.Exit(1)
 	}
+}
+
+// configFor turns the name-valued flags into the run configuration,
+// through the same parsers the catalog's mode and scheme names come from.
+func configFor(procs, scale int, mode, scheme string) (bench.Config, error) {
+	m, err := rt.ParseMode(mode)
+	if err != nil {
+		return bench.Config{}, err
+	}
+	k, err := coherence.Parse(scheme)
+	if err != nil {
+		return bench.Config{}, err
+	}
+	return bench.Config{Procs: procs, Scale: scale, Mode: m, Scheme: k}, nil
+}
+
+// names joins an enumeration's printed names for flag help.
+func names[T fmt.Stringer](vs []T) string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = v.String()
+	}
+	return strings.Join(out, ", ")
 }
 
 func pct(a, b int64) float64 {

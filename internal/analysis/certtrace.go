@@ -10,16 +10,7 @@ import (
 
 	// The certificate cross-validation runs registered benchmarks; the
 	// kernels register themselves in package init.
-	_ "repro/internal/bench/barneshut"
-	_ "repro/internal/bench/bisort"
-	_ "repro/internal/bench/em3d"
-	_ "repro/internal/bench/health"
-	_ "repro/internal/bench/mst"
-	_ "repro/internal/bench/perimeter"
-	_ "repro/internal/bench/power"
-	_ "repro/internal/bench/treeadd"
-	_ "repro/internal/bench/tsp"
-	_ "repro/internal/bench/voronoi"
+	_ "repro/internal/bench/all"
 )
 
 // checkCertTrace cross-validates the static cacheability certificate of

@@ -8,8 +8,7 @@ import (
 	"repro/internal/coherence"
 	"repro/internal/rt"
 
-	_ "repro/internal/bench/em3d"
-	_ "repro/internal/bench/treeadd"
+	_ "repro/internal/bench/all"
 )
 
 // TestCatalogMatchesRegistry pins the catalog to the live registry and the

@@ -6,9 +6,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/trace"
 
-	_ "repro/internal/bench/bisort"
-	_ "repro/internal/bench/mst"
-	_ "repro/internal/bench/power"
+	_ "repro/internal/bench/all"
 )
 
 // accessRun executes one benchmark and returns the kernel-phase access

@@ -9,8 +9,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/trace"
 
-	_ "repro/internal/bench/em3d"
-	_ "repro/internal/bench/treeadd"
+	_ "repro/internal/bench/all"
 )
 
 // TestConcurrentRunsIsolated guards the per-job-isolation assumption

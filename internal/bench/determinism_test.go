@@ -7,8 +7,7 @@ import (
 	"repro/internal/coherence"
 	"repro/internal/trace"
 
-	_ "repro/internal/bench/em3d"
-	_ "repro/internal/bench/treeadd"
+	_ "repro/internal/bench/all"
 )
 
 // schemes enumerates the three coherence schemes of Appendix A by the

@@ -7,8 +7,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/rt"
 
-	_ "repro/internal/bench/bisort"
-	_ "repro/internal/bench/perimeter"
+	_ "repro/internal/bench/all"
 )
 
 // TestCoherenceDifferential runs bisort and perimeter under all three

@@ -11,9 +11,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/trace"
 
-	_ "repro/internal/bench/bisort"
-	_ "repro/internal/bench/em3d"
-	_ "repro/internal/bench/treeadd"
+	_ "repro/internal/bench/all"
 )
 
 var update = flag.Bool("update", false,

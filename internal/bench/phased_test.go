@@ -8,11 +8,7 @@ import (
 	"repro/internal/rt"
 	"repro/internal/trace"
 
-	_ "repro/internal/bench/health"
-	_ "repro/internal/bench/mst"
-	_ "repro/internal/bench/perimeter"
-	_ "repro/internal/bench/tsp"
-	_ "repro/internal/bench/voronoi"
+	_ "repro/internal/bench/all"
 )
 
 // The phased contract: skipping the build by restoring its heap image

@@ -123,39 +123,6 @@ func Table3Markdown(cur, prev []File, procs int) string {
 	return sb.String()
 }
 
-// WallMarkdown renders a wall-clock measurement set as the report's
-// simulator-throughput section: one row per measured configuration with
-// the simulated makespan, the measured wall time, and the ns/sim-cycle
-// quotient, closed by the geometric-mean summary line EXPERIMENTS.md
-// tracks. Wall numbers are host-dependent; the section is informational
-// and never part of the regression gate.
-func WallMarkdown(f WallFile) string {
-	var sb strings.Builder
-	sb.WriteString("## Simulator throughput — wall clock\n\n")
-	sb.WriteString("| Benchmark | P | Scheme | Scale | Sim cycles | Wall ms | ns/sim-cycle |\n")
-	sb.WriteString("|---|---:|---|---:|---:|---:|---:|\n")
-	for _, r := range f.Records {
-		fmt.Fprintf(&sb, "| %s | %d | %s | 1/%d | %d | %.2f | %.1f |\n",
-			r.Benchmark, r.Procs, r.Scheme, r.Scale,
-			r.Cycles, float64(r.WallNs)/1e6, r.NsPerCycle())
-	}
-	if g := f.Geomean(); g > 0 {
-		fmt.Fprintf(&sb, "\nGeomean: %.1f ns/sim-cycle over %d configurations "+
-			"(best of %d runs each; wall time is host-dependent and not gated).\n",
-			g, len(f.Records), wallRuns(f))
-	}
-	return sb.String()
-}
-
-// wallRuns reports the repetition count the measurements used (they are
-// uniform within one oldenbench invocation; fall back to the first).
-func wallRuns(f WallFile) int {
-	if len(f.Records) == 0 {
-		return 0
-	}
-	return f.Records[0].Runs
-}
-
 // Report renders the full baseline report: both tables plus a gate summary
 // when regressions are present.
 func Report(cur, prev []File, procs int, regs []Regression) string {

@@ -51,25 +51,21 @@ func execute(info Info, cfg Config) Result {
 	return res
 }
 
-// RunRecorded executes one configuration with a metrics registry and trace
-// recorder attached (unless the caller supplied its own) and returns the
-// result alongside its persistent record. Because metrics and tracing
-// charge no simulated cycles, the recorded run's makespan is identical to
-// an unobserved one.
-func RunRecorded(info Info, cfg Config) (Result, record.RunRecord) {
+// recorded is the one recorded-run constructor: it attaches a metrics
+// registry and trace recorder (unless the caller supplied its own),
+// executes the configuration through run, and assembles the persistent
+// record from the result. The two exported entry points differ only in
+// the execution path they pass as run.
+func recorded(info Info, cfg Config, run func(Config) Result) (Result, record.RunRecord) {
 	cfg = cfg.normalize()
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-		cfg.Metrics = reg
+	if cfg.Metrics == nil {
+		cfg.Metrics = metrics.NewRegistry()
 	}
-	tr := cfg.Trace
-	if tr == nil {
-		tr = trace.New(0)
-		cfg.Trace = tr
+	if cfg.Trace == nil {
+		cfg.Trace = trace.New(0)
 	}
-	res := info.Run(cfg)
-	rec := record.RunRecord{
+	res := run(cfg)
+	return res, record.RunRecord{
 		Benchmark:   info.Name,
 		Baseline:    cfg.Baseline,
 		Procs:       cfg.Procs,
@@ -81,10 +77,18 @@ func RunRecorded(info Info, cfg Config) (Result, record.RunRecord) {
 		Pages:       res.Pages,
 		Stats:       res.Stats,
 		MissPct:     res.Stats.MissPct(),
-		Metrics:     reg.Snapshot().Flat(),
-		TraceDigest: tr.Digest().String(),
+		Metrics:     cfg.Metrics.Snapshot().Flat(),
+		TraceDigest: cfg.Trace.Digest().String(),
 	}
-	return res, rec
+}
+
+// RunRecorded executes one configuration with a metrics registry and trace
+// recorder attached (unless the caller supplied its own) and returns the
+// result alongside its persistent record. Because metrics and tracing
+// charge no simulated cycles, the recorded run's makespan is identical to
+// an unobserved one.
+func RunRecorded(info Info, cfg Config) (Result, record.RunRecord) {
+	return recorded(info, cfg, info.Run)
 }
 
 // RunPhasedRecorded is RunRecorded through the phased path: it executes
@@ -94,33 +98,15 @@ func RunRecorded(info Info, cfg Config) (Result, record.RunRecord) {
 // stats, trace digest — covers exactly the timed region and is
 // bit-identical whether the build ran or was restored from images.
 func RunPhasedRecorded(info Info, cfg Config, bs *BuildState) (Result, record.RunRecord, *BuildState, bool, error) {
-	cfg = cfg.normalize()
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-		cfg.Metrics = reg
-	}
-	tr := cfg.Trace
-	if tr == nil {
-		tr = trace.New(0)
-		cfg.Trace = tr
-	}
-	res, nbs, reused, err := RunPhased(info, cfg, bs)
-	rec := record.RunRecord{
-		Benchmark:   info.Name,
-		Baseline:    cfg.Baseline,
-		Procs:       cfg.Procs,
-		Scheme:      cfg.Scheme.String(),
-		Mode:        cfg.Mode.String(),
-		Scale:       cfg.Scale,
-		Cycles:      res.Cycles,
-		Verified:    res.Verified(),
-		Pages:       res.Pages,
-		Stats:       res.Stats,
-		MissPct:     res.Stats.MissPct(),
-		Metrics:     reg.Snapshot().Flat(),
-		TraceDigest: tr.Digest().String(),
-	}
+	var (
+		nbs    *BuildState
+		reused bool
+		err    error
+	)
+	res, rec := recorded(info, cfg, func(c Config) (r Result) {
+		r, nbs, reused, err = RunPhased(info, c, bs)
+		return r
+	})
 	return res, rec, nbs, reused, err
 }
 

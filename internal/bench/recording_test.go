@@ -2,6 +2,7 @@ package bench_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/bench"
@@ -9,7 +10,7 @@ import (
 	"repro/internal/coherence"
 	"repro/internal/rt"
 
-	_ "repro/internal/bench/treeadd"
+	_ "repro/internal/bench/all"
 )
 
 // recScale keeps the recording tests on tiny problems; determinism does
@@ -149,5 +150,33 @@ func TestObserverSharesTablePath(t *testing.T) {
 	plain := info.Run(bench.Config{Procs: 2, Scale: recScale})
 	if plain.Cycles != got[1].Cycles {
 		t.Fatalf("observing a run changed its makespan: %d != %d", got[1].Cycles, plain.Cycles)
+	}
+}
+
+// TestRecordedEntryPointsAgree pins the one-constructor contract: the
+// whole-run entry and the phased entry (fresh build, no state to reuse)
+// produce equal records, for a kernel-timed benchmark that really splits
+// at the phase boundary and for a whole-program one that cannot.
+func TestRecordedEntryPointsAgree(t *testing.T) {
+	for _, name := range []string{"treeadd", "power"} {
+		info, ok := bench.Get(name)
+		if !ok {
+			t.Fatalf("%s not registered", name)
+		}
+		cfg := bench.Config{Procs: 2, Scale: recScale, Scheme: coherence.GlobalKnowledge}
+		_, whole := bench.RunRecorded(info, cfg)
+		_, phased, _, reused, err := bench.RunPhasedRecorded(info, cfg, nil)
+		if err != nil {
+			t.Fatalf("%s: phased run: %v", name, err)
+		}
+		if reused {
+			t.Fatalf("%s: phased run reports a reused build with no build state", name)
+		}
+		if !whole.Verified || whole.TraceDigest == "" {
+			t.Fatalf("%s: whole record unverified or without digest: %+v", name, whole)
+		}
+		if !reflect.DeepEqual(whole, phased) {
+			t.Errorf("%s: RunRecorded and RunPhasedRecorded disagree:\nwhole:  %+v\nphased: %+v", name, whole, phased)
+		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/server"
 
-	_ "repro/internal/bench/treeadd"
+	_ "repro/internal/bench/all"
 )
 
 // fastExec is a deterministic substitute executor: every replica given

@@ -36,11 +36,13 @@ import (
 // section of the distributed heap. (Its software cache and coherence state
 // are attached by the runtime layer.)
 //
-// The clock and busy accounts are single-writer atomics rather than
-// mutex-guarded fields: only the virtual-time-active thread ever calls
-// Occupy or Reset (the scheduler's handoffs order those calls across
-// goroutines), while Clock and Busy may be read at any real-time moment by
-// the metrics scraper, so the loads must be atomic but never contend.
+// The clock and busy accounts are atomics rather than mutex-guarded
+// fields: under the simulator only the virtual-time-active thread ever
+// calls Occupy or Reset (the scheduler's handoffs order those calls across
+// goroutines), so the updates never contend, while Clock and Busy may be
+// read at any real-time moment by the metrics scraper. Occupy is still a
+// true read-modify-write, so work is conserved for callers outside the
+// scheduler too.
 type Proc struct {
 	ID   int
 	Heap *mem.Heap
@@ -52,14 +54,14 @@ type Proc struct {
 // Occupy charges cycles of work on the processor starting no earlier than
 // now, and returns the completion time (the thread's new clock).
 func (p *Proc) Occupy(now, cycles int64) int64 {
-	start := p.clock.Load()
-	if now > start {
-		start = now
+	p.busy.Add(cycles)
+	for {
+		start := p.clock.Load()
+		end := max(start, now) + cycles
+		if p.clock.CompareAndSwap(start, end) {
+			return end
+		}
 	}
-	end := start + cycles
-	p.clock.Store(end)
-	p.busy.Store(p.busy.Load() + cycles)
-	return end
 }
 
 // Clock returns the processor's current virtual time.

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"io"
 	"time"
@@ -28,50 +26,27 @@ func WriteChrome(w io.Writer, root *Span) error {
 	}
 	snap := root.snapshot(root.tracer.now())
 
-	bw := bufio.NewWriter(w)
-	if _, err := io.WriteString(bw, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	first := true
-	emit := func(obj map[string]any) error {
-		b, err := json.Marshal(obj)
-		if err != nil {
+	return trace.WriteChromeEnvelope(w, func(emit func(map[string]any) error) error {
+		if err := emit(map[string]any{
+			"ph": "M", "name": "process_name", "pid": servicePID,
+			"args": map[string]any{"name": "oldend service (wall-clock µs)"},
+		}); err != nil {
 			return err
 		}
-		if !first {
-			if _, err := io.WriteString(bw, ",\n"); err != nil {
-				return err
-			}
-		}
-		first = false
-		_, err = bw.Write(b)
-		return err
-	}
-
-	if err := emit(map[string]any{
-		"ph": "M", "name": "process_name", "pid": servicePID,
-		"args": map[string]any{"name": "oldend service (wall-clock µs)"},
-	}); err != nil {
-		return err
-	}
-	if err := emit(map[string]any{
-		"ph": "M", "name": "trace_id", "pid": servicePID,
-		"args": map[string]any{"trace_id": root.TraceID().String()},
-	}); err != nil {
-		return err
-	}
-	if err := emitSpan(emit, snap, snap.start); err != nil {
-		return err
-	}
-	if rec := findSimRec(snap); rec != nil {
-		if err := rec.EmitChrome(emit); err != nil {
+		if err := emit(map[string]any{
+			"ph": "M", "name": "trace_id", "pid": servicePID,
+			"args": map[string]any{"trace_id": root.TraceID().String()},
+		}); err != nil {
 			return err
 		}
-	}
-	if _, err := io.WriteString(bw, "\n]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+		if err := emitSpan(emit, snap, snap.start); err != nil {
+			return err
+		}
+		if rec := findSimRec(snap); rec != nil {
+			return rec.EmitChrome(emit)
+		}
+		return nil
+	})
 }
 
 // emitSpan renders one span (and recursively its children) as a ph:"X"

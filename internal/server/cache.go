@@ -5,15 +5,13 @@ import (
 	"sync"
 
 	"repro/internal/bench"
-	"repro/internal/bench/record"
 )
 
-// cacheEntry is one memoized run result: the canonical response bytes, the
-// decoded record, and the trace digest the determinism argument rests on.
+// cacheEntry is one memoized run result: the canonical response bytes and
+// the trace digest the determinism argument rests on.
 type cacheEntry struct {
 	body   []byte
 	digest string
-	rec    record.RunRecord
 }
 
 // lruCache is a strict-LRU memo keyed by canonical strings. Eviction

@@ -69,8 +69,8 @@ func phaseKey(req RunRequest, chain string) string {
 //
 // When sp is sampled, the run attaches its own simulation recorder so
 // the span tree bottoms out in real cache-miss events, and each bench
-// phase ("build", "kernel", ...) becomes a child span. The recorder's
-// capacity matches what RunPhasedRecorded would allocate on its own, so
+// phase ("build", "kernel", ...) becomes a child span. That recorder is
+// trace.New(0), the ring RunPhasedRecorded allocates on its own, so
 // TraceDigest is byte-identical sampled or not.
 func (s *Server) defaultExecutePhased(req RunRequest, sp *obs.Span) (record.RunRecord, string, error) {
 	info, ok := bench.Get(req.Benchmark)
@@ -99,7 +99,7 @@ func (s *Server) defaultExecutePhased(req RunRequest, sp *obs.Span) (record.RunR
 		if req.Mode != "" {
 			sp.SetAttr("mode", req.Mode)
 		}
-		simRec = trace.New(s.cfg.TraceCapacity)
+		simRec = trace.New(0)
 		cfg.Trace = simRec
 		sp.AttachSim(simRec)
 		cfg.OnPhase = func(name string) func() {

@@ -15,9 +15,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 
-	_ "repro/internal/bench/em3d"
-	_ "repro/internal/bench/health"
-	_ "repro/internal/bench/mst"
+	_ "repro/internal/bench/all"
 )
 
 // TestBuildChainFor pins the static admission decision: kernel-timed

@@ -12,7 +12,7 @@ import (
 	"repro/internal/bench/record"
 	"repro/internal/obs"
 
-	_ "repro/internal/bench/treeadd"
+	_ "repro/internal/bench/all"
 )
 
 func probeExec(req RunRequest, _ *obs.Span) (record.RunRecord, error) {

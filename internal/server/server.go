@@ -142,10 +142,6 @@ type Config struct {
 	// DebugRequests bounds the finished-request ring behind
 	// GET /debug/requests when Tracer is nil (0 picks the obs default).
 	DebugRequests int
-	// TraceCapacity caps each sampled request's simulation-event ring; 0
-	// picks the trace package default — the same capacity unsampled runs
-	// record into, which keeps sampled trace digests byte-identical.
-	TraceCapacity int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
 	// Execute substitutes the run executor (tests); nil means the real
@@ -493,7 +489,7 @@ func (s *Server) worker() {
 			}
 		}
 		if res.status == http.StatusOK && !j.req.NoCache {
-			s.cache.put(j.key, &cacheEntry{body: body, digest: rec.TraceDigest, rec: rec})
+			s.cache.put(j.key, &cacheEntry{body: body, digest: rec.TraceDigest})
 		}
 		j.done <- res
 	}

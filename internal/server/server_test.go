@@ -17,7 +17,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 
-	_ "repro/internal/bench/treeadd"
+	_ "repro/internal/bench/all"
 )
 
 // blockingExec is a test executor whose runs park until released, making

@@ -368,24 +368,32 @@ func TestExemplarLinksHistogramToTrace(t *testing.T) {
 	}
 }
 
-// TestTraceCapacityDropsSurfaced pins satellite 3 end to end at the
-// server layer: with a tiny per-request event ring, a real run overflows
-// and the drop count shows up in the oldend_trace_dropped_total counter,
-// the Chrome export's trace_dropped metadata, and the tree's sim_dropped.
+// TestTraceCapacityDropsSurfaced pins drop reporting end to end at the
+// server layer: barneshut at P=4, scale 16 emits ~1.07 M events into the
+// default 2^18-slot ring (BENCH_barneshut.json pins dropped=806078), and
+// the drop count shows up in the oldend_trace_dropped_total counter, the
+// Chrome export's trace_dropped metadata, and the tree's sim_dropped.
+//
+// Sampling must not change the answer: sampled and unsampled runs record
+// into the same ring, so the same request to a replica that samples every
+// request and to one with tracing disabled returns identical bytes and an
+// identical digest — the property the shared result cache and the router's
+// cross-replica verification both rest on.
 func TestTraceCapacityDropsSurfaced(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 4, SampleEvery: 1, TraceCapacity: 4})
+	const body = `{"benchmark":"barneshut","procs":4,"scale":16}`
+	s := New(Config{Workers: 1, QueueDepth: 4, SampleEvery: 1})
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	st, _, h := postRunHdr(t, ts, `{"benchmark":"treeadd","procs":2,"scale":16}`, nil)
+	st, sampled, h := postRunHdr(t, ts, body, nil)
 	if st != 200 {
 		t.Fatalf("run = %d", st)
 	}
 	tid := h.Get("X-Oldend-Trace-Id")
 
 	if got := counterValue(t, s.Metrics(), "oldend_trace_dropped_total"); got == 0 {
-		t.Fatal("oldend_trace_dropped_total = 0 with a 4-slot ring")
+		t.Fatal("oldend_trace_dropped_total = 0 after overflowing the default ring")
 	}
 	_, chromeBody := getBody(t, ts, "/debug/trace/"+tid)
 	stats, err := trace.ValidateChrome(bytes.NewReader(chromeBody))
@@ -402,6 +410,21 @@ func TestTraceCapacityDropsSurfaced(t *testing.T) {
 	}
 	if tree.SimDropped == 0 {
 		t.Fatal("tree view missing sim_dropped")
+	}
+
+	u := New(Config{Workers: 1, QueueDepth: 4, SampleEvery: -1})
+	defer u.Shutdown(context.Background())
+	us := httptest.NewServer(u.Handler())
+	defer us.Close()
+	st, unsampled, uh := postRunHdr(t, us, body, nil)
+	if st != 200 {
+		t.Fatalf("unsampled run = %d", st)
+	}
+	if got, want := uh.Get("X-Oldend-Trace-Digest"), h.Get("X-Oldend-Trace-Digest"); got != want || want == "" {
+		t.Errorf("digest: unsampled %q, sampled %q", got, want)
+	}
+	if !bytes.Equal(sampled, unsampled) {
+		t.Error("sampled and unsampled replicas returned different bytes for the same request")
 	}
 }
 

@@ -20,6 +20,15 @@ import (
 // are per-event noise at timeline scale; the profile and digest keep
 // them); scheduler start/end bookkeeping events are likewise omitted.
 func (r *Recorder) WriteChrome(w io.Writer) error {
+	return WriteChromeEnvelope(w, r.EmitChrome)
+}
+
+// WriteChromeEnvelope writes one Chrome trace_event file: the JSON object
+// envelope ValidateChrome accepts, around the event objects body streams
+// through emit, one per line. It is the only writer of that envelope —
+// the simulation export above and the service export in internal/obs
+// differ in the events they emit, not in the file around them.
+func WriteChromeEnvelope(w io.Writer, body func(emit func(obj map[string]any) error) error) error {
 	bw := bufio.NewWriter(w)
 	if _, err := io.WriteString(bw, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"); err != nil {
 		return err
@@ -39,7 +48,7 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 		_, err = bw.Write(b)
 		return err
 	}
-	if err := r.EmitChrome(emit); err != nil {
+	if err := body(emit); err != nil {
 		return err
 	}
 	if _, err := io.WriteString(bw, "\n]}\n"); err != nil {

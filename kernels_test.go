@@ -4,33 +4,17 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/bench/barneshut"
-	"repro/internal/bench/bisort"
-	"repro/internal/bench/em3d"
-	"repro/internal/bench/health"
-	"repro/internal/bench/mst"
-	"repro/internal/bench/perimeter"
-	"repro/internal/bench/power"
-	"repro/internal/bench/treeadd"
-	"repro/internal/bench/tsp"
-	"repro/internal/bench/voronoi"
 	"repro/olden"
 )
 
 // benchKernels returns the mini-C kernel of every benchmark.
 func benchKernels() map[string]string {
-	return map[string]string{
-		"treeadd":   treeadd.KernelSource,
-		"power":     power.KernelSource,
-		"tsp":       tsp.KernelSource,
-		"mst":       mst.KernelSource,
-		"bisort":    bisort.KernelSource,
-		"voronoi":   voronoi.KernelSource,
-		"em3d":      em3d.KernelSource,
-		"barneshut": barneshut.KernelSource,
-		"perimeter": perimeter.KernelSource,
-		"health":    health.KernelSource,
+	kernels := map[string]string{}
+	for _, name := range bench.Names() {
+		info, _ := bench.Get(name)
+		kernels[name] = info.Source
 	}
+	return kernels
 }
 
 // TestHeuristicMatchesTable2 is the whole-suite integration check: the

@@ -1,12 +1,13 @@
-// Wall-clock benchmarks for the simulator itself. Every other perf gate in
-// the repo measures *simulated cycles*; these measure how fast the
-// simulator executes them — the quantity that bounds served throughput per
-// oldend core. Each benchmark reports ns/sim-cycle (wall-clock nanoseconds
-// per simulated cycle, the column oldenreport renders) alongside Go's
-// standard ns/op and -benchmem allocation counts.
+// The pprof harness for the simulator's wall clock. The wall-clock
+// *measurement* — records/s, ns/sim-cycle, allocations per run, with output
+// checks that fail the run — is the repository benchmark (`go run -C perf .
+// -workload sim_table`), which re-executes children and so cannot take
+// -cpuprofile. These benchmarks run the same thirty configurations inside
+// one test binary, which is what the profiler needs; they also report
+// ns/sim-cycle alongside Go's ns/op and -benchmem counts for a quick look.
 //
-//	go test -bench WallClock -benchmem
-//	make profile   # pprof CPU + allocation profiles over the same suite
+//	make profile   # pprof CPU + allocation profiles over this suite
+//	go test -run '^$' -bench WallClock -benchmem
 //
 // BENCH_SCALE divides the paper's problem sizes (default 64, like the
 // Table benchmarks): BENCH_SCALE=8 go test -bench WallClock -benchtime=1x
@@ -92,8 +93,8 @@ func reportSimRate(b *testing.B, cycles int64) {
 
 // BenchmarkWallClock runs every kernel under every coherence scheme at P=4
 // and reports wall-clock time, allocations, and ns/sim-cycle. This is the
-// suite `make profile` and the bench-wallclock CI job drive, and the one
-// EXPERIMENTS.md's before/after table quotes.
+// suite `make profile` and the bench-wallclock CI job profile, and the one
+// EXPERIMENTS.md's PR 8 before/after table was measured with.
 func BenchmarkWallClock(b *testing.B) {
 	for _, c := range wallCases(suiteScale) {
 		c := c

@@ -2,7 +2,7 @@ GO ?= go
 
 BENCHES = treeadd power tsp mst bisort voronoi em3d barneshut perimeter health
 
-.PHONY: check build vet fmt static test perf-test race fuzz oldenvet lint analyze phases bench report perfgate profile serve load servesmoke cluster clustersmoke update-goldens
+.PHONY: check build vet fmt static test perf-test perf-pairs race fuzz oldenvet lint analyze phases bench report perfgate profile serve load servesmoke cluster clustersmoke update-goldens
 
 # Each fuzz target gets a short smoke run in check; raise FUZZTIME for a
 # real fuzzing session.
@@ -52,6 +52,17 @@ test:
 perf-test:
 	cd perf && $(GO) test ./...
 
+# Interleaved parent/change runs of one benchmark workload on this host, the
+# perf/README.md §Comparing protocol: per side the median and quartiles of
+# records_per_s and setup_s, the pair-by-pair table and the pairs won.
+#   make perf-pairs PARENT=HEAD~1 WORKLOAD=sim_cache_only [PAIRS=10]
+PARENT ?= HEAD
+WORKLOAD ?= sim_cache_only
+PAIRS ?= 10
+
+perf-pairs:
+	bash scripts/perf_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS)
+
 race:
 	$(GO) test -race ./...
 
@@ -62,6 +73,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLexAll$$' -fuzztime $(FUZZTIME) ./internal/lang
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/lang
 	$(GO) test -run '^$$' -fuzz '^FuzzEffects$$' -fuzztime $(FUZZTIME) ./internal/analysis/effects
+	$(GO) test -run '^$$' -fuzz '^FuzzFnvWord$$' -fuzztime $(FUZZTIME) ./internal/trace
 
 oldenvet:
 	$(GO) run ./cmd/oldenvet ./...
@@ -90,7 +102,10 @@ perfgate:
 # sim_table` reports records/s, ns per simulated cycle and allocations per
 # run — and `make profile` writes pprof CPU + allocation profiles over the
 # same thirty configurations (go test -bench WallClock: a test binary is
-# what -cpuprofile needs).
+# what -cpuprofile needs). When the profile points at the dispatcher,
+# `go test -run '^$' -bench Handoff ./internal/machine` prices one
+# virtual-time handoff at 2, 15 and 160 runnable entries in a second or
+# two — iterate on that, then confirm with `make perf-pairs`.
 WALL_DIR ?= /tmp/olden-wallclock
 WALL_SCALE ?= 16
 PROFILE_BENCHTIME ?= 3x

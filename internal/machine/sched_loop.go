@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"container/heap"
 	"iter"
 
 	"repro/internal/trace"
@@ -15,7 +14,7 @@ import (
 // enter the Go runtime scheduler. The channel scheduler pays a mutex, a
 // heap fix, a channel send and two goroutine reschedules (park + wake, each
 // with its casgstatus/timer-check overhead) per handoff; the event loop
-// pays a heap push, a heap pop and two coroswitches.
+// pays one sift-down and two coroswitches (see Sync).
 //
 // Because the dispatcher and every coroutine execute on one strictly
 // serialized control flow, the scheduler needs no mutex and no atomics:
@@ -28,13 +27,18 @@ import (
 // entry is held OFF the heap; at each Sync it continues if and only if its
 // (clock, seq) key is strictly less than the heap minimum's — the same
 // predicate as "still the heap minimum" when it was kept in-heap — and
-// otherwise re-enqueues itself and yields to the dispatcher, which pops
-// and resumes the minimal runnable entry.
+// otherwise trades places with that minimum and yields to the dispatcher,
+// which resumes it.
+//
+// The runnable heap is a plain []*SchedEntry ordered by (*SchedEntry).less
+// with hole-moving sifts; it deliberately shares no code with the
+// container/heap entryHeap ChanScheduler keeps, so the oracle cannot
+// inherit a bug from the thing it checks.
 type LoopScheduler struct {
 	trace *trace.Recorder
 
-	h       entryHeap
-	active  *SchedEntry
+	h       []*SchedEntry // runnable entries, a binary min-heap on less
+	handoff *SchedEntry   // the entry Sync chose to run next, already off-heap
 	seq     uint64
 	waiting int  // entries parked off-heap (blocked on futures)
 	driving bool // a Main dispatcher loop is running
@@ -46,6 +50,69 @@ func NewLoopScheduler() *LoopScheduler { return &LoopScheduler{} }
 // SetTracer attaches the lifecycle-event recorder.
 func (s *LoopScheduler) SetTracer(tr *trace.Recorder) { s.trace = tr }
 
+// up fills the hole at slot i with e, first moving every ancestor that
+// orders after e one level down.
+func (s *LoopScheduler) up(i int, e *SchedEntry) {
+	h := s.h
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.less(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].index = i
+		i = p
+	}
+	h[i] = e
+	e.index = i
+}
+
+// down fills the hole at slot i with e, first moving the smaller child up
+// for as long as it orders before e.
+func (s *LoopScheduler) down(i int, e *SchedEntry) {
+	h := s.h
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r].less(h[c]) {
+			c = r
+		}
+		if !h[c].less(e) {
+			break
+		}
+		h[i] = h[c]
+		h[i].index = i
+		i = c
+	}
+	h[i] = e
+	e.index = i
+}
+
+// push enrolls e in the runnable heap.
+func (s *LoopScheduler) push(e *SchedEntry) {
+	s.h = append(s.h, e)
+	s.up(len(s.h)-1, e)
+}
+
+// pop removes and returns the minimal runnable entry, or nil when the heap
+// is empty.
+func (s *LoopScheduler) pop() *SchedEntry {
+	n := len(s.h) - 1
+	if n < 0 {
+		return nil
+	}
+	m, last := s.h[0], s.h[n]
+	s.h[n] = nil
+	s.h = s.h[:n]
+	if n > 0 {
+		s.down(0, last)
+	}
+	m.index = -1
+	return m
+}
+
 // Register creates and enrolls a new entry with the given clock. The entry
 // joins the runnable heap immediately; its body starts when a dispatcher
 // first picks it (Go must attach the body before the registering thread
@@ -53,7 +120,7 @@ func (s *LoopScheduler) SetTracer(tr *trace.Recorder) { s.trace = tr }
 func (s *LoopScheduler) Register(clock int64) *SchedEntry {
 	e := &SchedEntry{clock: clock, seq: s.seq, index: -1}
 	s.seq++
-	heap.Push(&s.h, e)
+	s.push(e)
 	if s.trace != nil {
 		s.trace.Emit(trace.Event{
 			Kind: trace.EvThreadStart, T: clock,
@@ -63,23 +130,22 @@ func (s *LoopScheduler) Register(clock int64) *SchedEntry {
 	return e
 }
 
-// Go wraps body in a coroutine bound to e. The coroutine is primed to its
-// first yield point, so no body code runs until the dispatcher resumes it.
+// Go wraps body in a coroutine bound to e. The coroutine is created but not
+// entered: the dispatcher's first pick of e starts the body.
 func (s *LoopScheduler) Go(e *SchedEntry, body func()) {
 	e.next, e.stop = iter.Pull(func(yield func(struct{}) bool) {
 		e.yield = yield
-		yield(struct{}{}) // wait for the dispatcher's first pick
 		body()
 	})
-	e.next()
 }
 
-// Main runs body as e's thread and drives the dispatcher loop: pop the
-// minimal runnable entry, resume its coroutine until it yields (in Sync or
-// Park) or its body returns, repeat. It returns only when every registered
-// thread has exited. An empty heap with parked entries remaining means
-// every thread is blocked on a future that can never complete — a deadlock
-// in the simulated program.
+// Main runs body as e's thread and drives the dispatcher loop: take the
+// entry Sync handed off, or else pop the minimal runnable entry (after a
+// Park, an Exit or a body's return); resume its coroutine until it yields
+// (in Sync or Park) or its body returns; repeat. It returns only when every
+// registered thread has exited. An empty heap with parked entries remaining
+// means every thread is blocked on a future that can never complete — a
+// deadlock in the simulated program.
 func (s *LoopScheduler) Main(e *SchedEntry, body func()) {
 	if s.driving {
 		panic("machine: nested Main on one scheduler")
@@ -88,42 +154,51 @@ func (s *LoopScheduler) Main(e *SchedEntry, body func()) {
 	s.driving = true
 	defer func() { s.driving = false }()
 	for {
-		m := s.h.min()
-		if m == nil {
+		m := s.handoff
+		if m != nil {
+			s.handoff = nil
+		} else if m = s.pop(); m == nil {
 			if s.waiting > 0 {
 				panic("machine: simulation deadlock — every thread is blocked on a touch")
 			}
 			return
 		}
-		heap.Remove(&s.h, m.index)
 		if m.next == nil {
 			panic("machine: entry scheduled before Go attached its thread body")
 		}
-		s.active = m
 		m.next()
-		s.active = nil
 	}
 }
 
 // Sync updates e's clock and yields unless e is still the minimal runnable
 // entry. The fast path — the running thread advances but stays ahead of
 // every waiter — is three comparisons with no locking, no heap traffic and
-// no switch.
+// no switch. Otherwise the heap minimum m runs next and e takes its place
+// in the heap: e is written over the root and sifted down once, and m is
+// left in handoff for the dispatcher. That is the order a push of e
+// followed by a pop would give — m was the strict minimum and m < e, so m
+// is still the minimum after e joins, and the heap holds the same set
+// either way — for one sift instead of a sift-up and a sift-down.
 func (s *LoopScheduler) Sync(e *SchedEntry, clock int64) {
 	e.clock = clock
-	if m := s.h.min(); m != nil && !e.less(m) {
-		heap.Push(&s.h, e)
-		e.yield(struct{}{})
+	if len(s.h) == 0 {
+		return
 	}
+	m := s.h[0]
+	if e.less(m) {
+		return
+	}
+	m.index = -1
+	s.down(0, e)
+	s.handoff = m
+	e.yield(struct{}{})
 }
 
-// Park removes e from the runnable set (the thread is about to block on a
+// Park takes e out of the runnable set (the thread is about to block on a
 // future) and yields; the coroutine resumes after a Resume re-enrolls the
-// entry and the dispatcher picks it again.
+// entry and the dispatcher picks it again. The caller is the running
+// thread, whose entry is already off the heap.
 func (s *LoopScheduler) Park(e *SchedEntry) {
-	if e.index >= 0 {
-		heap.Remove(&s.h, e.index)
-	}
 	s.waiting++
 	e.parked = true
 	e.yield(struct{}{})
@@ -136,19 +211,17 @@ func (s *LoopScheduler) Resume(e *SchedEntry, clock int64) {
 	e.clock = clock
 	e.parked = false
 	s.waiting--
-	heap.Push(&s.h, e)
+	s.push(e)
 }
 
-// Exit removes e permanently. The thread's body returns right after, which
-// ends its coroutine and hands control back to the dispatcher.
+// Exit ends e's thread. The caller is the running thread, whose entry is
+// already off the heap; its body returns right after, which ends its
+// coroutine and hands control back to the dispatcher.
 func (s *LoopScheduler) Exit(e *SchedEntry) {
 	if s.trace != nil {
 		s.trace.Emit(trace.Event{
 			Kind: trace.EvThreadEnd, T: e.clock,
 			Tid: int32(e.seq), P: -1, Site: -1, Line: -1,
 		})
-	}
-	if e.index >= 0 {
-		heap.Remove(&s.h, e.index)
 	}
 }

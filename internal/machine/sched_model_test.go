@@ -1,0 +1,368 @@
+package machine
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+)
+
+// orderModel is the reference for the (clock, seq) execution order: the
+// runnable entries' keys in a plain slice, the minimum found by linear scan.
+// It is the whole specification the schedulers implement — no heap, no
+// handoff, no threads.
+type orderModel struct {
+	runnable []modelKey
+}
+
+type modelKey struct {
+	clock int64
+	seq   uint64
+}
+
+// set enrolls seq at clock or moves it there (Register, Sync, Resume).
+func (m *orderModel) set(seq uint64, clock int64) {
+	for i := range m.runnable {
+		if m.runnable[i].seq == seq {
+			m.runnable[i].clock = clock
+			return
+		}
+	}
+	m.runnable = append(m.runnable, modelKey{clock, seq})
+}
+
+// remove takes seq out of the runnable set (Park, Exit).
+func (m *orderModel) remove(seq uint64) {
+	for i := range m.runnable {
+		if m.runnable[i].seq == seq {
+			m.runnable = append(m.runnable[:i], m.runnable[i+1:]...)
+			return
+		}
+	}
+}
+
+// min returns the entry that may run: smallest clock, ties to the smaller seq.
+func (m *orderModel) min() modelKey {
+	best := m.runnable[0]
+	for _, k := range m.runnable[1:] {
+		if k.clock < best.clock || k.clock == best.clock && k.seq < best.seq {
+			best = k
+		}
+	}
+	return best
+}
+
+// A script is one thread of a random futures-shaped program: steps that
+// advance the clock and Sync, some of which then spawn a child (Register +
+// Go) or touch one spawned earlier (Park until the child's last step
+// Resumes the toucher). A child never waits on its parent, so every program
+// terminates.
+type script []scriptOp
+
+type scriptOp struct {
+	delta int64  // clock advance before the step's Sync; zero makes ties
+	spawn script // non-nil: spawn this child after the Sync
+	touch int    // >= 0: touch the touch-th child spawned so far
+}
+
+// genScript draws a thread and, recursively, the threads it spawns; budget
+// bounds the entries the whole program registers.
+func genScript(rng *rand.Rand, budget *int) script {
+	sc := make(script, 1+rng.Intn(8))
+	spawned := 0
+	for i := range sc {
+		op := scriptOp{delta: []int64{0, 0, 1, 2, 3, 17}[rng.Intn(6)], touch: -1}
+		switch r := rng.Intn(10); {
+		case r < 4 && *budget > 0:
+			*budget--
+			op.spawn = genScript(rng, budget)
+			spawned++
+		case r < 7 && spawned > 0:
+			op.touch = rng.Intn(spawned)
+		}
+		sc[i] = op
+	}
+	return sc
+}
+
+// latch is a spawned thread's completion, the part of a future the
+// scheduler sees.
+type latch struct {
+	done    bool
+	when    int64
+	waiters []*SchedEntry
+}
+
+// modelRun executes one script tree on a scheduler with the model riding
+// along: every scheduler call is mirrored into the model, and each time a
+// thread comes back from Sync or Park it must be alone and be the model's
+// minimum. Since the order is strict and total, that pins which body runs
+// at every scheduling point.
+type modelRun struct {
+	t *testing.T
+	s Scheduler
+
+	mu      sync.Mutex // the channel scheduler's threads overlap in real time
+	model   orderModel
+	nextSeq uint64
+	running *SchedEntry
+	order   []modelKey // (clock, seq) of every step, in execution order
+	wg      sync.WaitGroup
+}
+
+func (r *modelRun) register(clock int64) *SchedEntry {
+	e := r.s.Register(clock)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if e.Seq() != r.nextSeq {
+		r.t.Errorf("Register handed out seq %d, want %d", e.Seq(), r.nextSeq)
+	}
+	r.nextSeq++
+	r.model.set(e.Seq(), clock)
+	return e
+}
+
+// resumed checks the two things that must hold whenever a thread gets the
+// virtual processor: nobody else has it, and it is the model's minimum.
+func (r *modelRun) resumed(e *SchedEntry, clock int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.running != nil {
+		r.t.Errorf("entry %d runs while entry %d still does", e.Seq(), r.running.Seq())
+	}
+	r.running = e
+	if m := r.model.min(); m.seq != e.Seq() {
+		r.t.Errorf("entry %d runs at clock %d but the model's minimum is entry %d at clock %d",
+			e.Seq(), clock, m.seq, m.clock)
+	}
+}
+
+// release gives the virtual processor up before a call that may switch. A
+// thread that has not had it yet (its body just started) has none to give.
+func (r *modelRun) release(e *SchedEntry) {
+	if r.running == e {
+		r.running = nil
+	}
+}
+
+func (r *modelRun) sync(e *SchedEntry, clock int64) {
+	r.mu.Lock()
+	r.release(e)
+	r.model.set(e.Seq(), clock)
+	r.mu.Unlock()
+	r.s.Sync(e, clock)
+	r.resumed(e, clock)
+	r.mu.Lock()
+	r.order = append(r.order, modelKey{clock, e.Seq()})
+	r.mu.Unlock()
+}
+
+func (r *modelRun) body(e *SchedEntry, sc script, clock int64, own *latch) func() {
+	return func() {
+		defer r.wg.Done()
+		var children []*latch
+		for _, op := range sc {
+			clock += op.delta
+			r.sync(e, clock)
+			switch {
+			case op.spawn != nil:
+				child, l := r.register(clock), &latch{}
+				children = append(children, l)
+				r.wg.Add(1)
+				r.s.Go(child, r.body(child, op.spawn, clock, l))
+			case op.touch >= 0:
+				l := children[op.touch]
+				r.mu.Lock()
+				blocked := !l.done
+				if blocked {
+					l.waiters = append(l.waiters, e)
+					r.release(e)
+					r.model.remove(e.Seq())
+				}
+				r.mu.Unlock()
+				if blocked {
+					r.s.Park(e)
+					r.resumed(e, clock)
+				}
+				if l.when > clock {
+					clock = l.when
+				}
+			}
+		}
+		r.sync(e, clock+1)
+		r.mu.Lock()
+		own.done, own.when = true, clock+1
+		for _, w := range own.waiters {
+			r.model.set(w.Seq(), clock+1)
+			r.s.Resume(w, clock+1)
+		}
+		r.release(e)
+		r.model.remove(e.Seq())
+		r.mu.Unlock()
+		r.s.Exit(e)
+	}
+}
+
+// TestSchedulerMatchesOrderModel runs seeded random programs of 1–200
+// entries on both schedulers against the linear-scan model, and requires
+// the two schedulers to execute every program's steps in the same order.
+func TestSchedulerMatchesOrderModel(t *testing.T) {
+	orders := map[SchedKind][][]modelKey{}
+	maxEntries := 0
+	forEachSchedulerKind(t, func(t *testing.T, kind SchedKind) {
+		for seed := int64(1); seed <= 60; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			budget := []int{0, 1, 2, 14, 60, 199}[seed%6]
+			entries := budget + 1
+			root := genScript(rng, &budget)
+			entries -= budget
+			maxEntries = max(maxEntries, entries)
+
+			// Two Main calls on one scheduler, as phased benchmarks do.
+			r := &modelRun{t: t, s: NewSchedulerOf(kind)}
+			for phase := 0; phase < 2; phase++ {
+				e := r.register(0)
+				r.wg.Add(1)
+				r.s.Main(e, r.body(e, root, 0, &latch{}))
+				r.wg.Wait()
+				if len(r.model.runnable) != 0 {
+					t.Fatalf("seed %d: %d entries still runnable after Main", seed, len(r.model.runnable))
+				}
+			}
+			if int(r.nextSeq) != 2*entries {
+				t.Fatalf("seed %d: registered %d entries, the script has %d", seed, r.nextSeq, 2*entries)
+			}
+			orders[kind] = append(orders[kind], r.order)
+			if t.Failed() {
+				t.Fatalf("seed %d (%d entries) diverged from the model", seed, entries)
+			}
+		}
+	})
+	if maxEntries != 200 {
+		t.Errorf("largest program registered %d entries, want the full 200", maxEntries)
+	}
+	loop, channel := orders[SchedEventLoop], orders[SchedChannel]
+	for i := range loop {
+		if !slices.Equal(loop[i], channel[i]) {
+			t.Errorf("seed %d: the two schedulers executed its steps in different orders", i+1)
+		}
+	}
+}
+
+// checkLoopHeap verifies the event loop's heap from inside the running
+// thread: every slot's entry knows its slot, no child orders before its
+// parent, and everything else — the running entry included — is off-heap
+// with index -1 and no handoff pending.
+func checkLoopHeap(t *testing.T, s *LoopScheduler, all []*SchedEntry, running *SchedEntry) {
+	t.Helper()
+	if s.handoff != nil {
+		t.Fatalf("handoff to entry %d still pending while entry %d runs", s.handoff.seq, running.seq)
+	}
+	inHeap := map[*SchedEntry]bool{}
+	for i, e := range s.h {
+		inHeap[e] = true
+		if e.index != i {
+			t.Fatalf("entry %d sits in slot %d with index %d", e.seq, i, e.index)
+		}
+		if i > 0 && e.less(s.h[(i-1)/2]) {
+			t.Fatalf("entry %d in slot %d orders before its parent", e.seq, i)
+		}
+	}
+	if inHeap[running] {
+		t.Fatalf("running entry %d is on the heap", running.seq)
+	}
+	for _, e := range all {
+		if !inHeap[e] && e.index != -1 {
+			t.Fatalf("off-heap entry %d has index %d", e.seq, e.index)
+		}
+	}
+}
+
+// TestLoopSchedulerFusedHandoff checks the fused step directly: when Sync
+// yields, the entry that runs next is the one that was the heap minimum,
+// the yielding entry has taken a heap slot, and the index fields are right
+// at every point a body can observe them.
+func TestLoopSchedulerFusedHandoff(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 15, 160} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			s := NewLoopScheduler()
+			all := make([]*SchedEntry, n)
+			for i := range all {
+				all[i] = s.Register(int64(i * 7 % 13)) // assorted clocks, with ties
+			}
+			var expect *SchedEntry // who must run next; nil before the first pick
+			handoffs := 0
+			arrived := func(e *SchedEntry) {
+				if expect != nil && expect != e {
+					t.Fatalf("entry %d runs, want entry %d", e.seq, expect.seq)
+				}
+				checkLoopHeap(t, s, all, e)
+			}
+			body := func(e *SchedEntry) func() {
+				return func() {
+					arrived(e)
+					clock := e.clock
+					for step := 0; step < 8; step++ {
+						clock += int64((step + int(e.seq)) % 4 * 3) // zero steps keep ties in play
+						expect = e
+						if len(s.h) > 0 && !(&SchedEntry{clock: clock, seq: e.seq}).less(s.h[0]) {
+							expect = s.h[0]
+							handoffs++
+						}
+						s.Sync(e, clock)
+						arrived(e)
+					}
+					expect = nil
+					if len(s.h) > 0 {
+						expect = s.h[0] // after a body returns the dispatcher pops
+					}
+					s.Exit(e)
+				}
+			}
+			for _, e := range all[1:] {
+				s.Go(e, body(e))
+			}
+			s.Main(all[0], body(all[0]))
+			if len(s.h) != 0 || s.handoff != nil {
+				t.Fatalf("Main returned with %d entries on the heap, handoff %v", len(s.h), s.handoff)
+			}
+			if n > 1 && handoffs == 0 {
+				t.Fatal("no Sync yielded: the fused step was not exercised")
+			}
+		})
+	}
+}
+
+// BenchmarkHandoff prices one virtual-time handoff at the runnable
+// populations the kernels were measured at (mst/em3d/tsp about 3,
+// treeadd/bisort/voronoi 12–15, power/perimeter 77–210). Clocks leapfrog —
+// every Sync moves its thread behind all the others — so every Sync yields,
+// and ns/op is ns per handoff.
+func BenchmarkHandoff(b *testing.B) {
+	for _, n := range []int{2, 15, 160} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			s := NewLoopScheduler()
+			remaining := b.N
+			body := func(e *SchedEntry, clock int64) func() {
+				return func() {
+					for remaining > 0 {
+						remaining--
+						clock += int64(n)
+						s.Sync(e, clock)
+					}
+					s.Exit(e)
+				}
+			}
+			entries := make([]*SchedEntry, n)
+			for i := range entries {
+				entries[i] = s.Register(int64(i))
+			}
+			for i, e := range entries[1:] {
+				s.Go(e, body(e, int64(i+1)))
+			}
+			b.ResetTimer()
+			s.Main(entries[0], body(entries[0], 0))
+		})
+	}
+}

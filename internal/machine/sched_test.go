@@ -11,10 +11,14 @@ import (
 // digest battery in internal/bench then pins that whole *runs* are
 // byte-identical.
 func forEachScheduler(t *testing.T, f func(t *testing.T, s Scheduler)) {
+	forEachSchedulerKind(t, func(t *testing.T, kind SchedKind) { f(t, NewSchedulerOf(kind)) })
+}
+
+// forEachSchedulerKind is forEachScheduler for tests that build more than
+// one scheduler per implementation.
+func forEachSchedulerKind(t *testing.T, f func(t *testing.T, kind SchedKind)) {
 	for _, kind := range []SchedKind{SchedEventLoop, SchedChannel} {
-		t.Run(kind.String(), func(t *testing.T) {
-			f(t, NewSchedulerOf(kind))
-		})
+		t.Run(kind.String(), func(t *testing.T) { f(t, kind) })
 	}
 }
 

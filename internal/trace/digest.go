@@ -23,13 +23,27 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-func fnvWord(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnvPrime
-		v >>= 8
+// fnvPrimePow[k] is fnvPrime^k mod 2^64: what k FNV-1a steps over zero
+// bytes multiply the hash by, since h ^ 0 == h.
+var fnvPrimePow = func() (pow [9]uint64) {
+	pow[0] = 1
+	for k := 1; k < len(pow); k++ {
+		pow[k] = pow[k-1] * fnvPrime
 	}
-	return h
+	return pow
+}()
+
+// fnvWord folds the eight bytes of v, least significant first, into h. It
+// is byte-wise FNV-1a: the bytes up to v's last nonzero one take a step
+// each, and the zero bytes above them — most of a small non-negative field
+// — are folded in one multiplication.
+func fnvWord(h, v uint64) uint64 {
+	k := 8
+	for ; v != 0; v >>= 8 {
+		h = (h ^ v&0xff) * fnvPrime
+		k--
+	}
+	return h * fnvPrimePow[k]
 }
 
 // HashEvent folds one event into a running FNV-1a hash.
@@ -51,11 +65,13 @@ func (r *Recorder) Digest() Digest {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	d := Digest{Dropped: r.dropped, Hash: fnvOffset}
-	for _, ev := range r.eventsLocked() {
-		d.Events++
-		d.Counts[ev.Kind]++
-		d.Hash = HashEvent(d.Hash, ev)
+	for run := range r.runsLocked {
+		for _, ev := range run {
+			d.Counts[ev.Kind]++
+			d.Hash = HashEvent(d.Hash, ev)
+		}
 	}
+	d.Events = int64(r.n)
 	// Fold the drop count in so a wrapped ring cannot collide with an
 	// unwrapped one holding the same suffix.
 	d.Hash = fnvWord(d.Hash, uint64(d.Dropped))
@@ -113,13 +129,15 @@ func (r *Recorder) AccessDigest() Digest {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	d := Digest{Dropped: r.dropped}
-	for _, ev := range r.eventsLocked() {
-		if !accessKinds[ev.Kind] {
-			continue
+	for run := range r.runsLocked {
+		for _, ev := range run {
+			if !accessKinds[ev.Kind] {
+				continue
+			}
+			d.Events++
+			d.Counts[ev.Kind]++
+			d.Hash += hashAccessEvent(ev)
 		}
-		d.Events++
-		d.Counts[ev.Kind]++
-		d.Hash += hashAccessEvent(ev)
 	}
 	d.Hash = fnvWord(d.Hash, uint64(d.Dropped))
 	return d

@@ -116,22 +116,33 @@ type Event struct {
 }
 
 // DefaultCapacity bounds the ring buffer when New is given no capacity:
-// 2^18 events (≈12 MB) keeps full kernels of the default-scale benchmarks
-// without drops.
+// 2^18 events (12 MiB at 48 bytes an event) keeps full kernels of the
+// default-scale benchmarks without drops.
 const DefaultCapacity = 1 << 18
+
+// The ring is stored in chunks of chunkEvents events, appended as it fills:
+// growing never copies what is already recorded, and a recorder holds
+// memory for what it received, not for its bound. 512 events are 24 KiB,
+// exactly a small-object size class: what a run with a handful of events
+// pays for its first chunk stays in the noise of setting the run up, which
+// a 4096-event chunk (192 KiB, a large-object allocation) tripled.
+const (
+	chunkShift  = 9
+	chunkEvents = 1 << chunkShift
+)
 
 // Recorder collects events into a bounded ring. A nil *Recorder is the
 // disabled state: emit points must guard on it.
 //
 // The recorder is internally locked: although the virtual-time scheduler
 // serializes emissions logically, the emitting goroutines overlap in real
-// time.
+// time, and the ring of a run still in flight is read by /debug/trace.
 type Recorder struct {
 	mu      sync.Mutex
 	cap     int
-	buf     []Event
-	next    int // ring write cursor (index into buf once len==cap)
-	wrapped bool
+	chunks  [][]Event // slot i lives at chunks[i>>chunkShift][i&(chunkEvents-1)]
+	n       int       // events held, at most cap
+	next    int       // slot of the oldest event; nonzero only once the ring has wrapped
 	dropped int64
 
 	sites   []string
@@ -139,36 +150,56 @@ type Recorder struct {
 }
 
 // New returns a recorder bounded at capacity events (DefaultCapacity when
-// capacity <= 0). An explicitly sized recorder preallocates its ring, so
-// recording never grows the buffer mid-run; the default-capacity ring
-// (≈12 MB) still grows on demand up to the bound, then wraps, dropping
-// the oldest events.
+// capacity <= 0). Nothing is allocated up front whatever the bound: the
+// ring grows a chunk at a time up to it, then wraps, dropping the oldest
+// events.
 func New(capacity int) *Recorder {
-	r := &Recorder{cap: capacity, siteIDs: map[string]int32{}}
 	if capacity <= 0 {
-		r.cap = DefaultCapacity
-	} else {
-		r.buf = make([]Event, 0, capacity)
+		capacity = DefaultCapacity
 	}
-	return r
+	return &Recorder{cap: capacity, siteIDs: map[string]int32{}}
 }
 
 // Emit appends one event. When the ring is full the oldest event is
 // overwritten and counted as dropped.
 func (r *Recorder) Emit(ev Event) {
 	r.mu.Lock()
-	if len(r.buf) < r.cap {
-		r.buf = append(r.buf, ev)
+	i := r.n
+	if i < r.cap {
+		// A Reset keeps the chunks, so only a slot past them allocates.
+		if i>>chunkShift == len(r.chunks) {
+			r.chunks = append(r.chunks, make([]Event, min(chunkEvents, r.cap-i)))
+		}
+		r.n++
 	} else {
-		r.buf[r.next] = ev
+		i = r.next
 		r.next++
 		if r.next == r.cap {
 			r.next = 0
 		}
-		r.wrapped = true
 		r.dropped++
 	}
+	r.chunks[i>>chunkShift][i&(chunkEvents-1)] = ev
 	r.mu.Unlock()
+}
+
+// runsLocked yields the held events oldest-first and in place, one
+// chunk-contiguous run at a time. The caller holds r.mu and must not call
+// out of the package while ranging.
+func (r *Recorder) runsLocked(yield func([]Event) bool) {
+	// Oldest-first is slots [next, n) then [0, next); next is zero until
+	// the ring wraps.
+	for _, span := range [2][2]int{{r.next, r.n}, {0, r.next}} {
+		for lo, hi := span[0], span[1]; lo < hi; {
+			c := r.chunks[lo>>chunkShift]
+			off := lo & (chunkEvents - 1)
+			run := c[off:min(len(c), off+hi-lo)]
+			if !yield(run) {
+				return
+			}
+			lo += len(run)
+		}
+	}
 }
 
 // SiteID interns a site name, assigning ids in first-registration order
@@ -205,22 +236,17 @@ func (r *Recorder) Sites() []string {
 	return out
 }
 
-// Events returns the recorded events oldest-first.
+// Events returns a copy of the recorded events oldest-first. It is the one
+// accessor that copies: callers that go on to call out (a profile's emit
+// callback, an io.Writer) must not hold the lock of a possibly in-flight
+// run's recorder while they do.
 func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.eventsLocked()
-}
-
-func (r *Recorder) eventsLocked() []Event {
-	if !r.wrapped {
-		out := make([]Event, len(r.buf))
-		copy(out, r.buf)
-		return out
+	out := make([]Event, 0, r.n)
+	for run := range r.runsLocked {
+		out = append(out, run...)
 	}
-	out := make([]Event, 0, r.cap)
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
 	return out
 }
 
@@ -228,7 +254,7 @@ func (r *Recorder) eventsLocked() []Event {
 func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.buf)
+	return r.n
 }
 
 // Dropped returns the number of events lost to ring wrap-around.
@@ -239,13 +265,12 @@ func (r *Recorder) Dropped() int64 {
 }
 
 // Reset discards recorded events (and the drop count) but keeps interned
-// site names, so a benchmark's kernel phase can be traced on its own after
-// an instrumented build phase.
+// site names and the chunks already allocated, so a benchmark's kernel
+// phase can be traced on its own after an instrumented build phase.
 func (r *Recorder) Reset() {
 	r.mu.Lock()
-	r.buf = r.buf[:0]
+	r.n = 0
 	r.next = 0
-	r.wrapped = false
 	r.dropped = 0
 	r.mu.Unlock()
 }

@@ -9,9 +9,10 @@ BENCHES = treeadd power tsp mst bisort voronoi em3d barneshut perimeter health
 FUZZTIME ?= 10s
 
 # The full gate CI runs: build, vet, formatting, third-party static
-# analysis, tests, contract checks, the mini-C lints over every kernel
-# and example source, and a fuzz smoke.
-check: build vet fmt static test oldenvet lint fuzz
+# analysis, tests (the root module's, then the benchmark module's against
+# it), contract checks, the mini-C lints over every kernel and example
+# source, and a fuzz smoke.
+check: build vet fmt static test perf-test oldenvet lint fuzz
 
 build:
 	$(GO) build ./...
@@ -74,6 +75,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/lang
 	$(GO) test -run '^$$' -fuzz '^FuzzEffects$$' -fuzztime $(FUZZTIME) ./internal/analysis/effects
 	$(GO) test -run '^$$' -fuzz '^FuzzFnvWord$$' -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRun$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME) ./internal/server
 
 oldenvet:
 	$(GO) run ./cmd/oldenvet ./...
@@ -151,14 +154,15 @@ clustersmoke:
 
 # One flag, one verb: every golden-pinning test in the tree takes
 # `-update` to rewrite its files from the current build (lint goldens,
-# trace-digest goldens, the oldenc -analyze/-phases goldens), and the
+# trace-digest goldens and the scheduler battery's sixty lines, the oldenc
+# -analyze/-phases goldens), and the
 # committed BENCH_<name>.json baselines are re-pinned by `oldenbench
 # -update` (= `make bench`, kept separate because moving cycle counts is
 # a reviewed perf decision, not a golden refresh). Run this after an
 # intentional output change, then review and commit the diff.
 update-goldens:
 	$(GO) test ./internal/core -run 'TestLintGolden' -update
-	$(GO) test ./internal/bench -run 'TestTraceDigestGoldens' -update
+	$(GO) test ./internal/bench -run 'TestTraceDigestGoldens|TestSchedulerDigestEquivalence' -update
 	$(GO) test ./cmd/oldenc -run 'TestAnalyzeGoldens|TestPhasesGoldens' -update
 
 # oldenc -lint exits 1 only on error-severity diagnostics; the known

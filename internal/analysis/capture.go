@@ -3,11 +3,13 @@ package analysis
 import "go/ast"
 
 // checkThreadCapture flags uses of the parent thread inside a Spawn
-// closure.  An rt.Thread is confined to the goroutine running it; the
-// closure passed to Spawn executes on the child thread's goroutine, so
-// touching the parent *rt.Thread there is a data race on the simulated
-// clock (and deadlocks the virtual-time scheduler).  The closure must
-// use its own *rt.Thread parameter.
+// closure.  An rt.Thread belongs to the body that runs as it; the closure
+// passed to Spawn runs as the child thread, at points where the parent is
+// suspended in the middle of an operation of its own.  Using the parent
+// *rt.Thread there advances the parent's clock out of virtual-time order
+// and Syncs its scheduler entry — runnable, not running — as though it
+// were the running thread, which corrupts the scheduler.  The closure
+// must use its own *rt.Thread parameter.
 func checkThreadCapture(p *Package) []Finding {
 	var fs []Finding
 	for _, file := range p.Files {

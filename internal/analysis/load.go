@@ -7,9 +7,10 @@
 //
 // The five checks, and the contract each one enforces:
 //
-//   - thread-capture: an rt.Thread is confined to the goroutine that owns
-//     it, so a Spawn closure must use its own child-thread parameter and
-//     never the parent thread it closed over.
+//   - thread-capture: an rt.Thread belongs to the body that runs as it,
+//     and operating on a suspended thread moves its clock out of
+//     virtual-time order, so a Spawn closure must use its own child-thread
+//     parameter and never the parent thread it closed over.
 //   - site-hygiene: every rt.Site literal carries a nonempty, dotted
 //     "<bench>.<var>" name, unique within its package, and typed
 //     load/store calls never pass a nil site.

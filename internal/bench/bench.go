@@ -40,10 +40,6 @@ type Config struct {
 	// registry. Like Trace it is cleared by ResetForKernel and charges no
 	// simulated cycles: makespans are identical with or without it.
 	Metrics *metrics.Registry
-	// Sched selects the scheduler implementation (default: the
-	// virtual-time event loop). The digest-equivalence battery sets
-	// machine.SchedChannel to prove both schedulers replay the same run.
-	Sched machine.SchedKind
 	// RuntimeHook, when non-nil, observes the runtime a Run constructs
 	// internally, right after creation. Differential tests use it to
 	// fingerprint final heap contents; profilers use it for per-site
@@ -87,7 +83,6 @@ func (c Config) NewRuntimeWithHeap(heapBytes uint32) *rt.Runtime {
 		Mode:             c.Mode,
 		NoOverhead:       c.Baseline,
 		HeapBytesPerProc: heapBytes,
-		Sched:            c.Sched,
 		Trace:            c.Trace,
 		Metrics:          c.Metrics,
 	})

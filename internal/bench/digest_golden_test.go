@@ -15,13 +15,83 @@ import (
 )
 
 var update = flag.Bool("update", false,
-	"rewrite testdata/trace_digests.golden from the current simulation")
+	"rewrite the golden files under testdata/ from the current simulation")
 
 // goldenScale pins the problem size of the golden runs explicitly, so a
 // future change to bench.DefaultScale cannot silently re-key the file.
 const goldenScale = 16
 
 const goldenPath = "testdata/trace_digests.golden"
+
+// golden is a testdata file holding one line per configuration, in the
+// order the test runs them. A test checks each line it produces against
+// the committed one, or — under -update — rewrites the file from its run.
+type golden struct {
+	path string
+	want []string // the committed lines; unread under -update
+}
+
+func openGolden(t *testing.T, path string) *golden {
+	t.Helper()
+	g := &golden{path: path}
+	if *update {
+		return g
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (regenerate with -update): %v", err)
+	}
+	g.want = strings.Split(strings.TrimRight(string(b), "\n"), "\n")
+	return g
+}
+
+// check compares the run's i-th line with the file's.
+func (g *golden) check(t *testing.T, i int, got string) {
+	t.Helper()
+	if *update {
+		return
+	}
+	want := ""
+	if i < len(g.want) {
+		want = g.want[i]
+	}
+	if got != want {
+		t.Errorf("%s line %d moved in %v:\n  got:  %s\n  want: %s", g.path, i+1, movedFields(got, want), got, want)
+	}
+}
+
+// movedFields lists the run's space-separated fields that the committed
+// line does not have in the same place: the lines are long, and which
+// outcome moved is the finding.
+func movedFields(got, want string) []string {
+	w := strings.Fields(want)
+	var moved []string
+	for i, f := range strings.Fields(got) {
+		if i >= len(w) || f != w[i] {
+			moved = append(moved, f)
+		}
+	}
+	return moved
+}
+
+// finish closes the comparison: the file must hold exactly the lines the
+// test has, or under -update is rewritten from them.
+func (g *golden) finish(t *testing.T, lines []string) {
+	t.Helper()
+	if !*update {
+		if len(g.want) != len(lines) {
+			t.Errorf("%s has %d lines, the test has %d", g.path, len(g.want), len(lines))
+		}
+		return
+	}
+	if err := os.MkdirAll(filepath.Dir(g.path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(g.path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("rewrote %s", g.path)
+}
 
 // TestTraceDigestGoldens pins the full trace digest — event count, hash
 // and per-kind counts — for three benchmarks under all three coherence
@@ -31,6 +101,7 @@ const goldenPath = "testdata/trace_digests.golden"
 //
 //	go test ./internal/bench -run TestTraceDigestGoldens -update
 func TestTraceDigestGoldens(t *testing.T) {
+	g := openGolden(t, goldenPath)
 	var lines []string
 	for _, name := range []string{"treeadd", "bisort", "em3d"} {
 		for _, s := range schemes {
@@ -43,41 +114,10 @@ func TestTraceDigestGoldens(t *testing.T) {
 			if !res.Verified() {
 				t.Fatalf("%s under %s: check %#x != %#x", name, s.name, res.Check, res.WantCheck)
 			}
-			lines = append(lines, fmt.Sprintf("%s %s P=4 scale=1/%d %s",
-				name, s.name, goldenScale, rec.Digest()))
+			line := fmt.Sprintf("%s %s P=4 scale=1/%d %s", name, s.name, goldenScale, rec.Digest())
+			g.check(t, len(lines), line)
+			lines = append(lines, line)
 		}
 	}
-	got := strings.Join(lines, "\n") + "\n"
-
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", goldenPath)
-		return
-	}
-	wantBytes, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("missing golden file (regenerate with -update): %v", err)
-	}
-	want := string(wantBytes)
-	if got == want {
-		return
-	}
-	wantLines := strings.Split(strings.TrimRight(want, "\n"), "\n")
-	for i, g := range lines {
-		w := ""
-		if i < len(wantLines) {
-			w = wantLines[i]
-		}
-		if g != w {
-			t.Errorf("digest mismatch:\n  got:  %s\n  want: %s", g, w)
-		}
-	}
-	if len(wantLines) != len(lines) {
-		t.Errorf("golden file has %d lines, run produced %d", len(wantLines), len(lines))
-	}
+	g.finish(t, lines)
 }

@@ -39,8 +39,8 @@ type Entry struct {
 
 // Cache is one processor's software cache. It is NOT internally locked:
 // every simulation-path method is only ever invoked by the virtual-time
-// active thread, and the scheduler's handoffs order those accesses across
-// goroutines. The one reader outside that discipline — a metrics scrape of
+// active thread, and the scheduler runs those threads one at a time on one
+// goroutine. The one reader outside that discipline — a metrics scrape of
 // PagesAllocated mid-run — reads an atomic counter.
 type Cache struct {
 	buckets [NumBuckets]*Entry

@@ -327,6 +327,24 @@ func TestRouterBatchShardsAndMerges(t *testing.T) {
 	if xb := h.Get("X-Oldend-Batch"); !strings.Contains(xb, "runs=5") || !strings.Contains(xb, "shards=") {
 		t.Errorf("X-Oldend-Batch = %q, want runs=5 and a shards count", xb)
 	}
+
+	// Whole-request validation is the prologue the router shares with a
+	// replica: one JSON value per body, nothing after it but whitespace.
+	for _, c := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/run", runBody + `{"benchmark":"power"}`, http.StatusBadRequest},
+		{"/run", runBody + ` garbage`, http.StatusBadRequest},
+		{"/run", runBody + "\n", http.StatusOK},
+		{"/batch", `{"runs":[` + runBody + `]}{"runs":[]}`, http.StatusBadRequest},
+		{"/batch", `{"runs":[` + runBody + `]} garbage`, http.StatusBadRequest},
+		{"/batch", `{"runs":[` + runBody + `]}` + "\n", http.StatusOK},
+	} {
+		if st, b, _ := postJSON(t, tc.front.URL+c.path, c.body); st != c.want {
+			t.Errorf("POST %s %q = %d, want %d (%s)", c.path, c.body, st, c.want, b)
+		}
+	}
 }
 
 // TestRouterReadyz: ready while at least one replica is, 503 when none.

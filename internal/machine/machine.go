@@ -9,12 +9,14 @@
 //	P.clock = start + cycles
 //	now'    = P.clock
 //
-// so two threads charging the same processor serialize in virtual time even
-// though their goroutines run concurrently in real time. Message latencies
-// advance only the thread clock; message *service* (a remote line fetch, a
-// migration receive) occupies the serving processor, which is what makes
-// hot homes — the root of a shared tree, say — serialize and bottleneck,
-// exactly the phenomenon the paper's heuristic avoids (§4.3, Figure 5).
+// so two threads charging the same processor serialize in virtual time.
+// Threads never overlap in real time either: the scheduler (LoopScheduler)
+// runs them as coroutines of one goroutine, one at a time, smallest clock
+// first. Message latencies advance only the thread clock; message *service*
+// (a remote line fetch, a migration receive) occupies the serving
+// processor, which is what makes hot homes — the root of a shared tree,
+// say — serialize and bottleneck, exactly the phenomenon the paper's
+// heuristic avoids (§4.3, Figure 5).
 //
 // The makespan of a run is the maximum processor clock when the root thread
 // finishes; speedup is the ratio of the sequential baseline's cycles to the
@@ -38,9 +40,9 @@ import (
 //
 // The clock and busy accounts are atomics rather than mutex-guarded
 // fields: under the simulator only the virtual-time-active thread ever
-// calls Occupy or Reset (the scheduler's handoffs order those calls across
-// goroutines), so the updates never contend, while Clock and Busy may be
-// read at any real-time moment by the metrics scraper. Occupy is still a
+// calls Occupy or Reset, all on the scheduler's one control flow, so the
+// updates never contend, while Clock and Busy may be read at any real-time
+// moment by the metrics scraper on another goroutine. Occupy is still a
 // true read-modify-write, so work is conserved for callers outside the
 // scheduler too.
 type Proc struct {

@@ -6,15 +6,29 @@ import (
 	"repro/internal/trace"
 )
 
-// LoopScheduler is the virtual-time event loop. It keeps the same protocol
-// and the same (clock, seq) execution order as ChanScheduler — the digest
-// battery pins byte-identical traces — but changes what a "thread" is:
-// every logical thread runs as a coroutine (iter.Pull) under one dispatcher
-// goroutine, so a virtual-time handoff is two stack switches that never
-// enter the Go runtime scheduler. The channel scheduler pays a mutex, a
-// heap fix, a channel send and two goroutine reschedules (park + wake, each
-// with its casgstatus/timer-check overhead) per handoff; the event loop
-// pays one sift-down and two coroswitches (see Sync).
+// LoopScheduler serializes all logical threads of a simulation in
+// virtual-time order: at any moment exactly one thread — the runnable
+// thread with the smallest virtual clock (ties broken by creation order) —
+// executes. This makes the simulation deterministic and causally correct:
+// when a thread charges work on a processor, no other live thread has an
+// earlier clock, so processor clocks only ever advance in globally
+// consistent order.
+//
+// Protocol (enforced by the runtime layer):
+//   - Register a SchedEntry for every thread before it runs, then hand the
+//     thread's body to the scheduler with Go (or Main for the root).
+//   - Call Sync(e, clock) before every simulation operation; it returns
+//     once e is the minimal runnable entry.
+//   - Call Park(e) to block on a future; the entry leaves the runnable set.
+//   - Call Resume(e, clock) — from the currently running thread — to make
+//     a parked entry runnable again at the given clock.
+//   - Call Exit(e) when the thread is done.
+//
+// It is a virtual-time event loop: every logical thread runs as a
+// coroutine (iter.Pull) under one dispatcher goroutine, the caller of
+// Main. A handoff — the running thread's Sync finds a waiter that orders
+// before it — costs one sift-down and two coroswitches (see Sync), stack
+// switches that never enter the Go runtime scheduler.
 //
 // Because the dispatcher and every coroutine execute on one strictly
 // serialized control flow, the scheduler needs no mutex and no atomics:
@@ -23,17 +37,16 @@ import (
 // processor clocks, cache page counts — remain atomic in their own
 // packages, since metrics scrapes arrive on foreign goroutines.)
 //
-// Execution order is decided exactly as in ChanScheduler: the running
-// entry is held OFF the heap; at each Sync it continues if and only if its
-// (clock, seq) key is strictly less than the heap minimum's — the same
-// predicate as "still the heap minimum" when it was kept in-heap — and
-// otherwise trades places with that minimum and yields to the dispatcher,
-// which resumes it.
+// The running entry is held OFF the heap; at each Sync it continues if
+// and only if its (clock, seq) key is strictly less than the heap
+// minimum's, and otherwise trades places with that minimum and yields to
+// the dispatcher, which resumes it. The runnable heap is a plain
+// []*SchedEntry ordered by (*SchedEntry).less with hole-moving sifts.
 //
-// The runnable heap is a plain []*SchedEntry ordered by (*SchedEntry).less
-// with hole-moving sifts; it deliberately shares no code with the
-// container/heap entryHeap ChanScheduler keeps, so the oracle cannot
-// inherit a bug from the thing it checks.
+// The order itself has two references in the tests, neither of which
+// shares code with this file: orderModel (sched_model_test.go), a
+// linear-scan slice that rides along random programs, and the sixty
+// pinned whole-run outcomes of the battery in internal/bench.
 type LoopScheduler struct {
 	trace *trace.Recorder
 
@@ -47,7 +60,10 @@ type LoopScheduler struct {
 // NewLoopScheduler returns an empty event-loop scheduler.
 func NewLoopScheduler() *LoopScheduler { return &LoopScheduler{} }
 
-// SetTracer attaches the lifecycle-event recorder.
+// SetTracer attaches a recorder for thread lifecycle events (start and end,
+// stamped with the entry's clock). Set it before the first Register; the
+// registration sequence is deterministic, so the lifecycle events are part
+// of the run's reproducible trace.
 func (s *LoopScheduler) SetTracer(tr *trace.Recorder) { s.trace = tr }
 
 // up fills the hole at slot i with e, first moving every ancestor that
@@ -116,7 +132,7 @@ func (s *LoopScheduler) pop() *SchedEntry {
 // Register creates and enrolls a new entry with the given clock. The entry
 // joins the runnable heap immediately; its body starts when a dispatcher
 // first picks it (Go must attach the body before the registering thread
-// next yields).
+// next yields) and must call Sync before touching simulation state.
 func (s *LoopScheduler) Register(clock int64) *SchedEntry {
 	e := &SchedEntry{clock: clock, seq: s.seq, index: -1}
 	s.seq++
@@ -172,13 +188,13 @@ func (s *LoopScheduler) Main(e *SchedEntry, body func()) {
 
 // Sync updates e's clock and yields unless e is still the minimal runnable
 // entry. The fast path — the running thread advances but stays ahead of
-// every waiter — is three comparisons with no locking, no heap traffic and
-// no switch. Otherwise the heap minimum m runs next and e takes its place
-// in the heap: e is written over the root and sifted down once, and m is
-// left in handoff for the dispatcher. That is the order a push of e
-// followed by a pop would give — m was the strict minimum and m < e, so m
-// is still the minimum after e joins, and the heap holds the same set
-// either way — for one sift instead of a sift-up and a sift-down.
+// every waiter — is three comparisons with no heap traffic and no switch.
+// Otherwise the heap minimum m runs next and e takes its place in the heap:
+// e is written over the root and sifted down once, and m is left in handoff
+// for the dispatcher. That is the order a push of e followed by a pop would
+// give — m was the strict minimum and m < e, so m is still the minimum after
+// e joins, and the heap holds the same set either way — for one sift instead
+// of a sift-up and a sift-down.
 func (s *LoopScheduler) Sync(e *SchedEntry, clock int64) {
 	e.clock = clock
 	if len(s.h) == 0 {
@@ -200,16 +216,14 @@ func (s *LoopScheduler) Sync(e *SchedEntry, clock int64) {
 // thread, whose entry is already off the heap.
 func (s *LoopScheduler) Park(e *SchedEntry) {
 	s.waiting++
-	e.parked = true
 	e.yield(struct{}{})
 }
 
-// Resume re-enrolls a parked entry at the given clock. The resuming thread
-// keeps running until its own next Sync — wake-ups happen at deterministic
-// protocol points, exactly as in the channel scheduler.
+// Resume re-enrolls a parked entry at the given clock. It must be called by
+// the currently running thread, which keeps running until its own next
+// Sync, so wake-ups happen at deterministic protocol points.
 func (s *LoopScheduler) Resume(e *SchedEntry, clock int64) {
 	e.clock = clock
-	e.parked = false
 	s.waiting--
 	s.push(e)
 }

@@ -3,14 +3,12 @@ package machine
 import (
 	"fmt"
 	"math/rand"
-	"slices"
-	"sync"
 	"testing"
 )
 
 // orderModel is the reference for the (clock, seq) execution order: the
 // runnable entries' keys in a plain slice, the minimum found by linear scan.
-// It is the whole specification the schedulers implement — no heap, no
+// It is the whole specification the scheduler implements — no heap, no
 // handoff, no threads.
 type orderModel struct {
 	runnable []modelKey
@@ -101,20 +99,15 @@ type latch struct {
 // at every scheduling point.
 type modelRun struct {
 	t *testing.T
-	s Scheduler
+	s *LoopScheduler
 
-	mu      sync.Mutex // the channel scheduler's threads overlap in real time
 	model   orderModel
 	nextSeq uint64
 	running *SchedEntry
-	order   []modelKey // (clock, seq) of every step, in execution order
-	wg      sync.WaitGroup
 }
 
 func (r *modelRun) register(clock int64) *SchedEntry {
 	e := r.s.Register(clock)
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if e.Seq() != r.nextSeq {
 		r.t.Errorf("Register handed out seq %d, want %d", e.Seq(), r.nextSeq)
 	}
@@ -126,8 +119,6 @@ func (r *modelRun) register(clock int64) *SchedEntry {
 // resumed checks the two things that must hold whenever a thread gets the
 // virtual processor: nobody else has it, and it is the model's minimum.
 func (r *modelRun) resumed(e *SchedEntry, clock int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.running != nil {
 		r.t.Errorf("entry %d runs while entry %d still does", e.Seq(), r.running.Seq())
 	}
@@ -147,20 +138,14 @@ func (r *modelRun) release(e *SchedEntry) {
 }
 
 func (r *modelRun) sync(e *SchedEntry, clock int64) {
-	r.mu.Lock()
 	r.release(e)
 	r.model.set(e.Seq(), clock)
-	r.mu.Unlock()
 	r.s.Sync(e, clock)
 	r.resumed(e, clock)
-	r.mu.Lock()
-	r.order = append(r.order, modelKey{clock, e.Seq()})
-	r.mu.Unlock()
 }
 
 func (r *modelRun) body(e *SchedEntry, sc script, clock int64, own *latch) func() {
 	return func() {
-		defer r.wg.Done()
 		var children []*latch
 		for _, op := range sc {
 			clock += op.delta
@@ -169,19 +154,13 @@ func (r *modelRun) body(e *SchedEntry, sc script, clock int64, own *latch) func(
 			case op.spawn != nil:
 				child, l := r.register(clock), &latch{}
 				children = append(children, l)
-				r.wg.Add(1)
 				r.s.Go(child, r.body(child, op.spawn, clock, l))
 			case op.touch >= 0:
 				l := children[op.touch]
-				r.mu.Lock()
-				blocked := !l.done
-				if blocked {
+				if !l.done {
 					l.waiters = append(l.waiters, e)
 					r.release(e)
 					r.model.remove(e.Seq())
-				}
-				r.mu.Unlock()
-				if blocked {
 					r.s.Park(e)
 					r.resumed(e, clock)
 				}
@@ -191,7 +170,6 @@ func (r *modelRun) body(e *SchedEntry, sc script, clock int64, own *latch) func(
 			}
 		}
 		r.sync(e, clock+1)
-		r.mu.Lock()
 		own.done, own.when = true, clock+1
 		for _, w := range own.waiters {
 			r.model.set(w.Seq(), clock+1)
@@ -199,18 +177,16 @@ func (r *modelRun) body(e *SchedEntry, sc script, clock int64, own *latch) func(
 		}
 		r.release(e)
 		r.model.remove(e.Seq())
-		r.mu.Unlock()
 		r.s.Exit(e)
 	}
 }
 
 // TestSchedulerMatchesOrderModel runs seeded random programs of 1–200
-// entries on both schedulers against the linear-scan model, and requires
-// the two schedulers to execute every program's steps in the same order.
+// entries against the linear-scan model.
 func TestSchedulerMatchesOrderModel(t *testing.T) {
-	orders := map[SchedKind][][]modelKey{}
 	maxEntries := 0
-	forEachSchedulerKind(t, func(t *testing.T, kind SchedKind) {
+	// One scheduler per seed, so not withScheduler; same sub-test name.
+	t.Run("eventloop", func(t *testing.T) {
 		for seed := int64(1); seed <= 60; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			budget := []int{0, 1, 2, 14, 60, 199}[seed%6]
@@ -220,12 +196,10 @@ func TestSchedulerMatchesOrderModel(t *testing.T) {
 			maxEntries = max(maxEntries, entries)
 
 			// Two Main calls on one scheduler, as phased benchmarks do.
-			r := &modelRun{t: t, s: NewSchedulerOf(kind)}
+			r := &modelRun{t: t, s: NewLoopScheduler()}
 			for phase := 0; phase < 2; phase++ {
 				e := r.register(0)
-				r.wg.Add(1)
 				r.s.Main(e, r.body(e, root, 0, &latch{}))
-				r.wg.Wait()
 				if len(r.model.runnable) != 0 {
 					t.Fatalf("seed %d: %d entries still runnable after Main", seed, len(r.model.runnable))
 				}
@@ -233,7 +207,6 @@ func TestSchedulerMatchesOrderModel(t *testing.T) {
 			if int(r.nextSeq) != 2*entries {
 				t.Fatalf("seed %d: registered %d entries, the script has %d", seed, r.nextSeq, 2*entries)
 			}
-			orders[kind] = append(orders[kind], r.order)
 			if t.Failed() {
 				t.Fatalf("seed %d (%d entries) diverged from the model", seed, entries)
 			}
@@ -241,12 +214,6 @@ func TestSchedulerMatchesOrderModel(t *testing.T) {
 	})
 	if maxEntries != 200 {
 		t.Errorf("largest program registered %d entries, want the full 200", maxEntries)
-	}
-	loop, channel := orders[SchedEventLoop], orders[SchedChannel]
-	for i := range loop {
-		if !slices.Equal(loop[i], channel[i]) {
-			t.Errorf("seed %d: the two schedulers executed its steps in different orders", i+1)
-		}
 	}
 }
 

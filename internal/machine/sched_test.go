@@ -1,52 +1,35 @@
 package machine
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
-// forEachScheduler runs a conformance test against both scheduler
-// implementations: the virtual-time event loop and the channel-handoff
-// fallback. Every semantic the runtime relies on must hold for both — the
-// digest battery in internal/bench then pins that whole *runs* are
-// byte-identical.
-func forEachScheduler(t *testing.T, f func(t *testing.T, s Scheduler)) {
-	forEachSchedulerKind(t, func(t *testing.T, kind SchedKind) { f(t, NewSchedulerOf(kind)) })
-}
-
-// forEachSchedulerKind is forEachScheduler for tests that build more than
-// one scheduler per implementation.
-func forEachSchedulerKind(t *testing.T, f func(t *testing.T, kind SchedKind)) {
-	for _, kind := range []SchedKind{SchedEventLoop, SchedChannel} {
-		t.Run(kind.String(), func(t *testing.T) { f(t, kind) })
-	}
+// withScheduler runs a conformance case against a fresh scheduler. The
+// sub-test is called "eventloop", the name these cases have always reported
+// the event loop's verdict under, so their ids stay comparable across
+// commits. Every semantic the runtime relies on is pinned here case by
+// case; the battery in internal/bench pins that whole *runs* stay byte
+// for byte what the reference scheduler produced.
+func withScheduler(t *testing.T, f func(t *testing.T, s *LoopScheduler)) {
+	t.Run("eventloop", func(t *testing.T) { f(t, NewLoopScheduler()) })
 }
 
 // driveThreads registers one entry per body (at the given start clocks, in
 // slice order, so slice index = seq), runs body 0 as the root via Main and
 // the rest via Go, and returns once every thread has finished. Bodies
 // receive the full entry slice so they can Resume each other.
-func driveThreads(s Scheduler, clocks []int64, bodies []func(entries []*SchedEntry)) {
+func driveThreads(s *LoopScheduler, clocks []int64, bodies []func(entries []*SchedEntry)) {
 	entries := make([]*SchedEntry, len(bodies))
 	for i, c := range clocks {
 		entries[i] = s.Register(c)
 	}
-	var wg sync.WaitGroup
 	for i := 1; i < len(bodies); i++ {
-		i := i
-		wg.Add(1)
-		s.Go(entries[i], func() {
-			defer wg.Done()
-			bodies[i](entries)
-		})
+		body := bodies[i]
+		s.Go(entries[i], func() { body(entries) })
 	}
 	s.Main(entries[0], func() { bodies[0](entries) })
-	wg.Wait()
 }
 
 func TestSchedulerOrdersByClock(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, s Scheduler) {
-		var mu sync.Mutex
+	withScheduler(t, func(t *testing.T, s *LoopScheduler) {
 		var order []int
 
 		body := func(id int, clocks []int64) func(entries []*SchedEntry) {
@@ -54,9 +37,7 @@ func TestSchedulerOrdersByClock(t *testing.T) {
 				e := entries[id-1]
 				for _, c := range clocks {
 					s.Sync(e, c)
-					mu.Lock()
 					order = append(order, id)
-					mu.Unlock()
 				}
 				s.Exit(e)
 			}
@@ -81,15 +62,12 @@ func TestSchedulerOrdersByClock(t *testing.T) {
 }
 
 func TestSchedulerTieBreakBySeq(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, s Scheduler) {
-		var mu sync.Mutex
+	withScheduler(t, func(t *testing.T, s *LoopScheduler) {
 		var order []int
 		body := func(i int) func(entries []*SchedEntry) {
 			return func(entries []*SchedEntry) {
 				s.Sync(entries[i], 100)
-				mu.Lock()
 				order = append(order, i)
-				mu.Unlock()
 				s.Exit(entries[i])
 			}
 		}
@@ -108,9 +86,8 @@ func TestSchedulerTieBreakBySeq(t *testing.T) {
 // property: entries that keep syncing at the same clock rotate in seq
 // (FIFO) order at every yield, not just on first arrival.
 func TestSchedulerSameClockFIFOAcrossYields(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, s Scheduler) {
+	withScheduler(t, func(t *testing.T, s *LoopScheduler) {
 		const threads, rounds = 3, 4
-		var mu sync.Mutex
 		var order []int
 		body := func(i int) func(entries []*SchedEntry) {
 			return func(entries []*SchedEntry) {
@@ -118,9 +95,7 @@ func TestSchedulerSameClockFIFOAcrossYields(t *testing.T) {
 					// All threads tie at each round's clock; seq must
 					// decide every round identically.
 					s.Sync(entries[i], int64(r*10))
-					mu.Lock()
 					order = append(order, i)
-					mu.Unlock()
 				}
 				s.Exit(entries[i])
 			}
@@ -145,7 +120,7 @@ func TestSchedulerSameClockFIFOAcrossYields(t *testing.T) {
 }
 
 func TestSchedulerParkResume(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, s Scheduler) {
+	withScheduler(t, func(t *testing.T, s *LoopScheduler) {
 		var got int64
 		driveThreads(s, []int64{0, 1}, []func([]*SchedEntry){
 			func(entries []*SchedEntry) {
@@ -172,7 +147,7 @@ func TestSchedulerParkResume(t *testing.T) {
 // an otherwise-empty heap, so the handoff must find and wake the parked
 // waiter rather than declaring the machine idle (or deadlocked).
 func TestSchedulerParkEmptyHeapWakeup(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, s Scheduler) {
+	withScheduler(t, func(t *testing.T, s *LoopScheduler) {
 		var got int64
 		driveThreads(s, []int64{0, 1}, []func([]*SchedEntry){
 			func(entries []*SchedEntry) {
@@ -194,30 +169,20 @@ func TestSchedulerParkEmptyHeapWakeup(t *testing.T) {
 }
 
 func TestSchedulerDeadlockPanics(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, s Scheduler) {
+	withScheduler(t, func(t *testing.T, s *LoopScheduler) {
 		e := s.Register(0)
 		defer func() {
 			if recover() == nil {
 				t.Fatal("expected deadlock panic")
 			}
 		}()
-		// The panic surfaces on this goroutine either way: the channel
-		// scheduler raises it inside Park itself, the event loop inside
-		// Main's dispatcher once the only thread has parked.
+		// The panic surfaces on this goroutine: Main's dispatcher raises
+		// it once the only thread has parked.
 		s.Main(e, func() {
 			s.Sync(e, 0)
 			s.Park(e) // nobody will ever resume us
 		})
 	})
-}
-
-func TestNewSchedulerOfKinds(t *testing.T) {
-	if _, ok := NewSchedulerOf(SchedEventLoop).(*LoopScheduler); !ok {
-		t.Error("SchedEventLoop did not build a LoopScheduler")
-	}
-	if _, ok := NewSchedulerOf(SchedChannel).(*ChanScheduler); !ok {
-		t.Error("SchedChannel did not build a ChanScheduler")
-	}
 }
 
 // TestStatsSnapshotNoTearing pins the documented Stats guarantee: a

@@ -50,9 +50,7 @@ func Spawn[T any](t *Thread, body func(child *Thread) T) *Future[T] {
 		})
 	}
 	f := &Future[T]{}
-	t.rt.live.Add(1)
 	t.rt.Sched.Go(child.se, func() {
-		defer t.rt.live.Done()
 		// Call returns the child to its spawn processor via the
 		// return stub if the body migrated.
 		v := Call(child, func() T { return body(child) })

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/coherence"
@@ -249,6 +250,54 @@ func TestFutureNoMigrationIsSerial(t *testing.T) {
 	})
 	if mk < 10000 {
 		t.Fatalf("makespan = %d; same-processor future must serialize", mk)
+	}
+}
+
+// TestRunWaitsForUntouchedFutures pins Run's contract: it returns only
+// after every future body has finished, touched or not, and leaves no
+// goroutine behind. The root spawns bodies it never touches — one stays
+// home, one migrates, one spawns a migrating grandchild — and returns at
+// once.
+func TestRunWaitsForUntouchedFutures(t *testing.T) {
+	before := runtime.NumGoroutine()
+	r := newRT(2, coherence.LocalKnowledge)
+	finished := 0
+	// The futures land in a slice nobody reads: oldenvet's
+	// future-discipline check rejects a discarded Spawn result, rightly
+	// for kernels, and leaving them untouched is this test's subject.
+	var untouched []*Future[int]
+	spawn := func(th *Thread, body func(c *Thread)) {
+		untouched = append(untouched, Spawn(th, func(c *Thread) int {
+			body(c)
+			finished++
+			return 0
+		}))
+	}
+	r.Run(0, func(th *Thread) {
+		spawn(th, func(c *Thread) { c.Work(5000) })
+		spawn(th, func(c *Thread) {
+			c.MigrateTo(1)
+			c.Work(5000)
+		})
+		spawn(th, func(c *Thread) {
+			spawn(c, func(g *Thread) {
+				g.MigrateTo(1)
+				g.Work(9000)
+			})
+		})
+		if finished != 0 {
+			t.Errorf("%d bodies finished before the root returned: the test needs them outstanding", finished)
+		}
+	})
+	if finished != len(untouched) || finished != 4 {
+		t.Errorf("Run returned with %d of %d future bodies finished", finished, len(untouched))
+	}
+	if r.M.Stats.Touches.Load() != 0 || r.M.Stats.Migrations.Load() != 2 {
+		t.Errorf("touches = %d, migrations = %d; want 0 and 2",
+			r.M.Stats.Touches.Load(), r.M.Stats.Migrations.Load())
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Errorf("%d goroutines after Run, %d before it", n, before)
 	}
 }
 

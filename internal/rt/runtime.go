@@ -8,7 +8,6 @@ package rt
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/cache"
@@ -144,11 +143,6 @@ type Config struct {
 	// the given recorder. Nil — the default — disables recording; the
 	// cost model and all statistics are unaffected either way.
 	Trace *trace.Recorder
-	// Sched selects the scheduler implementation (default: the
-	// virtual-time event loop; machine.SchedChannel selects the original
-	// channel-handoff scheduler, the reference the differential tests
-	// compare against).
-	Sched machine.SchedKind
 	// Metrics, when non-nil, is a registry the runtime binds the
 	// machine's statistics into and registers its own counters and
 	// latency histograms with (cache hits, miss and migration transit
@@ -168,7 +162,7 @@ type Runtime struct {
 	Mode   Mode
 	// Sched serializes all threads in virtual-time order, making every
 	// run deterministic.
-	Sched machine.Scheduler
+	Sched *machine.LoopScheduler
 	// Overhead is false for the sequential baseline.
 	Overhead bool
 
@@ -213,8 +207,6 @@ type Runtime struct {
 	// identity of the build phase.
 	buildHeapFP uint64
 	buildHeapOK bool
-
-	live sync.WaitGroup // outstanding future bodies
 }
 
 // New builds a runtime and its machine.
@@ -243,7 +235,7 @@ func New(cfg Config) *Runtime {
 	for i := range dirty {
 		dirty[i] = coherence.DirtySet{}
 	}
-	sched := machine.NewSchedulerOf(cfg.Sched)
+	sched := machine.NewLoopScheduler()
 	sched.SetTracer(cfg.Trace)
 	return &Runtime{
 		M:        m,
@@ -314,10 +306,13 @@ func (r *Runtime) DuplicateSites() map[string]int {
 // P returns the machine size.
 func (r *Runtime) P() int { return r.M.P() }
 
-// Run executes f as the root Olden thread on processor start, waits for
-// every spawned future to finish, and returns the simulated makespan. It is
-// the entry point of an "Olden program"; a Runtime runs one program at a
-// time (phased benchmarks call Run once per phase).
+// Run executes f as the root Olden thread on processor start and returns
+// the simulated makespan once every thread has exited — futures included,
+// touched or not. The calling goroutine is the scheduler's dispatcher for
+// the duration: every thread body runs on it as a coroutine, and none is
+// left behind when Run returns. It is the entry point of an "Olden
+// program"; a Runtime runs one program at a time (phased benchmarks call
+// Run once per phase).
 func (r *Runtime) Run(start int, f func(t *Thread)) int64 {
 	if start < 0 || start >= r.P() {
 		panic(fmt.Sprintf("rt: start processor %d out of range", start))
@@ -328,17 +323,11 @@ func (r *Runtime) Run(start int, f func(t *Thread)) int64 {
 		frames: []uint64{0},
 	}
 	t.se = r.Sched.Register(0)
-	// Main runs the root body under the scheduler. Under the event loop
-	// the calling goroutine becomes the dispatcher and Main returns only
-	// when every thread (futures included) has exited; under the channel
-	// scheduler futures run on their own goroutines and live.Wait picks
-	// up the stragglers.
 	r.Sched.Main(t.se, func() {
 		f(t)
 		t.Finish()
 		r.Sched.Exit(t.se)
 	})
-	r.live.Wait()
 	return r.M.Makespan()
 }
 

@@ -16,7 +16,9 @@ import (
 // the clock forward, and charging work on a processor serializes against
 // every other thread on that processor in virtual time.
 //
-// A Thread is confined to a single goroutine; Spawn creates new threads for
+// A Thread belongs to the one body that runs as it — the root function or
+// a Spawn closure, each a coroutine of the scheduler's dispatcher — and
+// only that body may call its methods; Spawn creates new threads for
 // parallel work.
 type Thread struct {
 	rt  *Runtime
@@ -49,9 +51,9 @@ func (t *Thread) Runtime() *Runtime { return t.rt }
 
 // workChunk bounds a single virtual-time occupation. Charging work in
 // chunks lets concurrently-arriving threads interleave on a processor the
-// way a real serial processor with preemption points would, instead of the
-// first goroutine to reach the mutex monopolizing the resource for one huge
-// charge.
+// way a real serial processor with preemption points would: each chunk
+// starts with a sync, so a thread with an earlier clock gets the processor
+// between chunks instead of waiting out one huge charge.
 const workChunk = 256
 
 // Work charges cycles of local computation at the current processor.

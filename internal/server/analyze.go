@@ -11,9 +11,7 @@ package server
 // key memoization decisions off the certificate digest.
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 
@@ -95,8 +93,8 @@ func admitAgainst(res *effects.Result, budget *Budget) []string {
 // so it runs inline on the request goroutine — no queue, no worker.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req AnalyzeRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if err := decodeBody(r.Body, &req); err != nil {
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if req.Source == "" {

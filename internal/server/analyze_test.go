@@ -177,6 +177,9 @@ func TestAnalyzeBadRequests(t *testing.T) {
 	if status, _, _ := postAnalyze(t, ts, `{nope`); status != http.StatusBadRequest {
 		t.Errorf("bad JSON = %d, want 400", status)
 	}
+	if status, _, _ := postAnalyze(t, ts, `{"source":"int f() { return 0; }"}{}`); status != http.StatusBadRequest {
+		t.Errorf("data after the body = %d, want 400", status)
+	}
 	if status, _, _ := postAnalyze(t, ts, `{}`); status != http.StatusBadRequest {
 		t.Errorf("empty source = %d, want 400", status)
 	}

@@ -56,8 +56,8 @@ func (it *BatchItem) fill(res result) {
 // received from /run.
 func DecodeBatch(body io.Reader) (BatchRequest, []BatchItem, error) {
 	var breq BatchRequest
-	if err := json.NewDecoder(io.LimitReader(body, 1<<20)).Decode(&breq); err != nil {
-		return breq, nil, fmt.Errorf("bad request body: %w", err)
+	if err := decodeBody(body, &breq); err != nil {
+		return breq, nil, err
 	}
 	if len(breq.Runs) == 0 {
 		return breq, nil, fmt.Errorf("empty batch (runs is required)")

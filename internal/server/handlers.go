@@ -250,14 +250,30 @@ func (s *Server) Handler() http.Handler {
 	}.Wrap(mux)
 }
 
+// decodeBody reads the single JSON value a request body may hold into v.
+// Anything after it but whitespace is refused like a malformed body: a
+// decoder that stops at the first value would run
+// {"benchmark":"treeadd"}{"benchmark":"power"} as treeadd and silently
+// drop the rest.
+func decodeBody(body io.Reader, v any) error {
+	dec := json.NewDecoder(io.LimitReader(body, 1<<20))
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("bad request body: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("bad request body: data after the JSON value")
+	}
+	return nil
+}
+
 // DecodeRun is the request prologue every /run path shares — replica and
 // router alike: decode the body, validate and fill catalog defaults, and
 // derive the canonical cache key the result cache stores under and the
 // ring hashes. Every error is the client's (400).
 func DecodeRun(body io.Reader) (RunRequest, string, error) {
 	var req RunRequest
-	if err := json.NewDecoder(io.LimitReader(body, 1<<20)).Decode(&req); err != nil {
-		return req, "", fmt.Errorf("bad request body: %w", err)
+	if err := decodeBody(body, &req); err != nil {
+		return req, "", err
 	}
 	req, err := Normalize(req)
 	if err != nil {

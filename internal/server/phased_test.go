@@ -332,6 +332,9 @@ func TestBatchValidation(t *testing.T) {
 		{`{}`, http.StatusBadRequest},
 		{`{"runs":[]}`, http.StatusBadRequest},
 		{`not json`, http.StatusBadRequest},
+		{`{"runs":[{"benchmark":"treeadd"}]}{"runs":[{"benchmark":"power"}]}`, http.StatusBadRequest},
+		{`{"runs":[{"benchmark":"treeadd"}]} garbage`, http.StatusBadRequest},
+		{`{"runs":[{"benchmark":"treeadd"}]}` + "\n", http.StatusOK},
 		{`{"runs":[{"benchmark":"treeadd"},{"benchmark":"treeadd"},{"benchmark":"treeadd"},
 		   {"benchmark":"treeadd"},{"benchmark":"treeadd"}]}`, http.StatusBadRequest}, // > QueueDepth
 	} {

@@ -390,6 +390,9 @@ func TestRequestValidation(t *testing.T) {
 		{`{"benchmark":"treeadd","procs":65}`, 400},
 		{`{"benchmark":"treeadd","procs":-1}`, 400},
 		{`not json`, 400},
+		{`{"benchmark":"treeadd"}{"benchmark":"power"}`, 400},
+		{`{"benchmark":"treeadd"} garbage`, 400},
+		{`{"benchmark":"treeadd"}` + "\n", 200},
 		{`{"benchmark":"treeadd"}`, 200},
 	}
 	for _, c := range cases {

@@ -134,9 +134,9 @@ const (
 // Recorder collects events into a bounded ring. A nil *Recorder is the
 // disabled state: emit points must guard on it.
 //
-// The recorder is internally locked: although the virtual-time scheduler
-// serializes emissions logically, the emitting goroutines overlap in real
-// time, and the ring of a run still in flight is read by /debug/trace.
+// The recorder is internally locked: the virtual-time scheduler serializes
+// emissions on one goroutine, but the ring of a run still in flight is
+// read by /debug/trace from another.
 type Recorder struct {
 	mu      sync.Mutex
 	cap     int

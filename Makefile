@@ -2,7 +2,7 @@ GO ?= go
 
 BENCHES = treeadd power tsp mst bisort voronoi em3d barneshut perimeter health
 
-.PHONY: check build vet fmt static test perf-test perf-pairs race fuzz oldenvet lint analyze phases bench report perfgate profile serve load servesmoke cluster clustersmoke update-goldens
+.PHONY: check build vet fmt static test perf-test perf-pairs race fuzz oldenvet lint analyze phases bench report perfgate loc profile serve load servesmoke cluster clustersmoke update-goldens
 
 # Each fuzz target gets a short smoke run in check; raise FUZZTIME for a
 # real fuzzing session.
@@ -93,11 +93,16 @@ bench:
 	$(GO) run ./cmd/oldenbench -update -maxprocs $(BASELINE_PROCS)
 
 report:
-	$(GO) run ./cmd/oldenreport
+	$(GO) run ./cmd/oldenbench -report
 
 perfgate:
 	$(GO) run ./cmd/oldenbench -record $(PERFGATE_DIR) -maxprocs $(BASELINE_PROCS)
-	$(GO) run ./cmd/oldenreport -candidate $(PERFGATE_DIR)
+	$(GO) run ./cmd/oldenbench -report -candidate $(PERFGATE_DIR)
+
+# The number ROADMAP item 6 tracks: non-test Go lines under internal/ and
+# cmd/.
+loc:
+	@find internal cmd -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
 
 # Simulator wall clock. Everything above gates on simulated cycles
 # (deterministic, zero tolerance). How fast the simulator executes them is
@@ -154,15 +159,16 @@ clustersmoke:
 
 # One flag, one verb: every golden-pinning test in the tree takes
 # `-update` to rewrite its files from the current build (lint goldens,
-# trace-digest goldens and the scheduler battery's sixty lines, the oldenc
-# -analyze/-phases goldens), and the
-# committed BENCH_<name>.json baselines are re-pinned by `oldenbench
+# trace-digest goldens and the scheduler battery's sixty lines, the rendered
+# report over the pinned baselines, the oldenc -analyze/-phases goldens), and
+# the committed BENCH_<name>.json baselines are re-pinned by `oldenbench
 # -update` (= `make bench`, kept separate because moving cycle counts is
 # a reviewed perf decision, not a golden refresh). Run this after an
 # intentional output change, then review and commit the diff.
 update-goldens:
 	$(GO) test ./internal/core -run 'TestLintGolden' -update
 	$(GO) test ./internal/bench -run 'TestTraceDigestGoldens|TestSchedulerDigestEquivalence' -update
+	$(GO) test ./internal/bench/record -run 'TestReportGolden' -update
 	$(GO) test ./cmd/oldenc -run 'TestAnalyzeGoldens|TestPhasesGoldens' -update
 
 # oldenc -lint exits 1 only on error-severity diagnostics; the known

@@ -4,7 +4,11 @@
 //	oldenbench -table 2            # speedups + migrate-only comparison
 //	oldenbench -table 3            # caching statistics per coherence scheme
 //	oldenbench -figure 2           # list-distribution crossover
+//	oldenbench -curve em3d         # one benchmark under all three modes
 //
+// Tables 2 and 3 and the curves are markdown rendered from the run records
+// of the configurations they need (internal/bench/record), Table 2 and the
+// curves with the paper's published speedup beside each measured one.
 // Problem sizes default to 1/16 of the paper's (Table 1) sizes; pass
 // -scale 1 for the full sizes. -procs selects the machine sizes for
 // Table 2 and -maxprocs the machine size for Table 3 / Figure 2.
@@ -18,10 +22,15 @@
 //	oldenbench -record out/ -maxprocs 4        # same suite, elsewhere
 //	oldenbench -record out/ -bench em3d        # ... for one benchmark only
 //	oldenbench -table 2 -json                  # stream RunRecord JSON to stdout
+//	oldenbench -report                         # render ./BENCH_*.json
+//	oldenbench -report -candidate out/         # gate out/ against ./BENCH_*.json
+//	oldenbench -report -candidate out/ -tol-cycles 0.02 -out report.md
 //
 // -json moves the human tables to stderr and emits one JSON object per
-// benchmark run on stdout; cmd/oldenreport renders and gates the pinned
-// files.
+// benchmark run on stdout, in the order the runs executed. In gate mode
+// the exit status is 1 when any configuration regressed beyond tolerance;
+// the simulator is deterministic, so the default zero tolerance passes
+// byte-identical reruns and fails any slowdown at all.
 //
 // Simulator wall-clock throughput is measured by the repository
 // benchmark: `go run -C perf . -workload sim_table`.
@@ -38,6 +47,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -61,6 +71,10 @@ func main() {
 	recordDir := flag.String("record", "", "run the pinned record suite at -maxprocs/-scale and write BENCH_<name>.json files into this directory")
 	update := flag.Bool("update", false, "shorthand for -record . : re-pin the committed BENCH_<name>.json baselines")
 	list := flag.Bool("list", false, "print the machine-readable benchmark catalog (names, schemes, modes, default params) as JSON and exit")
+	report := flag.Bool("report", false, "render the pinned ./BENCH_<name>.json baselines as a markdown report")
+	candidate := flag.String("candidate", "", "with -report: candidate record set to gate against the pinned baselines (exit 1 on regression)")
+	reportOut := flag.String("out", "", "with -report: write the markdown report to this file instead of stdout")
+	tolCycles := flag.Float64("tol-cycles", 0, "with -report -candidate: allowed fractional cycle increase (0.02 = 2%)")
 	flag.Parse()
 
 	if *list {
@@ -71,17 +85,16 @@ func main() {
 		os.Stdout.Write(b)
 		return
 	}
+	if *report {
+		runReport(*candidate, *reportOut, record.Tolerance{CyclesFrac: *tolCycles})
+		return
+	}
 
 	out := io.Writer(os.Stdout)
+	var enc *json.Encoder
 	if *jsonOut {
 		// Records own stdout; everything human-readable moves aside.
-		out = os.Stderr
-		enc := json.NewEncoder(os.Stdout)
-		bench.SetRunObserver(func(r record.RunRecord) {
-			if err := enc.Encode(r); err != nil {
-				fatalf("encode record: %v", err)
-			}
-		})
+		out, enc = os.Stderr, json.NewEncoder(os.Stdout)
 	}
 
 	var procs []int
@@ -103,64 +116,108 @@ func main() {
 		if *update {
 			dir = "."
 		}
-		runRecordSuite(out, dir, *benchName, *maxProcs, *scale)
+		runRecordSuite(out, enc, dir, *benchName, *maxProcs, *scale)
 	case *table == 1:
 		fmt.Fprint(out, bench.Table1())
 	case *table == 2:
-		s, err := bench.Table2(procs, *scale, kind)
-		fmt.Fprint(out, s)
-		if err != nil {
-			fatalf("table 2: %v", err)
-		}
+		files := collect(enc, bench.Names(), bench.Table2Suite(procs, *scale, kind))
+		fmt.Fprint(out, record.Table2Markdown(files, nil, procs, kind.String()))
 	case *table == 3:
-		s, err := bench.Table3(*maxProcs, *scale)
-		fmt.Fprint(out, s)
-		if err != nil {
-			fatalf("table 3: %v", err)
-		}
+		// Only the migrate-and-cache benchmarks have a Table 3 row.
+		names := slices.DeleteFunc(bench.Names(), func(name string) bool {
+			info, _ := bench.Get(name)
+			return info.Choice != "M+C"
+		})
+		files := collect(enc, names, bench.Table3Suite(*maxProcs, *scale))
+		fmt.Fprint(out, record.Table3Markdown(files, nil, *maxProcs))
 	case *figure == 2:
 		fmt.Fprint(out, bench.Figure2(4096, *maxProcs))
 	case *curve != "":
-		s, err := bench.Curve(*curve, procs, *scale, kind)
-		fmt.Fprint(out, s)
-		if err != nil {
-			fatalf("curve: %v", err)
-		}
+		files := collect(enc, []string{*curve}, bench.CurveSuite(procs, *scale, kind))
+		fmt.Fprint(out, record.CurveMarkdown(files[0], procs, kind.String()))
 	default:
-		fmt.Fprintln(os.Stderr, "nothing to do: pass -table 1|2|3, -figure 2, -curve <bench>, -record <dir> or -update")
+		fmt.Fprintln(os.Stderr, "nothing to do: pass -table 1|2|3, -figure 2, -curve <bench>, -record <dir>, -update or -report")
 		flag.Usage()
 		os.Exit(2)
 	}
 }
 
+// collect runs suite for each named benchmark and returns the record
+// files; under -json (enc non-nil) each file's records are streamed as soon
+// as the benchmark is done, in the order they ran.
+func collect(enc *json.Encoder, names []string, suite []bench.Config) []record.File {
+	var files []record.File
+	for _, name := range names {
+		f, err := bench.CollectRecords(name, suite)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		if enc != nil {
+			for _, r := range f.Records {
+				if err := enc.Encode(r); err != nil {
+					fatalf("encode record: %v", err)
+				}
+			}
+		}
+		files = append(files, f)
+	}
+	return files
+}
+
 // runRecordSuite collects the pinned configuration suite for every
 // benchmark (or just `only`) and writes one BENCH_<name>.json per
 // benchmark into dir.
-func runRecordSuite(out io.Writer, dir, only string, procs, scale int) {
+func runRecordSuite(out io.Writer, enc *json.Encoder, dir, only string, procs, scale int) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		fatalf("record dir: %v", err)
 	}
 	names := bench.Names()
 	if only != "" {
-		if _, ok := bench.Get(only); !ok {
-			fatalf("unknown benchmark %q (want one of %s)", only, strings.Join(bench.Names(), ", "))
-		}
 		names = []string{only}
 	}
 	for _, name := range names {
-		f, err := bench.CollectRecords(name, procs, scale)
-		if err != nil {
-			fatalf("record %s: %v", name, err)
-		}
+		f := collect(enc, []string{name}, bench.PinnedSuite(procs, scale))[0]
 		if err := f.Save(dir); err != nil {
 			fatalf("save %s: %v", name, err)
 		}
 		base, _ := f.Lookup("baseline")
 		heur, _ := f.Lookup(record.HeuristicKey(procs, "local"))
-		fmt.Fprintf(out, "%-12s pinned: baseline %d cycles, P=%d %d cycles (S=%.2f) -> %s\n",
-			name, base.Cycles, procs, heur.Cycles,
-			float64(base.Cycles)/float64(heur.Cycles),
-			filepath.Join(dir, record.Filename(name)))
+		fmt.Fprintf(out, "%-12s pinned: baseline %d cycles, P=%d %d cycles -> %s\n",
+			name, base.Cycles, procs, heur.Cycles, filepath.Join(dir, record.Filename(name)))
+	}
+}
+
+// runReport renders the pinned ./BENCH_*.json as the markdown report — or,
+// given a candidate set, gates it against the pins at tol and renders the
+// candidate with the pins as the Δ-prev columns.
+func runReport(candidate, outPath string, tol record.Tolerance) {
+	cur, err := record.LoadDir(".")
+	if err != nil {
+		fatalf("%v", err)
+	}
+	var prev []record.File
+	var regs []record.Regression
+	if candidate != "" {
+		prev = cur
+		if cur, err = record.LoadDir(candidate); err != nil {
+			fatalf("%v", err)
+		}
+		if regs, err = record.CompareDirs(prev, cur, tol); err != nil {
+			fatalf("%v", err)
+		}
+	}
+	report := record.Report(cur, prev, regs)
+	if outPath == "" {
+		fmt.Print(report)
+	} else if err := os.WriteFile(outPath, []byte(report), 0o644); err != nil {
+		fatalf("%v", err)
+	}
+	if len(regs) > 0 {
+		fmt.Fprintf(os.Stderr, "oldenbench: %d regression(s) beyond tolerance:\n", len(regs))
+		for _, r := range regs {
+			fmt.Fprintf(os.Stderr, "  %s\n", r)
+		}
+		os.Exit(1)
 	}
 }
 

@@ -1,13 +1,13 @@
 // Package bench is the shared harness for the ten Olden benchmarks
 // (paper Table 1): registration, configuration, result reporting and the
-// speedup methodology of Table 2.
+// configuration suites the paper's tables are collected from.
 package bench
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
+	"repro/internal/bench/record"
 	"repro/internal/coherence"
 	"repro/internal/machine"
 	"repro/internal/metrics"
@@ -178,50 +178,10 @@ func Get(name string) (Info, bool) {
 func Names() []string {
 	regMu.Lock()
 	defer regMu.Unlock()
-	order := map[string]int{
-		"treeadd": 0, "power": 1, "tsp": 2, "mst": 3, "bisort": 4,
-		"voronoi": 5, "em3d": 6, "barneshut": 7, "perimeter": 8, "health": 9,
-	}
 	names := make([]string, 0, len(registry))
 	for n := range registry {
 		names = append(names, n)
 	}
-	sort.Slice(names, func(i, j int) bool {
-		oi, iok := order[names[i]]
-		oj, jok := order[names[j]]
-		switch {
-		case iok && jok:
-			return oi < oj
-		case iok:
-			return true
-		case jok:
-			return false
-		default:
-			return names[i] < names[j]
-		}
-	})
+	sort.Slice(names, func(i, j int) bool { return record.BenchLess(names[i], names[j]) })
 	return names
-}
-
-// Speedup runs the benchmark sequentially (the baseline) and at each
-// machine size, returning baseline cycles and speedups — one row of
-// Table 2.
-func Speedup(name string, procs []int, scheme coherence.Kind, mode rt.Mode, scale int) (int64, []float64, error) {
-	info, ok := Get(name)
-	if !ok {
-		return 0, nil, fmt.Errorf("bench: unknown benchmark %q", name)
-	}
-	base := execute(info, Config{Baseline: true, Scale: scale, Scheme: scheme})
-	if !base.Verified() {
-		return 0, nil, fmt.Errorf("bench: %s baseline check %#x != %#x", name, base.Check, base.WantCheck)
-	}
-	var sp []float64
-	for _, p := range procs {
-		res := execute(info, Config{Procs: p, Scheme: scheme, Mode: mode, Scale: scale})
-		if !res.Verified() {
-			return 0, nil, fmt.Errorf("bench: %s at P=%d check %#x != %#x", name, p, res.Check, res.WantCheck)
-		}
-		sp = append(sp, float64(base.Cycles)/float64(res.Cycles))
-	}
-	return base.Cycles, sp, nil
 }

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -91,8 +93,38 @@ func TestRawHelpers(t *testing.T) {
 	}
 }
 
-func TestSpeedupUnknownBenchmark(t *testing.T) {
-	if _, _, err := Speedup("no-such-benchmark", []int{1}, 0, rt.Heuristic, 64); err == nil {
+func TestCollectRecordsUnknownBenchmark(t *testing.T) {
+	if _, err := CollectRecords("no-such-benchmark", PinnedSuite(1, 64)); err == nil {
 		t.Fatal("expected error")
+	}
+}
+
+// TestFigure2ClosedFormLabels checks that each closed form Figure2 prints
+// evaluates to the value printed beside it and to the count the walk
+// measured (internal/rt's TestFigure2Counts pins the counts themselves).
+func TestFigure2ClosedFormLabels(t *testing.T) {
+	const n, p = 256, 4
+	forms := map[string]int{"P-1": p - 1, "N-1": n - 1, "2N(P-1)/P": 2 * n * (p - 1) / p}
+	rows := 0
+	for _, line := range strings.Split(Figure2(n, p), "\n") {
+		f := strings.Fields(line) // layout mechanism migrations remote cycles label = value
+		if len(f) != 8 || f[6] != "=" {
+			continue
+		}
+		rows++
+		want, ok := forms[f[5]]
+		if !ok {
+			t.Fatalf("unknown closed form %q in %q", f[5], line)
+		}
+		measured := f[2] // migrations
+		if f[1] == "cache" {
+			measured = f[3] // remote refs
+		}
+		if f[7] != strconv.Itoa(want) || measured != f[7] {
+			t.Errorf("%s %s: label %s evaluates to %d, printed %s, measured %s", f[0], f[1], f[5], want, f[7], measured)
+		}
+	}
+	if rows != 4 {
+		t.Fatalf("Figure2 printed %d closed-form rows, want 4", rows)
 	}
 }

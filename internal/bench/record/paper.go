@@ -1,9 +1,9 @@
 package record
 
 // Published Table 2 speedups from Carlisle & Rogers (PPoPP'95), transcribed
-// in EXPERIMENTS.md. These anchor oldenreport's Δ-paper column: how far the
-// reproduction's speedup at a given machine size sits from the published
-// number on the CM-5. Machine sizes run P = 1, 2, 4, 8, 16, 32; the final
+// in EXPERIMENTS.md. These are the paper columns of Table2Markdown and
+// CurveMarkdown: the published CM-5 number beside the reproduction's speedup
+// at the same machine size. Machine sizes run P = 1, 2, 4, 8, 16, 32; the final
 // column is the migrate-only speedup at 32 processors (negative sentinel
 // when the paper prints a dash, see paperMigrateOnly).
 var paperTable2 = map[string][6]float64{

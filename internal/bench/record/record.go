@@ -57,7 +57,7 @@ func (r RunRecord) Key() string {
 	if r.Baseline {
 		return "baseline"
 	}
-	return fmt.Sprintf("P=%d scheme=%s mode=%s", r.Procs, r.Scheme, r.Mode)
+	return ParallelKey(r.Procs, r.Scheme, r.Mode)
 }
 
 // File is the persistent per-benchmark record: BENCH_<name>.json.
@@ -79,14 +79,20 @@ func (f File) Lookup(key string) (RunRecord, bool) {
 	return RunRecord{}, false
 }
 
-// HeuristicKey is the key of the parallel heuristic run at P under scheme.
-func HeuristicKey(procs int, scheme string) string {
-	return fmt.Sprintf("P=%d scheme=%s mode=heuristic", procs, scheme)
+// ParallelKey is the key of the run at P under scheme in mode (the
+// catalog's mode names: heuristic, migrate-only, cache-only).
+func ParallelKey(procs int, scheme, mode string) string {
+	return fmt.Sprintf("P=%d scheme=%s mode=%s", procs, scheme, mode)
 }
 
-// MigrateOnlyKey is the key of the forced-migration run at P.
-func MigrateOnlyKey(procs int) string {
-	return fmt.Sprintf("P=%d scheme=local mode=migrate-only", procs)
+// HeuristicKey is the key of the parallel heuristic run at P under scheme.
+func HeuristicKey(procs int, scheme string) string {
+	return ParallelKey(procs, scheme, "heuristic")
+}
+
+// MigrateOnlyKey is the key of the forced-migration run at P under scheme.
+func MigrateOnlyKey(procs int, scheme string) string {
+	return ParallelKey(procs, scheme, "migrate-only")
 }
 
 // Filename returns the canonical file name for a benchmark's records.
@@ -148,7 +154,7 @@ func LoadDir(dir string) ([]File, error) {
 		files = append(files, f)
 	}
 	sort.Slice(files, func(i, j int) bool {
-		return benchLess(files[i].Benchmark, files[j].Benchmark)
+		return BenchLess(files[i].Benchmark, files[j].Benchmark)
 	})
 	if len(files) == 0 {
 		return nil, fmt.Errorf("record: no BENCH_*.json files in %s", dir)
@@ -156,15 +162,16 @@ func LoadDir(dir string) ([]File, error) {
 	return files, nil
 }
 
-// table1Order is the paper's benchmark order, used everywhere records are
-// listed. (Duplicated from the bench registry, which this package cannot
-// import without a cycle.)
+// table1Order is the paper's benchmark order, used everywhere benchmarks
+// are listed: BenchLess sorts the bench registry's names with it too.
 var table1Order = map[string]int{
 	"treeadd": 0, "power": 1, "tsp": 2, "mst": 3, "bisort": 4,
 	"voronoi": 5, "em3d": 6, "barneshut": 7, "perimeter": 8, "health": 9,
 }
 
-func benchLess(a, b string) bool {
+// BenchLess orders benchmark names as Table 1 does where known, then
+// alphabetically.
+func BenchLess(a, b string) bool {
 	oa, aok := table1Order[a]
 	ob, bok := table1Order[b]
 	switch {

@@ -2,6 +2,7 @@ package record
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -254,7 +255,7 @@ func TestRenderReport(t *testing.T) {
 			prev[0].Records[i].Cycles = 500
 		}
 	}
-	out := Report(cur, prev, 4, nil)
+	out := Report(cur, prev, nil)
 	for _, want := range []string{"Table 2", "treeadd", "2.93", "-20.00%"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
@@ -271,13 +272,81 @@ func TestRenderReport(t *testing.T) {
 		t.Errorf("Table 3 should list em3d's local miss rate:\n%s", out)
 	}
 	// First pin: no previous baselines, Δ prev renders as a dash.
-	out = Table2Markdown(cur, nil, 4)
+	out = Table2Markdown(cur, nil, []int{4}, "local")
 	if !strings.Contains(out, "| — |") {
 		t.Errorf("first pin should dash the delta column:\n%s", out)
 	}
 	regs := []Regression{{Benchmark: "treeadd", Key: "baseline", Metric: "cycles", Old: 1, New: 2, Limit: 1}}
-	if out := Report(cur, nil, 4, regs); !strings.Contains(out, "## Regressions") {
+	if out := Report(cur, nil, regs); !strings.Contains(out, "## Regressions") {
 		t.Errorf("report with regressions must include the gate section:\n%s", out)
+	}
+}
+
+// TestTable2SchemeAndSweep covers what widening Table 2 added: the
+// migrate-only column follows the table's scheme (a `-table 2 -scheme
+// global` run records it under global), every machine size of the sweep
+// gets its measured and paper cells, and the paper's M-only column appears
+// at P=32, the only size it was published at.
+func TestTable2SchemeAndSweep(t *testing.T) {
+	mk := func(base bool, procs int, scheme, mode string, cycles int64) RunRecord {
+		return RunRecord{Benchmark: "health", Baseline: base, Procs: procs, Scheme: scheme, Mode: mode, Scale: 16, Cycles: cycles}
+	}
+	for _, tc := range []struct {
+		scheme  string
+		procs   []int
+		records []RunRecord
+		want    string // the row after the benchmark and choice cells
+	}{
+		{"local", []int{4}, []RunRecord{mk(true, 1, "local", "heuristic", 1000),
+			mk(false, 4, "local", "heuristic", 400), mk(false, 4, "local", "migrate-only", 800)},
+			"| 1000 | 2.50 | 2.93 | 1.25 | — | — |"},
+		{"global", []int{4}, []RunRecord{mk(true, 1, "global", "heuristic", 1000),
+			mk(false, 4, "global", "heuristic", 400), mk(false, 4, "global", "migrate-only", 800)},
+			"| 1000 | 2.50 | 2.93 | 1.25 | — | — |"},
+		{"global", []int{4}, []RunRecord{mk(true, 1, "global", "heuristic", 1000),
+			mk(false, 4, "global", "heuristic", 400), mk(false, 4, "local", "migrate-only", 800)},
+			"| 1000 | 2.50 | 2.93 | — | — | — |"},
+		{"local", []int{2, 32}, []RunRecord{mk(true, 1, "local", "heuristic", 1000),
+			mk(false, 2, "local", "heuristic", 500), mk(false, 32, "local", "heuristic", 100), mk(false, 32, "local", "migrate-only", 250)},
+			"| 1000 | 2.00 | 1.47 | 10.00 | 16.42 | 4.00 | 16.52 | — |"},
+	} {
+		f := File{Benchmark: "health", Choice: "M+C", Whole: true, Records: tc.records}
+		out := Table2Markdown([]File{f}, nil, tc.procs, tc.scheme)
+		if want := "| health | M+C W " + tc.want + "\n"; !strings.Contains(out, want) {
+			t.Errorf("scheme %s procs %v: want row %q in\n%s", tc.scheme, tc.procs, want, out)
+		}
+	}
+	if got, want := MigrateOnlyKey(8, "global"), mk(false, 8, "global", "migrate-only", 0).Key(); got != want {
+		t.Errorf("MigrateOnlyKey = %q, the record's Key %q", got, want)
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/report.golden from the committed BENCH_*.json")
+
+// TestReportGolden pins the bytes of the report CI uploads: record.Report
+// over the ten committed BENCH_<name>.json at the repository root. Pure
+// rendering, no simulation; `make update-goldens` refreshes it after an
+// intentional re-pin or renderer change.
+func TestReportGolden(t *testing.T) {
+	files, err := LoadDir("../../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := Report(files, nil, nil)
+	const path = "testdata/report.golden"
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		writeFile(t, path, []byte(got))
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (regenerate with -update): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("report moved (go test ./internal/bench/record -run TestReportGolden -update):\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 

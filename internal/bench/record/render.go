@@ -2,14 +2,17 @@ package record
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
-// This file renders pinned record sets as markdown: the reproduction's
-// Table 2 and Table 3, each row annotated with the delta against the
-// previous pinned baseline (did this change regress anything?) and — for
-// Table 2 — against the paper's published speedup (how faithful is the
-// reproduction?).
+// This file is the one table renderer: the reproduction's Table 2, Table 3
+// and per-benchmark speedup curve as markdown, from record files alone —
+// whether `oldenbench -table/-curve` just collected them or they are the
+// pinned BENCH_<name>.json. Table 2 and the curve print the paper's
+// published speedup beside each measured one (how faithful is the
+// reproduction?); the tables annotate each row with the delta against a
+// previous record set when there is one (did this change regress anything?).
 
 func pct(new, old float64) string {
 	if old == 0 {
@@ -22,69 +25,97 @@ func pct(new, old float64) string {
 	return fmt.Sprintf("%+.2f%%", d)
 }
 
-// Table2Markdown renders one row per benchmark from its pinned records at
-// machine size procs. prev may be nil (first pin) or hold the previous
-// baseline set for the Δ-prev column.
-func Table2Markdown(cur, prev []File, procs int) string {
-	prevBy := make(map[string]File, len(prev))
-	for _, f := range prev {
-		prevBy[f.Benchmark] = f
+// speedup is the one Table 2 cell: the file's baseline cycles over those of
+// the run under key, a dash when either record is absent.
+func (f File) speedup(key string) string {
+	base, okB := f.Lookup("baseline")
+	r, ok := f.Lookup(key)
+	if !okB || !ok {
+		return "—"
 	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "## Table 2 — speedups at P=%d\n\n", procs)
-	sb.WriteString("| Benchmark | Choice | Seq cycles | P cycles | Δ prev | S(P) | Paper S(P) | Δ paper | M-only S(P) |\n")
-	sb.WriteString("|---|---|---:|---:|---:|---:|---:|---:|---:|\n")
-	for _, f := range cur {
-		base, okB := f.Lookup("baseline")
-		heur, okH := f.Lookup(HeuristicKey(procs, "local"))
-		monly, okM := f.Lookup(MigrateOnlyKey(procs))
-		if !okB || !okH {
-			fmt.Fprintf(&sb, "| %s | %s | _missing records_ | | | | | | |\n", f.Benchmark, f.Choice)
+	return fmt.Sprintf("%.2f", float64(base.Cycles)/float64(r.Cycles))
+}
+
+// paper formats a published number, a dash where the paper prints none.
+func paper(v float64, ok bool) string {
+	if !ok {
+		return "—"
+	}
+	return fmt.Sprintf("%.2f", v)
+}
+
+// pctRemote is the one Table 3 %Remote cell.
+func pctRemote(remote, cacheable int64) float64 {
+	if cacheable == 0 {
+		return 0
+	}
+	return 100 * float64(remote) / float64(cacheable)
+}
+
+// deltaPrev renders val's change between r and the same configuration of
+// the same benchmark in prev; deltas across scales are meaningless and
+// render, like a missing record, as a dash.
+func deltaPrev(prev []File, r RunRecord, val func(RunRecord) float64) string {
+	for _, pf := range prev {
+		if pf.Benchmark != r.Benchmark {
 			continue
 		}
+		if p, ok := pf.Lookup(r.Key()); ok && p.Scale == r.Scale {
+			return pct(val(r), val(p))
+		}
+	}
+	return "—"
+}
+
+// Table2Markdown renders one row per benchmark: baseline cycles, the
+// heuristic speedup under scheme at each machine size of procs beside the
+// paper's, and the migrate-only speedup at the largest size (the paper
+// publishes that column at P=32 only). prev may be nil or hold a previous
+// record set for the Δ-prev column, the cycle delta at the largest size.
+func Table2Markdown(cur, prev []File, procs []int, scheme string) string {
+	maxP := procs[len(procs)-1]
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "## Table 2 — speedups under %s coherence\n\n", scheme)
+	head, rule := "| Benchmark | Choice | Seq cycles |", "|---|---|---:|"
+	for _, p := range procs {
+		head += fmt.Sprintf(" S(%d) | paper |", p)
+		rule += "---:|---:|"
+	}
+	fmt.Fprintf(&sb, "%s M-only S(%d) | paper | Δ prev |\n%s---:|---:|---:|\n", head, maxP, rule)
+	scale := 0
+	for _, f := range cur {
+		base, ok := f.Lookup("baseline")
+		if !ok {
+			fmt.Fprintf(&sb, "| %s | %s | _missing records_ |\n", f.Benchmark, f.Choice)
+			continue
+		}
+		scale = base.Scale
 		choice := f.Choice
 		if f.Whole {
 			choice += " W"
 		}
-		speedup := float64(base.Cycles) / float64(heur.Cycles)
-
-		dPrev := "—"
-		if pf, ok := prevBy[f.Benchmark]; ok {
-			if ph, ok := pf.Lookup(HeuristicKey(procs, "local")); ok && ph.Scale == heur.Scale {
-				dPrev = pct(float64(heur.Cycles), float64(ph.Cycles))
-			}
+		fmt.Fprintf(&sb, "| %s | %s | %d |", f.Benchmark, choice, base.Cycles)
+		for _, p := range procs {
+			fmt.Fprintf(&sb, " %s | %s |", f.speedup(HeuristicKey(p, scheme)), paper(PaperSpeedup(f.Benchmark, p)))
 		}
-		paperS, dPaper := "—", "—"
-		if ps, ok := PaperSpeedup(f.Benchmark, procs); ok {
-			paperS = fmt.Sprintf("%.2f", ps)
-			dPaper = pct(speedup, ps)
+		paperMO, dPrev := "—", "—"
+		if maxP == 32 {
+			paperMO = paper(PaperMigrateOnly(f.Benchmark))
 		}
-		mo := "—"
-		if okM {
-			mo = fmt.Sprintf("%.2f", float64(base.Cycles)/float64(monly.Cycles))
+		if heur, ok := f.Lookup(HeuristicKey(maxP, scheme)); ok {
+			dPrev = deltaPrev(prev, heur, func(r RunRecord) float64 { return float64(r.Cycles) })
 		}
-		fmt.Fprintf(&sb, "| %s | %s | %d | %d | %s | %.2f | %s | %s | %s |\n",
-			f.Benchmark, choice, base.Cycles, heur.Cycles, dPrev, speedup, paperS, dPaper, mo)
+		fmt.Fprintf(&sb, " %s | %s | %s |\n", f.speedup(MigrateOnlyKey(maxP, scheme)), paperMO, dPrev)
 	}
-	if len(cur) > 0 {
-		scale := 0
-		if r, ok := cur[0].Lookup("baseline"); ok {
-			scale = r.Scale
-		}
-		fmt.Fprintf(&sb, "\nScale 1/%d of the paper's problem sizes; paper speedups are the CM-5 numbers at the same P.\n", scale)
-	}
+	fmt.Fprintf(&sb, "\nScale 1/%d of the paper's problem sizes; paper columns are the CM-5 numbers at the same P.\n", scale)
 	return sb.String()
 }
 
 // Table3Markdown renders caching statistics for the migrate-and-cache
-// benchmarks from their pinned records: reference counts under local
-// knowledge, miss rates under all three schemes, and the cumulative page
-// count, with Δ-prev on the miss rate that drives the gate.
+// benchmarks from their records at one machine size: reference counts under
+// local knowledge, miss rates under all three schemes, and the cumulative
+// page count, with Δ-prev on the miss rate that drives the gate.
 func Table3Markdown(cur, prev []File, procs int) string {
-	prevBy := make(map[string]File, len(prev))
-	for _, f := range prev {
-		prevBy[f.Benchmark] = f
-	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "## Table 3 — caching statistics at P=%d\n\n", procs)
 	sb.WriteString("| Benchmark | CacheWr (1k) | %Remote | CacheRd (1k) | %Remote | miss% local | miss% global | miss% bilateral | Δ prev (local) | Pages |\n")
@@ -101,36 +132,58 @@ func Table3Markdown(cur, prev []File, procs int) string {
 			continue
 		}
 		s := local.Stats
-		pctW, pctR := 0.0, 0.0
-		if s.CacheableWrites > 0 {
-			pctW = 100 * float64(s.RemoteWrites) / float64(s.CacheableWrites)
-		}
-		if s.CacheableReads > 0 {
-			pctR = 100 * float64(s.RemoteReads) / float64(s.CacheableReads)
-		}
-		dPrev := "—"
-		if pf, ok := prevBy[f.Benchmark]; ok {
-			if pl, ok := pf.Lookup(HeuristicKey(procs, "local")); ok && pl.Scale == local.Scale {
-				dPrev = pct(local.MissPct, pl.MissPct)
-			}
-		}
 		fmt.Fprintf(&sb, "| %s | %.1f | %.3f | %.1f | %.3f | %.2f | %.2f | %.2f | %s | %d |\n",
 			f.Benchmark,
-			float64(s.CacheableWrites)/1000, pctW,
-			float64(s.CacheableReads)/1000, pctR,
-			local.MissPct, global.MissPct, bilat.MissPct, dPrev, local.Pages)
+			float64(s.CacheableWrites)/1000, pctRemote(s.RemoteWrites, s.CacheableWrites),
+			float64(s.CacheableReads)/1000, pctRemote(s.RemoteReads, s.CacheableReads),
+			local.MissPct, global.MissPct, bilat.MissPct,
+			deltaPrev(prev, local, func(r RunRecord) float64 { return r.MissPct }), local.Pages)
 	}
 	return sb.String()
 }
 
-// Report renders the full baseline report: both tables plus a gate summary
-// when regressions are present.
-func Report(cur, prev []File, procs int, regs []Regression) string {
+// CurveMarkdown renders one benchmark's speedup curve under all three
+// modes — the per-benchmark view behind Table 2's discussion paragraphs —
+// with the heuristic run's migrations and miss rate at each machine size.
+func CurveMarkdown(f File, procs []int, scheme string) string {
+	base, _ := f.Lookup("baseline")
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "## %s speedup curve — scale 1/%d, %s coherence, baseline %d cycles\n\n",
+		f.Benchmark, base.Scale, scheme, base.Cycles)
+	sb.WriteString("| P | heuristic | paper | migrate-only | cache-only | migrations | miss% |\n")
+	sb.WriteString("|---:|---:|---:|---:|---:|---:|---:|\n")
+	for _, p := range procs {
+		h, _ := f.Lookup(HeuristicKey(p, scheme))
+		fmt.Fprintf(&sb, "| %d | %s | %s | %s | %s | %d | %.2f |\n", p,
+			f.speedup(HeuristicKey(p, scheme)), paper(PaperSpeedup(f.Benchmark, p)),
+			f.speedup(MigrateOnlyKey(p, scheme)), f.speedup(ParallelKey(p, scheme, "cache-only")),
+			h.Stats.Migrations, h.MissPct)
+	}
+	return sb.String()
+}
+
+// Report renders the full baseline report — both tables at the machine
+// sizes the records were collected at, under local knowledge as pinned —
+// plus a gate summary when regressions are present.
+func Report(cur, prev []File, regs []Regression) string {
+	var procs []int
+	for _, f := range cur {
+		for _, r := range f.Records {
+			if !r.Baseline && !slices.Contains(procs, r.Procs) {
+				procs = append(procs, r.Procs)
+			}
+		}
+	}
+	slices.Sort(procs)
 	var sb strings.Builder
 	sb.WriteString("# Olden benchmark baselines\n\n")
-	sb.WriteString(Table2Markdown(cur, prev, procs))
+	if len(procs) == 0 {
+		sb.WriteString("_no parallel records_\n")
+		return sb.String()
+	}
+	sb.WriteString(Table2Markdown(cur, prev, procs, "local"))
 	sb.WriteString("\n")
-	sb.WriteString(Table3Markdown(cur, prev, procs))
+	sb.WriteString(Table3Markdown(cur, prev, procs[len(procs)-1]))
 	if len(regs) > 0 {
 		sb.WriteString("\n## Regressions\n\n")
 		for _, r := range regs {

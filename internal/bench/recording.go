@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/bench/record"
 	"repro/internal/coherence"
@@ -11,45 +10,10 @@ import (
 	"repro/internal/trace"
 )
 
-// This file is the single code path between the human-readable tables and
-// the persistent record pipeline: every run the table renderers execute
-// goes through execute(), and when a run observer is installed each run
-// also produces a record.RunRecord. With no observer the path is exactly
-// info.Run — no registry, no recorder, no overhead — which keeps default
-// oldenbench output byte-identical to the pre-recording harness.
-
-var (
-	obsMu       sync.Mutex
-	runObserver func(record.RunRecord)
-)
-
-// SetRunObserver installs fn to receive a RunRecord for every benchmark
-// run the harness executes (tables, speedup curves, and CollectRecords).
-// Passing nil uninstalls the observer. cmd/oldenbench's -json flag uses
-// this to stream records to stdout while the tables render to stderr.
-func SetRunObserver(fn func(record.RunRecord)) {
-	obsMu.Lock()
-	runObserver = fn
-	obsMu.Unlock()
-}
-
-func observer() func(record.RunRecord) {
-	obsMu.Lock()
-	defer obsMu.Unlock()
-	return runObserver
-}
-
-// execute runs one benchmark configuration for a table renderer. It is
-// info.Run when no observer is installed, and the recorded path otherwise.
-func execute(info Info, cfg Config) Result {
-	fn := observer()
-	if fn == nil {
-		return info.Run(cfg)
-	}
-	res, rec := RunRecorded(info, cfg)
-	fn(rec)
-	return res
-}
+// This file is the one path from a configuration to a table: a table, curve
+// or pinned file is a suite of configurations, CollectRecords runs a suite
+// through RunRecorded into a record.File, and internal/bench/record renders
+// or gates the files. Nothing else executes a run on a table's behalf.
 
 // recorded is the one recorded-run constructor: it attaches a metrics
 // registry and trace recorder (unless the caller supplied its own),
@@ -110,37 +74,62 @@ func RunPhasedRecorded(info Info, cfg Config, bs *BuildState) (Result, record.Ru
 	return res, rec, nbs, reused, err
 }
 
-// recordConfigs is the pinned configuration suite each BENCH_<name>.json
-// holds: the sequential baseline, the heuristic run under each of the
-// three coherence schemes, and the forced-migration run — everything
-// Table 2's and Table 3's columns at one machine size need.
-func recordConfigs(procs, scale int) []Config {
-	return []Config{
-		{Baseline: true, Scale: scale},
-		{Procs: procs, Scale: scale, Scheme: coherence.LocalKnowledge},
-		{Procs: procs, Scale: scale, Scheme: coherence.GlobalKnowledge},
-		{Procs: procs, Scale: scale, Scheme: coherence.Bilateral},
-		{Procs: procs, Scale: scale, Mode: rt.MigrateOnly},
+// Table2Suite is what a Table 2 row is rendered from: the sequential
+// baseline, the heuristic run under scheme at each machine size, and the
+// forced-migration run at the largest.
+func Table2Suite(procs []int, scale int, scheme coherence.Kind) []Config {
+	suite := []Config{{Baseline: true, Scale: scale, Scheme: scheme}}
+	for _, p := range procs {
+		suite = append(suite, Config{Procs: p, Scale: scale, Scheme: scheme})
 	}
+	return append(suite, Config{Procs: procs[len(procs)-1], Scale: scale, Scheme: scheme, Mode: rt.MigrateOnly})
 }
 
-// CollectRecords runs the pinned suite for one benchmark and returns its
-// record file. Every run must verify against the sequential reference;
-// an unverified run is an error, not a record.
-func CollectRecords(name string, procs, scale int) (record.File, error) {
+// Table3Suite is what a Table 3 row (an M+C benchmark's) is rendered from:
+// the heuristic run under each of the three coherence schemes at one
+// machine size.
+func Table3Suite(procs, scale int) []Config {
+	var suite []Config
+	for _, scheme := range coherence.Kinds() {
+		suite = append(suite, Config{Procs: procs, Scale: scale, Scheme: scheme})
+	}
+	return suite
+}
+
+// CurveSuite is one benchmark's speedup curve: the baseline, then the
+// heuristic, migrate-only and cache-only runs at each machine size.
+func CurveSuite(procs []int, scale int, scheme coherence.Kind) []Config {
+	suite := []Config{{Baseline: true, Scale: scale}}
+	for _, p := range procs {
+		for _, mode := range rt.Modes() {
+			suite = append(suite, Config{Procs: p, Scale: scale, Scheme: scheme, Mode: mode})
+		}
+	}
+	return suite
+}
+
+// PinnedSuite is the configuration suite each BENCH_<name>.json holds: the
+// baseline, Table 3's three runs and the forced-migration run under local
+// knowledge — everything both tables' columns at one machine size need.
+func PinnedSuite(procs, scale int) []Config {
+	suite := append([]Config{{Baseline: true, Scale: scale}}, Table3Suite(procs, scale)...)
+	return append(suite, Config{Procs: procs, Scale: scale, Mode: rt.MigrateOnly})
+}
+
+// CollectRecords runs a suite for one benchmark, in order, and returns its
+// record file. Every run must verify against the sequential reference; an
+// unverified run is an error, not a record.
+func CollectRecords(name string, suite []Config) (record.File, error) {
 	info, ok := Get(name)
 	if !ok {
 		return record.File{}, fmt.Errorf("bench: unknown benchmark %q", name)
 	}
 	f := record.File{Benchmark: name, Choice: info.Choice, Whole: info.Whole}
-	for _, cfg := range recordConfigs(procs, scale) {
+	for _, cfg := range suite {
 		res, rec := RunRecorded(info, cfg)
 		if !res.Verified() {
 			return record.File{}, fmt.Errorf("bench: %s [%s] check %#x != %#x",
 				name, rec.Key(), res.Check, res.WantCheck)
-		}
-		if fn := observer(); fn != nil {
-			fn(rec)
 		}
 		f.Records = append(f.Records, rec)
 	}

@@ -21,11 +21,11 @@ const recScale = 1024
 // on: two collections of the same suite from the same binary marshal to
 // byte-identical files, so zero tolerance is a usable gate.
 func TestCollectRecordsIsDeterministic(t *testing.T) {
-	a, err := bench.CollectRecords("treeadd", 2, recScale)
+	a, err := bench.CollectRecords("treeadd", bench.PinnedSuite(2, recScale))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := bench.CollectRecords("treeadd", 2, recScale)
+	b, err := bench.CollectRecords("treeadd", bench.PinnedSuite(2, recScale))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestCollectRecordsIsDeterministic(t *testing.T) {
 		record.HeuristicKey(2, "local"),
 		record.HeuristicKey(2, "global"),
 		record.HeuristicKey(2, "bilateral"),
-		record.MigrateOnlyKey(2),
+		record.MigrateOnlyKey(2, "local"),
 	} {
 		r, ok := a.Lookup(key)
 		if !ok {
@@ -78,7 +78,7 @@ func TestCollectRecordsIsDeterministic(t *testing.T) {
 // overhead a code change could introduce — and checks the zero-tolerance
 // gate fails it while the run still verifies.
 func TestGateCatchesDeliberatelySlowedRun(t *testing.T) {
-	base, err := bench.CollectRecords("treeadd", 2, recScale)
+	base, err := bench.CollectRecords("treeadd", bench.PinnedSuite(2, recScale))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,46 +117,12 @@ func TestGateCatchesDeliberatelySlowedRun(t *testing.T) {
 	}
 }
 
-// TestObserverSharesTablePath pins the single-code-path satellite: the
-// records streamed by the observer during a table computation carry the
-// same cycle counts the table itself reports, and observing a run does not
-// change its simulated cycles.
-func TestObserverSharesTablePath(t *testing.T) {
-	var got []record.RunRecord
-	bench.SetRunObserver(func(r record.RunRecord) { got = append(got, r) })
-	defer bench.SetRunObserver(nil)
-
-	baseCycles, sp, err := bench.Speedup("treeadd", []int{2}, coherence.LocalKnowledge, rt.Heuristic, recScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sp) != 1 {
-		t.Fatalf("speedups = %v, want one entry", sp)
-	}
-	if len(got) != 2 {
-		t.Fatalf("observer saw %d records, want 2 (baseline + P=2)", len(got))
-	}
-	if got[0].Key() != "baseline" || got[0].Cycles != baseCycles {
-		t.Fatalf("observed baseline %+v does not match the table's %d cycles", got[0], baseCycles)
-	}
-	wantPar := float64(baseCycles) / sp[0]
-	if par := float64(got[1].Cycles); par != wantPar {
-		t.Fatalf("observed parallel cycles %v, table implies %v", par, wantPar)
-	}
-
-	// The observed parallel run matches an unobserved one exactly.
-	bench.SetRunObserver(nil)
-	info, _ := bench.Get("treeadd")
-	plain := info.Run(bench.Config{Procs: 2, Scale: recScale})
-	if plain.Cycles != got[1].Cycles {
-		t.Fatalf("observing a run changed its makespan: %d != %d", got[1].Cycles, plain.Cycles)
-	}
-}
-
 // TestRecordedEntryPointsAgree pins the one-constructor contract: the
 // whole-run entry and the phased entry (fresh build, no state to reuse)
 // produce equal records, for a kernel-timed benchmark that really splits
-// at the phase boundary and for a whole-program one that cannot.
+// at the phase boundary and for a whole-program one that cannot. And
+// recording is free in simulated time: the record's cycles are those of a
+// plain info.Run with no registry or recorder attached.
 func TestRecordedEntryPointsAgree(t *testing.T) {
 	for _, name := range []string{"treeadd", "power"} {
 		info, ok := bench.Get(name)
@@ -177,6 +143,9 @@ func TestRecordedEntryPointsAgree(t *testing.T) {
 		}
 		if !reflect.DeepEqual(whole, phased) {
 			t.Errorf("%s: RunRecorded and RunPhasedRecorded disagree:\nwhole:  %+v\nphased: %+v", name, whole, phased)
+		}
+		if plain := info.Run(cfg); plain.Cycles != whole.Cycles {
+			t.Errorf("%s: recording a run changed its makespan: %d != %d", name, whole.Cycles, plain.Cycles)
 		}
 	}
 }

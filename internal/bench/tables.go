@@ -4,15 +4,16 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/coherence"
 	"repro/internal/gaddr"
 	"repro/internal/rt"
 )
 
-// This file regenerates the paper's tables and Figure 2 from the
-// registered benchmarks. The caller must import the benchmark packages for
-// their registration side effects (cmd/oldenbench and the repository-root
-// benchmarks do).
+// This file prints what is not rendered from run records: Table 1 (the
+// registered benchmarks' descriptions) and Figure 2 (a list walk, not a
+// benchmark). Tables 2 and 3 and the curves are suites (recording.go)
+// rendered by internal/bench/record. The caller must import the benchmark
+// packages for their registration side effects (cmd/oldenbench and the
+// repository-root benchmarks do).
 
 // Table1 prints the benchmark descriptions (paper Table 1).
 func Table1() string {
@@ -26,104 +27,13 @@ func Table1() string {
 	return sb.String()
 }
 
-// Table2 reproduces the paper's Table 2: per benchmark, the heuristic
-// choice, baseline cycles, speedups at each machine size, and the
-// migrate-only speedup at the largest size.
-func Table2(procs []int, scale int, scheme coherence.Kind) (string, error) {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Table 2: Results (scale 1/%d of the paper's sizes, %s coherence)\n\n", normScale(scale), scheme)
-	fmt.Fprintf(&sb, "%-12s %-7s %-12s", "Benchmark", "Choice", "Seq cycles")
-	for _, p := range procs {
-		fmt.Fprintf(&sb, " P=%-5d", p)
-	}
-	maxP := procs[len(procs)-1]
-	fmt.Fprintf(&sb, " M-only(%d)\n", maxP)
-	for _, name := range Names() {
-		info, _ := Get(name)
-		base, sp, err := Speedup(name, procs, scheme, rt.Heuristic, scale)
-		if err != nil {
-			return sb.String(), err
-		}
-		choice := info.Choice
-		if info.Whole {
-			choice += " W"
-		}
-		fmt.Fprintf(&sb, "%-12s %-7s %-12d", name, choice, base)
-		for _, s := range sp {
-			fmt.Fprintf(&sb, " %-7.2f", s)
-		}
-		mo := execute(info, Config{Procs: maxP, Scheme: scheme, Mode: rt.MigrateOnly, Scale: scale})
-		if !mo.Verified() {
-			return sb.String(), fmt.Errorf("%s migrate-only failed verification", name)
-		}
-		fmt.Fprintf(&sb, " %-7.2f\n", float64(base)/float64(mo.Cycles))
-	}
-	return sb.String(), nil
-}
-
-// mcBenchmarks are the six benchmarks that combine migration and caching
-// (the rows of Table 3).
-func mcBenchmarks() []string {
-	var out []string
-	for _, name := range Names() {
-		if info, _ := Get(name); info.Choice == "M+C" {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
-// Table3 reproduces the paper's Table 3: caching statistics for the M+C
-// benchmarks under each coherence scheme.
-func Table3(procs, scale int) (string, error) {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Table 3: Caching Statistics on %d processors (scale 1/%d)\n\n", procs, normScale(scale))
-	fmt.Fprintf(&sb, "%-12s %12s %8s %12s %8s   %s %8s\n",
-		"Benchmark", "CacheWr(1k)", "%Remote", "CacheRd(1k)", "%Remote",
-		"miss%% local/global/bilateral", "Pages")
-	for _, name := range mcBenchmarks() {
-		info, _ := Get(name)
-		var miss [3]float64
-		var local Result
-		for i, scheme := range []coherence.Kind{coherence.LocalKnowledge, coherence.GlobalKnowledge, coherence.Bilateral} {
-			res := execute(info, Config{Procs: procs, Scheme: scheme, Scale: scale})
-			if !res.Verified() {
-				return sb.String(), fmt.Errorf("%s under %s failed verification", name, scheme)
-			}
-			miss[i] = res.Stats.MissPct()
-			if scheme == coherence.LocalKnowledge {
-				local = res
-			}
-		}
-		s := local.Stats
-		pctW, pctR := 0.0, 0.0
-		if s.CacheableWrites > 0 {
-			pctW = 100 * float64(s.RemoteWrites) / float64(s.CacheableWrites)
-		}
-		if s.CacheableReads > 0 {
-			pctR = 100 * float64(s.RemoteReads) / float64(s.CacheableReads)
-		}
-		fmt.Fprintf(&sb, "%-12s %12.1f %8.3f %12.1f %8.3f   %8.2f /%8.2f /%8.2f %8d\n",
-			name,
-			float64(s.CacheableWrites)/1000, pctW,
-			float64(s.CacheableReads)/1000, pctR,
-			miss[0], miss[1], miss[2], local.Pages)
-	}
-	return sb.String(), nil
-}
-
-func normScale(scale int) int {
-	if scale <= 0 {
-		return DefaultScale
-	}
-	return scale
-}
-
 // Figure2 reproduces the paper's Figure 2 analysis: an N-element list
 // evenly divided among P processors, traversed under each mechanism for
 // both layouts, reporting the communication counts against the closed
-// forms (P−1 migrations blocked, N−1 cyclic; N(P−1)/P remote accesses
-// cached).
+// forms: P−1 migrations blocked, N−1 cyclic. Cached, the paper counts
+// N(P−1)/P remote nodes; the walk here makes two references per node
+// (LoadInt at 0, LoadPtr at 8) and the column counts references, so its
+// closed form is 2N(P−1)/P.
 func Figure2(n, p int) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Figure 2: list distributions, N=%d items over P=%d processors\n\n", n, p)
@@ -171,7 +81,7 @@ func Figure2(n, p int) string {
 			case mech == rt.Migrate && lay.name == "cyclic":
 				form = fmt.Sprintf("N-1 = %d", n-1)
 			default:
-				form = fmt.Sprintf("N(P-1)/P = %d", 2*n*(p-1)/p)
+				form = fmt.Sprintf("2N(P-1)/P = %d", 2*n*(p-1)/p)
 			}
 			fmt.Fprintf(&sb, "%-9s %-9s %12d %12d %14d %12s\n",
 				lay.name, mech, s.Migrations, s.RemoteReads+s.RemoteWrites, cyc, form)
@@ -179,39 +89,4 @@ func Figure2(n, p int) string {
 	}
 	sb.WriteString("\nBlocked lists favour migration; cyclic lists favour caching —\nthe crossover the selection heuristic is built around (§4).\n")
 	return sb.String()
-}
-
-// Curve prints one benchmark's full speedup curve under all three modes —
-// the per-benchmark view behind Table 2's discussion paragraphs.
-func Curve(name string, procs []int, scale int, scheme coherence.Kind) (string, error) {
-	info, ok := Get(name)
-	if !ok {
-		return "", fmt.Errorf("unknown benchmark %q", name)
-	}
-	var sb strings.Builder
-	base := execute(info, Config{Baseline: true, Scale: scale})
-	if !base.Verified() {
-		return "", fmt.Errorf("baseline failed verification")
-	}
-	fmt.Fprintf(&sb, "%s speedup curve (scale 1/%d, %s coherence; baseline %d cycles)\n\n",
-		name, normScale(scale), scheme, base.Cycles)
-	fmt.Fprintf(&sb, "%-6s %12s %14s %12s %10s %8s\n",
-		"P", "heuristic", "migrate-only", "cache-only", "migrations", "miss%")
-	for _, p := range procs {
-		h := execute(info, Config{Procs: p, Scale: scale, Scheme: scheme})
-		m := execute(info, Config{Procs: p, Scale: scale, Scheme: scheme, Mode: rt.MigrateOnly})
-		c := execute(info, Config{Procs: p, Scale: scale, Scheme: scheme, Mode: rt.CacheOnly})
-		for _, r := range []Result{h, m, c} {
-			if !r.Verified() {
-				return sb.String(), fmt.Errorf("P=%d failed verification", p)
-			}
-		}
-		fmt.Fprintf(&sb, "%-6d %12.2f %14.2f %12.2f %10d %8.2f\n",
-			p,
-			float64(base.Cycles)/float64(h.Cycles),
-			float64(base.Cycles)/float64(m.Cycles),
-			float64(base.Cycles)/float64(c.Cycles),
-			h.Stats.Migrations, h.Stats.MissPct())
-	}
-	return sb.String(), nil
 }

@@ -1,9 +1,11 @@
 package repro_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/bench/record"
 	"repro/olden"
 )
 
@@ -76,18 +78,10 @@ func TestAllBenchmarksVerifyAt32(t *testing.T) {
 	}
 }
 
-// TestTablesRender smoke-tests the table generators end to end at a tiny
-// scale.
+// TestTablesRender smoke-tests the two generators that are not rendered
+// from run records. (Tables 2 and 3 and the curves are checked number by
+// number against the deleted text tables' golden in internal/bench.)
 func TestTablesRender(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	if _, err := bench.Table2([]int{1, 4}, 64, olden.LocalKnowledge); err != nil {
-		t.Fatalf("table 2: %v", err)
-	}
-	if _, err := bench.Table3(4, 64); err != nil {
-		t.Fatalf("table 3: %v", err)
-	}
 	if out := bench.Table1(); len(out) == 0 {
 		t.Fatal("table 1 empty")
 	}
@@ -96,19 +90,19 @@ func TestTablesRender(t *testing.T) {
 	}
 }
 
-// TestCurveRenders smoke-tests the per-benchmark curve generator.
+// TestCurveRenders smoke-tests the per-benchmark curve end to end: suite,
+// collection, renderer.
 func TestCurveRenders(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	out, err := bench.Curve("treeadd", []int{1, 4}, 64, olden.LocalKnowledge)
+	procs := []int{1, 2}
+	suite := bench.CurveSuite(procs, 1024, olden.LocalKnowledge)
+	f, err := bench.CollectRecords("treeadd", suite)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out == "" {
-		t.Fatal("empty curve")
+	if out := record.CurveMarkdown(f, procs, "local"); !strings.Contains(out, "| 2 |") {
+		t.Fatalf("curve has no P=2 row:\n%s", out)
 	}
-	if _, err := bench.Curve("nope", []int{1}, 64, olden.LocalKnowledge); err == nil {
+	if _, err := bench.CollectRecords("nope", suite); err == nil {
 		t.Fatal("unknown benchmark must error")
 	}
 }

@@ -64,8 +64,17 @@ PAIRS ?= 10
 perf-pairs:
 	bash scripts/perf_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
+# The simulator takes no locks (a run has one owner, DESIGN.md §13), so the
+# race detector is what checks that nothing per-run is shared. perf/ is its
+# own module and its serve workloads run two simulation workers at once:
+# run its tests under -race too (75 to 130 s). Its smoke test wants
+# lat_p99_ms from some workload, which takes 1000 serve_hot requests in
+# 0.4 s; on a loaded two-core host the detector's slowdown can leave it
+# short ("lat_p99_ms is declared but no workload reports it"). That
+# message is the host, not a race — a race says DATA RACE.
 race:
 	$(GO) test -race ./...
+	cd perf && $(GO) test -race ./...
 
 # go test runs one -fuzz target per invocation; -run '^$$' skips the
 # ordinary tests so only the fuzzing engine runs.

@@ -2,6 +2,9 @@ package analysis
 
 import (
 	"encoding/json"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -41,6 +44,31 @@ func TestSelfHostZeroFindings(t *testing.T) {
 	findings := Run(pkgs)
 	for _, f := range findings {
 		t.Errorf("unexpected finding: %s", f)
+	}
+}
+
+// A run is one thread of control that owns its state (DESIGN.md §13), so
+// the packages a simulated operation passes through import no
+// synchronisation: a lock or atomic there guards nothing and costs every
+// load and store.
+func TestSimulatorPackagesImportNoSync(t *testing.T) {
+	for _, dir := range []string{"mem", "machine", "coherence", "cache", "rt"} {
+		pkgs, err := parser.ParseDir(token.NewFileSet(), filepath.Join("..", dir),
+			func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") },
+			parser.ImportsOnly)
+		if err != nil {
+			t.Fatalf("parse internal/%s: %v", dir, err)
+		}
+		for _, pkg := range pkgs {
+			for name, f := range pkg.Files {
+				for _, imp := range f.Imports {
+					if imp.Path.Value == `"sync"` || imp.Path.Value == `"sync/atomic"` {
+						t.Errorf("%s imports %s: run state has one owner and needs no lock; sharing is real only in trace.Recorder (/debug/trace reads an in-flight ring) and internal/metrics (the server's registry) — synchronise there",
+							name, imp.Path.Value)
+					}
+				}
+			}
+		}
 	}
 }
 

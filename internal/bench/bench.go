@@ -108,7 +108,7 @@ type Result struct {
 	Name   string
 	Procs  int
 	Cycles int64 // makespan of the timed region
-	Stats  machine.StatsSnapshot
+	Stats  machine.Stats
 	Pages  int64 // cumulative pages cached (Table 3)
 	// Check and WantCheck are the parallel run's checksum and the
 	// sequential reference's; equal means verified.

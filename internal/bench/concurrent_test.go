@@ -1,12 +1,16 @@
 package bench_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/bench/record"
 	"repro/internal/coherence"
 	"repro/internal/machine"
+	"repro/internal/metrics"
+	"repro/internal/rt"
 	"repro/internal/trace"
 
 	_ "repro/internal/bench/all"
@@ -22,7 +26,7 @@ import (
 func TestConcurrentRunsIsolated(t *testing.T) {
 	type outcome struct {
 		digest trace.Digest
-		stats  machine.StatsSnapshot
+		stats  machine.Stats
 		cycles int64
 		ok     bool
 	}
@@ -87,25 +91,84 @@ func TestConcurrentRunsIsolated(t *testing.T) {
 	}
 }
 
+// finishedRun is everything a completed recorded run leaves behind: its
+// record, and the registry, recorder and runtime it ran on.
+type finishedRun struct {
+	rec record.RunRecord
+	reg *metrics.Registry
+	tr  *trace.Recorder
+	rtm *rt.Runtime
+}
+
+func runFinished(info bench.Info, cfg bench.Config) finishedRun {
+	f := finishedRun{reg: metrics.NewRegistry(), tr: trace.New(0)}
+	cfg.Metrics, cfg.Trace = f.reg, f.tr
+	cfg.RuntimeHook = func(r *rt.Runtime) { f.rtm = r }
+	_, f.rec = bench.RunRecorded(info, cfg)
+	return f
+}
+
+// view reads a finished run through every door it has: the registry (whose
+// counters read the run's plain integers), the recorder, and the runtime's
+// statistics, clocks, page counts, per-site counters and heaps.
+func (f finishedRun) view() string {
+	return fmt.Sprint(f.reg.Snapshot().Flat(), f.tr.Digest(), f.tr.Len(),
+		f.rtm.M.Stats.Snapshot(), f.rtm.M.Makespan(), f.rtm.M.TotalBusy(),
+		f.rtm.PagesCachedTotal(), f.rtm.SiteStats(), f.rtm.HeapFingerprint())
+}
+
 // TestConcurrentRecordedRunsIsolated repeats the isolation check through
 // RunRecorded — the exact entry point oldend's executor uses — so the
 // record (metrics dump included) is also a pure function of the
 // configuration when other runs share the process.
+//
+// It is also the proof of the ownership rule that let the simulator drop
+// its locks (DESIGN.md §13): a run's state belongs to the goroutine that
+// runs it and, once Run has returned, to whoever holds the result. While
+// the two concurrent runs are in flight a third goroutine keeps reading
+// the two finished golden runs through every accessor; if anything per-run
+// were shared between runs — a package-level site, a common registry —
+// those unsynchronised reads would race with the in-flight runs' plain
+// writes under `go test -race`, and the views would change.
 func TestConcurrentRecordedRunsIsolated(t *testing.T) {
 	infoT, _ := bench.Get("treeadd")
 	infoE, _ := bench.Get("em3d")
 	cfgT := bench.Config{Procs: 2, Scheme: coherence.LocalKnowledge}
 	cfgE := bench.Config{Procs: 4, Scheme: coherence.Bilateral}
 
-	_, goldT := bench.RunRecorded(infoT, cfgT)
-	_, goldE := bench.RunRecorded(infoE, cfgE)
+	finished := []finishedRun{runFinished(infoT, cfgT), runFinished(infoE, cfgE)}
+	goldT, goldE := finished[0].rec, finished[1].rec
+	views := []string{finished[0].view(), finished[1].view()}
 
 	var wg sync.WaitGroup
 	var gotT, gotE = goldT, goldE
 	wg.Add(2)
 	go func() { defer wg.Done(); _, gotT = bench.RunRecorded(infoT, cfgT) }()
 	go func() { defer wg.Done(); _, gotE = bench.RunRecorded(infoE, cfgE) }()
+	inFlight := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for reads := 0; ; reads++ {
+			for i, f := range finished {
+				if v := f.view(); v != views[i] {
+					t.Errorf("finished run %d changed while other runs were in flight:\n got %s\nwant %s", i, v, views[i])
+					return
+				}
+			}
+			select {
+			case <-inFlight:
+				if reads == 0 {
+					t.Error("the reader never overlapped the in-flight runs")
+				}
+				return
+			default:
+			}
+		}
+	}()
 	wg.Wait()
+	close(inFlight)
+	<-readerDone
 
 	if gotT.TraceDigest != goldT.TraceDigest || gotT.Cycles != goldT.Cycles {
 		t.Errorf("treeadd record diverged under concurrency: %s / %d vs %s / %d",

@@ -39,8 +39,8 @@ type RunRecord struct {
 	Verified bool  `json:"verified"`
 	Pages    int64 `json:"pages"`
 
-	Stats   machine.StatsSnapshot `json:"stats"`
-	MissPct float64               `json:"miss_pct"`
+	Stats   machine.Stats `json:"stats"`
+	MissPct float64       `json:"miss_pct"`
 
 	// Metrics is the flattened registry dump (internal/metrics
 	// Snapshot.Flat): counter values, histogram counts/sums/buckets.

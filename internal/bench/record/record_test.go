@@ -17,7 +17,7 @@ func sampleFile() File {
 			Benchmark: "treeadd", Baseline: base, Procs: procs,
 			Scheme: scheme, Mode: mode, Scale: 16,
 			Cycles: cycles, Verified: true, Pages: 12,
-			Stats:   machine.StatsSnapshot{RemoteReads: 100, Misses: int64(miss)},
+			Stats:   machine.Stats{RemoteReads: 100, Misses: int64(miss)},
 			MissPct: miss,
 			Metrics: map[string]int64{"olden_migrations_total": 3},
 		}

@@ -10,7 +10,6 @@ package cache
 
 import (
 	"math/bits"
-	"sync/atomic"
 
 	"repro/internal/gaddr"
 )
@@ -37,15 +36,13 @@ type Entry struct {
 	next  *Entry
 }
 
-// Cache is one processor's software cache. It is NOT internally locked:
-// every simulation-path method is only ever invoked by the virtual-time
-// active thread, and the scheduler runs those threads one at a time on one
-// goroutine. The one reader outside that discipline — a metrics scrape of
-// PagesAllocated mid-run — reads an atomic counter.
+// Cache is one processor's software cache. It has no lock and no atomics:
+// every method is invoked by the run's virtual-time-active thread, and the
+// scheduler runs those threads one at a time as coroutines of one
+// dispatcher. PagesAllocated is read once the run has returned.
 type Cache struct {
 	buckets [NumBuckets]*Entry
-	entries int
-	allocs  atomic.Int64 // pages ever allocated (Table 3 "Total Pages Cached")
+	entries int // pages allocated since New or Clear; the cache never evicts
 
 	// slab and arena are the block-allocation cursors entries and their
 	// page data are carved from.
@@ -88,7 +85,6 @@ func (c *Cache) alloc(p gaddr.PageID) *Entry {
 	e.next = c.buckets[b]
 	c.buckets[b] = e
 	c.entries++
-	c.allocs.Add(1)
 	return e
 }
 
@@ -224,17 +220,12 @@ func (c *Cache) Refresh(e *Entry, changed uint32, newStamp uint32) (lines int) {
 	return lines
 }
 
-// Clear drops every entry (used between benchmark phases). The slabs are
+// Clear returns the cache to its New state (used between benchmark phases):
+// every entry dropped and the allocation count zeroed, so the phase that
+// follows is counted on its own like every other statistic. The slabs are
 // dropped too: entries carved before the clear keep whole blocks alive,
 // so reusing their tails would only delay reclamation.
-func (c *Cache) Clear() {
-	for b := range c.buckets {
-		c.buckets[b] = nil
-	}
-	c.entries = 0
-	c.slab = nil
-	c.arena = nil
-}
+func (c *Cache) Clear() { *c = Cache{} }
 
 // keys returns every cached page in bucket order, each hash chain walked
 // newest-insertion-first — the same introspection idiom as the serving
@@ -255,10 +246,10 @@ func (c *Cache) keys() []gaddr.PageID {
 // Entries returns the number of live page entries.
 func (c *Cache) Entries() int { return c.entries }
 
-// PagesAllocated returns the cumulative number of page entries allocated.
-// Unlike every other method it may be called from outside the virtual-time
-// discipline (the metrics registry scrapes it mid-run), hence the atomic.
-func (c *Cache) PagesAllocated() int64 { return c.allocs.Load() }
+// PagesAllocated returns the number of page entries allocated since New or
+// the last Clear — Table 3's "Total Pages Cached". Invalidations keep
+// entries, so it is Entries as the int64 the statistics use.
+func (c *Cache) PagesAllocated() int64 { return int64(c.entries) }
 
 // AvgChainLength returns the mean hash-chain length over non-empty buckets;
 // the paper reports this is approximately one in practice.

@@ -142,8 +142,8 @@ func TestClear(t *testing.T) {
 	if c.Entries() != 0 {
 		t.Fatal("clear must drop entries")
 	}
-	if c.PagesAllocated() != 2 {
-		t.Fatal("allocation count is cumulative")
+	if c.PagesAllocated() != 0 {
+		t.Fatal("clear must zero the allocation count")
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/gaddr"
@@ -85,9 +84,10 @@ type pageDir struct {
 	everCached bool                       // page has been cached by someone ⇒ "shared"
 }
 
-// directory is one processor's home-side page table.
+// directory is one processor's home-side page table. Like everything a run
+// owns it has no lock: the releasing or fetching thread that reaches into
+// another processor's directory is a coroutine of the same dispatcher.
 type directory struct {
-	mu    sync.Mutex
 	pages map[gaddr.PageID]*pageDir
 }
 
@@ -131,18 +131,23 @@ type Engine struct {
 	caches []*cache.Cache
 	dirs   []*directory
 
-	// Registry-backed protocol meters, labelled with the scheme so runs
-	// under different schemes dump distinguishable series. All handles
-	// are nil when the machine carries no registry (the nil-safe
-	// disabled state).
-	mLinesInval *metrics.Counter
-	mAckWaits   *metrics.Counter
-	mMsgInval   *metrics.Counter
-	mMsgAck     *metrics.Counter
-	mMsgStamp   *metrics.Counter
-	mMsgFlush   *metrics.Counter
-	mMsgHome    *metrics.Counter
-	mMsgStale   *metrics.Counter
+	// meters are the protocol counts, bound into the machine's registry
+	// (when it carries one) labelled with the scheme, so runs under
+	// different schemes dump distinguishable series.
+	meters meters
+}
+
+// meters counts protocol actions: plain run-owned integers like
+// machine.Stats, read by the run's registry at snapshot time.
+type meters struct {
+	linesInval int64
+	ackWaits   int64
+	msgInval   int64
+	msgAck     int64
+	msgStamp   int64
+	msgFlush   int64
+	msgHome    int64
+	msgStale   int64
 }
 
 // New wires an engine to the machine and the per-processor caches
@@ -156,21 +161,24 @@ func New(kind Kind, m *machine.Machine, caches []*cache.Cache) *Engine {
 	for i := 0; i < m.P(); i++ {
 		e.dirs = append(e.dirs, &directory{pages: map[gaddr.PageID]*pageDir{}})
 	}
-	reg := m.Metrics
 	scheme := metrics.L("scheme", kind.String())
-	msg := func(typ string) *metrics.Counter {
-		return reg.Counter("olden_protocol_messages_total", scheme, metrics.L("type", typ))
+	msg := func(typ string, v *int64) {
+		machine.BindCounter(m.Metrics, "olden_protocol_messages_total", v, scheme, metrics.L("type", typ))
 	}
-	e.mLinesInval = reg.Counter("olden_lines_invalidated_total", scheme)
-	e.mAckWaits = reg.Counter("olden_ack_round_trips_total", scheme)
-	e.mMsgInval = msg("inval")
-	e.mMsgAck = msg("ack")
-	e.mMsgStamp = msg("stamp_check")
-	e.mMsgFlush = msg("full_flush")
-	e.mMsgHome = msg("home_flush")
-	e.mMsgStale = msg("mark_stale")
+	machine.BindCounter(m.Metrics, "olden_lines_invalidated_total", &e.meters.linesInval, scheme)
+	machine.BindCounter(m.Metrics, "olden_ack_round_trips_total", &e.meters.ackWaits, scheme)
+	msg("inval", &e.meters.msgInval)
+	msg("ack", &e.meters.msgAck)
+	msg("stamp_check", &e.meters.msgStamp)
+	msg("full_flush", &e.meters.msgFlush)
+	msg("home_flush", &e.meters.msgHome)
+	msg("mark_stale", &e.meters.msgStale)
 	return e
 }
+
+// ResetMeters zeroes the protocol counts (a benchmark's phase boundary).
+// Directory state — sharers, stamps — is protocol state and survives.
+func (e *Engine) ResetMeters() { e.meters = meters{} }
 
 // Kind returns the scheme in use.
 func (e *Engine) Kind() Kind { return e.kind }
@@ -179,13 +187,11 @@ func (e *Engine) Kind() Kind { return e.kind }
 // caches the page. Called on every line fetch.
 func (e *Engine) RegisterSharer(p gaddr.PageID, sharer int) {
 	d := e.dirs[p.Proc()]
-	d.mu.Lock()
 	pd := d.get(p)
 	pd.everCached = true
 	if e.kind == GlobalKnowledge {
 		pd.sharers |= 1 << uint(sharer)
 	}
-	d.mu.Unlock()
 }
 
 // WriteTrackCost returns the per-write instrumentation cost for a write to
@@ -196,12 +202,7 @@ func (e *Engine) WriteTrackCost(g gaddr.GP) int64 {
 		return 0
 	}
 	p := gaddr.PageOf(g)
-	d := e.dirs[p.Proc()]
-	d.mu.Lock()
-	pd := d.pages[p]
-	shared := pd != nil && pd.everCached
-	d.mu.Unlock()
-	if shared {
+	if pd := e.dirs[p.Proc()].pages[p]; pd != nil && pd.everCached {
 		return e.m.Cost.WriteTrackShared
 	}
 	return e.m.Cost.WriteTrackNonShared
@@ -217,7 +218,6 @@ func (e *Engine) OnRelease(src int, now int64, dirty DirtySet) int64 {
 		for _, p := range dirty.SortedPages() {
 			mask := dirty[p]
 			d := e.dirs[p.Proc()]
-			d.mu.Lock()
 			pd := d.pages[p]
 			var sharers uint64
 			if pd != nil {
@@ -228,7 +228,6 @@ func (e *Engine) OnRelease(src int, now int64, dirty DirtySet) int64 {
 				// some spurious invalidation messages".)
 				sharers = pd.sharers
 			}
-			d.mu.Unlock()
 			sent := false
 			for s := 0; s < e.m.P(); s++ {
 				if s == src || sharers&(1<<uint(s)) == 0 {
@@ -237,9 +236,9 @@ func (e *Engine) OnRelease(src int, now int64, dirty DirtySet) int64 {
 				cleared := e.caches[s].InvalidateLines(p, mask)
 				// Processing the invalidation occupies the sharer.
 				e.m.Procs[s].Occupy(now, e.m.Cost.InvalidateMsg)
-				e.m.Stats.Invalidations.Add(1)
-				e.mMsgInval.Inc()
-				e.mLinesInval.Add(int64(bits.OnesCount32(cleared)))
+				e.m.Stats.Invalidations++
+				e.meters.msgInval++
+				e.meters.linesInval += int64(bits.OnesCount32(cleared))
 				sent = true
 				if tr != nil {
 					tr.Emit(trace.Event{
@@ -260,15 +259,14 @@ func (e *Engine) OnRelease(src int, now int64, dirty DirtySet) int64 {
 					})
 				}
 				now += e.m.Cost.InvalidateAck
-				e.mMsgAck.Inc()
-				e.mAckWaits.Inc()
+				e.meters.msgAck++
+				e.meters.ackWaits++
 			}
 		}
 	case Bilateral:
 		for _, p := range dirty.SortedPages() {
 			mask := dirty[p]
 			d := e.dirs[p.Proc()]
-			d.mu.Lock()
 			pd := d.get(p)
 			pd.stamp++
 			for l := 0; l < gaddr.LinesPerPage; l++ {
@@ -276,7 +274,6 @@ func (e *Engine) OnRelease(src int, now int64, dirty DirtySet) int64 {
 					pd.lineStamp[l] = pd.stamp
 				}
 			}
-			d.mu.Unlock()
 		}
 	}
 	return now
@@ -293,8 +290,8 @@ func (e *Engine) OnAcquire(dst int, now int64, isReturn bool, writtenProcs uint6
 		if isReturn {
 			if writtenProcs != 0 {
 				lines := e.caches[dst].InvalidateHomes(writtenProcs)
-				e.mMsgHome.Inc()
-				e.mLinesInval.Add(int64(lines))
+				e.meters.msgHome++
+				e.meters.linesInval += int64(lines)
 				if tr != nil {
 					tr.Emit(trace.Event{
 						Kind: trace.EvHomeFlush, T: now,
@@ -306,9 +303,9 @@ func (e *Engine) OnAcquire(dst int, now int64, isReturn bool, writtenProcs uint6
 			}
 		} else {
 			lines := e.caches[dst].InvalidateAll()
-			e.m.Stats.FullFlushes.Add(1)
-			e.mMsgFlush.Inc()
-			e.mLinesInval.Add(int64(lines))
+			e.m.Stats.FullFlushes++
+			e.meters.msgFlush++
+			e.meters.linesInval += int64(lines)
 			if tr != nil {
 				tr.Emit(trace.Event{
 					Kind: trace.EvFullFlush, T: now,
@@ -322,7 +319,7 @@ func (e *Engine) OnAcquire(dst int, now int64, isReturn bool, writtenProcs uint6
 		// Invalidations were pushed eagerly at the release.
 	case Bilateral:
 		pages := e.caches[dst].MarkAllStale()
-		e.mMsgStale.Inc()
+		e.meters.msgStale++
 		if tr != nil {
 			tr.Emit(trace.Event{
 				Kind: trace.EvMarkStale, T: now,
@@ -348,7 +345,6 @@ func (e *Engine) StaleCheck(entry *cache.Entry, requester int, now int64) int64 
 	now += e.m.Cost.StampRequest
 	now = home.Occupy(now, e.m.Cost.StampService)
 	d := e.dirs[p.Proc()]
-	d.mu.Lock()
 	pd := d.get(p)
 	var changed uint32
 	for l := 0; l < gaddr.LinesPerPage; l++ {
@@ -357,19 +353,16 @@ func (e *Engine) StaleCheck(entry *cache.Entry, requester int, now int64) int64 
 		}
 	}
 	newStamp := pd.stamp
-	d.mu.Unlock()
 	lines := e.caches[requester].Refresh(entry, changed, newStamp)
-	e.m.Stats.StampChecks.Add(1)
-	e.mMsgStamp.Inc()
-	e.mLinesInval.Add(int64(lines))
+	e.m.Stats.StampChecks++
+	e.meters.msgStamp++
+	e.meters.linesInval += int64(lines)
 	return now + e.m.Cost.StampReply
 }
 
 // Sharers reports the home-side sharer mask for a page (testing aid).
 func (e *Engine) Sharers(p gaddr.PageID) uint64 {
 	d := e.dirs[p.Proc()]
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if pd := d.pages[p]; pd != nil {
 		return pd.sharers
 	}
@@ -379,8 +372,6 @@ func (e *Engine) Sharers(p gaddr.PageID) uint64 {
 // Stamp reports the home-side timestamp for a page (testing aid).
 func (e *Engine) Stamp(p gaddr.PageID) uint32 {
 	d := e.dirs[p.Proc()]
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if pd := d.pages[p]; pd != nil {
 		return pd.stamp
 	}

@@ -97,8 +97,8 @@ func TestGlobalReleaseInvalidatesSharers(t *testing.T) {
 	if e3.Valid != 0 {
 		t.Fatal("other sharers must lose the dirty line")
 	}
-	if m.Stats.Invalidations.Load() != 1 {
-		t.Fatalf("invalidations = %d", m.Stats.Invalidations.Load())
+	if m.Stats.Invalidations != 1 {
+		t.Fatalf("invalidations = %d", m.Stats.Invalidations)
 	}
 	if e.Sharers(p)&(1<<3) == 0 {
 		t.Fatal("sharers stay registered: they may hold other valid lines of the page")
@@ -121,7 +121,7 @@ func TestGlobalSpuriousLineInvalidation(t *testing.T) {
 	dirty := DirtySet{}
 	dirty.Add(base) // line 0 dirty
 	e.OnRelease(0, 0, dirty)
-	if m.Stats.Invalidations.Load() != 1 {
+	if m.Stats.Invalidations != 1 {
 		t.Fatal("a spurious invalidation message must still be sent")
 	}
 	if ent.Valid != 1<<5 {
@@ -166,7 +166,7 @@ func TestBilateralStampsAndStaleCheck(t *testing.T) {
 	if ent.Stamp != 1 {
 		t.Fatalf("entry stamp = %d", ent.Stamp)
 	}
-	if m.Stats.StampChecks.Load() != 1 {
+	if m.Stats.StampChecks != 1 {
 		t.Fatal("stamp check not counted")
 	}
 	// A second stale check after an idle release sees nothing new.

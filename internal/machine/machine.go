@@ -26,8 +26,6 @@ package machine
 import (
 	"fmt"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/mem"
 	"repro/internal/metrics"
@@ -38,46 +36,36 @@ import (
 // section of the distributed heap. (Its software cache and coherence state
 // are attached by the runtime layer.)
 //
-// The clock and busy accounts are atomics rather than mutex-guarded
-// fields: under the simulator only the virtual-time-active thread ever
-// calls Occupy or Reset, all on the scheduler's one control flow, so the
-// updates never contend, while Clock and Busy may be read at any real-time
-// moment by the metrics scraper on another goroutine. Occupy is still a
-// true read-modify-write, so work is conserved for callers outside the
-// scheduler too.
+// The clock and busy accounts are plain integers. A machine belongs to one
+// run and a run has one thread of control: only the virtual-time-active
+// thread calls Occupy, and Clock and Busy are read by the goroutine that
+// called Run after it returned (Makespan, and the run's own registry at
+// snapshot time).
 type Proc struct {
 	ID   int
 	Heap *mem.Heap
 
-	clock atomic.Int64
-	busy  atomic.Int64
+	clock int64
+	busy  int64
 }
 
 // Occupy charges cycles of work on the processor starting no earlier than
 // now, and returns the completion time (the thread's new clock).
 func (p *Proc) Occupy(now, cycles int64) int64 {
-	p.busy.Add(cycles)
-	for {
-		start := p.clock.Load()
-		end := max(start, now) + cycles
-		if p.clock.CompareAndSwap(start, end) {
-			return end
-		}
-	}
+	p.busy += cycles
+	p.clock = max(p.clock, now) + cycles
+	return p.clock
 }
 
 // Clock returns the processor's current virtual time.
-func (p *Proc) Clock() int64 { return p.clock.Load() }
+func (p *Proc) Clock() int64 { return p.clock }
 
 // Busy returns the total cycles of work charged to the processor.
-func (p *Proc) Busy() int64 { return p.busy.Load() }
+func (p *Proc) Busy() int64 { return p.busy }
 
 // Reset clears the processor's virtual time and busy accounting (used
 // between the build and kernel phases of a benchmark).
-func (p *Proc) Reset() {
-	p.clock.Store(0)
-	p.busy.Store(0)
-}
+func (p *Proc) Reset() { p.clock, p.busy = 0, 0 }
 
 // Config describes a simulated machine.
 type Config struct {
@@ -157,51 +145,53 @@ func (m *Machine) ResetClocks() {
 	}
 }
 
-// Stats aggregates machine-wide event counters. The fields are
-// metrics.Counters — atomically updated, so threads on any processor may
-// bump them concurrently — which lets Bind expose the same hot-path
-// counters through a metrics registry without double counting. Reset and
-// Snapshot additionally serialize against each other (mu), so a snapshot
-// taken mid-run — as the trace profiler does — never interleaves with a
-// phase boundary's reset and observes half-cleared counters.
+// Stats are the machine-wide event counts of one run: plain integers,
+// bumped by the run's one thread of control and read once Run has returned
+// (see Proc). Results and records carry a copy.
 type Stats struct {
-	mu              sync.Mutex
-	PtrTests        metrics.Counter // locality checks executed
-	Migrations      metrics.Counter // forward migrations
-	Returns         metrics.Counter // return-stub migrations
-	Futures         metrics.Counter // futurecalls issued
-	Touches         metrics.Counter // touches executed
-	CacheableReads  metrics.Counter // reads at cached sites
-	CacheableWrites metrics.Counter // writes at cached sites
-	RemoteReads     metrics.Counter // cacheable reads to remote addresses
-	RemoteWrites    metrics.Counter // cacheable writes to remote addresses
-	Misses          metrics.Counter // remote references paying a protocol round trip
-	LineFetches     metrics.Counter // 64-byte line transfers
-	PagesCached     metrics.Counter // cache page entries ever allocated
-	Invalidations   metrics.Counter // invalidation messages (global scheme)
-	StampChecks     metrics.Counter // timestamp round trips (bilateral scheme)
-	FullFlushes     metrics.Counter // whole-cache invalidations (local scheme)
+	PtrTests        int64 // locality checks executed
+	Migrations      int64 // forward migrations
+	Returns         int64 // return-stub migrations
+	Futures         int64 // futurecalls issued
+	Touches         int64 // touches executed
+	CacheableReads  int64 // reads at cached sites
+	CacheableWrites int64 // writes at cached sites
+	RemoteReads     int64 // cacheable reads to remote addresses
+	RemoteWrites    int64 // cacheable writes to remote addresses
+	Misses          int64 // remote references paying a protocol round trip
+	LineFetches     int64 // 64-byte line transfers
+	PagesCached     int64 // cache page entries ever allocated
+	Invalidations   int64 // invalidation messages (global scheme)
+	StampChecks     int64 // timestamp round trips (bilateral scheme)
+	FullFlushes     int64 // whole-cache invalidations (local scheme)
+}
+
+// BindCounter registers the run-owned count *v under (name, labels) as a
+// counter the registry reads at snapshot time, so the hot path pays a plain
+// increment and the dump still carries the count. The registry must be the
+// run's own: it reads *v without synchronisation.
+func BindCounter(reg *metrics.Registry, name string, v *int64, labels ...metrics.Label) {
+	reg.RegisterFunc(name, metrics.KindCounter, func() int64 { return *v }, labels...)
 }
 
 // Bind registers every Stats counter into the registry under its canonical
-// olden_* name, so registry snapshots and exports carry the machine's
-// statistics without a second set of increments on the hot path.
+// olden_* name.
 func (s *Stats) Bind(reg *metrics.Registry) {
-	reg.RegisterCounter("olden_ptr_tests_total", &s.PtrTests)
-	reg.RegisterCounter("olden_migrations_total", &s.Migrations)
-	reg.RegisterCounter("olden_returns_total", &s.Returns)
-	reg.RegisterCounter("olden_futures_spawned_total", &s.Futures)
-	reg.RegisterCounter("olden_futures_touched_total", &s.Touches)
-	reg.RegisterCounter("olden_cacheable_reads_total", &s.CacheableReads)
-	reg.RegisterCounter("olden_cacheable_writes_total", &s.CacheableWrites)
-	reg.RegisterCounter("olden_remote_reads_total", &s.RemoteReads)
-	reg.RegisterCounter("olden_remote_writes_total", &s.RemoteWrites)
-	reg.RegisterCounter("olden_cache_misses_total", &s.Misses)
-	reg.RegisterCounter("olden_line_fetches_total", &s.LineFetches)
-	reg.RegisterCounter("olden_pages_cached_total", &s.PagesCached)
-	reg.RegisterCounter("olden_invalidation_msgs_total", &s.Invalidations)
-	reg.RegisterCounter("olden_stamp_checks_total", &s.StampChecks)
-	reg.RegisterCounter("olden_full_flushes_total", &s.FullFlushes)
+	BindCounter(reg, "olden_ptr_tests_total", &s.PtrTests)
+	BindCounter(reg, "olden_migrations_total", &s.Migrations)
+	BindCounter(reg, "olden_returns_total", &s.Returns)
+	BindCounter(reg, "olden_futures_spawned_total", &s.Futures)
+	BindCounter(reg, "olden_futures_touched_total", &s.Touches)
+	BindCounter(reg, "olden_cacheable_reads_total", &s.CacheableReads)
+	BindCounter(reg, "olden_cacheable_writes_total", &s.CacheableWrites)
+	BindCounter(reg, "olden_remote_reads_total", &s.RemoteReads)
+	BindCounter(reg, "olden_remote_writes_total", &s.RemoteWrites)
+	BindCounter(reg, "olden_cache_misses_total", &s.Misses)
+	BindCounter(reg, "olden_line_fetches_total", &s.LineFetches)
+	BindCounter(reg, "olden_pages_cached_total", &s.PagesCached)
+	BindCounter(reg, "olden_invalidation_msgs_total", &s.Invalidations)
+	BindCounter(reg, "olden_stamp_checks_total", &s.StampChecks)
+	BindCounter(reg, "olden_full_flushes_total", &s.FullFlushes)
 }
 
 // BindProcs registers per-processor read-through gauges (cumulative cache
@@ -215,80 +205,19 @@ func (m *Machine) BindProcs(reg *metrics.Registry) {
 	}
 }
 
-// Reset zeroes every counter. It is safe against concurrent Snapshot calls
-// (and against concurrent atomic updates, which simply land in the fresh
-// epoch or the cleared one).
-func (s *Stats) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.PtrTests.Store(0)
-	s.Migrations.Store(0)
-	s.Returns.Store(0)
-	s.Futures.Store(0)
-	s.Touches.Store(0)
-	s.CacheableReads.Store(0)
-	s.CacheableWrites.Store(0)
-	s.RemoteReads.Store(0)
-	s.RemoteWrites.Store(0)
-	s.Misses.Store(0)
-	s.LineFetches.Store(0)
-	s.PagesCached.Store(0)
-	s.Invalidations.Store(0)
-	s.StampChecks.Store(0)
-	s.FullFlushes.Store(0)
-}
+// Reset zeroes every counter.
+func (s *Stats) Reset() { *s = Stats{} }
 
-// Snapshot copies the counters into a plain struct for reporting. It may be
-// called mid-run: individual counters are read atomically, and the mutex
-// keeps the whole snapshot on one side of any concurrent Reset.
-func (s *Stats) Snapshot() StatsSnapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return StatsSnapshot{
-		PtrTests:        s.PtrTests.Load(),
-		Migrations:      s.Migrations.Load(),
-		Returns:         s.Returns.Load(),
-		Futures:         s.Futures.Load(),
-		Touches:         s.Touches.Load(),
-		CacheableReads:  s.CacheableReads.Load(),
-		CacheableWrites: s.CacheableWrites.Load(),
-		RemoteReads:     s.RemoteReads.Load(),
-		RemoteWrites:    s.RemoteWrites.Load(),
-		Misses:          s.Misses.Load(),
-		LineFetches:     s.LineFetches.Load(),
-		PagesCached:     s.PagesCached.Load(),
-		Invalidations:   s.Invalidations.Load(),
-		StampChecks:     s.StampChecks.Load(),
-		FullFlushes:     s.FullFlushes.Load(),
-	}
-}
-
-// StatsSnapshot is a point-in-time copy of Stats.
-type StatsSnapshot struct {
-	PtrTests        int64
-	Migrations      int64
-	Returns         int64
-	Futures         int64
-	Touches         int64
-	CacheableReads  int64
-	CacheableWrites int64
-	RemoteReads     int64
-	RemoteWrites    int64
-	Misses          int64
-	LineFetches     int64
-	PagesCached     int64
-	Invalidations   int64
-	StampChecks     int64
-	FullFlushes     int64
-}
+// Snapshot returns a copy of the counters for reporting.
+func (s *Stats) Snapshot() Stats { return *s }
 
 // RemoteRefs returns the total number of cacheable references to remote
 // addresses (the denominator of Table 3's miss percentages).
-func (s StatsSnapshot) RemoteRefs() int64 { return s.RemoteReads + s.RemoteWrites }
+func (s Stats) RemoteRefs() int64 { return s.RemoteReads + s.RemoteWrites }
 
 // MissPct returns misses as a percentage of remote references, or zero when
 // there were none.
-func (s StatsSnapshot) MissPct() float64 {
+func (s Stats) MissPct() float64 {
 	r := s.RemoteRefs()
 	if r == 0 {
 		return 0

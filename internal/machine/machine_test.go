@@ -1,9 +1,6 @@
 package machine
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestDefaultCostRatio(t *testing.T) {
 	c := DefaultCost()
@@ -34,31 +31,6 @@ func TestOccupySerializes(t *testing.T) {
 	}
 }
 
-func TestOccupyConcurrentTotal(t *testing.T) {
-	m := New(Config{Procs: 1})
-	p := m.Procs[0]
-	const workers, per, cycles = 8, 500, 7
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			now := int64(0)
-			for i := 0; i < per; i++ {
-				now = p.Occupy(now, cycles)
-			}
-		}()
-	}
-	wg.Wait()
-	want := int64(workers * per * cycles)
-	if p.Busy() != want {
-		t.Fatalf("busy = %d; want %d (work is conserved under concurrency)", p.Busy(), want)
-	}
-	if p.Clock() < want {
-		t.Fatalf("clock = %d < total serial work %d", p.Clock(), want)
-	}
-}
-
 func TestMakespanAndReset(t *testing.T) {
 	m := New(Config{Procs: 4})
 	m.Procs[2].Occupy(0, 500)
@@ -85,11 +57,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestStatsSnapshot(t *testing.T) {
-	var s Stats
-	s.CacheableReads.Add(100)
-	s.RemoteReads.Add(20)
-	s.RemoteWrites.Add(5)
-	s.Misses.Add(10)
+	s := Stats{CacheableReads: 100, RemoteReads: 20, RemoteWrites: 5, Misses: 10}
 	snap := s.Snapshot()
 	if snap.RemoteRefs() != 25 {
 		t.Fatalf("remote refs = %d", snap.RemoteRefs())
@@ -98,13 +66,16 @@ func TestStatsSnapshot(t *testing.T) {
 		t.Fatalf("miss pct = %v", got)
 	}
 	s.Reset()
-	if s.Snapshot() != (StatsSnapshot{}) {
+	if s != (Stats{}) {
 		t.Fatal("reset did not zero stats")
+	}
+	if snap.Misses != 10 {
+		t.Fatal("a snapshot is a copy: Reset must not reach it")
 	}
 }
 
 func TestMissPctZeroDenominator(t *testing.T) {
-	var snap StatsSnapshot
+	var snap Stats
 	if snap.MissPct() != 0 {
 		t.Fatal("MissPct with no remote refs must be 0")
 	}

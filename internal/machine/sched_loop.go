@@ -33,9 +33,11 @@ import (
 // Because the dispatcher and every coroutine execute on one strictly
 // serialized control flow, the scheduler needs no mutex and no atomics:
 // exactly one of {dispatcher, some thread body} runs at any instant, and
-// coroutine switches order all accesses. (Externally scraped values —
-// processor clocks, cache page counts — remain atomic in their own
-// packages, since metrics scrapes arrive on foreign goroutines.)
+// coroutine switches order all accesses. The same holds for everything
+// else a run owns — heaps, processor clocks, statistics, caches,
+// directories, futures: plain fields, read from outside only after Main
+// has returned. The one thing a second goroutine reads mid-run is the
+// trace recorder, which therefore keeps its lock.
 //
 // The running entry is held OFF the heap; at each Sync it continues if
 // and only if its (clock, seq) key is strictly less than the heap

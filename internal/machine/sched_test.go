@@ -184,40 +184,3 @@ func TestSchedulerDeadlockPanics(t *testing.T) {
 		})
 	})
 }
-
-// TestStatsSnapshotNoTearing pins the documented Stats guarantee: a
-// mid-run Snapshot never interleaves with a Reset (or any mu-holding
-// writer) and observes half-cleared counters. The writer alternates the
-// whole counter set between N and zero — arming under the same mutex
-// Snapshot takes — so the only legal observations are all-N or all-zero;
-// a snapshot landing inside either transition would see a mix.
-func TestStatsSnapshotNoTearing(t *testing.T) {
-	const n = 1 << 20
-	var s Stats
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 5000; i++ {
-			s.mu.Lock()
-			s.PtrTests.Store(n)
-			s.Migrations.Store(n)
-			s.FullFlushes.Store(n)
-			s.mu.Unlock()
-			s.Reset()
-		}
-	}()
-	for {
-		select {
-		case <-done:
-			return
-		default:
-		}
-		snap := s.Snapshot()
-		armed := snap.PtrTests == n && snap.Migrations == n && snap.FullFlushes == n
-		cleared := snap.PtrTests == 0 && snap.Migrations == 0 && snap.FullFlushes == 0
-		if !armed && !cleared {
-			t.Fatalf("torn snapshot: PtrTests=%d Migrations=%d FullFlushes=%d",
-				snap.PtrTests, snap.Migrations, snap.FullFlushes)
-		}
-	}
-}

@@ -7,7 +7,7 @@ import "testing"
 // must be exactly zero — not NaN or Inf — when a run had no remote
 // references at all (every migrate-only run, and any sequential baseline).
 func TestStatsSnapshotDerivedAccessors(t *testing.T) {
-	var zero StatsSnapshot
+	var zero Stats
 	if got := zero.RemoteRefs(); got != 0 {
 		t.Fatalf("zero snapshot RemoteRefs = %d, want 0", got)
 	}
@@ -15,7 +15,7 @@ func TestStatsSnapshotDerivedAccessors(t *testing.T) {
 		t.Fatalf("zero snapshot MissPct = %v, want exactly 0 (no NaN/Inf)", got)
 	}
 
-	s := StatsSnapshot{RemoteReads: 30, RemoteWrites: 10, Misses: 10}
+	s := Stats{RemoteReads: 30, RemoteWrites: 10, Misses: 10}
 	if got := s.RemoteRefs(); got != 40 {
 		t.Fatalf("RemoteRefs = %d, want 40", got)
 	}
@@ -25,71 +25,14 @@ func TestStatsSnapshotDerivedAccessors(t *testing.T) {
 
 	// Misses without remote refs cannot happen in a real run, but the
 	// accessor must still not divide by zero.
-	odd := StatsSnapshot{Misses: 5}
+	odd := Stats{Misses: 5}
 	if got := odd.MissPct(); got != 0 {
 		t.Fatalf("MissPct with zero remote refs = %v, want 0", got)
 	}
 
 	// All-miss boundary: exactly 100.
-	all := StatsSnapshot{RemoteReads: 7, Misses: 7}
+	all := Stats{RemoteReads: 7, Misses: 7}
 	if got := all.MissPct(); got != 100 {
 		t.Fatalf("MissPct = %v, want 100", got)
-	}
-}
-
-// TestStatsSnapshotNeverTearsAcrossReset pins the mid-run snapshot fix:
-// the runtime resets the counters between the build and kernel phases
-// while observers may snapshot concurrently, and a snapshot must never
-// interleave a reset's field-by-field stores — it sees the counters
-// either entirely before or entirely after the epoch boundary. The
-// writer alternates an atomic seed (taking the same mutex Reset does)
-// with Reset, so the only two legal snapshots are all-sevens and
-// all-zeros; any mix means Snapshot cut a Reset in half.
-func TestStatsSnapshotNeverTearsAcrossReset(t *testing.T) {
-	var s Stats
-	seed := func() {
-		s.mu.Lock()
-		s.PtrTests.Store(7)
-		s.Migrations.Store(7)
-		s.Returns.Store(7)
-		s.Futures.Store(7)
-		s.Touches.Store(7)
-		s.CacheableReads.Store(7)
-		s.CacheableWrites.Store(7)
-		s.RemoteReads.Store(7)
-		s.RemoteWrites.Store(7)
-		s.Misses.Store(7)
-		s.LineFetches.Store(7)
-		s.PagesCached.Store(7)
-		s.Invalidations.Store(7)
-		s.StampChecks.Store(7)
-		s.FullFlushes.Store(7)
-		s.mu.Unlock()
-	}
-	full := StatsSnapshot{
-		PtrTests: 7, Migrations: 7, Returns: 7, Futures: 7, Touches: 7,
-		CacheableReads: 7, CacheableWrites: 7, RemoteReads: 7, RemoteWrites: 7,
-		Misses: 7, LineFetches: 7, PagesCached: 7, Invalidations: 7,
-		StampChecks: 7, FullFlushes: 7,
-	}
-	var zero StatsSnapshot
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 2000; i++ {
-			seed()
-			s.Reset()
-		}
-	}()
-	for {
-		select {
-		case <-done:
-			return
-		default:
-			if snap := s.Snapshot(); snap != full && snap != zero {
-				t.Fatalf("snapshot tore across a reset: %+v", snap)
-			}
-		}
 	}
 }

@@ -5,7 +5,6 @@ package mem
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/gaddr"
 )
@@ -14,12 +13,14 @@ import (
 // addressing is the byte (to match gaddr offsets and the paper's page/line
 // geometry) but all accesses are whole 8-byte words.
 //
-// A Heap is safe for concurrent use: threads "located" on other processors
-// reach into a home heap for write-through stores and line fetches.
+// A Heap has no lock. It belongs to one run, and a run executes on one
+// thread of control: a simulated thread "located" on another processor that
+// reaches into this section for a write-through store or a line fetch is a
+// coroutine of the same dispatcher (machine.LoopScheduler), never a second
+// goroutine. Images taken by Snapshot are what crosses runs.
 type Heap struct {
 	proc int
 
-	mu    sync.Mutex
 	words []uint64 // heap storage; index = byte offset / WordBytes
 	next  uint32   // bump-allocation cursor (byte offset)
 	limit uint32   // exclusive upper bound on offsets
@@ -54,10 +55,8 @@ func (h *Heap) Alloc(nbytes uint32) gaddr.GP {
 		nbytes = gaddr.WordBytes
 	}
 	nbytes = (nbytes + gaddr.WordBytes - 1) &^ uint32(gaddr.WordBytes-1)
-	h.mu.Lock()
 	off := h.next
 	if off+nbytes > h.limit || off+nbytes < off {
-		h.mu.Unlock()
 		panic(fmt.Sprintf("mem: heap section of processor %d exhausted (%d bytes in use, %d requested, limit %d); raise Config.HeapBytesPerProc",
 			h.proc, off, nbytes, h.limit))
 	}
@@ -68,16 +67,11 @@ func (h *Heap) Alloc(nbytes uint32) gaddr.GP {
 		copy(grown, h.words)
 		h.words = grown
 	}
-	h.mu.Unlock()
 	return gaddr.Pack(h.proc, off)
 }
 
 // InUse reports the number of allocated bytes (excluding the reserved page).
-func (h *Heap) InUse() uint32 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.next - gaddr.PageBytes
-}
+func (h *Heap) InUse() uint32 { return h.next - gaddr.PageBytes }
 
 func (h *Heap) wordIndex(off uint32) int {
 	if off%gaddr.WordBytes != 0 {
@@ -88,8 +82,6 @@ func (h *Heap) wordIndex(off uint32) int {
 
 // LoadWord reads the word at byte offset off.
 func (h *Heap) LoadWord(off uint32) uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	i := h.wordIndex(off)
 	if i >= len(h.words) {
 		panic(fmt.Sprintf("mem: load beyond allocation at %#x on processor %d", off, h.proc))
@@ -99,8 +91,6 @@ func (h *Heap) LoadWord(off uint32) uint64 {
 
 // StoreWord writes the word at byte offset off.
 func (h *Heap) StoreWord(off uint32, v uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	i := h.wordIndex(off)
 	if i >= len(h.words) {
 		panic(fmt.Sprintf("mem: store beyond allocation at %#x on processor %d", off, h.proc))
@@ -115,8 +105,6 @@ func (h *Heap) CopyLineOut(lineOff uint32, dst []uint64) {
 	if lineOff%gaddr.LineBytes != 0 {
 		panic(fmt.Sprintf("mem: CopyLineOut at unaligned offset %#x", lineOff))
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	i := int(lineOff / gaddr.WordBytes)
 	for w := 0; w < gaddr.WordsPerLine; w++ {
 		if i+w < len(h.words) {
@@ -134,8 +122,6 @@ func (h *Heap) CopyLineOut(lineOff uint32, dst []uint64) {
 // compute the same result must leave byte-identical heaps.
 func (h *Heap) FoldFingerprint(hash uint64) uint64 {
 	const prime = 1099511628211
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	fold := func(v uint64) {
 		for i := 0; i < 8; i++ {
 			hash ^= v & 0xff
@@ -167,8 +153,6 @@ func max(a, b int) int {
 // cursor into a compact image. The image is immutable and safe to share:
 // Restore copies out of it, never aliases it.
 func (h *Heap) Snapshot() HeapImage {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	words := int(h.next / gaddr.WordBytes)
 	if words > len(h.words) {
 		words = len(h.words)
@@ -185,8 +169,6 @@ func (h *Heap) Restore(img HeapImage) {
 	if img.Proc != h.proc {
 		panic(fmt.Sprintf("mem: restoring processor %d image onto processor %d", img.Proc, h.proc))
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if img.Next > h.limit {
 		panic(fmt.Sprintf("mem: heap image (%d bytes) exceeds section limit %d on processor %d",
 			img.Next, h.limit, h.proc))

@@ -1,7 +1,6 @@
 package mem
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -105,32 +104,6 @@ func TestCopyLineOutBeyondAllocationIsZero(t *testing.T) {
 	for i, v := range dst {
 		if v != 0 {
 			t.Fatalf("expected zero at %d, got %d", i, v)
-		}
-	}
-}
-
-func TestConcurrentAlloc(t *testing.T) {
-	h := NewHeap(0, 1<<22)
-	const workers, per = 8, 200
-	var wg sync.WaitGroup
-	got := make([][]gaddr.GP, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				got[w] = append(got[w], h.Alloc(24))
-			}
-		}(w)
-	}
-	wg.Wait()
-	seen := map[gaddr.GP]bool{}
-	for _, list := range got {
-		for _, g := range list {
-			if seen[g] {
-				t.Fatalf("duplicate allocation %v", g)
-			}
-			seen[g] = true
 		}
 	}
 }

@@ -187,8 +187,8 @@ func (h *Histogram) reset() {
 	}
 }
 
-// entry is one registered metric: an owned or externally-bound handle, or a
-// read-through function.
+// entry is one registered metric: an owned handle or a read-through
+// function.
 type entry struct {
 	name   string
 	labels []Label // sorted by key
@@ -305,23 +305,11 @@ func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
 	return r.get(name, KindHistogram, labels).h
 }
 
-// RegisterCounter binds an externally-owned counter (e.g. the machine's
-// hot-path statistics) into the registry under (name, labels), replacing
-// any previous binding of that id. No-op on a nil registry.
-func (r *Registry) RegisterCounter(name string, c *Counter, labels ...Label) {
-	if r == nil {
-		return
-	}
-	ls := canonLabels(labels)
-	id := name + labelID(ls)
-	r.mu.Lock()
-	r.index[id] = &entry{name: name, labels: ls, id: id, kind: KindCounter, c: c}
-	r.mu.Unlock()
-}
-
 // RegisterFunc binds a read-through metric: its value is fn() at snapshot
-// time. kind must be KindCounter or KindGauge. Replaces any previous
-// binding of the id. No-op on a nil registry.
+// time, called under the registry's lock — fn does its own synchronising,
+// or (the simulator's run-owned counts) the registry is read only when the
+// owner is not running. kind must be KindCounter or KindGauge. Replaces any
+// previous binding of the id. No-op on a nil registry.
 func (r *Registry) RegisterFunc(name string, kind Kind, fn func() int64, labels ...Label) {
 	if r == nil {
 		return
@@ -336,9 +324,9 @@ func (r *Registry) RegisterFunc(name string, kind Kind, fn func() int64, labels 
 	r.mu.Unlock()
 }
 
-// Reset zeroes every owned and externally-bound metric (function-backed
-// metrics are read-through and cannot be reset here). Benchmark phase
-// boundaries call this so kernel-timed regions start from a clean epoch.
+// Reset zeroes every owned metric. Function-backed metrics are read-through
+// and cannot be reset here: whoever owns the value behind one resets it
+// (rt.ResetForKernel does, for every count of a run, before calling this).
 // No-op on a nil registry.
 func (r *Registry) Reset() {
 	if r == nil {

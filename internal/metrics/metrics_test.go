@@ -25,7 +25,7 @@ func TestNilRegistryAndHandlesAreInert(t *testing.T) {
 	if c.Load() != 0 || g.Load() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil handles must read zero")
 	}
-	r.RegisterCounter("x", &Counter{})
+	r.RegisterFunc("x", KindCounter, func() int64 { return 1 })
 	r.RegisterFunc("y", KindGauge, func() int64 { return 1 })
 	r.Reset()
 	if r.Len() != 0 {
@@ -131,15 +131,15 @@ func TestSnapshotIsSortedAndDeterministic(t *testing.T) {
 
 func TestRegisterCounterAndFunc(t *testing.T) {
 	r := NewRegistry()
-	var external Counter
-	external.Add(11)
-	r.RegisterCounter("bound", &external)
-	live := int64(40)
+	owned := r.Counter("owned")
+	owned.Add(11)
+	count, live := int64(7), int64(40)
+	r.RegisterFunc("bound", KindCounter, func() int64 { return count })
 	r.RegisterFunc("fn", KindGauge, func() int64 { return live }, L("proc", "0"))
 
 	snap := r.Snapshot()
-	if sm, _ := snap.Get("bound"); sm.Value != 11 {
-		t.Fatalf("bound counter = %d, want 11", sm.Value)
+	if sm, _ := snap.Get("bound"); sm.Value != 7 || sm.Kind != "counter" {
+		t.Fatalf("bound counter = %+v, want counter 7", sm)
 	}
 	if sm, _ := snap.Get("fn", L("proc", "0")); sm.Value != 40 {
 		t.Fatalf("func metric = %d, want 40", sm.Value)
@@ -149,12 +149,13 @@ func TestRegisterCounterAndFunc(t *testing.T) {
 		t.Fatal("func metric must be read-through")
 	}
 
-	// Reset zeroes owned and bound metrics but leaves func-backed alone.
+	// Reset zeroes owned metrics but leaves func-backed ones to their
+	// owners.
 	r.Reset()
-	if external.Load() != 0 {
-		t.Fatal("Reset must zero bound counters")
+	if owned.Load() != 0 {
+		t.Fatal("Reset must zero owned counters")
 	}
-	if sm, _ := r.Snapshot().Get("fn", L("proc", "0")); sm.Value != 41 {
+	if sm, _ := r.Snapshot().Get("bound"); sm.Value != 7 {
 		t.Fatal("Reset must not affect func-backed metrics")
 	}
 }

@@ -3,6 +3,7 @@ package rt
 import (
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -69,17 +70,27 @@ func TestWorkZeroAlloc(t *testing.T) {
 
 // TestLocalDerefZeroAlloc pins the local-reference path (pointer test
 // passes, no mechanism engaged) — the single hottest operation in every
-// kernel.
+// kernel — for loads and stores, with and without a registry: its counts
+// are plain integers the registry reads later, so attaching one adds
+// nothing per access.
 func TestLocalDerefZeroAlloc(t *testing.T) {
-	r := New(Config{Procs: 2})
-	g := r.M.Procs[0].Heap.Alloc(64)
-	site := &Site{Name: "allocs.local", Mech: Cache}
-	r.Run(0, func(th *Thread) {
-		th.LoadWord(site, g, 0)
-		if avg := testing.AllocsPerRun(200, func() {
+	for _, reg := range []*metrics.Registry{nil, metrics.NewRegistry()} {
+		r := New(Config{Procs: 2, Metrics: reg})
+		g := r.M.Procs[0].Heap.Alloc(64)
+		site := &Site{Name: "allocs.local", Mech: Cache}
+		r.Run(0, func(th *Thread) {
 			th.LoadWord(site, g, 0)
-		}); avg != 0 {
-			t.Errorf("local load allocates %.1f objects per access; want 0", avg)
-		}
-	})
+			th.StoreWord(site, g, 8, 1)
+			if avg := testing.AllocsPerRun(200, func() {
+				th.LoadWord(site, g, 0)
+			}); avg != 0 {
+				t.Errorf("local load allocates %.1f objects per access; want 0", avg)
+			}
+			if avg := testing.AllocsPerRun(200, func() {
+				th.StoreWord(site, g, 8, 42)
+			}); avg != 0 {
+				t.Errorf("local store allocates %.1f objects per access; want 0", avg)
+			}
+		})
+	}
 }

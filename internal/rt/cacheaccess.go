@@ -24,7 +24,7 @@ func (t *Thread) cacheAccess(s *Site, a gaddr.GP) cacheRef {
 	start := t.now
 	t.chargeHere(t.rt.M.Cost.CacheHit)
 	if e, ok := c.Hit(a); ok {
-		t.rt.mCacheHits.Inc()
+		t.rt.cacheHits++
 		if tr != nil {
 			tr.Emit(trace.Event{
 				Kind: trace.EvCacheHit, T: start,
@@ -36,7 +36,7 @@ func (t *Thread) cacheAccess(s *Site, a gaddr.GP) cacheRef {
 	}
 	e, pageNew, lineValid := c.Probe(a)
 	if pageNew {
-		t.rt.M.Stats.PagesCached.Add(1)
+		t.rt.M.Stats.PagesCached++
 	}
 	missed := false
 	if t.rt.Coh.Kind() == coherence.Bilateral {
@@ -59,10 +59,10 @@ func (t *Thread) cacheAccess(s *Site, a gaddr.GP) cacheRef {
 		t.fetchLine(c, e, a)
 	}
 	if missed {
-		t.rt.M.Stats.Misses.Add(1)
+		t.rt.M.Stats.Misses++
 		t.rt.mMissLat.Observe(t.now - start)
 	} else {
-		t.rt.mCacheHits.Inc()
+		t.rt.cacheHits++
 	}
 	if tr != nil {
 		ev := trace.Event{
@@ -94,8 +94,8 @@ func (t *Thread) fetchLine(c *cache.Cache, e *cache.Entry, a gaddr.GP) {
 	t.now += cost.MissReply
 	c.InstallLine(e, line, buf[:])
 	t.rt.Coh.RegisterSharer(e.Page, t.loc)
-	t.rt.M.Stats.LineFetches.Add(1)
-	t.rt.mLineFills.Inc()
+	t.rt.M.Stats.LineFetches++
+	t.rt.lineFills++
 	if tr := t.rt.M.Tracer; tr != nil {
 		tr.Emit(trace.Event{
 			Kind: trace.EvLineFetch, T: start, Dur: t.now - start,

@@ -50,11 +50,11 @@ func TestDeepCallWriteSets(t *testing.T) {
 		})
 		// The outermost return must have invalidated processor 3's
 		// lines in our cache.
-		before := r.M.Stats.Misses.Load()
+		before := r.M.Stats.Misses
 		if v := th.LoadInt(sc, g, 0); v != 9 {
 			t.Fatalf("stale read %d after nested-call writes", v)
 		}
-		if r.M.Stats.Misses.Load() == before {
+		if r.M.Stats.Misses == before {
 			t.Fatal("read should have missed: line was written during the call")
 		}
 	})

@@ -1,8 +1,6 @@
 package rt
 
 import (
-	"sync"
-
 	"repro/internal/machine"
 	"repro/internal/trace"
 )
@@ -18,8 +16,11 @@ import (
 // reproduces the lazy-task-creation economics: if the body never migrates,
 // no other processor ever does the continuation's work and the schedule
 // collapses to the sequential one plus the small futurecall overhead.
+//
+// A Future has no lock: the body that completes it and the threads that
+// touch it are coroutines of one dispatcher, and each reads or writes these
+// fields only while it is the running one.
 type Future[T any] struct {
-	mu      sync.Mutex
 	done    bool
 	v       T
 	when    int64 // body completion time
@@ -32,7 +33,7 @@ type Future[T any] struct {
 // brings its context back, exactly like a procedure return.
 func Spawn[T any](t *Thread, body func(child *Thread) T) *Future[T] {
 	t.sync()
-	t.rt.M.Stats.Futures.Add(1)
+	t.rt.M.Stats.Futures++
 	t.chargeHere(t.rt.M.Cost.FutureSpawn)
 	child := &Thread{
 		rt:      t.rt,
@@ -55,16 +56,13 @@ func Spawn[T any](t *Thread, body func(child *Thread) T) *Future[T] {
 		// return stub if the body migrated.
 		v := Call(child, func() T { return body(child) })
 		child.Finish()
-		f.mu.Lock()
 		f.done, f.v, f.when = true, v, child.now
-		ws := f.waiters
-		f.waiters = nil
-		f.mu.Unlock()
 		// Wake touchers before leaving the scheduler so hand-off
 		// points are deterministic.
-		for _, w := range ws {
+		for _, w := range f.waiters {
 			t.rt.Sched.Resume(w, child.now)
 		}
+		f.waiters = nil
 		t.rt.Sched.Exit(child.se)
 	})
 	return f
@@ -75,17 +73,12 @@ func Spawn[T any](t *Thread, body func(child *Thread) T) *Future[T] {
 func (f *Future[T]) Touch(t *Thread) T {
 	t.sync()
 	start := t.now
-	f.mu.Lock()
 	if !f.done {
 		f.waiters = append(f.waiters, t.se)
-		f.mu.Unlock()
 		t.rt.Sched.Park(t.se)
-		f.mu.Lock()
 	}
-	v, when := f.v, f.when
-	f.mu.Unlock()
-	if when > t.now {
-		t.now = when
+	if f.when > t.now {
+		t.now = f.when
 	}
 	if tr := t.rt.M.Tracer; tr != nil {
 		tr.Emit(trace.Event{
@@ -93,8 +86,8 @@ func (f *Future[T]) Touch(t *Thread) T {
 			P: int16(t.loc), Tid: t.tid(), Site: -1, Line: -1,
 		})
 	}
-	t.rt.M.Stats.Touches.Add(1)
+	t.rt.M.Stats.Touches++
 	t.rt.mTouchBlock.Observe(t.now - start)
 	t.chargeHere(t.rt.M.Cost.Touch)
-	return v
+	return f.v
 }

@@ -35,7 +35,7 @@ func TestLocalLoadStore(t *testing.T) {
 			t.Errorf("local ptr = %v", v)
 		}
 	})
-	if r.M.Stats.Migrations.Load() != 0 {
+	if r.M.Stats.Migrations != 0 {
 		t.Fatal("local accesses must not migrate")
 	}
 }
@@ -99,9 +99,9 @@ func TestCacheHitOnSecondRead(t *testing.T) {
 	r.Run(0, func(th *Thread) {
 		g := th.Alloc(1, 8)
 		th.LoadInt(siteCache, g, 0)
-		before := r.M.Stats.Misses.Load()
+		before := r.M.Stats.Misses
 		th.LoadInt(siteCache, g, 0)
-		if r.M.Stats.Misses.Load() != before {
+		if r.M.Stats.Misses != before {
 			t.Error("second read must hit")
 		}
 	})
@@ -112,15 +112,15 @@ func TestLocalSchemeInvalidatesOnMigration(t *testing.T) {
 	r.Run(0, func(th *Thread) {
 		g := th.Alloc(1, 8)
 		th.LoadInt(siteCache, g, 0) // miss, line cached at 0
-		misses := r.M.Stats.Misses.Load()
+		misses := r.M.Stats.Misses
 		th.MigrateTo(2)
 		th.MigrateTo(0) // receive at 0 flushes the whole cache
 		th.LoadInt(siteCache, g, 0)
-		if r.M.Stats.Misses.Load() != misses+1 {
+		if r.M.Stats.Misses != misses+1 {
 			t.Error("read after migration receive must miss again")
 		}
 	})
-	if r.M.Stats.FullFlushes.Load() == 0 {
+	if r.M.Stats.FullFlushes == 0 {
 		t.Fatal("local scheme must flush on migration receive")
 	}
 }
@@ -157,15 +157,15 @@ func TestReturnInvalidatesOnlyWrittenHomes(t *testing.T) {
 			th.MigrateTo(3)
 			th.StoreInt(siteCache, b, 0, 9) // writes processor 2's memory
 		}) // return stub to 0: invalidate only lines homed on 2
-		before := r.M.Stats.Misses.Load()
+		before := r.M.Stats.Misses
 		th.LoadInt(siteCache, a, 0) // must still hit
-		if got := r.M.Stats.Misses.Load(); got != before {
+		if got := r.M.Stats.Misses; got != before {
 			t.Errorf("unwritten home was invalidated (misses %d→%d)", before, got)
 		}
 		if v := th.LoadInt(siteCache, b, 0); v != 9 {
 			t.Errorf("read after return = %d; stale line survived", v)
 		}
-		if r.M.Stats.Misses.Load() != before+1 {
+		if r.M.Stats.Misses != before+1 {
 			t.Error("written home must be invalidated on return")
 		}
 	})
@@ -177,7 +177,7 @@ func TestModeOverrides(t *testing.T) {
 		g := th.Alloc(1, 8)
 		th.StoreInt(siteCache, g, 0, 1) // cache site, but mode forces migration
 	})
-	if r.M.Stats.Migrations.Load() != 1 {
+	if r.M.Stats.Migrations != 1 {
 		t.Fatal("migrate-only mode must migrate at cache sites")
 	}
 
@@ -189,7 +189,7 @@ func TestModeOverrides(t *testing.T) {
 			t.Error("cache-only mode must not migrate")
 		}
 	})
-	if r2.M.Stats.Migrations.Load() != 0 {
+	if r2.M.Stats.Migrations != 0 {
 		t.Fatal("cache-only mode migrated")
 	}
 }
@@ -233,7 +233,7 @@ func TestFutureParallelism(t *testing.T) {
 	if mk >= 30000 {
 		t.Fatalf("makespan = %d; futures did not run in parallel", mk)
 	}
-	if r.M.Stats.Futures.Load() != procs || r.M.Stats.Touches.Load() != procs {
+	if r.M.Stats.Futures != procs || r.M.Stats.Touches != procs {
 		t.Fatal("future/touch counts wrong")
 	}
 }
@@ -292,9 +292,9 @@ func TestRunWaitsForUntouchedFutures(t *testing.T) {
 	if finished != len(untouched) || finished != 4 {
 		t.Errorf("Run returned with %d of %d future bodies finished", finished, len(untouched))
 	}
-	if r.M.Stats.Touches.Load() != 0 || r.M.Stats.Migrations.Load() != 2 {
+	if r.M.Stats.Touches != 0 || r.M.Stats.Migrations != 2 {
 		t.Errorf("touches = %d, migrations = %d; want 0 and 2",
-			r.M.Stats.Touches.Load(), r.M.Stats.Migrations.Load())
+			r.M.Stats.Touches, r.M.Stats.Migrations)
 	}
 	if n := runtime.NumGoroutine(); n != before {
 		t.Errorf("%d goroutines after Run, %d before it", n, before)

@@ -8,7 +8,6 @@ package rt
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/cache"
 	"repro/internal/coherence"
@@ -84,19 +83,19 @@ type Site struct {
 	Name string
 	Mech Mechanism
 
-	reads      atomic.Int64
-	writes     atomic.Int64
-	remote     atomic.Int64
-	migrations atomic.Int64
+	// The counters, like reg and traceID below, are plain fields of the
+	// run that uses the site: only the virtual-time-active thread touches
+	// them (deref starts with a sync). A Site value may serve one run
+	// after another, never two at once.
+	reads      int64
+	writes     int64
+	remote     int64
+	migrations int64
 
-	// reg is the runtime this site was last registered with. It is only
-	// touched by the virtual-time-active thread (deref starts with a
-	// sync), so no lock is needed — the scheduler's hand-off orders all
-	// accesses.
+	// reg is the runtime this site was last registered with.
 	reg *Runtime
 	// traceID is the site's interned id in the runtime's trace recorder
-	// (-1 when tracing is off). Assigned at registration, under the same
-	// hand-off ordering as reg.
+	// (-1 when tracing is off), assigned at registration.
 	traceID int32
 }
 
@@ -115,10 +114,10 @@ func (s *Site) Stats() SiteStats {
 	return SiteStats{
 		Name:       s.Name,
 		Mech:       s.Mech,
-		Reads:      s.reads.Load(),
-		Writes:     s.writes.Load(),
-		Remote:     s.remote.Load(),
-		Migrations: s.migrations.Load(),
+		Reads:      s.reads,
+		Writes:     s.writes,
+		Remote:     s.remote,
+		Migrations: s.migrations,
 	}
 }
 
@@ -149,7 +148,8 @@ type Config struct {
 	// distributions, per-processor cache occupancy). Nil — the default —
 	// disables registry recording; simulated cycles are identical either
 	// way, since registering and updating metrics charges no simulated
-	// work.
+	// work. The registry must be this run's own and be read only once Run
+	// has returned: its counters read the run's plain integers.
 	Metrics *metrics.Registry
 }
 
@@ -182,11 +182,12 @@ type Runtime struct {
 	sites map[string]*Site
 	dups  map[string]int
 
-	// Registry-backed meters beyond the machine's aggregate statistics.
-	// All handles are nil when Config.Metrics was nil (the nil-safe
-	// disabled state).
-	mCacheHits  *metrics.Counter
-	mLineFills  *metrics.Counter
+	// Meters beyond the machine's aggregate statistics: two run-owned
+	// counts the registry reads at snapshot time, and registry-owned
+	// histograms whose handles are nil when Config.Metrics was nil (the
+	// nil-safe disabled state).
+	cacheHits   int64
+	lineFills   int64
 	mMissLat    *metrics.Histogram
 	mMigLat     *metrics.Histogram
 	mReturnLat  *metrics.Histogram
@@ -237,7 +238,7 @@ func New(cfg Config) *Runtime {
 	}
 	sched := machine.NewLoopScheduler()
 	sched.SetTracer(cfg.Trace)
-	return &Runtime{
+	r := &Runtime{
 		M:        m,
 		Caches:   caches,
 		Coh:      coherence.New(cfg.Scheme, m, caches),
@@ -248,13 +249,14 @@ func New(cfg Config) *Runtime {
 		sites:    map[string]*Site{},
 		dups:     map[string]int{},
 
-		mCacheHits:  cfg.Metrics.Counter("olden_cache_hits_total"),
-		mLineFills:  cfg.Metrics.Counter("olden_line_fills_total"),
 		mMissLat:    cfg.Metrics.Histogram("olden_miss_latency_cycles"),
 		mMigLat:     cfg.Metrics.Histogram("olden_migration_transit_cycles", metrics.L("kind", "forward")),
 		mReturnLat:  cfg.Metrics.Histogram("olden_migration_transit_cycles", metrics.L("kind", "return")),
 		mTouchBlock: cfg.Metrics.Histogram("olden_touch_blocked_cycles"),
 	}
+	machine.BindCounter(cfg.Metrics, "olden_cache_hits_total", &r.cacheHits)
+	machine.BindCounter(cfg.Metrics, "olden_line_fills_total", &r.lineFills)
+	return r
 }
 
 // Metrics returns the runtime's metrics registry, or nil when registry
@@ -342,8 +344,12 @@ func (r *Runtime) ResetForKernel() {
 	// content identity of what the build produced.
 	r.buildHeapFP = r.HeapFingerprint()
 	r.buildHeapOK = true
+	// Every count the run owns is zeroed here, at its source: the
+	// registry reads them and cannot reset them.
 	r.M.ResetClocks()
 	r.M.Stats.Reset()
+	r.Coh.ResetMeters()
+	r.cacheHits, r.lineFills = 0, 0
 	for _, c := range r.Caches {
 		c.Clear()
 	}
@@ -360,8 +366,9 @@ func (r *Runtime) ResetForKernel() {
 		r.buildPhases++
 		r.M.Tracer.Reset()
 	}
-	// The metrics registry follows the same epoch: a kernel-timed record
-	// must not mix build-phase counts into its dump. (Reset is nil-safe.)
+	// The registry's own histograms follow the same epoch: a kernel-timed
+	// record must not mix build-phase counts into its dump. (Reset is
+	// nil-safe.)
 	r.M.Metrics.Reset()
 }
 

@@ -136,10 +136,10 @@ func (t *Thread) migrate(dst int, isReturn bool, writtenProcs uint64, site int32
 	var send, net, recv int64
 	if isReturn {
 		send, net, recv = c.ReturnSend, c.ReturnNet, c.ReturnRecv
-		t.rt.M.Stats.Returns.Add(1)
+		t.rt.M.Stats.Returns++
 	} else {
 		send, net, recv = c.MigrateSend, c.MigrateNet, c.MigrateRecv
-		t.rt.M.Stats.Migrations.Add(1)
+		t.rt.M.Stats.Migrations++
 	}
 	t.now = t.rt.M.Procs[src].Occupy(t.now, send)
 	// A migration leaving a processor releases that processor's
@@ -253,33 +253,33 @@ func (t *Thread) deref(s *Site, a gaddr.GP, isWrite bool) (entry cacheRef, direc
 		}
 	}
 	t.chargeHere(t.rt.M.Cost.PtrTest)
-	t.rt.M.Stats.PtrTests.Add(1)
+	t.rt.M.Stats.PtrTests++
 	if isWrite {
-		s.writes.Add(1)
+		s.writes++
 	} else {
-		s.reads.Add(1)
+		s.reads++
 	}
 	m := t.mech(s)
 	if m == Cache {
 		if isWrite {
-			t.rt.M.Stats.CacheableWrites.Add(1)
+			t.rt.M.Stats.CacheableWrites++
 		} else {
-			t.rt.M.Stats.CacheableReads.Add(1)
+			t.rt.M.Stats.CacheableReads++
 		}
 	}
 	if a.Proc() == t.loc {
 		return cacheRef{}, true
 	}
-	s.remote.Add(1)
+	s.remote++
 	if m == Migrate {
-		s.migrations.Add(1)
+		s.migrations++
 		t.migrate(a.Proc(), false, 0, s.traceID)
 		return cacheRef{}, true
 	}
 	if isWrite {
-		t.rt.M.Stats.RemoteWrites.Add(1)
+		t.rt.M.Stats.RemoteWrites++
 	} else {
-		t.rt.M.Stats.RemoteReads.Add(1)
+		t.rt.M.Stats.RemoteReads++
 	}
 	return t.cacheAccess(s, a), false
 }

@@ -32,7 +32,7 @@ func Example() {
 	})
 	// Building migrated to processors 1..3, jumping back to node 0 cost
 	// one more, and the traversal crossed three block boundaries.
-	fmt.Printf("migrations: %d\n", r.M.Stats.Migrations.Load())
+	fmt.Printf("migrations: %d\n", r.M.Stats.Migrations)
 	// Output:
 	// sum=100, thread finished on processor 3
 	// migrations: 7

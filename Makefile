@@ -173,7 +173,10 @@ clustersmoke:
 # the committed BENCH_<name>.json baselines are re-pinned by `oldenbench
 # -update` (= `make bench`, kept separate because moving cycle counts is
 # a reviewed perf decision, not a golden refresh). Run this after an
-# intentional output change, then review and commit the diff.
+# intentional output change, then review and commit the diff. Not
+# refreshed, on purpose: internal/analysis/effects/testdata/
+# verdicts_parent.golden is what the deleted cost bounds said about every
+# mini-C source, written once from the last commit that had them.
 update-goldens:
 	$(GO) test ./internal/core -run 'TestLintGolden' -update
 	$(GO) test ./internal/bench -run 'TestTraceDigestGoldens|TestSchedulerDigestEquivalence' -update
@@ -190,10 +193,10 @@ lint:
 		$(GO) run ./cmd/oldenc -lint $$f || exit 1; \
 	done
 
-# Interprocedural effect/cost analysis over every kernel and example
-# source: per-function summaries, static step/alloc bounds, heuristic
-# diffs and the cacheability certificate. `-json` output of the same run
-# is what CI uploads as the analyze-findings artifact.
+# Interprocedural effect analysis over every kernel and example source:
+# per-function summaries, heuristic diffs and the cacheability
+# certificate. `-json` output of the same run is what CI uploads as the
+# analyze-findings artifact.
 analyze:
 	@for b in $(BENCHES); do \
 		echo "== $$b"; \

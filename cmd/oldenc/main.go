@@ -8,7 +8,7 @@
 //	oldenc -threshold 80 prog.c
 //	oldenc -lint prog.c       # lint diagnostics (exit 1 on errors)
 //	oldenc -lint -json prog.c # diagnostics in the oldenvet -json shape
-//	oldenc -analyze prog.c    # effect summaries, cost bounds, certificate
+//	oldenc -analyze prog.c    # effect summaries, heuristic diffs, certificate
 //	oldenc -analyze -json prog.c
 //	oldenc -phases prog.c     # phase plan: slicing, footprints, invariance
 //	oldenc -phases -json -bench em3d
@@ -44,7 +44,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	sites := fs.Bool("sites", false, "also list every dereference site with its mechanism")
 	interproc := fs.Bool("interprocedural", false, "enable the return-value path extension (the paper's future work)")
 	lint := fs.Bool("lint", false, "emit lint diagnostics instead of the analysis report (exit 1 on errors)")
-	analyzeF := fs.Bool("analyze", false, "emit interprocedural effect summaries, cost bounds and the cacheability certificate")
+	analyzeF := fs.Bool("analyze", false, "emit interprocedural effect summaries, heuristic diffs and the cacheability certificate")
 	phasesF := fs.Bool("phases", false, "emit the phase plan: slicing, footprints and scheme-invariance verdicts")
 	jsonOut := fs.Bool("json", false, "with -lint, -analyze or -phases, emit the machine-readable form")
 	if err := fs.Parse(args); err != nil {
@@ -182,9 +182,9 @@ func writeLint(stdout, stderr io.Writer, diags []olden.Diag, file string, jsonOu
 }
 
 // writeAnalysis prints the effects analysis: per function the effect
-// summary and cost bounds, then the heuristic differential and the
-// cacheability certificate. With jsonOut it emits the findings slice in
-// the oldenvet shape instead.
+// summary, then the heuristic differential and the cacheability
+// certificate. With jsonOut it emits the findings slice in the oldenvet
+// shape instead.
 func writeAnalysis(stdout, stderr io.Writer, res *effects.Result, file string, jsonOut bool) int {
 	if jsonOut {
 		enc := json.NewEncoder(stdout)
@@ -198,7 +198,6 @@ func writeAnalysis(stdout, stderr io.Writer, res *effects.Result, file string, j
 	for _, s := range res.Summaries {
 		fmt.Fprintf(stdout, "func %s(%s):\n", s.Name, joinComma(s.Params))
 		fmt.Fprintf(stdout, "  effects: %s\n", s.EffectsLine())
-		fmt.Fprintf(stdout, "  bounds:  %s\n", s.BoundsLine())
 	}
 	for _, d := range res.Diffs {
 		fmt.Fprintf(stdout, "diff: %s:%d:%d: %s: loop %s: %s %s->%s (%s)\n",

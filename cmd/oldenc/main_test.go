@@ -88,8 +88,9 @@ func TestPhasesGoldens(t *testing.T) {
 }
 
 // TestHostileFixtureRejected pins the acceptance contract on the hostile
-// fixture: unbounded loops surface as ⊤ bounds and the certificate is
-// refused with machine-readable reasons.
+// fixture: loops with no progress argument surface as may-not-return, the
+// allocating one as allocates, and the certificate is refused with
+// machine-readable reasons.
 func TestHostileFixtureRejected(t *testing.T) {
 	src := filepath.Join("..", "..", "examples", "minic", "hostile.c")
 	stdout, _, code := runOldenc(t, "", "-analyze", src)
@@ -97,8 +98,8 @@ func TestHostileFixtureRejected(t *testing.T) {
 		t.Fatalf("exit %d", code)
 	}
 	for _, want := range []string{
-		"steps<=⊤",
-		"allocs<=⊤",
+		"pure=false may-not-return allocates\n",
+		"pure=true may-not-return\n",
 		"certificate: not cacheable:",
 		"aliased-write:node.next via m",
 	} {
@@ -212,7 +213,7 @@ func TestAnalyzeJSONShape(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"effects/summary", "effects/bound", "effects/diff", "effects/certificate",
+		"effects/summary", "effects/diff", "effects/certificate",
 	} {
 		if !checks[want] {
 			t.Errorf("no %s finding in %s", want, stdout)

@@ -1,18 +1,18 @@
-/* Hostile fixture for `oldenc -analyze`: every function here defeats one
- * leg of the effect/cost analysis, and the goldens pin how.
+/* Hostile fixture for `oldenc -analyze`: every function here presses on one
+ * leg of the effect analysis, and the goldens pin how.
  *
- *   spin    — while(1): no trip bound, steps<=⊤.
- *   rewire  — a migrating list walk whose iteration also stores through a
- *             second, possibly-aliased pointer: the differential demotes
- *             the migration (aliased-write:node.next via m), and the
- *             write keeps the program uncertifiable.
- *   grow    — allocates in a loop whose variable never advances through
- *             its own fields: no progress argument, allocs<=⊤.
- *   creep   — counts up to a literal limit from a starting value the
- *             analysis cannot see: the limit alone bounds nothing,
- *             steps<=⊤.
- *   stall   — a pointer chase that only advances on some paths: no
- *             iteration is guaranteed to make progress, steps<=⊤.
+ *   spin    — while(1): never leaves the loop, may-not-return.
+ *   rewire  — a migrating list walk that also stores through a second,
+ *             possibly-aliased pointer: demoted by the differential
+ *             (aliased-write:node.next via m), uncertifiable, but it returns.
+ *   grow    — allocates in a loop whose variable never advances through its
+ *             own fields: no progress argument, may-not-return, allocates.
+ *   creep   — counts up from a start the analysis cannot see and *does*
+ *             return: the guard against reading "no number" as "may not
+ *             return" again.
+ *   stall   — a pointer chase that advances only on some paths: may-not-return.
+ *   chase   — counts up toward a limit its own loop keeps moving: the
+ *             counter never catches it, may-not-return.
  */
 struct node {
   int v;
@@ -58,4 +58,14 @@ void stall(struct node *p, int c) {
     }
     c = 0;
   }
+}
+
+int chase(int n) {
+  int i;
+  i = 0;
+  while (i < n) {
+    i = i + 1;
+    n = n + 1;
+  }
+  return i;
 }

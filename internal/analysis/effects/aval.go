@@ -172,7 +172,7 @@ func (fa *fnAnalysis) callAval(ev env, c *lang.Call) aval {
 }
 
 // summarize builds the function's effect summary (everything except the
-// cost bounds) from the solved alias flow.
+// two cost bits) from the solved alias flow.
 func (fa *fnAnalysis) summarize() *Summary {
 	s := &Summary{
 		Name:      fa.fn.Name,
@@ -320,14 +320,14 @@ func (fa *fnAnalysis) summarize() *Summary {
 		}
 	}
 
-	s.Reads = sortRegions(reads)
-	s.Writes = sortRegions(writes)
+	s.Reads = sortedRegions(reads)
+	s.Writes = sortedRegions(writes)
 	for i, p := range fa.fn.Params {
 		if i < 64 && escapeMask&(1<<uint(i)) != 0 {
 			s.Escapes = append(s.Escapes, p.Name)
 		}
 	}
-	s.Extern = sortStrings(extern)
+	s.Extern = sortedStrings(extern)
 	s.Pure = len(s.Writes) == 0 && len(s.Escapes) == 0 && len(s.Extern) == 0
 	return s
 }
@@ -380,35 +380,4 @@ func callsInExpr(e lang.Expr) []*lang.Call {
 		return nil
 	}
 	return callsIn(&lang.ExprStmt{E: e})
-}
-
-func sortRegions(set map[Region]bool) []Region {
-	out := make([]Region, 0, len(set))
-	for r := range set {
-		out = append(out, r)
-	}
-	sortSlice(out, func(a, b Region) bool {
-		if a.Struct != b.Struct {
-			return a.Struct < b.Struct
-		}
-		return a.Field < b.Field
-	})
-	return out
-}
-
-func sortStrings(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sortSlice(out, func(a, b string) bool { return a < b })
-	return out
-}
-
-func sortSlice[T any](s []T, less func(a, b T) bool) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && less(s[j], s[j-1]); j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

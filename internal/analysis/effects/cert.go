@@ -29,10 +29,9 @@ type Certificate struct {
 	CacheOnly   bool     `json:"cache_only"`
 	Parallel    bool     `json:"parallel"`
 	Reasons     []string `json:"reasons,omitempty"`
-	// Digest is the FNV-1a hash, in %016x, of the canonical summary and
-	// bound lines of every function plus the site-mechanism shape —
-	// byte-stable across runs, changed by any effect the certificate
-	// depends on.
+	// Digest is the FNV-1a hash, in %016x, of the canonical summary line
+	// of every function plus the site-mechanism shape — byte-stable across
+	// runs, changed by any effect the certificate depends on.
 	Digest string `json:"digest"`
 }
 
@@ -85,21 +84,26 @@ func (r *Result) Certificate() Certificate {
 func (r *Result) certDigest(c Certificate) string {
 	var sb strings.Builder
 	for _, s := range r.Summaries {
-		fmt.Fprintf(&sb, "%s(%s): %s %s\n",
-			s.Name, strings.Join(s.Params, ","), s.EffectsLine(), s.BoundsLine())
+		fmt.Fprintf(&sb, "%s(%s): %s\n",
+			s.Name, strings.Join(s.Params, ","), s.EffectsLine())
 	}
 	fmt.Fprintf(&sb, "sites: migrate_only=%v cache_only=%v parallel=%v\n",
 		c.MigrateOnly, c.CacheOnly, c.Parallel)
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
-	h := uint64(fnvOffset)
-	for _, b := range []byte(sb.String()) {
-		h ^= uint64(b)
-		h *= fnvPrime
+	return fmt.Sprintf("%016x", FNV(FNVOffset, sb.String()))
+}
+
+// FNVOffset is the FNV-1a 64-bit offset basis: the h a digest starts from.
+const FNVOffset uint64 = 14695981039346656037
+
+// FNV folds s into the running FNV-1a 64-bit hash h. The certificate
+// digest and the phase chain (internal/analysis/phases) are both built
+// from it.
+func FNV(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
 	}
-	return fmt.Sprintf("%016x", h)
+	return h
 }
 
 func appendUnique(s []string, v string) []string {

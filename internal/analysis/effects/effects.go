@@ -2,11 +2,10 @@
 // mini-C. Per function it computes a side-effect/alias summary — the heap
 // regions (struct fields) read and written, the parameters whose referents
 // may be mutated or stored away, and whether the function is observably
-// pure — together with static cost bounds: a symbolic bound on the steps
-// the function can execute and on the allocations it can perform, with ⊤
-// when the analysis cannot bound them.
+// pure — together with two facts about its cost: whether every invocation
+// returns, and whether it can allocate.
 //
-// Three clients consume the summaries:
+// Two clients consume the summaries:
 //
 //   - Cacheability certificates (cert.go): a program whose summaries prove
 //     its access behaviour independent of the coherence scheme gets a
@@ -14,9 +13,6 @@
 //     phase-granular memoization. oldenvet cross-validates certificates
 //     against runtime trace digests (trace.AccessDigest) on the pinned
 //     kernels.
-//   - Admission budgets (internal/server): the cost bounds are checked
-//     against per-request limits before any simulation runs; ⊤-bounded
-//     programs are rejected up front.
 //   - The §4.2 heuristic differential (diff.go): alias-aware traversal
 //     classification, reported wherever it would change the paper
 //     heuristic's migrate/cache decision.
@@ -83,7 +79,7 @@ type Summary struct {
 	Escapes []string
 	// Extern lists the undefined functions called (transitively),
 	// excluding the alloc primitive, sorted. A non-empty Extern poisons
-	// purity, bounds and certificates.
+	// purity, Returns, Allocs and certificates.
 	Extern []string
 	// Pure means no heap writes, no escaping parameters and no extern
 	// calls. Allocation and initialization of fresh objects do not break
@@ -96,17 +92,22 @@ type Summary struct {
 	Recursive bool
 	Mutual    bool
 
-	// Steps bounds the statements and calls one invocation can execute;
-	// Allocs bounds its allocations. Both are ⊤ when unbounded.
-	Steps  Bound
-	Allocs Bound
+	// Returns means every invocation provably returns: each loop makes
+	// progress toward its exit on every path and any recursion descends a
+	// structure (termination.go). Allocs means an alloc call is reachable,
+	// directly or through a callee. Functions the analysis does not follow
+	// (extern callers, mutual recursion) get Returns false, Allocs true.
+	Returns bool
+	Allocs  bool
 
 	ret    aval       // what the return value may alias
 	stores []storeRec // heap stores with base alias values, source order
 }
 
-// EffectsLine renders the effect half of the summary canonically (the
-// bounds are rendered separately).
+// EffectsLine renders the summary canonically: equal lines mean equal
+// summaries, which is what the certificate digest rests on. The two cost
+// bits appear only where they are not the common case, and not after
+// extern or mutual, which imply both.
 func (s *Summary) EffectsLine() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "reads=%s writes=%s escapes={%s}",
@@ -124,12 +125,15 @@ func (s *Summary) EffectsLine() string {
 	if len(s.Extern) > 0 {
 		fmt.Fprintf(&sb, " extern={%s}", strings.Join(s.Extern, ","))
 	}
+	if len(s.Extern) == 0 && !s.Mutual {
+		if !s.Returns {
+			sb.WriteString(" may-not-return")
+		}
+		if s.Allocs {
+			sb.WriteString(" allocates")
+		}
+	}
 	return sb.String()
-}
-
-// BoundsLine renders the cost half of the summary canonically.
-func (s *Summary) BoundsLine() string {
-	return fmt.Sprintf("steps<=%s allocs<=%s", s.Steps, s.Allocs)
 }
 
 func regionSet(rs []Region) string {
@@ -161,8 +165,8 @@ type Result struct {
 // Summary returns a function's summary by name, or nil.
 func (r *Result) Summary(name string) *Summary { return r.byName[name] }
 
-// Analyze computes the effect summaries, cost bounds and heuristic
-// differential of a parsed program.
+// Analyze computes the effect summaries and heuristic differential of a
+// parsed program.
 func Analyze(prog *lang.Program, params core.Params) *Result {
 	res := &Result{
 		Prog:   prog,
@@ -202,7 +206,7 @@ func AnalyzeSource(src string, params core.Params) (*Result, error) {
 // solveSCC iterates the effect summaries of one call-graph component to a
 // fixpoint (region sets, escape masks and return aliases only grow, so
 // termination is immediate from the finite domains), then derives the
-// cost bounds in a single final pass per function.
+// two cost bits in a single final pass per function.
 func (r *Result) solveSCC(comp []*lang.FuncDecl) {
 	inSCC := map[string]bool{}
 	for _, fn := range comp {
@@ -226,7 +230,7 @@ func (r *Result) solveSCC(comp []*lang.FuncDecl) {
 	}
 	for _, fn := range comp {
 		fa := newFnAnalysis(r, fn, inSCC)
-		fa.bounds(r.byName[fn.Name])
+		fa.termination(r.byName[fn.Name])
 	}
 }
 

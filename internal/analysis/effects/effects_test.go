@@ -48,11 +48,8 @@ func TestTreeAddSummary(t *testing.T) {
 	if len(s.Writes) != 0 || len(s.Escapes) != 0 || len(s.Extern) != 0 {
 		t.Errorf("unexpected effects: %s", s.EffectsLine())
 	}
-	if s.Steps.Class != BHeap {
-		t.Errorf("Steps = %s (class %d), want heap-proportional", s.Steps, s.Steps.Class)
-	}
-	if s.Allocs.Class != BConst || s.Allocs.N != 0 {
-		t.Errorf("Allocs = %s, want 0", s.Allocs)
+	if !s.Returns || s.Allocs {
+		t.Errorf("returns=%v allocs=%v, want true,false (structural recursion, no alloc)", s.Returns, s.Allocs)
 	}
 }
 
@@ -78,9 +75,9 @@ void f(struct node *s, struct node *t, struct node *u) {
 	if !reflect.DeepEqual(s.Reads, wantReads) {
 		t.Errorf("Reads = %v, want %v", s.Reads, wantReads)
 	}
-	// Pointer chase on s: heap-proportional trip count.
-	if s.Steps.Class != BHeap {
-		t.Errorf("Steps = %s, want heap-proportional", s.Steps)
+	// Pointer chase on s: the walk ends with the list.
+	if !s.Returns {
+		t.Errorf("f may not return: %s", s.EffectsLine())
 	}
 }
 
@@ -102,8 +99,8 @@ struct node *mk(int v) {
 	if len(s.Writes) != 0 {
 		t.Errorf("fresh-only stores counted as writes: %v", s.Writes)
 	}
-	if s.Allocs.Class != BConst || s.Allocs.N != 1 {
-		t.Errorf("Allocs = %s, want 1", s.Allocs)
+	if !s.Allocs {
+		t.Errorf("mk does not allocate: %s", s.EffectsLine())
 	}
 	if !s.ret.fresh || s.ret.heap || s.ret.top {
 		t.Errorf("ret = %+v, want fresh-only", s.ret)
@@ -160,8 +157,8 @@ int f(struct node *n) {
 	if !reflect.DeepEqual(s.Escapes, []string{"n"}) {
 		t.Errorf("Escapes = %v, want [n] (pointer arg to extern)", s.Escapes)
 	}
-	if !s.Steps.IsTop() || !s.Allocs.IsTop() {
-		t.Errorf("bounds = %s/%s, want ⊤/⊤", s.Steps, s.Allocs)
+	if s.Returns || !s.Allocs {
+		t.Errorf("returns=%v allocs=%v, want false,true (nothing is known about mystery)", s.Returns, s.Allocs)
 	}
 	cert := r.Certificate()
 	if cert.Cacheable {
@@ -189,50 +186,17 @@ void pong(struct node *n) { ping(n); }
 		if !s.Mutual {
 			t.Errorf("%s: Mutual = false, want true", name)
 		}
-		if !s.Steps.IsTop() {
-			t.Errorf("%s: Steps = %s, want ⊤", name, s.Steps)
+		if s.Returns {
+			t.Errorf("%s: Returns = true, want false (mutual recursion is not followed)", name)
 		}
 	}
 }
 
-func TestCountedLoopBounds(t *testing.T) {
-	r := analyze(t, `
-struct node { int v; };
-int count(int n) {
-  int i;
-  int s;
-  s = 0;
-  for (i = 0; i < n; i = i + 1) {
-    s = s + i;
-  }
-  return s;
-}
-int fixed() {
-  int i;
-  int s;
-  s = 0;
-  i = 0;
-  while (i < 10) {
-    s = s + i;
-    i = i + 1;
-  }
-  return s;
-}
-`)
-	c := r.Summary("count")
-	if c.Steps.Class != BSym || !strings.Contains(c.Steps.Expr, "n") {
-		t.Errorf("count Steps = %s, want symbolic in n", c.Steps)
-	}
-	f := r.Summary("fixed")
-	if f.Steps.Class != BConst {
-		t.Errorf("fixed Steps = %s, want constant", f.Steps)
-	}
-}
-
-// TestInductionNeedsKnownStart: a literal loop limit bounds nothing when
-// the counter's starting value is unknown — i starts a million below the
-// limit here, and the old analysis admitted it as ~11 steps.
-func TestInductionNeedsKnownStart(t *testing.T) {
+// TestUnknownStartStillReturns: a start value the analysis cannot see
+// leaves the iteration count unknown, not the outcome — i starts a million
+// below the limit here and still gets there. "No number" must not be read
+// as "may not return".
+func TestUnknownStartStillReturns(t *testing.T) {
 	r := analyze(t, `
 struct node { int v; };
 int creep(int n) {
@@ -244,13 +208,13 @@ int creep(int n) {
   return i;
 }
 `)
-	if s := r.Summary("creep"); !s.Steps.IsTop() {
-		t.Errorf("creep Steps = %s, want ⊤ (unknown initial value)", s.Steps)
+	if s := r.Summary("creep"); !s.Returns {
+		t.Errorf("creep may not return: %s", s.EffectsLine())
 	}
 }
 
 // TestConditionalAdvanceTops: a pointer chase that only advances on some
-// paths can spin forever, so it gets no heap bound.
+// paths can spin forever.
 func TestConditionalAdvanceTops(t *testing.T) {
 	r := analyze(t, `
 struct node { int v; struct node *next; };
@@ -261,8 +225,8 @@ void stall(struct node *p, int c) {
   }
 }
 `)
-	if s := r.Summary("stall"); !s.Steps.IsTop() {
-		t.Errorf("stall Steps = %s, want ⊤ (advance only on some paths)", s.Steps)
+	if s := r.Summary("stall"); s.Returns {
+		t.Error("stall Returns = true, want false (advance only on some paths)")
 	}
 }
 
@@ -281,13 +245,13 @@ int wobble(int n) {
   return i;
 }
 `)
-	if s := r.Summary("wobble"); !s.Steps.IsTop() {
-		t.Errorf("wobble Steps = %s, want ⊤ (net step may be zero)", s.Steps)
+	if s := r.Summary("wobble"); s.Returns {
+		t.Error("wobble Returns = true, want false (net step may be zero)")
 	}
 }
 
 // TestEveryPathAdvanceKeepsBound: the bisort shape — both branches of the
-// body advance the chased pointer — still earns its heap bound.
+// body advance the chased pointer — is still a walk that ends.
 func TestEveryPathAdvanceKeepsBound(t *testing.T) {
 	r := analyze(t, `
 struct tree { int v; struct tree *left; struct tree *right; };
@@ -302,13 +266,13 @@ int descend(struct tree *pl, int dir) {
   return dir;
 }
 `)
-	if s := r.Summary("descend"); s.Steps.Class != BHeap {
-		t.Errorf("descend Steps = %s, want heap-proportional", s.Steps)
+	if s := r.Summary("descend"); !s.Returns {
+		t.Errorf("descend may not return: %s", s.EffectsLine())
 	}
 }
 
-// TestDownwardCountedLoop: a known start above a literal limit with a
-// negative step is a constant bound.
+// TestDownwardCountedLoop: a negative step toward a literal limit below
+// ends the loop.
 func TestDownwardCountedLoop(t *testing.T) {
 	r := analyze(t, `
 struct node { int v; };
@@ -322,16 +286,45 @@ int drain(int n) {
   return s;
 }
 `)
-	s := r.Summary("drain")
-	if s.Steps.Class != BConst {
-		t.Errorf("drain Steps = %s, want constant", s.Steps)
+	if s := r.Summary("drain"); !s.Returns {
+		t.Errorf("drain may not return: %s", s.EffectsLine())
 	}
 }
 
-// TestNestedLoopOverflowSaturates: bound arithmetic that overflows int64
-// must degrade to ⊤, never wrap to a small or negative constant that
-// would slip under an admission budget.
-func TestNestedLoopOverflowSaturates(t *testing.T) {
+// TestMovingLimitMayNotReturn: a counter stepping toward a limit proves
+// nothing when the loop moves the limit too — both loops here run forever
+// for any n > 0.
+func TestMovingLimitMayNotReturn(t *testing.T) {
+	r := analyze(t, `
+struct node { int v; };
+int chase(int n) {
+  int i;
+  i = 0;
+  while (i < n) {
+    i = i + 1;
+    n = n + 1;
+  }
+  return i;
+}
+int stretch(int n) {
+  int i;
+  for (i = 0; i < n; i = i + 1) {
+    n = n + 2;
+  }
+  return i;
+}
+`)
+	for _, name := range []string{"chase", "stretch"} {
+		if s := r.Summary(name); s.Returns {
+			t.Errorf("%s Returns = true, want false (the loop assigns its own limit)", name)
+		}
+	}
+}
+
+// TestHugeNestedLoopsReturn: three counted loops return however large the
+// product of their trip counts — 6.4e28 iterations here, which the bound
+// arithmetic could only call ⊤ once it overflowed int64.
+func TestHugeNestedLoopsReturn(t *testing.T) {
 	r := analyze(t, `
 struct node { int v; };
 int burn() {
@@ -350,12 +343,8 @@ int burn() {
   return s;
 }
 `)
-	s := r.Summary("burn")
-	if s.Steps.Class == BConst && s.Steps.N <= 0 {
-		t.Fatalf("burn Steps = %s: overflow wrapped instead of saturating", s.Steps)
-	}
-	if !s.Steps.IsTop() {
-		t.Errorf("burn Steps = %s, want ⊤ (overflowing constant product)", s.Steps)
+	if s := r.Summary("burn"); !s.Returns {
+		t.Errorf("burn may not return: %s", s.EffectsLine())
 	}
 }
 
@@ -368,9 +357,8 @@ void spin(struct node *n) {
   }
 }
 `)
-	s := r.Summary("spin")
-	if !s.Steps.IsTop() {
-		t.Errorf("spin Steps = %s, want ⊤", s.Steps)
+	if s := r.Summary("spin"); s.Returns {
+		t.Error("spin Returns = true, want false (while(1))")
 	}
 }
 
@@ -471,10 +459,17 @@ func TestCertificateStability(t *testing.T) {
 	if a.Digest != b.Digest {
 		t.Errorf("digest not stable: %s vs %s", a.Digest, b.Digest)
 	}
-	// Any effect change must move the digest.
-	c := analyze(t, strings.Replace(figure4, "t->val", "t->val + TreeAdd(t->left)", 1)).Certificate()
-	if c.Digest == a.Digest {
-		t.Error("digest unchanged by a different program")
+	// Any change to what the certificate rests on must move the digest:
+	// a region no longer read, and each of the two cost bits alone.
+	for _, edit := range []struct{ name, old, new string }{
+		{"reads", " + t->val", ""},
+		{"allocs", "return 0;", "{ alloc(); return 0; }"},
+		{"returns", "return 0;", "{ while (t == NULL) { } return 0; }"},
+	} {
+		r := analyze(t, strings.Replace(figure4, edit.old, edit.new, 1))
+		if c := r.Certificate(); c.Digest == a.Digest {
+			t.Errorf("%s: digest unchanged by %s", edit.name, r.Summary("TreeAdd").EffectsLine())
+		}
 	}
 }
 

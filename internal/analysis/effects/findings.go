@@ -3,6 +3,7 @@ package effects
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Finding is one effects-analysis finding in the oldenvet finding shape
@@ -17,9 +18,9 @@ type Finding struct {
 	Message string `json:"message"`
 }
 
-// Findings renders the analysis as findings: one "effects/summary" and
-// one "effects/bound" per function, one "effects/diff" per differential
-// site, and one "effects/certificate" for the program. The slice is
+// Findings renders the analysis as findings: one "effects/summary" per
+// function, one "effects/diff" per differential site, and one
+// "effects/certificate" for the program. The slice is
 // sorted by (file, line, col, check, message) — the deterministic
 // ordering contract the vet findings follow.
 func (r *Result) Findings(file string) []Finding {
@@ -28,10 +29,6 @@ func (r *Result) Findings(file string) []Finding {
 		out = append(out, Finding{
 			Check: "effects/summary", File: file, Line: s.Pos.Line, Col: s.Pos.Col,
 			Message: fmt.Sprintf("%s: %s", s.Name, s.EffectsLine()),
-		})
-		out = append(out, Finding{
-			Check: "effects/bound", File: file, Line: s.Pos.Line, Col: s.Pos.Col,
-			Message: fmt.Sprintf("%s: %s", s.Name, s.BoundsLine()),
 		})
 	}
 	for _, d := range r.Diffs {
@@ -45,7 +42,7 @@ func (r *Result) Findings(file string) []Finding {
 	msg := fmt.Sprintf("cacheable digest=%s", cert.Digest)
 	if !cert.Cacheable {
 		msg = fmt.Sprintf("not cacheable: %s digest=%s",
-			joinReasons(cert.Reasons), cert.Digest)
+			strings.Join(cert.Reasons, ","), cert.Digest)
 	}
 	out = append(out, Finding{
 		Check: "effects/certificate", File: file, Line: 1, Col: 1, Message: msg,
@@ -66,16 +63,5 @@ func (r *Result) Findings(file string) []Finding {
 		}
 		return a.Message < b.Message
 	})
-	return out
-}
-
-func joinReasons(rs []string) string {
-	out := ""
-	for i, r := range rs {
-		if i > 0 {
-			out += ","
-		}
-		out += r
-	}
 	return out
 }

@@ -88,9 +88,7 @@ func (r *Result) StmtEffects(fn *lang.FuncDecl, s lang.Stmt) StmtEffects {
 			if sum.Futures {
 				fp.Futures = true
 			}
-			if !sum.Allocs.IsTop() && sum.Allocs.Class == BConst && sum.Allocs.N == 0 {
-				// provably allocation-free callee
-			} else {
+			if sum.Allocs {
 				fp.Allocs = true
 			}
 		case *lang.Binary:

@@ -14,21 +14,21 @@ import (
 var effectsSeeds = []string{
 	"",
 	"int main() { return 0; }",
-	// Deep call chain: effects and bounds must propagate through all
-	// five frames, with the write at the bottom surfacing at the top.
+	// Deep call chain: effects must propagate through all five frames,
+	// with the write at the bottom surfacing at the top.
 	`struct node { int v; struct node *next; };
 void f5(struct node *n) { n->v = 1; }
 void f4(struct node *n) { f5(n->next); }
 void f3(struct node *n) { f4(n); }
 void f2(struct node *n) { f3(n->next); }
 void f1(struct node *n) { f2(n); }`,
-	// Direct recursion over a tree: pure, heap-bounded.
+	// Direct recursion over a tree: pure, structural, returns.
 	`struct tree { int val; struct tree *left; struct tree *right; };
 int sum(struct tree *t) {
   if (t == 0) return 0;
   return t->val + sum(t->left) + sum(t->right);
 }`,
-	// Mutual recursion: the SCC fixpoint must converge and bounds go ⊤.
+	// Mutual recursion: the SCC fixpoint must converge; neither returns.
 	`struct s { int v; struct s *n; };
 int ping(struct s *p);
 int pong(struct s *p) { if (p == 0) return 0; return ping(p->n); }
@@ -50,11 +50,11 @@ struct node *mk(int n) {
   p->next = 0;
   return p;
 }`,
-	// Extern call: poisons purity, bounds and the certificate.
+	// Extern call: poisons purity, both cost bits and the certificate.
 	`struct s { int v; };
 int mystery(struct s *p);
 int f(struct s *p) { return mystery(p); }`,
-	// Unbounded loop and loop allocation: ⊤ steps, ⊤ allocs.
+	// A loop with no progress argument that allocates: both cost bits.
 	`struct node { int v; struct node *next; };
 void grow(struct node *l) {
   struct node *n;
@@ -64,7 +64,7 @@ void grow(struct node *l) {
     l = n;
   }
 }`,
-	// Counted loops: one constant-trip, one symbolic-trip.
+	// Counted loops: one to a variable limit, one to a literal.
 	`int f(int n) {
   int i;
   int t;
@@ -78,7 +78,7 @@ void grow(struct node *l) {
 }
 
 // FuzzEffects checks the whole analysis pipeline — parse, alias
-// dataflow, SCC fixpoint, bounds, heuristic diff, certificate — never
+// dataflow, SCC fixpoint, cost bits, heuristic diff, certificate — never
 // panics on any parseable input, and that accepted programs analyze
 // deterministically: a second run must reproduce the same findings and
 // the same certificate digest.

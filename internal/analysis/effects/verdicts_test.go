@@ -1,0 +1,147 @@
+package effects
+
+import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/bench"
+	_ "repro/internal/bench/all"
+	"repro/internal/core"
+	"repro/internal/lang"
+)
+
+// verdictLines analyzes every mini-C source in the tree and renders one
+// "<source> <fn> returns=<bool> allocs=<bool>" line per function: the ten
+// benchmark kernels, examples/minic/*.c, and every string literal in this
+// package's and phases' test files that parses as a program with at least
+// one function (effectsSeeds included). A literal is named after the
+// top-level declaration holding it, "#k" appended from the second one on.
+func verdictLines(t *testing.T) []string {
+	t.Helper()
+	var lines []string
+	add := func(source, src string) {
+		res, err := AnalyzeSource(src, core.DefaultParams())
+		if err != nil {
+			t.Fatalf("%s: %v", source, err)
+		}
+		for _, s := range res.Summaries {
+			lines = append(lines, fmt.Sprintf("%s %s returns=%t allocs=%t", source, s.Name, s.Returns, s.Allocs))
+		}
+	}
+	for _, name := range bench.Names() {
+		info, _ := bench.Get(name)
+		add("bench:"+name, info.Source)
+	}
+	files, err := filepath.Glob("../../../examples/minic/*.c")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no examples/minic sources: %v", err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		add("examples/minic/"+filepath.Base(f), string(data))
+	}
+	for _, f := range []string{"effects_test.go", "fuzz_test.go", "../phases/phases_test.go"} {
+		file, err := parser.ParseFile(token.NewFileSet(), f, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inDecl := func(name string, n ast.Node) {
+			k := 0
+			ast.Inspect(n, func(n ast.Node) bool {
+				lit, ok := n.(*ast.BasicLit)
+				if !ok || lit.Kind != token.STRING {
+					return true
+				}
+				src, err := strconv.Unquote(lit.Value)
+				if err != nil {
+					return true
+				}
+				if prog, err := lang.Parse(src); err != nil || len(prog.Funcs) == 0 {
+					return true
+				}
+				source := filepath.Base(f) + ":" + name
+				if k++; k > 1 {
+					source += "#" + strconv.Itoa(k)
+				}
+				add(source, src)
+				return true
+			})
+		}
+		for _, decl := range file.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				inDecl(d.Name.Name, d)
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if vs, ok := spec.(*ast.ValueSpec); ok {
+						inDecl(vs.Names[0].Name, vs)
+					}
+				}
+			}
+		}
+	}
+	return lines
+}
+
+// verdictChanges lists the lines of verdicts_parent.golden this tree does
+// not reproduce verbatim, each with what it reads now ("" when its source
+// left the tree). Everything else must come out as the parent had it.
+var verdictChanges = map[string]string{
+	// Counted loops whose only obstacle was a start value the analysis
+	// could not see: they count up by one to a literal limit and return
+	// from any start. The parent's ⊤ said "no number", not "may not
+	// return". The test is renamed after what it asserts now.
+	"examples/minic/hostile.c creep returns=false allocs=false":                     "examples/minic/hostile.c creep returns=true allocs=false",
+	"effects_test.go:TestInductionNeedsKnownStart creep returns=false allocs=false": "effects_test.go:TestUnknownStartStillReturns creep returns=true allocs=false",
+	// A constant product that overflowed int64 saturated to ⊤: three
+	// counted loops return however large their product. Renamed likewise.
+	"effects_test.go:TestNestedLoopOverflowSaturates burn returns=false allocs=false": "effects_test.go:TestHugeNestedLoopsReturn burn returns=true allocs=false",
+	// TestCountedLoopBounds asserted the BSym/BConst classes and went with
+	// them; effectsSeeds' last program keeps both loop shapes under the pin.
+	"effects_test.go:TestCountedLoopBounds count returns=true allocs=false": "",
+	"effects_test.go:TestCountedLoopBounds fixed returns=true allocs=false": "",
+}
+
+// TestVerdictsMatchParent holds the two summary bits to what the parent's
+// symbolic bounds said about every source in the tree:
+// testdata/verdicts_parent.golden was written by the parent commit's
+// analysis (returns = !Steps.IsTop(), allocs = Allocs is not the constant
+// 0) and is never regenerated from the code under test.
+func TestVerdictsMatchParent(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "verdicts_parent.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]bool{}
+	for _, l := range verdictLines(t) {
+		got[l] = true
+	}
+	seen := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		want := line
+		if now, ok := verdictChanges[line]; ok {
+			seen[line] = true
+			if want = now; want == "" {
+				continue
+			}
+		}
+		if !got[want] {
+			t.Errorf("parent said %q; this tree does not say %q", line, want)
+		}
+	}
+	for line := range verdictChanges {
+		if !seen[line] {
+			t.Errorf("verdictChanges names a line the golden does not have: %s", line)
+		}
+	}
+}

@@ -114,19 +114,19 @@ func Compute(res *effects.Result, opt Options) *Plan {
 	}
 
 	// Plan-level refusals: no root to slice from, or a reachable
-	// function whose step bound is ⊤ — if a phase may not terminate, no
+	// function that may not return — if a phase may not terminate, no
 	// later boundary is guaranteed to be reached, so the chain as a
 	// whole is not a certificate of anything.
 	if len(entries) == 0 {
 		p.refuse("no-entry-function")
 	}
 	for _, name := range effects.CalleeClosure(res.Prog, p.Entries) {
-		if sum := res.Summary(name); sum != nil && sum.Steps.IsTop() {
+		if sum := res.Summary(name); sum != nil && !sum.Returns {
 			p.refuse("unbounded-steps:" + name)
 		}
 	}
 
-	chain := fnvString(fnvOffset, res.Certificate().Digest)
+	chain := effects.FNV(effects.FNVOffset, res.Certificate().Digest)
 	if opt.IncludeBuild {
 		ph := Phase{
 			Index:     0,
@@ -165,7 +165,7 @@ func Compute(res *effects.Result, opt Options) *Plan {
 	p.Certified = !p.Refused && p.InvariantPrefix == len(p.Phases) && len(p.Phases) > 0
 
 	h := chain
-	h = fnvString(h, fmt.Sprintf("|refused=%t reasons=%s", p.Refused, braced(p.Reasons)))
+	h = effects.FNV(h, fmt.Sprintf("|refused=%t reasons=%s", p.Refused, braced(p.Reasons)))
 	p.Digest = fmt.Sprintf("%016x", h)
 	return p
 }
@@ -378,8 +378,8 @@ func judge(ph *Phase) {
 // chain link, and returns the running chain state.
 func sealPhase(ph *Phase, chain uint64) uint64 {
 	line := ph.canonical()
-	ph.Digest = fmt.Sprintf("%016x", fnvString(fnvOffset, line))
-	chain = fnvString(chain, "|"+line)
+	ph.Digest = fmt.Sprintf("%016x", effects.FNV(effects.FNVOffset, line))
+	chain = effects.FNV(chain, "|"+line)
 	ph.Chain = fmt.Sprintf("%016x", chain)
 	return chain
 }
@@ -437,18 +437,4 @@ func sortedKeys(set map[string]bool) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// FNV-1a, the same digest the trace and effect certificates use.
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime
-	}
-	return h
 }

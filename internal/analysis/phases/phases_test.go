@@ -174,9 +174,10 @@ func TestNoEntryRefused(t *testing.T) {
 }
 
 func TestExternPoisonsBoundsAndRefuses(t *testing.T) {
-	// An extern call poisons the callee's step bound to ⊤ in the effect
-	// analysis, so the plan is refused — but the phase that actually
-	// makes the call still carries the machine-readable extern reason.
+	// Nothing is known about an extern callee, so the effect analysis
+	// cannot say its caller returns and the plan is refused — but the
+	// phase that actually makes the call still carries the
+	// machine-readable extern reason.
 	src := `
 struct node { int v; struct node *next __affinity(90); };
 int walk(struct node *l) {
@@ -203,6 +204,34 @@ int walk(struct node *l) {
 	last := p.Phases[2]
 	if last.Invariant || !hasReason(last.Reasons, "extern-call:mystery") {
 		t.Fatalf("extern phase verdict: %+v", last)
+	}
+}
+
+// TestMovingLimitRefused: a loop that keeps moving its own limit never
+// reaches it, so no phase boundary after it is guaranteed.
+func TestMovingLimitRefused(t *testing.T) {
+	p := mustPlan(t, `
+struct node { int v; };
+int chase(int n) {
+  int i;
+  i = 0;
+  while (i < n) {
+    i = i + 1;
+    n = n + 1;
+  }
+  return i;
+}
+int stretch(int n) {
+  int i;
+  for (i = 0; i < n; i = i + 1) {
+    n = n + 2;
+  }
+  return i;
+}
+`, Options{})
+	if !p.Refused || p.Certified ||
+		!hasReason(p.Reasons, "unbounded-steps:chase") || !hasReason(p.Reasons, "unbounded-steps:stretch") {
+		t.Fatalf("moving-limit loops must be refused:\n%s", p)
 	}
 }
 

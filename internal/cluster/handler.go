@@ -18,7 +18,6 @@ import (
 //
 //	POST /run             routed to the key's owning shard (probe → proxy → retry)
 //	POST /batch           sharded sub-batches, answers merged in request order
-//	POST /analyze         any reachable replica (stateless)
 //	GET  /benchmarks      any reachable replica (identical on all by contract)
 //	GET  /metrics         the ROUTER's own registry (per-shard counters)
 //	GET  /debug/requests  fan-out: every replica's view plus the router's, tagged by shard
@@ -29,16 +28,8 @@ func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/run", server.Only(http.MethodPost, rt.handleRun))
 	mux.HandleFunc("/batch", server.Only(http.MethodPost, rt.handleBatch))
-	mux.HandleFunc("/analyze", server.Only(http.MethodPost, func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		if err != nil {
-			server.WriteError(w, http.StatusBadRequest, "read body: "+err.Error())
-			return
-		}
-		rt.proxyAny(w, r, "/analyze", body)
-	}))
 	mux.HandleFunc("/benchmarks", server.Only(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
-		rt.proxyAny(w, r, "/benchmarks", nil)
+		rt.proxyAny(w, r, "/benchmarks")
 	}))
 	mux.HandleFunc("/metrics", server.Only(http.MethodGet, server.ServeMetrics(rt.cfg.Metrics)))
 	mux.HandleFunc("/debug/requests", server.Only(http.MethodGet, rt.handleDebugRequests))

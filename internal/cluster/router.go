@@ -549,11 +549,11 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	server.WriteBatch(w, items, rt.cfg.RetryAfter, fmt.Sprintf(" shards=%d", len(groups)))
 }
 
-// proxyAny forwards a shard-agnostic request (catalog, analyze) to the
-// first reachable replica.
-func (rt *Router) proxyAny(w http.ResponseWriter, r *http.Request, path string, body []byte) {
+// proxyAny forwards a shard-agnostic, bodiless request (the catalog) to
+// the first reachable replica.
+func (rt *Router) proxyAny(w http.ResponseWriter, r *http.Request, path string) {
 	st := server.RequestState(r)
-	rep, sh, ok := rt.forward(r, st.Span, rt.names, rt.names[0], path, body)
+	rep, sh, ok := rt.forward(r, st.Span, rt.names, rt.names[0], path, nil)
 	if !ok {
 		rt.unroutable503(w, "no reachable replica")
 		return

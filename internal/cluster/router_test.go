@@ -459,3 +459,45 @@ func TestRouterBenchmarksProxied(t *testing.T) {
 		t.Error("/benchmarks response does not name the answering shard")
 	}
 }
+
+// TestRouteParityWithReplica holds Handler's doc to its word: the router's
+// surface is the same shape as one oldend's. The wrong method on each
+// method-guarded client path and a GET on the two health paths must find
+// the path registered on both muxes (405 or 200, not 404); /analyze is
+// gone from both; /cache/probe is the one documented replica-only route.
+func TestRouteParityWithReplica(t *testing.T) {
+	tc := newTestCluster(t, 1, Config{}, fastExec)
+	replica := tc.router.names[0]
+	for _, rc := range []struct {
+		method, path    string
+		replica, router int
+	}{
+		{http.MethodGet, "/run", 405, 405},
+		{http.MethodGet, "/batch", 405, 405},
+		{http.MethodPost, "/benchmarks", 405, 405},
+		{http.MethodPost, "/metrics", 405, 405},
+		{http.MethodPost, "/debug/requests", 405, 405},
+		{http.MethodGet, "/healthz", 200, 200},
+		{http.MethodGet, "/readyz", 200, 200},
+		{http.MethodPost, "/analyze", 404, 404},
+		{http.MethodPost, "/cache/probe", 405, 404},
+	} {
+		for _, side := range []struct {
+			name, base string
+			want       int
+		}{{"replica", replica, rc.replica}, {"router", tc.front.URL, rc.router}} {
+			req, err := http.NewRequest(rc.method, side.base+rc.path, strings.NewReader("{}"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatalf("%s %s on the %s: %v", rc.method, rc.path, side.name, err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != side.want {
+				t.Errorf("%s %s on the %s = %d, want %d", rc.method, rc.path, side.name, resp.StatusCode, side.want)
+			}
+		}
+	}
+}

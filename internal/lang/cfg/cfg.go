@@ -13,8 +13,7 @@
 //
 // Graphs expose integer adjacency (Len/Entry/Exit/Succs/Preds) so they
 // plug directly into the generic solver in internal/dataflow, plus
-// per-block def/use/deref summaries and dominator computation for
-// structural queries.
+// per-block def/use/deref summaries.
 package cfg
 
 import "repro/internal/lang"

@@ -29,15 +29,6 @@ func Parse(src string) (*Program, error) {
 	return prog, nil
 }
 
-// MustParse parses or panics; for tests and embedded kernels.
-func MustParse(src string) *Program {
-	prog, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return prog
-}
-
 type parser struct {
 	toks []token
 	i    int

@@ -195,15 +195,6 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestMustParsePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MustParse(`int f( { }`)
-}
-
 func TestComments(t *testing.T) {
 	src := `
 // line comment

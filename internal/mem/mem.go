@@ -70,9 +70,6 @@ func (h *Heap) Alloc(nbytes uint32) gaddr.GP {
 	return gaddr.Pack(h.proc, off)
 }
 
-// InUse reports the number of allocated bytes (excluding the reserved page).
-func (h *Heap) InUse() uint32 { return h.next - gaddr.PageBytes }
-
 func (h *Heap) wordIndex(off uint32) int {
 	if off%gaddr.WordBytes != 0 {
 		panic(fmt.Sprintf("mem: misaligned access at offset %#x on processor %d", off, h.proc))

@@ -176,16 +176,6 @@ func (s *Span) AttachSim(rec *trace.Recorder) {
 	s.mu.Unlock()
 }
 
-// SimRecorder returns the attached simulation recorder (nil when none).
-func (s *Span) SimRecorder() *trace.Recorder {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.simRec
-}
-
 // End closes the span at the tracer's current wall clock. Idempotent —
 // the first End wins — and nil-safe, so handoff races between a timed-out
 // handler and a worker that surfaces later resolve harmlessly.

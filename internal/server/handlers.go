@@ -203,7 +203,6 @@ func (e Envelope) Wrap(next http.Handler) http.Handler {
 //
 //	POST /run             execute (or memo-serve) one benchmark run
 //	POST /batch           execute a set of runs, deduped against both caches
-//	POST /analyze         static effect/cost analysis with budget admission
 //	GET  /cache/probe     peer-cache lookup (no execution)
 //	GET  /benchmarks      the shared machine-readable catalog
 //	GET  /metrics         Prometheus exposition of the server registry
@@ -220,7 +219,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/run", Only(http.MethodPost, s.handleRun))
 	mux.HandleFunc("/batch", Only(http.MethodPost, s.handleBatch))
-	mux.HandleFunc("/analyze", Only(http.MethodPost, s.handleAnalyze))
 	mux.HandleFunc("/cache/probe", Only(http.MethodGet, s.handleCacheProbe))
 	mux.HandleFunc("/benchmarks", Only(http.MethodGet, s.handleBenchmarks))
 	mux.HandleFunc("/metrics", Only(http.MethodGet, ServeMetrics(s.cfg.Metrics)))

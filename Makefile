@@ -121,8 +121,11 @@ loc:
 # same thirty configurations (go test -bench WallClock: a test binary is
 # what -cpuprofile needs). When the profile points at the dispatcher,
 # `go test -run '^$' -bench Handoff ./internal/machine` prices one
-# virtual-time handoff at 2, 15 and 160 runnable entries in a second or
-# two — iterate on that, then confirm with `make perf-pairs`.
+# virtual-time handoff in a second or two, ns/op and switches/op: 2, 15 and
+# 160 are that many runnable entries in a round-robin, pair-in-15 and
+# pair-in-160 two entries ping-ponging among that many (a future body and
+# its parent's continuation on one processor, the common shape) — iterate
+# on that, then confirm with `make perf-pairs`.
 WALL_DIR ?= /tmp/olden-wallclock
 WALL_SCALE ?= 16
 PROFILE_BENCHTIME ?= 3x
@@ -168,7 +171,8 @@ clustersmoke:
 
 # One flag, one verb: every golden-pinning test in the tree takes
 # `-update` to rewrite its files from the current build (lint goldens,
-# trace-digest goldens and the scheduler battery's sixty lines, the rendered
+# trace-digest goldens, the scheduler battery's sixty lines and the switch
+# census's ten, the rendered
 # report over the pinned baselines, the oldenc -analyze/-phases goldens), and
 # the committed BENCH_<name>.json baselines are re-pinned by `oldenbench
 # -update` (= `make bench`, kept separate because moving cycle counts is
@@ -179,7 +183,7 @@ clustersmoke:
 # mini-C source, written once from the last commit that had them.
 update-goldens:
 	$(GO) test ./internal/core -run 'TestLintGolden' -update
-	$(GO) test ./internal/bench -run 'TestTraceDigestGoldens|TestSchedulerDigestEquivalence' -update
+	$(GO) test ./internal/bench -run 'TestTraceDigestGoldens|TestSchedulerDigestEquivalence|TestSwitchCensus' -update
 	$(GO) test ./internal/bench/record -run 'TestReportGolden' -update
 	$(GO) test ./cmd/oldenc -run 'TestAnalyzeGoldens|TestPhasesGoldens' -update
 

@@ -2,16 +2,23 @@ package machine
 
 // SchedEntry is one thread's handle in the scheduler (LoopScheduler,
 // sched_loop.go). Nothing in it is shared: every access happens on the
-// dispatcher goroutine's single control flow, with next/yield the
-// coroutine switch points.
+// single control flow of Main's caller, with next/yield the coroutine
+// switch points.
 type SchedEntry struct {
 	clock int64
 	seq   uint64
 	index int // heap slot; -1 when off-heap (running, parked or exited)
 
-	// Coroutine handles: next resumes the thread's coroutine until its
-	// next yield (false when the body has returned), yield returns
-	// control to the dispatcher, stop releases the coroutine.
+	// nested marks a level of the resume chain: the thread is inside Sync,
+	// on the heap, suspended in a next call it made on the thread it handed
+	// off to. Nobody may call next on it; picking it means yielding back
+	// down the chain until it finds itself in handoff.
+	nested bool
+
+	// Coroutine handles: next resumes the thread's coroutine until it
+	// yields (false when the body has returned) and is called by Main or
+	// by the running thread's Sync; yield returns control to whichever of
+	// them made that call; stop releases the coroutine.
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool

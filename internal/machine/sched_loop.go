@@ -25,25 +25,53 @@ import (
 //   - Call Exit(e) when the thread is done.
 //
 // It is a virtual-time event loop: every logical thread runs as a
-// coroutine (iter.Pull) under one dispatcher goroutine, the caller of
-// Main. A handoff — the running thread's Sync finds a waiter that orders
-// before it — costs one sift-down and two coroswitches (see Sync), stack
-// switches that never enter the Go runtime scheduler.
+// coroutine (iter.Pull) on one goroutine's control flow, the caller of
+// Main. Coroutines are asymmetric — a switch goes to a coroutine by next or
+// back to whoever called next by yield — but they nest, and the scheduler
+// uses that: a thread whose Sync finds a waiter m ordering before it
+// resumes m itself instead of yielding to a central loop that would. The
+// threads suspended in such a next call form the resume chain
 //
-// Because the dispatcher and every coroutine execute on one strictly
-// serialized control flow, the scheduler needs no mutex and no atomics:
-// exactly one of {dispatcher, some thread body} runs at any instant, and
-// coroutine switches order all accesses. The same holds for everything
-// else a run owns — heaps, processor clocks, statistics, caches,
-// directories, futures: plain fields, read from outside only after Main
-// has returned. The one thing a second goroutine reads mid-run is the
-// trace recorder, which therefore keeps its lock.
+//	Main → e₁ → e₂ → … → running
+//
+// in which every level but the last is a thread inside Sync, marked
+// nested. When a next call comes back — the thread above yielded, parked
+// or returned — its caller takes the next pick (the pending handoff, or
+// else the heap minimum) exactly as Main does: itself, and its Sync
+// returns; a thread that is not in the chain, and it resumes that one; or a
+// nested thread, which sits below it, and then it leaves the pick in
+// handoff and yields to its own resumer, so the chain unwinds one switch a
+// level until the picked thread finds itself in handoff. Main is the
+// chain's base and the only place the deadlock and nested-Main panics
+// live. Which thread runs next is untouched by any of this; only who makes
+// the switch is. The invariants:
+//
+//   - nested is true exactly while an entry is suspended in a next call it
+//     made from Sync, and such an entry is on the heap;
+//   - only the running thread or Main calls next, and only on an entry that
+//     is not nested;
+//   - every unwind yield pops a level that exactly one next pushed, so
+//     switches ≤ 2 × picks, what a hub dispatcher makes: 1 per handoff for
+//     two threads that ping-pong, 2(n−1)/n for a round-robin of n.
+//
+// The switches are stack switches that never enter the Go runtime
+// scheduler, and a panic in a body crosses the chain by itself: each next
+// re-raises it in its caller until it leaves Main.
+//
+// Because Main and every coroutine execute on one strictly serialized
+// control flow, the scheduler needs no mutex and no atomics: exactly one
+// of {Main, some thread body} runs at any instant, and coroutine switches
+// order all accesses. The same holds for everything else a run owns —
+// heaps, processor clocks, statistics, caches, directories, futures: plain
+// fields, read from outside only after Main has returned. The one thing a
+// second goroutine reads mid-run is the trace recorder, which therefore
+// keeps its lock.
 //
 // The running entry is held OFF the heap; at each Sync it continues if
 // and only if its (clock, seq) key is strictly less than the heap
-// minimum's, and otherwise trades places with that minimum and yields to
-// the dispatcher, which resumes it. The runnable heap is a plain
-// []*SchedEntry ordered by (*SchedEntry).less with hole-moving sifts.
+// minimum's, and otherwise trades places with that minimum, which runs
+// next. The runnable heap is a plain []*SchedEntry ordered by
+// (*SchedEntry).less with hole-moving sifts.
 //
 // The order itself has two references in the tests, neither of which
 // shares code with this file: orderModel (sched_model_test.go), a
@@ -56,7 +84,20 @@ type LoopScheduler struct {
 	handoff *SchedEntry   // the entry Sync chose to run next, already off-heap
 	seq     uint64
 	waiting int  // entries parked off-heap (blocked on futures)
-	driving bool // a Main dispatcher loop is running
+	driving bool // a Main loop is running
+	broken  bool // a panic left Main: heap, handoff and nested marks are mid-flight
+
+	// The switch census, over every Main call so far. picks follows from
+	// the order alone; switches is what this implementation paid for them
+	// (a hub dispatcher pays exactly 2 × picks).
+	syncs    int64 // Sync calls
+	picks    int64 // times a thread was given control
+	switches int64 // next calls plus returns into a next caller, by yield or body end
+}
+
+// Census returns the switch census. Read it after Main has returned.
+func (s *LoopScheduler) Census() (syncs, picks, switches int64) {
+	return s.syncs, s.picks, s.switches
 }
 
 // NewLoopScheduler returns an empty event-loop scheduler.
@@ -132,10 +173,13 @@ func (s *LoopScheduler) pop() *SchedEntry {
 }
 
 // Register creates and enrolls a new entry with the given clock. The entry
-// joins the runnable heap immediately; its body starts when a dispatcher
-// first picks it (Go must attach the body before the registering thread
-// next yields) and must call Sync before touching simulation state.
+// joins the runnable heap immediately; its body starts when it is first
+// picked (Go must attach the body before the registering thread next
+// yields) and must call Sync before touching simulation state.
 func (s *LoopScheduler) Register(clock int64) *SchedEntry {
+	if s.broken {
+		panic(brokenMsg)
+	}
 	e := &SchedEntry{clock: clock, seq: s.seq, index: -1}
 	s.seq++
 	s.push(e)
@@ -148,8 +192,10 @@ func (s *LoopScheduler) Register(clock int64) *SchedEntry {
 	return e
 }
 
+const brokenMsg = "machine: scheduler reused after a panic in Main"
+
 // Go wraps body in a coroutine bound to e. The coroutine is created but not
-// entered: the dispatcher's first pick of e starts the body.
+// entered: the first pick of e starts the body.
 func (s *LoopScheduler) Go(e *SchedEntry, body func()) {
 	e.next, e.stop = iter.Pull(func(yield func(struct{}) bool) {
 		e.yield = yield
@@ -157,47 +203,75 @@ func (s *LoopScheduler) Go(e *SchedEntry, body func()) {
 	})
 }
 
-// Main runs body as e's thread and drives the dispatcher loop: take the
-// entry Sync handed off, or else pop the minimal runnable entry (after a
-// Park, an Exit or a body's return); resume its coroutine until it yields
-// (in Sync or Park) or its body returns; repeat. It returns only when every
-// registered thread has exited. An empty heap with parked entries remaining
-// means every thread is blocked on a future that can never complete — a
-// deadlock in the simulated program.
+// pick returns the entry that runs next: the one a Sync handed off, or else
+// the minimal runnable entry (after a Park, an Exit or a body's return);
+// nil when nothing is runnable.
+func (s *LoopScheduler) pick() *SchedEntry {
+	m := s.handoff
+	if m != nil {
+		s.handoff = nil
+	} else if m = s.pop(); m != nil {
+		s.picks++
+	}
+	return m
+}
+
+// resume switches to m's coroutine and returns when control comes back:
+// m, or the last thread resumed in turn from m's Sync, yielded or returned.
+func (s *LoopScheduler) resume(m *SchedEntry) {
+	if m.next == nil {
+		panic("machine: entry scheduled before Go attached its thread body")
+	}
+	s.switches++
+	m.next()
+	s.switches++
+}
+
+// Main runs body as e's thread and is the base of the resume chain: pick,
+// resume, repeat. It returns only when every registered thread has exited.
+// Nothing runnable with parked entries remaining means every thread is
+// blocked on a future that can never complete — a deadlock in the simulated
+// program. A panic that leaves Main — that one, or one out of a body —
+// marks the scheduler broken.
 func (s *LoopScheduler) Main(e *SchedEntry, body func()) {
 	if s.driving {
 		panic("machine: nested Main on one scheduler")
 	}
+	if s.broken {
+		panic(brokenMsg)
+	}
 	s.Go(e, body)
 	s.driving = true
-	defer func() { s.driving = false }()
+	done := false
+	defer func() { s.driving, s.broken = false, !done }()
 	for {
-		m := s.handoff
-		if m != nil {
-			s.handoff = nil
-		} else if m = s.pop(); m == nil {
+		m := s.pick()
+		if m == nil {
 			if s.waiting > 0 {
 				panic("machine: simulation deadlock — every thread is blocked on a touch")
 			}
+			done = true
 			return
 		}
-		if m.next == nil {
-			panic("machine: entry scheduled before Go attached its thread body")
-		}
-		m.next()
+		s.resume(m)
 	}
 }
 
-// Sync updates e's clock and yields unless e is still the minimal runnable
-// entry. The fast path — the running thread advances but stays ahead of
-// every waiter — is three comparisons with no heap traffic and no switch.
-// Otherwise the heap minimum m runs next and e takes its place in the heap:
-// e is written over the root and sifted down once, and m is left in handoff
-// for the dispatcher. That is the order a push of e followed by a pop would
-// give — m was the strict minimum and m < e, so m is still the minimum after
-// e joins, and the heap holds the same set either way — for one sift instead
-// of a sift-up and a sift-down.
+// Sync updates e's clock and hands the virtual processor on unless e is
+// still the minimal runnable entry. The fast path — the running thread
+// advances but stays ahead of every waiter — is three comparisons with no
+// heap traffic and no switch. Otherwise the heap minimum m runs next and e
+// takes its place in the heap: e is written over the root and sifted down
+// once. That is the order a push of e followed by a pop would give — m was
+// the strict minimum and m < e, so m is still the minimum after e joins,
+// and the heap holds the same set either way — for one sift instead of a
+// sift-up and a sift-down.
+//
+// Then e makes the switch itself (the resume chain, above): it resumes
+// each pick that is not nested and picks again when that comes back, until
+// the pick is e; a nested pick goes into handoff for the levels below.
 func (s *LoopScheduler) Sync(e *SchedEntry, clock int64) {
+	s.syncs++
 	e.clock = clock
 	if len(s.h) == 0 {
 		return
@@ -208,14 +282,25 @@ func (s *LoopScheduler) Sync(e *SchedEntry, clock int64) {
 	}
 	m.index = -1
 	s.down(0, e)
+	s.picks++
+	for !m.nested {
+		e.nested = true
+		s.resume(m)
+		e.nested = false
+		// e is on the heap or in handoff, so there is a pick.
+		if m = s.pick(); m == e {
+			return
+		}
+	}
 	s.handoff = m
 	e.yield(struct{}{})
 }
 
 // Park takes e out of the runnable set (the thread is about to block on a
-// future) and yields; the coroutine resumes after a Resume re-enrolls the
-// entry and the dispatcher picks it again. The caller is the running
-// thread, whose entry is already off the heap.
+// future) and yields to its resumer, Main or a thread in Sync, which picks
+// the next thread; the coroutine resumes after a Resume re-enrolls the
+// entry and somebody picks it again. The caller is the running thread,
+// whose entry is already off the heap.
 func (s *LoopScheduler) Park(e *SchedEntry) {
 	s.waiting++
 	e.yield(struct{}{})
@@ -232,7 +317,7 @@ func (s *LoopScheduler) Resume(e *SchedEntry, clock int64) {
 
 // Exit ends e's thread. The caller is the running thread, whose entry is
 // already off the heap; its body returns right after, which ends its
-// coroutine and hands control back to the dispatcher.
+// coroutine and hands control back to its resumer.
 func (s *LoopScheduler) Exit(e *SchedEntry) {
 	if s.trace != nil {
 		s.trace.Emit(trace.Event{

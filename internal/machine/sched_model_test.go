@@ -104,6 +104,7 @@ type modelRun struct {
 	model   orderModel
 	nextSeq uint64
 	running *SchedEntry
+	all     []*SchedEntry // every entry registered, for checkLoopHeap
 }
 
 func (r *modelRun) register(clock int64) *SchedEntry {
@@ -113,16 +114,19 @@ func (r *modelRun) register(clock int64) *SchedEntry {
 	}
 	r.nextSeq++
 	r.model.set(e.Seq(), clock)
+	r.all = append(r.all, e)
 	return e
 }
 
-// resumed checks the two things that must hold whenever a thread gets the
-// virtual processor: nobody else has it, and it is the model's minimum.
+// resumed checks the three things that must hold whenever a thread gets the
+// virtual processor: nobody else has it, it is the model's minimum, and the
+// heap and the resume chain's marks are consistent.
 func (r *modelRun) resumed(e *SchedEntry, clock int64) {
 	if r.running != nil {
 		r.t.Errorf("entry %d runs while entry %d still does", e.Seq(), r.running.Seq())
 	}
 	r.running = e
+	checkLoopHeap(r.t, r.s, r.all, e)
 	if m := r.model.min(); m.seq != e.Seq() {
 		r.t.Errorf("entry %d runs at clock %d but the model's minimum is entry %d at clock %d",
 			e.Seq(), clock, m.seq, m.clock)
@@ -217,18 +221,18 @@ func TestSchedulerMatchesOrderModel(t *testing.T) {
 	}
 }
 
-// checkLoopHeap verifies the event loop's heap from inside the running
+// checkLoopHeap verifies the event loop's state from inside the running
 // thread: every slot's entry knows its slot, no child orders before its
-// parent, and everything else — the running entry included — is off-heap
-// with index -1 and no handoff pending.
+// parent, everything else — the running entry included — is off-heap with
+// index -1 and no handoff pending, every nested entry (a level of the
+// resume chain, suspended in Sync) is on the heap, and the running entry is
+// not nested.
 func checkLoopHeap(t *testing.T, s *LoopScheduler, all []*SchedEntry, running *SchedEntry) {
 	t.Helper()
 	if s.handoff != nil {
 		t.Fatalf("handoff to entry %d still pending while entry %d runs", s.handoff.seq, running.seq)
 	}
-	inHeap := map[*SchedEntry]bool{}
 	for i, e := range s.h {
-		inHeap[e] = true
 		if e.index != i {
 			t.Fatalf("entry %d sits in slot %d with index %d", e.seq, i, e.index)
 		}
@@ -236,12 +240,21 @@ func checkLoopHeap(t *testing.T, s *LoopScheduler, all []*SchedEntry, running *S
 			t.Fatalf("entry %d in slot %d orders before its parent", e.seq, i)
 		}
 	}
-	if inHeap[running] {
+	onHeap := func(e *SchedEntry) bool {
+		return e.index >= 0 && e.index < len(s.h) && s.h[e.index] == e
+	}
+	if onHeap(running) {
 		t.Fatalf("running entry %d is on the heap", running.seq)
 	}
+	if running.nested {
+		t.Fatalf("running entry %d is marked nested", running.seq)
+	}
 	for _, e := range all {
-		if !inHeap[e] && e.index != -1 {
+		if !onHeap(e) && e.index != -1 {
 			t.Fatalf("off-heap entry %d has index %d", e.seq, e.index)
+		}
+		if e.nested && !onHeap(e) {
+			t.Fatalf("entry %d is nested but not on the heap", e.seq)
 		}
 	}
 }
@@ -282,7 +295,7 @@ func TestLoopSchedulerFusedHandoff(t *testing.T) {
 					}
 					expect = nil
 					if len(s.h) > 0 {
-						expect = s.h[0] // after a body returns the dispatcher pops
+						expect = s.h[0] // after a body returns its resumer pops
 					}
 					s.Exit(e)
 				}
@@ -301,35 +314,123 @@ func TestLoopSchedulerFusedHandoff(t *testing.T) {
 	}
 }
 
+// chainRun registers four threads at clocks 0..3 and runs them under the
+// model. Thread i syncs at i, then at 10+i, which hands off to thread i+1,
+// so when thread 3 reaches its second Sync the chain is Main → 0 → 1 → 2 →
+// 3 and the pick, thread 0, sits three levels down. atTop runs in thread 3
+// at that point; order is a thread's number for each time one was given the
+// virtual processor.
+func chainRun(t *testing.T, atTop func(r *modelRun)) (r *modelRun, order []int) {
+	r = &modelRun{t: t, s: NewLoopScheduler()}
+	for i := 0; i < 4; i++ {
+		r.register(int64(i))
+	}
+	body := func(i int) func() {
+		e := r.all[i]
+		return func() {
+			r.sync(e, int64(i))
+			order = append(order, i)
+			if i == 3 {
+				atTop(r)
+			}
+			r.sync(e, int64(10+i))
+			order = append(order, i)
+			r.release(e)
+			r.model.remove(e.Seq())
+			r.s.Exit(e)
+		}
+	}
+	for i := 1; i < 4; i++ {
+		r.s.Go(r.all[i], body(i))
+	}
+	r.s.Main(r.all[0], body(0))
+	return r, order
+}
+
+// TestNestedChainUnwind pins the unwind: a pick three levels down the
+// chain is reached by three yields, in the model's order, and the whole
+// program costs 14 switches where a hub dispatcher makes 16.
+func TestNestedChainUnwind(t *testing.T) {
+	r, order := chainRun(t, func(r *modelRun) {
+		for i, e := range r.all[:3] {
+			if !e.nested {
+				t.Errorf("thread %d is not nested while thread 3 runs above it", i)
+			}
+		}
+	})
+	if got, want := fmt.Sprint(order), "[0 1 2 3 0 1 2 3]"; got != want {
+		t.Errorf("order = %s, want %s", got, want)
+	}
+	// Switches: Main→0→1→2→3 (4 next calls), three unwind yields down to
+	// thread 0, its body's end back to Main, then a next call and a body's
+	// end for each of threads 1, 2 and 3.
+	syncs, picks, switches := r.s.Census()
+	if syncs != 8 || picks != 8 || switches != 14 {
+		t.Errorf("census = %d syncs, %d picks, %d switches; want 8, 8, 14", syncs, picks, switches)
+	}
+	for i, e := range r.all {
+		if e.nested {
+			t.Errorf("thread %d is still nested after Main", i)
+		}
+	}
+}
+
+// TestPanicCrossesNestedChain panics in the body at the top of a chain
+// three levels deep: every next call on the way down re-raises the value, so
+// Main's caller must recover that very value.
+func TestPanicCrossesNestedChain(t *testing.T) {
+	sentinel := new(int)
+	defer func() {
+		if got := recover(); got != sentinel {
+			t.Fatalf("recovered %v, want the sentinel the body panicked with", got)
+		}
+	}()
+	chainRun(t, func(*modelRun) { panic(sentinel) })
+	t.Fatal("Main returned")
+}
+
 // BenchmarkHandoff prices one virtual-time handoff at the runnable
 // populations the kernels were measured at (mst/em3d/tsp about 3,
-// treeadd/bisort/voronoi 12–15, power/perimeter 77–210). Clocks leapfrog —
-// every Sync moves its thread behind all the others — so every Sync yields,
-// and ns/op is ns per handoff.
+// treeadd/bisort/voronoi 12–15, power/perimeter 77–210), in the two shapes
+// the switch census found. In the plain cases clocks leapfrog — every Sync
+// moves its thread behind all the others — which is a round-robin, the
+// resume chain's worst case at 2(n−1)/n switches a handoff. In pair-in-n two
+// entries leapfrog each other while the other n−2 wait at far-future clocks:
+// a future body and its parent's continuation sharing a processor, one
+// switch a handoff. Every Sync yields, so ns/op is ns per handoff.
 func BenchmarkHandoff(b *testing.B) {
-	for _, n := range []int{2, 15, 160} {
-		b.Run(fmt.Sprint(n), func(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		n, pair int // pair entries of n leapfrog; the rest wait
+	}{{"2", 2, 2}, {"15", 15, 15}, {"160", 160, 160}, {"pair-in-15", 15, 2}, {"pair-in-160", 160, 2}} {
+		b.Run(c.name, func(b *testing.B) {
 			s := NewLoopScheduler()
 			remaining := b.N
 			body := func(e *SchedEntry, clock int64) func() {
 				return func() {
 					for remaining > 0 {
 						remaining--
-						clock += int64(n)
+						clock += int64(c.pair)
 						s.Sync(e, clock)
 					}
 					s.Exit(e)
 				}
 			}
-			entries := make([]*SchedEntry, n)
+			entries := make([]*SchedEntry, c.n)
 			for i := range entries {
-				entries[i] = s.Register(int64(i))
+				clock := int64(i)
+				if i >= c.pair {
+					clock += 1 << 40
+				}
+				entries[i] = s.Register(clock)
 			}
-			for i, e := range entries[1:] {
-				s.Go(e, body(e, int64(i+1)))
+			for _, e := range entries[1:] {
+				s.Go(e, body(e, e.clock))
 			}
 			b.ResetTimer()
 			s.Main(entries[0], body(entries[0], 0))
+			_, _, switches := s.Census()
+			b.ReportMetric(float64(switches)/float64(b.N), "switches/op")
 		})
 	}
 }

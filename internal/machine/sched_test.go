@@ -1,6 +1,9 @@
 package machine
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // withScheduler runs a conformance case against a fresh scheduler. The
 // sub-test is called "eventloop", the name these cases have always reported
@@ -176,11 +179,73 @@ func TestSchedulerDeadlockPanics(t *testing.T) {
 				t.Fatal("expected deadlock panic")
 			}
 		}()
-		// The panic surfaces on this goroutine: Main's dispatcher raises
-		// it once the only thread has parked.
+		// The panic surfaces on this goroutine: Main raises it once the
+		// only thread has parked.
 		s.Main(e, func() {
 			s.Sync(e, 0)
 			s.Park(e) // nobody will ever resume us
 		})
+	})
+}
+
+// TestSchedulerDeadlockPanicsInChain is the deadlock where a thread parks
+// while another thread's Sync, not Main, had resumed it: control comes back
+// into that Sync, which picks its own thread, and when that one parks too
+// the panic must still be Main's.
+func TestSchedulerDeadlockPanicsInChain(t *testing.T) {
+	withScheduler(t, func(t *testing.T, s *LoopScheduler) {
+		defer func() {
+			if got, _ := recover().(string); !strings.Contains(got, "simulation deadlock") {
+				t.Fatalf("recovered %q, want Main's deadlock panic", got)
+			}
+		}()
+		driveThreads(s, []int64{0, 1}, []func([]*SchedEntry){
+			func(entries []*SchedEntry) {
+				s.Sync(entries[0], 0)
+				s.Sync(entries[0], 10) // resumes thread 1 from here
+				s.Park(entries[0])     // nobody is left to resume us
+			},
+			func(entries []*SchedEntry) {
+				s.Sync(entries[1], 1)
+				if !entries[0].nested {
+					t.Error("thread 0 did not resume thread 1 from its Sync")
+				}
+				s.Park(entries[1])
+			},
+		})
+	})
+}
+
+// TestSchedulerRefusesReuseAfterPanic: a panic that leaves Main leaves the
+// heap, the handoff and the chain's nested marks mid-flight, so a caller
+// that recovered must not be able to run anything on them.
+func TestSchedulerRefusesReuseAfterPanic(t *testing.T) {
+	withScheduler(t, func(t *testing.T, s *LoopScheduler) {
+		mustPanic := func(what string, f func()) {
+			t.Helper()
+			defer func() {
+				t.Helper()
+				const want = "machine: scheduler reused after a panic in Main"
+				if got := recover(); got != want {
+					t.Fatalf("%s on a broken scheduler: recovered %v, want %q", what, got, want)
+				}
+			}()
+			f()
+		}
+		func() {
+			defer func() { recover() }()
+			driveThreads(s, []int64{0, 1}, []func([]*SchedEntry){
+				func(entries []*SchedEntry) {
+					s.Sync(entries[0], 0)
+					s.Sync(entries[0], 10)
+				},
+				func(entries []*SchedEntry) {
+					s.Sync(entries[1], 1)
+					panic("kernel bug") // thread 0 is nested below us
+				},
+			})
+		}()
+		mustPanic("Register", func() { s.Register(0) })
+		mustPanic("Main", func() { s.Main(&SchedEntry{index: -1}, func() {}) })
 	})
 }

@@ -180,7 +180,9 @@ clustersmoke:
 # intentional output change, then review and commit the diff. Not
 # refreshed, on purpose: internal/analysis/effects/testdata/
 # verdicts_parent.golden is what the deleted cost bounds said about every
-# mini-C source, written once from the last commit that had them.
+# mini-C source, written once from the last commit that had them; likewise
+# testdata/summaries_parent.golden, what the hand-written statement walkers
+# said before lang.Inspect replaced them.
 update-goldens:
 	$(GO) test ./internal/core -run 'TestLintGolden' -update
 	$(GO) test ./internal/bench -run 'TestTraceDigestGoldens|TestSchedulerDigestEquivalence|TestSwitchCensus' -update

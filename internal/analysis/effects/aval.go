@@ -66,7 +66,7 @@ type fnAnalysis struct {
 }
 
 func newFnAnalysis(res *Result, fn *lang.FuncDecl, inSCC map[string]bool) *fnAnalysis {
-	fa := &fnAnalysis{res: res, fn: fn, te: buildTypeEnv(fn), inSCC: inSCC}
+	fa := &fnAnalysis{res: res, fn: fn, te: lang.PtrVars(fn), inSCC: inSCC}
 	fa.g = cfg.Build(fn)
 	boundary := env{}
 	for i, p := range fn.Params {
@@ -226,7 +226,7 @@ func (fa *fnAnalysis) summarize() *Summary {
 					reads[rg] = true
 				}
 			}
-			base, _ := chainBase(writeLHS)
+			base, _ := lang.ChainBase(writeLHS)
 			bv := fa.evalAval(ev, &lang.Ident{Name: base, Pos: lang.ExprPos(writeLHS)})
 			if len(regs) > 0 {
 				rg := regs[len(regs)-1]
@@ -341,36 +341,20 @@ func (fa *fnAnalysis) callsSelf() bool {
 	return false
 }
 
-// chainsIn collects the maximal Arrow chains of an expression.
+// chainsIn collects the maximal Arrow chains of an expression. A chain
+// rooted at a variable has nothing further inside; any other base (a call)
+// is searched for the chains in its arguments.
 func chainsIn(e lang.Expr) []*lang.Arrow {
 	var out []*lang.Arrow
-	var walk func(e lang.Expr)
-	walk = func(e lang.Expr) {
-		switch e := e.(type) {
-		case *lang.Arrow:
-			out = append(out, e)
-			// Nested chains inside the base only occur through calls,
-			// which the Call case below re-walks via arguments; a chain
-			// rooted at an Ident has nothing further inside.
-			if _, ok := chainBase(e); !ok {
-				walk(e.X)
-			}
-		case *lang.Call:
-			for _, a := range e.Args {
-				walk(a)
-			}
-		case *lang.Touch:
-			walk(e.E)
-		case *lang.Binary:
-			walk(e.L)
-			walk(e.R)
-		case *lang.Unary:
-			walk(e.X)
+	lang.Inspect(e, func(n lang.Node) bool {
+		a, ok := n.(*lang.Arrow)
+		if !ok {
+			return true
 		}
-	}
-	if e != nil {
-		walk(e)
-	}
+		out = append(out, a)
+		_, rooted := lang.ChainBase(a)
+		return !rooted
+	})
 	return out
 }
 

@@ -199,7 +199,7 @@ func derivedExpr(e lang.Expr, derived map[string]bool) bool {
 	case *lang.Ident:
 		return derived[e.Name]
 	case *lang.Arrow:
-		base, ok := chainBase(e)
+		base, ok := lang.ChainBase(e)
 		return ok && derived[base]
 	case *lang.Touch:
 		return derivedExpr(e.E, derived)

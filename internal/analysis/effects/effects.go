@@ -327,115 +327,18 @@ func calleeNames(fn *lang.FuncDecl) []string {
 // callsIn collects every call expression in a statement subtree.
 func callsIn(s lang.Stmt) []*lang.Call {
 	var out []*lang.Call
-	var walkExpr func(e lang.Expr)
-	walkExpr = func(e lang.Expr) {
-		switch e := e.(type) {
-		case *lang.Call:
-			out = append(out, e)
-			for _, a := range e.Args {
-				walkExpr(a)
-			}
-		case *lang.Arrow:
-			walkExpr(e.X)
-		case *lang.Binary:
-			walkExpr(e.L)
-			walkExpr(e.R)
-		case *lang.Unary:
-			walkExpr(e.X)
-		case *lang.Touch:
-			walkExpr(e.E)
+	lang.Inspect(s, func(n lang.Node) bool {
+		if c, ok := n.(*lang.Call); ok {
+			out = append(out, c)
 		}
-	}
-	var walk func(s lang.Stmt)
-	walk = func(s lang.Stmt) {
-		switch s := s.(type) {
-		case *lang.Block:
-			for _, st := range s.Stmts {
-				walk(st)
-			}
-		case *lang.VarDecl:
-			if s.Init != nil {
-				walkExpr(s.Init)
-			}
-		case *lang.Assign:
-			walkExpr(s.LHS)
-			walkExpr(s.RHS)
-		case *lang.If:
-			walkExpr(s.Cond)
-			walk(s.Then)
-			if s.Else != nil {
-				walk(s.Else)
-			}
-		case *lang.While:
-			walkExpr(s.Cond)
-			walk(s.Body)
-		case *lang.For:
-			if s.Init != nil {
-				walk(s.Init)
-			}
-			if s.Cond != nil {
-				walkExpr(s.Cond)
-			}
-			walk(s.Body)
-			if s.Post != nil {
-				walk(s.Post)
-			}
-		case *lang.Return:
-			if s.E != nil {
-				walkExpr(s.E)
-			}
-		case *lang.ExprStmt:
-			walkExpr(s.E)
-		}
-	}
-	if s != nil {
-		walk(s)
-	}
+		return true
+	})
 	return out
 }
 
-// typeEnv maps pointer variables to their pointed-to struct (the subset
-// has a flat per-function namespace).
+// typeEnv maps pointer variables to their pointed-to struct
+// (lang.PtrVars builds it).
 type typeEnv map[string]string
-
-func buildTypeEnv(fn *lang.FuncDecl) typeEnv {
-	te := typeEnv{}
-	for _, p := range fn.Params {
-		if p.Type.IsPtr() {
-			te[p.Name] = p.Type.Struct
-		}
-	}
-	var walk func(s lang.Stmt)
-	walk = func(s lang.Stmt) {
-		switch s := s.(type) {
-		case *lang.Block:
-			for _, st := range s.Stmts {
-				walk(st)
-			}
-		case *lang.VarDecl:
-			if s.Type.IsPtr() {
-				te[s.Name] = s.Type.Struct
-			}
-		case *lang.If:
-			walk(s.Then)
-			if s.Else != nil {
-				walk(s.Else)
-			}
-		case *lang.While:
-			walk(s.Body)
-		case *lang.For:
-			if s.Init != nil {
-				walk(s.Init)
-			}
-			if s.Post != nil {
-				walk(s.Post)
-			}
-			walk(s.Body)
-		}
-	}
-	walk(fn.Body)
-	return te
-}
 
 // chainRegions resolves the regions an Arrow chain touches, innermost
 // first: for p->a->b with p pointing to S, the regions are S.a and T.b
@@ -472,18 +375,4 @@ func chainRegions(prog *lang.Program, te typeEnv, chain *lang.Arrow) []Region {
 		}
 	}
 	return out
-}
-
-// chainBase returns the base identifier of an Arrow chain, if any.
-func chainBase(e lang.Expr) (string, bool) {
-	for {
-		switch x := e.(type) {
-		case *lang.Arrow:
-			e = x.X
-		case *lang.Ident:
-			return x.Name, true
-		default:
-			return "", false
-		}
-	}
 }

@@ -36,7 +36,7 @@ type StmtEffects struct {
 // the finished summary of every function it calls. fn must belong to the
 // analyzed program.
 func (r *Result) StmtEffects(fn *lang.FuncDecl, s lang.Stmt) StmtEffects {
-	te := buildTypeEnv(fn)
+	te := lang.PtrVars(fn)
 	var fp StmtEffects
 	reads := map[Region]bool{}
 	writes := map[Region]bool{}
@@ -101,51 +101,22 @@ func (r *Result) StmtEffects(fn *lang.FuncDecl, s lang.Stmt) StmtEffects {
 		}
 	}
 
-	var walk func(s lang.Stmt)
-	walk = func(s lang.Stmt) {
-		switch s := s.(type) {
-		case *lang.Block:
-			for _, st := range s.Stmts {
-				walk(st)
-			}
-		case *lang.VarDecl:
-			if s.Init != nil {
-				walkExpr(s.Init, false)
-			}
+	// Each expression hangs off a statement and goes to walkExpr whole; a
+	// store's left-hand chain goes first, marked as the store.
+	lang.Inspect(s, func(n lang.Node) bool {
+		switch n := n.(type) {
 		case *lang.Assign:
-			if a, ok := s.LHS.(*lang.Arrow); ok {
+			if a, ok := n.LHS.(*lang.Arrow); ok {
 				walkExpr(a, true)
 			}
-			walkExpr(s.RHS, false)
-		case *lang.If:
-			walkExpr(s.Cond, false)
-			walk(s.Then)
-			if s.Else != nil {
-				walk(s.Else)
-			}
-		case *lang.While:
-			walkExpr(s.Cond, false)
-			walk(s.Body)
-		case *lang.For:
-			if s.Init != nil {
-				walk(s.Init)
-			}
-			if s.Cond != nil {
-				walkExpr(s.Cond, false)
-			}
-			walk(s.Body)
-			if s.Post != nil {
-				walk(s.Post)
-			}
-		case *lang.Return:
-			if s.E != nil {
-				walkExpr(s.E, false)
-			}
-		case *lang.ExprStmt:
-			walkExpr(s.E, false)
+			walkExpr(n.RHS, false)
+			return false
+		case lang.Expr:
+			walkExpr(n, false)
+			return false
 		}
-	}
-	walk(s)
+		return true
+	})
 
 	fp.Reads = sortedRegions(reads)
 	fp.Writes = sortedRegions(writes)
@@ -181,26 +152,13 @@ func CalleeClosure(prog *lang.Program, roots []string) []string {
 // for loop.
 func ContainsLoop(s lang.Stmt) bool {
 	found := false
-	var walk func(s lang.Stmt)
-	walk = func(s lang.Stmt) {
-		if found || s == nil {
-			return
-		}
-		switch s := s.(type) {
-		case *lang.Block:
-			for _, st := range s.Stmts {
-				walk(st)
-			}
-		case *lang.If:
-			walk(s.Then)
-			if s.Else != nil {
-				walk(s.Else)
-			}
+	lang.Inspect(s, func(n lang.Node) bool {
+		switch n.(type) {
 		case *lang.While, *lang.For:
 			found = true
 		}
-	}
-	walk(s)
+		return !found
+	})
 	return found
 }
 

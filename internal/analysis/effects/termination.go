@@ -33,38 +33,8 @@ func (fa *fnAnalysis) termination(sum *Summary) {
 // (the subset has one flat namespace per function).
 func assignedIn(s lang.Stmt) map[string]bool {
 	out := map[string]bool{}
-	var walk func(s lang.Stmt)
-	walk = func(s lang.Stmt) {
-		switch s := s.(type) {
-		case *lang.Block:
-			for _, st := range s.Stmts {
-				walk(st)
-			}
-		case *lang.VarDecl:
-			out[s.Name] = true
-		case *lang.Assign:
-			if id, ok := s.LHS.(*lang.Ident); ok {
-				out[id.Name] = true
-			}
-		case *lang.If:
-			walk(s.Then)
-			if s.Else != nil {
-				walk(s.Else)
-			}
-		case *lang.While:
-			walk(s.Body)
-		case *lang.For:
-			if s.Init != nil {
-				walk(s.Init)
-			}
-			walk(s.Body)
-			if s.Post != nil {
-				walk(s.Post)
-			}
-		}
-	}
-	if s != nil {
-		walk(s)
+	for _, v := range cfg.StmtDefs(s) {
+		out[v] = true
 	}
 	return out
 }
@@ -243,7 +213,7 @@ func advanceOf(v string, s lang.Stmt) advResult {
 			rhs = t.E
 		}
 		if a, ok := rhs.(*lang.Arrow); ok {
-			if base, ok := chainBase(a); ok && base == v {
+			if base, ok := lang.ChainBase(a); ok && base == v {
 				return advAlways
 			}
 		}

@@ -406,3 +406,36 @@ func TestUsesMigrationOnly(t *testing.T) {
 		t.Error("defaultsSrc contains cached loops")
 	}
 }
+
+// A recursive call whose result is stored through — the call sits on an
+// assignment's left-hand side — is a recursive call like any other: §4.2's
+// rule gives the recursion loop the update t ← t->left and §4.3 migrates t.
+const leftmostSrc = `
+struct tree {
+  int val;
+  struct tree *left __affinity(95);
+};
+struct tree *Leftmost(struct tree *t) {
+  if (t->left == NULL) return t;
+  Leftmost(t->left)->val = 1;
+  return t;
+}
+`
+
+func TestRecursionThroughAssignTarget(t *testing.T) {
+	r := analyze(t, leftmostSrc)
+	loops := r.FuncLoops("Leftmost")
+	if len(loops) != 1 || loops[0].Kind != RecursionLoop {
+		t.Fatalf("control loops = %v; want one recursion loop", loops)
+	}
+	l := loops[0]
+	if aff, ok := l.Matrix.Get("t", "t"); !ok || !approx(aff, 0.95) {
+		t.Fatalf("(t,t) = %v,%v; want 95%%", aff, ok)
+	}
+	if l.Var != "t" || l.Mech != ChooseMigrate {
+		t.Fatalf("choice = %s %s; want migrate t", l.Mech, l.Var)
+	}
+	if !r.UsesMigrationOnly() {
+		t.Fatal("program choice is M+C; want M")
+	}
+}

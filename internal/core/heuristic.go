@@ -29,7 +29,7 @@ func Analyze(prog *lang.Program, params Params) *Report {
 		summaries = returnSummaries(prog, params)
 	}
 	for _, f := range prog.Funcs {
-		a := &analysis{prog: prog, fn: f, te: buildTypeEnv(f), params: params, summaries: summaries}
+		a := &analysis{prog: prog, fn: f, te: lang.PtrVars(f), params: params, summaries: summaries}
 		r.Funcs = append(r.Funcs, &FuncReport{Fn: f, Loops: a.buildFuncLoops()})
 	}
 	r.expandCalls()
@@ -58,7 +58,7 @@ func (r *Report) expandCalls() {
 		byName[fr.Fn.Name] = fr
 	}
 	for _, fr := range r.Funcs {
-		a := &analysis{prog: r.Prog, fn: fr.Fn, te: buildTypeEnv(fr.Fn), params: r.Params}
+		a := &analysis{prog: r.Prog, fn: fr.Fn, te: lang.PtrVars(fr.Fn), params: r.Params}
 		for _, l := range fr.Loops {
 			expandLoopCalls(l, a, byName)
 		}
@@ -135,57 +135,15 @@ func cloneLoop(l *Loop, parent *Loop) *Loop {
 // a nested syntactic loop.
 func directCalls(s lang.Stmt) []*lang.Call {
 	var calls []*lang.Call
-	var walkExpr func(e lang.Expr)
-	walkExpr = func(e lang.Expr) {
-		switch e := e.(type) {
-		case *lang.Call:
-			calls = append(calls, e)
-			for _, a := range e.Args {
-				walkExpr(a)
-			}
-		case *lang.Arrow:
-			walkExpr(e.X)
-		case *lang.Binary:
-			walkExpr(e.L)
-			walkExpr(e.R)
-		case *lang.Unary:
-			walkExpr(e.X)
-		case *lang.Touch:
-			walkExpr(e.E)
-		}
-	}
-	var walk func(s lang.Stmt)
-	walk = func(s lang.Stmt) {
-		switch s := s.(type) {
-		case *lang.Block:
-			for _, st := range s.Stmts {
-				walk(st)
-			}
-		case *lang.VarDecl:
-			if s.Init != nil {
-				walkExpr(s.Init)
-			}
-		case *lang.Assign:
-			walkExpr(s.RHS)
-		case *lang.If:
-			walkExpr(s.Cond)
-			walk(s.Then)
-			if s.Else != nil {
-				walk(s.Else)
-			}
-		case *lang.Return:
-			if s.E != nil {
-				walkExpr(s.E)
-			}
-		case *lang.ExprStmt:
-			walkExpr(s.E)
+	lang.Inspect(s, func(n lang.Node) bool {
+		switch n := n.(type) {
 		case *lang.While, *lang.For:
-			// calls inside nested loops belong to those loops
+			return false // calls inside nested loops belong to those loops
+		case *lang.Call:
+			calls = append(calls, n)
 		}
-	}
-	if s != nil {
-		walk(s)
-	}
+		return true
+	})
 	return calls
 }
 

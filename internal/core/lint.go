@@ -128,83 +128,29 @@ func lintUnusedAffinity(r *Report) []Diag {
 	used := map[sf]bool{}
 
 	for _, fn := range r.Prog.Funcs {
-		te := buildTypeEnv(fn)
-		record := func(e lang.Expr) {
-			var walkExpr func(e lang.Expr)
-			walkExpr = func(e lang.Expr) {
-				switch e := e.(type) {
-				case *lang.Arrow:
-					if st := exprStruct(r.Prog, te, e.X); st != "" {
-						used[sf{st, e.Field}] = true
-					}
-					walkExpr(e.X)
-				case *lang.Call:
-					for _, a := range e.Args {
-						walkExpr(a)
-					}
-				case *lang.Binary:
-					walkExpr(e.L)
-					walkExpr(e.R)
-				case *lang.Unary:
-					walkExpr(e.X)
-				case *lang.Touch:
-					walkExpr(e.E)
+		te := lang.PtrVars(fn)
+		record := func(n lang.Node) bool {
+			if a, ok := n.(*lang.Arrow); ok {
+				if st := exprStruct(r.Prog, te, a.X); st != "" {
+					used[sf{st, a.Field}] = true
 				}
 			}
-			walkExpr(e)
+			return true
 		}
-
 		// A recursive function's whole body is its recursion control
-		// loop; otherwise only statements inside while/for bodies count.
-		var walk func(s lang.Stmt, inLoop bool)
-		walk = func(s lang.Stmt, inLoop bool) {
-			switch s := s.(type) {
-			case *lang.Block:
-				for _, st := range s.Stmts {
-					walk(st, inLoop)
-				}
-			case *lang.VarDecl:
-				if inLoop && s.Init != nil {
-					record(s.Init)
-				}
-			case *lang.Assign:
-				if inLoop {
-					record(s.LHS)
-					record(s.RHS)
-				}
-			case *lang.If:
-				if inLoop {
-					record(s.Cond)
-				}
-				walk(s.Then, inLoop)
-				if s.Else != nil {
-					walk(s.Else, inLoop)
-				}
-			case *lang.While:
-				record(s.Cond)
-				walk(s.Body, true)
-			case *lang.For:
-				if s.Init != nil {
-					walk(s.Init, true)
-				}
-				if s.Cond != nil {
-					record(s.Cond)
-				}
-				if s.Post != nil {
-					walk(s.Post, true)
-				}
-				walk(s.Body, true)
-			case *lang.Return:
-				if inLoop && s.E != nil {
-					record(s.E)
-				}
-			case *lang.ExprStmt:
-				if inLoop {
-					record(s.E)
-				}
-			}
+		// loop; otherwise only while/for statements count.
+		if isRecursive(fn) {
+			lang.Inspect(fn.Body, record)
+			continue
 		}
-		walk(fn.Body, isRecursive(fn))
+		lang.Inspect(fn.Body, func(n lang.Node) bool {
+			switch n.(type) {
+			case *lang.While, *lang.For:
+				lang.Inspect(n, record)
+				return false
+			}
+			return true
+		})
 	}
 
 	var diags []Diag

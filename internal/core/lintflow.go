@@ -36,7 +36,7 @@ func lintFlow(r *Report) []Diag {
 	var diags []Diag
 	for _, fn := range r.Prog.Funcs {
 		g := cfg.Build(fn)
-		te := buildTypeEnv(fn)
+		te := lang.PtrVars(fn)
 		reach := g.Reachable()
 		diags = append(diags, lintUnreachable(g, reach)...)
 		diags = append(diags, lintUseBeforeInit(g, te, reach)...)

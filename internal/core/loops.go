@@ -84,131 +84,32 @@ func (l *Loop) Body() lang.Stmt {
 	return l.Fn.Body
 }
 
-// IsParallelizable reports whether a statement subtree contains a
+// containsFuture reports whether a statement subtree contains a
 // futurecall outside any nested syntactic loop (nested loops are their own
 // control loops).
 func containsFuture(s lang.Stmt) bool {
 	found := false
-	var walkExpr func(e lang.Expr)
-	walkExpr = func(e lang.Expr) {
-		switch e := e.(type) {
-		case *lang.Call:
-			if e.Future {
-				found = true
-			}
-			for _, a := range e.Args {
-				walkExpr(a)
-			}
-		case *lang.Arrow:
-			walkExpr(e.X)
-		case *lang.Binary:
-			walkExpr(e.L)
-			walkExpr(e.R)
-		case *lang.Unary:
-			walkExpr(e.X)
-		case *lang.Touch:
-			walkExpr(e.E)
-		}
-	}
-	var walk func(s lang.Stmt)
-	walk = func(s lang.Stmt) {
-		switch s := s.(type) {
-		case *lang.Block:
-			for _, st := range s.Stmts {
-				walk(st)
-			}
-		case *lang.VarDecl:
-			if s.Init != nil {
-				walkExpr(s.Init)
-			}
-		case *lang.Assign:
-			walkExpr(s.RHS)
-		case *lang.If:
-			walkExpr(s.Cond)
-			walk(s.Then)
-			if s.Else != nil {
-				walk(s.Else)
-			}
-		case *lang.Return:
-			if s.E != nil {
-				walkExpr(s.E)
-			}
-		case *lang.ExprStmt:
-			walkExpr(s.E)
+	lang.Inspect(s, func(n lang.Node) bool {
+		switch n := n.(type) {
 		case *lang.While, *lang.For:
-			// nested control loops are separate
+			return false
+		case *lang.Call:
+			found = found || n.Future
 		}
-	}
-	walk(s)
+		return !found
+	})
 	return found
 }
 
 // isRecursive reports whether f calls itself.
 func isRecursive(f *lang.FuncDecl) bool {
 	found := false
-	var walkExpr func(e lang.Expr)
-	walkExpr = func(e lang.Expr) {
-		switch e := e.(type) {
-		case *lang.Call:
-			if e.Name == f.Name {
-				found = true
-			}
-			for _, a := range e.Args {
-				walkExpr(a)
-			}
-		case *lang.Arrow:
-			walkExpr(e.X)
-		case *lang.Binary:
-			walkExpr(e.L)
-			walkExpr(e.R)
-		case *lang.Unary:
-			walkExpr(e.X)
-		case *lang.Touch:
-			walkExpr(e.E)
+	lang.Inspect(f.Body, func(n lang.Node) bool {
+		if c, ok := n.(*lang.Call); ok && c.Name == f.Name {
+			found = true
 		}
-	}
-	var walk func(s lang.Stmt)
-	walk = func(s lang.Stmt) {
-		switch s := s.(type) {
-		case *lang.Block:
-			for _, st := range s.Stmts {
-				walk(st)
-			}
-		case *lang.VarDecl:
-			if s.Init != nil {
-				walkExpr(s.Init)
-			}
-		case *lang.Assign:
-			walkExpr(s.RHS)
-		case *lang.If:
-			walkExpr(s.Cond)
-			walk(s.Then)
-			if s.Else != nil {
-				walk(s.Else)
-			}
-		case *lang.While:
-			walkExpr(s.Cond)
-			walk(s.Body)
-		case *lang.For:
-			if s.Init != nil {
-				walk(s.Init)
-			}
-			if s.Cond != nil {
-				walkExpr(s.Cond)
-			}
-			if s.Post != nil {
-				walk(s.Post)
-			}
-			walk(s.Body)
-		case *lang.Return:
-			if s.E != nil {
-				walkExpr(s.E)
-			}
-		case *lang.ExprStmt:
-			walkExpr(s.E)
-		}
-	}
-	walk(f.Body)
+		return !found
+	})
 	return found
 }
 

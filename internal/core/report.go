@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/lang"
 )
 
 // FuncLoops returns the top-level control loops of a function, or nil.
@@ -94,7 +96,7 @@ func (r *Report) MechanismForName(tag string) (mech Mechanism, found bool) {
 	match := map[string]map[string]bool{}
 	for _, fn := range r.Prog.Funcs {
 		vars := map[string]bool{}
-		for v, st := range buildTypeEnv(fn) {
+		for v, st := range lang.PtrVars(fn) {
 			if v == tag || st == tag {
 				vars[v] = true
 			}

@@ -14,9 +14,10 @@ type DerefSite struct {
 	Pos  lang.Pos
 }
 
-// DerefSites enumerates every dereference site per function. The traversal
-// mirrors the loop tree built by the analysis: a recursion loop encloses
-// the whole body of a recursive function.
+// DerefSites enumerates every dereference site per function, in
+// lang.Inspect's order. The traversal mirrors the loop tree built by the
+// analysis: a recursion loop encloses the whole body of a recursive
+// function.
 func (r *Report) DerefSites() []DerefSite {
 	var sites []DerefSite
 	for _, fr := range r.Funcs {
@@ -29,89 +30,55 @@ func (r *Report) DerefSites() []DerefSite {
 		}
 		collectSyntactic(fr.Loops, &loops)
 
-		findLoop := func(s lang.Stmt) *Loop {
+		// A while or for statement's subtree (condition, init and post
+		// included) belongs to the loop built from its body.
+		loopOf := func(body lang.Stmt, cur *Loop) *Loop {
 			for _, l := range loops {
-				if stmtOfLoop(l) == s {
+				if l.bodyStmt == body {
 					return l
 				}
 			}
-			return nil
+			return cur
 		}
 
-		addExpr := func(e lang.Expr, cur *Loop) {
-			for _, site := range exprDerefs(e) {
-				mech := ChooseCache
-				loopLabel := ""
-				if cur != nil {
-					loopLabel = cur.Label
-					if cur.Mech == ChooseMigrate && cur.Var == site.base && !cur.DemotedByContext {
-						mech = ChooseMigrate
+		var walk func(root lang.Node, cur *Loop)
+		walk = func(root lang.Node, cur *Loop) {
+			lang.Inspect(root, func(n lang.Node) bool {
+				switch n := n.(type) {
+				case *lang.While:
+					if n != root {
+						walk(n, loopOf(n.Body, cur))
+						return false
 					}
+				case *lang.For:
+					if n != root {
+						walk(n, loopOf(n.Body, cur))
+						return false
+					}
+				case *lang.Arrow:
+					// The whole chain is one site on its base variable;
+					// any other base is searched for chains inside it.
+					base, rooted := lang.ChainBase(n)
+					if !rooted {
+						return true
+					}
+					site := DerefSite{Fn: fr.Fn.Name, Base: base, Mech: ChooseCache, Pos: n.Pos}
+					if cur != nil {
+						site.Loop = cur.Label
+						if cur.Mech == ChooseMigrate && cur.Var == base && !cur.DemotedByContext {
+							site.Mech = ChooseMigrate
+						}
+					}
+					sites = append(sites, site)
+					return false
 				}
-				sites = append(sites, DerefSite{
-					Fn: fr.Fn.Name, Loop: loopLabel,
-					Base: site.base, Mech: mech, Pos: site.pos,
-				})
-			}
-		}
-
-		var walk func(s lang.Stmt, cur *Loop)
-		walk = func(s lang.Stmt, cur *Loop) {
-			switch s := s.(type) {
-			case *lang.Block:
-				for _, st := range s.Stmts {
-					walk(st, cur)
-				}
-			case *lang.VarDecl:
-				if s.Init != nil {
-					addExpr(s.Init, cur)
-				}
-			case *lang.Assign:
-				addExpr(s.LHS, cur)
-				addExpr(s.RHS, cur)
-			case *lang.If:
-				addExpr(s.Cond, cur)
-				walk(s.Then, cur)
-				if s.Else != nil {
-					walk(s.Else, cur)
-				}
-			case *lang.While:
-				l := findLoop(s.Body)
-				if l == nil {
-					l = cur
-				}
-				addExpr(s.Cond, l)
-				walk(s.Body, l)
-			case *lang.For:
-				l := findLoop(s.Body)
-				if l == nil {
-					l = cur
-				}
-				if s.Init != nil {
-					walk(s.Init, l)
-				}
-				if s.Cond != nil {
-					addExpr(s.Cond, l)
-				}
-				if s.Post != nil {
-					walk(s.Post, l)
-				}
-				walk(s.Body, l)
-			case *lang.Return:
-				if s.E != nil {
-					addExpr(s.E, cur)
-				}
-			case *lang.ExprStmt:
-				addExpr(s.E, cur)
-			}
+				return true
+			})
 		}
 		walk(fr.Fn.Body, rec)
 	}
 	return sites
 }
-
-// stmtOfLoop recovers the body statement used to key syntactic loops.
-func stmtOfLoop(l *Loop) lang.Stmt { return l.bodyStmt }
 
 // collectSyntactic gathers syntactic (non-instance) loops from a tree.
 func collectSyntactic(ls []*Loop, out *[]*Loop) {
@@ -123,56 +90,5 @@ func collectSyntactic(ls []*Loop, out *[]*Loop) {
 			*out = append(*out, l)
 		}
 		collectSyntactic(l.Children, out)
-	}
-}
-
-type derefRef struct {
-	base string
-	pos  lang.Pos
-}
-
-// exprDerefs lists the dereferences in an expression: one per Arrow chain,
-// attributed to the chain's base variable.
-func exprDerefs(e lang.Expr) []derefRef {
-	var out []derefRef
-	var walk func(e lang.Expr)
-	walk = func(e lang.Expr) {
-		switch e := e.(type) {
-		case *lang.Arrow:
-			// The whole chain is one site on its base variable;
-			// still record nested chains inside call arguments etc.
-			if b, ok := chainBase(e); ok {
-				out = append(out, derefRef{base: b, pos: e.Pos})
-			} else {
-				walk(e.X)
-			}
-		case *lang.Call:
-			for _, a := range e.Args {
-				walk(a)
-			}
-		case *lang.Binary:
-			walk(e.L)
-			walk(e.R)
-		case *lang.Unary:
-			walk(e.X)
-		case *lang.Touch:
-			walk(e.E)
-		}
-	}
-	walk(e)
-	return out
-}
-
-// chainBase returns the base identifier of an Arrow chain.
-func chainBase(e lang.Expr) (string, bool) {
-	for {
-		switch x := e.(type) {
-		case *lang.Arrow:
-			e = x.X
-		case *lang.Ident:
-			return x.Name, true
-		default:
-			return "", false
-		}
 	}
 }

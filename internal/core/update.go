@@ -33,49 +33,9 @@ func (m Matrix) Get(s, t string) (float64, bool) {
 // induction variable exactly when this is present.
 func (m Matrix) Diagonal(s string) (float64, bool) { return m.Get(s, s) }
 
-// typeEnv maps pointer variables to the struct they point to.
+// typeEnv maps pointer variables to the struct they point to
+// (lang.PtrVars builds it).
 type typeEnv map[string]string
-
-// buildTypeEnv collects the pointer-typed parameters and locals of a
-// function (the subset has a flat per-function namespace).
-func buildTypeEnv(f *lang.FuncDecl) typeEnv {
-	te := typeEnv{}
-	for _, p := range f.Params {
-		if p.Type.IsPtr() {
-			te[p.Name] = p.Type.Struct
-		}
-	}
-	var walk func(s lang.Stmt)
-	walk = func(s lang.Stmt) {
-		switch s := s.(type) {
-		case *lang.Block:
-			for _, st := range s.Stmts {
-				walk(st)
-			}
-		case *lang.VarDecl:
-			if s.Type.IsPtr() {
-				te[s.Name] = s.Type.Struct
-			}
-		case *lang.If:
-			walk(s.Then)
-			if s.Else != nil {
-				walk(s.Else)
-			}
-		case *lang.While:
-			walk(s.Body)
-		case *lang.For:
-			if s.Init != nil {
-				walk(s.Init)
-			}
-			if s.Post != nil {
-				walk(s.Post)
-			}
-			walk(s.Body)
-		}
-	}
-	walk(f.Body)
-	return te
-}
 
 // exprStruct resolves the pointed-to struct of a pointer expression, or ""
 // when unknown.
@@ -235,32 +195,8 @@ func (a *analysis) lookupSummary(name string) (retSummary, bool) {
 // (used for nested loops, which the analysis treats as opaque within the
 // enclosing loop's dataflow).
 func killAssigned(ev env, s lang.Stmt) {
-	switch s := s.(type) {
-	case *lang.Block:
-		for _, st := range s.Stmts {
-			killAssigned(ev, st)
-		}
-	case *lang.VarDecl:
-		ev[s.Name] = unknownVal
-	case *lang.Assign:
-		if id, ok := s.LHS.(*lang.Ident); ok {
-			ev[id.Name] = unknownVal
-		}
-	case *lang.If:
-		killAssigned(ev, s.Then)
-		if s.Else != nil {
-			killAssigned(ev, s.Else)
-		}
-	case *lang.While:
-		killAssigned(ev, s.Body)
-	case *lang.For:
-		if s.Init != nil {
-			killAssigned(ev, s.Init)
-		}
-		if s.Post != nil {
-			killAssigned(ev, s.Post)
-		}
-		killAssigned(ev, s.Body)
+	for _, v := range cfg.StmtDefs(s) {
+		ev[v] = unknownVal
 	}
 }
 
@@ -483,17 +419,8 @@ func (a *analysis) recCalls(ev env, s lang.Stmt) (env, recUpds, bool) {
 			ups = u2
 		}
 		return outEnv, ups, t1 && t2
-	case *lang.While:
-		killAssigned(ev, s.Body)
-		return ev, recUpds{}, false
-	case *lang.For:
-		if s.Init != nil {
-			killAssigned(ev, s.Init)
-		}
-		killAssigned(ev, s.Body)
-		if s.Post != nil {
-			killAssigned(ev, s.Post)
-		}
+	case *lang.While, *lang.For:
+		killAssigned(ev, s)
 		return ev, recUpds{}, false
 	case *lang.Return:
 		_, ups := a.callUpdates(ev, s.E)
@@ -510,8 +437,9 @@ func (a *analysis) recCalls(ev env, s lang.Stmt) (env, recUpds, bool) {
 		return ev, ups, false
 	case *lang.Assign:
 		_, ups := a.callUpdates(ev, s.RHS)
+		_, target := a.callUpdates(ev, s.LHS) // f(t->left)->val = …
 		a.transferStmt(ev, s)
-		return ev, ups, false
+		return ev, seqCombine(ups, target), false
 	}
 	return ev, recUpds{}, false
 }

@@ -4,6 +4,12 @@
 // recursion, and futurecall/touch annotations. The abstract syntax feeds
 // the update-matrix dataflow and the mechanism-selection heuristic in
 // internal/core.
+//
+// Analyses read the tree through one traversal, Inspect (walk.go):
+// pre-order, children in evaluation order, false prunes. A question asked
+// of every node is an Inspect callback; only a fold whose answer depends on
+// branch structure or on its children's results recurses by hand, and
+// TestOneTraversal lists those.
 package lang
 
 import "fmt"

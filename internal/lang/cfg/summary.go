@@ -67,37 +67,17 @@ func (g *Graph) Summaries() []*Summary {
 // anywhere inside the loop, matching the enclosing analysis's kill set.
 func StmtDefs(s lang.Stmt) []string {
 	var out []string
-	var walk func(s lang.Stmt)
-	walk = func(s lang.Stmt) {
-		switch s := s.(type) {
-		case *lang.Block:
-			for _, st := range s.Stmts {
-				walk(st)
-			}
+	lang.Inspect(s, func(n lang.Node) bool {
+		switch n := n.(type) {
 		case *lang.VarDecl:
-			out = append(out, s.Name)
+			out = append(out, n.Name)
 		case *lang.Assign:
-			if id, ok := s.LHS.(*lang.Ident); ok {
+			if id, ok := n.LHS.(*lang.Ident); ok {
 				out = append(out, id.Name)
 			}
-		case *lang.If:
-			walk(s.Then)
-			if s.Else != nil {
-				walk(s.Else)
-			}
-		case *lang.While:
-			walk(s.Body)
-		case *lang.For:
-			if s.Init != nil {
-				walk(s.Init)
-			}
-			if s.Post != nil {
-				walk(s.Post)
-			}
-			walk(s.Body)
 		}
-	}
-	walk(s)
+		return true
+	})
 	return out
 }
 
@@ -105,103 +85,45 @@ func StmtDefs(s lang.Stmt) []string {
 // evaluation order. Assigning to a variable does not read it; storing
 // through a field path (p->f = …) reads the base pointer. For opaque
 // nested loops it conservatively returns every read inside the loop.
-func StmtReads(s lang.Stmt) []VarUse {
+func StmtReads(s lang.Stmt) []VarUse { return reads(s) }
+
+// reads is StmtReads and ExprReads over either kind of node.
+func reads(root lang.Node) []VarUse {
 	var out []VarUse
-	var walk func(s lang.Stmt)
-	walk = func(s lang.Stmt) {
-		switch s := s.(type) {
-		case *lang.Block:
-			for _, st := range s.Stmts {
-				walk(st)
-			}
-		case *lang.VarDecl:
-			if s.Init != nil {
-				out = append(out, ExprReads(s.Init)...)
-			}
+	var target *lang.Ident // what the Assign being visited writes: not a read
+	lang.Inspect(root, func(n lang.Node) bool {
+		switch n := n.(type) {
 		case *lang.Assign:
-			out = append(out, ExprReads(s.RHS)...)
-			if _, ok := s.LHS.(*lang.Ident); !ok {
-				out = append(out, ExprReads(s.LHS)...)
+			target, _ = n.LHS.(*lang.Ident)
+		case *lang.Ident:
+			if n != target {
+				out = append(out, VarUse{Name: n.Name, Pos: n.Pos})
 			}
-		case *lang.If:
-			out = append(out, ExprReads(s.Cond)...)
-			walk(s.Then)
-			if s.Else != nil {
-				walk(s.Else)
-			}
-		case *lang.While:
-			out = append(out, ExprReads(s.Cond)...)
-			walk(s.Body)
-		case *lang.For:
-			if s.Init != nil {
-				walk(s.Init)
-			}
-			if s.Cond != nil {
-				out = append(out, ExprReads(s.Cond)...)
-			}
-			walk(s.Body)
-			if s.Post != nil {
-				walk(s.Post)
-			}
-		case *lang.Return:
-			if s.E != nil {
-				out = append(out, ExprReads(s.E)...)
-			}
-		case *lang.ExprStmt:
-			out = append(out, ExprReads(s.E)...)
 		}
-	}
-	walk(s)
+		return true
+	})
 	return out
 }
 
 // StmtDerefs returns the pointer dereferences of a straight-line
-// statement in evaluation order (including inside opaque nested loops).
-func StmtDerefs(s lang.Stmt) []Deref {
+// statement in evaluation order (including inside opaque nested loops):
+// one Deref per maximal Arrow chain rooted at a variable, plus any chains
+// nested in call arguments or subexpressions.
+func StmtDerefs(s lang.Stmt) []Deref { return derefs(s) }
+
+// derefs is StmtDerefs and ExprDerefs over either kind of node. A chain's
+// one Deref is its innermost Arrow, the only one whose operand is the
+// variable.
+func derefs(root lang.Node) []Deref {
 	var out []Deref
-	var walk func(s lang.Stmt)
-	walk = func(s lang.Stmt) {
-		switch s := s.(type) {
-		case *lang.Block:
-			for _, st := range s.Stmts {
-				walk(st)
+	lang.Inspect(root, func(n lang.Node) bool {
+		if a, ok := n.(*lang.Arrow); ok {
+			if id, ok := a.X.(*lang.Ident); ok {
+				out = append(out, Deref{Base: id.Name, Pos: a.Pos})
 			}
-		case *lang.VarDecl:
-			if s.Init != nil {
-				out = append(out, ExprDerefs(s.Init)...)
-			}
-		case *lang.Assign:
-			out = append(out, ExprDerefs(s.RHS)...)
-			out = append(out, ExprDerefs(s.LHS)...)
-		case *lang.If:
-			out = append(out, ExprDerefs(s.Cond)...)
-			walk(s.Then)
-			if s.Else != nil {
-				walk(s.Else)
-			}
-		case *lang.While:
-			out = append(out, ExprDerefs(s.Cond)...)
-			walk(s.Body)
-		case *lang.For:
-			if s.Init != nil {
-				walk(s.Init)
-			}
-			if s.Cond != nil {
-				out = append(out, ExprDerefs(s.Cond)...)
-			}
-			walk(s.Body)
-			if s.Post != nil {
-				walk(s.Post)
-			}
-		case *lang.Return:
-			if s.E != nil {
-				out = append(out, ExprDerefs(s.E)...)
-			}
-		case *lang.ExprStmt:
-			out = append(out, ExprDerefs(s.E)...)
 		}
-	}
-	walk(s)
+		return true
+	})
 	return out
 }
 
@@ -221,117 +143,23 @@ type Store struct {
 // rooted at a variable produce stores.
 func StmtStores(s lang.Stmt) []Store {
 	var out []Store
-	var walk func(s lang.Stmt)
-	walk = func(s lang.Stmt) {
-		switch s := s.(type) {
-		case *lang.Block:
-			for _, st := range s.Stmts {
-				walk(st)
-			}
-		case *lang.Assign:
-			lhs, ok := s.LHS.(*lang.Arrow)
-			if !ok {
-				return
-			}
-			inner := lhs
-			for {
-				x, ok := inner.X.(*lang.Arrow)
-				if !ok {
-					break
+	lang.Inspect(s, func(n lang.Node) bool {
+		if as, ok := n.(*lang.Assign); ok {
+			if lhs, ok := as.LHS.(*lang.Arrow); ok {
+				if base, ok := lang.ChainBase(lhs); ok {
+					out = append(out, Store{Base: base, Field: lhs.Field, Pos: as.Pos})
 				}
-				inner = x
-			}
-			if id, ok := inner.X.(*lang.Ident); ok {
-				out = append(out, Store{Base: id.Name, Field: lhs.Field, Pos: s.Pos})
-			}
-		case *lang.If:
-			walk(s.Then)
-			if s.Else != nil {
-				walk(s.Else)
-			}
-		case *lang.While:
-			walk(s.Body)
-		case *lang.For:
-			if s.Init != nil {
-				walk(s.Init)
-			}
-			walk(s.Body)
-			if s.Post != nil {
-				walk(s.Post)
 			}
 		}
-	}
-	walk(s)
+		return true
+	})
 	return out
 }
 
 // ExprReads returns the variable reads of an expression in evaluation
 // order. Dereferencing a pointer reads its base variable.
-func ExprReads(e lang.Expr) []VarUse {
-	var out []VarUse
-	var walk func(e lang.Expr)
-	walk = func(e lang.Expr) {
-		switch e := e.(type) {
-		case *lang.Ident:
-			out = append(out, VarUse{Name: e.Name, Pos: e.Pos})
-		case *lang.Arrow:
-			walk(e.X)
-		case *lang.Call:
-			for _, a := range e.Args {
-				walk(a)
-			}
-		case *lang.Touch:
-			walk(e.E)
-		case *lang.Binary:
-			walk(e.L)
-			walk(e.R)
-		case *lang.Unary:
-			walk(e.X)
-		}
-	}
-	if e != nil {
-		walk(e)
-	}
-	return out
-}
+func ExprReads(e lang.Expr) []VarUse { return reads(e) }
 
-// ExprDerefs returns the pointer dereferences of an expression: one Deref
-// per maximal Arrow chain rooted at a variable, plus any chains nested in
-// call arguments or subexpressions.
-func ExprDerefs(e lang.Expr) []Deref {
-	var out []Deref
-	var walk func(e lang.Expr)
-	walk = func(e lang.Expr) {
-		switch e := e.(type) {
-		case *lang.Arrow:
-			inner := e
-			for {
-				x, ok := inner.X.(*lang.Arrow)
-				if !ok {
-					break
-				}
-				inner = x
-			}
-			if id, ok := inner.X.(*lang.Ident); ok {
-				out = append(out, Deref{Base: id.Name, Pos: inner.Pos})
-				return
-			}
-			walk(inner.X)
-		case *lang.Call:
-			for _, a := range e.Args {
-				walk(a)
-			}
-		case *lang.Touch:
-			walk(e.E)
-		case *lang.Binary:
-			walk(e.L)
-			walk(e.R)
-		case *lang.Unary:
-			walk(e.X)
-		}
-	}
-	if e != nil {
-		walk(e)
-	}
-	return out
-}
+// ExprDerefs returns the pointer dereferences of an expression, as
+// StmtDerefs does for a statement.
+func ExprDerefs(e lang.Expr) []Deref { return derefs(e) }

@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -58,9 +59,11 @@ func FuzzLexAll(f *testing.F) {
 	})
 }
 
-// FuzzParse checks the parser never panics and that accepted programs
+// FuzzParse checks the parser never panics, that accepted programs
 // re-parse to the same shape (parse is a function of the token stream,
-// so a second parse must agree with the first).
+// so a second parse must agree with the first), and that Inspect walks
+// every function it produced as a tree: it terminates, never hands its
+// callback a nil, and visits no node twice.
 func FuzzParse(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
@@ -88,6 +91,19 @@ func FuzzParse(f *testing.F) {
 		if len(again.Structs) != len(prog.Structs) || len(again.Funcs) != len(prog.Funcs) {
 			t.Fatalf("re-parse disagrees: %d/%d structs, %d/%d funcs",
 				len(prog.Structs), len(again.Structs), len(prog.Funcs), len(again.Funcs))
+		}
+		for _, fn := range prog.Funcs {
+			seen := map[Node]bool{}
+			Inspect(fn.Body, func(n Node) bool {
+				if v := reflect.ValueOf(n); !v.IsValid() || v.IsNil() {
+					t.Fatalf("%s: Inspect handed its callback a nil %T", fn.Name, n)
+				}
+				if seen[n] {
+					t.Fatalf("%s: Inspect visited %s twice", fn.Name, nodeLabel(n))
+				}
+				seen[n] = true
+				return true
+			})
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -16,9 +15,9 @@ type Bucket struct {
 }
 
 // HistSample is the snapshot of one histogram. Exemplars link buckets to
-// concrete instances (trace ids); they ride only in the JSON form — Flat,
-// Text and Prometheus ignore them, which keeps pinned benchmark goldens
-// and the exposition output byte-identical to an exemplar-free registry.
+// concrete instances (trace ids); Flat and Prometheus ignore them, which
+// keeps pinned benchmark goldens and the exposition output byte-identical
+// to an exemplar-free registry.
 type HistSample struct {
 	Count     int64      `json:"count"`
 	Sum       int64      `json:"sum"`
@@ -119,52 +118,6 @@ func (s Snapshot) Get(name string, labels ...Label) (Sample, bool) {
 	return Sample{}, false
 }
 
-// Diff returns this snapshot with every counter and histogram reduced by
-// its value in prev (samples absent from prev keep their full value).
-// Gauges and function-backed values are reported as-is: a delta of a level
-// has no meaning. Samples whose diffed value and count are both zero are
-// dropped, so a diff over an idle interval is empty.
-func (s Snapshot) Diff(prev Snapshot) Snapshot {
-	prevByID := make(map[string]Sample, len(prev.Samples))
-	for _, p := range prev.Samples {
-		prevByID[p.ID()] = p
-	}
-	var out Snapshot
-	for _, cur := range s.Samples {
-		d := cur
-		if p, ok := prevByID[cur.ID()]; ok && cur.Kind == KindCounter.String() {
-			d.Value -= p.Value
-		} else if ok && cur.Kind == KindHistogram.String() && cur.Hist != nil {
-			h := &HistSample{Count: cur.Hist.Count, Sum: cur.Hist.Sum}
-			if p.Hist != nil {
-				h.Count -= p.Hist.Count
-				h.Sum -= p.Hist.Sum
-				pb := make(map[int64]int64, len(p.Hist.Buckets))
-				for _, b := range p.Hist.Buckets {
-					pb[b.Le] = b.Count
-				}
-				for _, b := range cur.Hist.Buckets {
-					if n := b.Count - pb[b.Le]; n != 0 {
-						h.Buckets = append(h.Buckets, Bucket{Le: b.Le, Count: n})
-					}
-				}
-			} else {
-				h.Buckets = cur.Hist.Buckets
-			}
-			d.Hist = h
-			d.Value = h.Count
-		}
-		if d.Value == 0 && d.Hist == nil {
-			continue
-		}
-		if d.Hist != nil && d.Hist.Count == 0 && d.Hist.Sum == 0 {
-			continue
-		}
-		out.Samples = append(out.Samples, d)
-	}
-	return out
-}
-
 // Flat renders the snapshot as a sorted map from metric ID to value —
 // the compact form benchmark records embed. Histograms contribute
 // <id>:count and <id>:sum entries plus one entry per non-empty bucket.
@@ -182,35 +135,6 @@ func (s Snapshot) Flat() map[string]int64 {
 		}
 	}
 	return out
-}
-
-// Text renders the snapshot as aligned name value lines, histograms as
-// count/sum/mean — the human-readable dump behind oldenbench output.
-func (s Snapshot) Text() string {
-	var sb strings.Builder
-	w := 0
-	for _, sm := range s.Samples {
-		if n := len(sm.ID()); n > w {
-			w = n
-		}
-	}
-	for _, sm := range s.Samples {
-		if sm.Hist == nil {
-			fmt.Fprintf(&sb, "%-*s %d\n", w, sm.ID(), sm.Value)
-			continue
-		}
-		mean := 0.0
-		if sm.Hist.Count > 0 {
-			mean = float64(sm.Hist.Sum) / float64(sm.Hist.Count)
-		}
-		fmt.Fprintf(&sb, "%-*s count=%d sum=%d mean=%.1f\n", w, sm.ID(), sm.Hist.Count, sm.Hist.Sum, mean)
-	}
-	return sb.String()
-}
-
-// JSON renders the snapshot as indented JSON.
-func (s Snapshot) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
 }
 
 // Prometheus renders the snapshot in the Prometheus text exposition format

@@ -1,7 +1,7 @@
 // Package metrics is a typed, label-aware metrics registry for the
 // simulated machine: counters, gauges and log2-bucketed histograms with
-// cheap atomic updates, point-in-time snapshots, snapshot diffing, and
-// text / JSON / Prometheus-exposition exporters.
+// cheap atomic updates, point-in-time snapshots, and two exporters: the
+// flat map benchmark records embed and the Prometheus exposition.
 //
 // Recording is off by default. Every handle constructor is safe on a nil
 // *Registry and returns a nil handle, and every update method is safe on a

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -122,9 +121,7 @@ func TestSnapshotIsSortedAndDeterministic(t *testing.T) {
 			t.Fatalf("order %v, want %v", ids, want)
 		}
 	}
-	j1, _ := s1.JSON()
-	j2, _ := s2.JSON()
-	if string(j1) != string(j2) {
+	if s1.Prometheus() != s2.Prometheus() {
 		t.Fatal("snapshots of unchanged registry must serialize identically")
 	}
 }
@@ -160,42 +157,6 @@ func TestRegisterCounterAndFunc(t *testing.T) {
 	}
 }
 
-func TestDiff(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("c")
-	g := r.Gauge("g")
-	h := r.Histogram("h")
-	c.Add(10)
-	g.Set(5)
-	h.Observe(4)
-	before := r.Snapshot()
-	c.Add(7)
-	g.Set(9)
-	h.Observe(4)
-	h.Observe(100)
-	d := r.Snapshot().Diff(before)
-
-	if sm, ok := d.Get("c"); !ok || sm.Value != 7 {
-		t.Fatalf("counter diff = %+v, want 7", sm)
-	}
-	if sm, ok := d.Get("g"); !ok || sm.Value != 9 {
-		t.Fatalf("gauge diff must report the level (9), got %+v", sm)
-	}
-	sm, ok := d.Get("h")
-	if !ok || sm.Hist == nil || sm.Hist.Count != 2 || sm.Hist.Sum != 104 {
-		t.Fatalf("hist diff = %+v", sm)
-	}
-
-	// A diff across an idle interval is empty.
-	idle := r.Snapshot()
-	d = r.Snapshot().Diff(idle)
-	for _, s := range d.Samples {
-		if s.Kind != KindGauge.String() {
-			t.Fatalf("idle diff should only carry gauge levels, got %+v", s)
-		}
-	}
-}
-
 func TestExporters(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("olden_misses_total", L("scheme", "local")).Add(3)
@@ -203,14 +164,6 @@ func TestExporters(t *testing.T) {
 	h.Observe(3)
 	h.Observe(500)
 	snap := r.Snapshot()
-
-	text := snap.Text()
-	if !strings.Contains(text, `olden_misses_total{scheme="local"} 3`) {
-		t.Fatalf("text export missing counter:\n%s", text)
-	}
-	if !strings.Contains(text, "count=2 sum=503") {
-		t.Fatalf("text export missing histogram summary:\n%s", text)
-	}
 
 	flat := snap.Flat()
 	if flat[`olden_misses_total{scheme="local"}`] != 3 {
@@ -239,17 +192,6 @@ func TestExporters(t *testing.T) {
 		}
 	}
 
-	b, err := snap.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Snapshot
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatalf("JSON export must round-trip: %v", err)
-	}
-	if len(back.Samples) != len(snap.Samples) {
-		t.Fatalf("round-trip lost samples: %d != %d", len(back.Samples), len(snap.Samples))
-	}
 }
 
 func TestConcurrentUpdates(t *testing.T) {

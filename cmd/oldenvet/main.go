@@ -1,8 +1,8 @@
 // Command oldenvet checks Go code against the runtime-API contracts of
 // this repository: thread confinement in Spawn closures, rt.Site naming
-// hygiene, future touch discipline, the opacity of global heap pointers,
-// and consistency of each benchmark's site mechanism tags with the
-// heuristic's choice on its mini-C kernel (see internal/analysis).
+// hygiene, future touch discipline and the opacity of global heap
+// pointers (see internal/analysis). It reads source and types only and
+// runs nothing.
 //
 //	oldenvet ./...                      # vet the whole module
 //	oldenvet ./internal/bench/...       # vet a subtree

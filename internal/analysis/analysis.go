@@ -35,15 +35,11 @@ var Checks = []struct {
 	{"site-hygiene", checkSiteHygiene},
 	{"future-discipline", checkFutureDiscipline},
 	{"heap-escape", checkHeapEscape},
-	{"mechanism-consistency", checkMechConsistency},
-	{"cert-trace", checkCertTrace},
-	{"phase-trace", checkPhaseTrace},
 }
 
 // Run applies every check to every package and returns the findings
 // sorted by position.
 func Run(pkgs []*Package) []Finding {
-	warmObservations(pkgs)
 	var all []Finding
 	for _, p := range pkgs {
 		for _, c := range Checks {

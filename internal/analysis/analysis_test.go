@@ -47,26 +47,53 @@ func TestSelfHostZeroFindings(t *testing.T) {
 	}
 }
 
+// nonTestImports returns the import paths of the non-test Go files of the
+// package in dir, keyed by file name.
+func nonTestImports(t *testing.T, dir string) map[string][]string {
+	t.Helper()
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir,
+		func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") },
+		parser.ImportsOnly)
+	if err != nil {
+		t.Fatalf("parse %s: %v", dir, err)
+	}
+	out := map[string][]string{}
+	for _, pkg := range pkgs {
+		for name, f := range pkg.Files {
+			for _, imp := range f.Imports {
+				out[name] = append(out[name], strings.Trim(imp.Path.Value, `"`))
+			}
+		}
+	}
+	return out
+}
+
 // A run is one thread of control that owns its state (DESIGN.md §13), so
 // the packages a simulated operation passes through import no
 // synchronisation: a lock or atomic there guards nothing and costs every
 // load and store.
 func TestSimulatorPackagesImportNoSync(t *testing.T) {
 	for _, dir := range []string{"mem", "machine", "coherence", "cache", "rt"} {
-		pkgs, err := parser.ParseDir(token.NewFileSet(), filepath.Join("..", dir),
-			func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") },
-			parser.ImportsOnly)
-		if err != nil {
-			t.Fatalf("parse internal/%s: %v", dir, err)
-		}
-		for _, pkg := range pkgs {
-			for name, f := range pkg.Files {
-				for _, imp := range f.Imports {
-					if imp.Path.Value == `"sync"` || imp.Path.Value == `"sync/atomic"` {
-						t.Errorf("%s imports %s: run state has one owner and needs no lock; sharing is real only in trace.Recorder (/debug/trace reads an in-flight ring) and internal/metrics (the server's registry) — synchronise there",
-							name, imp.Path.Value)
-					}
+		for name, imps := range nonTestImports(t, filepath.Join("..", dir)) {
+			for _, imp := range imps {
+				if imp == "sync" || imp == "sync/atomic" {
+					t.Errorf("%s imports %s: run state has one owner and needs no lock; sharing is real only in trace.Recorder (/debug/trace reads an in-flight ring) and internal/metrics (the server's registry) — synchronise there",
+						name, imp)
 				}
+			}
+		}
+	}
+}
+
+// The contract checker reads Go source and runs nothing: it imports the
+// standard library alone, so no check can reach the simulator, the
+// benchmarks or a goroutine pool. Claims about what a kernel does when it
+// runs belong in internal/bench's battery, where the kernels run.
+func TestAnalysisImportsStandardLibraryOnly(t *testing.T) {
+	for name, imps := range nonTestImports(t, ".") {
+		for _, imp := range imps {
+			if imp == "sync" || imp == "sync/atomic" || strings.HasPrefix(imp, "repro/") {
+				t.Errorf("%s imports %s: internal/analysis checks source and types only; assert runtime claims in internal/bench", name, imp)
 			}
 		}
 	}
@@ -84,7 +111,6 @@ func TestFixturesFire(t *testing.T) {
 		{"badsites", "site-hygiene", 4},
 		{"badfuture", "future-discipline", 3},
 		{"badescape", "heap-escape", 4},
-		{"badmech", "mechanism-consistency", 1},
 	}
 	l := repoLoader(t)
 	for _, c := range cases {
@@ -132,9 +158,6 @@ func TestFixtureMessages(t *testing.T) {
 		},
 		"badcapture": {
 			"parent thread \"t\" used inside Spawn closure",
-		},
-		"badmech": {
-			`site "badmech.t" is tagged Cache but the kernel heuristic chooses Migrate for "t"`,
 		},
 	}
 	for dir, fragments := range wants {

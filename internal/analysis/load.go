@@ -5,7 +5,7 @@
 // go/types) — package loading shells out to `go list -export` for
 // compiled export data instead of depending on golang.org/x/tools.
 //
-// The five checks, and the contract each one enforces:
+// The four checks, and the contract each one enforces:
 //
 //   - thread-capture: an rt.Thread belongs to the body that runs as it,
 //     and operating on a suspended thread moves its clock out of
@@ -19,9 +19,11 @@
 //   - heap-escape: the ⟨processor, offset⟩ packing of gaddr.GP is an
 //     implementation detail of the runtime layers; nothing else unpacks,
 //     forges, or does arithmetic on it.
-//   - mechanism-consistency: in a package carrying a mini-C KernelSource,
-//     every rt.Site's Mech tag agrees with what the compile-time
-//     heuristic chooses for that site's variable on the kernel.
+//
+// Every check reads Go source and type information only; nothing here
+// runs a kernel. The claims about what a kernel does when it runs (site
+// mechanisms, certificates, phase plans) are asserted where the kernels
+// run, in internal/bench's scheduler battery.
 //
 // cmd/oldenvet is the command-line driver.
 package analysis

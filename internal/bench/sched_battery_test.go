@@ -28,8 +28,10 @@ var batteryKernels = []string{
 // batteryLine runs one configuration and renders everything the run
 // exposes that a change of execution order could move: the trace digest
 // (event order, content and per-kind counts), the heap fingerprint, the
-// makespan, the checksum and every machine statistic.
-func batteryLine(t *testing.T, name, scheme string, cfg bench.Config) string {
+// makespan, the checksum and every machine statistic. It checks each
+// executed site's mechanism against the kernel's claims and returns what
+// the cross-scheme claims compare.
+func batteryLine(t *testing.T, name, scheme string, cfg bench.Config, claims kernelClaims) (string, schemeObs) {
 	t.Helper()
 	info, ok := bench.Get(name)
 	if !ok {
@@ -51,9 +53,15 @@ func batteryLine(t *testing.T, name, scheme string, cfg bench.Config) string {
 	if res.Pages != res.Stats.PagesCached {
 		t.Errorf("%s: Result.Pages %d != Stats.PagesCached %d", name, res.Pages, res.Stats.PagesCached)
 	}
+	for _, msg := range mechFindings(claims.rep, rtm.SiteStats()) {
+		t.Error(msg)
+	}
+	o := schemeObs{scheme: scheme, check: res.Check, kernelAccess: rec.AccessDigest()}
+	_, o.buildAccess, _ = rtm.BuildPhaseDigest()
+	o.buildHeap, o.buildOK = rtm.BuildHeapFingerprint()
 	return fmt.Sprintf("%s %s P=%d scale=1/%d %s heap=%016x cycles=%d check=%#x stats=%+v",
 		name, scheme, cfg.Procs, cfg.Scale, rec.Digest(),
-		rtm.HeapFingerprint(), res.Cycles, res.Check, res.Stats)
+		rtm.HeapFingerprint(), res.Cycles, res.Check, res.Stats), o
 }
 
 // TestSchedulerDigestEquivalence is the digest battery gating the
@@ -68,18 +76,26 @@ func batteryLine(t *testing.T, name, scheme string, cfg bench.Config) string {
 // a change that is meant to move them (cost model, protocol, event
 // vocabulary) reviews the diff and regenerates with `make update-goldens`.
 //
+// The same sixty runs check the static analyses' claims about each kernel
+// (kernel_claims_test.go): every site's mechanism, and per machine size,
+// what a certificate or a build chain promises across the three schemes.
+//
 // Under the race detector the battery trims itself to one parallel
 // configuration per kernel (scheme rotated by kernel so all three
-// appear); race_on_test.go has the reasoning.
+// appear), which leaves nothing to compare across schemes;
+// race_on_test.go has the reasoning.
 func TestSchedulerDigestEquivalence(t *testing.T) {
 	if *update && raceDetectorEnabled {
 		t.Fatal("-update needs the full battery: run it without -race")
 	}
 	g := openGolden(t, batteryPath)
 	var lines []string
+	procsList := []int{1, 4}
 	for ki, name := range batteryKernels {
+		claims := staticClaims(t, name)
+		obs := map[int][]schemeObs{}
 		for si, s := range schemes {
-			for _, procs := range []int{1, 4} {
+			for _, procs := range procsList {
 				i := len(lines)
 				lines = append(lines, "")
 				if raceDetectorEnabled && (procs == 1 || si != ki%len(schemes)) {
@@ -87,9 +103,21 @@ func TestSchedulerDigestEquivalence(t *testing.T) {
 				}
 				t.Run(fmt.Sprintf("%s/%s/P%d", name, s.name, procs), func(t *testing.T) {
 					cfg := bench.Config{Procs: procs, Scheme: s.kind, Scale: batteryScale}
-					lines[i] = batteryLine(t, name, s.name, cfg)
+					var o schemeObs
+					lines[i], o = batteryLine(t, name, s.name, cfg, claims)
+					obs[procs] = append(obs[procs], o)
 					g.check(t, i, lines[i])
 				})
+			}
+		}
+		for _, procs := range procsList {
+			if len(obs[procs]) < len(schemes) {
+				t.Logf("%s P=%d: cross-scheme claims not checked, %d of %d schemes ran",
+					name, procs, len(obs[procs]), len(schemes))
+				continue
+			}
+			for _, msg := range crossSchemeFindings(name, procs, claims, obs[procs]) {
+				t.Error(msg)
 			}
 		}
 	}

@@ -384,8 +384,8 @@ func (r *Runtime) BuildPhaseDigest() (full, access trace.Digest, ok bool) {
 // recent ResetForKernel boundary. ok is false if no phase boundary has
 // been crossed. Two configurations whose static phase plans share a
 // build-chain digest must agree on this fingerprint whatever the
-// coherence scheme — the phase-trace check and the server's phase cache
-// both rest on that obligation.
+// coherence scheme — the server's phase cache rests on that obligation,
+// and the scheduler battery in internal/bench checks it.
 func (r *Runtime) BuildHeapFingerprint() (uint64, bool) {
 	return r.buildHeapFP, r.buildHeapOK
 }

@@ -173,7 +173,8 @@ clustersmoke:
 # `-update` to rewrite its files from the current build (lint goldens,
 # trace-digest goldens, the scheduler battery's sixty lines and the switch
 # census's ten, the rendered
-# report over the pinned baselines, the oldenc -analyze/-phases goldens), and
+# report over the pinned baselines, the oldenc -analyze effect summaries and
+# -phases plans), and
 # the committed BENCH_<name>.json baselines are re-pinned by `oldenbench
 # -update` (= `make bench`, kept separate because moving cycle counts is
 # a reviewed perf decision, not a golden refresh). Run this after an
@@ -200,8 +201,8 @@ lint:
 	done
 
 # Interprocedural effect analysis over every kernel and example source:
-# per-function summaries, heuristic diffs and the cacheability
-# certificate. `-json` output of the same run is what CI uploads as the
+# one effect summary per function. `-json` output of the same run (one
+# effects/summary finding per function) is what CI uploads as the
 # analyze-findings artifact.
 analyze:
 	@for b in $(BENCHES); do \
@@ -213,10 +214,9 @@ analyze:
 		$(GO) run ./cmd/oldenc -analyze $$f || exit 1; \
 	done
 
-# Phase plans over the same sources: ordered phase chains, per-phase
-# footprints, the scheme-invariant prefix and the digest chain the
-# server's phase cache keys on. `-json` of the same run is what CI
-# uploads as the phase-plans artifact.
+# Phase plans over the same sources: ordered phases, per-phase
+# footprints, invariance verdicts and the scheme-invariant prefix.
+# `-json` of the same run is what CI uploads as the phase-plans artifact.
 phases:
 	@for b in $(BENCHES); do \
 		echo "== $$b"; \

@@ -8,7 +8,7 @@
 //	oldenc -threshold 80 prog.c
 //	oldenc -lint prog.c       # lint diagnostics (exit 1 on errors)
 //	oldenc -lint -json prog.c # diagnostics in the oldenvet -json shape
-//	oldenc -analyze prog.c    # effect summaries, heuristic diffs, certificate
+//	oldenc -analyze prog.c    # interprocedural effect summaries
 //	oldenc -analyze -json prog.c
 //	oldenc -phases prog.c     # phase plan: slicing, footprints, invariance
 //	oldenc -phases -json -bench em3d
@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/effects"
@@ -44,7 +45,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	sites := fs.Bool("sites", false, "also list every dereference site with its mechanism")
 	interproc := fs.Bool("interprocedural", false, "enable the return-value path extension (the paper's future work)")
 	lint := fs.Bool("lint", false, "emit lint diagnostics instead of the analysis report (exit 1 on errors)")
-	analyzeF := fs.Bool("analyze", false, "emit interprocedural effect summaries, heuristic diffs and the cacheability certificate")
+	analyzeF := fs.Bool("analyze", false, "emit interprocedural effect summaries")
 	phasesF := fs.Bool("phases", false, "emit the phase plan: slicing, footprints and scheme-invariance verdicts")
 	jsonOut := fs.Bool("json", false, "with -lint, -analyze or -phases, emit the machine-readable form")
 	if err := fs.Parse(args); err != nil {
@@ -181,44 +182,34 @@ func writeLint(stdout, stderr io.Writer, diags []olden.Diag, file string, jsonOu
 	return 0
 }
 
-// writeAnalysis prints the effects analysis: per function the effect
-// summary, then the heuristic differential and the cacheability
-// certificate. With jsonOut it emits the findings slice in the oldenvet
-// shape instead.
+// writeAnalysis prints the effect summary of every function; with jsonOut
+// it emits them as findings in the oldenvet shape instead.
 func writeAnalysis(stdout, stderr io.Writer, res *effects.Result, file string, jsonOut bool) int {
 	if jsonOut {
+		findings := make([]analysis.Finding, 0, len(res.Summaries))
+		for _, s := range res.Summaries {
+			findings = append(findings, analysis.Finding{
+				Check: "effects/summary", File: file, Line: s.Pos.Line, Col: s.Pos.Col,
+				Message: fmt.Sprintf("%s: %s", s.Name, s.EffectsLine()),
+			})
+		}
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(res.Findings(file)); err != nil {
+		if err := enc.Encode(findings); err != nil {
 			fmt.Fprintf(stderr, "oldenc: %v\n", err)
 			return 1
 		}
 		return 0
 	}
 	for _, s := range res.Summaries {
-		fmt.Fprintf(stdout, "func %s(%s):\n", s.Name, joinComma(s.Params))
+		fmt.Fprintf(stdout, "func %s(%s):\n", s.Name, strings.Join(s.Params, ","))
 		fmt.Fprintf(stdout, "  effects: %s\n", s.EffectsLine())
-	}
-	for _, d := range res.Diffs {
-		fmt.Fprintf(stdout, "diff: %s:%d:%d: %s: loop %s: %s %s->%s (%s)\n",
-			file, d.Pos.Line, d.Pos.Col, d.Fn, d.Loop, d.Var, d.Old, d.New, d.Reason)
-	}
-	cert := res.Certificate()
-	if cert.Cacheable {
-		kind := "migrate-only"
-		if cert.CacheOnly {
-			kind = "cache-only"
-		}
-		fmt.Fprintf(stdout, "certificate: cacheable (%s) digest=%s\n", kind, cert.Digest)
-	} else {
-		fmt.Fprintf(stdout, "certificate: not cacheable: %s digest=%s\n",
-			joinComma(cert.Reasons), cert.Digest)
 	}
 	return 0
 }
 
-// writePhases prints the phase plan; with jsonOut it emits the PhasePlan
-// certificate itself — the machine-readable artifact CI uploads.
+// writePhases prints the phase plan; with jsonOut it emits the Plan
+// itself — the machine-readable artifact CI uploads.
 func writePhases(stdout, stderr io.Writer, plan *phases.Plan, jsonOut bool) int {
 	if jsonOut {
 		enc := json.NewEncoder(stdout)
@@ -231,15 +222,4 @@ func writePhases(stdout, stderr io.Writer, plan *phases.Plan, jsonOut bool) int 
 	}
 	fmt.Fprint(stdout, plan)
 	return 0
-}
-
-func joinComma(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += ","
-		}
-		out += p
-	}
-	return out
 }

@@ -99,6 +99,39 @@ func TestAnalysisImportsStandardLibraryOnly(t *testing.T) {
 	}
 }
 
+// The serving layer decides build reuse with bench.Info.BuildKey and
+// compiles no mini-C: nothing internal/server or internal/cluster imports,
+// directly or transitively, is the mini-C front end or its analyses.
+func TestServingImportsNoMiniC(t *testing.T) {
+	compiler := map[string]bool{}
+	for _, p := range []string{"lang", "lang/cfg", "dataflow", "core", "analysis/effects", "analysis/phases"} {
+		compiler["repro/internal/"+p] = true
+	}
+	from := map[string]string{} // package -> the package that imports it
+	queue := []string{"repro/internal/server", "repro/internal/cluster"}
+	for _, p := range queue {
+		from[p] = ""
+	}
+	for len(queue) > 0 {
+		pkg := queue[0]
+		queue = queue[1:]
+		for _, imps := range nonTestImports(t, filepath.Join("..", "..", strings.TrimPrefix(pkg, "repro/"))) {
+			for _, imp := range imps {
+				if _, seen := from[imp]; seen || !strings.HasPrefix(imp, "repro/") {
+					continue
+				}
+				from[imp] = pkg
+				queue = append(queue, imp)
+			}
+		}
+	}
+	for p := range compiler {
+		if by, ok := from[p]; ok {
+			t.Errorf("%s is reachable from the serving layer (imported by %s): reuse decisions belong to bench.Info.BuildKey", p, by)
+		}
+	}
+}
+
 // Each negative fixture fires its own check — and only its own check,
 // so a regression in one analysis cannot hide behind another.
 func TestFixturesFire(t *testing.T) {

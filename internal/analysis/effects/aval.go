@@ -228,14 +228,8 @@ func (fa *fnAnalysis) summarize() *Summary {
 			}
 			base, _ := lang.ChainBase(writeLHS)
 			bv := fa.evalAval(ev, &lang.Ident{Name: base, Pos: lang.ExprPos(writeLHS)})
-			if len(regs) > 0 {
-				rg := regs[len(regs)-1]
-				if !bv.freshOnly() {
-					writes[rg] = true
-				}
-				s.stores = append(s.stores, storeRec{
-					base: base, baseAV: bv, region: rg, pos: lang.StmtPos(st),
-				})
+			if len(regs) > 0 && !bv.freshOnly() {
+				writes[regs[len(regs)-1]] = true
 			}
 			escapeMask |= bv.params
 			// Storing a pointer into the heap publishes its referent.

@@ -5,17 +5,9 @@
 // pure — together with two facts about its cost: whether every invocation
 // returns, and whether it can allocate.
 //
-// Two clients consume the summaries:
-//
-//   - Cacheability certificates (cert.go): a program whose summaries prove
-//     its access behaviour independent of the coherence scheme gets a
-//     stable certificate digest — the soundness foundation for
-//     phase-granular memoization. oldenvet cross-validates certificates
-//     against runtime trace digests (trace.AccessDigest) on the pinned
-//     kernels.
-//   - The §4.2 heuristic differential (diff.go): alias-aware traversal
-//     classification, reported wherever it would change the paper
-//     heuristic's migrate/cache decision.
+// The summaries have one client, the phase planner
+// (internal/analysis/phases), which folds them into per-phase footprints
+// and scheme-invariance verdicts; oldenc -analyze prints them.
 //
 // The analysis is hosted on the existing infrastructure: function bodies
 // become cfg.Build graphs, the per-variable alias facts (aval.go) flow
@@ -24,7 +16,7 @@
 // call-graph SCCs so every call site folds in its callee's finished
 // summary. Calls to the undefined function "alloc" are allocation sites;
 // calls to any other undefined function are extern — unknown effects, so
-// summaries go conservative and certificates are refused.
+// summaries go conservative.
 package effects
 
 import (
@@ -52,16 +44,6 @@ type Region struct {
 // String renders the region as struct.field.
 func (r Region) String() string { return r.Struct + "." + r.Field }
 
-// storeRec is one heap store recorded during summary construction, with
-// the alias value of its base at the store point — the differential and
-// certificate passes replay these without re-running the dataflow.
-type storeRec struct {
-	base   string
-	baseAV aval
-	region Region
-	pos    lang.Pos
-}
-
 // Summary is one function's interprocedural effect summary.
 type Summary struct {
 	Name   string
@@ -79,7 +61,7 @@ type Summary struct {
 	Escapes []string
 	// Extern lists the undefined functions called (transitively),
 	// excluding the alloc primitive, sorted. A non-empty Extern poisons
-	// purity, Returns, Allocs and certificates.
+	// purity, Returns and Allocs.
 	Extern []string
 	// Pure means no heap writes, no escaping parameters and no extern
 	// calls. Allocation and initialization of fresh objects do not break
@@ -100,12 +82,11 @@ type Summary struct {
 	Returns bool
 	Allocs  bool
 
-	ret    aval       // what the return value may alias
-	stores []storeRec // heap stores with base alias values, source order
+	ret aval // what the return value may alias
 }
 
 // EffectsLine renders the summary canonically: equal lines mean equal
-// summaries, which is what the certificate digest rests on. The two cost
+// summaries, which is what the fixpoint test rests on. The two cost
 // bits appear only where they are not the common case, and not after
 // extern or mutual, which imply both.
 func (s *Summary) EffectsLine() string {
@@ -149,15 +130,12 @@ type Result struct {
 	Prog   *lang.Program
 	Params core.Params
 	// Report is the §4.2/§4.3 heuristic's own report on the program; the
-	// differential and certificates are computed against it.
+	// phase planner reads its site mechanisms.
 	Report *core.Report
 	// Summaries holds one summary per function, in source order
 	// (declaration position, then name — the deterministic-ordering
 	// contract shared with the lint diagnostics).
 	Summaries []*Summary
-	// Diffs lists the sites where alias-aware classification would change
-	// the heuristic's mechanism decision, sorted by position.
-	Diffs []Diff
 
 	byName map[string]*Summary
 }
@@ -165,8 +143,7 @@ type Result struct {
 // Summary returns a function's summary by name, or nil.
 func (r *Result) Summary(name string) *Summary { return r.byName[name] }
 
-// Analyze computes the effect summaries and heuristic differential of a
-// parsed program.
+// Analyze computes the effect summaries of a parsed program.
 func Analyze(prog *lang.Program, params core.Params) *Result {
 	res := &Result{
 		Prog:   prog,
@@ -190,7 +167,6 @@ func Analyze(prog *lang.Program, params core.Params) *Result {
 		}
 		return a.Name < b.Name
 	})
-	res.computeDiffs()
 	return res
 }
 
@@ -242,21 +218,9 @@ func paramNames(fn *lang.FuncDecl) []string {
 	return out
 }
 
-// equalEffects compares the fixpoint-relevant parts of two summaries,
-// including the recorded stores' contents: downstream passes read
-// storeRec.baseAV, so a store whose base alias value is still moving must
-// keep the fixpoint loop running.
+// equalEffects compares the fixpoint-relevant parts of two summaries.
 func equalEffects(a, b *Summary) bool {
-	if a.EffectsLine() != b.EffectsLine() || a.ret != b.ret ||
-		len(a.stores) != len(b.stores) {
-		return false
-	}
-	for i := range a.stores {
-		if a.stores[i] != b.stores[i] {
-			return false
-		}
-	}
-	return true
+	return a.EffectsLine() == b.EffectsLine() && a.ret == b.ret
 }
 
 // sccs returns the strongly connected components of the defined-function

@@ -2,7 +2,6 @@ package effects
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -159,19 +158,6 @@ int f(struct node *n) {
 	}
 	if s.Returns || !s.Allocs {
 		t.Errorf("returns=%v allocs=%v, want false,true (nothing is known about mystery)", s.Returns, s.Allocs)
-	}
-	cert := r.Certificate()
-	if cert.Cacheable {
-		t.Error("extern program must not be certified")
-	}
-	found := false
-	for _, reason := range cert.Reasons {
-		if reason == "extern-call:mystery" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("Reasons = %v, want extern-call:mystery", cert.Reasons)
 	}
 }
 
@@ -359,147 +345,5 @@ void spin(struct node *n) {
 `)
 	if s := r.Summary("spin"); s.Returns {
 		t.Error("spin Returns = true, want false (while(1))")
-	}
-}
-
-func TestAliasedWriteDiff(t *testing.T) {
-	r := analyze(t, `
-struct node { int v; struct node *next __affinity(95); };
-void f(struct node *l, struct node *m) {
-  while (l) {
-    m->v = 3;
-    l = l->next;
-  }
-}
-`)
-	var hit *Diff
-	for i := range r.Diffs {
-		if strings.HasPrefix(r.Diffs[i].Reason, "aliased-write:") {
-			hit = &r.Diffs[i]
-		}
-	}
-	if hit == nil {
-		t.Fatalf("no aliased-write diff; diffs = %+v", r.Diffs)
-	}
-	if hit.Reason != "aliased-write:node.v via m" {
-		t.Errorf("Reason = %q", hit.Reason)
-	}
-	if hit.Old != core.ChooseMigrate || hit.New != core.ChooseCache {
-		t.Errorf("diff %s->%s, want migrate->cache", hit.Old, hit.New)
-	}
-}
-
-func TestFreshWriteRaisesNoDiff(t *testing.T) {
-	// Same shape, but the written object is allocated inside the loop:
-	// provably unaliased, so the heuristic's choice stands.
-	r := analyze(t, `
-struct node { int v; struct node *next __affinity(95); };
-void f(struct node *l) {
-  struct node *m;
-  while (l) {
-    m = alloc();
-    m->v = 3;
-    l = l->next;
-  }
-}
-`)
-	for _, d := range r.Diffs {
-		if strings.HasPrefix(d.Reason, "aliased-write:") {
-			t.Errorf("fresh store reported as aliased write: %+v", d)
-		}
-	}
-}
-
-func TestDerivedFromDiff(t *testing.T) {
-	r := analyze(t, `
-struct tree { int val; struct tree *left __affinity(95); struct tree *kid __affinity(95); };
-int g(struct tree *t) {
-  struct tree *w;
-  int s;
-  s = 0;
-  while (t) {
-    w = t->kid;
-    s = s + w->val;
-    t = t->left;
-  }
-  return s;
-}
-`)
-	var hit *Diff
-	for i := range r.Diffs {
-		if r.Diffs[i].Reason == "derived-from:t" && r.Diffs[i].Var == "w" {
-			hit = &r.Diffs[i]
-		}
-	}
-	if hit == nil {
-		t.Fatalf("no derived-from diff for w; diffs = %+v", r.Diffs)
-	}
-	if hit.Old != core.ChooseCache || hit.New != core.ChooseMigrate {
-		t.Errorf("diff %s->%s, want cache->migrate", hit.Old, hit.New)
-	}
-}
-
-func TestCertificateMigrateOnly(t *testing.T) {
-	r := analyze(t, figure4)
-	cert := r.Certificate()
-	if !cert.MigrateOnly {
-		t.Error("figure4 should be migrate-only")
-	}
-	if !cert.Cacheable {
-		t.Errorf("figure4 should be certified; reasons = %v", cert.Reasons)
-	}
-	if len(cert.Digest) != 16 {
-		t.Errorf("Digest = %q, want 16 hex chars", cert.Digest)
-	}
-}
-
-func TestCertificateStability(t *testing.T) {
-	a := analyze(t, figure4).Certificate()
-	b := analyze(t, figure4).Certificate()
-	if a.Digest != b.Digest {
-		t.Errorf("digest not stable: %s vs %s", a.Digest, b.Digest)
-	}
-	// Any change to what the certificate rests on must move the digest:
-	// a region no longer read, and each of the two cost bits alone.
-	for _, edit := range []struct{ name, old, new string }{
-		{"reads", " + t->val", ""},
-		{"allocs", "return 0;", "{ alloc(); return 0; }"},
-		{"returns", "return 0;", "{ while (t == NULL) { } return 0; }"},
-	} {
-		r := analyze(t, strings.Replace(figure4, edit.old, edit.new, 1))
-		if c := r.Certificate(); c.Digest == a.Digest {
-			t.Errorf("%s: digest unchanged by %s", edit.name, r.Summary("TreeAdd").EffectsLine())
-		}
-	}
-}
-
-func TestFindingsDeterministicOrder(t *testing.T) {
-	src := `
-struct node { int v; struct node *next __affinity(95); };
-void f(struct node *l, struct node *m) {
-  while (l) {
-    m->v = 3;
-    l = l->next;
-  }
-}
-struct node *mk() {
-  struct node *n;
-  n = alloc();
-  return n;
-}
-`
-	first := analyze(t, src).Findings("x.c")
-	for i := 0; i < 10; i++ {
-		got := analyze(t, src).Findings("x.c")
-		if !reflect.DeepEqual(got, first) {
-			t.Fatalf("run %d differs:\n%v\nvs\n%v", i, got, first)
-		}
-	}
-	for i := 1; i < len(first); i++ {
-		a, b := first[i-1], first[i]
-		if a.Line > b.Line || (a.Line == b.Line && a.Col > b.Col) ||
-			(a.Line == b.Line && a.Col == b.Col && a.Check > b.Check) {
-			t.Errorf("findings out of order at %d: %+v then %+v", i, a, b)
-		}
 	}
 }

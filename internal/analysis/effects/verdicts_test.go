@@ -107,9 +107,18 @@ var verdictChanges = map[string]string{
 	// counted loops return however large their product. Renamed likewise.
 	"effects_test.go:TestNestedLoopOverflowSaturates burn returns=false allocs=false": "effects_test.go:TestHugeNestedLoopsReturn burn returns=true allocs=false",
 	// TestCountedLoopBounds asserted the BSym/BConst classes and went with
-	// them; effectsSeeds' last program keeps both loop shapes under the pin.
+	// them; effectsSeeds' counted-loops program keeps both shapes under the pin.
 	"effects_test.go:TestCountedLoopBounds count returns=true allocs=false": "",
 	"effects_test.go:TestCountedLoopBounds fixed returns=true allocs=false": "",
+	// The heuristic differential and the findings slice went, and their
+	// tests with them. effectsSeeds' rewire keeps the aliased-write walk,
+	// TestFreshAllocationsStayPure keeps mk and TestFigure3ListWalk the
+	// derived-pointer walk; the fresh-write walk moved into effectsSeeds.
+	"effects_test.go:TestAliasedWriteDiff f returns=true allocs=false":           "",
+	"effects_test.go:TestDerivedFromDiff g returns=true allocs=false":            "",
+	"effects_test.go:TestFindingsDeterministicOrder f returns=true allocs=false": "",
+	"effects_test.go:TestFindingsDeterministicOrder mk returns=true allocs=true": "",
+	"effects_test.go:TestFreshWriteRaisesNoDiff f returns=true allocs=true":      "fuzz_test.go:effectsSeeds#8 f returns=true allocs=true",
 }
 
 // TestVerdictsMatchParent holds the two summary bits to what the parent's

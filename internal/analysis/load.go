@@ -22,7 +22,7 @@
 //
 // Every check reads Go source and type information only; nothing here
 // runs a kernel. The claims about what a kernel does when it runs (site
-// mechanisms, certificates, phase plans) are asserted where the kernels
+// mechanisms, phase plans) are asserted where the kernels
 // run, in internal/bench's scheduler battery.
 //
 // cmd/oldenvet is the command-line driver.

@@ -7,14 +7,8 @@
 // state under all three coherence schemes, so any run may reuse another
 // run's heap image at that boundary.
 //
-// The result is a PhasePlan certificate: the ordered phase list with
-// per-phase footprints, invariance verdicts with machine-readable
-// refusal reasons, and an FNV-1a digest chain. chain[i] commits to the
-// whole prefix up to and including phase i, so two configurations whose
-// chains agree on a prefix may share cached state at that boundary. The
-// chain is seeded with the effect-certificate digest of the whole
-// program: a kernel edit reshuffles every chain link, invalidating any
-// cached state keyed on it.
+// The result is a Plan: the ordered phase list with per-phase footprints
+// and invariance verdicts with machine-readable refusal reasons.
 package phases
 
 import (
@@ -63,14 +57,9 @@ type Phase struct {
 	// machine-readable obligations that failed when it is false.
 	Invariant bool     `json:"invariant"`
 	Reasons   []string `json:"reasons,omitempty"`
-
-	// Digest hashes this phase's canonical line alone; Chain commits to
-	// the whole prefix ending at this phase.
-	Digest string `json:"digest"`
-	Chain  string `json:"chain"`
 }
 
-// Plan is the machine-readable PhasePlan certificate.
+// Plan is the machine-readable phase plan.
 type Plan struct {
 	// Entries lists the slicing roots: defined functions no other
 	// defined function calls, in source order.
@@ -89,9 +78,6 @@ type Plan struct {
 	// refusal and remains reusable.
 	Refused bool     `json:"refused"`
 	Reasons []string `json:"reasons,omitempty"`
-	// Digest commits to the whole plan (chain tail folded with the
-	// plan-level verdict).
-	Digest string `json:"digest"`
 }
 
 // Options configures slicing.
@@ -116,7 +102,7 @@ func Compute(res *effects.Result, opt Options) *Plan {
 	// Plan-level refusals: no root to slice from, or a reachable
 	// function that may not return — if a phase may not terminate, no
 	// later boundary is guaranteed to be reached, so the chain as a
-	// whole is not a certificate of anything.
+	// whole proves nothing.
 	if len(entries) == 0 {
 		p.refuse("no-entry-function")
 	}
@@ -126,22 +112,17 @@ func Compute(res *effects.Result, opt Options) *Plan {
 		}
 	}
 
-	chain := effects.FNV(effects.FNVOffset, res.Certificate().Digest)
 	if opt.IncludeBuild {
-		ph := Phase{
-			Index:     0,
+		p.Phases = append(p.Phases, Phase{
 			Name:      KindBuild,
 			Kind:      KindBuild,
 			Allocs:    true,
 			Invariant: true,
-		}
-		chain = sealPhase(&ph, chain)
-		p.Phases = append(p.Phases, ph)
+		})
 	}
 	for _, e := range entries {
 		for _, ph := range slice(res, e) {
 			ph.Index = len(p.Phases)
-			chain = sealPhase(&ph, chain)
 			p.Phases = append(p.Phases, ph)
 		}
 	}
@@ -163,10 +144,6 @@ func Compute(res *effects.Result, opt Options) *Plan {
 		}
 	}
 	p.Certified = !p.Refused && p.InvariantPrefix == len(p.Phases) && len(p.Phases) > 0
-
-	h := chain
-	h = effects.FNV(h, fmt.Sprintf("|refused=%t reasons=%s", p.Refused, braced(p.Reasons)))
-	p.Digest = fmt.Sprintf("%016x", h)
 	return p
 }
 
@@ -188,18 +165,6 @@ func (p *Plan) refuse(reason string) {
 	}
 	p.Reasons = append(p.Reasons, reason)
 	sort.Strings(p.Reasons)
-}
-
-// BuildChain returns the chain digest of the build phase when the plan
-// has one. This is the key the server's phase cache shares build state
-// under. The build phase survives a compute-chain refusal: its
-// invariance is the harness's construction (raw heap image, no
-// simulated accesses), not a property the refused analysis claimed.
-func (p *Plan) BuildChain() (string, bool) {
-	if len(p.Phases) == 0 || p.Phases[0].Kind != KindBuild || !p.Phases[0].Invariant {
-		return "", false
-	}
-	return p.Phases[0].Chain, true
 }
 
 // sliceEntries returns the slicing roots in source order: defined
@@ -344,8 +309,7 @@ func countSites(ph *Phase, sites []core.DerefSite, entry string, prog *lang.Prog
 	}
 }
 
-// judge applies the scheme-invariance proof obligation, mirroring the
-// whole-program certificate rules one phase at a time:
+// judge applies the scheme-invariance proof obligation to one phase:
 //
 //   - an extern call makes the footprint incomplete (reason already
 //     recorded by footprint);
@@ -374,31 +338,11 @@ func judge(ph *Phase) {
 	ph.Invariant = len(ph.Reasons) == 0
 }
 
-// sealPhase computes the phase's canonical line, its own digest and the
-// chain link, and returns the running chain state.
-func sealPhase(ph *Phase, chain uint64) uint64 {
-	line := ph.canonical()
-	ph.Digest = fmt.Sprintf("%016x", effects.FNV(effects.FNVOffset, line))
-	chain = effects.FNV(chain, "|"+line)
-	ph.Chain = fmt.Sprintf("%016x", chain)
-	return chain
-}
-
-func (ph *Phase) canonical() string {
-	return fmt.Sprintf(
-		"phase[%d] %s kind=%s fn=%s line=%d stmts=%d reads=%s writes=%s allocs=%t calls=%s sites=migrate:%d,cache:%d parallel=%t invariant=%t reasons=%s",
-		ph.Index, ph.Name, ph.Kind, ph.Fn, ph.Line, ph.Stmts,
-		braced(ph.Reads), braced(ph.Writes), ph.Allocs, braced(ph.Calls),
-		ph.MigrateSites, ph.CacheSites, ph.Parallel, ph.Invariant,
-		braced(ph.Reasons))
-}
-
 // String renders the plan for humans; the oldenc goldens pin it.
 func (p *Plan) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "phase plan: entries=%s phases=%d invariant-prefix=%d/%d certified=%t digest=%s\n",
-		braced(p.Entries), len(p.Phases), p.InvariantPrefix, len(p.Phases),
-		p.Certified, p.Digest)
+	fmt.Fprintf(&b, "phase plan: entries=%s phases=%d invariant-prefix=%d/%d certified=%t\n",
+		braced(p.Entries), len(p.Phases), p.InvariantPrefix, len(p.Phases), p.Certified)
 	if p.Refused {
 		fmt.Fprintf(&b, "  REFUSED: %s\n", strings.Join(p.Reasons, ", "))
 	}
@@ -411,7 +355,7 @@ func (p *Plan) String() string {
 		if ph.Kind != KindBuild {
 			loc = fmt.Sprintf(" %s:%d stmts=%d", ph.Fn, ph.Line, ph.Stmts)
 		}
-		fmt.Fprintf(&b, "  [%d] %-18s %-9s%s chain=%s\n", ph.Index, ph.Name, verdict, loc, ph.Chain)
+		fmt.Fprintf(&b, "  [%d] %-18s %-9s%s\n", ph.Index, ph.Name, verdict, loc)
 		if ph.Kind == KindBuild {
 			fmt.Fprintf(&b, "      raw heap image; no simulated accesses by construction\n")
 			continue

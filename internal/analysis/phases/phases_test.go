@@ -101,9 +101,6 @@ func TestTreeAddCertified(t *testing.T) {
 	if p.InvariantPrefix != 3 {
 		t.Fatalf("invariant prefix = %d, want 3", p.InvariantPrefix)
 	}
-	if _, ok := p.BuildChain(); !ok {
-		t.Fatalf("certified plan must expose a build chain")
-	}
 }
 
 func TestEm3dMixedPrefix(t *testing.T) {
@@ -132,9 +129,6 @@ func TestEm3dMixedPrefix(t *testing.T) {
 	if p.InvariantPrefix != 1 {
 		t.Fatalf("invariant prefix = %d, want 1 (build only)", p.InvariantPrefix)
 	}
-	if _, ok := p.BuildChain(); !ok {
-		t.Fatalf("build prefix should still be reusable")
-	}
 }
 
 func TestUnboundedRefused(t *testing.T) {
@@ -150,9 +144,6 @@ func TestUnboundedRefused(t *testing.T) {
 	if p.InvariantPrefix != 1 {
 		t.Fatalf("refused plan with a build phase must have prefix 1, got %d", p.InvariantPrefix)
 	}
-	if _, ok := p.BuildChain(); !ok {
-		t.Fatalf("the build phase must survive a compute-chain refusal")
-	}
 	if p.Certified {
 		t.Fatalf("refused plan cannot certify")
 	}
@@ -160,9 +151,6 @@ func TestUnboundedRefused(t *testing.T) {
 	bare := mustPlan(t, unboundedSrc, Options{})
 	if bare.InvariantPrefix != 0 {
 		t.Fatalf("refused bare plan must have prefix 0, got %d", bare.InvariantPrefix)
-	}
-	if _, ok := bare.BuildChain(); ok {
-		t.Fatalf("bare refused plan must not expose a build chain")
 	}
 }
 
@@ -232,29 +220,6 @@ int stretch(int n) {
 	if !p.Refused || p.Certified ||
 		!hasReason(p.Reasons, "unbounded-steps:chase") || !hasReason(p.Reasons, "unbounded-steps:stretch") {
 		t.Fatalf("moving-limit loops must be refused:\n%s", p)
-	}
-}
-
-func TestDigestChainDeterministicAndSourceSensitive(t *testing.T) {
-	a := mustPlan(t, treeAddSrc, Options{IncludeBuild: true})
-	b := mustPlan(t, treeAddSrc, Options{IncludeBuild: true})
-	if a.Digest != b.Digest {
-		t.Fatalf("plan digest not deterministic: %s vs %s", a.Digest, b.Digest)
-	}
-	for i := range a.Phases {
-		if a.Phases[i].Chain != b.Phases[i].Chain {
-			t.Fatalf("chain[%d] not deterministic", i)
-		}
-	}
-	c := mustPlan(t, em3dSrc, Options{IncludeBuild: true})
-	// The chain is seeded with the program certificate digest, so even
-	// the synthetic build phase (identical shape everywhere) must have a
-	// kernel-specific chain link.
-	if a.Phases[0].Chain == c.Phases[0].Chain {
-		t.Fatalf("build chain must be kernel-specific")
-	}
-	if a.Phases[0].Digest != c.Phases[0].Digest {
-		t.Fatalf("build phase digest (chain-free) should be shape-identical")
 	}
 }
 

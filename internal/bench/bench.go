@@ -137,7 +137,7 @@ type Info struct {
 }
 
 // Phased is a kernel-timed benchmark split at its ResetForKernel
-// boundary, the seam the static phase plan certifies.
+// boundary, the seam the phase cache reuses (Info.BuildKey).
 type Phased struct {
 	// Build materializes the problem instance on the runtime (raw heap
 	// API, no simulated accesses) and returns the build state the kernel

@@ -17,20 +17,19 @@ import (
 // This file states what the static analyses claim about each kernel and
 // checks those claims against the scheduler battery's own runs: which
 // mechanism each dereference site uses (PAPER.md §4.2–4.3), what a
-// cacheability certificate promises across coherence schemes, and what
-// an invariant build phase promises the server's phase cache.
+// certified phase plan promises across coherence schemes, and what a
+// shared build promises the server's phase cache.
 
 // kernelClaims is the static side of one kernel, read once from its
 // mini-C source.
 type kernelClaims struct {
 	rep *core.Report
-	// certified: the effects certificate or the whole phase chain holds,
-	// so the semantic access behaviour and the result are
-	// scheme-independent.
+	// certified: every phase of the plan is scheme-invariant, so the
+	// semantic access behaviour and the result are scheme-independent.
 	certified bool
-	// buildChain: the plan opens with an invariant build phase, so the
-	// heap image at the ResetForKernel boundary is scheme-independent.
-	buildChain bool
+	// sharedBuild: the kernel has a BuildKey, so the phase cache shares
+	// its heap image at the ResetForKernel boundary across schemes.
+	sharedBuild bool
 }
 
 func staticClaims(t *testing.T, name string) kernelClaims {
@@ -43,12 +42,11 @@ func staticClaims(t *testing.T, name string) kernelClaims {
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	plan := phases.Compute(res, phases.Options{IncludeBuild: info.Phased != nil})
-	_, buildChain := plan.BuildChain()
+	_, sharedBuild := info.BuildKey(bench.Config{})
 	return kernelClaims{
-		rep:        res.Report,
-		certified:  res.Certificate().Cacheable || plan.Certified,
-		buildChain: buildChain,
+		rep:         res.Report,
+		certified:   phases.Compute(res, phases.Options{IncludeBuild: info.Phased != nil}).Certified,
+		sharedBuild: sharedBuild,
 	}
 }
 
@@ -120,15 +118,15 @@ type schemeObs struct {
 // machine size, one run per scheme. A certified kernel promises equal
 // access digests and checks, not equal final heaps: at P≥4 power's
 // allocation placement follows scheme-dependent timing, so the global
-// pointers it stores differ (DESIGN.md §11). A build chain promises the
+// pointers it stores differ (DESIGN.md §11). A shared build promises the
 // exact heap image at the boundary at every P. bisort, which genuinely
 // caches, must show differing digests at P>1, or the access projection
-// is discarding the signal certificates speak about.
+// is discarding the signal certified plans speak about.
 func crossSchemeFindings(name string, procs int, c kernelClaims, obs []schemeObs) []string {
 	var msgs []string
 	for _, b := range obs {
-		if c.buildChain && !b.buildOK {
-			msgs = append(msgs, fmt.Sprintf("%s P=%d has a build chain but crossed no phase boundary under %s", name, procs, b.scheme))
+		if c.sharedBuild && !b.buildOK {
+			msgs = append(msgs, fmt.Sprintf("%s P=%d shares its build but crossed no phase boundary under %s", name, procs, b.scheme))
 		}
 	}
 	a := obs[0]
@@ -143,9 +141,9 @@ func crossSchemeFindings(name string, procs int, c kernelClaims, obs []schemeObs
 			differ("certified", "kernel access digests", a.kernelAccess, b.kernelAccess)
 			differ("certified", "checks", a.check, b.check)
 		}
-		if c.buildChain {
-			differ("a build chain", "build access digests", a.buildAccess, b.buildAccess)
-			differ("a build chain", "build heap fingerprints",
+		if c.sharedBuild {
+			differ("a shared build", "build access digests", a.buildAccess, b.buildAccess)
+			differ("a shared build", "build heap fingerprints",
 				fmt.Sprintf("%016x", a.buildHeap), fmt.Sprintf("%016x", b.buildHeap))
 		}
 		if name == "bisort" && procs > 1 && a.kernelAccess == b.kernelAccess {
@@ -156,7 +154,7 @@ func crossSchemeFindings(name string, procs int, c kernelClaims, obs []schemeObs
 	return msgs
 }
 
-// The checks must fail on a lie: a build chain whose heap images differ,
+// The checks must fail on a lie: a shared build whose heap images differ,
 // and a migrating site tagged to cache.
 func TestKernelClaimCheckersCatchLies(t *testing.T) {
 	obs := []schemeObs{
@@ -164,7 +162,7 @@ func TestKernelClaimCheckersCatchLies(t *testing.T) {
 		{scheme: "global", buildHeap: 1, buildOK: true},
 		{scheme: "bilateral", buildHeap: 2, buildOK: true},
 	}
-	msgs := crossSchemeFindings("treeadd", 4, kernelClaims{buildChain: true}, obs)
+	msgs := crossSchemeFindings("treeadd", 4, kernelClaims{sharedBuild: true}, obs)
 	if len(msgs) != 1 || !strings.Contains(msgs[0], "treeadd") ||
 		!strings.Contains(msgs[0], "local=") || !strings.Contains(msgs[0], "bilateral=") {
 		t.Errorf("fabricated build-heap divergence: got %q", msgs)
@@ -185,21 +183,21 @@ func TestKernelClaimCheckersCatchLies(t *testing.T) {
 // bounded migrate-only kernels certify their whole chain.
 func TestRegisteredKernelPhasePlans(t *testing.T) {
 	type want struct {
-		refused    bool
-		buildChain bool
-		certified  bool
+		refused     bool
+		sharedBuild bool
+		certified   bool
 	}
 	cases := map[string]want{
-		"treeadd": {buildChain: true, certified: true},
-		"mst":     {buildChain: true, certified: true},
-		"bisort":  {buildChain: true},
-		"em3d":    {buildChain: true},
+		"treeadd": {sharedBuild: true, certified: true},
+		"mst":     {sharedBuild: true, certified: true},
+		"bisort":  {sharedBuild: true},
+		"em3d":    {sharedBuild: true},
 		// The extern calls (conquer, incircle, adj) poison the step
 		// bounds, so the compute chains are refused — but the harness
 		// build phase survives and stays reusable.
-		"tsp":       {refused: true, buildChain: true},
-		"voronoi":   {refused: true, buildChain: true},
-		"perimeter": {refused: true, buildChain: true},
+		"tsp":       {refused: true, sharedBuild: true},
+		"voronoi":   {refused: true, sharedBuild: true},
+		"perimeter": {refused: true, sharedBuild: true},
 		// Whole-program benchmarks have no harness build phase; power is
 		// migrate-only and bounded, so its whole chain certifies.
 		"power":     {certified: true},
@@ -225,9 +223,12 @@ func TestRegisteredKernelPhasePlans(t *testing.T) {
 			if w.refused && len(plan.Reasons) == 0 {
 				t.Fatalf("refusal must carry machine-readable reasons")
 			}
-			_, bc := plan.BuildChain()
-			if bc != w.buildChain {
-				t.Fatalf("buildChain=%t want %t\n%s", bc, w.buildChain, plan)
+			sb := len(plan.Phases) > 0 && plan.Phases[0].Kind == phases.KindBuild && plan.InvariantPrefix > 0
+			if sb != w.sharedBuild {
+				t.Fatalf("invariant build prefix=%t want %t\n%s", sb, w.sharedBuild, plan)
+			}
+			if _, shared := info.BuildKey(bench.Config{}); shared != sb {
+				t.Fatalf("BuildKey shares the build=%t but the plan's invariant build prefix=%t", shared, sb)
 			}
 			if plan.Certified != w.certified {
 				t.Fatalf("certified=%t want %t\n%s", plan.Certified, w.certified, plan)
@@ -257,10 +258,10 @@ func schemeRun(t *testing.T, name string, procs int, scheme int) schemeObs {
 	return o
 }
 
-// TestCertifiedKernelsSchemeInvariant checks the certificate's promise
+// TestCertifiedKernelsSchemeInvariant checks a certified plan's promise
 // at full scale, which the battery (scale 1/64) does not reach: every
-// kernel the static side certifies (treeadd, power, mst) keeps its
-// claims across the three coherence schemes at P=4.
+// kernel whose plan certifies (treeadd, power, mst) keeps its claims
+// across the three coherence schemes at P=4.
 func TestCertifiedKernelsSchemeInvariant(t *testing.T) {
 	for _, name := range batteryKernels {
 		claims := staticClaims(t, name)

@@ -8,10 +8,10 @@ import (
 
 // BuildState is a reusable build-phase boundary: the heap images and
 // host-side build state captured right before a kernel-timed benchmark's
-// ResetForKernel. The static phase plan proves the boundary is
-// scheme-invariant, so one BuildState serves every configuration that
-// agrees on benchmark, machine size and problem scale — whatever the
-// coherence scheme or mechanism mode.
+// ResetForKernel. The build performs no simulated accesses, so the images
+// do not depend on the coherence scheme or mechanism mode: one BuildState
+// serves every configuration with the same BuildKey, and the heap
+// fingerprint re-check in RunPhased guards each restore.
 type BuildState struct {
 	Benchmark string
 	Procs     int
@@ -25,11 +25,27 @@ type BuildState struct {
 	HeapFP uint64
 }
 
-// Reusable reports whether the build state can serve the configuration.
-func (bs *BuildState) Reusable(name string, cfg Config) bool {
+// BuildKey is the key one build is shared under: benchmark, machine size
+// and problem scale, whatever the coherence scheme or mechanism mode. There
+// is no key for a benchmark without a Phased split, nor for a baseline run,
+// whose machine shape differs.
+func (info Info) BuildKey(cfg Config) (string, bool) {
 	cfg = cfg.normalize()
-	return bs != nil && bs.Benchmark == name && !cfg.Baseline &&
-		bs.Procs == cfg.Procs && bs.Scale == cfg.Scale
+	if info.Phased == nil || cfg.Baseline {
+		return "", false
+	}
+	return buildKey(info.Name, cfg.Procs, cfg.Scale), true
+}
+
+func buildKey(name string, procs, scale int) string {
+	return fmt.Sprintf("%s|P=%d|scale=%d", name, procs, scale)
+}
+
+// Reusable reports whether the build state can serve the configuration:
+// the configuration has a BuildKey and the state was built under it.
+func (bs *BuildState) Reusable(info Info, cfg Config) bool {
+	key, ok := info.BuildKey(cfg)
+	return ok && bs != nil && key == buildKey(bs.Benchmark, bs.Procs, bs.Scale)
 }
 
 // noopPhase is the shared end-of-phase func returned when no OnPhase
@@ -50,23 +66,23 @@ func beginPhase(cfg Config, name string) func() {
 
 // RunPhased executes one configuration, reusing the given build state
 // when it fits and returning the (possibly new) build state for the next
-// caller. reused reports whether the build phase was skipped. Benchmarks
-// without a Phased split, and baseline configurations (whose machine
-// shape differs), fall back to the ordinary Run with no build state.
+// caller. reused reports whether the build phase was skipped. A
+// configuration without a BuildKey falls back to the ordinary Run with no
+// build state.
 //
 // The kernel half is bit-identical either way: the build performs no
 // simulated accesses, so restoring its heap image is indistinguishable
 // from re-running it.
 func RunPhased(info Info, cfg Config, bs *BuildState) (Result, *BuildState, bool, error) {
 	cfg = cfg.normalize()
-	if info.Phased == nil || cfg.Baseline {
+	if _, ok := info.BuildKey(cfg); !ok {
 		end := beginPhase(cfg, "run")
 		res := info.Run(cfg)
 		end()
 		return res, nil, false, nil
 	}
 	r := cfg.NewRuntime()
-	reused := bs.Reusable(info.Name, cfg)
+	reused := bs.Reusable(info, cfg)
 	var st any
 	if reused {
 		end := beginPhase(cfg, "restore_build")

@@ -121,11 +121,14 @@ func TestRunPhasedWholeProgramFallback(t *testing.T) {
 	}
 }
 
-// A build state must not serve a different machine size or scale.
+// A build state must not serve a different benchmark, machine size or
+// scale.
 func TestBuildStateReusableGuards(t *testing.T) {
 	t.Parallel()
+	treeadd, _ := bench.Get("treeadd")
+	em3d, _ := bench.Get("em3d")
 	bs := &bench.BuildState{Benchmark: "treeadd", Procs: 2, Scale: 64}
-	if !bs.Reusable("treeadd", bench.Config{Procs: 2, Scale: 64}) {
+	if !bs.Reusable(treeadd, bench.Config{Procs: 2, Scale: 64}) {
 		t.Fatalf("matching config rejected")
 	}
 	for _, cfg := range []bench.Config{
@@ -133,15 +136,60 @@ func TestBuildStateReusableGuards(t *testing.T) {
 		{Procs: 2, Scale: 32},
 		{Procs: 2, Scale: 64, Baseline: true},
 	} {
-		if bs.Reusable("treeadd", cfg) {
+		if bs.Reusable(treeadd, cfg) {
 			t.Fatalf("mismatched config %+v accepted", cfg)
 		}
 	}
-	if bs.Reusable("em3d", bench.Config{Procs: 2, Scale: 64}) {
+	if bs.Reusable(em3d, bench.Config{Procs: 2, Scale: 64}) {
 		t.Fatalf("wrong benchmark accepted")
 	}
 	var nilBS *bench.BuildState
-	if nilBS.Reusable("treeadd", bench.Config{Procs: 2, Scale: 64}) {
+	if nilBS.Reusable(treeadd, bench.Config{Procs: 2, Scale: 64}) {
 		t.Fatalf("nil build state accepted")
+	}
+}
+
+// TestBuildKey pins the phase cache's one reuse decision: every scheme and
+// mode of a kernel-timed benchmark shares the key at one machine size and
+// scale, and there is no key for a baseline run, a whole-program benchmark
+// or an unknown name.
+func TestBuildKey(t *testing.T) {
+	t.Parallel()
+	key := func(name string, cfg bench.Config) (string, bool) {
+		info, _ := bench.Get(name)
+		return info.BuildKey(cfg)
+	}
+	want, ok := key("treeadd", bench.Config{Procs: 2, Scale: 16})
+	if !ok || want != "treeadd|P=2|scale=16" {
+		t.Fatalf("treeadd key = %q, %t", want, ok)
+	}
+	for _, k := range []coherence.Kind{coherence.LocalKnowledge, coherence.GlobalKnowledge, coherence.Bilateral} {
+		for _, mode := range []rt.Mode{rt.Heuristic, rt.MigrateOnly, rt.CacheOnly} {
+			if got, ok := key("treeadd", bench.Config{Procs: 2, Scale: 16, Scheme: k, Mode: mode}); !ok || got != want {
+				t.Errorf("treeadd under %s/%s: key %q, %t; want %q", k, mode, got, ok, want)
+			}
+		}
+	}
+	if got, _ := key("treeadd", bench.Config{Procs: 2}); got != want {
+		t.Errorf("default scale: key %q, want %q", got, want)
+	}
+	for _, cfg := range []bench.Config{{Procs: 4, Scale: 16}, {Procs: 2, Scale: 32}} {
+		if got, ok := key("treeadd", cfg); !ok || got == want {
+			t.Errorf("%+v: key %q, %t; want a key other than %q", cfg, got, ok, want)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		cfg  bench.Config
+	}{
+		{"treeadd", bench.Config{Procs: 2, Scale: 16, Baseline: true}},
+		{"power", bench.Config{Procs: 2, Scale: 16}},
+		{"health", bench.Config{Procs: 2, Scale: 16}},
+		{"barneshut", bench.Config{Procs: 2, Scale: 16}},
+		{"no-such-benchmark", bench.Config{Procs: 2, Scale: 16}},
+	} {
+		if got, ok := key(c.name, c.cfg); ok {
+			t.Errorf("%s %+v: key %q, want none", c.name, c.cfg, got)
+		}
 	}
 }

@@ -78,7 +78,7 @@ func batteryLine(t *testing.T, name, scheme string, cfg bench.Config, claims ker
 //
 // The same sixty runs check the static analyses' claims about each kernel
 // (kernel_claims_test.go): every site's mechanism, and per machine size,
-// what a certificate or a build chain promises across the three schemes.
+// what a certified plan or a shared build promises across the three schemes.
 //
 // Under the race detector the battery trims itself to one parallel
 // configuration per kernel (scheme rotated by kernel so all three

@@ -168,7 +168,6 @@ var handFolds = map[string]string{
 	"internal/analysis/effects.stmtBits":     "folds children's results: a loop's bits come from loopBits, not from its nodes",
 	"internal/analysis/effects.advanceOf":    "an if advances only when both arms do; a nested loop never guarantees",
 	"internal/analysis/effects.stepInterval": "sums intervals along a block, takes min/max across an if",
-	"internal/analysis/effects.derivedVars":  "an if contributes only what both branches derive",
 }
 
 // TestOneTraversal keeps the statement/expression recursion in one place:

@@ -343,7 +343,7 @@ func TestResetForKernel(t *testing.T) {
 
 // TestBuildPhaseDigestStash pins that ResetForKernel snapshots the build
 // phase's trace digests before discarding its events: the phase keeps an
-// identity the certificate-trace validation can compare across schemes.
+// identity the scheduler battery can compare across schemes.
 func TestBuildPhaseDigestStash(t *testing.T) {
 	run := func() *Runtime {
 		r := New(Config{Procs: 2, Scheme: coherence.LocalKnowledge,

@@ -195,8 +195,8 @@ type Runtime struct {
 
 	// buildDigest and buildAccess snapshot the build phase's trace just
 	// before ResetForKernel discards it, so the phase keeps a durable
-	// identity (the cacheability certificates in analysis/effects are
-	// validated against these per-phase digests, not only the kernel's).
+	// identity (the scheduler battery compares these per-phase digests
+	// across schemes, not only the kernel's).
 	// Only the virtual-time-active thread calls ResetForKernel, so the
 	// same hand-off ordering covers them.
 	buildDigest trace.Digest
@@ -382,10 +382,10 @@ func (r *Runtime) BuildPhaseDigest() (full, access trace.Digest, ok bool) {
 
 // BuildHeapFingerprint returns the heap fingerprint captured at the most
 // recent ResetForKernel boundary. ok is false if no phase boundary has
-// been crossed. Two configurations whose static phase plans share a
-// build-chain digest must agree on this fingerprint whatever the
-// coherence scheme — the server's phase cache rests on that obligation,
-// and the scheduler battery in internal/bench checks it.
+// been crossed. Two configurations with the same bench BuildKey must
+// agree on this fingerprint whatever the coherence scheme — the server's
+// phase cache rests on that obligation, and the scheduler battery in
+// internal/bench checks it.
 func (r *Runtime) BuildHeapFingerprint() (uint64, bool) {
 	return r.buildHeapFP, r.buildHeapOK
 }

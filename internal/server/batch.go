@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"repro/internal/bench"
 )
 
 // BatchRequest is the POST /batch body: a set of run configurations to
@@ -157,10 +159,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	groups := map[string][]int{}
 	for _, i := range order {
 		g := "key:" + items[i].Key
-		if !reqs[i].Baseline {
-			if chain, ok := buildChainFor(reqs[i].Benchmark); ok {
-				g = "phase:" + phaseKey(reqs[i], chain)
-			}
+		info, _ := bench.Get(reqs[i].Benchmark)
+		cfg := bench.Config{Baseline: reqs[i].Baseline, Procs: reqs[i].Procs, Scale: reqs[i].Scale}
+		if k, ok := info.BuildKey(cfg); ok {
+			g = "phase:" + k
 		}
 		groups[g] = append(groups[g], i)
 	}

@@ -26,11 +26,11 @@ type cacheEntry struct {
 //     what a re-run would produce.
 //
 //   - the phase cache (lruCache[*bench.BuildState]) memoizes build-phase
-//     boundaries, keyed by (benchmark, machine size, scale, build chain
-//     digest) — deliberately NOT by scheme or mode. Soundness comes from
-//     the static phase plan: the build chain digest names a proven
-//     scheme-invariant prefix, so one configuration's heap images serve
-//     every configuration that agrees on the key.
+//     boundaries, keyed by bench.Info.BuildKey (benchmark, machine size,
+//     scale) — deliberately NOT by scheme or mode. Soundness comes from
+//     the build making no simulated accesses, so one configuration's heap
+//     images serve every configuration that agrees on the key, and from
+//     the heap fingerprint RunPhased re-checks on every restore.
 type lruCache[V any] struct {
 	mu    sync.Mutex
 	cap   int

@@ -2,9 +2,7 @@ package server
 
 import (
 	"fmt"
-	"sync"
 
-	"repro/internal/analysis/phases"
 	"repro/internal/bench"
 	"repro/internal/bench/record"
 	"repro/internal/coherence"
@@ -17,46 +15,11 @@ import (
 // layer under the all-or-nothing result cache. The result cache can only
 // reuse a run whose *entire* configuration matches; the phase cache
 // reuses the build-phase boundary — heap images plus host-side build
-// state — across every configuration that agrees on (benchmark, machine
-// size, problem scale), whatever the coherence scheme or mechanism mode.
-//
-// Admitting a benchmark into this cache is a static decision, not a
-// heuristic one: the benchmark's mini-C kernel is sliced into its phase
-// plan and only a certified invariant build chain yields a key. The
-// chain digest itself is part of the key, so editing a kernel reshuffles
-// its chain and orphans any stale state rather than serving it.
-
-// buildChains memoizes the static decision per benchmark name: the build
-// chain digest, or "" when the benchmark is not phase-cacheable.
-var buildChains sync.Map // string -> string
-
-// buildChainFor returns the benchmark's certified build-chain digest.
-// It is "" (not cacheable) when the benchmark has no kernel source or no
-// build/kernel split, or when the slicer cannot stand behind the build
-// phase.
-func buildChainFor(name string) (string, bool) {
-	if v, ok := buildChains.Load(name); ok {
-		chain := v.(string)
-		return chain, chain != ""
-	}
-	chain := ""
-	if info, ok := bench.Get(name); ok && info.Source != "" && info.Phased != nil {
-		if plan, err := phases.ComputeSource(info.Source, phases.Options{IncludeBuild: true}); err == nil {
-			if c, ok := plan.BuildChain(); ok {
-				chain = c
-			}
-		}
-	}
-	buildChains.Store(name, chain)
-	return chain, chain != ""
-}
-
-// phaseKey is the phase-cache key: the scheme-invariant prefix identity.
-// Scheme and mode are deliberately absent — that is the entire point —
-// and so is Baseline, which Reusable refuses separately.
-func phaseKey(req RunRequest, chain string) string {
-	return fmt.Sprintf("%s|P=%d|scale=%d|chain=%s", req.Benchmark, req.Procs, req.Scale, chain)
-}
+// state — across every configuration with the same bench BuildKey
+// (benchmark, machine size, problem scale), whatever the coherence scheme
+// or mechanism mode. The build performs no simulated accesses, so its
+// image is scheme-invariant by construction, and RunPhased re-checks the
+// heap fingerprint on every restore.
 
 // defaultExecutePhased runs the benchmark for real: a fresh machine +
 // runtime per job (nothing shared with concurrent runs), the trace
@@ -108,13 +71,10 @@ func (s *Server) defaultExecutePhased(req RunRequest, sp *obs.Span) (record.RunR
 		}
 	}
 
-	key := ""
+	key, shared := info.BuildKey(cfg)
 	var bs *bench.BuildState
-	if !req.Baseline {
-		if chain, ok := buildChainFor(req.Benchmark); ok {
-			key = phaseKey(req, chain)
-			bs, _ = s.phases.get(key)
-		}
+	if shared {
+		bs, _ = s.phases.get(key)
 	}
 	res, rec, nbs, reused, err := bench.RunPhasedRecorded(info, cfg, bs)
 	if simRec != nil {
@@ -130,7 +90,7 @@ func (s *Server) defaultExecutePhased(req RunRequest, sp *obs.Span) (record.RunR
 		return rec, "none", fmt.Errorf("%s run failed verification: %#x != %#x", req.Benchmark, res.Check, res.WantCheck)
 	}
 	phase := "none"
-	if key != "" && nbs != nil {
+	if shared && nbs != nil {
 		if reused {
 			phase = "hit"
 			s.phaseHits.Inc()

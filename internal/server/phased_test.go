@@ -18,28 +18,6 @@ import (
 	_ "repro/internal/bench/all"
 )
 
-// TestBuildChainFor pins the static admission decision: kernel-timed
-// benchmarks with a certified build phase get a chain key, whole-program
-// benchmarks do not, and unknown names do not.
-func TestBuildChainFor(t *testing.T) {
-	chain, ok := buildChainFor("treeadd")
-	if !ok || chain == "" {
-		t.Fatalf("treeadd must be phase-cacheable, got %q ok=%t", chain, ok)
-	}
-	if c2, ok2 := buildChainFor("treeadd"); !ok2 || c2 != chain {
-		t.Fatalf("memoized chain diverged: %q vs %q", c2, chain)
-	}
-	if em, ok := buildChainFor("em3d"); !ok || em == chain {
-		t.Fatalf("em3d chain = %q ok=%t; must be cacheable and kernel-specific", em, ok)
-	}
-	if _, ok := buildChainFor("health"); ok {
-		t.Fatal("health is whole-program; it must not be phase-cacheable")
-	}
-	if _, ok := buildChainFor("no-such-benchmark"); ok {
-		t.Fatal("unknown benchmark must not be phase-cacheable")
-	}
-}
-
 // TestPhaseCacheAcrossSchemes is the tentpole's serving-layer claim in
 // miniature: the same benchmark under different coherence schemes misses
 // the all-or-nothing result cache but shares one build state, and every

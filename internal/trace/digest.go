@@ -105,7 +105,7 @@ func IsAccessKind(k Kind) bool { return int(k) < NumKinds && accessKinds[k] }
 // work stealing places the same semantic work differently when protocol
 // latencies perturb which processor idles first. What remains is the
 // multiset of (what happened, at which site, to which page) — the part a
-// cacheability certificate actually speaks about.
+// certified phase plan actually speaks about.
 func hashAccessEvent(ev Event) uint64 {
 	h := uint64(fnvOffset)
 	h = fnvWord(h, uint64(ev.Kind))
@@ -120,11 +120,11 @@ func hashAccessEvent(ev Event) uint64 {
 // (timing-free, see hashAccessEvent) and the hashes combine by modular
 // addition, so two traces agree exactly when they contain the same
 // multiset of access events — regardless of how protocol timing
-// interleaved them. This is the runtime half of the cacheability
-// certificates in internal/analysis/effects: a phase the static analysis
-// certifies as coherence-scheme-independent must produce byte-identical
-// AccessDigests under all three schemes, and the oldenvet
-// certificate-trace check enforces exactly that on the pinned kernels.
+// interleaved them. This is the runtime half of a certified phase plan
+// (internal/analysis/phases): a kernel whose plan certifies every phase
+// coherence-scheme-independent must produce byte-identical AccessDigests
+// under all three schemes, and internal/bench's scheduler battery checks
+// exactly that on the pinned kernels.
 func (r *Recorder) AccessDigest() Digest {
 	r.mu.Lock()
 	defer r.mu.Unlock()

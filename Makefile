@@ -108,7 +108,7 @@ perfgate:
 	$(GO) run ./cmd/oldenbench -record $(PERFGATE_DIR) -maxprocs $(BASELINE_PROCS)
 	$(GO) run ./cmd/oldenbench -report -candidate $(PERFGATE_DIR)
 
-# The number ROADMAP item 6 tracks: non-test Go lines under internal/ and
+# The number ROADMAP item 7 tracks: non-test Go lines under internal/ and
 # cmd/.
 loc:
 	@find internal cmd -name '*.go' -not -name '*_test.go' | xargs cat | wc -l

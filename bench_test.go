@@ -119,15 +119,14 @@ func BenchmarkFigure2(b *testing.B) {
 					r := rt.New(rt.Config{Procs: p})
 					nodes := make([]olden.GP, n)
 					for j := range nodes {
-						nodes[j] = bench.RawAlloc(r, layouts[lay](j), 16)
+						nodes[j] = r.RawAlloc(layouts[lay](j), 16)
 					}
 					for j := range nodes {
 						if j+1 < n {
-							bench.RawStorePtr(r, nodes[j], 8, nodes[j+1])
+							r.RawStorePtr(nodes[j], 8, nodes[j+1])
 						}
 					}
 					site := &rt.Site{Name: "layout.walk", Mech: mech}
-					r.ResetForKernel()
 					cycles = r.Run(0, func(t *rt.Thread) {
 						for g := nodes[0]; !g.IsNil(); g = t.LoadPtr(site, g, 8) {
 							t.Work(10)
@@ -196,15 +195,14 @@ func runList(cost machine.Cost, n, p int, mech olden.Mechanism) int64 {
 	r := rt.New(rt.Config{Procs: p, Cost: cost})
 	nodes := make([]olden.GP, n)
 	for j := range nodes {
-		nodes[j] = bench.RawAlloc(r, bench.BlockedProc(j, n, p), 16)
+		nodes[j] = r.RawAlloc(bench.BlockedProc(j, n, p), 16)
 	}
 	for j := range nodes {
 		if j+1 < n {
-			bench.RawStorePtr(r, nodes[j], 8, nodes[j+1])
+			r.RawStorePtr(nodes[j], 8, nodes[j+1])
 		}
 	}
 	site := &rt.Site{Name: "costs.walk", Mech: mech}
-	r.ResetForKernel()
 	return r.Run(0, func(t *rt.Thread) {
 		for g := nodes[0]; !g.IsNil(); g = t.LoadPtr(site, g, 8) {
 			t.Work(10)

@@ -34,25 +34,22 @@ func main() {
 		for _, mech := range []olden.Mechanism{olden.Migrate, olden.Cache} {
 			r := olden.New(olden.Config{Procs: *procs})
 			site := &olden.Site{Name: "listdist.walk", Mech: mech}
-			build := &olden.Site{Name: "listdist.build", Mech: olden.Cache}
 
-			var head olden.GP
-			r.Run(0, func(t *olden.Thread) {
-				nodes := make([]olden.GP, *n)
-				for i := range nodes {
-					nodes[i] = t.Alloc(layouts[name](i), nodeSz)
+			// The raw heap API charges no cycles and counts nothing, so
+			// the walk below is all the machine measures.
+			nodes := make([]olden.GP, *n)
+			for i := range nodes {
+				nodes[i] = r.RawAlloc(layouts[name](i), nodeSz)
+			}
+			for i, g := range nodes {
+				r.RawStore(g, offVal, uint64(i))
+				if i+1 < *n {
+					r.RawStorePtr(g, offNext, nodes[i+1])
+				} else {
+					r.RawStore(g, offNext, 0)
 				}
-				for i, g := range nodes {
-					t.StoreInt(build, g, offVal, int64(i))
-					if i+1 < *n {
-						t.StorePtr(build, g, offNext, nodes[i+1])
-					} else {
-						t.StoreWord(build, g, offNext, 0)
-					}
-				}
-				head = nodes[0]
-			})
-			r.ResetForKernel()
+			}
+			head := nodes[0]
 			cycles := r.Run(0, func(t *olden.Thread) {
 				for g := head; !g.IsNil(); g = t.LoadPtr(site, g, offNext) {
 					t.LoadInt(site, g, offVal)

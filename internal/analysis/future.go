@@ -8,9 +8,12 @@ import (
 
 // checkFutureDiscipline verifies that a future returned by rt.Spawn is
 // touched on every control-flow path before it goes out of scope, and
-// never touched twice.  An untouched future leaves its child thread's
-// work unserialised into the parent's virtual clock (the simulated
-// makespan silently drops it); a second touch panics at runtime.
+// never touched twice.  An untouched future's value is lost and its
+// parent never waits for it: rt.Run still runs the body to completion and
+// its cycles count in the makespan, but nothing the parent does is ordered
+// after the body, and Stats.Touches falls short of Stats.Futures.  A
+// second touch returns the value again, counts a second Stats.Touches and
+// charges Cost.Touch a second time, inflating the overhead a run reports.
 //
 // The analysis is local and conservative: it tracks only futures bound
 // to a plain variable by `f := rt.Spawn(...)`.  A future that escapes —

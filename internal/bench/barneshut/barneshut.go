@@ -83,7 +83,6 @@ func init() {
 		Description: "Solves the N-body problem using hierarchical methods",
 		PaperSize:   "8K bodies",
 		Choice:      "M+C",
-		Whole:       true,
 		Run:         Run,
 		Source:      KernelSource,
 	})
@@ -331,7 +330,7 @@ func Run(cfg bench.Config) bench.Result {
 	}
 	for i := range bodies {
 		for k := 0; k < 3; k++ {
-			mix(bench.RawLoad(r, bodies[i], offBPosK(k)))
+			mix(r.RawLoad(bodies[i], offBPosK(k)))
 		}
 	}
 

@@ -4,6 +4,7 @@
 package bench
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 
@@ -32,12 +33,11 @@ type Config struct {
 	// sizes, 8 runs 1/8-size problems, etc. Zero means DefaultScale.
 	Scale int
 	// Trace, when non-nil, records the run's simulation events into the
-	// given recorder. ResetForKernel (called by kernel-timed benchmarks)
-	// clears it along with the statistics, so the recorded trace covers
-	// exactly the timed region.
+	// given recorder. A kernel-timed benchmark's build is raw and emits
+	// nothing, so the recorded trace covers exactly the timed region.
 	Trace *trace.Recorder
 	// Metrics, when non-nil, binds the run's counters into the given
-	// registry. Like Trace it is cleared by ResetForKernel and charges no
+	// registry. Like Trace it sees only the timed region and charges no
 	// simulated cycles: makespans are identical with or without it.
 	Metrics *metrics.Registry
 	// RuntimeHook, when non-nil, observes the runtime a Run constructs
@@ -103,6 +103,22 @@ func (c Config) Scaled(paper, floor int) int {
 	return v
 }
 
+// BlockedProc maps index i of n items onto one of p processors in a blocked
+// distribution (Figure 2, left).
+func BlockedProc(i, n, p int) int {
+	if n <= 0 {
+		return 0
+	}
+	q := i * p / n
+	if q >= p {
+		q = p - 1
+	}
+	return q
+}
+
+// CyclicProc maps index i onto p processors cyclically (Figure 2, right).
+func CyclicProc(i, p int) int { return i % p }
+
 // Result is the outcome of one benchmark run.
 type Result struct {
 	Name   string
@@ -125,29 +141,59 @@ type Info struct {
 	Description string
 	PaperSize   string // problem size from Table 1
 	Choice      string // "M" or "M+C", the heuristic choice in Table 2
-	Whole       bool   // whole-program timing (the W rows)
-	Run         func(Config) Result
+	// Run executes one configuration. A whole-program benchmark supplies
+	// it; Register derives a kernel-timed benchmark's from Phased.
+	Run func(Config) Result
 	// Source is the benchmark's mini-C kernel (the package's
 	// KernelSource), when it has one; the phase-slicing pass reads it.
 	Source string
-	// Phased exposes the benchmark's build/kernel split, when the
-	// benchmark is kernel-timed. Run must be exactly Phased.Kernel
-	// composed after Phased.Build on a fresh runtime.
+	// Phased is the benchmark's build/kernel split, when the benchmark is
+	// kernel-timed.
 	Phased *Phased
 }
 
-// Phased is a kernel-timed benchmark split at its ResetForKernel
-// boundary, the seam the phase cache reuses (Info.BuildKey).
+// Whole reports whole-program timing (Table 2's W rows): the benchmark has
+// no build/kernel split.
+func (info Info) Whole() bool { return info.Phased == nil }
+
+// Phased is a kernel-timed benchmark split at its raw build, the seam the
+// phase cache reuses (Info.BuildKey).
 type Phased struct {
-	// Build materializes the problem instance on the runtime (raw heap
-	// API, no simulated accesses) and returns the build state the kernel
-	// needs: addresses, sizes, the reference answer. The state must be
-	// immutable and free of references to the runtime or configuration —
-	// a later run with a different coherence scheme reuses it verbatim.
+	// Build materializes the problem instance on a fresh runtime through
+	// the raw heap API and returns the build state the kernel needs:
+	// addresses, sizes, the reference answer. It must leave the machine
+	// pristine — no cycles, statistics or trace events — or the run fails.
+	// The state must be immutable and free of references to the runtime or
+	// configuration: a later run with a different coherence scheme reuses
+	// it verbatim.
 	Build func(Config, *rt.Runtime) any
-	// Kernel calls ResetForKernel, runs and times the kernel, and
-	// verifies the result. It must not mutate the build state.
+	// Kernel runs and times the kernel and verifies the result. It must
+	// not mutate the build state.
 	Kernel func(Config, *rt.Runtime, any) Result
+}
+
+// build runs the benchmark's build on the fresh runtime r and fails unless
+// the machine is still pristine: zero makespan, zero statistics, an empty
+// trace. The raw heap API charges, counts and emits nothing, so anything
+// else is a simulated access that would leak into the kernel's timing.
+func (info Info) build(cfg Config, r *rt.Runtime) (any, error) {
+	st := info.Phased.Build(cfg, r)
+	if tr := r.Tracer(); r.M.Makespan() != 0 || r.M.Stats != (machine.Stats{}) || (tr != nil && tr.Len() != 0) {
+		return nil, fmt.Errorf("bench: %s build made simulated accesses; build through the raw heap API", info.Name)
+	}
+	return st, nil
+}
+
+// runPhased is a kernel-timed benchmark's Run: the kernel after a build on
+// a fresh runtime. A build that is not raw panics.
+func (info Info) runPhased(cfg Config) Result {
+	cfg = cfg.normalize()
+	r := cfg.NewRuntime()
+	st, err := info.build(cfg, r)
+	if err != nil {
+		panic(err)
+	}
+	return info.Phased.Kernel(cfg, r, st)
 }
 
 var (
@@ -156,7 +202,11 @@ var (
 )
 
 // Register enrolls a benchmark; called from each benchmark package's init.
+// A kernel-timed benchmark's Run is derived from its Phased split.
 func Register(info Info) {
+	if info.Phased != nil {
+		info.Run = info.runPhased
+	}
 	regMu.Lock()
 	defer regMu.Unlock()
 	if _, dup := registry[info.Name]; dup {

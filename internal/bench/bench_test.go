@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/rt"
 )
 
 func TestBlockedProc(t *testing.T) {
@@ -78,19 +76,6 @@ func TestRegistry(t *testing.T) {
 		}
 	}()
 	Register(Info{Name: "bench-test-dummy"})
-}
-
-func TestRawHelpers(t *testing.T) {
-	r := rt.New(rt.Config{Procs: 2, HeapBytesPerProc: 1 << 20})
-	g := RawAlloc(r, 1, 32)
-	RawStore(r, g, 8, 77)
-	if v := RawLoad(r, g, 8); v != 77 {
-		t.Fatalf("raw load = %d", v)
-	}
-	RawStorePtr(r, g, 16, g)
-	if v := RawLoadPtr(r, g, 16); v != g {
-		t.Fatalf("raw ptr = %v", v)
-	}
 }
 
 func TestCollectRecordsUnknownBenchmark(t *testing.T) {

@@ -58,7 +58,6 @@ func init() {
 		Description: "Sorts by creating two disjoint bitonic sequences and then merging them",
 		PaperSize:   "128K integers",
 		Choice:      "M+C",
-		Run:         Run,
 		Source:      KernelSource,
 		Phased:      &bench.Phased{Build: buildPhase, Kernel: kernelPhase},
 	})
@@ -82,14 +81,14 @@ func build(r *rt.Runtime, levels int, next *uint64) gaddr.GP {
 			return gaddr.Nil
 		}
 		*next = *next*6364136223846793005 + 1442695040888963407
-		n := bench.RawAlloc(r, proc, nodeSz)
-		bench.RawStore(r, n, offVal, uint64(int64(*next>>40)))
+		n := r.RawAlloc(proc, nodeSz)
+		r.RawStore(n, offVal, uint64(int64(*next>>40)))
 		rp := proc
 		if stride > 1 {
 			rp = proc + stride/2
 		}
-		bench.RawStorePtr(r, n, offLeft, rec(level-1, proc, stride/2))
-		bench.RawStorePtr(r, n, offRight, rec(level-1, rp, stride/2))
+		r.RawStorePtr(n, offLeft, rec(level-1, proc, stride/2))
+		r.RawStorePtr(n, offRight, rec(level-1, rp, stride/2))
 		return n
 	}
 	return rec(levels, 0, r.P())
@@ -301,7 +300,6 @@ func kernelPhase(cfg bench.Config, r *rt.Runtime, st any) bench.Result {
 		spawnDepth: b.distDepth + 2,
 	}
 
-	r.ResetForKernel()
 	var check uint64
 	var cycles int64
 	r.Run(0, func(t *rt.Thread) {
@@ -334,10 +332,4 @@ func kernelPhase(cfg bench.Config, r *rt.Runtime, st any) bench.Result {
 		Check:     check,
 		WantCheck: b.want,
 	}
-}
-
-// Run executes Bisort under the configuration.
-func Run(cfg bench.Config) bench.Result {
-	r := cfg.NewRuntime()
-	return kernelPhase(cfg, r, buildPhase(cfg, r))
 }

@@ -9,9 +9,16 @@ import (
 	"repro/internal/rt"
 )
 
+// run executes the registered benchmark, whose Run Register derives from
+// its Phased split.
+func run(cfg bench.Config) bench.Result {
+	info, _ := bench.Get("bisort")
+	return info.Run(cfg)
+}
+
 func TestCorrectness(t *testing.T) {
 	for _, procs := range []int{1, 2, 4, 8} {
-		res := Run(bench.Config{Procs: procs, Scale: 256})
+		res := run(bench.Config{Procs: procs, Scale: 256})
 		if !res.Verified() {
 			t.Fatalf("P=%d: checksum %#x != %#x", procs, res.Check, res.WantCheck)
 		}
@@ -21,9 +28,9 @@ func TestCorrectness(t *testing.T) {
 func TestSpeedupModest(t *testing.T) {
 	// Table 2: Bisort reaches only 6.33 at 32 processors; speedups grow
 	// but stay well below linear.
-	base := Run(bench.Config{Baseline: true, Scale: 32})
-	sp2 := float64(base.Cycles) / float64(Run(bench.Config{Procs: 2, Scale: 32}).Cycles)
-	sp8 := float64(base.Cycles) / float64(Run(bench.Config{Procs: 8, Scale: 32}).Cycles)
+	base := run(bench.Config{Baseline: true, Scale: 32})
+	sp2 := float64(base.Cycles) / float64(run(bench.Config{Procs: 2, Scale: 32}).Cycles)
+	sp8 := float64(base.Cycles) / float64(run(bench.Config{Procs: 8, Scale: 32}).Cycles)
 	if sp2 < 1.0 {
 		t.Errorf("P=2 speedup %.2f; want ≥ 1 (paper: 1.35)", sp2)
 	}
@@ -37,8 +44,8 @@ func TestSpeedupModest(t *testing.T) {
 
 func TestMigrateOnlyClose(t *testing.T) {
 	// Table 2: heuristic 6.33 vs migrate-only 6.13 at 32 — close.
-	h := Run(bench.Config{Procs: 8, Scale: 64})
-	m := Run(bench.Config{Procs: 8, Scale: 64, Mode: rt.MigrateOnly})
+	h := run(bench.Config{Procs: 8, Scale: 64})
+	m := run(bench.Config{Procs: 8, Scale: 64, Mode: rt.MigrateOnly})
 	if !m.Verified() {
 		t.Fatal("migrate-only must verify")
 	}
@@ -71,8 +78,8 @@ func TestHeuristicChoice(t *testing.T) {
 }
 
 func TestDeterministic(t *testing.T) {
-	a := Run(bench.Config{Procs: 4, Scale: 256})
-	b := Run(bench.Config{Procs: 4, Scale: 256})
+	a := run(bench.Config{Procs: 4, Scale: 256})
+	b := run(bench.Config{Procs: 4, Scale: 256})
 	if a.Cycles != b.Cycles || a.Stats != b.Stats {
 		t.Fatal("runs must be deterministic")
 	}

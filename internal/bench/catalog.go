@@ -55,7 +55,7 @@ func Catalog() []CatalogEntry {
 			Description:  info.Description,
 			PaperSize:    info.PaperSize,
 			Choice:       info.Choice,
-			Whole:        info.Whole,
+			Whole:        info.Whole(),
 			Schemes:      schemes,
 			Modes:        modes,
 			DefaultProcs: CatalogDefaultProcs,

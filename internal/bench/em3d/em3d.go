@@ -86,7 +86,6 @@ func init() {
 		Description: "Simulates the propagation of electro-magnetic waves in a 3D object",
 		PaperSize:   "2K nodes",
 		Choice:      "M+C",
-		Run:         Run,
 		Source:      KernelSource,
 		Phased:      &bench.Phased{Build: buildPhase, Kernel: kernelPhase},
 	})
@@ -234,7 +233,7 @@ func buildPhase(cfg bench.Config, r *rt.Runtime) any {
 			if hi == lo {
 				continue
 			}
-			block := bench.RawAlloc(r, p, uint32(8*(hi-lo)))
+			block := r.RawAlloc(p, uint32(8*(hi-lo)))
 			for i := lo; i < hi; i++ {
 				slots[side][i] = rt.FieldPtr(block, uint32(8*(i-lo)))
 			}
@@ -243,23 +242,23 @@ func buildPhase(cfg bench.Config, r *rt.Runtime) any {
 	nodes := [2][]gaddr.GP{make([]gaddr.GP, g.n), make([]gaddr.GP, g.n)}
 	for side := 0; side < 2; side++ {
 		for i := 0; i < g.n; i++ {
-			nodes[side][i] = bench.RawAlloc(r, g.procOf(i), nodeSize(degree))
+			nodes[side][i] = r.RawAlloc(g.procOf(i), nodeSize(degree))
 		}
 	}
 	for side := 0; side < 2; side++ {
 		other := 1 - side
 		for i := 0; i < g.n; i++ {
 			n := nodes[side][i]
-			bench.RawStorePtr(r, n, offSlot, slots[side][i])
-			bench.RawStore(r, slots[side][i], 0, math.Float64bits(g.value[side][i]))
+			r.RawStorePtr(n, offSlot, slots[side][i])
+			r.RawStore(slots[side][i], 0, math.Float64bits(g.value[side][i]))
 			next := gaddr.Nil
 			if nx := g.nextOf[side][i]; nx >= 0 {
 				next = nodes[side][nx]
 			}
-			bench.RawStorePtr(r, n, offNext, next)
+			r.RawStorePtr(n, offNext, next)
 			for e := 0; e < degree; e++ {
-				bench.RawStorePtr(r, n, offNbr(e), slots[other][g.nbr[side][i][e]])
-				bench.RawStore(r, n, offWeight(e), math.Float64bits(g.weight[side][i][e]))
+				r.RawStorePtr(n, offNbr(e), slots[other][g.nbr[side][i][e]])
+				r.RawStore(n, offWeight(e), math.Float64bits(g.weight[side][i][e]))
 			}
 		}
 	}
@@ -293,7 +292,6 @@ func kernelPhase(cfg bench.Config, r *rt.Runtime, st any) bench.Result {
 	}
 
 	iters := iterations
-	r.ResetForKernel()
 	r.Run(0, func(t *rt.Thread) {
 		for it := 0; it < iters; it++ {
 			for side := 0; side < 2; side++ {
@@ -328,7 +326,7 @@ func kernelPhase(cfg bench.Config, r *rt.Runtime, st any) bench.Result {
 	final := [2][]float64{make([]float64, g.n), make([]float64, g.n)}
 	for side := 0; side < 2; side++ {
 		for i := 0; i < g.n; i++ {
-			final[side][i] = math.Float64frombits(bench.RawLoad(r, slots[side][i], 0))
+			final[side][i] = math.Float64frombits(r.RawLoad(slots[side][i], 0))
 		}
 	}
 
@@ -341,10 +339,4 @@ func kernelPhase(cfg bench.Config, r *rt.Runtime, st any) bench.Result {
 		Check:     checksum(final),
 		WantCheck: b.want,
 	}
-}
-
-// Run executes EM3D under the configuration.
-func Run(cfg bench.Config) bench.Result {
-	r := cfg.NewRuntime()
-	return kernelPhase(cfg, r, buildPhase(cfg, r))
 }

@@ -10,9 +10,16 @@ import (
 	"repro/internal/rt"
 )
 
+// run executes the registered benchmark, whose Run Register derives from
+// its Phased split.
+func run(cfg bench.Config) bench.Result {
+	info, _ := bench.Get("em3d")
+	return info.Run(cfg)
+}
+
 func TestCorrectness(t *testing.T) {
 	for _, procs := range []int{1, 2, 4, 8} {
-		res := Run(bench.Config{Procs: procs, Scale: 8})
+		res := run(bench.Config{Procs: procs, Scale: 8})
 		if !res.Verified() {
 			t.Fatalf("P=%d: checksum %#x != %#x", procs, res.Check, res.WantCheck)
 		}
@@ -21,7 +28,7 @@ func TestCorrectness(t *testing.T) {
 
 func TestCorrectnessAllSchemes(t *testing.T) {
 	for _, scheme := range []coherence.Kind{coherence.LocalKnowledge, coherence.GlobalKnowledge, coherence.Bilateral} {
-		res := Run(bench.Config{Procs: 4, Scale: 8, Scheme: scheme})
+		res := run(bench.Config{Procs: 4, Scale: 8, Scheme: scheme})
 		if !res.Verified() {
 			t.Fatalf("%v: checksum mismatch", scheme)
 		}
@@ -29,7 +36,7 @@ func TestCorrectnessAllSchemes(t *testing.T) {
 }
 
 func TestUsesBothMechanisms(t *testing.T) {
-	res := Run(bench.Config{Procs: 8, Scale: 8})
+	res := run(bench.Config{Procs: 8, Scale: 8})
 	if res.Stats.Migrations == 0 {
 		t.Error("em3d must migrate along the node lists")
 	}
@@ -42,8 +49,8 @@ func TestMigrateOnlyIsMuchWorse(t *testing.T) {
 	// Table 2: EM3D speedup 12.0 with the heuristic vs 0.05 with
 	// migrate-only at 32 processors — chasing every low-locality edge
 	// with a migration is catastrophic.
-	h := Run(bench.Config{Procs: 8, Scale: 8})
-	m := Run(bench.Config{Procs: 8, Scale: 8, Mode: rt.MigrateOnly})
+	h := run(bench.Config{Procs: 8, Scale: 8})
+	m := run(bench.Config{Procs: 8, Scale: 8, Mode: rt.MigrateOnly})
 	if !m.Verified() {
 		t.Fatal("migrate-only run must still be correct")
 	}
@@ -53,9 +60,9 @@ func TestMigrateOnlyIsMuchWorse(t *testing.T) {
 }
 
 func TestSpeedupShape(t *testing.T) {
-	base := Run(bench.Config{Baseline: true, Scale: 2})
-	sp4 := float64(base.Cycles) / float64(Run(bench.Config{Procs: 4, Scale: 2}).Cycles)
-	sp8 := float64(base.Cycles) / float64(Run(bench.Config{Procs: 8, Scale: 2}).Cycles)
+	base := run(bench.Config{Baseline: true, Scale: 2})
+	sp4 := float64(base.Cycles) / float64(run(bench.Config{Procs: 4, Scale: 2}).Cycles)
+	sp8 := float64(base.Cycles) / float64(run(bench.Config{Procs: 8, Scale: 2}).Cycles)
 	if sp4 < 1.5 {
 		t.Errorf("speedup at P=4 = %.2f; want > 1.5", sp4)
 	}
@@ -84,8 +91,8 @@ func TestHeuristicChoice(t *testing.T) {
 }
 
 func TestDeterministic(t *testing.T) {
-	a := Run(bench.Config{Procs: 4, Scale: 8})
-	b := Run(bench.Config{Procs: 4, Scale: 8})
+	a := run(bench.Config{Procs: 4, Scale: 8})
+	b := run(bench.Config{Procs: 4, Scale: 8})
 	if a.Cycles != b.Cycles || a.Stats != b.Stats {
 		t.Fatal("runs must be deterministic")
 	}

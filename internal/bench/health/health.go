@@ -93,7 +93,6 @@ func init() {
 		Description: "Simulates the Columbian health care system",
 		PaperSize:   "1365 villages",
 		Choice:      "M+C",
-		Whole:       true,
 		Run:         Run,
 		Source:      KernelSource,
 	})

@@ -86,7 +86,6 @@ func init() {
 		Description: "Computes the minimum spanning tree of a graph",
 		PaperSize:   "1K nodes",
 		Choice:      "M",
-		Run:         Run,
 		Source:      KernelSource,
 		Phased:      &bench.Phased{Build: buildPhase, Kernel: kernelPhase},
 	})
@@ -144,10 +143,10 @@ func buildPhase(cfg bench.Config, r *rt.Runtime) any {
 	heads := make([]gaddr.GP, r.P())
 	for i := n - 1; i >= 1; i-- {
 		p := bench.BlockedProc(i, n, r.P())
-		v := bench.RawAlloc(r, p, vertSz)
-		bench.RawStore(r, v, offID, uint64(i))
-		bench.RawStore(r, v, offDist, uint64(infinity))
-		bench.RawStorePtr(r, v, offNext, heads[p])
+		v := r.RawAlloc(p, vertSz)
+		r.RawStore(v, offID, uint64(i))
+		r.RawStore(v, offDist, uint64(infinity))
+		r.RawStorePtr(v, offNext, heads[p])
 		heads[p] = v
 	}
 
@@ -188,7 +187,6 @@ func kernelPhase(cfg bench.Config, r *rt.Runtime, st any) bench.Result {
 		return best
 	}
 
-	r.ResetForKernel()
 	var total int64
 	r.Run(0, func(t *rt.Thread) {
 		last, taken := int64(0), int64(-1)
@@ -242,10 +240,4 @@ func kernelPhase(cfg bench.Config, r *rt.Runtime, st any) bench.Result {
 		Check:     uint64(total),
 		WantCheck: b.want,
 	}
-}
-
-// Run executes MST under the configuration.
-func Run(cfg bench.Config) bench.Result {
-	r := cfg.NewRuntime()
-	return kernelPhase(cfg, r, buildPhase(cfg, r))
 }

@@ -8,9 +8,16 @@ import (
 	"repro/internal/lang"
 )
 
+// run executes the registered benchmark, whose Run Register derives from
+// its Phased split.
+func run(cfg bench.Config) bench.Result {
+	info, _ := bench.Get("mst")
+	return info.Run(cfg)
+}
+
 func TestCorrectness(t *testing.T) {
 	for _, procs := range []int{1, 2, 4, 8} {
-		res := Run(bench.Config{Procs: procs, Scale: 8})
+		res := run(bench.Config{Procs: procs, Scale: 8})
 		if !res.Verified() {
 			t.Fatalf("P=%d: weight %d != %d", procs, res.Check, res.WantCheck)
 		}
@@ -20,18 +27,18 @@ func TestCorrectness(t *testing.T) {
 func TestMigrationsGrowWithP(t *testing.T) {
 	// The paper: "the number of migrations is O(NP)" — per phase, one
 	// round trip per processor.
-	m4 := Run(bench.Config{Procs: 4, Scale: 8}).Stats.Migrations
-	m8 := Run(bench.Config{Procs: 8, Scale: 8}).Stats.Migrations
+	m4 := run(bench.Config{Procs: 4, Scale: 8}).Stats.Migrations
+	m8 := run(bench.Config{Procs: 8, Scale: 8}).Stats.Migrations
 	if m8 < m4*3/2 {
 		t.Errorf("migrations %d at P=4 vs %d at P=8; want ≈2×", m4, m8)
 	}
 }
 
 func TestSpeedupPoorAndFlattening(t *testing.T) {
-	base := Run(bench.Config{Baseline: true, Scale: 2})
+	base := run(bench.Config{Baseline: true, Scale: 2})
 	var sp []float64
 	for _, p := range []int{1, 4, 16} {
-		res := Run(bench.Config{Procs: p, Scale: 2})
+		res := run(bench.Config{Procs: p, Scale: 2})
 		sp = append(sp, float64(base.Cycles)/float64(res.Cycles))
 	}
 	if sp[0] < 0.8 {
@@ -65,8 +72,8 @@ func TestHeuristicChoice(t *testing.T) {
 }
 
 func TestDeterministic(t *testing.T) {
-	a := Run(bench.Config{Procs: 4, Scale: 8})
-	b := Run(bench.Config{Procs: 4, Scale: 8})
+	a := run(bench.Config{Procs: 4, Scale: 8})
+	b := run(bench.Config{Procs: 4, Scale: 8})
 	if a.Cycles != b.Cycles || a.Stats != b.Stats {
 		t.Fatal("runs must be deterministic")
 	}

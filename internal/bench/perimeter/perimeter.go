@@ -71,7 +71,6 @@ func init() {
 		Description: "Computes the perimeter of a set of quad-tree encoded raster images",
 		PaperSize:   "4K x 4K image",
 		Choice:      "M+C",
-		Run:         Run,
 		Source:      KernelSource,
 		Phased:      &bench.Phased{Build: buildPhase, Kernel: kernelPhase},
 	})
@@ -95,10 +94,10 @@ func sideFor(cfg bench.Config) int {
 // the top levels over processor ranges (untimed build phase).
 func build(r *rt.Runtime, im image, x, y, size int, parent gaddr.GP, childType, lo, hi int) gaddr.GP {
 	c := im.regionColor(x, y, size)
-	n := bench.RawAlloc(r, lo, nodeSz)
-	bench.RawStore(r, n, offColor, uint64(c))
-	bench.RawStore(r, n, offCType, uint64(childType))
-	bench.RawStorePtr(r, n, offParent, parent)
+	n := r.RawAlloc(lo, nodeSz)
+	r.RawStore(n, offColor, uint64(c))
+	r.RawStore(n, offCType, uint64(childType))
+	r.RawStorePtr(n, offParent, parent)
 	if c == grey {
 		for q := 0; q < 4; q++ {
 			clo, chi := lo, hi
@@ -111,7 +110,7 @@ func build(r *rt.Runtime, im image, x, y, size int, parent gaddr.GP, childType, 
 			}
 			dx, dy := quadXY(q, size)
 			child := build(r, im, x+dx, y+dy, size/2, n, q, clo, chi)
-			bench.RawStorePtr(r, n, offChild(q), child)
+			r.RawStorePtr(n, offChild(q), child)
 		}
 	}
 	return n
@@ -239,7 +238,6 @@ func kernelPhase(cfg bench.Config, r *rt.Runtime, st any) bench.Result {
 		s.spawnSz = 4
 	}
 
-	r.ResetForKernel()
 	var total int64
 	r.Run(0, func(t *rt.Thread) {
 		total = rt.Call(t, func() int64 { return s.perimeter(t, root, side) })
@@ -254,10 +252,4 @@ func kernelPhase(cfg bench.Config, r *rt.Runtime, st any) bench.Result {
 		Check:     uint64(total),
 		WantCheck: b.want,
 	}
-}
-
-// Run executes Perimeter under the configuration.
-func Run(cfg bench.Config) bench.Result {
-	r := cfg.NewRuntime()
-	return kernelPhase(cfg, r, buildPhase(cfg, r))
 }

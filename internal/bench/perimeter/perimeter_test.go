@@ -9,9 +9,16 @@ import (
 	"repro/internal/rt"
 )
 
+// run executes the registered benchmark, whose Run Register derives from
+// its Phased split.
+func run(cfg bench.Config) bench.Result {
+	info, _ := bench.Get("perimeter")
+	return info.Run(cfg)
+}
+
 func TestCorrectness(t *testing.T) {
 	for _, procs := range []int{1, 2, 4, 8} {
-		res := Run(bench.Config{Procs: procs, Scale: 256})
+		res := run(bench.Config{Procs: procs, Scale: 256})
 		if !res.Verified() {
 			t.Fatalf("P=%d: perimeter %d != %d", procs, res.Check, res.WantCheck)
 		}
@@ -19,9 +26,9 @@ func TestCorrectness(t *testing.T) {
 }
 
 func TestSpeedupShape(t *testing.T) {
-	base := Run(bench.Config{Baseline: true, Scale: 64})
-	sp1 := float64(base.Cycles) / float64(Run(bench.Config{Procs: 1, Scale: 64}).Cycles)
-	sp8 := float64(base.Cycles) / float64(Run(bench.Config{Procs: 8, Scale: 64}).Cycles)
+	base := run(bench.Config{Baseline: true, Scale: 64})
+	sp1 := float64(base.Cycles) / float64(run(bench.Config{Procs: 1, Scale: 64}).Cycles)
+	sp8 := float64(base.Cycles) / float64(run(bench.Config{Procs: 8, Scale: 64}).Cycles)
 	if sp1 < 0.6 {
 		t.Errorf("1-processor speedup %.2f (paper: 0.86)", sp1)
 	}
@@ -33,8 +40,8 @@ func TestSpeedupShape(t *testing.T) {
 func TestMigrateOnlyMuchWorse(t *testing.T) {
 	// Table 2: 14.1 heuristic vs 2.96 migrate-only at 32 — neighbor
 	// chasing by migration bounces across the tree.
-	h := Run(bench.Config{Procs: 8, Scale: 64})
-	m := Run(bench.Config{Procs: 8, Scale: 64, Mode: rt.MigrateOnly})
+	h := run(bench.Config{Procs: 8, Scale: 64})
+	m := run(bench.Config{Procs: 8, Scale: 64, Mode: rt.MigrateOnly})
 	if !m.Verified() {
 		t.Fatal("migrate-only must verify")
 	}
@@ -66,8 +73,8 @@ func TestHeuristicChoice(t *testing.T) {
 }
 
 func TestDeterministic(t *testing.T) {
-	a := Run(bench.Config{Procs: 4, Scale: 256})
-	b := Run(bench.Config{Procs: 4, Scale: 256})
+	a := run(bench.Config{Procs: 4, Scale: 256})
+	b := run(bench.Config{Procs: 4, Scale: 256})
 	if a.Cycles != b.Cycles || a.Stats != b.Stats {
 		t.Fatal("runs must be deterministic")
 	}

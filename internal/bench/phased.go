@@ -6,22 +6,21 @@ import (
 	"repro/internal/mem"
 )
 
-// BuildState is a reusable build-phase boundary: the heap images and
-// host-side build state captured right before a kernel-timed benchmark's
-// ResetForKernel. The build performs no simulated accesses, so the images
-// do not depend on the coherence scheme or mechanism mode: one BuildState
-// serves every configuration with the same BuildKey, and the heap
-// fingerprint re-check in RunPhased guards each restore.
+// BuildState is a reusable build: the heap images and host-side build
+// state a kernel-timed benchmark's raw build produced. The build performs
+// no simulated accesses, so the images do not depend on the coherence
+// scheme or mechanism mode: one BuildState serves every configuration with
+// the same BuildKey, and the heap fingerprint re-check in RunPhased guards
+// each restore.
 type BuildState struct {
 	Benchmark string
 	Procs     int
 	Scale     int
 	Images    []mem.HeapImage
 	State     any
-	// HeapFP is the runtime's heap fingerprint at the phase boundary,
-	// recorded on the run that built the state. Every reuse re-checks it:
-	// a restored image that fingerprints differently is a harness bug,
-	// caught before it can contaminate a result.
+	// HeapFP is the runtime's heap fingerprint right after the build.
+	// Every reuse re-checks it: a restored image that fingerprints
+	// differently is a harness bug, caught before the kernel runs on it.
 	HeapFP uint64
 }
 
@@ -68,7 +67,9 @@ func beginPhase(cfg Config, name string) func() {
 // when it fits and returning the (possibly new) build state for the next
 // caller. reused reports whether the build phase was skipped. A
 // configuration without a BuildKey falls back to the ordinary Run with no
-// build state.
+// build state. A build that makes simulated accesses, or a restored image
+// whose fingerprint differs from the build's, is an error naming the
+// benchmark, and the kernel does not run.
 //
 // The kernel half is bit-identical either way: the build performs no
 // simulated accesses, so restoring its heap image is indistinguishable
@@ -87,34 +88,33 @@ func RunPhased(info Info, cfg Config, bs *BuildState) (Result, *BuildState, bool
 	if reused {
 		end := beginPhase(cfg, "restore_build")
 		r.RestoreHeaps(bs.Images)
-		st = bs.State
+		fp := r.HeapFingerprint()
 		end()
+		if fp != bs.HeapFP {
+			return Result{}, nil, true, fmt.Errorf(
+				"bench: %s restored build state fingerprints %#x, want %#x", info.Name, fp, bs.HeapFP)
+		}
+		st = bs.State
 	} else {
 		end := beginPhase(cfg, "build")
-		st = info.Phased.Build(cfg, r)
+		var err error
+		st, err = info.build(cfg, r)
+		if err != nil {
+			end()
+			return Result{}, nil, false, err
+		}
 		bs = &BuildState{
 			Benchmark: info.Name,
 			Procs:     cfg.Procs,
 			Scale:     cfg.Scale,
 			Images:    r.SnapshotHeaps(),
 			State:     st,
+			HeapFP:    r.HeapFingerprint(),
 		}
 		end()
 	}
 	endKernel := beginPhase(cfg, "kernel")
 	res := info.Phased.Kernel(cfg, r, st)
 	endKernel()
-	fp, ok := r.BuildHeapFingerprint()
-	if !ok {
-		return res, nil, reused, fmt.Errorf("bench: %s phased kernel crossed no phase boundary", info.Name)
-	}
-	if reused {
-		if fp != bs.HeapFP {
-			return res, nil, true, fmt.Errorf(
-				"bench: %s restored build state fingerprints %#x, want %#x", info.Name, fp, bs.HeapFP)
-		}
-	} else {
-		bs.HeapFP = fp
-	}
 	return res, bs, reused, nil
 }

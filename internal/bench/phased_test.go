@@ -1,6 +1,8 @@
 package bench_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -13,8 +15,9 @@ import (
 
 // The phased contract: skipping the build by restoring its heap image
 // must be observationally indistinguishable from re-running it — same
-// result, same kernel trace digest, same build heap fingerprint —
-// whatever coherence scheme or mechanism mode runs the kernel.
+// result, same kernel trace digest, same final heap — whatever coherence
+// scheme or mechanism mode runs the kernel. RunPhased itself re-checks the
+// restored image's fingerprint against the build's.
 func TestRunPhasedReuseMatchesColdRun(t *testing.T) {
 	t.Parallel()
 	for _, name := range []string{"treeadd", "em3d", "bisort", "mst", "tsp", "voronoi", "perimeter"} {
@@ -46,7 +49,7 @@ func TestRunPhasedReuseMatchesColdRun(t *testing.T) {
 						name, k, cold.kernelDigest, warm.kernelDigest)
 				}
 				if cold.heapFP != warm.heapFP {
-					t.Fatalf("%s under %s: build heap fingerprint %#x != %#x",
+					t.Fatalf("%s under %s: final heap fingerprint %#x != %#x",
 						name, k, warm.heapFP, cold.heapFP)
 				}
 			}
@@ -63,7 +66,7 @@ func TestRunPhasedReuseMatchesColdRun(t *testing.T) {
 type obs struct {
 	res          bench.Result
 	kernelDigest string
-	heapFP       uint64
+	heapFP       uint64 // of the heap the kernel leaves
 	reused       bool
 }
 
@@ -93,7 +96,7 @@ func runOnce2(t *testing.T, info bench.Info, k coherence.Kind, mode rt.Mode, bs 
 	}
 	o := obs{res: res, kernelDigest: rec.Digest().String(), reused: reused}
 	if rtm != nil {
-		o.heapFP, _ = rtm.BuildHeapFingerprint()
+		o.heapFP = rtm.HeapFingerprint()
 	}
 	return o, out
 }
@@ -119,6 +122,40 @@ func TestRunPhasedWholeProgramFallback(t *testing.T) {
 	if !res.Verified() {
 		t.Fatalf("health failed verification")
 	}
+}
+
+// A build must be raw. One that makes a simulated access fails on both
+// paths with the same message naming the benchmark, before the kernel
+// runs: RunPhased returns it and the derived Run panics with it.
+func TestSimulatedBuildFails(t *testing.T) {
+	const name = "bench-test-simulated-build"
+	site := &rt.Site{Name: "simbuild.load", Mech: rt.Cache}
+	bench.Register(bench.Info{Name: name, Phased: &bench.Phased{
+		Build: func(_ bench.Config, r *rt.Runtime) any {
+			g := r.RawAlloc(r.P()-1, 8)
+			r.Run(0, func(th *rt.Thread) { th.LoadInt(site, g, 0) })
+			return nil
+		},
+		Kernel: func(bench.Config, *rt.Runtime, any) bench.Result {
+			t.Error("the kernel ran after a simulated build")
+			return bench.Result{}
+		},
+	}})
+	info, _ := bench.Get(name)
+	cfg := bench.Config{Procs: 2}
+	_, bs, _, err := bench.RunPhased(info, cfg, nil)
+	if err == nil || !strings.Contains(err.Error(), name) {
+		t.Fatalf("RunPhased error = %v, want one naming %s", err, name)
+	}
+	if bs != nil {
+		t.Fatal("a failed build returned a build state")
+	}
+	defer func() {
+		if p := recover(); fmt.Sprint(p) != err.Error() {
+			t.Fatalf("Run panicked with %v, want %q", p, err)
+		}
+	}()
+	info.Run(cfg)
 }
 
 // A build state must not serve a different benchmark, machine size or

@@ -81,7 +81,6 @@ func init() {
 		Description: "Solves the Power System Optimization problem",
 		PaperSize:   "10,000 customers",
 		Choice:      "M",
-		Whole:       true,
 		Run:         Run,
 		Source:      KernelSource,
 	})

@@ -57,10 +57,10 @@ func RunRecorded(info Info, cfg Config) (Result, record.RunRecord) {
 
 // RunPhasedRecorded is RunRecorded through the phased path: it executes
 // one configuration, reusing bs when it fits, and returns the record
-// alongside the (possibly new) build state. ResetForKernel clears the
-// recorder and registry at the phase boundary, so the record — cycles,
-// stats, trace digest — covers exactly the timed region and is
-// bit-identical whether the build ran or was restored from images.
+// alongside the (possibly new) build state. The build is raw, so the
+// recorder and registry see only the kernel: the record — cycles, stats,
+// trace digest — covers exactly the timed region and is bit-identical
+// whether the build ran or was restored from images.
 func RunPhasedRecorded(info Info, cfg Config, bs *BuildState) (Result, record.RunRecord, *BuildState, bool, error) {
 	var (
 		nbs    *BuildState
@@ -124,7 +124,7 @@ func CollectRecords(name string, suite []Config) (record.File, error) {
 	if !ok {
 		return record.File{}, fmt.Errorf("bench: unknown benchmark %q", name)
 	}
-	f := record.File{Benchmark: name, Choice: info.Choice, Whole: info.Whole}
+	f := record.File{Benchmark: name, Choice: info.Choice, Whole: info.Whole()}
 	for _, cfg := range suite {
 		res, rec := RunRecorded(info, cfg)
 		if !res.Verified() {

@@ -120,7 +120,7 @@ func TestGateCatchesDeliberatelySlowedRun(t *testing.T) {
 // TestRecordedEntryPointsAgree pins the one-constructor contract: the
 // whole-run entry and the phased entry (fresh build, no state to reuse)
 // produce equal records, for a kernel-timed benchmark that really splits
-// at the phase boundary and for a whole-program one that cannot. And
+// at its raw build and for a whole-program one that cannot. And
 // recording is free in simulated time: the record's cycles are those of a
 // plain info.Run with no registry or recorder attached.
 func TestRecordedEntryPointsAgree(t *testing.T) {

@@ -49,7 +49,7 @@ func batteryLine(t *testing.T, name, scheme string, cfg bench.Config, claims ker
 		t.Fatalf("%s: RuntimeHook never ran", name)
 	}
 	// One quantity, two counters (the caches' and the machine's): they
-	// are reset together at the phase boundary and must stay equal.
+	// must stay equal.
 	if res.Pages != res.Stats.PagesCached {
 		t.Errorf("%s: Result.Pages %d != Stats.PagesCached %d", name, res.Pages, res.Stats.PagesCached)
 	}
@@ -57,8 +57,9 @@ func batteryLine(t *testing.T, name, scheme string, cfg bench.Config, claims ker
 		t.Error(msg)
 	}
 	o := schemeObs{scheme: scheme, check: res.Check, kernelAccess: rec.AccessDigest()}
-	_, o.buildAccess, _ = rtm.BuildPhaseDigest()
-	o.buildHeap, o.buildOK = rtm.BuildHeapFingerprint()
+	if claims.sharedBuild {
+		o.buildHeap = buildFingerprint(info, cfg)
+	}
 	return fmt.Sprintf("%s %s P=%d scale=1/%d %s heap=%016x cycles=%d check=%#x stats=%+v",
 		name, scheme, cfg.Procs, cfg.Scale, rec.Digest(),
 		rtm.HeapFingerprint(), res.Cycles, res.Check, res.Stats), o

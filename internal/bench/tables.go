@@ -50,29 +50,26 @@ func Figure2(n, p int) string {
 	for _, lay := range layouts {
 		for _, mech := range []rt.Mechanism{rt.Migrate, rt.Cache} {
 			r := rt.New(rt.Config{Procs: p})
-			// Build the list.
+			// Build the list raw: the walk is all the machine counts.
 			nodes := make([]gaddr.GP, n)
 			for i := range nodes {
-				nodes[i] = RawAlloc(r, lay.procOf(i), 16)
+				nodes[i] = r.RawAlloc(lay.procOf(i), 16)
 			}
 			for i := range nodes {
-				RawStore(r, nodes[i], 0, uint64(i))
+				r.RawStore(nodes[i], 0, uint64(i))
 				next := gaddr.Nil
 				if i+1 < n {
 					next = nodes[i+1]
 				}
-				RawStorePtr(r, nodes[i], 8, next)
+				r.RawStorePtr(nodes[i], 8, next)
 			}
 			site := &rt.Site{Name: "fig2.walk", Mech: mech}
-			r.ResetForKernel()
-			var cyc int64
-			r.Run(0, func(t *rt.Thread) {
+			cyc := r.Run(0, func(t *rt.Thread) {
 				for g := nodes[0]; !g.IsNil(); g = t.LoadPtr(site, g, 8) {
 					t.LoadInt(site, g, 0)
 					t.Work(10)
 				}
 			})
-			cyc = r.M.Makespan()
 			s := r.M.Stats.Snapshot()
 			form := ""
 			switch {

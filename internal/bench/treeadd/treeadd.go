@@ -56,7 +56,6 @@ func init() {
 		Description: "Adds the values in a tree",
 		PaperSize:   "1024K nodes",
 		Choice:      "M",
-		Run:         Run,
 		Source:      KernelSource,
 		Phased:      &bench.Phased{Build: buildPhase, Kernel: kernelPhase},
 	})
@@ -80,16 +79,16 @@ func build(r *rt.Runtime, levels, distDepth int, next *int64) gaddr.GP {
 		if level == 0 {
 			return gaddr.Nil
 		}
-		n := bench.RawAlloc(r, proc, nodeSize)
+		n := r.RawAlloc(proc, nodeSize)
 		v := *next
 		*next++
-		bench.RawStore(r, n, offVal, uint64(v))
+		r.RawStore(n, offVal, uint64(v))
 		lp, rp := proc, proc
 		if stride > 1 {
 			rp = proc + stride/2
 		}
-		bench.RawStorePtr(r, n, offLeft, rec(level-1, lp, stride/2))
-		bench.RawStorePtr(r, n, offRight, rec(level-1, rp, stride/2))
+		r.RawStorePtr(n, offLeft, rec(level-1, lp, stride/2))
+		r.RawStorePtr(n, offRight, rec(level-1, rp, stride/2))
 		return n
 	}
 	_ = distDepth
@@ -161,7 +160,6 @@ func kernelPhase(cfg bench.Config, r *rt.Runtime, st any) bench.Result {
 		spawnDepth: b.distDepth + 2,
 	}
 
-	r.ResetForKernel()
 	var sum int64
 	r.Run(0, func(t *rt.Thread) {
 		sum = rt.Call(t, func() int64 { return s.add(t, b.root, 0) })
@@ -176,11 +174,4 @@ func kernelPhase(cfg bench.Config, r *rt.Runtime, st any) bench.Result {
 		Check:     uint64(sum),
 		WantCheck: uint64(b.nodes * (b.nodes - 1) / 2),
 	}
-}
-
-// Run executes TreeAdd under the configuration and reports the kernel
-// makespan and statistics.
-func Run(cfg bench.Config) bench.Result {
-	r := cfg.NewRuntime()
-	return kernelPhase(cfg, r, buildPhase(cfg, r))
 }

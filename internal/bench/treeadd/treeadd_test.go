@@ -9,9 +9,16 @@ import (
 	"repro/internal/rt"
 )
 
+// run executes the registered benchmark, whose Run Register derives from
+// its Phased split.
+func run(cfg bench.Config) bench.Result {
+	info, _ := bench.Get("treeadd")
+	return info.Run(cfg)
+}
+
 func TestCorrectness(t *testing.T) {
 	for _, procs := range []int{1, 2, 4, 8} {
-		res := Run(bench.Config{Procs: procs, Scale: 256})
+		res := run(bench.Config{Procs: procs, Scale: 256})
 		if !res.Verified() {
 			t.Fatalf("P=%d: sum %d != %d", procs, res.Check, res.WantCheck)
 		}
@@ -19,7 +26,7 @@ func TestCorrectness(t *testing.T) {
 }
 
 func TestBaselineVerifies(t *testing.T) {
-	res := Run(bench.Config{Baseline: true, Scale: 256})
+	res := run(bench.Config{Baseline: true, Scale: 256})
 	if !res.Verified() {
 		t.Fatalf("baseline sum %d != %d", res.Check, res.WantCheck)
 	}
@@ -29,10 +36,10 @@ func TestBaselineVerifies(t *testing.T) {
 }
 
 func TestSpeedupShape(t *testing.T) {
-	base := Run(bench.Config{Baseline: true, Scale: 64})
+	base := run(bench.Config{Baseline: true, Scale: 64})
 	prev := 0.0
 	for _, procs := range []int{1, 2, 4, 8} {
-		res := Run(bench.Config{Procs: procs, Scale: 64})
+		res := run(bench.Config{Procs: procs, Scale: 64})
 		sp := float64(base.Cycles) / float64(res.Cycles)
 		if procs == 1 && (sp < 0.5 || sp > 1.0) {
 			t.Errorf("1-processor speedup %.2f; Olden overhead should land in (0.5,1.0)", sp)
@@ -50,8 +57,8 @@ func TestSpeedupShape(t *testing.T) {
 func TestMigrationOnlyMatchesHeuristic(t *testing.T) {
 	// TreeAdd is an "M" benchmark: forcing migrate-only must not change
 	// the choice the heuristic already made, so cycles are identical.
-	h := Run(bench.Config{Procs: 4, Scale: 256})
-	m := Run(bench.Config{Procs: 4, Scale: 256, Mode: rt.MigrateOnly})
+	h := run(bench.Config{Procs: 4, Scale: 256})
+	m := run(bench.Config{Procs: 4, Scale: 256, Mode: rt.MigrateOnly})
 	if h.Cycles != m.Cycles {
 		t.Fatalf("heuristic %d vs migrate-only %d; must match for an M benchmark", h.Cycles, m.Cycles)
 	}
@@ -76,8 +83,8 @@ func TestHeuristicChoosesMigration(t *testing.T) {
 }
 
 func TestDeterministic(t *testing.T) {
-	a := Run(bench.Config{Procs: 4, Scale: 256})
-	b := Run(bench.Config{Procs: 4, Scale: 256})
+	a := run(bench.Config{Procs: 4, Scale: 256})
+	b := run(bench.Config{Procs: 4, Scale: 256})
 	if a.Cycles != b.Cycles || a.Stats != b.Stats {
 		t.Fatal("runs must be deterministic")
 	}

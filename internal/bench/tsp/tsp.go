@@ -66,7 +66,6 @@ func init() {
 		Description: "Computes an estimate of the best hamiltonian circuit for the Traveling-salesman problem",
 		PaperSize:   "32K cities",
 		Choice:      "M",
-		Run:         Run,
 		Source:      KernelSource,
 		Phased:      &bench.Phased{Build: buildPhase, Kernel: kernelPhase},
 	})
@@ -84,17 +83,17 @@ func materialize(r *rt.Runtime, t *refCity, proc, stride int, nodes map[*refCity
 	if t == nil {
 		return gaddr.Nil
 	}
-	n := bench.RawAlloc(r, proc, citySz)
+	n := r.RawAlloc(proc, citySz)
 	nodes[t] = n
-	bench.RawStore(r, n, offX, math.Float64bits(t.x))
-	bench.RawStore(r, n, offY, math.Float64bits(t.y))
-	bench.RawStore(r, n, offID, uint64(t.id))
+	r.RawStore(n, offX, math.Float64bits(t.x))
+	r.RawStore(n, offY, math.Float64bits(t.y))
+	r.RawStore(n, offID, uint64(t.id))
 	rp := proc
 	if stride > 1 {
 		rp = proc + stride/2
 	}
-	bench.RawStorePtr(r, n, offLeft, materialize(r, t.l, proc, stride/2, nodes))
-	bench.RawStorePtr(r, n, offRight, materialize(r, t.r, rp, stride/2, nodes))
+	r.RawStorePtr(n, offLeft, materialize(r, t.l, proc, stride/2, nodes))
+	r.RawStorePtr(n, offRight, materialize(r, t.r, rp, stride/2, nodes))
 	return n
 }
 
@@ -281,7 +280,6 @@ func kernelPhase(cfg bench.Config, r *rt.Runtime, st any) bench.Result {
 		spawnDepth: b.distDepth + 2,
 	}
 
-	r.ResetForKernel()
 	var check uint64
 	var cycles int64
 	r.Run(0, func(t *rt.Thread) {
@@ -317,10 +315,4 @@ func kernelPhase(cfg bench.Config, r *rt.Runtime, st any) bench.Result {
 		Check:     check,
 		WantCheck: b.want,
 	}
-}
-
-// Run executes TSP under the configuration.
-func Run(cfg bench.Config) bench.Result {
-	r := cfg.NewRuntime()
-	return kernelPhase(cfg, r, buildPhase(cfg, r))
 }

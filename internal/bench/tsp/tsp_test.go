@@ -9,6 +9,13 @@ import (
 	"repro/internal/lang"
 )
 
+// run executes the registered benchmark, whose Run Register derives from
+// its Phased split.
+func run(cfg bench.Config) bench.Result {
+	info, _ := bench.Get("tsp")
+	return info.Run(cfg)
+}
+
 // TestTourIsValid checks the reference algorithm produces a hamiltonian
 // circuit visiting each city exactly once.
 func TestTourIsValid(t *testing.T) {
@@ -64,7 +71,7 @@ func TestTourQuality(t *testing.T) {
 
 func TestCorrectness(t *testing.T) {
 	for _, procs := range []int{1, 2, 4, 8} {
-		res := Run(bench.Config{Procs: procs, Scale: 64})
+		res := run(bench.Config{Procs: procs, Scale: 64})
 		if !res.Verified() {
 			t.Fatalf("P=%d: checksum %#x != %#x", procs, res.Check, res.WantCheck)
 		}
@@ -72,9 +79,9 @@ func TestCorrectness(t *testing.T) {
 }
 
 func TestSpeedupGoodButSublinear(t *testing.T) {
-	base := Run(bench.Config{Baseline: true, Scale: 16})
-	sp1 := float64(base.Cycles) / float64(Run(bench.Config{Procs: 1, Scale: 16}).Cycles)
-	sp8 := float64(base.Cycles) / float64(Run(bench.Config{Procs: 8, Scale: 16}).Cycles)
+	base := run(bench.Config{Baseline: true, Scale: 16})
+	sp1 := float64(base.Cycles) / float64(run(bench.Config{Procs: 1, Scale: 16}).Cycles)
+	sp8 := float64(base.Cycles) / float64(run(bench.Config{Procs: 8, Scale: 16}).Cycles)
 	if sp1 < 0.8 {
 		t.Errorf("1-processor speedup %.2f (paper: 0.95)", sp1)
 	}
@@ -106,8 +113,8 @@ func TestHeuristicChoice(t *testing.T) {
 }
 
 func TestDeterministic(t *testing.T) {
-	a := Run(bench.Config{Procs: 4, Scale: 64})
-	b := Run(bench.Config{Procs: 4, Scale: 64})
+	a := run(bench.Config{Procs: 4, Scale: 64})
+	b := run(bench.Config{Procs: 4, Scale: 64})
 	if a.Cycles != b.Cycles || a.Stats != b.Stats {
 		t.Fatal("runs must be deterministic")
 	}

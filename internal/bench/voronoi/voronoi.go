@@ -54,7 +54,6 @@ func init() {
 		Description: "Computes the Voronoi Diagram of a set of points",
 		PaperSize:   "64K points",
 		Choice:      "M+C",
-		Run:         Run,
 		Source:      KernelSource,
 		Phased:      &bench.Phased{Build: buildPhase, Kernel: kernelPhase},
 	})
@@ -182,9 +181,9 @@ func buildPhase(cfg bench.Config, r *rt.Runtime) any {
 	pts := make([]gaddr.GP, n)
 	for rank, id := range ids {
 		p := bench.BlockedProc(rank, n, r.P())
-		g := bench.RawAlloc(r, p, pointRecSz)
-		bench.RawStore(r, g, 0, floatBits(px[id]))
-		bench.RawStore(r, g, 8, floatBits(py[id]))
+		g := r.RawAlloc(p, pointRecSz)
+		r.RawStore(g, 0, floatBits(px[id]))
+		r.RawStore(g, 8, floatBits(py[id]))
 		pts[id] = g
 	}
 
@@ -215,7 +214,6 @@ func kernelPhase(cfg bench.Config, r *rt.Runtime, st any) bench.Result {
 		spawnDepth: b.distDepth + 2,
 	}
 
-	r.ResetForKernel()
 	r.Run(0, func(t *rt.Thread) {
 		rt.Call(t, func() [2]edgeRef {
 			a, b := s.par(t, ids, 0, 0)
@@ -232,12 +230,6 @@ func kernelPhase(cfg bench.Config, r *rt.Runtime, st any) bench.Result {
 		Check:     checksum(s.st.bind(nil).aliveSafe()),
 		WantCheck: b.want,
 	}
-}
-
-// Run executes Voronoi under the configuration.
-func Run(cfg bench.Config) bench.Result {
-	r := cfg.NewRuntime()
-	return kernelPhase(cfg, r, buildPhase(cfg, r))
 }
 
 // aliveSafe reads the mirror without needing a thread.

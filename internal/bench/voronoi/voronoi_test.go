@@ -10,9 +10,16 @@ import (
 	"repro/internal/rt"
 )
 
+// run executes the registered benchmark, whose Run Register derives from
+// its Phased split.
+func run(cfg bench.Config) bench.Result {
+	info, _ := bench.Get("voronoi")
+	return info.Run(cfg)
+}
+
 func TestCorrectness(t *testing.T) {
 	for _, procs := range []int{1, 2, 4, 8} {
-		res := Run(bench.Config{Procs: procs, Scale: 128})
+		res := run(bench.Config{Procs: procs, Scale: 128})
 		if !res.Verified() {
 			t.Fatalf("P=%d: edge-set checksum %#x != %#x", procs, res.Check, res.WantCheck)
 		}
@@ -21,7 +28,7 @@ func TestCorrectness(t *testing.T) {
 
 func TestCorrectnessAllSchemes(t *testing.T) {
 	for _, scheme := range []coherence.Kind{coherence.LocalKnowledge, coherence.GlobalKnowledge, coherence.Bilateral} {
-		res := Run(bench.Config{Procs: 4, Scale: 128, Scheme: scheme})
+		res := run(bench.Config{Procs: 4, Scale: 128, Scheme: scheme})
 		if !res.Verified() {
 			t.Fatalf("%v: checksum mismatch", scheme)
 		}
@@ -29,9 +36,9 @@ func TestCorrectnessAllSchemes(t *testing.T) {
 }
 
 func TestSpeedupShape(t *testing.T) {
-	base := Run(bench.Config{Baseline: true, Scale: 32})
-	sp1 := float64(base.Cycles) / float64(Run(bench.Config{Procs: 1, Scale: 32}).Cycles)
-	sp8 := float64(base.Cycles) / float64(Run(bench.Config{Procs: 8, Scale: 32}).Cycles)
+	base := run(bench.Config{Baseline: true, Scale: 32})
+	sp1 := float64(base.Cycles) / float64(run(bench.Config{Procs: 1, Scale: 32}).Cycles)
+	sp8 := float64(base.Cycles) / float64(run(bench.Config{Procs: 8, Scale: 32}).Cycles)
 	if sp1 < 0.6 {
 		t.Errorf("1-processor speedup %.2f (paper: 0.75)", sp1)
 	}
@@ -43,8 +50,8 @@ func TestSpeedupShape(t *testing.T) {
 func TestMigrateOnlyCollapses(t *testing.T) {
 	// Table 2: 8.76 heuristic vs 0.47 migrate-only at 32 — the merge
 	// walk ping-pongs between the two sub-diagrams under migration.
-	h := Run(bench.Config{Procs: 8, Scale: 64})
-	m := Run(bench.Config{Procs: 8, Scale: 64, Mode: rt.MigrateOnly})
+	h := run(bench.Config{Procs: 8, Scale: 64})
+	m := run(bench.Config{Procs: 8, Scale: 64, Mode: rt.MigrateOnly})
 	if !m.Verified() {
 		t.Fatal("migrate-only must verify")
 	}
@@ -73,8 +80,8 @@ func TestHeuristicChoice(t *testing.T) {
 }
 
 func TestDeterministic(t *testing.T) {
-	a := Run(bench.Config{Procs: 4, Scale: 128})
-	b := Run(bench.Config{Procs: 4, Scale: 128})
+	a := run(bench.Config{Procs: 4, Scale: 128})
+	b := run(bench.Config{Procs: 4, Scale: 128})
 	if a.Cycles != b.Cycles || a.Stats != b.Stats {
 		t.Fatal("runs must be deterministic")
 	}

@@ -42,7 +42,7 @@ type Entry struct {
 // dispatcher. PagesAllocated is read once the run has returned.
 type Cache struct {
 	buckets [NumBuckets]*Entry
-	entries int // pages allocated since New or Clear; the cache never evicts
+	entries int // pages allocated since New; the cache never evicts
 
 	// slab and arena are the block-allocation cursors entries and their
 	// page data are carved from.
@@ -220,19 +220,11 @@ func (c *Cache) Refresh(e *Entry, changed uint32, newStamp uint32) (lines int) {
 	return lines
 }
 
-// Clear returns the cache to its New state (used between benchmark phases):
-// every entry dropped and the allocation count zeroed, so the phase that
-// follows is counted on its own like every other statistic. The slabs are
-// dropped too: entries carved before the clear keep whole blocks alive,
-// so reusing their tails would only delay reclamation.
-func (c *Cache) Clear() { *c = Cache{} }
-
 // keys returns every cached page in bucket order, each hash chain walked
 // newest-insertion-first — the same introspection idiom as the serving
-// layer's generic-LRU keys(). The software cache never evicts (entries
-// persist until Clear), so chain position is pure insertion order; the
-// fast-path equivalence tests assert through this that Hit never disturbs
-// the table.
+// layer's generic-LRU keys(). The software cache never evicts, so chain
+// position is pure insertion order; the fast-path equivalence tests assert
+// through this that Hit never disturbs the table.
 func (c *Cache) keys() []gaddr.PageID {
 	out := make([]gaddr.PageID, 0, c.entries)
 	for b := range c.buckets {
@@ -246,8 +238,8 @@ func (c *Cache) keys() []gaddr.PageID {
 // Entries returns the number of live page entries.
 func (c *Cache) Entries() int { return c.entries }
 
-// PagesAllocated returns the number of page entries allocated since New or
-// the last Clear — Table 3's "Total Pages Cached". Invalidations keep
+// PagesAllocated returns the number of page entries allocated since New —
+// Table 3's "Total Pages Cached". Invalidations keep
 // entries, so it is Entries as the int64 the statistics use.
 func (c *Cache) PagesAllocated() int64 { return int64(c.entries) }
 

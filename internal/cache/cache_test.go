@@ -134,19 +134,6 @@ func TestMarkAllStaleSkipsEmptyEntries(t *testing.T) {
 	}
 }
 
-func TestClear(t *testing.T) {
-	c := New()
-	c.Probe(addr(0, gaddr.PageBytes))
-	c.Probe(addr(1, gaddr.PageBytes))
-	c.Clear()
-	if c.Entries() != 0 {
-		t.Fatal("clear must drop entries")
-	}
-	if c.PagesAllocated() != 0 {
-		t.Fatal("clear must zero the allocation count")
-	}
-}
-
 func TestChainLengthApproxOne(t *testing.T) {
 	// The paper: "in our experience, the average chain length is
 	// approximately one." With a few hundred pages spread across

@@ -176,10 +176,6 @@ func New(kind Kind, m *machine.Machine, caches []*cache.Cache) *Engine {
 	return e
 }
 
-// ResetMeters zeroes the protocol counts (a benchmark's phase boundary).
-// Directory state — sharers, stamps — is protocol state and survives.
-func (e *Engine) ResetMeters() { e.meters = meters{} }
-
 // Kind returns the scheme in use.
 func (e *Engine) Kind() Kind { return e.kind }
 

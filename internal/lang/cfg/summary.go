@@ -127,35 +127,6 @@ func derefs(root lang.Node) []Deref {
 	return out
 }
 
-// Store is one heap store p->…->f = rhs: the Arrow chain's base variable,
-// the final field assigned, and the position of the assignment. The chain
-// between Base and Field is ordinary reads (StmtReads covers them); the
-// store itself is the only write the statement performs on the heap.
-type Store struct {
-	Base  string
-	Field string
-	Pos   lang.Pos
-}
-
-// StmtStores returns the heap stores of a straight-line statement
-// (including inside opaque nested loops in body-mode graphs), in source
-// order. Only Assign statements whose left-hand side is an Arrow chain
-// rooted at a variable produce stores.
-func StmtStores(s lang.Stmt) []Store {
-	var out []Store
-	lang.Inspect(s, func(n lang.Node) bool {
-		if as, ok := n.(*lang.Assign); ok {
-			if lhs, ok := as.LHS.(*lang.Arrow); ok {
-				if base, ok := lang.ChainBase(lhs); ok {
-					out = append(out, Store{Base: base, Field: lhs.Field, Pos: as.Pos})
-				}
-			}
-		}
-		return true
-	})
-	return out
-}
-
 // ExprReads returns the variable reads of an expression in evaluation
 // order. Dereferencing a pointer reads its base variable.
 func ExprReads(e lang.Expr) []VarUse { return reads(e) }

@@ -63,10 +63,6 @@ func (p *Proc) Clock() int64 { return p.clock }
 // Busy returns the total cycles of work charged to the processor.
 func (p *Proc) Busy() int64 { return p.busy }
 
-// Reset clears the processor's virtual time and busy accounting (used
-// between the build and kernel phases of a benchmark).
-func (p *Proc) Reset() { p.clock, p.busy = 0, 0 }
-
 // Config describes a simulated machine.
 type Config struct {
 	// Procs is the number of processors (1..gaddr.MaxProcs).
@@ -137,14 +133,6 @@ func (m *Machine) TotalBusy() int64 {
 	return b
 }
 
-// ResetClocks zeroes all processor clocks (keeping heap contents), so a
-// benchmark can time its kernel separately from its build phase.
-func (m *Machine) ResetClocks() {
-	for _, p := range m.Procs {
-		p.Reset()
-	}
-}
-
 // Stats are the machine-wide event counts of one run: plain integers,
 // bumped by the run's one thread of control and read once Run has returned
 // (see Proc). Results and records carry a copy.
@@ -204,9 +192,6 @@ func (m *Machine) BindProcs(reg *metrics.Registry) {
 			p.Busy, metrics.L("proc", strconv.Itoa(p.ID)))
 	}
 }
-
-// Reset zeroes every counter.
-func (s *Stats) Reset() { *s = Stats{} }
 
 // Snapshot returns a copy of the counters for reporting.
 func (s *Stats) Snapshot() Stats { return *s }

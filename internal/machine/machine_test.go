@@ -31,8 +31,11 @@ func TestOccupySerializes(t *testing.T) {
 	}
 }
 
-func TestMakespanAndReset(t *testing.T) {
+func TestMakespan(t *testing.T) {
 	m := New(Config{Procs: 4})
+	if m.Makespan() != 0 || m.TotalBusy() != 0 {
+		t.Fatal("a new machine starts at time zero")
+	}
 	m.Procs[2].Occupy(0, 500)
 	m.Procs[0].Occupy(0, 100)
 	if m.Makespan() != 500 {
@@ -40,10 +43,6 @@ func TestMakespanAndReset(t *testing.T) {
 	}
 	if m.TotalBusy() != 600 {
 		t.Fatalf("total busy = %d", m.TotalBusy())
-	}
-	m.ResetClocks()
-	if m.Makespan() != 0 || m.TotalBusy() != 0 {
-		t.Fatal("reset did not clear clocks")
 	}
 }
 
@@ -65,12 +64,9 @@ func TestStatsSnapshot(t *testing.T) {
 	if got := snap.MissPct(); got != 40 {
 		t.Fatalf("miss pct = %v", got)
 	}
-	s.Reset()
-	if s != (Stats{}) {
-		t.Fatal("reset did not zero stats")
-	}
+	s.Misses = 0
 	if snap.Misses != 10 {
-		t.Fatal("a snapshot is a copy: Reset must not reach it")
+		t.Fatal("a snapshot is a copy: later counts must not reach it")
 	}
 }
 

@@ -14,15 +14,11 @@ type Bucket struct {
 	Count int64 `json:"count"`
 }
 
-// HistSample is the snapshot of one histogram. Exemplars link buckets to
-// concrete instances (trace ids); Flat and Prometheus ignore them, which
-// keeps pinned benchmark goldens and the exposition output byte-identical
-// to an exemplar-free registry.
+// HistSample is the snapshot of one histogram.
 type HistSample struct {
-	Count     int64      `json:"count"`
-	Sum       int64      `json:"sum"`
-	Buckets   []Bucket   `json:"buckets,omitempty"`
-	Exemplars []Exemplar `json:"exemplars,omitempty"`
+	Count   int64    `json:"count"`
+	Sum     int64    `json:"sum"`
+	Buckets []Bucket `json:"buckets,omitempty"`
 }
 
 // Sample is the snapshot of one metric. For histograms Value is the
@@ -97,7 +93,6 @@ func (r *Registry) Snapshot() Snapshot {
 					hs.Buckets = append(hs.Buckets, Bucket{Le: BucketBound(i), Count: n})
 				}
 			}
-			hs.Exemplars = e.h.Exemplars()
 			s.Value = hs.Count
 			s.Hist = hs
 		}

@@ -26,8 +26,7 @@ import (
 type Kind uint8
 
 const (
-	// KindCounter is a monotonically increasing count (resettable at
-	// simulation phase boundaries).
+	// KindCounter is a monotonically increasing count.
 	KindCounter Kind = iota
 	// KindGauge is a value that can move both ways.
 	KindGauge
@@ -79,24 +78,9 @@ func (c *Counter) Load() int64 {
 	return c.v.Load()
 }
 
-// Store sets the count — used by phase resets, which may rewind a counter
-// to zero. No-op on a nil counter.
-func (c *Counter) Store(n int64) {
-	if c != nil {
-		c.v.Store(n)
-	}
-}
-
 // Gauge is a value that can move both ways. The zero value is ready to use;
 // a nil *Gauge ignores updates.
 type Gauge struct{ v atomic.Int64 }
-
-// Set stores the gauge value. No-op on a nil gauge.
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v.Store(n)
-	}
-}
 
 // Add moves the gauge by n (may be negative). No-op on a nil gauge.
 func (g *Gauge) Add(n int64) {
@@ -125,9 +109,6 @@ type Histogram struct {
 	count   atomic.Int64
 	sum     atomic.Int64
 	buckets [NumBuckets]atomic.Int64
-	// ex holds one optional exemplar per bucket (see ObserveExemplar);
-	// nil slots cost nothing.
-	ex [NumBuckets]atomic.Pointer[exemplarCell]
 }
 
 // bucketIndex maps an observation to its bucket: bits.Len64, with
@@ -176,15 +157,6 @@ func BucketBound(i int) int64 {
 		return int64(^uint64(0) >> 1)
 	}
 	return (1 << uint(i)) - 1
-}
-
-func (h *Histogram) reset() {
-	h.count.Store(0)
-	h.sum.Store(0)
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-		h.ex[i].Store(nil)
-	}
 }
 
 // entry is one registered metric: an owned handle or a read-through
@@ -322,29 +294,6 @@ func (r *Registry) RegisterFunc(name string, kind Kind, fn func() int64, labels 
 	r.mu.Lock()
 	r.index[id] = &entry{name: name, labels: ls, id: id, kind: kind, fn: fn}
 	r.mu.Unlock()
-}
-
-// Reset zeroes every owned metric. Function-backed metrics are read-through
-// and cannot be reset here: whoever owns the value behind one resets it
-// (rt.ResetForKernel does, for every count of a run, before calling this).
-// No-op on a nil registry.
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, e := range r.index {
-		switch {
-		case e.fn != nil:
-		case e.c != nil:
-			e.c.Store(0)
-		case e.g != nil:
-			e.g.Set(0)
-		case e.h != nil:
-			e.h.reset()
-		}
-	}
 }
 
 // Len returns the number of registered metrics (zero on a nil registry).

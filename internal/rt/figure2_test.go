@@ -18,20 +18,21 @@ import (
 const listNodeBytes = 16 // val (8) + next (8)
 
 // buildList allocates an N-element list whose i-th node lives on
-// procOf(i), linking node i to node i+1, and returns the head.
-func buildList(t *Thread, n int, procOf func(i int) int) gaddr.GP {
+// procOf(i), linking node i to node i+1, and returns the head. It builds
+// through the raw heap API, so the traversal that follows is the only
+// thing the machine counts.
+func buildList(r *Runtime, n int, procOf func(i int) int) gaddr.GP {
 	nodes := make([]gaddr.GP, n)
 	for i := 0; i < n; i++ {
-		nodes[i] = t.Alloc(procOf(i), listNodeBytes)
+		nodes[i] = r.RawAlloc(procOf(i), listNodeBytes)
 	}
-	s := &Site{Name: "list.build", Mech: Cache}
 	for i := 0; i < n; i++ {
-		t.StoreInt(s, nodes[i], 0, int64(i))
+		r.RawStore(nodes[i], 0, uint64(i))
 		next := gaddr.Nil
 		if i+1 < n {
 			next = nodes[i+1]
 		}
-		t.StorePtr(s, nodes[i], 8, next)
+		r.RawStorePtr(nodes[i], 8, next)
 	}
 	return nodes[0]
 }
@@ -65,9 +66,8 @@ func TestFigure2Counts(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			r := newRT(p, coherence.LocalKnowledge)
+			head := buildList(r, n, c.layout)
 			r.Run(0, func(th *Thread) {
-				head := buildList(th, n, c.layout)
-				r.ResetForKernel()
 				site := &Site{Name: "list.walk", Mech: c.mech}
 				if got := traverse(th, head, site); got != wantSum {
 					t.Errorf("sum = %d; want %d", got, wantSum)
@@ -90,14 +90,10 @@ func TestFigure2CrossoverCost(t *testing.T) {
 	const n, p = 256, 8
 	cost := func(layout func(int) int, mech Mechanism) int64 {
 		r := newRT(p, coherence.LocalKnowledge)
-		var mk int64
-		r.Run(0, func(th *Thread) {
-			head := buildList(th, n, layout)
-			r.ResetForKernel()
+		head := buildList(r, n, layout)
+		return r.Run(0, func(th *Thread) {
 			traverse(th, head, &Site{Name: "fig2.walk", Mech: mech})
 		})
-		mk = r.M.Makespan()
-		return mk
 	}
 	blocked := func(i int) int { return i * p / n }
 	cyclic := func(i int) int { return i % p }

@@ -29,8 +29,8 @@ func TestMetricsRegistryRecordsRun(t *testing.T) {
 	r := New(Config{Procs: 2, Metrics: reg})
 	a, b := buildRemoteList(r)
 	site := &Site{Name: "mt.walk", Mech: Cache}
-	// The build phase's remote store to b already missed and installed
-	// b's line (write-through fills), so both kernel loads of b hit.
+	// The list run's remote store to b already missed and installed b's
+	// line (write-through fills), so both traversal loads of b hit.
 	r.Run(0, func(th *Thread) {
 		th.LoadInt(site, a, 0) // local
 		th.LoadInt(site, b, 0) // remote: hit
@@ -48,8 +48,8 @@ func TestMetricsRegistryRecordsRun(t *testing.T) {
 		t.Fatalf("olden_ptr_tests_total = %+v, want %d", sm, st.PtrTests)
 	}
 
-	// The runtime's own meters: two hits (kernel), one miss with a
-	// latency observation and one line fill (the build-phase store).
+	// The runtime's own meters: two hits (traversal), one miss with a
+	// latency observation and one line fill (the list run's store).
 	if sm, _ := snap.Get("olden_cache_hits_total"); sm.Value != 2 {
 		t.Fatalf("olden_cache_hits_total = %d, want 2", sm.Value)
 	}
@@ -121,29 +121,14 @@ func statsByName(s machine.Stats) map[string]int64 {
 }
 
 // TestRegistryReadsStats pins the read-through binding: the run bumps plain
-// integers and the registry reads them at snapshot time, so after a run,
-// right after ResetForKernel and after the kernel that follows, the dump
-// carries every Stats field under its name with the value Stats.Snapshot
-// reports, and the per-cache page counts add up to Stats.PagesCached.
+// integers and the registry reads them at snapshot time, so before any
+// run, after one and after a second on the same runtime, the dump carries
+// every Stats field under its name with the value Stats.Snapshot reports,
+// and the per-cache page counts add up to Stats.PagesCached.
 func TestRegistryReadsStats(t *testing.T) {
 	for _, kind := range coherence.Kinds() {
 		reg := metrics.NewRegistry()
 		r := New(Config{Procs: 2, Scheme: kind, Metrics: reg})
-		a, b := buildRemoteList(r)
-		mig := &Site{Name: "mt.readsmig", Mech: Migrate}
-		cch := &Site{Name: "mt.readscch", Mech: Cache}
-		phase := func() {
-			r.Run(0, func(th *Thread) {
-				f := Spawn(th, func(c *Thread) int64 { return c.LoadInt(mig, b, 0) })
-				th.LoadInt(cch, b, 0)
-				CallVoid(th, func() {
-					th.LoadInt(mig, b, 0)
-					th.StoreInt(cch, b, 8, 9)
-				})
-				th.LoadInt(cch, b, 8)
-				th.StoreInt(cch, a, 0, f.Touch(th))
-			})
-		}
 		check := func(when string, wantZero bool) {
 			t.Helper()
 			flat := reg.Snapshot().Flat()
@@ -165,58 +150,22 @@ func TestRegistryReadsStats(t *testing.T) {
 					kind, when, pages, r.PagesCachedTotal(), st.PagesCached)
 			}
 		}
-		phase()
-		check("after the build run", false)
-		r.ResetForKernel()
-		check("after ResetForKernel", true)
-		phase()
-		check("after the kernel run", false)
-	}
-}
-
-// TestResetForKernelResetsMetrics pins the epoch rule: ResetForKernel
-// zeroes every count the run owns at its source — statistics, protocol
-// meters, per-cache page counts, busy cycles — and the registry's own
-// histograms, so a registry snapshot taken right after it is all zeros and
-// a kernel-timed record cannot mix build-phase counts.
-func TestResetForKernelResetsMetrics(t *testing.T) {
-	reg := metrics.NewRegistry()
-	r := New(Config{Procs: 2, Metrics: reg})
-	a, b := buildRemoteList(r)
-	site := &Site{Name: "mt.build", Mech: Cache}
-	r.Run(0, func(th *Thread) {
-		th.LoadInt(site, b, 0)
-		th.LoadInt(site, a, 0)
-	})
-	// The build phase cached a page, so the one count Registry.Reset
-	// cannot reach on its own is live before the boundary.
-	for _, s := range reg.Snapshot().Samples {
-		if (s.Name == "olden_ptr_tests_total" || s.Name == "olden_pages_cached_total" ||
-			s.ID() == `olden_cache_pages_allocated{proc="0"}`) && s.Value == 0 {
-			t.Fatalf("build phase left %s at zero", s.ID())
-		}
-	}
-
-	r.ResetForKernel()
-
-	snap := reg.Snapshot()
-	if len(snap.Samples) == 0 {
-		t.Fatal("empty snapshot")
-	}
-	for _, s := range snap.Samples {
-		if s.Value != 0 {
-			t.Errorf("%s = %d after ResetForKernel, want 0", s.ID(), s.Value)
-		}
-		if s.Hist != nil && (s.Hist.Count != 0 || s.Hist.Sum != 0) {
-			t.Errorf("%s histogram not cleared: %+v", s.ID(), s.Hist)
-		}
-	}
-
-	// And the kernel epoch accumulates fresh counts.
-	kernel := &Site{Name: "mt.kernel", Mech: Cache}
-	r.Run(0, func(th *Thread) { th.LoadInt(kernel, b, 0) })
-	if sm, _ := reg.Snapshot().Get("olden_ptr_tests_total"); sm.Value != 1 {
-		t.Fatalf("kernel epoch ptr tests = %d, want exactly 1", sm.Value)
+		check("before any run", true)
+		a, b := buildRemoteList(r)
+		check("after the list run", false)
+		mig := &Site{Name: "mt.readsmig", Mech: Migrate}
+		cch := &Site{Name: "mt.readscch", Mech: Cache}
+		r.Run(0, func(th *Thread) {
+			f := Spawn(th, func(c *Thread) int64 { return c.LoadInt(mig, b, 0) })
+			th.LoadInt(cch, b, 0)
+			CallVoid(th, func() {
+				th.LoadInt(mig, b, 0)
+				th.StoreInt(cch, b, 8, 9)
+			})
+			th.LoadInt(cch, b, 8)
+			th.StoreInt(cch, a, 0, f.Touch(th))
+		})
+		check("after the traversal run", false)
 	}
 }
 

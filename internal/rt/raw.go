@@ -7,8 +7,11 @@ import (
 )
 
 // This file is the only sanctioned doorway for programs that need heap
-// access outside the cost model (untimed build phases) or interior
-// pointers into allocated objects. Everything here exists so that
+// access outside the cost model or interior pointers into allocated
+// objects. A raw access charges no cycles, counts no statistic and emits
+// no trace event, so data built with it costs a later Run nothing: the
+// paper's kernel-only timings (Table 2's non-W rows) are a raw build
+// followed by a timed Run. Everything here exists so that
 // "compiled" benchmark code never unpacks or does arithmetic on global
 // pointer encodings itself — internal/analysis's heap-escape check
 // enforces exactly that boundary.
@@ -23,8 +26,7 @@ func FieldPtr(g gaddr.GP, off uint32) gaddr.GP {
 	return g.Add(off)
 }
 
-// RawAlloc allocates on a processor without charging anything — the
-// untimed data-structure-building phase of a kernel-timed benchmark.
+// RawAlloc allocates on a processor without charging anything.
 func (r *Runtime) RawAlloc(proc int, nbytes uint32) gaddr.GP {
 	if proc < 0 || proc >= r.P() {
 		panic(fmt.Sprintf("rt: RawAlloc on processor %d of %d", proc, r.P()))

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/coherence"
 	"repro/internal/gaddr"
-	"repro/internal/trace"
 )
 
 var (
@@ -65,8 +64,8 @@ func TestCachedRemoteReadAndWriteThrough(t *testing.T) {
 	r := newRT(2, coherence.LocalKnowledge)
 	r.Run(0, func(th *Thread) {
 		g := th.Alloc(1, 64)
-		// Seed home memory directly (build-phase store migrates? no:
-		// use a cache-site store, which writes through).
+		// Seed home memory through a cache-site store, which writes
+		// through without moving the thread.
 		th.StoreInt(siteCache, g, 0, 5)
 		if th.Loc() != 0 {
 			t.Fatal("cached store must not move the thread")
@@ -301,6 +300,35 @@ func TestRunWaitsForUntouchedFutures(t *testing.T) {
 	}
 }
 
+// TestDoubleTouchRecharges pins what a second touch of one future does:
+// it returns the value again, counts a second touch and charges Cost.Touch
+// a second time. Nothing panics; oldenvet's future-discipline check rejects
+// a double touch because it inflates the overhead a run reports.
+func TestDoubleTouchRecharges(t *testing.T) {
+	run := func(touches int) (makespan, counted, cost int64) {
+		r := newRT(1, coherence.LocalKnowledge)
+		makespan = r.Run(0, func(th *Thread) {
+			// In a slice, the future escapes the future-discipline check,
+			// which would reject this deliberate double touch.
+			fs := []*Future[int64]{Spawn(th, func(*Thread) int64 { return 7 })}
+			for i := 0; i < touches; i++ {
+				if v := fs[0].Touch(th); v != 7 {
+					t.Errorf("touch %d of %d = %d, want 7", i+1, touches, v)
+				}
+			}
+		})
+		return makespan, r.M.Stats.Touches, r.M.Cost.Touch
+	}
+	once, n1, cost := run(1)
+	twice, n2, _ := run(2)
+	if n1 != 1 || n2 != 2 {
+		t.Errorf("Stats.Touches = %d and %d; want 1 and 2", n1, n2)
+	}
+	if cost == 0 || twice != once+cost {
+		t.Errorf("makespan %d touched once, %d twice; want a difference of Cost.Touch = %d", once, twice, cost)
+	}
+}
+
 func TestNilDereferencePanics(t *testing.T) {
 	r := newRT(1, coherence.LocalKnowledge)
 	defer func() {
@@ -311,76 +339,6 @@ func TestNilDereferencePanics(t *testing.T) {
 	r.Run(0, func(th *Thread) {
 		th.LoadInt(siteMig, gaddr.Nil, 0)
 	})
-}
-
-func TestResetForKernel(t *testing.T) {
-	r := newRT(2, coherence.LocalKnowledge)
-	var g gaddr.GP
-	r.Run(0, func(th *Thread) {
-		g = th.Alloc(1, 8)
-		th.StoreInt(siteCache, g, 0, 123)
-		th.Work(500)
-	})
-	r.ResetForKernel()
-	if r.M.Makespan() != 0 {
-		t.Fatal("clocks not reset")
-	}
-	if s := r.M.Stats.Snapshot(); s.PtrTests != 0 || s.Misses != 0 {
-		t.Fatal("stats not reset")
-	}
-	for _, c := range r.Caches {
-		if c.Entries() != 0 {
-			t.Fatal("caches not cleared")
-		}
-	}
-	// Heap contents survive the reset.
-	r.Run(0, func(th *Thread) {
-		if v := th.LoadInt(siteCache, g, 0); v != 123 {
-			t.Errorf("heap lost data across reset: %d", v)
-		}
-	})
-}
-
-// TestBuildPhaseDigestStash pins that ResetForKernel snapshots the build
-// phase's trace digests before discarding its events: the phase keeps an
-// identity the scheduler battery can compare across schemes.
-func TestBuildPhaseDigestStash(t *testing.T) {
-	run := func() *Runtime {
-		r := New(Config{Procs: 2, Scheme: coherence.LocalKnowledge,
-			HeapBytesPerProc: 1 << 22, Trace: trace.New(0)})
-		r.Run(0, func(th *Thread) {
-			g := th.Alloc(1, 16)
-			th.StoreInt(siteCache, g, 0, 9)
-			th.LoadInt(siteCache, g, 0)
-		})
-		return r
-	}
-
-	r := run()
-	if _, _, ok := r.BuildPhaseDigest(); ok {
-		t.Fatal("digest reported before any ResetForKernel")
-	}
-	r.ResetForKernel()
-	full, access, ok := r.BuildPhaseDigest()
-	if !ok {
-		t.Fatal("digest missing after ResetForKernel")
-	}
-	if full.Events == 0 || access.Events == 0 {
-		t.Fatalf("empty phase digests: full=%s access=%s", full, access)
-	}
-	if r.M.Tracer.Len() != 0 {
-		t.Fatal("tracer events survived the reset")
-	}
-
-	// The stash must be reproducible: an identical run yields identical
-	// phase digests.
-	r2 := run()
-	r2.ResetForKernel()
-	full2, access2, _ := r2.BuildPhaseDigest()
-	if full != full2 || access != access2 {
-		t.Errorf("build-phase digests not reproducible:\n%s vs %s\n%s vs %s",
-			full, full2, access, access2)
-	}
 }
 
 func TestSiteStats(t *testing.T) {

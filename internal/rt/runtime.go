@@ -192,22 +192,6 @@ type Runtime struct {
 	mMigLat     *metrics.Histogram
 	mReturnLat  *metrics.Histogram
 	mTouchBlock *metrics.Histogram
-
-	// buildDigest and buildAccess snapshot the build phase's trace just
-	// before ResetForKernel discards it, so the phase keeps a durable
-	// identity (the scheduler battery compares these per-phase digests
-	// across schemes, not only the kernel's).
-	// Only the virtual-time-active thread calls ResetForKernel, so the
-	// same hand-off ordering covers them.
-	buildDigest trace.Digest
-	buildAccess trace.Digest
-	buildPhases int
-	// buildHeapFP fingerprints the heap image at the ResetForKernel
-	// boundary. Raw-API builds emit no trace events, so the heap
-	// fingerprint — not the (empty) build trace — is the content
-	// identity of the build phase.
-	buildHeapFP uint64
-	buildHeapOK bool
 }
 
 // New builds a runtime and its machine.
@@ -313,8 +297,7 @@ func (r *Runtime) P() int { return r.M.P() }
 // touched or not. The calling goroutine is the scheduler's dispatcher for
 // the duration: every thread body runs on it as a coroutine, and none is
 // left behind when Run returns. It is the entry point of an "Olden
-// program"; a Runtime runs one program at a time (phased benchmarks call
-// Run once per phase).
+// program"; a Runtime runs one program at a time.
 func (r *Runtime) Run(start int, f func(t *Thread)) int64 {
 	if start < 0 || start >= r.P() {
 		panic(fmt.Sprintf("rt: start processor %d out of range", start))
@@ -333,66 +316,8 @@ func (r *Runtime) Run(start int, f func(t *Thread)) int64 {
 	return r.M.Makespan()
 }
 
-// ResetForKernel clears clocks, statistics and cache contents so the kernel
-// phase of a benchmark is timed on its own, as the paper does for the
-// non-whole-program rows of Table 2 ("We report kernel times only ... to
-// avoid having their data structure building phases skew the results").
-// Heap contents survive.
-func (r *Runtime) ResetForKernel() {
-	// Fingerprint the heap image at the phase boundary: raw-API builds
-	// bypass the tracer, so this — not the build trace — is the durable
-	// content identity of what the build produced.
-	r.buildHeapFP = r.HeapFingerprint()
-	r.buildHeapOK = true
-	// Every count the run owns is zeroed here, at its source: the
-	// registry reads them and cannot reset them.
-	r.M.ResetClocks()
-	r.M.Stats.Reset()
-	r.Coh.ResetMeters()
-	r.cacheHits, r.lineFills = 0, 0
-	for _, c := range r.Caches {
-		c.Clear()
-	}
-	for i := range r.dirty {
-		r.dirty[i] = coherence.DirtySet{}
-	}
-	// The kernel phase is traced on its own: drop build-phase events but
-	// keep interned site names (sites persist across phases). The phase's
-	// digests are stashed first — discarding the events must not discard
-	// the phase's identity.
-	if r.M.Tracer != nil {
-		r.buildDigest = r.M.Tracer.Digest()
-		r.buildAccess = r.M.Tracer.AccessDigest()
-		r.buildPhases++
-		r.M.Tracer.Reset()
-	}
-	// The registry's own histograms follow the same epoch: a kernel-timed
-	// record must not mix build-phase counts into its dump. (Reset is
-	// nil-safe.)
-	r.M.Metrics.Reset()
-}
-
-// BuildPhaseDigest returns the trace digests of the most recent phase
-// retired by ResetForKernel: the full emission-order digest and the
-// scheme-invariant access projection (trace.AccessDigest). ok is false
-// when tracing was off or ResetForKernel has not run.
-func (r *Runtime) BuildPhaseDigest() (full, access trace.Digest, ok bool) {
-	return r.buildDigest, r.buildAccess, r.buildPhases > 0
-}
-
-// BuildHeapFingerprint returns the heap fingerprint captured at the most
-// recent ResetForKernel boundary. ok is false if no phase boundary has
-// been crossed. Two configurations with the same bench BuildKey must
-// agree on this fingerprint whatever the coherence scheme — the server's
-// phase cache rests on that obligation, and the scheduler battery in
-// internal/bench checks it.
-func (r *Runtime) BuildHeapFingerprint() (uint64, bool) {
-	return r.buildHeapFP, r.buildHeapOK
-}
-
-// SnapshotHeaps captures every processor's heap section. Together with
-// the build state a phased benchmark returns, the images are the
-// machine-level half of a reusable phase boundary.
+// SnapshotHeaps captures every processor's heap section: heap contents
+// alone, none of the clocks, statistics or caches a Run accumulates.
 func (r *Runtime) SnapshotHeaps() []mem.HeapImage {
 	imgs := make([]mem.HeapImage, 0, len(r.M.Procs))
 	for _, p := range r.M.Procs {

@@ -207,7 +207,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) runBatchItem(ctx context.Context, st *ReqState, req RunRequest, item *BatchItem) {
 	isp := st.Span.StartChild("run:" + req.Benchmark)
 	isp.SetAttr("key", item.Key)
-	res := s.submit(ctx, isp, st.TraceID, req, item.Key)
+	res := s.submit(ctx, isp, req, item.Key)
 	if res.cache == "" { // refused at admission, or the deadline beat the worker
 		isp.SetAttr("shed_reason", res.shed)
 		isp.EndAborted()

@@ -344,7 +344,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	probe.SetAttr("cache", st.Cache)
 	probe.End()
 	if !hit {
-		res = s.submit(r.Context(), st.Span, st.TraceID, req, key)
+		res = s.submit(r.Context(), st.Span, req, key)
 		st.PhaseCache = res.phase
 		st.ShedReason = res.shed
 		st.QueueWaitUS = res.queueWaitUS

@@ -216,13 +216,11 @@ type job struct {
 	enqueued time.Time
 	done     chan result // buffered(1): workers never block on delivery
 
-	// Tracing state, all nil/"" for unsampled requests: the request's
-	// parent span (execute and serialize spans hang off it), the
-	// queue_wait span the worker closes on dequeue, and the trace id
-	// stored as the latency histograms' exemplar.
-	sp       *obs.Span
-	qspan    *obs.Span
-	exemplar string
+	// Tracing state, both nil for unsampled requests: the request's parent
+	// span (execute and serialize spans hang off it) and the queue_wait
+	// span the worker closes on dequeue.
+	sp    *obs.Span
+	qspan *obs.Span
 }
 
 // Server is the oldend service core. Create with New, mount Handler, and
@@ -381,7 +379,7 @@ func (s *Server) admit(j *job) int {
 // within the request's deadline (queue wait + run). Shed, draining and
 // deadline outcomes come back as results like any other, so /run and
 // /batch only differ in how they render what submit returns.
-func (s *Server) submit(parent context.Context, sp *obs.Span, traceID string, req RunRequest, key string) result {
+func (s *Server) submit(parent context.Context, sp *obs.Span, req RunRequest, key string) result {
 	ctx, cancel := context.WithTimeout(parent, s.clampDeadline(req.DeadlineMS))
 	defer cancel()
 	j := &job{
@@ -392,9 +390,6 @@ func (s *Server) submit(parent context.Context, sp *obs.Span, traceID string, re
 		enqueued: s.cfg.Now(),
 		done:     make(chan result, 1),
 		sp:       sp,
-	}
-	if sp.Sampled() {
-		j.exemplar = traceID
 	}
 	// The queue_wait span must exist before admit: a worker may dequeue
 	// (and close it) before admit even returns.
@@ -438,7 +433,7 @@ func (s *Server) worker() {
 	for j := range s.queue {
 		j.qspan.End()
 		wait := s.cfg.Now().Sub(j.enqueued).Microseconds()
-		s.queueWait.ObserveExemplar(wait, j.exemplar)
+		s.queueWait.Observe(wait)
 		if j.ctx.Err() != nil {
 			s.expired.Inc()
 			j.done <- result{status: http.StatusGatewayTimeout, errMsg: "deadline expired while queued", cache: j.cache, shed: "deadline_queued", queueWaitUS: wait}
@@ -450,7 +445,7 @@ func (s *Server) worker() {
 		rec, phase, err := s.execute(j.req, ex)
 		s.inflight.Add(-1)
 		runUS := s.cfg.Now().Sub(start).Microseconds()
-		s.runLatency.ObserveExemplar(runUS, j.exemplar)
+		s.runLatency.Observe(runUS)
 		if err != nil {
 			ex.SetAttr("error", err.Error())
 			ex.EndAborted()

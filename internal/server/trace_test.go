@@ -336,38 +336,6 @@ func TestDrainFlushesInflightSpans(t *testing.T) {
 	<-stc
 }
 
-// TestExemplarLinksHistogramToTrace pins the exemplar bridge: after a
-// sampled run, the latency histograms carry an exemplar whose ref is the
-// request's trace id — the jump from "p99 is bad" to "here is a p99
-// trace".
-func TestExemplarLinksHistogramToTrace(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 4, SampleEvery: 1})
-	defer s.Shutdown(context.Background())
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	st, _, h := postRunHdr(t, ts, `{"benchmark":"treeadd","procs":2,"scale":16}`, nil)
-	if st != 200 {
-		t.Fatalf("run = %d", st)
-	}
-	tid := h.Get("X-Oldend-Trace-Id")
-
-	snap := s.Metrics().Snapshot()
-	for _, name := range []string{"oldend_run_us", "oldend_queue_wait_us"} {
-		sm, ok := snap.Get(name)
-		if !ok || sm.Hist == nil {
-			t.Fatalf("%s missing from snapshot", name)
-		}
-		refs := map[string]bool{}
-		for _, ex := range sm.Hist.Exemplars {
-			refs[ex.Ref] = true
-		}
-		if !refs[tid] {
-			t.Errorf("%s exemplars %v missing trace id %s", name, refs, tid)
-		}
-	}
-}
-
 // TestTraceCapacityDropsSurfaced pins drop reporting end to end at the
 // server layer: barneshut at P=4, scale 16 emits ~1.07 M events into the
 // default 2^18-slot ring (BENCH_barneshut.json pins dropped=806078), and

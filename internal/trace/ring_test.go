@@ -95,8 +95,7 @@ func checkAgainstModel(t *testing.T, r *Recorder, m *sliceRing) {
 }
 
 // TestRingBoundaries walks capacities around the chunk size and event
-// counts around each capacity, then resets and does it again on the chunks
-// already held (phased runs reset at the build/kernel boundary).
+// counts around each capacity.
 func TestRingBoundaries(t *testing.T) {
 	for _, capacity := range []int{1, 4, chunkEvents - 1, chunkEvents, chunkEvents + 1, 2*chunkEvents + 3, 4095, 4096, 4097} {
 		for _, n := range []int{0, capacity - 1, capacity, capacity + 1, 3*capacity + 7} {
@@ -108,21 +107,8 @@ func TestRingBoundaries(t *testing.T) {
 					m.emit(testEvent(i))
 				}
 				checkAgainstModel(t, r, m)
-				chunks := len(r.chunks)
-				if want := (min(n, capacity) + chunkEvents - 1) / chunkEvents; chunks != want {
-					t.Fatalf("%d events into capacity %d hold %d chunks, want %d", n, capacity, chunks, want)
-				}
-
-				r.Reset()
-				m = &sliceRing{cap: capacity}
-				checkAgainstModel(t, r, m)
-				for i := 0; i < n; i++ {
-					r.Emit(testEvent(i + 13))
-					m.emit(testEvent(i + 13))
-				}
-				checkAgainstModel(t, r, m)
-				if len(r.chunks) != chunks {
-					t.Fatalf("re-emitting after Reset changed the chunk count %d -> %d", chunks, len(r.chunks))
+				if want := (min(n, capacity) + chunkEvents - 1) / chunkEvents; len(r.chunks) != want {
+					t.Fatalf("%d events into capacity %d hold %d chunks, want %d", n, capacity, len(r.chunks), want)
 				}
 			})
 		}

@@ -166,7 +166,7 @@ func (r *Recorder) Emit(ev Event) {
 	r.mu.Lock()
 	i := r.n
 	if i < r.cap {
-		// A Reset keeps the chunks, so only a slot past them allocates.
+		// Only the first slot of a new chunk allocates.
 		if i>>chunkShift == len(r.chunks) {
 			r.chunks = append(r.chunks, make([]Event, min(chunkEvents, r.cap-i)))
 		}
@@ -262,15 +262,4 @@ func (r *Recorder) Dropped() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.dropped
-}
-
-// Reset discards recorded events (and the drop count) but keeps interned
-// site names and the chunks already allocated, so a benchmark's kernel
-// phase can be traced on its own after an instrumented build phase.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	r.n = 0
-	r.next = 0
-	r.dropped = 0
-	r.mu.Unlock()
 }

@@ -29,22 +29,6 @@ func TestRingWrap(t *testing.T) {
 	}
 }
 
-func TestResetKeepsSites(t *testing.T) {
-	r := New(8)
-	id := r.SiteID("treeadd.node")
-	r.Emit(ev(EvCacheMiss, 1))
-	r.Reset()
-	if r.Len() != 0 || r.Dropped() != 0 {
-		t.Fatalf("Reset left Len=%d Dropped=%d", r.Len(), r.Dropped())
-	}
-	if got := r.SiteID("treeadd.node"); got != id {
-		t.Errorf("site id changed across Reset: %d -> %d", id, got)
-	}
-	if name := r.SiteName(id); name != "treeadd.node" {
-		t.Errorf("SiteName(%d) = %q", id, name)
-	}
-}
-
 func TestSiteInterning(t *testing.T) {
 	r := New(8)
 	a := r.SiteID("a")

@@ -17,9 +17,9 @@ import (
 // summaryLines renders, for every function of every mini-C source in the
 // tree (the ten benchmark kernels and examples/minic/*.c) and every
 // top-level statement of its body, what the exported statement walkers say:
-// cfg.StmtDefs sorted (its consumers use it as a kill set), cfg.StmtReads,
-// cfg.StmtDerefs and cfg.StmtStores in the order they return (their doc
-// comments promise evaluation/source order), and effects.ContainsLoop.
+// cfg.StmtDefs sorted (its consumers use it as a kill set), cfg.StmtReads
+// and cfg.StmtDerefs in the order they return (their doc comments promise
+// evaluation order), and effects.ContainsLoop.
 func summaryLines(t *testing.T) string {
 	t.Helper()
 	var sb strings.Builder
@@ -32,18 +32,15 @@ func summaryLines(t *testing.T) string {
 			for i, st := range fn.Body.Stmts {
 				defs := cfg.StmtDefs(st)
 				sort.Strings(defs)
-				var reads, derefs, stores []string
+				var reads, derefs []string
 				for _, u := range cfg.StmtReads(st) {
 					reads = append(reads, fmt.Sprintf("%s@%s", u.Name, u.Pos))
 				}
 				for _, d := range cfg.StmtDerefs(st) {
 					derefs = append(derefs, fmt.Sprintf("%s@%s", d.Base, d.Pos))
 				}
-				for _, s := range cfg.StmtStores(st) {
-					stores = append(stores, fmt.Sprintf("%s.%s@%s", s.Base, s.Field, s.Pos))
-				}
-				fmt.Fprintf(&sb, "%s %s #%d@%s defs=%v reads=%v derefs=%v stores=%v loop=%t\n",
-					source, fn.Name, i, lang.StmtPos(st), defs, reads, derefs, stores, effects.ContainsLoop(st))
+				fmt.Fprintf(&sb, "%s %s #%d@%s defs=%v reads=%v derefs=%v loop=%t\n",
+					source, fn.Name, i, lang.StmtPos(st), defs, reads, derefs, effects.ContainsLoop(st))
 			}
 		}
 	}

@@ -183,21 +183,28 @@ clustersmoke:
 # verdicts_parent.golden is what the deleted cost bounds said about every
 # mini-C source, written once from the last commit that had them; likewise
 # testdata/summaries_parent.golden, what the hand-written statement walkers
-# said before lang.Inspect replaced them.
+# said before lang.Inspect replaced them, and internal/core/testdata/
+# matrices_parent.golden, the update matrices the loop-body CFG and solver
+# computed before the structural fold replaced them.
 update-goldens:
 	$(GO) test ./internal/core -run 'TestLintGolden' -update
 	$(GO) test ./internal/bench -run 'TestTraceDigestGoldens|TestSchedulerDigestEquivalence|TestSwitchCensus' -update
 	$(GO) test ./internal/bench/record -run 'TestReportGolden' -update
 	$(GO) test ./cmd/oldenc -run 'TestAnalyzeGoldens|TestPhasesGoldens' -update
 
+# The mini-C targets build oldenc once and run that binary over every
+# kernel and example source (a `go run` per source links it fourteen times).
+OLDENC = /tmp/olden-oldenc
+
 # oldenc -lint exits 1 only on error-severity diagnostics; the known
 # warnings (figure3's dead store, the figure5/barneshut demotions) pass.
 lint:
+	@$(GO) build -o $(OLDENC) ./cmd/oldenc
 	@for b in $(BENCHES); do \
-		$(GO) run ./cmd/oldenc -lint -bench $$b || exit 1; \
+		$(OLDENC) -lint -bench $$b || exit 1; \
 	done
 	@for f in examples/minic/*.c; do \
-		$(GO) run ./cmd/oldenc -lint $$f || exit 1; \
+		$(OLDENC) -lint $$f || exit 1; \
 	done
 
 # Interprocedural effect analysis over every kernel and example source:
@@ -205,24 +212,26 @@ lint:
 # effects/summary finding per function) is what CI uploads as the
 # analyze-findings artifact.
 analyze:
+	@$(GO) build -o $(OLDENC) ./cmd/oldenc
 	@for b in $(BENCHES); do \
 		echo "== $$b"; \
-		$(GO) run ./cmd/oldenc -analyze -bench $$b || exit 1; \
+		$(OLDENC) -analyze -bench $$b || exit 1; \
 	done
 	@for f in examples/minic/*.c; do \
 		echo "== $$f"; \
-		$(GO) run ./cmd/oldenc -analyze $$f || exit 1; \
+		$(OLDENC) -analyze $$f || exit 1; \
 	done
 
 # Phase plans over the same sources: ordered phases, per-phase
 # footprints, invariance verdicts and the scheme-invariant prefix.
 # `-json` of the same run is what CI uploads as the phase-plans artifact.
 phases:
+	@$(GO) build -o $(OLDENC) ./cmd/oldenc
 	@for b in $(BENCHES); do \
 		echo "== $$b"; \
-		$(GO) run ./cmd/oldenc -phases -bench $$b || exit 1; \
+		$(OLDENC) -phases -bench $$b || exit 1; \
 	done
 	@for f in examples/minic/*.c; do \
 		echo "== $$f"; \
-		$(GO) run ./cmd/oldenc -phases $$f || exit 1; \
+		$(OLDENC) -phases $$f || exit 1; \
 	done

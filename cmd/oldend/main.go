@@ -27,9 +27,9 @@
 // then the process exits. Repeating a run configuration returns the
 // memoized RunRecord byte-identically — sound because the simulator is
 // deterministic (PR 3's digest goldens). Below the result cache sits the
-// phase cache: build-phase boundaries whose static phase plan certifies
-// scheme-invariance are memoized once and restored for every scheme and
-// mode (the X-Oldend-Phase-Cache header reports hit/miss/none).
+// phase cache: a raw build is memoized once under its bench.Info.BuildKey
+// (benchmark, machine size, scale) and restored for every scheme and mode
+// (the X-Oldend-Phase-Cache header reports hit/miss/none).
 package main
 
 import (

@@ -1,6 +1,7 @@
 package effects
 
 import (
+	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/lang"
 	"repro/internal/lang/cfg"
@@ -178,7 +179,7 @@ func (fa *fnAnalysis) summarize() *Summary {
 		Name:      fa.fn.Name,
 		Pos:       fa.fn.Pos,
 		Params:    paramNames(fa.fn),
-		Recursive: fa.callsSelf(),
+		Recursive: core.IsRecursive(fa.fn),
 		Mutual:    len(fa.inSCC) > 1,
 	}
 	reads := map[Region]bool{}
@@ -324,15 +325,6 @@ func (fa *fnAnalysis) summarize() *Summary {
 	s.Extern = sortedStrings(extern)
 	s.Pure = len(s.Writes) == 0 && len(s.Escapes) == 0 && len(s.Extern) == 0
 	return s
-}
-
-func (fa *fnAnalysis) callsSelf() bool {
-	for _, c := range callsIn(fa.fn.Body) {
-		if c.Name == fa.fn.Name {
-			return true
-		}
-	}
-	return false
 }
 
 // chainsIn collects the maximal Arrow chains of an expression. A chain

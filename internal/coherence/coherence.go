@@ -142,10 +142,6 @@ type Engine struct {
 type meters struct {
 	linesInval int64
 	ackWaits   int64
-	msgInval   int64
-	msgAck     int64
-	msgStamp   int64
-	msgFlush   int64
 	msgHome    int64
 	msgStale   int64
 }
@@ -167,10 +163,13 @@ func New(kind Kind, m *machine.Machine, caches []*cache.Cache) *Engine {
 	}
 	machine.BindCounter(m.Metrics, "olden_lines_invalidated_total", &e.meters.linesInval, scheme)
 	machine.BindCounter(m.Metrics, "olden_ack_round_trips_total", &e.meters.ackWaits, scheme)
-	msg("inval", &e.meters.msgInval)
-	msg("ack", &e.meters.msgAck)
-	msg("stamp_check", &e.meters.msgStamp)
-	msg("full_flush", &e.meters.msgFlush)
+	// Four message types are one-for-one with counts kept elsewhere: an
+	// invalidation, stamp check or full flush is the Stats count, and each
+	// ack is one ack round trip.
+	msg("inval", &m.Stats.Invalidations)
+	msg("ack", &e.meters.ackWaits)
+	msg("stamp_check", &m.Stats.StampChecks)
+	msg("full_flush", &m.Stats.FullFlushes)
 	msg("home_flush", &e.meters.msgHome)
 	msg("mark_stale", &e.meters.msgStale)
 	return e
@@ -233,7 +232,6 @@ func (e *Engine) OnRelease(src int, now int64, dirty DirtySet) int64 {
 				// Processing the invalidation occupies the sharer.
 				e.m.Procs[s].Occupy(now, e.m.Cost.InvalidateMsg)
 				e.m.Stats.Invalidations++
-				e.meters.msgInval++
 				e.meters.linesInval += int64(bits.OnesCount32(cleared))
 				sent = true
 				if tr != nil {
@@ -255,7 +253,6 @@ func (e *Engine) OnRelease(src int, now int64, dirty DirtySet) int64 {
 					})
 				}
 				now += e.m.Cost.InvalidateAck
-				e.meters.msgAck++
 				e.meters.ackWaits++
 			}
 		}
@@ -300,7 +297,6 @@ func (e *Engine) OnAcquire(dst int, now int64, isReturn bool, writtenProcs uint6
 		} else {
 			lines := e.caches[dst].InvalidateAll()
 			e.m.Stats.FullFlushes++
-			e.meters.msgFlush++
 			e.meters.linesInval += int64(lines)
 			if tr != nil {
 				tr.Emit(trace.Event{
@@ -351,7 +347,6 @@ func (e *Engine) StaleCheck(entry *cache.Entry, requester int, now int64) int64 
 	newStamp := pd.stamp
 	lines := e.caches[requester].Refresh(entry, changed, newStamp)
 	e.m.Stats.StampChecks++
-	e.meters.msgStamp++
 	e.meters.linesInval += int64(lines)
 	return now + e.m.Cost.StampReply
 }

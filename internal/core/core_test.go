@@ -345,6 +345,43 @@ void g(struct n *s, int c) {
 	}
 }
 
+func TestLoopMatrixReturningArmDropsOut(t *testing.T) {
+	// A returning arm leaves the loop: it neither vetoes the other arm's
+	// update (one-sided omission applies only to arms that fall through),
+	// nor does a body every path of which returns record anything — no
+	// next iteration follows. The for-post update counts after the body.
+	src := `
+struct n { struct n *next __affinity(80); struct n *alt; };
+void g(struct n *s, struct n *q, int c) {
+  while (s) {
+    if (s->alt) { return; } else { s = s->next; }
+    q = q->next;
+  }
+  while (q) {
+    q = q->next;
+    if (c) { return; } else { return; }
+  }
+  for (; s; s = s->next) {
+    if (c) { return; }
+  }
+}
+`
+	r := analyze(t, src)
+	l := r.FindLoop("g/while@4")
+	if aff, ok := l.Matrix.Diagonal("s"); !ok || !approx(aff, 0.80) {
+		t.Errorf("(s,s) = %v,%v; the returning arm must not veto s = s->next", aff, ok)
+	}
+	if aff, ok := l.Matrix.Diagonal("q"); !ok || !approx(aff, 0.80) {
+		t.Errorf("(q,q) = %v,%v", aff, ok)
+	}
+	if l := r.FindLoop("g/while@8"); len(l.Matrix) != 0 {
+		t.Errorf("every path returns, yet the matrix is %v", l.Matrix)
+	}
+	if aff, ok := r.FindLoop("g/for").Matrix.Diagonal("s"); !ok || !approx(aff, 0.80) {
+		t.Errorf("for-post (s,s) = %v,%v", aff, ok)
+	}
+}
+
 func TestInheritance(t *testing.T) {
 	// A loop without an induction variable migrates on its parent's
 	// variable.

@@ -139,7 +139,7 @@ func lintUnusedAffinity(r *Report) []Diag {
 		}
 		// A recursive function's whole body is its recursion control
 		// loop; otherwise only while/for statements count.
-		if isRecursive(fn) {
+		if IsRecursive(fn) {
 			lang.Inspect(fn.Body, record)
 			continue
 		}

@@ -8,9 +8,8 @@ import (
 	"repro/internal/lang/cfg"
 )
 
-// This file holds the CFG-based lint checks, all solved on the same
-// substrate the update-matrix analysis uses (internal/lang/cfg +
-// internal/dataflow):
+// This file holds the CFG-based lint checks, all solved over function
+// graphs (internal/lang/cfg) with the generic solver (internal/dataflow):
 //
 //   - unreachable (warning): statements no execution reaches — code after
 //     a return, the body of a constant-false branch, anything following

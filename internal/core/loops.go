@@ -101,8 +101,9 @@ func containsFuture(s lang.Stmt) bool {
 	return found
 }
 
-// isRecursive reports whether f calls itself.
-func isRecursive(f *lang.FuncDecl) bool {
+// IsRecursive reports whether f calls itself, i.e. whether it has a
+// recursion control loop.
+func IsRecursive(f *lang.FuncDecl) bool {
 	found := false
 	lang.Inspect(f.Body, func(n lang.Node) bool {
 		if c, ok := n.(*lang.Call); ok && c.Name == f.Name {
@@ -118,7 +119,7 @@ func isRecursive(f *lang.FuncDecl) bool {
 func (a *analysis) buildFuncLoops() []*Loop {
 	var top []*Loop
 	var rec *Loop
-	if isRecursive(a.fn) {
+	if IsRecursive(a.fn) {
 		rec = &Loop{
 			Kind:     RecursionLoop,
 			Fn:       a.fn,

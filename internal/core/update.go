@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/dataflow"
 	"repro/internal/lang"
 	"repro/internal/lang/cfg"
 )
@@ -192,17 +191,16 @@ func (a *analysis) lookupSummary(name string) (retSummary, bool) {
 }
 
 // killAssigned marks every variable assigned anywhere inside s as unknown
-// (used for nested loops, which the analysis treats as opaque within the
-// enclosing loop's dataflow).
+// (used for nested loops, which an enclosing control loop treats as one
+// opaque statement).
 func killAssigned(ev env, s lang.Stmt) {
 	for _, v := range cfg.StmtDefs(s) {
 		ev[v] = unknownVal
 	}
 }
 
-// transferStmt applies one straight-line statement's effect to the
-// symbolic environment in place. Nested syntactic loops arrive opaque
-// (body-mode CFG blocks keep them as single statements) and kill their
+// transferStmt applies one statement's effect to the symbolic environment
+// in place. A nested syntactic loop is one opaque statement that kills its
 // assignments; returns and expression statements change no local values.
 func (a *analysis) transferStmt(ev env, s lang.Stmt) {
 	switch s := s.(type) {
@@ -226,87 +224,71 @@ func (a *analysis) transferStmt(ev env, s lang.Stmt) {
 	}
 }
 
-// envVal is the dataflow value for the update-matrix problem: a symbolic
-// environment on reachable paths, bottom (reachable=false) elsewhere.
-// Bottom arises at blocks cut off by a return, whose values must not
-// reach the iteration's end.
-type envVal struct {
-	reachable bool
-	vals      env
-}
-
-// envLattice lifts the paper's branch-join rule to a join-semilattice:
-// bottom is the unreachable path (join identity) and joining two
-// reachable environments averages matching updates and omits one-sided
-// ones (the join function above).
-type envLattice struct{}
-
-func (envLattice) Bottom() envVal { return envVal{} }
-
-func (envLattice) Join(a, b envVal) envVal {
-	if !a.reachable {
-		return b
-	}
-	if !b.reachable {
-		return a
-	}
-	return envVal{reachable: true, vals: join(a.vals, b.vals)}
-}
-
-func (envLattice) Equal(a, b envVal) bool {
-	if a.reachable != b.reachable {
-		return false
-	}
-	if !a.reachable {
-		return true
-	}
-	if len(a.vals) != len(b.vals) {
-		return false
-	}
-	for k, v := range a.vals {
-		if b.vals[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
 // loopMatrix computes the update matrix of a syntactic loop (§4.2) by
-// solving a forward dataflow problem over the acyclic per-iteration CFG
-// of the body: start from the identity environment, apply each block's
-// statements, and let the lattice join implement the paper's branch-merge
-// rule at every merge point. Whatever non-identity derivations reach the
-// exit — the head of the next iteration — become matrix entries. Paths
-// that return leave the loop; their blocks have no successors, so their
-// environments never reach the exit.
+// threading the identity environment through one iteration: the body with
+// seqStmt, then the for-post statement (nil for while loops). Whatever
+// non-identity derivations reach the end — the head of the next iteration —
+// become matrix entries. When every path returns, no next iteration
+// follows and nothing is recorded.
 func (a *analysis) loopMatrix(body lang.Stmt, post lang.Stmt) Matrix {
-	g := cfg.BuildBody(body, post)
-	res := dataflow.Solve(g, dataflow.Problem[envVal]{
-		Lattice:  envLattice{},
-		Dir:      dataflow.Forward,
-		Boundary: envVal{reachable: true, vals: identityEnv(a.te)},
-		Transfer: func(n int, in envVal) envVal {
-			if !in.reachable {
-				return in
-			}
-			ev := in.vals.clone()
-			for _, s := range g.Block(n).Stmts {
-				a.transferStmt(ev, s)
-			}
-			return envVal{reachable: true, vals: ev}
-		},
-	})
 	m := Matrix{}
-	exit := res.Out[g.Exit()]
-	if !exit.reachable {
+	ev, term := a.seqStmt(identityEnv(a.te), body)
+	if term {
 		return m
 	}
-	for v, val := range exit.vals {
+	if post != nil {
+		a.transferStmt(ev, post)
+	}
+	for v, val := range ev {
 		if val.known && !val.ident {
 			m.set(v, val.base, val.aff)
 		}
 	}
 	return m
+}
+
+// seqStmt threads the symbolic environment through one statement: branch
+// environments merge with joinArms and nested loops kill their assignments.
+// The bool reports that every path through s returns.
+func (a *analysis) seqStmt(ev env, s lang.Stmt) (env, bool) {
+	switch s := s.(type) {
+	case *lang.Block:
+		term := false
+		for _, st := range s.Stmts {
+			if term {
+				break // unreachable
+			}
+			ev, term = a.seqStmt(ev, st)
+		}
+		return ev, term
+	case *lang.If:
+		e1, t1 := a.seqStmt(ev.clone(), s.Then)
+		e2, t2 := ev, false
+		if s.Else != nil {
+			e2, t2 = a.seqStmt(ev.clone(), s.Else)
+		}
+		return joinArms(e1, t1, e2, t2)
+	case *lang.Return:
+		return ev, true
+	}
+	a.transferStmt(ev, s)
+	return ev, false
+}
+
+// joinArms merges the environments of an if's two arms (t1, t2: the arm
+// returns). A returning arm drops out of the merge — its values never reach
+// the code after the if — and does not veto the other arm's updates; two
+// falling-through arms join.
+func joinArms(e1 env, t1 bool, e2 env, t2 bool) (env, bool) {
+	switch {
+	case t1 && t2:
+		return e1, true
+	case t1:
+		return e2, false
+	case t2:
+		return e1, false
+	}
+	return join(e1, e2), false
 }
 
 // recUpd accumulates the update of one parameter across the recursive
@@ -359,20 +341,13 @@ func branchCombine(a, b recUpds) recUpds {
 	return out
 }
 
-// recCalls walks a statement collecting, along the way, the combined
-// updates of the function's parameters at recursive call sites. It threads
-// the symbolic environment through transferStmt. Calls inside nested
-// syntactic loops are ignored (their per-iteration updates are not
-// loop-invariant).
-//
-// Unlike loopMatrix, this walk is not re-hosted on the CFG solver: the
-// recursion rule merges per-branch call-update deltas (branchCombine
-// averages only across branches that both recurse), and that combination
-// is not path-composable — branchCombine(seq(p,u1), seq(p,u2)) differs
-// from seq(p, branchCombine(u1,u2)) because the omission rule must see
-// each branch's delta, not the whole path. A structured fold over the
-// syntax is the natural shape; the shared join rule itself (join /
-// avgCombine) is the same code the lattice uses.
+// recCalls is seqStmt that also collects, along the way, the combined
+// updates of the function's parameters at recursive call sites. Calls
+// inside nested syntactic loops are ignored (their per-iteration updates
+// are not loop-invariant). The environment merges at an if exactly as in
+// seqStmt (joinArms); the call updates merge per branch (branchCombine
+// averages only across branches that both recurse), which needs each
+// branch's delta rather than the whole path's environment.
 func (a *analysis) recCalls(ev env, s lang.Stmt) (env, recUpds, bool) {
 	switch s := s.(type) {
 	case *lang.Block:
@@ -393,17 +368,7 @@ func (a *analysis) recCalls(ev env, s lang.Stmt) (env, recUpds, bool) {
 		if s.Else != nil {
 			e2, u2, t2 = a.recCalls(ev.clone(), s.Else)
 		}
-		var outEnv env
-		switch {
-		case t1 && t2:
-			outEnv = e1
-		case t1:
-			outEnv = e2
-		case t2:
-			outEnv = e1
-		default:
-			outEnv = join(e1, e2)
-		}
+		outEnv, term := joinArms(e1, t1, e2, t2)
 		// The merging rule applies only across branches that both
 		// recurse; a base case contributes nothing and does not veto
 		// the other branch (Figure 4's control loop "does not include
@@ -418,7 +383,7 @@ func (a *analysis) recCalls(ev env, s lang.Stmt) (env, recUpds, bool) {
 		default:
 			ups = u2
 		}
-		return outEnv, ups, t1 && t2
+		return outEnv, ups, term
 	case *lang.While, *lang.For:
 		killAssigned(ev, s)
 		return ev, recUpds{}, false

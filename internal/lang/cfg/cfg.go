@@ -1,19 +1,10 @@
-// Package cfg builds basic-block control-flow graphs over the mini-C AST
-// (internal/lang). The same construction serves two clients:
-//
-//   - Build gives the full graph of a function — loops expanded with back
-//     edges, every return wired to the exit — for the dataflow lints in
-//     internal/core (use-before-init, dead stores, unreachable code,
-//     guaranteed-nil dereference).
-//   - BuildBody gives the acyclic per-iteration graph of a loop body for
-//     the §4.2 update-matrix computation: nested syntactic loops stay
-//     opaque single statements (the enclosing analysis treats them as
-//     killing their assignments), and returning paths leave the loop, so
-//     their blocks have no successor and never reach the exit join.
-//
-// Graphs expose integer adjacency (Len/Entry/Exit/Succs/Preds) so they
-// plug directly into the generic solver in internal/dataflow, plus
-// per-block def/use/deref summaries.
+// Package cfg builds basic-block control-flow graphs of mini-C functions
+// (internal/lang): loops expanded with back edges, every return wired to
+// the exit. The dataflow lints in internal/core (use-before-init, dead
+// stores, unreachable code, guaranteed-nil dereference) and the effect
+// analysis's alias flow solve over them. Graphs expose integer adjacency
+// (Len/Entry/Exit/Succs/Preds) so they plug directly into the generic
+// solver in internal/dataflow.
 package cfg
 
 import "repro/internal/lang"
@@ -49,19 +40,12 @@ func (b *Block) Branch() (t, f *Block, ok bool) {
 // Graph is a control-flow graph. Blocks[i].ID == i; the entry has no
 // predecessors and the exit no successors.
 type Graph struct {
-	Fn     *lang.FuncDecl // nil for loop-body graphs
 	Blocks []*Block
 
 	entry, exit *Block
 	succIDs     [][]int
 	predIDs     [][]int
 }
-
-// EntryBlock returns the entry block.
-func (g *Graph) EntryBlock() *Block { return g.entry }
-
-// ExitBlock returns the exit block.
-func (g *Graph) ExitBlock() *Block { return g.exit }
 
 // Block returns the block with the given ID.
 func (g *Graph) Block(i int) *Block { return g.Blocks[i] }
@@ -87,8 +71,7 @@ func (g *Graph) Preds(i int) []int { return g.predIDs[i] }
 // builder accumulates blocks during construction.
 type builder struct {
 	g       *Graph
-	returns []*Block // blocks ended by a return (function mode only)
-	opaque  bool     // body mode: nested loops are opaque statements
+	returns []*Block // blocks ended by a return
 }
 
 func (bl *builder) newBlock() *Block {
@@ -120,7 +103,7 @@ func (bl *builder) finish() {
 // Build constructs the full control-flow graph of a function: loops are
 // expanded with back edges and every return flows to the exit block.
 func Build(fn *lang.FuncDecl) *Graph {
-	bl := &builder{g: &Graph{Fn: fn}}
+	bl := &builder{g: &Graph{}}
 	entry := bl.newBlock()
 	end := bl.stmt(entry, fn.Body)
 	exit := bl.newBlock()
@@ -128,27 +111,6 @@ func Build(fn *lang.FuncDecl) *Graph {
 	for _, b := range bl.returns {
 		bl.edge(b, exit)
 	}
-	bl.g.entry, bl.g.exit = entry, exit
-	bl.finish()
-	return bl.g
-}
-
-// BuildBody constructs the acyclic per-iteration graph of a loop: the body
-// followed by the for-post statement (nil for while loops). Nested
-// syntactic loops are kept as opaque single statements, and a return
-// statement exits the enclosing loop entirely — its block gets no
-// successor, so values along returning paths never join at the exit. This
-// matches §4.2, where an update matrix only records derivations that hold
-// from one iteration head to the next.
-func BuildBody(body, post lang.Stmt) *Graph {
-	bl := &builder{g: &Graph{}, opaque: true}
-	entry := bl.newBlock()
-	end := bl.stmt(entry, body)
-	if post != nil {
-		end = bl.stmt(end, post)
-	}
-	exit := bl.newBlock()
-	bl.edge(end, exit)
 	bl.g.entry, bl.g.exit = entry, exit
 	bl.finish()
 	return bl.g
@@ -171,9 +133,7 @@ func (bl *builder) stmt(cur *Block, s lang.Stmt) *Block {
 
 	case *lang.Return:
 		cur.Stmts = append(cur.Stmts, s)
-		if !bl.opaque {
-			bl.returns = append(bl.returns, cur)
-		}
+		bl.returns = append(bl.returns, cur)
 		return bl.newBlock()
 
 	case *lang.If:
@@ -197,10 +157,6 @@ func (bl *builder) stmt(cur *Block, s lang.Stmt) *Block {
 		return join
 
 	case *lang.While:
-		if bl.opaque {
-			cur.Stmts = append(cur.Stmts, s)
-			return cur
-		}
 		head := bl.newBlock()
 		bl.edge(cur, head)
 		head.Cond, head.CondPos = s.Cond, s.Pos
@@ -213,10 +169,6 @@ func (bl *builder) stmt(cur *Block, s lang.Stmt) *Block {
 		return after
 
 	case *lang.For:
-		if bl.opaque {
-			cur.Stmts = append(cur.Stmts, s)
-			return cur
-		}
 		if s.Init != nil {
 			cur = bl.stmt(cur, s.Init)
 		}

@@ -45,9 +45,6 @@ int pick(struct n *s, int k) {
 
 func TestBuildShape(t *testing.T) {
 	g := Build(parseFn(t, listSrc, "walk"))
-	if g.EntryBlock().ID != g.Entry() || g.ExitBlock().ID != g.Exit() {
-		t.Fatalf("entry/exit views disagree")
-	}
 	if len(g.Preds(g.Entry())) != 0 {
 		t.Errorf("entry has predecessors: %v", g.Preds(g.Entry()))
 	}
@@ -108,7 +105,7 @@ func TestBuildIfElseJoins(t *testing.T) {
 	}
 }
 
-func TestBuildBodyReturnLeavesLoop(t *testing.T) {
+func TestBuildReturnLeavesLoop(t *testing.T) {
 	prog, err := lang.Parse(`
 struct n { struct n *next; };
 void f(struct n *s) {
@@ -121,51 +118,33 @@ void f(struct n *s) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	body := prog.Funcs[0].Body.Stmts[0].(*lang.While).Body
-	g := BuildBody(body, nil)
-	// The block holding the return must have no successors.
+	loop := prog.Funcs[0].Body.Stmts[0].(*lang.While)
+	g := Build(prog.Funcs[0])
+	seen := 0
 	for _, b := range g.Blocks {
 		for _, s := range b.Stmts {
-			if _, ok := s.(*lang.Return); ok && len(b.Succs()) != 0 {
-				t.Errorf("return block %d has successors %v", b.ID, g.Succs(b.ID))
+			switch s.(type) {
+			case *lang.Return:
+				seen++
+				// The return goes to the exit, never back to the loop head.
+				if succs := g.Succs(b.ID); len(succs) != 1 || succs[0] != g.Exit() {
+					t.Errorf("return block %d has successors %v, want only exit %d", b.ID, succs, g.Exit())
+				}
+			case *lang.Assign:
+				seen++
+				// The fall-through path (s = s->next) takes the back edge.
+				succs := b.Succs()
+				if len(succs) != 1 || succs[0].Cond == nil || succs[0].CondPos != loop.Pos {
+					t.Errorf("fall-through block %d has successors %v, want the while head", b.ID, g.Succs(b.ID))
+				}
 			}
 		}
 	}
-	// The fall-through path (s = s->next) still reaches the exit.
-	reach := g.Reachable()
-	if !reach[g.Exit()] {
-		t.Error("exit unreachable: fall-through path lost")
+	if seen != 2 {
+		t.Fatalf("found %d of the return and the step statement, want 2", seen)
 	}
-}
-
-func TestBuildBodyKeepsNestedLoopsOpaque(t *testing.T) {
-	prog, err := lang.Parse(`
-struct n { struct n *next; };
-void f(struct n *s, struct n *q) {
-  while (s != NULL) {
-    while (q != NULL) { q = q->next; }
-    s = s->next;
-  }
-}
-`)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	body := prog.Funcs[0].Body.Stmts[0].(*lang.While).Body
-	g := BuildBody(body, nil)
-	opaque := false
-	for _, b := range g.Blocks {
-		if b.Cond != nil {
-			t.Errorf("body graph has conditional block %d; nested loop was expanded", b.ID)
-		}
-		for _, s := range b.Stmts {
-			if _, ok := s.(*lang.While); ok {
-				opaque = true
-			}
-		}
-	}
-	if !opaque {
-		t.Error("nested while not kept as an opaque statement")
+	if !g.Reachable()[g.Exit()] {
+		t.Error("exit unreachable")
 	}
 }
 
@@ -195,28 +174,6 @@ int f(struct n *s) {
 				}
 			}
 		}
-	}
-}
-
-func TestSummaries(t *testing.T) {
-	g := Build(parseFn(t, listSrc, "walk"))
-	sums := g.Summaries()
-	// Find the loop-body block: it defines both c and s, uses both
-	// (upward-exposed: c and s are read before their defs), and derefs s.
-	found := false
-	for i, s := range sums {
-		if s.Defs["c"] && s.Defs["s"] {
-			found = true
-			if !s.Uses["c"] || !s.Uses["s"] {
-				t.Errorf("block %d uses = %v, want c and s upward-exposed", i, s.Uses)
-			}
-			if len(s.Derefs) != 2 || s.Derefs[0].Base != "s" || s.Derefs[1].Base != "s" {
-				t.Errorf("block %d derefs = %v, want two derefs of s", i, s.Derefs)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("loop body block not found in summaries")
 	}
 }
 
@@ -298,35 +255,28 @@ func TestRandomCFGInvariants(t *testing.T) {
 			Params: []*lang.Param{{Name: "s", Type: lang.Type{Kind: lang.TypePtr, Struct: "n"}}},
 			Body:   &lang.Block{Stmts: []lang.Stmt{randStmt(r, 4)}},
 		}
-		for _, mode := range []string{"full", "body"} {
-			var g *Graph
-			if mode == "full" {
-				g = Build(fn)
-			} else {
-				g = BuildBody(fn.Body, nil)
+		g := Build(fn)
+		if len(g.Preds(g.Entry())) != 0 {
+			t.Fatalf("trial %d: entry has preds", trial)
+		}
+		if len(g.Succs(g.Exit())) != 0 {
+			t.Fatalf("trial %d: exit has succs", trial)
+		}
+		for i, b := range g.Blocks {
+			if b.ID != i {
+				t.Fatalf("trial %d: block %d has ID %d", trial, i, b.ID)
 			}
-			if len(g.Preds(g.Entry())) != 0 {
-				t.Fatalf("trial %d %s: entry has preds", trial, mode)
+			if b.Cond != nil && len(b.Succs()) != 2 {
+				t.Fatalf("trial %d: conditional block %d has %d succs", trial, i, len(b.Succs()))
 			}
-			if len(g.Succs(g.Exit())) != 0 {
-				t.Fatalf("trial %d %s: exit has succs", trial, mode)
+			for _, s := range b.Succs() {
+				if !containsBlock(s.Preds(), b) {
+					t.Fatalf("trial %d: edge %d->%d not mirrored in preds", trial, b.ID, s.ID)
+				}
 			}
-			for i, b := range g.Blocks {
-				if b.ID != i {
-					t.Fatalf("trial %d %s: block %d has ID %d", trial, mode, i, b.ID)
-				}
-				if b.Cond != nil && len(b.Succs()) != 2 {
-					t.Fatalf("trial %d %s: conditional block %d has %d succs", trial, mode, i, len(b.Succs()))
-				}
-				for _, s := range b.Succs() {
-					if !containsBlock(s.Preds(), b) {
-						t.Fatalf("trial %d %s: edge %d->%d not mirrored in preds", trial, mode, b.ID, s.ID)
-					}
-				}
-				for _, p := range b.Preds() {
-					if !containsBlock(p.Succs(), b) {
-						t.Fatalf("trial %d %s: pred edge %d->%d not mirrored in succs", trial, mode, p.ID, b.ID)
-					}
+			for _, p := range b.Preds() {
+				if !containsBlock(p.Succs(), b) {
+					t.Fatalf("trial %d: pred edge %d->%d not mirrored in succs", trial, p.ID, b.ID)
 				}
 			}
 		}

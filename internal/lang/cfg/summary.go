@@ -2,10 +2,9 @@ package cfg
 
 import "repro/internal/lang"
 
-// This file computes per-block access summaries and the statement- and
-// expression-level def/use/deref helpers they are built from. The helpers
-// are exported because the dataflow lints in internal/core replay them
-// statement by statement with positions attached.
+// This file holds the statement- and expression-level def/use/deref
+// helpers. The dataflow lints in internal/core replay them statement by
+// statement with positions attached.
 
 // VarUse is one read of a variable.
 type VarUse struct {
@@ -21,50 +20,9 @@ type Deref struct {
 	Pos  lang.Pos
 }
 
-// Summary aggregates one block's variable accesses.
-type Summary struct {
-	// Defs are the variables the block assigns (including everything
-	// assigned inside opaque nested loops in body-mode graphs).
-	Defs map[string]bool
-	// Uses are the upward-exposed reads: variables read before any
-	// definition inside the block.
-	Uses map[string]bool
-	// Derefs are the pointer dereferences in the block, in source order.
-	Derefs []Deref
-}
-
-// Summaries computes the per-block access summaries, indexed by block ID.
-func (g *Graph) Summaries() []*Summary {
-	out := make([]*Summary, len(g.Blocks))
-	for i, b := range g.Blocks {
-		s := &Summary{Defs: map[string]bool{}, Uses: map[string]bool{}}
-		for _, st := range b.Stmts {
-			for _, u := range StmtReads(st) {
-				if !s.Defs[u.Name] {
-					s.Uses[u.Name] = true
-				}
-			}
-			s.Derefs = append(s.Derefs, StmtDerefs(st)...)
-			for _, d := range StmtDefs(st) {
-				s.Defs[d] = true
-			}
-		}
-		if b.Cond != nil {
-			for _, u := range ExprReads(b.Cond) {
-				if !s.Defs[u.Name] {
-					s.Uses[u.Name] = true
-				}
-			}
-			s.Derefs = append(s.Derefs, ExprDerefs(b.Cond)...)
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// StmtDefs returns the variables a straight-line statement assigns. For
-// opaque nested loops (body-mode graphs) it returns everything assigned
-// anywhere inside the loop, matching the enclosing analysis's kill set.
+// StmtDefs returns the variables a statement assigns anywhere inside it:
+// for a loop, everything its body may assign (the kill set of a nested
+// loop in internal/core's update matrices).
 func StmtDefs(s lang.Stmt) []string {
 	var out []string
 	lang.Inspect(s, func(n lang.Node) bool {
@@ -81,10 +39,10 @@ func StmtDefs(s lang.Stmt) []string {
 	return out
 }
 
-// StmtReads returns the variable reads of a straight-line statement in
-// evaluation order. Assigning to a variable does not read it; storing
-// through a field path (p->f = …) reads the base pointer. For opaque
-// nested loops it conservatively returns every read inside the loop.
+// StmtReads returns the variable reads of a statement in evaluation order.
+// Assigning to a variable does not read it; storing through a field path
+// (p->f = …) reads the base pointer. For a compound statement it returns
+// every read inside it.
 func StmtReads(s lang.Stmt) []VarUse { return reads(s) }
 
 // reads is StmtReads and ExprReads over either kind of node.
@@ -105,10 +63,10 @@ func reads(root lang.Node) []VarUse {
 	return out
 }
 
-// StmtDerefs returns the pointer dereferences of a straight-line
-// statement in evaluation order (including inside opaque nested loops):
-// one Deref per maximal Arrow chain rooted at a variable, plus any chains
-// nested in call arguments or subexpressions.
+// StmtDerefs returns the pointer dereferences of a statement in evaluation
+// order (including inside compound statements): one Deref per maximal Arrow
+// chain rooted at a variable, plus any chains nested in call arguments or
+// subexpressions.
 func StmtDerefs(s lang.Stmt) []Deref { return derefs(s) }
 
 // derefs is StmtDerefs and ExprDerefs over either kind of node. A chain's

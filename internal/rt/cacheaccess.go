@@ -14,17 +14,15 @@ import (
 // Table 3's "% of Remote references that miss").
 //
 // The resident-line hit — by far the dominant outcome — takes the
-// allocation-free fast path: one hash-chain walk (cache.Hit), the hit
-// counter, and the trace emit. Everything else falls back to the full
-// probe, which re-derives the same state and handles page allocation,
-// staleness and the fetch.
+// allocation-free fast path: one hash-chain walk (cache.Hit) and the trace
+// emit. Everything else falls back to the full probe, which re-derives the
+// same state and handles page allocation, staleness and the fetch.
 func (t *Thread) cacheAccess(s *Site, a gaddr.GP) cacheRef {
 	c := t.rt.Caches[t.loc]
 	tr := t.rt.M.Tracer
 	start := t.now
 	t.chargeHere(t.rt.M.Cost.CacheHit)
 	if e, ok := c.Hit(a); ok {
-		t.rt.cacheHits++
 		if tr != nil {
 			tr.Emit(trace.Event{
 				Kind: trace.EvCacheHit, T: start,
@@ -61,8 +59,6 @@ func (t *Thread) cacheAccess(s *Site, a gaddr.GP) cacheRef {
 	if missed {
 		t.rt.M.Stats.Misses++
 		t.rt.mMissLat.Observe(t.now - start)
-	} else {
-		t.rt.cacheHits++
 	}
 	if tr != nil {
 		ev := trace.Event{
@@ -95,7 +91,6 @@ func (t *Thread) fetchLine(c *cache.Cache, e *cache.Entry, a gaddr.GP) {
 	c.InstallLine(e, line, buf[:])
 	t.rt.Coh.RegisterSharer(e.Page, t.loc)
 	t.rt.M.Stats.LineFetches++
-	t.rt.lineFills++
 	if tr := t.rt.M.Tracer; tr != nil {
 		tr.Emit(trace.Event{
 			Kind: trace.EvLineFetch, T: start, Dur: t.now - start,

@@ -182,12 +182,9 @@ type Runtime struct {
 	sites map[string]*Site
 	dups  map[string]int
 
-	// Meters beyond the machine's aggregate statistics: two run-owned
-	// counts the registry reads at snapshot time, and registry-owned
-	// histograms whose handles are nil when Config.Metrics was nil (the
+	// Registry-owned histograms beyond the machine's aggregate
+	// statistics; the handles are nil when Config.Metrics was nil (the
 	// nil-safe disabled state).
-	cacheHits   int64
-	lineFills   int64
 	mMissLat    *metrics.Histogram
 	mMigLat     *metrics.Histogram
 	mReturnLat  *metrics.Histogram
@@ -210,6 +207,11 @@ func New(cfg Config) *Runtime {
 	if reg := cfg.Metrics; reg != nil {
 		m.Stats.Bind(reg)
 		m.BindProcs(reg)
+		// A cached reference that pays no round trip is a hit, and every
+		// line fetch fills one line.
+		reg.RegisterFunc("olden_cache_hits_total", metrics.KindCounter,
+			func() int64 { return m.Stats.RemoteRefs() - m.Stats.Misses })
+		machine.BindCounter(reg, "olden_line_fills_total", &m.Stats.LineFetches)
 		for i, c := range caches {
 			c := c
 			reg.RegisterFunc("olden_cache_pages_allocated", metrics.KindCounter,
@@ -238,8 +240,6 @@ func New(cfg Config) *Runtime {
 		mReturnLat:  cfg.Metrics.Histogram("olden_migration_transit_cycles", metrics.L("kind", "return")),
 		mTouchBlock: cfg.Metrics.Histogram("olden_touch_blocked_cycles"),
 	}
-	machine.BindCounter(cfg.Metrics, "olden_cache_hits_total", &r.cacheHits)
-	machine.BindCounter(cfg.Metrics, "olden_line_fills_total", &r.lineFills)
 	return r
 }
 

@@ -109,9 +109,9 @@ type Config struct {
 	// default (256), negative disables memoization.
 	CacheEntries int
 	// PhaseCacheEntries is the phase-cache capacity: memoized build-phase
-	// boundaries shared across schemes and modes, admitted only for
-	// benchmarks whose static phase plan certifies an invariant build
-	// chain. 0 picks the default (64), negative disables it.
+	// boundaries shared across schemes and modes, keyed by
+	// bench.Info.BuildKey (benchmarks without one are not admitted).
+	// 0 picks the default (64), negative disables it.
 	PhaseCacheEntries int
 	// DefaultDeadline applies when a request names none (default 60s);
 	// MaxDeadline caps what a request may ask for (default 5m).

@@ -174,7 +174,7 @@ clustersmoke:
 # trace-digest goldens, the scheduler battery's sixty lines and the switch
 # census's ten, the rendered
 # report over the pinned baselines, the oldenc -analyze effect summaries and
-# -phases plans), and
+# -phases plans, the metric ids the router and replicas serve), and
 # the committed BENCH_<name>.json baselines are re-pinned by `oldenbench
 # -update` (= `make bench`, kept separate because moving cycle counts is
 # a reviewed perf decision, not a golden refresh). Run this after an
@@ -191,6 +191,7 @@ update-goldens:
 	$(GO) test ./internal/bench -run 'TestTraceDigestGoldens|TestSchedulerDigestEquivalence|TestSwitchCensus' -update
 	$(GO) test ./internal/bench/record -run 'TestReportGolden' -update
 	$(GO) test ./cmd/oldenc -run 'TestAnalyzeGoldens|TestPhasesGoldens' -update
+	$(GO) test ./internal/cluster -run 'TestServedMetricNames' -update
 
 # The mini-C targets build oldenc once and run that binary over every
 # kernel and example source (a `go run` per source links it fourteen times).

@@ -3,7 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"io"
+	"errors"
 	"net/http"
 	"strings"
 	"sync"
@@ -77,8 +77,7 @@ func (rt *Router) fanout(ctx context.Context, path string) []peerReply {
 				out[i].err = err
 				return
 			}
-			b, err := io.ReadAll(io.LimitReader(resp.Body, 32<<20))
-			resp.Body.Close()
+			b, err := readReply(resp)
 			out[i] = peerReply{reply{status: resp.StatusCode, header: resp.Header, body: b}, err}
 		}(i, name)
 	}
@@ -137,9 +136,10 @@ func (rt *Router) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 // handleDebugTrace fans a trace-id lookup out to the replicas — the
 // trace lives wherever the sampled request executed, which the id alone
 // does not reveal — and serves the first hit with X-Oldend-Shard naming
-// the replica that retained it. When no replica holds the id, the
-// router's own retained tree (span tree of the routed request itself)
-// answers; only then 404.
+// the replica that retained it. A replica whose export is too large to
+// hold gets a 502 naming it. When no replica holds the id, the router's
+// own retained tree (span tree of the routed request itself) answers;
+// only then 404.
 func (rt *Router) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	idStr := strings.TrimPrefix(r.URL.Path, "/debug/trace/")
 	if _, err := obs.ParseTraceID(idStr); err != nil {
@@ -151,7 +151,11 @@ func (rt *Router) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 		path += "?" + q
 	}
 	for i, p := range rt.fanout(r.Context(), path) {
-		if p.err == nil && p.status == http.StatusOK {
+		switch {
+		case errors.Is(p.err, errReplyTooLarge):
+			serveReply(w, badGateway(rt.names[i], p.err), rt.names[i])
+			return
+		case p.err == nil && p.status == http.StatusOK:
 			serveReply(w, p.reply, rt.names[i])
 			return
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -206,8 +207,9 @@ type reply struct {
 // exchange performs one bounded request against a shard: acquire the
 // shard's connection budget (waiting within ctx), send, read the whole
 // body, release. A transport error marks the shard down; any HTTP
-// response — including 5xx — marks it up, because a replica that answers
-// is alive even when it answers badly.
+// response — including 5xx, and a body over maxReply, which comes back as
+// errReplyTooLarge — marks it up, because a replica that answers is alive
+// even when it answers badly.
 func (rt *Router) exchange(ctx context.Context, sh *shard, method, path string, body []byte, hdr http.Header) (reply, error) {
 	select {
 	case sh.budget <- struct{}{}:
@@ -235,9 +237,8 @@ func (rt *Router) exchange(ctx context.Context, sh *shard, method, path string, 
 		rt.markDown(sh)
 		return reply{}, err
 	}
-	b, err := io.ReadAll(io.LimitReader(resp.Body, 32<<20))
-	resp.Body.Close()
-	if err != nil {
+	b, err := readReply(resp)
+	if err != nil && !errors.Is(err, errReplyTooLarge) {
 		rt.markDown(sh)
 		return reply{}, err
 	}
@@ -246,7 +247,48 @@ func (rt *Router) exchange(ctx context.Context, sh *shard, method, path string, 
 		Observe(rt.cfg.Now().Sub(start).Microseconds())
 	rt.cfg.Metrics.Counter("oldenrouter_proxied_total",
 		metrics.L("shard", sh.name), metrics.L("code", strconv.Itoa(resp.StatusCode))).Inc()
-	return reply{status: resp.StatusCode, header: resp.Header, body: b}, nil
+	return reply{status: resp.StatusCode, header: resp.Header, body: b}, err
+}
+
+// maxReply caps the replica reply the router holds in memory.
+const maxReply = 32 << 20
+
+// errReplyTooLarge is a replica reply over maxReply. The replica answered,
+// so it is not a connection failure: the router does not mark the shard
+// down or retry the next owner, and it answers the client 502.
+var errReplyTooLarge = fmt.Errorf("reply exceeds the %d-byte limit", maxReply)
+
+// readReply reads a whole replica body and closes it: into one buffer of
+// Content-Length bytes when the replica declared its length, else reading
+// up to one byte past maxReply to tell a full reply from a cut one. A
+// reply over maxReply is errReplyTooLarge, never a truncated body.
+func readReply(resp *http.Response) ([]byte, error) {
+	defer resp.Body.Close()
+	n := resp.ContentLength
+	if n > maxReply {
+		return nil, errReplyTooLarge
+	}
+	if n >= 0 {
+		b := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, b)
+		return b, err
+	}
+	b, err := io.ReadAll(io.LimitReader(resp.Body, maxReply+1))
+	if err == nil && len(b) > maxReply {
+		return nil, errReplyTooLarge
+	}
+	return b, err
+}
+
+// badGateway is what the router serves in place of a replica reply it
+// would not hold: a 502 naming the shard, shaped like server.WriteError's.
+func badGateway(shard string, err error) reply {
+	body, _ := json.Marshal(map[string]string{"error": "replica " + shard + ": " + err.Error()}) // a string map always marshals
+	return reply{
+		status: http.StatusBadGateway,
+		header: http.Header{"Content-Type": {"application/json"}},
+		body:   append(body, '\n'),
+	}
 }
 
 // skippedHeaders are response headers the router owns (trace identity is
@@ -329,8 +371,8 @@ func (rt *Router) candidates(owners []string, target string) []*shard {
 // owner on connection failure — safe even after a half-sent request,
 // because every forwarded path is deterministic and idempotent, the
 // property the whole cluster design leans on. An HTTP answer of any
-// status ends the chain. When no candidate answers, the request is
-// counted unroutable and ok is false.
+// status ends the chain; one too large to hold ends it as a 502. When no
+// candidate answers, the request is counted unroutable and ok is false.
 func (rt *Router) forward(r *http.Request, sp *obs.Span, owners []string, target, path string, body []byte) (reply, *shard, bool) {
 	hdr := downstreamHeader(r, sp)
 	for attempt, sh := range rt.candidates(owners, target) {
@@ -342,6 +384,9 @@ func (rt *Router) forward(r *http.Request, sp *obs.Span, owners []string, target
 		if err != nil {
 			ps.SetAttr("error", err.Error())
 			ps.EndAborted()
+			if errors.Is(err, errReplyTooLarge) {
+				return badGateway(sh.name, err), sh, true
+			}
 			if r.Context().Err() != nil {
 				break // the client is gone; stop burning replicas
 			}
@@ -361,6 +406,15 @@ func (rt *Router) unroutable503(w http.ResponseWriter, msg string) {
 	server.WriteError(w, http.StatusServiceUnavailable, msg)
 }
 
+// decodeStatus answers a prologue error as the replica would: 413 when it
+// wraps an *http.MaxBytesError (a body over the limit), 400 otherwise.
+func decodeStatus(err error) int {
+	if errors.As(err, new(*http.MaxBytesError)) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 // handleRun is the replica's /run pipeline with a remote execute step:
 //
 //  1. the same prologue (server.DecodeRun), so the ring hashes exactly the
@@ -373,16 +427,13 @@ func (rt *Router) unroutable503(w http.ResponseWriter, msg string) {
 //  4. every Kth successful execution is duplicated to a second replica
 //     and the two answers must be byte-identical (verify mode).
 func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	var buf bytes.Buffer // the body as the prologue read it, forwarded verbatim
+	req, key, err := server.DecodeRun(io.TeeReader(r.Body, &buf))
 	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, "read body: "+err.Error())
+		server.WriteError(w, decodeStatus(err), err.Error())
 		return
 	}
-	req, key, err := server.DecodeRun(bytes.NewReader(body))
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
+	body := buf.Bytes()
 	owners := rt.ring.Owners(key, len(rt.names))
 	st := server.RequestState(r)
 	st.Key = key
@@ -496,7 +547,7 @@ func (rt *Router) verifyAgainstPeer(r *http.Request, sp *obs.Span, owners []stri
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	breq, items, err := server.DecodeBatch(r.Body)
 	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, err.Error())
+		server.WriteError(w, decodeStatus(err), err.Error())
 		return
 	}
 	groups := map[string][]int{} // primary owner -> original indices

@@ -7,7 +7,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -460,33 +462,115 @@ func TestRouterBenchmarksProxied(t *testing.T) {
 	}
 }
 
+// oversizeReplica answers one byte over the router's reply cap: on /run
+// with a Content-Length that says so, on /debug/trace/<id> (when trace is
+// set; 404 otherwise) without one, so only reading the body shows it.
+func oversizeReplica(t *testing.T, runs *atomic.Int64, trace bool) *httptest.Server {
+	chunk := bytes.Repeat([]byte("x"), 64<<10)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == "/run":
+			runs.Add(1)
+			w.Header().Set("Content-Length", strconv.Itoa(maxReply+1))
+		case !trace:
+			http.NotFound(w, r)
+			return
+		}
+		for n := maxReply + 1; n > 0; n -= len(chunk) {
+			if _, err := w.Write(chunk[:min(n, len(chunk))]); err != nil {
+				return // the router stopped reading
+			}
+		}
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestOversizeReplyIs502 requires a replica reply over the cap to reach
+// the client as a 502 naming the shard, never as a truncated 200, and to
+// count as an answer: no retry on the next owner, no shard marked down.
+func TestOversizeReplyIs502(t *testing.T) {
+	var runs atomic.Int64
+	a, b := oversizeReplica(t, &runs, true), oversizeReplica(t, &runs, false)
+	rt, err := NewRouter(Config{Replicas: []string{a.URL, b.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	check := func(what string, resp *http.Response) {
+		t.Helper()
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		shard := resp.Header.Get("X-Oldend-Shard")
+		if resp.StatusCode != http.StatusBadGateway || shard == "" ||
+			!strings.Contains(string(body), shard) || !strings.Contains(string(body), strconv.Itoa(maxReply)) {
+			t.Errorf("%s: status %d, X-Oldend-Shard %q, body %.200s; want a 502 naming the shard and the limit",
+				what, resp.StatusCode, shard, body)
+		}
+	}
+	resp, err := http.Post(front.URL+"/run", "application/json", strings.NewReader(runBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("/run", resp)
+	resp, err = http.Get(front.URL + "/debug/trace/4bf92f3577b34da6a3ce929d0e0e4736")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("/debug/trace", resp)
+
+	if n := runs.Load(); n != 1 {
+		t.Errorf("replicas saw %d /run requests, want 1 (an oversize answer is not retried)", n)
+	}
+	if n := rt.retries.Load(); n != 0 {
+		t.Errorf("oldenrouter_proxy_retries_total = %d, want 0", n)
+	}
+	snap := rt.Metrics().Snapshot()
+	for _, name := range rt.names {
+		if sm, _ := snap.Get("oldenrouter_replica_down_total", metrics.L("shard", name)); sm.Value != 0 {
+			t.Errorf("oldenrouter_replica_down_total{shard=%q} = %d, want 0", name, sm.Value)
+		}
+		if !rt.alive(rt.shards[name]) {
+			t.Errorf("shard %s marked down by an oversize reply", name)
+		}
+	}
+}
+
 // TestRouteParityWithReplica holds Handler's doc to its word: the router's
 // surface is the same shape as one oldend's. The wrong method on each
 // method-guarded client path and a GET on the two health paths must find
 // the path registered on both muxes (405 or 200, not 404); /analyze is
 // gone from both; /cache/probe is the one documented replica-only route.
+// A body one byte over the 1 MiB limit is a 413 on both, on /run and
+// /batch.
 func TestRouteParityWithReplica(t *testing.T) {
 	tc := newTestCluster(t, 1, Config{}, fastExec)
 	replica := tc.router.names[0]
+	over := func(body string) string { return body + strings.Repeat(" ", 1<<20+1-len(body)) }
 	for _, rc := range []struct {
 		method, path    string
 		replica, router int
+		body            string
 	}{
-		{http.MethodGet, "/run", 405, 405},
-		{http.MethodGet, "/batch", 405, 405},
-		{http.MethodPost, "/benchmarks", 405, 405},
-		{http.MethodPost, "/metrics", 405, 405},
-		{http.MethodPost, "/debug/requests", 405, 405},
-		{http.MethodGet, "/healthz", 200, 200},
-		{http.MethodGet, "/readyz", 200, 200},
-		{http.MethodPost, "/analyze", 404, 404},
-		{http.MethodPost, "/cache/probe", 405, 404},
+		{http.MethodGet, "/run", 405, 405, "{}"},
+		{http.MethodGet, "/batch", 405, 405, "{}"},
+		{http.MethodPost, "/benchmarks", 405, 405, "{}"},
+		{http.MethodPost, "/metrics", 405, 405, "{}"},
+		{http.MethodPost, "/debug/requests", 405, 405, "{}"},
+		{http.MethodGet, "/healthz", 200, 200, "{}"},
+		{http.MethodGet, "/readyz", 200, 200, "{}"},
+		{http.MethodPost, "/analyze", 404, 404, "{}"},
+		{http.MethodPost, "/cache/probe", 405, 404, "{}"},
+		{http.MethodPost, "/run", 413, 413, over(runBody)},
+		{http.MethodPost, "/batch", 413, 413, over(`{"runs":[` + runBody + `]}`)},
 	} {
 		for _, side := range []struct {
 			name, base string
 			want       int
 		}{{"replica", replica, rc.replica}, {"router", tc.front.URL, rc.router}} {
-			req, err := http.NewRequest(rc.method, side.base+rc.path, strings.NewReader("{}"))
+			req, err := http.NewRequest(rc.method, side.base+rc.path, strings.NewReader(rc.body))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -104,7 +104,7 @@ func (r *Registry) Snapshot() Snapshot {
 
 // Get returns the sample with the given name and labels, if present.
 func (s Snapshot) Get(name string, labels ...Label) (Sample, bool) {
-	id := name + labelID(canonLabels(labels))
+	id := string(appendID(nil, name, sortLabels(nil, labels)))
 	for _, sm := range s.Samples {
 		if sm.ID() == id {
 			return sm, true

@@ -16,8 +16,7 @@ package metrics
 import (
 	"fmt"
 	"math/bits"
-	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -199,45 +198,75 @@ func (r *Registry) SetHelp(name, help string) {
 	r.mu.Unlock()
 }
 
-// labelID renders labels canonically: sorted by key, {k="v",...}.
-func labelID(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
+// appendID appends a metric's canonical id to b: the name, then the
+// key-sorted labels as {k="v",...}, each value quoted byte for byte as
+// fmt's %q quotes it.
+func appendID(b []byte, name string, sorted []Label) []byte {
+	b = append(b, name...)
+	if len(sorted) == 0 {
+		return b
 	}
-	var sb strings.Builder
-	sb.WriteByte('{')
-	for i, l := range labels {
+	b = append(b, '{')
+	for i, l := range sorted {
 		if i > 0 {
-			sb.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&sb, "%s=%q", l.Key, l.Value)
+		b = append(b, l.Key...)
+		b = append(b, '=')
+		b = appendQuoted(b, l.Value)
 	}
-	sb.WriteByte('}')
-	return sb.String()
+	return append(b, '}')
 }
 
-func canonLabels(labels []Label) []Label {
-	out := make([]Label, len(labels))
-	copy(out, labels)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+// appendQuoted is strconv.AppendQuote with a fast path: printable ASCII
+// without a quote or backslash — every label value the services use —
+// needs no escape, so it is copied between quotes without a per-rune walk.
+func appendQuoted(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return strconv.AppendQuote(b, s)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// labelID renders sorted labels canonically: {k="v",...}.
+func labelID(sorted []Label) string { return string(appendID(nil, "", sorted)) }
+
+// sortLabels appends labels to dst sorted by key. Insertion sort: stable,
+// free of allocation when dst has the room, and what sort.Slice does to
+// sets this short.
+func sortLabels(dst, labels []Label) []Label {
+	dst = append(dst, labels...)
+	for i := 1; i < len(dst); i++ {
+		for j := i; j > 0 && dst[j].Key < dst[j-1].Key; j-- {
+			dst[j], dst[j-1] = dst[j-1], dst[j]
+		}
+	}
+	return dst
 }
 
 // get returns the entry for (name, labels), creating it with kind if absent.
 // A kind mismatch on an existing id panics: two layers disagreeing on a
-// metric's type is a programming error, not a runtime condition.
+// metric's type is a programming error, not a runtime condition. The id is
+// built in stack buffers, so a lookup of an existing entry (up to four
+// labels) allocates nothing.
 func (r *Registry) get(name string, kind Kind, labels []Label) *entry {
-	ls := canonLabels(labels)
-	id := name + labelID(ls)
+	var lbuf [4]Label
+	var ibuf [128]byte
+	ls := sortLabels(lbuf[:0], labels)
+	id := appendID(ibuf[:0], name, ls)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e, ok := r.index[id]; ok {
+	if e, ok := r.index[string(id)]; ok {
 		if e.kind != kind {
-			panic(fmt.Sprintf("metrics: %s registered as %s, requested as %s", id, e.kind, kind))
+			panic(fmt.Sprintf("metrics: %s registered as %s, requested as %s", e.id, e.kind, kind))
 		}
 		return e
 	}
-	e := &entry{name: name, labels: ls, id: id, kind: kind}
+	e := &entry{name: name, labels: append([]Label(nil), ls...), id: string(id), kind: kind}
 	switch kind {
 	case KindCounter:
 		e.c = &Counter{}
@@ -246,7 +275,7 @@ func (r *Registry) get(name string, kind Kind, labels []Label) *entry {
 	case KindHistogram:
 		e.h = &Histogram{}
 	}
-	r.index[id] = e
+	r.index[e.id] = e
 	return e
 }
 
@@ -289,8 +318,8 @@ func (r *Registry) RegisterFunc(name string, kind Kind, fn func() int64, labels 
 	if kind == KindHistogram {
 		panic("metrics: RegisterFunc does not support histograms")
 	}
-	ls := canonLabels(labels)
-	id := name + labelID(ls)
+	ls := sortLabels(nil, labels)
+	id := string(appendID(nil, name, ls))
 	r.mu.Lock()
 	r.index[id] = &entry{name: name, labels: ls, id: id, kind: kind, fn: fn}
 	r.mu.Unlock()

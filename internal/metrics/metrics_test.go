@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -99,6 +100,47 @@ func TestLabelsAreCanonicalized(t *testing.T) {
 	}
 	if want := `msgs{scheme="global",type="inval"}`; sm.ID() != want {
 		t.Fatalf("ID = %q, want %q", sm.ID(), want)
+	}
+}
+
+// fmtLabelID is the fmt rendering labelID replaced, kept to hold the
+// strconv one to the same bytes.
+func fmtLabelID(labels []Label) string {
+	if len(labels) == 0 {
+		return ""
+	}
+	var sb strings.Builder
+	sb.WriteByte('{')
+	for i, l := range labels {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		fmt.Fprintf(&sb, "%s=%q", l.Key, l.Value)
+	}
+	sb.WriteByte('}')
+	return sb.String()
+}
+
+func TestLabelIDMatchesFmt(t *testing.T) {
+	for _, v := range []string{"", "plain", `a"quote`, `back\slash`, "new\nline", "tab\tbell\a", "\xff\xfe invalid", "naïve 日本 🙂", "\u2028\x00", "\x1f", "\x7f", " ~", "http://r0"} {
+		for _, ls := range [][]Label{nil, {L("k", v)}, {L("a", "1"), L("b", v), L("c", v+v)}} {
+			if got, want := labelID(ls), fmtLabelID(ls); got != want {
+				t.Errorf("labelID(%q) = %q, fmt renders %q", ls, got, want)
+			}
+		}
+	}
+}
+
+func TestCounterLookupIsAllocationFree(t *testing.T) {
+	r := NewRegistry()
+	a := r.Counter("req_total", L("path", "/run"), L("code", "200"))
+	if b := r.Counter("req_total", L("code", "200"), L("path", "/run")); a != b {
+		t.Fatal("reversed labels returned a different handle")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		r.Counter("req_total", L("path", "/run"), L("code", "200")).Inc()
+	}); n != 0 {
+		t.Fatalf("existing-id Counter lookup: %v allocations, want 0", n)
 	}
 }
 

@@ -122,7 +122,7 @@ func WriteBatch(w http.ResponseWriter, items []BatchItem, retryAfter time.Durati
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	breq, items, err := DecodeBatch(r.Body)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, decodeStatus(err), err.Error())
 		return
 	}
 	reqs := breq.Runs

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -32,16 +33,24 @@ var runSeeds = []string{
 	`{"benchmark":"treeadd"}` + "\n",
 }
 
+// fmtCacheKey is the fmt rendering CacheKey replaced. Keys are stored
+// under and hashed onto the ring, so the strconv one must give the same
+// bytes.
+func fmtCacheKey(q RunRequest) string {
+	return fmt.Sprintf("%s|baseline=%t|P=%d|scale=%d|scheme=%s|mode=%s",
+		q.Benchmark, q.Baseline, q.Procs, q.Scale, q.Scheme, q.Mode)
+}
+
 // checkCanonical holds for every configuration a decoder lets through: it
-// is a fixed point of Normalize, key is its CacheKey, and each field is
-// something the executor can act on.
+// is a fixed point of Normalize, key is its CacheKey (the same bytes fmt
+// renders), and each field is something the executor can act on.
 func checkCanonical(t *testing.T, req RunRequest, key string) {
 	t.Helper()
 	if again, err := Normalize(req); err != nil || again != req {
 		t.Fatalf("Normalize is not idempotent on %+v: %+v, %v", req, again, err)
 	}
-	if key != CacheKey(req) {
-		t.Fatalf("key %q, CacheKey(%+v) = %q", key, req, CacheKey(req))
+	if key != CacheKey(req) || key != fmtCacheKey(req) {
+		t.Fatalf("key %q, CacheKey(%+v) = %q, fmt renders %q", key, req, CacheKey(req), fmtCacheKey(req))
 	}
 	if _, err := coherence.Parse(req.Scheme); err != nil {
 		t.Fatalf("accepted scheme does not parse: %v", err)
@@ -54,6 +63,38 @@ func checkCanonical(t *testing.T, req RunRequest, key string) {
 	}
 	if req.Procs < 1 || req.Procs > bench.CatalogMaxProcs || req.Scale < 1 || req.DeadlineMS < 0 {
 		t.Fatalf("accepted out-of-range configuration %+v", req)
+	}
+}
+
+// TestCacheKeyMatchesFmt renders every configuration the catalog admits
+// (each benchmark, baseline or not, P = 1..CatalogMaxProcs, every scheme
+// and mode, at the catalog's default scale and two others) both ways, and
+// pins CacheKey to one allocation: the returned string.
+func TestCacheKeyMatchesFmt(t *testing.T) {
+	n := 0
+	for _, e := range bench.Catalog() {
+		for _, baseline := range []bool{false, true} {
+			for p := 1; p <= bench.CatalogMaxProcs; p++ {
+				for _, scheme := range e.Schemes {
+					for _, mode := range e.Modes {
+						for _, scale := range []int{1, e.DefaultScale, 1024} {
+							q := RunRequest{Benchmark: e.Name, Baseline: baseline, Procs: p, Scale: scale, Scheme: scheme, Mode: mode}
+							if got, want := CacheKey(q), fmtCacheKey(q); got != want {
+								t.Fatalf("CacheKey = %q, fmt renders %q", got, want)
+							}
+							n++
+						}
+					}
+				}
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("the catalog is empty")
+	}
+	q := RunRequest{Benchmark: "barneshut", Procs: 64, Scale: 16, Scheme: "bilateral", Mode: "migrate-only"}
+	if allocs := testing.AllocsPerRun(100, func() { CacheKey(q) }); allocs != 1 {
+		t.Fatalf("CacheKey: %v allocations, want 1", allocs)
 	}
 }
 

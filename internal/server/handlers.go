@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -248,26 +249,42 @@ func (s *Server) Handler() http.Handler {
 	}.Wrap(mux)
 }
 
-// decodeBody reads the single JSON value a request body may hold into v.
-// Anything after it but whitespace is refused like a malformed body: a
-// decoder that stops at the first value would run
-// {"benchmark":"treeadd"}{"benchmark":"power"} as treeadd and silently
-// drop the rest.
+// maxBody caps a request body; a longer one is refused with 413.
+const maxBody = 1 << 20
+
+// decodeBody reads a request body once and unmarshals the single JSON
+// value it may hold into v. json.Unmarshal refuses anything after the
+// value but whitespace, so {"benchmark":"treeadd"}{"benchmark":"power"}
+// is malformed rather than run as treeadd with the rest dropped. A body
+// over maxBody fails with an *http.MaxBytesError in its chain.
 func decodeBody(body io.Reader, v any) error {
-	dec := json.NewDecoder(io.LimitReader(body, 1<<20))
-	if err := dec.Decode(v); err != nil {
+	b, err := io.ReadAll(http.MaxBytesReader(nil, io.NopCloser(body), maxBody))
+	if errors.As(err, new(*http.MaxBytesError)) {
+		return fmt.Errorf("request body over the %d-byte limit: %w", maxBody, err)
+	}
+	if err == nil {
+		err = json.Unmarshal(b, v)
+	}
+	if err != nil {
 		return fmt.Errorf("bad request body: %w", err)
 	}
-	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("bad request body: data after the JSON value")
-	}
 	return nil
+}
+
+// decodeStatus is the status a prologue error answers with: 413 for a
+// body over the limit, 400 for anything else the client sent.
+func decodeStatus(err error) int {
+	if errors.As(err, new(*http.MaxBytesError)) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // DecodeRun is the request prologue every /run path shares — replica and
 // router alike: decode the body, validate and fill catalog defaults, and
 // derive the canonical cache key the result cache stores under and the
-// ring hashes. Every error is the client's (400).
+// ring hashes. Every error is the client's (413 for a body over the
+// limit, 400 otherwise).
 func DecodeRun(body io.Reader) (RunRequest, string, error) {
 	var req RunRequest
 	if err := decodeBody(body, &req); err != nil {
@@ -322,7 +339,7 @@ func (s *Server) writeRun(w http.ResponseWriter, res result) {
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	req, key, err := DecodeRun(r.Body)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, decodeStatus(err), err.Error())
 		return
 	}
 	st := RequestState(r)

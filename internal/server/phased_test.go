@@ -315,6 +315,8 @@ func TestBatchValidation(t *testing.T) {
 		{`{"runs":[{"benchmark":"treeadd"}]}` + "\n", http.StatusOK},
 		{`{"runs":[{"benchmark":"treeadd"},{"benchmark":"treeadd"},{"benchmark":"treeadd"},
 		   {"benchmark":"treeadd"},{"benchmark":"treeadd"}]}`, http.StatusBadRequest}, // > QueueDepth
+		{padBody(`{"runs":[{"benchmark":"treeadd"}]}`, maxBody), http.StatusOK},
+		{padBody(`{"runs":[{"benchmark":"treeadd"}]}`, maxBody+1), http.StatusRequestEntityTooLarge},
 	} {
 		resp, err := http.Post(ts.URL+"/batch", "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -322,7 +324,7 @@ func TestBatchValidation(t *testing.T) {
 		}
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {
-			t.Fatalf("%s: status %d, want %d", tc.body, resp.StatusCode, tc.want)
+			t.Fatalf("%.60q: status %d, want %d", tc.body, resp.StatusCode, tc.want)
 		}
 	}
 	resp, err := http.Get(ts.URL + "/batch")

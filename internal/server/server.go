@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,10 +64,22 @@ func (q RunRequest) Key() string { return CacheKey(q) }
 // It deliberately excludes NoCache/Verify/DeadlineMS: those shape
 // request handling, not the result. Two processes that agree on this
 // string agree on result identity, which is what lets a router shard
-// the cache across replicas without any coordination protocol.
+// the cache across replicas without any coordination protocol. It is
+// appended in a stack buffer; the returned string is its one allocation.
 func CacheKey(q RunRequest) string {
-	return fmt.Sprintf("%s|baseline=%t|P=%d|scale=%d|scheme=%s|mode=%s",
-		q.Benchmark, q.Baseline, q.Procs, q.Scale, q.Scheme, q.Mode)
+	var buf [128]byte
+	b := append(buf[:0], q.Benchmark...)
+	b = append(b, "|baseline="...)
+	b = strconv.AppendBool(b, q.Baseline)
+	b = append(b, "|P="...)
+	b = strconv.AppendInt(b, int64(q.Procs), 10)
+	b = append(b, "|scale="...)
+	b = strconv.AppendInt(b, int64(q.Scale), 10)
+	b = append(b, "|scheme="...)
+	b = append(b, q.Scheme...)
+	b = append(b, "|mode="...)
+	b = append(b, q.Mode...)
+	return string(b)
 }
 
 // Disposition returns the cache disposition a (normalized) request

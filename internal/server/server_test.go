@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -371,6 +372,9 @@ func TestVerifyCrossChecksDigest(t *testing.T) {
 	}
 }
 
+// padBody pads a JSON body with trailing spaces to n bytes.
+func padBody(body string, n int) string { return body + strings.Repeat(" ", n-len(body)) }
+
 // TestRequestValidation pins the 4xx surface.
 func TestRequestValidation(t *testing.T) {
 	exec := &instantExec{digests: []string{"d"}}
@@ -394,10 +398,16 @@ func TestRequestValidation(t *testing.T) {
 		{`{"benchmark":"treeadd"} garbage`, 400},
 		{`{"benchmark":"treeadd"}` + "\n", 200},
 		{`{"benchmark":"treeadd"}`, 200},
+		{padBody(`{"benchmark":"treeadd"}`, maxBody), 200},
+		{padBody(`{"benchmark":"treeadd"}`, maxBody+1), 413},
 	}
 	for _, c := range cases {
-		if st, b, _ := postRun(t, ts, c.body); st != c.want {
-			t.Errorf("POST %s = %d, want %d (%s)", c.body, st, c.want, b)
+		st, b, _ := postRun(t, ts, c.body)
+		if st != c.want {
+			t.Errorf("POST %.60q = %d, want %d (%s)", c.body, st, c.want, b)
+		}
+		if st == http.StatusRequestEntityTooLarge && !strings.Contains(string(b), strconv.Itoa(maxBody)) {
+			t.Errorf("413 body %s does not state the %d-byte limit", b, maxBody)
 		}
 	}
 	resp, err := http.Get(ts.URL + "/run")

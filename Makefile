@@ -86,6 +86,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFnvWord$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRun$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzRingOwners$$' -fuzztime $(FUZZTIME) ./internal/cluster
 
 oldenvet:
 	$(GO) run ./cmd/oldenvet ./...
@@ -183,9 +184,12 @@ clustersmoke:
 # verdicts_parent.golden is what the deleted cost bounds said about every
 # mini-C source, written once from the last commit that had them; likewise
 # testdata/summaries_parent.golden, what the hand-written statement walkers
-# said before lang.Inspect replaced them, and internal/core/testdata/
+# said before lang.Inspect replaced them, internal/core/testdata/
 # matrices_parent.golden, the update matrices the loop-body CFG and solver
-# computed before the structural fold replaced them.
+# computed before the structural fold replaced them, and internal/core/
+# testdata/lints_parent.golden and internal/analysis/effects/testdata/
+# effects_parent.golden, the lints and effect summaries the basic-block CFG
+# and worklist solver gave before lang.Fold replaced them.
 update-goldens:
 	$(GO) test ./internal/core -run 'TestLintGolden' -update
 	$(GO) test ./internal/bench -run 'TestTraceDigestGoldens|TestSchedulerDigestEquivalence|TestSwitchCensus' -update

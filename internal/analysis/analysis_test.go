@@ -104,7 +104,7 @@ func TestAnalysisImportsStandardLibraryOnly(t *testing.T) {
 // directly or transitively, is the mini-C front end or its analyses.
 func TestServingImportsNoMiniC(t *testing.T) {
 	compiler := map[string]bool{}
-	for _, p := range []string{"lang", "lang/cfg", "dataflow", "core", "analysis/effects", "analysis/phases"} {
+	for _, p := range []string{"lang", "core", "analysis/effects", "analysis/phases"} {
 		compiler["repro/internal/"+p] = true
 	}
 	from := map[string]string{} // package -> the package that imports it

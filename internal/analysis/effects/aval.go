@@ -2,9 +2,7 @@ package effects
 
 import (
 	"repro/internal/core"
-	"repro/internal/dataflow"
 	"repro/internal/lang"
-	"repro/internal/lang/cfg"
 )
 
 // aval is the abstract value of a pointer variable: the set of abstract
@@ -46,15 +44,46 @@ func (a aval) freshOnly() bool {
 	return !a.top && !a.heap && a.params == 0
 }
 
-// avalLattice adapts aval to the generic solver's Lattice interface.
-type avalLattice struct{}
-
-func (avalLattice) Bottom() aval         { return aval{} }
-func (avalLattice) Join(a, b aval) aval  { return a.join(b) }
-func (avalLattice) Equal(a, b aval) bool { return a == b }
-
-// env is the per-program-point alias environment.
+// env is the per-program-point alias environment: one aval per pointer
+// variable. nil is the unreachable bottom; a non-nil map, even an empty
+// one, is a reachable environment, and an absent key is aval{}.
 type env = map[string]aval
+
+// joinEnv merges two environments key-wise without mutating either.
+func joinEnv(a, b env) env {
+	if a == nil {
+		return b
+	}
+	if b == nil {
+		return a
+	}
+	out := make(env, len(a)+len(b))
+	for k, v := range a {
+		out[k] = v
+	}
+	for k, bv := range b {
+		out[k] = out[k].join(bv)
+	}
+	return out
+}
+
+// equalEnv compares two environments, treating absent keys as aval{}.
+func equalEnv(a, b env) bool {
+	if (a == nil) != (b == nil) {
+		return false
+	}
+	for k, av := range a {
+		if b[k] != av {
+			return false
+		}
+	}
+	for k, bv := range b {
+		if _, ok := a[k]; !ok && bv != (aval{}) {
+			return false
+		}
+	}
+	return true
+}
 
 // fnAnalysis analyzes one function against the current summary table.
 type fnAnalysis struct {
@@ -62,39 +91,10 @@ type fnAnalysis struct {
 	fn    *lang.FuncDecl
 	te    typeEnv
 	inSCC map[string]bool
-	g     *cfg.Graph
-	flow  dataflow.Result[env]
 }
 
 func newFnAnalysis(res *Result, fn *lang.FuncDecl, inSCC map[string]bool) *fnAnalysis {
-	fa := &fnAnalysis{res: res, fn: fn, te: lang.PtrVars(fn), inSCC: inSCC}
-	fa.g = cfg.Build(fn)
-	boundary := env{}
-	for i, p := range fn.Params {
-		if p.Type.IsPtr() && i < 64 {
-			boundary[p.Name] = aval{params: 1 << uint(i)}
-		}
-	}
-	lat := dataflow.MapLattice[aval]{Val: avalLattice{}}
-	fa.flow = dataflow.Solve(fa.g, dataflow.Problem[env]{
-		Lattice:  lat,
-		Dir:      dataflow.Forward,
-		Boundary: boundary,
-		Transfer: func(n int, in env) env {
-			if in == nil {
-				return nil // unreachable
-			}
-			ev := make(env, len(in))
-			for k, v := range in {
-				ev[k] = v
-			}
-			for _, s := range fa.g.Block(n).Stmts {
-				fa.applyStmt(ev, s)
-			}
-			return ev
-		},
-	})
-	return fa
+	return &fnAnalysis{res: res, fn: fn, te: lang.PtrVars(fn), inSCC: inSCC}
 }
 
 // applyStmt updates the alias environment across one straight-line
@@ -173,7 +173,8 @@ func (fa *fnAnalysis) callAval(ev env, c *lang.Call) aval {
 }
 
 // summarize builds the function's effect summary (everything except the
-// two cost bits) from the solved alias flow.
+// two cost bits) by folding the alias flow over the body and recording
+// every statement and condition it reaches.
 func (fa *fnAnalysis) summarize() *Summary {
 	s := &Summary{
 		Name:      fa.fn.Name,
@@ -297,23 +298,40 @@ func (fa *fnAnalysis) summarize() *Summary {
 		}
 	}
 
-	for id, b := range fa.g.Blocks {
-		in := fa.flow.In[id]
-		if in == nil {
-			continue // unreachable: never executes
-		}
-		ev := make(env, len(in))
-		for k, v := range in {
-			ev[k] = v
-		}
-		for _, st := range b.Stmts {
-			record(ev, st, nil)
-			fa.applyStmt(ev, st)
-		}
-		if b.Cond != nil {
-			record(ev, nil, b.Cond)
+	// The alias flow: parameters alias their own referents on entry.
+	entry := env{}
+	for i, p := range fa.fn.Params {
+		if p.Type.IsPtr() && i < 64 {
+			entry[p.Name] = aval{params: 1 << uint(i)}
 		}
 	}
+	lang.Fold(fa.fn.Body, lang.Flow[env]{
+		Join:  joinEnv,
+		Equal: equalEnv,
+		Step: func(in env, n lang.Node) env {
+			if in == nil {
+				return nil // unreachable
+			}
+			ev := make(env, len(in))
+			for k, v := range in {
+				ev[k] = v
+			}
+			if st, ok := n.(lang.Stmt); ok {
+				fa.applyStmt(ev, st)
+			}
+			return ev
+		},
+		Visit: func(n lang.Node, ev env) {
+			if ev == nil {
+				return // unreachable: never executes
+			}
+			if cond, ok := n.(lang.Expr); ok {
+				record(ev, nil, cond)
+			} else {
+				record(ev, n.(lang.Stmt), nil)
+			}
+		},
+	}, entry)
 
 	s.Reads = sortedRegions(reads)
 	s.Writes = sortedRegions(writes)

@@ -9,12 +9,10 @@
 // (internal/analysis/phases), which folds them into per-phase footprints
 // and scheme-invariance verdicts; oldenc -analyze prints them.
 //
-// The analysis is hosted on the existing infrastructure: function bodies
-// become cfg.Build graphs, the per-variable alias facts (aval.go) flow
-// through the generic dataflow.Solve worklist solver under a
-// dataflow.MapLattice, and functions are processed bottom-up over the
-// call-graph SCCs so every call site folds in its callee's finished
-// summary. Calls to the undefined function "alloc" are allocation sites;
+// The per-variable alias facts (aval.go) flow through each function body
+// as a lang.Fold, the dataflow fold the intraprocedural lints use, and
+// functions are processed bottom-up over the call-graph SCCs so every call
+// site folds in its callee's finished summary. Calls to the undefined function "alloc" are allocation sites;
 // calls to any other undefined function are extern — unknown effects, so
 // summaries go conservative.
 package effects

@@ -3,7 +3,6 @@ package effects
 import (
 	"repro/internal/core"
 	"repro/internal/lang"
-	"repro/internal/lang/cfg"
 )
 
 // This file computes the two facts about a function's cost that something
@@ -33,7 +32,7 @@ func (fa *fnAnalysis) termination(sum *Summary) {
 // (the subset has one flat namespace per function).
 func assignedIn(s lang.Stmt) map[string]bool {
 	out := map[string]bool{}
-	for _, v := range cfg.StmtDefs(s) {
+	for _, v := range lang.StmtDefs(s) {
 		out[v] = true
 	}
 	return out
@@ -112,7 +111,7 @@ func (fa *fnAnalysis) stmtBits(s lang.Stmt) (returns, allocs bool) {
 //   - Anything else may not exit. Progress on merely some path proves
 //     nothing — a conditionally advancing loop can spin forever.
 func (fa *fnAnalysis) loopBits(cond lang.Expr, body, post lang.Stmt) (returns, allocs bool) {
-	if v, ok := cfg.ConstCond(cond); ok && !v {
+	if v, ok := lang.ConstCond(cond); ok && !v {
 		return true, false
 	}
 	exits := fa.pointerChase(cond, body, post) || fa.induction(cond, body, post)
@@ -146,7 +145,7 @@ func (fa *fnAnalysis) exprBits(e lang.Expr) (returns, allocs bool) {
 // v, every path through body∪post advances v along its own chain, and no
 // path rebinds v to anything else.
 func (fa *fnAnalysis) pointerChase(cond lang.Expr, body lang.Stmt, post lang.Stmt) bool {
-	for _, u := range cfg.ExprReads(cond) {
+	for _, u := range lang.Reads(cond) {
 		st, isPtr := fa.te[u.Name]
 		if !isPtr || st == "" {
 			continue

@@ -17,24 +17,13 @@ import (
 	"repro/internal/lang"
 )
 
-// verdictLines analyzes every mini-C source in the tree and renders one
-// "<source> <fn> returns=<bool> allocs=<bool>" line per function: the ten
+// treeSources calls add with every mini-C source in the tree: the ten
 // benchmark kernels, examples/minic/*.c, and every string literal in this
 // package's and phases' test files that parses as a program with at least
 // one function (effectsSeeds included). A literal is named after the
 // top-level declaration holding it, "#k" appended from the second one on.
-func verdictLines(t *testing.T) []string {
+func treeSources(t *testing.T, add func(source, src string)) {
 	t.Helper()
-	var lines []string
-	add := func(source, src string) {
-		res, err := AnalyzeSource(src, core.DefaultParams())
-		if err != nil {
-			t.Fatalf("%s: %v", source, err)
-		}
-		for _, s := range res.Summaries {
-			lines = append(lines, fmt.Sprintf("%s %s returns=%t allocs=%t", source, s.Name, s.Returns, s.Allocs))
-		}
-	}
 	for _, name := range bench.Names() {
 		info, _ := bench.Get(name)
 		add("bench:"+name, info.Source)
@@ -90,7 +79,30 @@ func verdictLines(t *testing.T) []string {
 			}
 		}
 	}
+}
+
+// summaryLines analyzes treeSources and renders one line per function:
+// "<source> <fn> " and what line says about its summary.
+func summaryLines(t *testing.T, line func(*Summary) string) []string {
+	t.Helper()
+	var lines []string
+	treeSources(t, func(source, src string) {
+		res, err := AnalyzeSource(src, core.DefaultParams())
+		if err != nil {
+			t.Fatalf("%s: %v", source, err)
+		}
+		for _, s := range res.Summaries {
+			lines = append(lines, source+" "+s.Name+" "+line(s))
+		}
+	})
 	return lines
+}
+
+// verdictLines renders the two cost bits: "returns=<bool> allocs=<bool>".
+func verdictLines(t *testing.T) []string {
+	return summaryLines(t, func(s *Summary) string {
+		return fmt.Sprintf("returns=%t allocs=%t", s.Returns, s.Allocs)
+	})
 }
 
 // verdictChanges lists the lines of verdicts_parent.golden this tree does
@@ -152,5 +164,27 @@ func TestVerdictsMatchParent(t *testing.T) {
 		if !seen[line] {
 			t.Errorf("verdictChanges names a line the golden does not have: %s", line)
 		}
+	}
+}
+
+// TestEffectsMatchParent holds every function's effect summary to what
+// the parent's basic-block CFG and worklist solver computed before
+// lang.Fold replaced them: testdata/effects_parent.golden was written by
+// the parent commit from the same treeSources and is never regenerated
+// from the code under test. No line may differ.
+func TestEffectsMatchParent(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "effects_parent.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	got := summaryLines(t, (*Summary).EffectsLine)
+	for i, w := range want {
+		if i >= len(got) || got[i] != w {
+			t.Fatalf("line %d: parent said\n  %s\nthis tree says\n  %s", i+1, w, strings.Join(got[i:min(i+1, len(got))], ""))
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("this tree says %d lines, the parent %d", len(got), len(want))
 	}
 }

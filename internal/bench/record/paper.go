@@ -58,3 +58,30 @@ func PaperMigrateOnly(bench string) (float64, bool) {
 	v, ok := paperMigrateOnly[bench]
 	return v, ok
 }
+
+// Table3Row is one published Table 3 row, at 32 processors: cacheable
+// writes and reads in thousands with the percentage of each that was
+// remote, the miss rate under each coherence scheme, and the pages cached.
+type Table3Row struct {
+	CacheWr, RemoteWr, CacheRd, RemoteRd float64
+	MissLocal, MissGlobal, MissBilateral float64
+	Pages                                int64
+}
+
+// paperTable3 is Table 3 for the six migrate-and-cache benchmarks; these
+// are the paper columns of Table3Markdown at P=32.
+var paperTable3 = map[string]Table3Row{
+	"bisort":    {8208, 0.045, 32617, 0.054, 28.6, 24.9, 29.2, 1604},
+	"voronoi":   {9825, 1.57, 42359, 1.26, 5.89, 5.89, 5.89, 2982},
+	"em3d":      {0, 0, 839, 19.4, 6.18, 6.18, 6.18, 1995},
+	"barneshut": {2707, 18.3, 73601, 55.6, 0.815, 0.563, 0.792, 21749},
+	"perimeter": {0, 0, 1018, 2.02, 8.80, 8.63, 8.80, 502},
+	"health":    {8861, 0.063, 33405, 0.019, 87.0, 10.3, 87.0, 163},
+}
+
+// PaperTable3 returns the published Table 3 row of a benchmark, when the
+// paper reports one.
+func PaperTable3(bench string) (Table3Row, bool) {
+	row, ok := paperTable3[bench]
+	return row, ok
+}

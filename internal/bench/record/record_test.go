@@ -356,3 +356,46 @@ func writeFile(t *testing.T, path string, b []byte) {
 		t.Fatal(err)
 	}
 }
+
+// TestTable3PaperCells renders a P=32 record set for the six
+// migrate-and-cache benchmarks and finds every published Table 3 cell
+// beside its measured one.
+func TestTable3PaperCells(t *testing.T) {
+	published := map[string][]string{ // the paper's row, in column order
+		"bisort":    {"8208", "0.045", "32617", "0.054", "28.6", "24.9", "29.2", "1604"},
+		"voronoi":   {"9825", "1.57", "42359", "1.26", "5.89", "5.89", "5.89", "2982"},
+		"em3d":      {"0", "0", "839", "19.4", "6.18", "6.18", "6.18", "1995"},
+		"barneshut": {"2707", "18.3", "73601", "55.6", "0.815", "0.563", "0.792", "21749"},
+		"perimeter": {"0", "0", "1018", "2.02", "8.8", "8.63", "8.8", "502"},
+		"health":    {"8861", "0.063", "33405", "0.019", "87", "10.3", "87", "163"},
+	}
+	var files []File
+	for name := range published {
+		f := File{Benchmark: name, Choice: "M+C"}
+		for _, scheme := range []string{"local", "global", "bilateral"} {
+			f.Records = append(f.Records, RunRecord{Benchmark: name, Procs: 32, Scheme: scheme, Mode: "heuristic", Scale: 8, MissPct: 1})
+		}
+		files = append(files, f)
+	}
+	out := Table3Markdown(files, nil, 32)
+	for name, cells := range published {
+		var row []string
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "| "+name+" |") {
+				row = strings.Split(strings.Trim(line, "| "), " | ")
+			}
+		}
+		if len(row) != 18 {
+			t.Fatalf("%s: row %v, want 18 cells in\n%s", name, row, out)
+		}
+		for i, want := range cells {
+			col := []int{2, 4, 6, 8, 10, 12, 14, 17}[i]
+			if row[col] != want {
+				t.Errorf("%s column %d: %q, want the paper's %q", name, col, row[col], want)
+			}
+		}
+	}
+	if strings.Contains(Table3Markdown(files, nil, 4), "8208") {
+		t.Error("paper cells belong to P=32 only")
+	}
+}

@@ -3,14 +3,15 @@ package record
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 )
 
 // This file is the one table renderer: the reproduction's Table 2, Table 3
 // and per-benchmark speedup curve as markdown, from record files alone —
 // whether `oldenbench -table/-curve` just collected them or they are the
-// pinned BENCH_<name>.json. Table 2 and the curve print the paper's
-// published speedup beside each measured one (how faithful is the
+// pinned BENCH_<name>.json. The tables and the curve print the paper's
+// published number beside each measured one (how faithful is the
 // reproduction?); the tables annotate each row with the delta against a
 // previous record set when there is one (did this change regress anything?).
 
@@ -114,12 +115,14 @@ func Table2Markdown(cur, prev []File, procs []int, scheme string) string {
 // Table3Markdown renders caching statistics for the migrate-and-cache
 // benchmarks from their records at one machine size: reference counts under
 // local knowledge, miss rates under all three schemes, and the cumulative
-// page count, with Δ-prev on the miss rate that drives the gate.
+// page count, with Δ-prev on the miss rate that drives the gate. Every
+// measured cell has the paper's beside it at P=32, the size the paper
+// published, and a dash elsewhere.
 func Table3Markdown(cur, prev []File, procs int) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "## Table 3 — caching statistics at P=%d\n\n", procs)
-	sb.WriteString("| Benchmark | CacheWr (1k) | %Remote | CacheRd (1k) | %Remote | miss% local | miss% global | miss% bilateral | Δ prev (local) | Pages |\n")
-	sb.WriteString("|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n")
+	sb.WriteString("| Benchmark | CacheWr (1k) | paper | %Remote | paper | CacheRd (1k) | paper | %Remote | paper | miss% local | paper | miss% global | paper | miss% bilateral | paper | Δ prev (local) | Pages | paper |\n")
+	sb.WriteString("|---|" + strings.Repeat("---:|", 17) + "\n")
 	for _, f := range cur {
 		if f.Choice != "M+C" {
 			continue
@@ -128,16 +131,23 @@ func Table3Markdown(cur, prev []File, procs int) string {
 		global, okG := f.Lookup(HeuristicKey(procs, "global"))
 		bilat, okB := f.Lookup(HeuristicKey(procs, "bilateral"))
 		if !okL || !okG || !okB {
-			fmt.Fprintf(&sb, "| %s | _missing records_ | | | | | | | | |\n", f.Benchmark)
+			fmt.Fprintf(&sb, "| %s | _missing records_ |%s\n", f.Benchmark, strings.Repeat(" |", 16))
 			continue
 		}
+		p, okP := PaperTable3(f.Benchmark)
+		cell := func(v float64) string {
+			if !okP || procs != 32 {
+				return "—"
+			}
+			return strconv.FormatFloat(v, 'g', -1, 64)
+		}
 		s := local.Stats
-		fmt.Fprintf(&sb, "| %s | %.1f | %.3f | %.1f | %.3f | %.2f | %.2f | %.2f | %s | %d |\n",
+		fmt.Fprintf(&sb, "| %s | %.1f | %s | %.3f | %s | %.1f | %s | %.3f | %s | %.2f | %s | %.2f | %s | %.2f | %s | %s | %d | %s |\n",
 			f.Benchmark,
-			float64(s.CacheableWrites)/1000, pctRemote(s.RemoteWrites, s.CacheableWrites),
-			float64(s.CacheableReads)/1000, pctRemote(s.RemoteReads, s.CacheableReads),
-			local.MissPct, global.MissPct, bilat.MissPct,
-			deltaPrev(prev, local, func(r RunRecord) float64 { return r.MissPct }), local.Pages)
+			float64(s.CacheableWrites)/1000, cell(p.CacheWr), pctRemote(s.RemoteWrites, s.CacheableWrites), cell(p.RemoteWr),
+			float64(s.CacheableReads)/1000, cell(p.CacheRd), pctRemote(s.RemoteReads, s.CacheableReads), cell(p.RemoteRd),
+			local.MissPct, cell(p.MissLocal), global.MissPct, cell(p.MissGlobal), bilat.MissPct, cell(p.MissBilateral),
+			deltaPrev(prev, local, func(r RunRecord) float64 { return r.MissPct }), local.Pages, cell(float64(p.Pages)))
 	}
 	return sb.String()
 }

@@ -212,23 +212,61 @@ int f(struct n *l) {
 	}
 }
 
+// TestLintUnreachable wants one diagnostic per dead region, at its first
+// statement or condition, including regions that start where nothing is
+// left to execute and run into a loop or a join.
 func TestLintUnreachable(t *testing.T) {
-	diags := lintOf(t, `
-struct n { struct n *next; int v; };
-int f(struct n *l) {
-  if (0) { l = l->next; }
-  return 0;
-  l = l->next;
-}
-`)
-	var n int
-	for _, d := range diags {
-		if d.Code == "unreachable" {
-			n++
+	cases := []struct {
+		name, body string
+		want       []string // positions of the unreachable diagnostics
+	}{
+		{"if (0) body, post-return", "  if (0) { l = l->next; }\n  return 0;\n  l = l->next;", []string{"3:12", "5:3"}},
+		{"loop after a return", "  return 0;\n  while (l) { l = l->next; }", []string{"4:3"}},
+		{"for (;;) after a return", "  return 0;\n  for (;;) { l = l->next; }", []string{"4:14"}},
+		{"loop after an endless loop", "  while (1) { l = l->next; }\n  while (l) { l = l->next; }\n  return 0;", []string{"4:3"}},
+		{"join of two returning arms", "  if (l) { return 0; } else { return 1; }\n  l = l->next;\n  return 2;", []string{"4:3"}},
+	}
+	for _, c := range cases {
+		diags := lintOf(t, "struct n { struct n *next; int v; };\nint f(struct n *l) {\n"+c.body+"\n}\n")
+		var got []string
+		for _, d := range diags {
+			if d.Code == "unreachable" {
+				got = append(got, d.Pos.String())
+			}
+		}
+		if strings.Join(got, " ") != strings.Join(c.want, " ") {
+			t.Errorf("%s: unreachable at %v, want %v\n%v", c.name, got, c.want, diags)
 		}
 	}
-	if n != 2 {
-		t.Fatalf("want 2 unreachable diagnostics (if(0) body, post-return), got %v", diags)
+}
+
+// TestReachableConstantBranches checks the reachability fold's pruning: a
+// constant-false branch and the code after while (1) are dead.
+func TestReachableConstantBranches(t *testing.T) {
+	prog, err := lang.Parse(`
+struct n { struct n *next; };
+int f(struct n *s) {
+  int a;
+  a = 1;
+  if (0) { a = 2; }
+  while (1) { a = a + 1; }
+  return a;
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := prog.Funcs[0].Body.Stmts
+	dead, _ := lintUnreachable(prog.Funcs[0])
+	ifZero := body[2].(*lang.If).Then.(*lang.Block).Stmts[0]
+	loop := body[3].(*lang.While)
+	switch {
+	case dead[body[1]] || dead[loop.Cond] || dead[loop.Body.(*lang.Block).Stmts[0]]:
+		t.Error("live code marked dead")
+	case !dead[ifZero]:
+		t.Error("if (0) body should be unreachable")
+	case !dead[body[4]]:
+		t.Error("code after while (1) should be unreachable")
 	}
 }
 

@@ -3,13 +3,11 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/dataflow"
 	"repro/internal/lang"
-	"repro/internal/lang/cfg"
 )
 
-// This file holds the CFG-based lint checks, all solved over function
-// graphs (internal/lang/cfg) with the generic solver (internal/dataflow):
+// This file holds the flow-sensitive lint checks, each a lang.Fold over
+// the function body:
 //
 //   - unreachable (warning): statements no execution reaches — code after
 //     a return, the body of a constant-false branch, anything following
@@ -26,62 +24,96 @@ import (
 //     so the guard idiom `if (p == NULL) return;` sharpens the fall-
 //     through state.
 //
-// Each lint solves to a fixpoint first and then replays the transfer over
-// reachable blocks once, emitting diagnostics as it goes; Report.Lint
-// sorts everything at the end, so emission order does not matter.
+// Each lint folds to a fixpoint and reports from Visit, which replays the
+// transfer once per statement and condition with the fixpoint state; code
+// the reachability fold marks dead is skipped. Report.Lint sorts
+// everything at the end, so emission order does not matter.
 
 // lintFlow runs the four dataflow lints over every function.
 func lintFlow(r *Report) []Diag {
 	var diags []Diag
 	for _, fn := range r.Prog.Funcs {
-		g := cfg.Build(fn)
-		te := lang.PtrVars(fn)
-		reach := g.Reachable()
-		diags = append(diags, lintUnreachable(g, reach)...)
-		diags = append(diags, lintUseBeforeInit(g, te, reach)...)
-		diags = append(diags, lintDeadStores(g, reach)...)
-		diags = append(diags, lintNilDeref(g, te, reach)...)
+		dead, unreachable := lintUnreachable(fn)
+		diags = append(diags, unreachable...)
+		diags = append(diags, lintUseBeforeInit(fn, dead)...)
+		diags = append(diags, lintDeadStores(fn, dead)...)
+		diags = append(diags, lintNilDeref(fn, lang.PtrVars(fn), dead)...)
 	}
 	return diags
 }
 
 // ---- unreachable ----
 
-// lintUnreachable reports the head of every unreachable region: an
-// unreachable block with content whose predecessors are all reachable (a
-// pruned constant branch) or absent (the continuation after a return).
-// Interior blocks of the region are suppressed so one dead region yields
-// one diagnostic.
-func lintUnreachable(g *cfg.Graph, reach []bool) []Diag {
+// reach is the reachability of a program point. Constant conditions
+// prune: the body of if (0) and the code after while (1) are dead.
+type reach uint8
+
+const (
+	// inDead is inside a dead region, past its first statement.
+	inDead reach = iota
+	// deadStart is where a dead region starts: right after a return, a
+	// pruned branch or a loop that never exits.
+	deadStart
+	live
+)
+
+// lintUnreachable folds reachability forward and reports a dead statement
+// or condition when some path reaches it straight from a return, a pruned
+// branch or a loop that never exits, through no other dead code: one
+// diagnostic where each such path enters a dead region. Joins keep the
+// larger state, so a loop entered dead reports at its condition although
+// its back edge comes from its own dead body. It returns the dead
+// statements and conditions, which the other lints skip.
+func lintUnreachable(fn *lang.FuncDecl) (map[lang.Node]bool, []Diag) {
+	at := map[lang.Node]lang.Pos{} // a condition reports at its statement
+	lang.Inspect(fn.Body, func(n lang.Node) bool {
+		switch n := n.(type) {
+		case *lang.If:
+			at[n.Cond] = n.Pos
+		case *lang.While:
+			at[n.Cond] = n.Pos
+		case *lang.For:
+			at[n.Cond] = n.Pos
+		}
+		return true
+	})
+	dead := map[lang.Node]bool{}
 	var diags []Diag
-	for _, b := range g.Blocks {
-		if reach[b.ID] {
-			continue
-		}
-		head := true
-		for _, p := range b.Preds() {
-			if !reach[p.ID] {
-				head = false
+	lang.Fold(fn.Body, lang.Flow[reach]{
+		Bottom: deadStart,
+		Join:   func(a, b reach) reach { return max(a, b) },
+		Equal:  func(a, b reach) bool { return a == b },
+		Step: func(s reach, _ lang.Node) reach {
+			if s == live {
+				return live
 			}
-		}
-		if !head {
-			continue
-		}
-		var pos lang.Pos
-		switch {
-		case len(b.Stmts) > 0:
-			pos = lang.StmtPos(b.Stmts[0])
-		case b.Cond != nil:
-			pos = b.CondPos
-		default:
-			continue // empty structural block: nothing to point at
-		}
-		diags = append(diags, Diag{
-			Pos: pos, Sev: DiagWarning, Code: "unreachable",
-			Msg: "statement can never execute",
-		})
-	}
-	return diags
+			return inDead
+		},
+		Cond: func(s reach, e lang.Expr, taken bool) reach {
+			if v, ok := lang.ConstCond(e); ok && v != taken && s == live {
+				return deadStart
+			}
+			return s
+		},
+		Visit: func(n lang.Node, s reach) {
+			if s == live {
+				return
+			}
+			dead[n] = true
+			if s != deadStart {
+				return
+			}
+			pos, ok := at[n]
+			if !ok {
+				pos = lang.StmtPos(n.(lang.Stmt))
+			}
+			diags = append(diags, Diag{
+				Pos: pos, Sev: DiagWarning, Code: "unreachable",
+				Msg: "statement can never execute",
+			})
+		},
+	}, live)
+	return dead, diags
 }
 
 // ---- shared set lattice ----
@@ -89,11 +121,7 @@ func lintUnreachable(g *cfg.Graph, reach []bool) []Diag {
 // varset is a set of variable names; nil is the empty set (bottom).
 type varset map[string]bool
 
-type varsetLattice struct{}
-
-func (varsetLattice) Bottom() varset { return nil }
-
-func (varsetLattice) Join(a, b varset) varset {
+func (a varset) join(b varset) varset {
 	if len(a) == 0 {
 		return b
 	}
@@ -110,7 +138,7 @@ func (varsetLattice) Join(a, b varset) varset {
 	return out
 }
 
-func (varsetLattice) Equal(a, b varset) bool {
+func (a varset) equal(b varset) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -132,18 +160,18 @@ func (s varset) clone() varset {
 
 // ---- use-before-init ----
 
-// lintUseBeforeInit solves "which pointer variables may still be
+// lintUseBeforeInit folds "which pointer variables may still be
 // uninitialized" forward (parameters start initialized; a declaration
 // without an initializer introduces the variable uninitialized; any
 // assignment retires it) and flags reads of may-uninitialized pointers.
-func lintUseBeforeInit(g *cfg.Graph, te typeEnv, reach []bool) []Diag {
-	step := func(s varset, st lang.Stmt, report func(u cfg.VarUse)) {
-		for _, u := range cfg.StmtReads(st) {
+func lintUseBeforeInit(fn *lang.FuncDecl, dead map[lang.Node]bool) []Diag {
+	step := func(s varset, n lang.Node, report func(u lang.VarUse)) {
+		for _, u := range lang.Reads(n) {
 			if s[u.Name] && report != nil {
 				report(u)
 			}
 		}
-		switch st := st.(type) {
+		switch st := n.(type) {
 		case *lang.VarDecl:
 			if st.Type.IsPtr() && st.Init == nil {
 				s[st.Name] = true
@@ -156,22 +184,10 @@ func lintUseBeforeInit(g *cfg.Graph, te typeEnv, reach []bool) []Diag {
 			}
 		}
 	}
-	res := dataflow.Solve(g, dataflow.Problem[varset]{
-		Lattice:  varsetLattice{},
-		Dir:      dataflow.Forward,
-		Boundary: varset{},
-		Transfer: func(n int, in varset) varset {
-			s := in.clone()
-			for _, st := range g.Block(n).Stmts {
-				step(s, st, nil)
-			}
-			return s
-		},
-	})
 
 	var diags []Diag
 	seen := map[lang.Pos]bool{} // one diagnostic per use site
-	report := func(u cfg.VarUse) {
+	report := func(u lang.VarUse) {
 		if seen[u.Pos] {
 			return
 		}
@@ -181,42 +197,40 @@ func lintUseBeforeInit(g *cfg.Graph, te typeEnv, reach []bool) []Diag {
 			Msg: fmt.Sprintf("pointer %q may be used before it is assigned", u.Name),
 		})
 	}
-	for _, b := range g.Blocks {
-		if !reach[b.ID] {
-			continue
-		}
-		s := res.In[b.ID].clone()
-		for _, st := range b.Stmts {
-			step(s, st, report)
-		}
-		if b.Cond != nil {
-			for _, u := range cfg.ExprReads(b.Cond) {
-				if s[u.Name] {
-					report(u)
-				}
+	lang.Fold(fn.Body, lang.Flow[varset]{
+		Join:  varset.join,
+		Equal: varset.equal,
+		Step: func(in varset, n lang.Node) varset {
+			s := in.clone()
+			step(s, n, nil)
+			return s
+		},
+		Visit: func(n lang.Node, in varset) {
+			if !dead[n] {
+				step(in.clone(), n, report)
 			}
-		}
-	}
+		},
+	}, varset{})
 	return diags
 }
 
 // ---- dead stores ----
 
-// lintDeadStores solves liveness backward and flags assignments to
+// lintDeadStores folds liveness backward and flags assignments to
 // variables that are dead at the store. Heap stores (p->f = …) are never
 // flagged, and a declaration without an initializer stores nothing.
-func lintDeadStores(g *cfg.Graph, reach []bool) []Diag {
-	// step applies one statement backwards to the live set; report is
-	// called for dead stores with the stored variable's name.
-	step := func(live varset, st lang.Stmt, report func(pos lang.Pos, name string)) {
-		switch st := st.(type) {
+func lintDeadStores(fn *lang.FuncDecl, dead map[lang.Node]bool) []Diag {
+	// step applies one statement or condition backwards to the live set;
+	// report is called for dead stores with the stored variable's name.
+	step := func(live varset, n lang.Node, report func(pos lang.Pos, name string)) {
+		switch st := n.(type) {
 		case *lang.VarDecl:
 			if st.Init != nil {
 				if !live[st.Name] && report != nil {
 					report(st.Pos, st.Name)
 				}
 				delete(live, st.Name)
-				for _, u := range cfg.ExprReads(st.Init) {
+				for _, u := range lang.Reads(st.Init) {
 					live[u.Name] = true
 				}
 				return
@@ -229,51 +243,42 @@ func lintDeadStores(g *cfg.Graph, reach []bool) []Diag {
 				}
 				delete(live, id.Name)
 			} else {
-				for _, u := range cfg.ExprReads(st.LHS) {
+				for _, u := range lang.Reads(st.LHS) {
 					live[u.Name] = true
 				}
 			}
-			for _, u := range cfg.ExprReads(st.RHS) {
+			for _, u := range lang.Reads(st.RHS) {
 				live[u.Name] = true
 			}
 		default:
-			for _, u := range cfg.StmtReads(st) {
+			for _, u := range lang.Reads(n) {
 				live[u.Name] = true
 			}
 		}
 	}
-	blockStep := func(n int, liveOut varset, report func(pos lang.Pos, name string)) varset {
-		live := liveOut.clone()
-		b := g.Block(n)
-		if b.Cond != nil {
-			for _, u := range cfg.ExprReads(b.Cond) {
-				live[u.Name] = true
-			}
-		}
-		for i := len(b.Stmts) - 1; i >= 0; i-- {
-			step(live, b.Stmts[i], report)
-		}
-		return live
-	}
-	res := dataflow.Solve(g, dataflow.Problem[varset]{
-		Lattice:  varsetLattice{},
-		Dir:      dataflow.Backward,
-		Boundary: varset{},
-		Transfer: func(n int, liveOut varset) varset { return blockStep(n, liveOut, nil) },
-	})
 
 	var diags []Diag
-	for _, b := range g.Blocks {
-		if !reach[b.ID] {
-			continue
-		}
-		blockStep(b.ID, res.In[b.ID], func(pos lang.Pos, name string) {
-			diags = append(diags, Diag{
-				Pos: pos, Sev: DiagWarning, Code: "dead-store",
-				Msg: fmt.Sprintf("value stored to %q is never used", name),
+	lang.Fold(fn.Body, lang.Flow[varset]{
+		Backward: true,
+		Join:     varset.join,
+		Equal:    varset.equal,
+		Step: func(liveOut varset, n lang.Node) varset {
+			live := liveOut.clone()
+			step(live, n, nil)
+			return live
+		},
+		Visit: func(n lang.Node, liveOut varset) {
+			if dead[n] {
+				return
+			}
+			step(liveOut.clone(), n, func(pos lang.Pos, name string) {
+				diags = append(diags, Diag{
+					Pos: pos, Sev: DiagWarning, Code: "dead-store",
+					Msg: fmt.Sprintf("value stored to %q is never used", name),
+				})
 			})
-		})
-	}
+		},
+	}, varset{})
 	return diags
 }
 
@@ -295,11 +300,7 @@ type nilEnv struct {
 	m         map[string]nilState
 }
 
-type nilLattice struct{}
-
-func (nilLattice) Bottom() nilEnv { return nilEnv{} }
-
-func (nilLattice) Join(a, b nilEnv) nilEnv {
+func (a nilEnv) join(b nilEnv) nilEnv {
 	if !a.reachable {
 		return b
 	}
@@ -315,7 +316,7 @@ func (nilLattice) Join(a, b nilEnv) nilEnv {
 	return nilEnv{reachable: true, m: out}
 }
 
-func (nilLattice) Equal(a, b nilEnv) bool {
+func (a nilEnv) equal(b nilEnv) bool {
 	if a.reachable != b.reachable {
 		return false
 	}
@@ -405,13 +406,13 @@ func refineNil(te typeEnv, m map[string]nilState, cond lang.Expr, taken bool) {
 	}
 }
 
-// lintNilDeref solves nullness forward with edge refinement and flags
+// lintNilDeref folds nullness forward with branch refinement and flags
 // dereferences whose base is NULL on every path reaching them. After a
 // dereference the base is assumed non-nil (execution did not survive
 // otherwise), so one nil pointer reports once per chain, not per field.
-func lintNilDeref(g *cfg.Graph, te typeEnv, reach []bool) []Diag {
-	step := func(m map[string]nilState, st lang.Stmt, report func(d cfg.Deref)) {
-		for _, d := range cfg.StmtDerefs(st) {
+func lintNilDeref(fn *lang.FuncDecl, te typeEnv, dead map[lang.Node]bool) []Diag {
+	step := func(m map[string]nilState, n lang.Node, report func(d lang.Deref)) {
+		for _, d := range lang.Derefs(n) {
 			if m[d.Base] == nsNil && report != nil {
 				report(d)
 			}
@@ -419,7 +420,7 @@ func lintNilDeref(g *cfg.Graph, te typeEnv, reach []bool) []Diag {
 				m[d.Base] = nsNonNil
 			}
 		}
-		switch st := st.(type) {
+		switch st := n.(type) {
 		case *lang.VarDecl:
 			if !st.Type.IsPtr() {
 				return
@@ -444,53 +445,10 @@ func lintNilDeref(g *cfg.Graph, te typeEnv, reach []bool) []Diag {
 			}
 		}
 	}
-	condDerefs := func(m map[string]nilState, b *cfg.Block, report func(d cfg.Deref)) {
-		if b.Cond == nil {
-			return
-		}
-		for _, d := range cfg.ExprDerefs(b.Cond) {
-			if m[d.Base] == nsNil && report != nil {
-				report(d)
-			}
-			if _, isPtr := te[d.Base]; isPtr {
-				m[d.Base] = nsNonNil
-			}
-		}
-	}
-	lat := nilLattice{}
-	res := dataflow.Solve(g, dataflow.Problem[nilEnv]{
-		Lattice:  lat,
-		Dir:      dataflow.Forward,
-		Boundary: nilEnv{reachable: true, m: map[string]nilState{}},
-		Transfer: func(n int, in nilEnv) nilEnv {
-			if !in.reachable {
-				return in
-			}
-			m := cloneNil(in.m)
-			for _, st := range g.Block(n).Stmts {
-				step(m, st, nil)
-			}
-			condDerefs(m, g.Block(n), nil)
-			return nilEnv{reachable: true, m: m}
-		},
-		TransferEdge: func(from, to int, v nilEnv) nilEnv {
-			if !v.reachable {
-				return v
-			}
-			b := g.Block(from)
-			tb, fb, ok := b.Branch()
-			if !ok || tb == fb {
-				return v
-			}
-			m := cloneNil(v.m)
-			refineNil(te, m, b.Cond, tb.ID == to)
-			return nilEnv{reachable: true, m: m}
-		},
-	})
 
 	var diags []Diag
 	seen := map[lang.Pos]bool{}
-	report := func(d cfg.Deref) {
+	report := func(d lang.Deref) {
 		if seen[d.Pos] {
 			return
 		}
@@ -500,15 +458,30 @@ func lintNilDeref(g *cfg.Graph, te typeEnv, reach []bool) []Diag {
 			Msg: fmt.Sprintf("dereference of %q, which is always NULL here", d.Base),
 		})
 	}
-	for _, b := range g.Blocks {
-		if !reach[b.ID] || !res.In[b.ID].reachable {
-			continue
-		}
-		m := cloneNil(res.In[b.ID].m)
-		for _, st := range b.Stmts {
-			step(m, st, report)
-		}
-		condDerefs(m, b, report)
-	}
+	lang.Fold(fn.Body, lang.Flow[nilEnv]{
+		Join:  nilEnv.join,
+		Equal: nilEnv.equal,
+		Step: func(in nilEnv, n lang.Node) nilEnv {
+			if !in.reachable {
+				return in
+			}
+			m := cloneNil(in.m)
+			step(m, n, nil)
+			return nilEnv{reachable: true, m: m}
+		},
+		Cond: func(v nilEnv, e lang.Expr, taken bool) nilEnv {
+			if !v.reachable {
+				return v
+			}
+			m := cloneNil(v.m)
+			refineNil(te, m, e, taken)
+			return nilEnv{reachable: true, m: m}
+		},
+		Visit: func(n lang.Node, in nilEnv) {
+			if !dead[n] && in.reachable {
+				step(cloneNil(in.m), n, report)
+			}
+		},
+	}, nilEnv{reachable: true, m: map[string]nilState{}})
 	return diags
 }

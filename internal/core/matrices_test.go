@@ -16,26 +16,11 @@ import (
 // matrixPrograms is the number of seeded programs in the matrices golden.
 const matrixPrograms = 200
 
-// matrixReports renders Report.String() — every control loop's update
-// matrix and choice — for the ten benchmark kernels, examples/minic/*.c and
-// matrixPrograms seeded programs from randLoopProgram, under the default
-// parameters and, where the answer differs, under InterproceduralReturns.
-func matrixReports(t *testing.T) string {
+// miniCSources calls add with every mini-C source the parent goldens
+// cover: the ten benchmark kernels, examples/minic/*.c and matrixPrograms
+// seeded programs from randLoopProgram.
+func miniCSources(t *testing.T, add func(name, src string)) {
 	t.Helper()
-	var sb strings.Builder
-	ip := DefaultParams()
-	ip.InterproceduralReturns = true
-	add := func(name, src string) {
-		prog, err := lang.Parse(src)
-		if err != nil {
-			t.Fatalf("%s: %v\n%s", name, err, src)
-		}
-		def := Analyze(prog, DefaultParams()).String()
-		fmt.Fprintf(&sb, "== %s\n%s", name, def)
-		if s := Analyze(prog, ip).String(); s != def {
-			fmt.Fprintf(&sb, "== %s interprocedural\n%s", name, s)
-		}
-	}
 	for _, name := range bench.Names() {
 		info, _ := bench.Get(name)
 		add("bench:"+name, info.Source)
@@ -54,6 +39,34 @@ func matrixReports(t *testing.T) string {
 	for seed := int64(0); seed < matrixPrograms; seed++ {
 		add(fmt.Sprintf("randLoopProgram(%d)", seed), randLoopProgram(seed))
 	}
+}
+
+// parseSource parses one of miniCSources' programs.
+func parseSource(t *testing.T, name, src string) *lang.Program {
+	t.Helper()
+	prog, err := lang.Parse(src)
+	if err != nil {
+		t.Fatalf("%s: %v\n%s", name, err, src)
+	}
+	return prog
+}
+
+// matrixReports renders Report.String() — every control loop's update
+// matrix and choice — for miniCSources under the default parameters and,
+// where the answer differs, under InterproceduralReturns.
+func matrixReports(t *testing.T) string {
+	t.Helper()
+	var sb strings.Builder
+	ip := DefaultParams()
+	ip.InterproceduralReturns = true
+	miniCSources(t, func(name, src string) {
+		prog := parseSource(t, name, src)
+		def := Analyze(prog, DefaultParams()).String()
+		fmt.Fprintf(&sb, "== %s\n%s", name, def)
+		if s := Analyze(prog, ip).String(); s != def {
+			fmt.Fprintf(&sb, "== %s interprocedural\n%s", name, s)
+		}
+	})
 	return sb.String()
 }
 
@@ -94,6 +107,7 @@ type loopGen struct {
 	vars   []string // pointer variables in scope
 	fn     string   // the function being written
 	locals int
+	uninit bool // some declarations have no initializer (randUninitProgram)
 }
 
 func (g *loopGen) pick(xs ...string) string { return xs[g.r.Intn(len(xs))] }
@@ -158,7 +172,11 @@ func (g *loopGen) stmt(depth int, ind string) {
 	case 5:
 		name := fmt.Sprintf("t%d", g.locals)
 		g.locals++
-		w("struct n *%s = %s;\n", name, g.ptrExpr())
+		if g.uninit && g.r.Intn(2) == 0 {
+			w("struct n *%s;\n", name)
+		} else {
+			w("struct n *%s = %s;\n", name, g.ptrExpr())
+		}
 		g.vars = append(g.vars, name)
 	case 6:
 		w("%s->%s = %s;\n", g.ptrVar(), g.field(), g.ptrExpr())
@@ -236,7 +254,16 @@ func (g *loopGen) helper(i int) {
 // or two functions whose loops mix pointer updates, calls inside updates,
 // constant and variable conditions, returning arms and nested loops.
 func randLoopProgram(seed int64) string {
-	g := &loopGen{r: rand.New(rand.NewSource(seed))}
+	return (&loopGen{r: rand.New(rand.NewSource(seed))}).program()
+}
+
+// randUninitProgram is randLoopProgram with half the local declarations
+// left uninitialized, so that use-before-init has something to find.
+func randUninitProgram(seed int64) string {
+	return (&loopGen{r: rand.New(rand.NewSource(seed)), uninit: true}).program()
+}
+
+func (g *loopGen) program() string {
 	g.sb.WriteString("struct n {\n  int v;\n")
 	for _, f := range []string{"a", "b", "c"} {
 		if g.r.Intn(3) == 0 {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/lang"
-	"repro/internal/lang/cfg"
 )
 
 // Matrix is an update matrix (§4.2): Matrix[s][t] is the path affinity of
@@ -194,7 +193,7 @@ func (a *analysis) lookupSummary(name string) (retSummary, bool) {
 // (used for nested loops, which an enclosing control loop treats as one
 // opaque statement).
 func killAssigned(ev env, s lang.Stmt) {
-	for _, v := range cfg.StmtDefs(s) {
+	for _, v := range lang.StmtDefs(s) {
 		ev[v] = unknownVal
 	}
 }

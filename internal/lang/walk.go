@@ -25,9 +25,10 @@ type Node any
 //
 // This is the one recursion over the syntax. A function that asks a
 // question of every node (or every node outside nested loops: return false
-// at a While or For) is an Inspect callback; a function whose answer
-// depends on branch structure or needs post-order stays a hand-written
-// fold (TestOneTraversal lists them).
+// at a While or For) is an Inspect callback; a dataflow problem is a Flow
+// for Fold (flow.go); a function whose answer depends on branch structure
+// or needs post-order otherwise stays a hand-written fold
+// (TestOneTraversal lists them).
 func Inspect(n Node, f func(Node) bool) {
 	if n == nil || !f(n) {
 		return

@@ -160,7 +160,7 @@ func TestPtrVars(t *testing.T) {
 // returned. Everything else asks its question through Inspect.
 var handFolds = map[string]string{
 	"internal/lang.StmtPos":                  "reads one field per node kind; it does not traverse",
-	"internal/lang/cfg.stmt":                 "the CFG builder: every kind wires its own blocks and edges",
+	"internal/lang.stmt":                     "Fold's control structure: arms join, loops iterate to a fixpoint, a return ends its path",
 	"internal/core.buildFuncLoops":           "builds the loop tree: a loop's children hang off the node made for it",
 	"internal/core.recCalls":                 "threads an environment in statement order and merges per-branch updates; seqCombine is floating-point, so the order is part of the answer",
 	"internal/core.returnSummaries":          "visits each return with the environment in flight on its branch",

@@ -116,8 +116,11 @@ type Event struct {
 }
 
 // DefaultCapacity bounds the ring buffer when New is given no capacity:
-// 2^18 events (12 MiB at 48 bytes an event) keeps full kernels of the
-// default-scale benchmarks without drops.
+// 2^18 events (12 MiB at 48 bytes an event). At the pinned 1/16 scale and
+// P=4 that holds every kernel but barneshut whole: all four of its P=4
+// records in BENCH_barneshut.json drop events, 193 285 to 807 360 each,
+// so what reads the ring afterwards (Digest, AccessDigest, Profile) sees
+// the last 2^18 of them. Folding those reads into Emit is ROADMAP item 11.
 const DefaultCapacity = 1 << 18
 
 // The ring is stored in chunks of chunkEvents events, appended as it fills:

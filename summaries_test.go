@@ -11,14 +11,13 @@ import (
 	"repro/internal/analysis/effects"
 	"repro/internal/bench"
 	"repro/internal/lang"
-	"repro/internal/lang/cfg"
 )
 
 // summaryLines renders, for every function of every mini-C source in the
 // tree (the ten benchmark kernels and examples/minic/*.c) and every
 // top-level statement of its body, what the exported statement walkers say:
-// cfg.StmtDefs sorted (its consumers use it as a kill set), cfg.StmtReads
-// and cfg.StmtDerefs in the order they return (their doc comments promise
+// lang.StmtDefs sorted (its consumers use it as a kill set), lang.Reads
+// and lang.Derefs in the order they return (their doc comments promise
 // evaluation order), and effects.ContainsLoop.
 func summaryLines(t *testing.T) string {
 	t.Helper()
@@ -30,13 +29,13 @@ func summaryLines(t *testing.T) string {
 		}
 		for _, fn := range prog.Funcs {
 			for i, st := range fn.Body.Stmts {
-				defs := cfg.StmtDefs(st)
+				defs := lang.StmtDefs(st)
 				sort.Strings(defs)
 				var reads, derefs []string
-				for _, u := range cfg.StmtReads(st) {
+				for _, u := range lang.Reads(st) {
 					reads = append(reads, fmt.Sprintf("%s@%s", u.Name, u.Pos))
 				}
-				for _, d := range cfg.StmtDerefs(st) {
+				for _, d := range lang.Derefs(st) {
 					derefs = append(derefs, fmt.Sprintf("%s@%s", d.Base, d.Pos))
 				}
 				fmt.Fprintf(&sb, "%s %s #%d@%s defs=%v reads=%v derefs=%v loop=%t\n",

@@ -2,7 +2,7 @@ GO ?= go
 
 BENCHES = treeadd power tsp mst bisort voronoi em3d barneshut perimeter health
 
-.PHONY: check build vet fmt static test perf-test perf-pairs race fuzz oldenvet lint analyze phases bench report perfgate loc profile serve load servesmoke cluster clustersmoke update-goldens
+.PHONY: check build vet fmt static test perf-test perf-pairs race fuzz oldenvet lint analyze phases bench report perfgate loc mutants profile serve load servesmoke cluster clustersmoke update-goldens
 
 # Each fuzz target gets a short smoke run in check; raise FUZZTIME for a
 # real fuzzing session.
@@ -114,6 +114,13 @@ perfgate:
 loc:
 	@find internal cmd -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
 
+# The committed mutant catalogue (testdata/mutants/*.patch): each patch
+# must apply to the committed tree (exported with git archive) and fail the
+# test it names; survivors must match testdata/mutants/survivors.golden.
+# A few minutes; not part of check.
+mutants:
+	bash scripts/mutants.sh
+
 # Simulator wall clock. Everything above gates on simulated cycles
 # (deterministic, zero tolerance). How fast the simulator executes them is
 # measured by the repository benchmark — `go run -C perf . -workload
@@ -189,7 +196,8 @@ clustersmoke:
 # computed before the structural fold replaced them, and internal/core/
 # testdata/lints_parent.golden and internal/analysis/effects/testdata/
 # effects_parent.golden, the lints and effect summaries the basic-block CFG
-# and worklist solver gave before lang.Fold replaced them.
+# and worklist solver gave before lang.Fold replaced them (the four flow
+# lints since deleted: TestLintsMatchParent drops their lines).
 update-goldens:
 	$(GO) test ./internal/core -run 'TestLintGolden' -update
 	$(GO) test ./internal/bench -run 'TestTraceDigestGoldens|TestSchedulerDigestEquivalence|TestSwitchCensus' -update
@@ -202,7 +210,7 @@ update-goldens:
 OLDENC = /tmp/olden-oldenc
 
 # oldenc -lint exits 1 only on error-severity diagnostics; the known
-# warnings (figure3's dead store, the figure5/barneshut demotions) pass.
+# warnings (the figure5/barneshut demotions) pass.
 lint:
 	@$(GO) build -o $(OLDENC) ./cmd/oldenc
 	@for b in $(BENCHES); do \

@@ -1,6 +1,6 @@
 /* Paper Figure 3: a list walk whose update matrix has a non-trivial
- * off-diagonal row. `oldenc figure3.c` prints the matrix; `-lint` points
- * out that u's store is dead (the figure keeps it only for the matrix). */
+ * off-diagonal row. `oldenc figure3.c` prints the matrix; u's store is
+ * never read, and the figure keeps it only for its matrix row. */
 struct node {
   struct node *left __affinity(90);
   struct node *right __affinity(70);

@@ -126,9 +126,8 @@ func (fa *fnAnalysis) evalAval(ev env, e lang.Expr) aval {
 			return v
 		}
 		if _, isPtr := fa.te[e.Name]; isPtr {
-			// Read before any assignment on this path: unknown. The
-			// use-before-init lint owns reporting it; here it only has
-			// to be conservative.
+			// Read before any assignment on this path: unknown, so
+			// the summary stays conservative.
 			return aval{top: true}
 		}
 		return aval{}

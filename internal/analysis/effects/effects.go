@@ -10,11 +10,11 @@
 // and scheme-invariance verdicts; oldenc -analyze prints them.
 //
 // The per-variable alias facts (aval.go) flow through each function body
-// as a lang.Fold, the dataflow fold the intraprocedural lints use, and
-// functions are processed bottom-up over the call-graph SCCs so every call
-// site folds in its callee's finished summary. Calls to the undefined function "alloc" are allocation sites;
-// calls to any other undefined function are extern — unknown effects, so
-// summaries go conservative.
+// as a lang.Fold, the fold's only client, and functions are processed
+// bottom-up over the call-graph SCCs so every call site folds in its
+// callee's finished summary. Calls to the undefined function "alloc" are
+// allocation sites; calls to any other undefined function are extern —
+// unknown effects, so summaries go conservative.
 package effects
 
 import (

@@ -406,15 +406,6 @@ func (rt *Router) unroutable503(w http.ResponseWriter, msg string) {
 	server.WriteError(w, http.StatusServiceUnavailable, msg)
 }
 
-// decodeStatus answers a prologue error as the replica would: 413 when it
-// wraps an *http.MaxBytesError (a body over the limit), 400 otherwise.
-func decodeStatus(err error) int {
-	if errors.As(err, new(*http.MaxBytesError)) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
-
 // handleRun is the replica's /run pipeline with a remote execute step:
 //
 //  1. the same prologue (server.DecodeRun), so the ring hashes exactly the
@@ -430,7 +421,7 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 	var buf bytes.Buffer // the body as the prologue read it, forwarded verbatim
 	req, key, err := server.DecodeRun(io.TeeReader(r.Body, &buf))
 	if err != nil {
-		server.WriteError(w, decodeStatus(err), err.Error())
+		server.WriteError(w, server.DecodeStatus(err), err.Error())
 		return
 	}
 	body := buf.Bytes()
@@ -547,7 +538,7 @@ func (rt *Router) verifyAgainstPeer(r *http.Request, sp *obs.Span, owners []stri
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	breq, items, err := server.DecodeBatch(r.Body)
 	if err != nil {
-		server.WriteError(w, decodeStatus(err), err.Error())
+		server.WriteError(w, server.DecodeStatus(err), err.Error())
 		return
 	}
 	groups := map[string][]int{} // primary owner -> original indices

@@ -27,10 +27,6 @@ import (
 //   - bottleneck-demotion (warning): a loop instance the second heuristic
 //     pass demoted to caching (Figure 5). The demotion is correct but
 //     silent in the report's summary line; -lint surfaces every one.
-//
-// Four further checks — unreachable, use-before-init, dead-store and
-// nil-deref — are solved over the control-flow graph with the generic
-// worklist engine; they live in lintflow.go.
 
 // DiagSeverity ranks a diagnostic.
 type DiagSeverity int
@@ -75,7 +71,6 @@ func (r *Report) Lint() []Diag {
 	diags = append(diags, lintUnusedAffinity(r)...)
 	diags = append(diags, lintShadowedInduction(r)...)
 	diags = append(diags, lintBottleneckDemotions(r)...)
-	diags = append(diags, lintFlow(r)...)
 	sort.SliceStable(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Line != b.Pos.Line {

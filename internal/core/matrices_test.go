@@ -258,7 +258,7 @@ func randLoopProgram(seed int64) string {
 }
 
 // randUninitProgram is randLoopProgram with half the local declarations
-// left uninitialized, so that use-before-init has something to find.
+// left uninitialized, so some pointers are read before any assignment.
 func randUninitProgram(seed int64) string {
 	return (&loopGen{r: rand.New(rand.NewSource(seed)), uninit: true}).program()
 }

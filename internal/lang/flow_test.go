@@ -8,12 +8,11 @@ import (
 
 // bitFlow is a gen/kill problem over the powerset of 16 elements, the
 // canonical bounded lattice: each node's transfer is s&^kill | gen.
-func bitFlow(backward bool, gen, kill map[Node]uint16) Flow[uint16] {
+func bitFlow(gen, kill map[Node]uint16) Flow[uint16] {
 	return Flow[uint16]{
-		Backward: backward,
-		Join:     func(a, b uint16) uint16 { return a | b },
-		Equal:    func(a, b uint16) bool { return a == b },
-		Step:     func(s uint16, n Node) uint16 { return s&^kill[n] | gen[n] },
+		Join:  func(a, b uint16) uint16 { return a | b },
+		Equal: func(a, b uint16) bool { return a == b },
+		Step:  func(s uint16, n Node) uint16 { return s&^kill[n] | gen[n] },
 	}
 }
 
@@ -50,7 +49,7 @@ func TestForwardGenKill(t *testing.T) {
 	as := byLHS(body)
 	gen := map[Node]uint16{as["x"]: 1 << 0, as["y"]: 1 << 2, as["z"]: 1 << 3}
 	kill := map[Node]uint16{as["y"]: 1 << 3, as["z"]: 1 << 2}
-	seen, out := visited(t, body, bitFlow(false, gen, kill), 0)
+	seen, out := visited(t, body, bitFlow(gen, kill), 0)
 	// Bit 0 reaches everywhere; bits 2 and 3 both reach the exit (one from
 	// each arm, neither killed on the loop's exit path).
 	if want := uint16(1<<0 | 1<<2 | 1<<3); seen[as["w"]] != want || out != want {
@@ -62,59 +61,13 @@ func TestForwardGenKill(t *testing.T) {
 	}
 }
 
-// TestBackwardLiveness checks a liveness problem: a backward Visit sees
-// the state after its node, and Fold returns the state at the body's start.
-func TestBackwardLiveness(t *testing.T) {
-	body := parseBody(t, "void f(int c) {\n a = 1;\n if (c) { g(a); } else { g(b); }\n}")
-	bit := map[string]uint16{"a": 1, "b": 2, "c": 4}
-	gen, kill := map[Node]uint16{}, map[Node]uint16{}
-	Inspect(body, func(n Node) bool {
-		switch n := n.(type) {
-		case *Assign:
-			kill[n] = bit[n.LHS.(*Ident).Name]
-		case *ExprStmt, *Ident:
-			for _, u := range Reads(n) {
-				gen[n] |= bit[u.Name]
-			}
-		}
-		return true
-	})
-	seen, out := visited(t, body, bitFlow(true, gen, kill), 0)
-	if a := body.Stmts[0]; seen[a] != 1|2|4 {
-		t.Errorf("live after a = 1: %b, want a|b|c", seen[a])
-	}
-	if out != 2|4 {
-		t.Errorf("live at entry = %b, want b|c", out)
-	}
-}
-
-// TestCondRefinesArms checks branch refinement: Cond clears a bit on the
-// true arm only, and the join after the if sees the union again.
-func TestCondRefinesArms(t *testing.T) {
-	body := parseBody(t, "void f(struct s *p) {\n if (p) { g(p); } else { h(p); }\n k(p);\n}")
-	f := bitFlow(false, nil, nil)
-	f.Cond = func(s uint16, _ Expr, taken bool) uint16 {
-		if taken {
-			return s &^ 2
-		}
-		return s
-	}
-	seen, _ := visited(t, body, f, 1|2)
-	arms := body.Stmts[0].(*If)
-	thenCall := arms.Then.(*Block).Stmts[0]
-	elseCall := arms.Else.(*Block).Stmts[0]
-	if seen[thenCall] != 1 || seen[elseCall] != 1|2 || seen[body.Stmts[1]] != 1|2 {
-		t.Errorf("then %b, else %b, after %b; want 1, 11, 11", seen[thenCall], seen[elseCall], seen[body.Stmts[1]])
-	}
-}
-
 // TestReturnLeavesLoop checks that a return ends its path: what it
 // generates reaches neither the loop head nor the code after the loop.
 func TestReturnLeavesLoop(t *testing.T) {
 	body := parseBody(t, "void f(struct n *s) {\n while (s != NULL) {\n  if (s->next == NULL) { x = 1; return; }\n  s = s->next;\n }\n y = 1;\n}")
 	as := byLHS(body)
 	gen := map[Node]uint16{as["x"]: 1, as["s"]: 2}
-	seen, out := visited(t, body, bitFlow(false, gen, nil), 0)
+	seen, out := visited(t, body, bitFlow(gen, nil), 0)
 	loop := body.Stmts[0].(*While)
 	if seen[loop.Cond] != 2 || seen[as["y"]] != 2 || out != 2 {
 		t.Errorf("head %b, after loop %b, exit %b; want the step's bit only", seen[loop.Cond], seen[as["y"]], out)
@@ -122,7 +75,7 @@ func TestReturnLeavesLoop(t *testing.T) {
 	// Nothing follows a for(;;) loop.
 	body = parseBody(t, "void f(int c) {\n for (;;) { x = 1; }\n y = 1;\n}")
 	as = byLHS(body)
-	if seen, _ := visited(t, body, bitFlow(false, map[Node]uint16{as["x"]: 1}, nil), 4); seen[as["y"]] != 0 {
+	if seen, _ := visited(t, body, bitFlow(map[Node]uint16{as["x"]: 1}, nil), 4); seen[as["y"]] != 0 {
 		t.Errorf("after for(;;): %b, want bottom", seen[as["y"]])
 	}
 }
@@ -131,9 +84,7 @@ func TestReturnLeavesLoop(t *testing.T) {
 // structure: whole-tree passes in which each loop head joins its entry
 // with its back edge from the previous pass, until no back edge moves.
 type refSolver struct {
-	backward  bool
 	gen, kill map[Node]uint16
-	end       uint16
 	back      map[Stmt]uint16
 	changed   bool
 	seen      map[Node]uint16
@@ -149,30 +100,18 @@ func (r *refSolver) stmt(st Stmt, s uint16) uint16 {
 	case nil:
 		return s
 	case *Block:
-		for i := range st.Stmts {
-			if r.backward {
-				i = len(st.Stmts) - 1 - i
-			}
-			s = r.stmt(st.Stmts[i], s)
+		for _, c := range st.Stmts {
+			s = r.stmt(c, s)
 		}
 		return s
 	case *If:
-		if r.backward {
-			return r.step(st.Cond, r.stmt(st.Then, s)|r.stmt(st.Else, s))
-		}
 		s = r.step(st.Cond, s)
 		return r.stmt(st.Then, s) | r.stmt(st.Else, s)
 	case *While:
 		return r.loop(st, st.Cond, st.Body, nil, s)
 	case *For:
-		if r.backward {
-			return r.stmt(st.Init, r.loop(st, st.Cond, st.Body, st.Post, s))
-		}
 		return r.loop(st, st.Cond, st.Body, st.Post, r.stmt(st.Init, s))
 	case *Return:
-		if r.backward {
-			return r.step(st, r.end)
-		}
 		r.step(st, s)
 		return 0
 	}
@@ -180,24 +119,13 @@ func (r *refSolver) stmt(st Stmt, s uint16) uint16 {
 }
 
 func (r *refSolver) loop(l Stmt, cond Expr, body, post Stmt, s uint16) uint16 {
-	var back, out uint16
-	if r.backward {
-		if cond == nil {
-			s = 0
-		}
-		out = s | r.back[l]
-		if cond != nil {
-			out = r.step(cond, out)
-		}
-		back = r.stmt(body, r.stmt(post, out))
-	} else {
-		h := s | r.back[l]
-		if cond != nil {
-			h = r.step(cond, h)
-			out = h
-		}
-		back = r.stmt(post, r.stmt(body, h))
+	var out uint16
+	h := s | r.back[l]
+	if cond != nil {
+		h = r.step(cond, h)
+		out = h
 	}
+	back := r.stmt(post, r.stmt(body, h))
 	if back != r.back[l] {
 		r.back[l], r.changed = back, true
 	}
@@ -205,7 +133,7 @@ func (r *refSolver) loop(l Stmt, cond Expr, body, post Stmt, s uint16) uint16 {
 }
 
 func (r *refSolver) solve(body Stmt, in uint16) uint16 {
-	r.back, r.end = map[Stmt]uint16{}, in
+	r.back = map[Stmt]uint16{}
 	for {
 		r.changed, r.seen = false, map[Node]uint16{}
 		out := r.stmt(body, in)
@@ -264,10 +192,10 @@ func randCond(r *rand.Rand) Expr {
 	}
 }
 
-// flowMatchesReference folds random gen/kill problems over random trees
-// in one direction and requires Fold's answer — the state at every node
-// and at the far end — to equal the reference solver's.
-func flowMatchesReference(t *testing.T, backward bool) {
+// TestFlowFixpointQuick folds random gen/kill problems over random trees
+// and requires Fold's answer — the state at every node and at the end —
+// to equal the reference solver's.
+func TestFlowFixpointQuick(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		body := &Block{Stmts: []Stmt{randStmt(r, 5), randStmt(r, 4)}}
@@ -277,8 +205,8 @@ func flowMatchesReference(t *testing.T, backward bool) {
 			return true
 		})
 		in := uint16(r.Intn(1 << 16))
-		seen, out := visited(t, body, bitFlow(backward, gen, kill), in)
-		ref := &refSolver{backward: backward, gen: gen, kill: kill}
+		seen, out := visited(t, body, bitFlow(gen, kill), in)
+		ref := &refSolver{gen: gen, kill: kill}
 		if want := ref.solve(body, in); out != want {
 			t.Fatalf("seed %d: Fold returned %b, reference %b", seed, out, want)
 		}
@@ -292,9 +220,6 @@ func flowMatchesReference(t *testing.T, backward bool) {
 		}
 	}
 }
-
-func TestFlowFixpointQuick(t *testing.T)     { flowMatchesReference(t, false) }
-func TestBackwardFixpointQuick(t *testing.T) { flowMatchesReference(t, true) }
 
 // TestWarmStartBoundsNest folds a 20-deep loop nest whose innermost body
 // needs four trips to settle. Restarting every head from scratch on each
@@ -332,13 +257,5 @@ func TestWarmStartBoundsNest(t *testing.T) {
 	}
 	if bound := 4 * depth; transfers > bound {
 		t.Errorf("the innermost body was folded %d times, want at most %d", transfers, bound)
-	}
-}
-
-func TestExprDerefsChains(t *testing.T) {
-	body := parseBody(t, "int f(struct n *s, struct n *q) {\n return g(s->next->v, q) + q->v;\n}")
-	ds := Derefs(body.Stmts[0].(*Return).E)
-	if len(ds) != 2 || ds[0].Base != "s" || ds[1].Base != "q" {
-		t.Fatalf("derefs = %v, want one maximal chain on s and one on q", ds)
 	}
 }

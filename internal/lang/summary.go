@@ -1,20 +1,12 @@
 package lang
 
-// This file holds the statement- and expression-level def/use/deref
-// helpers. The dataflow lints in internal/core replay them statement by
-// statement with positions attached.
+// This file holds the statement- and expression-level def/use helpers:
+// the kill sets of internal/core's update matrices and the termination
+// check in internal/analysis/effects read them.
 
 // VarUse is one read of a variable.
 type VarUse struct {
 	Name string
-	Pos  Pos
-}
-
-// Deref is one pointer dereference: a maximal Arrow chain attributed to
-// the local variable at its base, positioned at the arrow adjacent to the
-// base (the access that actually touches the heap first).
-type Deref struct {
-	Base string
 	Pos  Pos
 }
 
@@ -52,24 +44,6 @@ func Reads(root Node) []VarUse {
 		case *Ident:
 			if n != target {
 				out = append(out, VarUse{Name: n.Name, Pos: n.Pos})
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// Derefs returns the pointer dereferences of a statement or expression in
-// evaluation order (including inside compound statements): one Deref per
-// maximal Arrow chain rooted at a variable, plus any chains nested in call
-// arguments or subexpressions. A chain's one Deref is its innermost Arrow,
-// the only one whose operand is the variable.
-func Derefs(root Node) []Deref {
-	var out []Deref
-	Inspect(root, func(n Node) bool {
-		if a, ok := n.(*Arrow); ok {
-			if id, ok := a.X.(*Ident); ok {
-				out = append(out, Deref{Base: id.Name, Pos: a.Pos})
 			}
 		}
 		return true

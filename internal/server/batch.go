@@ -122,7 +122,7 @@ func WriteBatch(w http.ResponseWriter, items []BatchItem, retryAfter time.Durati
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	breq, items, err := DecodeBatch(r.Body)
 	if err != nil {
-		WriteError(w, decodeStatus(err), err.Error())
+		WriteError(w, DecodeStatus(err), err.Error())
 		return
 	}
 	reqs := breq.Runs

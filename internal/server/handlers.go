@@ -271,9 +271,10 @@ func decodeBody(body io.Reader, v any) error {
 	return nil
 }
 
-// decodeStatus is the status a prologue error answers with: 413 for a
-// body over the limit, 400 for anything else the client sent.
-func decodeStatus(err error) int {
+// DecodeStatus is the status a prologue error answers with, on a replica
+// and on the router alike: 413 for a body over the limit (an
+// *http.MaxBytesError), 400 for anything else the client sent.
+func DecodeStatus(err error) int {
 	if errors.As(err, new(*http.MaxBytesError)) {
 		return http.StatusRequestEntityTooLarge
 	}
@@ -339,7 +340,7 @@ func (s *Server) writeRun(w http.ResponseWriter, res result) {
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	req, key, err := DecodeRun(r.Body)
 	if err != nil {
-		WriteError(w, decodeStatus(err), err.Error())
+		WriteError(w, DecodeStatus(err), err.Error())
 		return
 	}
 	st := RequestState(r)

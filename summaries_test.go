@@ -16,9 +16,9 @@ import (
 // summaryLines renders, for every function of every mini-C source in the
 // tree (the ten benchmark kernels and examples/minic/*.c) and every
 // top-level statement of its body, what the exported statement walkers say:
-// lang.StmtDefs sorted (its consumers use it as a kill set), lang.Reads
-// and lang.Derefs in the order they return (their doc comments promise
-// evaluation order), and effects.ContainsLoop.
+// lang.StmtDefs sorted (its consumers use it as a kill set), lang.Reads in
+// the order it returns (its doc comment promises evaluation order), and
+// effects.ContainsLoop.
 func summaryLines(t *testing.T) string {
 	t.Helper()
 	var sb strings.Builder
@@ -31,15 +31,12 @@ func summaryLines(t *testing.T) string {
 			for i, st := range fn.Body.Stmts {
 				defs := lang.StmtDefs(st)
 				sort.Strings(defs)
-				var reads, derefs []string
+				var reads []string
 				for _, u := range lang.Reads(st) {
 					reads = append(reads, fmt.Sprintf("%s@%s", u.Name, u.Pos))
 				}
-				for _, d := range lang.Derefs(st) {
-					derefs = append(derefs, fmt.Sprintf("%s@%s", d.Base, d.Pos))
-				}
-				fmt.Fprintf(&sb, "%s %s #%d@%s defs=%v reads=%v derefs=%v loop=%t\n",
-					source, fn.Name, i, lang.StmtPos(st), defs, reads, derefs, effects.ContainsLoop(st))
+				fmt.Fprintf(&sb, "%s %s #%d@%s defs=%v reads=%v loop=%t\n",
+					source, fn.Name, i, lang.StmtPos(st), defs, reads, effects.ContainsLoop(st))
 			}
 		}
 	}

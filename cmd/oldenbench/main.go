@@ -24,13 +24,13 @@
 //	oldenbench -table 2 -json                  # stream RunRecord JSON to stdout
 //	oldenbench -report                         # render ./BENCH_*.json
 //	oldenbench -report -candidate out/         # gate out/ against ./BENCH_*.json
-//	oldenbench -report -candidate out/ -tol-cycles 0.02 -out report.md
+//	oldenbench -report -candidate out/ -out report.md
 //
 // -json moves the human tables to stderr and emits one JSON object per
 // benchmark run on stdout, in the order the runs executed. In gate mode
-// the exit status is 1 when any configuration regressed beyond tolerance;
-// the simulator is deterministic, so the default zero tolerance passes
-// byte-identical reruns and fails any slowdown at all.
+// the exit status is 1 when any configuration regressed; the simulator is
+// deterministic, so the exact gate passes byte-identical reruns and fails
+// any slowdown at all.
 //
 // Simulator wall-clock throughput is measured by the repository
 // benchmark: `go run -C perf . -workload sim_table`.
@@ -74,7 +74,6 @@ func main() {
 	report := flag.Bool("report", false, "render the pinned ./BENCH_<name>.json baselines as a markdown report")
 	candidate := flag.String("candidate", "", "with -report: candidate record set to gate against the pinned baselines (exit 1 on regression)")
 	reportOut := flag.String("out", "", "with -report: write the markdown report to this file instead of stdout")
-	tolCycles := flag.Float64("tol-cycles", 0, "with -report -candidate: allowed fractional cycle increase (0.02 = 2%)")
 	flag.Parse()
 
 	if *list {
@@ -86,7 +85,7 @@ func main() {
 		return
 	}
 	if *report {
-		runReport(*candidate, *reportOut, record.Tolerance{CyclesFrac: *tolCycles})
+		runReport(*candidate, *reportOut)
 		return
 	}
 
@@ -188,9 +187,9 @@ func runRecordSuite(out io.Writer, enc *json.Encoder, dir, only string, procs, s
 }
 
 // runReport renders the pinned ./BENCH_*.json as the markdown report — or,
-// given a candidate set, gates it against the pins at tol and renders the
+// given a candidate set, gates it against the pins and renders the
 // candidate with the pins as the Δ-prev columns.
-func runReport(candidate, outPath string, tol record.Tolerance) {
+func runReport(candidate, outPath string) {
 	cur, err := record.LoadDir(".")
 	if err != nil {
 		fatalf("%v", err)
@@ -202,7 +201,7 @@ func runReport(candidate, outPath string, tol record.Tolerance) {
 		if cur, err = record.LoadDir(candidate); err != nil {
 			fatalf("%v", err)
 		}
-		if regs, err = record.CompareDirs(prev, cur, tol); err != nil {
+		if regs, err = record.CompareDirs(prev, cur); err != nil {
 			fatalf("%v", err)
 		}
 	}
@@ -213,7 +212,7 @@ func runReport(candidate, outPath string, tol record.Tolerance) {
 		fatalf("%v", err)
 	}
 	if len(regs) > 0 {
-		fmt.Fprintf(os.Stderr, "oldenbench: %d regression(s) beyond tolerance:\n", len(regs))
+		fmt.Fprintf(os.Stderr, "oldenbench: %d regression(s):\n", len(regs))
 		for _, r := range regs {
 			fmt.Fprintf(os.Stderr, "  %s\n", r)
 		}

@@ -7,7 +7,7 @@
 //
 // The summaries have one client, the phase planner
 // (internal/analysis/phases), which folds them into per-phase footprints
-// and scheme-invariance verdicts; oldenc -analyze prints them.
+// and scheme-invariance verdicts.
 //
 // The per-variable alias facts (aval.go) flow through each function body
 // as a lang.Fold, the fold's only client, and functions are processed

@@ -338,7 +338,7 @@ func judge(ph *Phase) {
 	ph.Invariant = len(ph.Reasons) == 0
 }
 
-// String renders the plan for humans; the oldenc goldens pin it.
+// String renders the plan for humans; TestPhasesGoldens pins it.
 func (p *Plan) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "phase plan: entries=%s phases=%d invariant-prefix=%d/%d certified=%t\n",

@@ -71,20 +71,15 @@ func (c Config) normalize() Config {
 }
 
 // NewRuntime builds the runtime for a run.
-func (c Config) NewRuntime() *rt.Runtime { return c.NewRuntimeWithHeap(0) }
-
-// NewRuntimeWithHeap builds the runtime with an explicit per-processor heap
-// size (benchmarks at paper-scale sizes need more than the default).
-func (c Config) NewRuntimeWithHeap(heapBytes uint32) *rt.Runtime {
+func (c Config) NewRuntime() *rt.Runtime {
 	c = c.normalize()
 	r := rt.New(rt.Config{
-		Procs:            c.Procs,
-		Scheme:           c.Scheme,
-		Mode:             c.Mode,
-		NoOverhead:       c.Baseline,
-		HeapBytesPerProc: heapBytes,
-		Trace:            c.Trace,
-		Metrics:          c.Metrics,
+		Procs:      c.Procs,
+		Scheme:     c.Scheme,
+		Mode:       c.Mode,
+		NoOverhead: c.Baseline,
+		Trace:      c.Trace,
+		Metrics:    c.Metrics,
 	})
 	if c.RuntimeHook != nil {
 		c.RuntimeHook(r)

@@ -2,21 +2,9 @@ package record
 
 import "fmt"
 
-// Tolerance bounds how much a candidate may degrade before the gate fails.
-// The simulator is deterministic, so the zero tolerance — any cycle
-// increase at all fails — is a meaningful and usable default; non-zero
-// tolerances exist for intentional-but-small cost-model adjustments.
-type Tolerance struct {
-	// CyclesFrac is the allowed fractional increase in simulated cycles
-	// (0.02 = 2%).
-	CyclesFrac float64
-	// MissPctAbs is the allowed absolute increase in cache-miss
-	// percentage points.
-	MissPctAbs float64
-}
-
 // Regression is one gate failure: a candidate configuration got worse than
-// its pinned baseline by more than the tolerance allows.
+// its pinned baseline. The simulator is deterministic, so the gate is
+// exact: any cycle or miss-rate increase at all fails.
 type Regression struct {
 	Benchmark string
 	Key       string
@@ -35,11 +23,11 @@ func (r Regression) String() string {
 }
 
 // Compare gates candidate against baseline. It returns one Regression per
-// configuration-metric that degraded beyond tol, and an error for
+// configuration-metric that degraded, and an error for
 // structural problems (benchmark mismatch, a baseline configuration
 // missing from the candidate, or runs at different scales — deltas across
 // scales are meaningless).
-func Compare(baseline, candidate File, tol Tolerance) ([]Regression, error) {
+func Compare(baseline, candidate File) ([]Regression, error) {
 	if baseline.Benchmark != candidate.Benchmark {
 		return nil, fmt.Errorf("record: comparing %q against %q",
 			candidate.Benchmark, baseline.Benchmark)
@@ -61,17 +49,16 @@ func Compare(baseline, candidate File, tol Tolerance) ([]Regression, error) {
 				Benchmark: baseline.Benchmark, Key: key, Metric: "verified",
 			})
 		}
-		limit := float64(base.Cycles) * (1 + tol.CyclesFrac)
-		if float64(cand.Cycles) > limit {
+		if cand.Cycles > base.Cycles {
 			regs = append(regs, Regression{
 				Benchmark: baseline.Benchmark, Key: key, Metric: "cycles",
-				Old: float64(base.Cycles), New: float64(cand.Cycles), Limit: limit,
+				Old: float64(base.Cycles), New: float64(cand.Cycles), Limit: float64(base.Cycles),
 			})
 		}
-		if missLimit := base.MissPct + tol.MissPctAbs; cand.MissPct > missLimit {
+		if cand.MissPct > base.MissPct {
 			regs = append(regs, Regression{
 				Benchmark: baseline.Benchmark, Key: key, Metric: "miss_pct",
-				Old: base.MissPct, New: cand.MissPct, Limit: missLimit,
+				Old: base.MissPct, New: cand.MissPct, Limit: base.MissPct,
 			})
 		}
 	}
@@ -81,7 +68,7 @@ func Compare(baseline, candidate File, tol Tolerance) ([]Regression, error) {
 // CompareDirs gates a candidate set against a baseline set, matching files
 // by benchmark name. Every baseline benchmark must be present in the
 // candidate set.
-func CompareDirs(baseline, candidate []File, tol Tolerance) ([]Regression, error) {
+func CompareDirs(baseline, candidate []File) ([]Regression, error) {
 	byName := make(map[string]File, len(candidate))
 	for _, f := range candidate {
 		byName[f.Benchmark] = f
@@ -92,7 +79,7 @@ func CompareDirs(baseline, candidate []File, tol Tolerance) ([]Regression, error
 		if !ok {
 			return nil, fmt.Errorf("record: benchmark %q missing from candidate set", base.Benchmark)
 		}
-		r, err := Compare(base, cand, tol)
+		r, err := Compare(base, cand)
 		if err != nil {
 			return nil, err
 		}

@@ -121,7 +121,7 @@ func TestLoadRejectsWrongSchema(t *testing.T) {
 }
 
 func TestCompareIdenticalPasses(t *testing.T) {
-	regs, err := Compare(sampleFile(), sampleFile(), Tolerance{})
+	regs, err := Compare(sampleFile(), sampleFile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,14 +133,14 @@ func TestCompareIdenticalPasses(t *testing.T) {
 func TestCompareCatchesSlowedRun(t *testing.T) {
 	base := sampleFile()
 	cand := sampleFile()
-	// A deliberately slowed candidate: +1 cycle on the P=4 run. With the
-	// deterministic simulator and zero tolerance, even one cycle fails.
+	// A deliberately slowed candidate: +1 cycle on the P=4 run. The
+	// simulator is deterministic, so even one cycle fails.
 	for i := range cand.Records {
 		if cand.Records[i].Key() == HeuristicKey(4, "local") {
 			cand.Records[i].Cycles++
 		}
 	}
-	regs, err := Compare(base, cand, Tolerance{})
+	regs, err := Compare(base, cand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,15 +149,6 @@ func TestCompareCatchesSlowedRun(t *testing.T) {
 	}
 	if !strings.Contains(regs[0].String(), "cycles") {
 		t.Fatalf("regression string %q should name the metric", regs[0])
-	}
-
-	// The same delta passes under a 2% tolerance.
-	regs, err = Compare(base, cand, Tolerance{CyclesFrac: 0.02})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 0 {
-		t.Fatalf("1-cycle delta should pass a 2%% tolerance, got %v", regs)
 	}
 }
 
@@ -170,7 +161,7 @@ func TestCompareCatchesMissRateAndVerification(t *testing.T) {
 			cand.Records[i].Verified = false
 		}
 	}
-	regs, err := Compare(base, cand, Tolerance{MissPctAbs: 0.1})
+	regs, err := Compare(base, cand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +179,7 @@ func TestCompareStructuralErrors(t *testing.T) {
 
 	missing := sampleFile()
 	missing.Records = missing.Records[:3]
-	if _, err := Compare(base, missing, Tolerance{}); err == nil {
+	if _, err := Compare(base, missing); err == nil {
 		t.Fatal("missing configuration must be an error, not a pass")
 	}
 
@@ -196,13 +187,13 @@ func TestCompareStructuralErrors(t *testing.T) {
 	for i := range scaled.Records {
 		scaled.Records[i].Scale = 8
 	}
-	if _, err := Compare(base, scaled, Tolerance{}); err == nil || !strings.Contains(err.Error(), "scale") {
+	if _, err := Compare(base, scaled); err == nil || !strings.Contains(err.Error(), "scale") {
 		t.Fatalf("scale mismatch: err = %v, want scale error", err)
 	}
 
 	other := sampleFile()
 	other.Benchmark = "power"
-	if _, err := Compare(base, other, Tolerance{}); err == nil {
+	if _, err := Compare(base, other); err == nil {
 		t.Fatal("benchmark mismatch must be an error")
 	}
 }
@@ -210,11 +201,11 @@ func TestCompareStructuralErrors(t *testing.T) {
 func TestCompareDirs(t *testing.T) {
 	base := []File{sampleFile()}
 	cand := []File{sampleFile()}
-	regs, err := CompareDirs(base, cand, Tolerance{})
+	regs, err := CompareDirs(base, cand)
 	if err != nil || len(regs) != 0 {
 		t.Fatalf("CompareDirs identical = %v, %v", regs, err)
 	}
-	if _, err := CompareDirs(base, nil, Tolerance{}); err == nil {
+	if _, err := CompareDirs(base, nil); err == nil {
 		t.Fatal("missing benchmark in candidate set must be an error")
 	}
 }

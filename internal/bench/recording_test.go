@@ -64,7 +64,7 @@ func TestCollectRecordsIsDeterministic(t *testing.T) {
 	}
 
 	// A byte-identical rerun passes the gate at zero tolerance.
-	regs, err := record.Compare(a, b, record.Tolerance{})
+	regs, err := record.Compare(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestGateCatchesDeliberatelySlowedRun(t *testing.T) {
 			cand.Records[i] = slowed
 		}
 	}
-	regs, err := record.Compare(base, cand, record.Tolerance{})
+	regs, err := record.Compare(base, cand)
 	if err != nil {
 		t.Fatal(err)
 	}

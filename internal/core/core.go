@@ -33,12 +33,6 @@ import "repro/internal/lang"
 type Params struct {
 	Threshold       float64
 	DefaultAffinity float64
-	// InterproceduralReturns enables the return-value path extension the
-	// paper leaves as future work: calls to functions that always return
-	// a field path of one parameter contribute that path to the update
-	// analysis. Off by default to match the paper's preliminary
-	// implementation ("we do not consider return values").
-	InterproceduralReturns bool
 }
 
 // DefaultParams returns the paper's settings.

@@ -24,12 +24,8 @@ type FuncReport struct {
 // Analyze runs the full three-step selection process on a program.
 func Analyze(prog *lang.Program, params Params) *Report {
 	r := &Report{Prog: prog, Params: params}
-	var summaries map[string]retSummary
-	if params.InterproceduralReturns {
-		summaries = returnSummaries(prog, params)
-	}
 	for _, f := range prog.Funcs {
-		a := &analysis{prog: prog, fn: f, te: lang.PtrVars(f), params: params, summaries: summaries}
+		a := &analysis{prog: prog, fn: f, te: lang.PtrVars(f), params: params}
 		r.Funcs = append(r.Funcs, &FuncReport{Fn: f, Loops: a.buildFuncLoops()})
 	}
 	r.expandCalls()

@@ -127,11 +127,6 @@ type analysis struct {
 	fn     *lang.FuncDecl
 	te     typeEnv
 	params Params
-	// summaries holds return-path summaries when the interprocedural
-	// extension is enabled; summarizeFn resolves them on demand while
-	// they are being computed.
-	summaries   map[string]retSummary
-	summarizeFn func(name string) (retSummary, bool)
 }
 
 // evalExpr computes the symbolic value of a pointer expression.
@@ -153,40 +148,9 @@ func (a *analysis) evalExpr(ev env, e lang.Expr) symval {
 		aff := v.aff * fieldAffinity(a.prog, st, e.Field, a.params)
 		return symval{known: true, base: v.base, aff: aff}
 	}
-	if c, ok := e.(*lang.Call); ok && a.params.InterproceduralReturns && !c.Future {
-		if sum, ok := a.lookupSummary(c.Name); ok {
-			g := a.prog.Func(c.Name)
-			for i, p := range g.Params {
-				if p.Name != sum.param || i >= len(c.Args) {
-					continue
-				}
-				v := a.evalExpr(ev, c.Args[i])
-				if !v.known {
-					break
-				}
-				return symval{
-					known: true,
-					base:  v.base,
-					aff:   v.aff * sum.aff,
-					ident: v.ident && sum.ident,
-				}
-			}
-		}
-	}
-	// Other calls, literals, arithmetic: no value tracked (the paper's
+	// Calls, literals, arithmetic: no value tracked (the paper's
 	// preliminary implementation does not consider return values at all).
 	return unknownVal
-}
-
-// lookupSummary resolves a return-path summary by name.
-func (a *analysis) lookupSummary(name string) (retSummary, bool) {
-	if s, ok := a.summaries[name]; ok {
-		return s, true
-	}
-	if a.summarizeFn != nil {
-		return a.summarizeFn(name)
-	}
-	return retSummary{}, false
 }
 
 // killAssigned marks every variable assigned anywhere inside s as unknown

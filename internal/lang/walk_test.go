@@ -163,7 +163,6 @@ var handFolds = map[string]string{
 	"internal/lang.stmt":                     "Fold's control structure: arms join, loops iterate to a fixpoint, a return ends its path",
 	"internal/core.buildFuncLoops":           "builds the loop tree: a loop's children hang off the node made for it",
 	"internal/core.recCalls":                 "threads an environment in statement order and merges per-branch updates; seqCombine is floating-point, so the order is part of the answer",
-	"internal/core.returnSummaries":          "visits each return with the environment in flight on its branch",
 	"internal/core.seqStmt":                  "threads an environment through a loop iteration or up to a return; arms join, and an arm that returns drops out of the merge",
 	"internal/analysis/effects.stmtBits":     "folds children's results: a loop's bits come from loopBits, not from its nodes",
 	"internal/analysis/effects.advanceOf":    "an if advances only when both arms do; a nested loop never guarantees",

@@ -226,11 +226,7 @@ func (rt *Router) exchange(ctx context.Context, sh *shard, method, path string, 
 	if err != nil {
 		return reply{}, err
 	}
-	for k, vs := range hdr {
-		for _, v := range vs {
-			req.Header.Add(k, v)
-		}
-	}
+	req.Header = hdr
 	start := rt.cfg.Now()
 	resp, err := rt.cfg.Client.Do(req)
 	if err != nil {
@@ -308,16 +304,14 @@ var skippedHeaders = map[string]bool{
 // X-Oldend-Shard names the shard that answered even when the replica
 // itself was not configured with a shard name.
 func serveReply(w http.ResponseWriter, rep reply, shardName string) {
-	for k, vs := range rep.header {
-		if skippedHeaders[k] {
-			continue
-		}
-		for _, v := range vs {
-			w.Header().Add(k, v)
+	h := w.Header()
+	for k, vs := range rep.header { // a parsed header's keys are canonical
+		if !skippedHeaders[k] {
+			h[k] = vs
 		}
 	}
-	if w.Header().Get("X-Oldend-Shard") == "" {
-		w.Header().Set("X-Oldend-Shard", shardName)
+	if len(h["X-Oldend-Shard"]) == 0 {
+		h["X-Oldend-Shard"] = []string{shardName}
 	}
 	w.WriteHeader(rep.status)
 	w.Write(rep.body)
@@ -326,17 +320,22 @@ func serveReply(w http.ResponseWriter, rep reply, shardName string) {
 // downstreamHeader builds the headers a proxied request carries: the
 // original content type plus the trace chain — a fresh traceparent child
 // of the router's span when the request is sampled (so the replica's
-// span tree hangs off the router's), or the original traceparent
-// verbatim when it is not.
+// span tree hangs off the router's), else the original traceparent
+// verbatim, else an unsampled one carrying the router's trace id (its low
+// half standing in as parent-id), so the two access lines join on it.
 func downstreamHeader(r *http.Request, sp *obs.Span) http.Header {
-	h := http.Header{}
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		h.Set("Content-Type", ct)
+	h := make(http.Header, 2)
+	if ct := r.Header["Content-Type"]; len(ct) > 0 {
+		h["Content-Type"] = ct[:1]
 	}
-	if sp.Sampled() {
-		h.Set("traceparent", sp.Context().Traceparent())
-	} else if tp := r.Header.Get("traceparent"); tp != "" {
-		h.Set("traceparent", tp)
+	tid := server.RequestState(r).TraceID
+	switch tp := r.Header.Get("Traceparent"); {
+	case sp.Sampled():
+		h["Traceparent"] = []string{sp.Context().Traceparent()}
+	case tp != "":
+		h["Traceparent"] = []string{tp}
+	case len(tid) == 32:
+		h["Traceparent"] = []string{"00-" + tid + "-" + tid[16:] + "-00"}
 	}
 	return h
 }
@@ -418,13 +417,11 @@ func (rt *Router) unroutable503(w http.ResponseWriter, msg string) {
 //  4. every Kth successful execution is duplicated to a second replica
 //     and the two answers must be byte-identical (verify mode).
 func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
-	var buf bytes.Buffer // the body as the prologue read it, forwarded verbatim
-	req, key, err := server.DecodeRun(io.TeeReader(r.Body, &buf))
+	req, key, body, err := server.DecodeRun(r.Body) // body is forwarded verbatim
 	if err != nil {
 		server.WriteError(w, server.DecodeStatus(err), err.Error())
 		return
 	}
-	body := buf.Bytes()
 	owners := rt.ring.Owners(key, len(rt.names))
 	st := server.RequestState(r)
 	st.Key = key

@@ -33,7 +33,7 @@ func fastExec(req server.RunRequest, _ *obs.Span) (record.RunRecord, error) {
 		Scale:       req.Scale,
 		Cycles:      4242,
 		Verified:    true,
-		TraceDigest: "digest-" + req.Key(),
+		TraceDigest: "digest-" + server.CacheKey(req),
 	}, nil
 }
 
@@ -225,7 +225,7 @@ func TestRouterVerifyMismatch(t *testing.T) {
 	divergent := func(req server.RunRequest, sp *obs.Span) (record.RunRecord, error) {
 		rec, _ := fastExec(req, sp)
 		rec.Cycles = 6666 // nondeterminism stand-in
-		rec.TraceDigest = "divergent-" + req.Key()
+		rec.TraceDigest = "divergent-" + server.CacheKey(req)
 		return rec, nil
 	}
 	tc := &testCluster{replicas: map[string]*httptest.Server{}, shards: map[string]string{}}

@@ -58,8 +58,12 @@ func (it *BatchItem) fill(res result) {
 // received from /run.
 func DecodeBatch(body io.Reader) (BatchRequest, []BatchItem, error) {
 	var breq BatchRequest
-	if err := decodeBody(body, &breq); err != nil {
+	b, err := readBody(body)
+	if err != nil {
 		return breq, nil, err
+	}
+	if err := json.Unmarshal(b, &breq); err != nil {
+		return breq, nil, fmt.Errorf("bad request body: %w", err)
 	}
 	if len(breq.Runs) == 0 {
 		return breq, nil, fmt.Errorf("empty batch (runs is required)")

@@ -3,8 +3,6 @@ package server
 import (
 	"container/list"
 	"sync"
-
-	"repro/internal/bench"
 )
 
 // cacheEntry is one memoized run result: the canonical response bytes and
@@ -17,7 +15,8 @@ type cacheEntry struct {
 // lruCache is a strict-LRU memo keyed by canonical strings. Eviction
 // order is purely access order and capacity is an entry count, so the
 // cache's behavior is a deterministic function of the request sequence —
-// no clocks, no sizes, no randomness. The server runs two of these:
+// no clocks, no sizes, no randomness. The server runs two of these (and
+// the /run prologue one more, decodeMemo):
 //
 //   - the result cache (lruCache[*cacheEntry]) memoizes whole run
 //     records, keyed by the full canonical configuration. Soundness
@@ -97,18 +96,3 @@ func (c *lruCache[V]) len() int {
 	defer c.mu.Unlock()
 	return c.ll.Len()
 }
-
-// keys returns the cached keys from most to least recently used; tests
-// assert eviction order through it.
-func (c *lruCache[V]) keys() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*lruItem[V]).key)
-	}
-	return out
-}
-
-type resultCache = lruCache[*cacheEntry]
-type phaseCache = lruCache[*bench.BuildState]

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -98,21 +99,50 @@ func TestCacheKeyMatchesFmt(t *testing.T) {
 	}
 }
 
-// FuzzDecodeRun checks the /run prologue never panics and only lets
-// canonical configurations through.
+// decodeRef is DecodeRun without the memo: the prologue as it reads on a
+// memo miss, for the fuzzer to hold both answers against.
+func decodeRef(body string) (RunRequest, string, error) {
+	var req RunRequest
+	if len(body) > maxBody {
+		return req, "", fmt.Errorf("request body over the %d-byte limit: %w", maxBody, &http.MaxBytesError{Limit: maxBody})
+	}
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		return req, "", fmt.Errorf("bad request body: %w", err)
+	}
+	req, err := Normalize(req)
+	if err != nil {
+		return req, "", err
+	}
+	return req, CacheKey(req), nil
+}
+
+// FuzzDecodeRun checks the /run prologue never panics, only lets
+// canonical configurations through, and answers a body twice — the second
+// time from the memo when the first was stored — exactly as the memo-free
+// reference does: the same configuration, key and bytes, or the same
+// error text.
 func FuzzDecodeRun(f *testing.F) {
 	for _, s := range runSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, body string) {
-		req, key, err := DecodeRun(strings.NewReader(body))
-		if err != nil {
-			if key != "" {
-				t.Fatalf("error %v alongside key %q", err, key)
+		wantReq, wantKey, wantErr := decodeRef(body)
+		for i := 0; i < 2; i++ {
+			req, key, b, err := DecodeRun(strings.NewReader(body))
+			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+				t.Fatalf("call %d: error %v, reference %v", i, err, wantErr)
 			}
-			return
+			if err != nil {
+				if key != "" {
+					t.Fatalf("error %v alongside key %q", err, key)
+				}
+				continue
+			}
+			if req != wantReq || key != wantKey || string(b) != body {
+				t.Fatalf("call %d: %+v %q %q, reference %+v %q", i, req, key, b, wantReq, wantKey)
+			}
+			checkCanonical(t, req, key)
 		}
-		checkCanonical(t, req, key)
 	})
 }
 
@@ -151,4 +181,59 @@ func FuzzDecodeBatch(f *testing.F) {
 			checkCanonical(t, breq.Runs[i], it.Key)
 		}
 	})
+}
+
+// TestDecodeMemo pins what the /run prologue memo may hold: an oversize
+// body is a 413 every time, a valid body over maxMemoBody decodes without
+// being stored, an invalid body is never stored (and so fails again), and
+// the memo never grows past memoEntries.
+func TestDecodeMemo(t *testing.T) {
+	decode := func(body string) (RunRequest, error) {
+		t.Helper()
+		req, _, _, err := DecodeRun(strings.NewReader(body))
+		return req, err
+	}
+	stored := func(body string) bool {
+		_, ok := decodeMemo.get(body)
+		return ok
+	}
+
+	huge := `{"benchmark":"treeadd"}` + strings.Repeat(" ", maxBody)
+	for i := 0; i < 2; i++ {
+		if _, err := decode(huge); DecodeStatus(err) != http.StatusRequestEntityTooLarge {
+			t.Fatalf("call %d: oversize body answers %d (%v), want 413", i, DecodeStatus(err), err)
+		}
+	}
+
+	padded := `{"benchmark":"treeadd","procs":2}` + strings.Repeat(" ", 2<<10)
+	if req, err := decode(padded); err != nil || req.Procs != 2 {
+		t.Fatalf("2 KiB body: %+v, %v", req, err)
+	}
+	if stored(padded) {
+		t.Error("a body over maxMemoBody was stored")
+	}
+
+	for _, bad := range []string{`{"benchmark":"treeadd","procs":65}`, `{"benchmark":"nosuch"}`, `{"benchmark":"treeadd"`} {
+		for i := 0; i < 2; i++ {
+			if _, err := decode(bad); err == nil {
+				t.Fatalf("call %d: %s decoded", i, bad)
+			}
+		}
+		if stored(bad) {
+			t.Errorf("invalid body %s was stored", bad)
+		}
+	}
+
+	for i := 0; i < decodeMemo.cap+44; i++ {
+		body := fmt.Sprintf(`{"benchmark":"treeadd","deadline_ms":%d}`, i+1)
+		if _, err := decode(body); err != nil {
+			t.Fatal(err)
+		}
+		if !stored(body) {
+			t.Fatalf("%s was not stored", body)
+		}
+	}
+	if n := decodeMemo.len(); n != decodeMemo.cap {
+		t.Errorf("memo holds %d entries, want its %d-entry bound", n, decodeMemo.cap)
+	}
 }

@@ -158,7 +158,7 @@ func (e Envelope) Wrap(next http.Handler) http.Handler {
 	counter := e.Prefix + "_requests_total"
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := e.Now()
-		parent, _ := obs.ParseTraceparent(r.Header.Get("traceparent"))
+		parent, _ := obs.ParseTraceparent(r.Header.Get("Traceparent"))
 		sp := e.Tracer.StartRequest(r.Method, r.URL.Path, parent)
 		var traceID string
 		switch {
@@ -169,10 +169,11 @@ func (e Envelope) Wrap(next http.Handler) http.Handler {
 		default:
 			traceID = e.Tracer.NewTraceID().String()
 		}
-		w.Header().Set("X-Request-Id", traceID)
-		w.Header().Set("X-Oldend-Trace-Id", traceID)
+		h := w.Header()
+		h["X-Request-Id"] = []string{traceID}
+		h["X-Oldend-Trace-Id"] = h["X-Request-Id"]
 		if e.Shard != "" {
-			w.Header().Set("X-Oldend-Shard", e.Shard)
+			h["X-Oldend-Shard"] = []string{e.Shard}
 		}
 
 		st := &ReqState{Span: sp, TraceID: traceID}
@@ -252,23 +253,17 @@ func (s *Server) Handler() http.Handler {
 // maxBody caps a request body; a longer one is refused with 413.
 const maxBody = 1 << 20
 
-// decodeBody reads a request body once and unmarshals the single JSON
-// value it may hold into v. json.Unmarshal refuses anything after the
-// value but whitespace, so {"benchmark":"treeadd"}{"benchmark":"power"}
-// is malformed rather than run as treeadd with the rest dropped. A body
-// over maxBody fails with an *http.MaxBytesError in its chain.
-func decodeBody(body io.Reader, v any) error {
-	b, err := io.ReadAll(http.MaxBytesReader(nil, io.NopCloser(body), maxBody))
-	if errors.As(err, new(*http.MaxBytesError)) {
-		return fmt.Errorf("request body over the %d-byte limit: %w", maxBody, err)
-	}
-	if err == nil {
-		err = json.Unmarshal(b, v)
-	}
+// readBody reads a request body once. A body over maxBody fails with an
+// *http.MaxBytesError in its chain.
+func readBody(body io.Reader) ([]byte, error) {
+	b, err := io.ReadAll(io.LimitReader(body, maxBody+1))
 	if err != nil {
-		return fmt.Errorf("bad request body: %w", err)
+		return nil, fmt.Errorf("bad request body: %w", err)
 	}
-	return nil
+	if len(b) > maxBody {
+		return nil, fmt.Errorf("request body over the %d-byte limit: %w", maxBody, &http.MaxBytesError{Limit: maxBody})
+	}
+	return b, nil
 }
 
 // DecodeStatus is the status a prologue error answers with, on a replica
@@ -281,21 +276,45 @@ func DecodeStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// DecodeRun is the request prologue every /run path shares — replica and
-// router alike: decode the body, validate and fill catalog defaults, and
-// derive the canonical cache key the result cache stores under and the
-// ring hashes. Every error is the client's (413 for a body over the
-// limit, 400 otherwise).
-func DecodeRun(body io.Reader) (RunRequest, string, error) {
+// decoded is one accepted /run body's prologue answer.
+type decoded struct {
+	req RunRequest
+	key string
+}
+
+// decodeMemo maps accepted /run bodies of at most maxMemoBody bytes to
+// their prologue answer (DESIGN.md §10): DecodeRun is a pure function of
+// the bytes, so a repeated body skips the JSON decode.
+var decodeMemo = newLRU[decoded](256)
+
+const maxMemoBody = 1 << 10
+
+// DecodeRun is the /run prologue replica and router share: read the body
+// (returned, for the router to forward), decode it — json.Unmarshal
+// refuses trailing values, so {"benchmark":"treeadd"}{…} is a 400 —
+// validate and fill catalog defaults, and derive the canonical key the
+// result cache stores under and the ring hashes. Every error is the
+// client's (413 for a body over the limit, 400 otherwise).
+func DecodeRun(body io.Reader) (RunRequest, string, []byte, error) {
 	var req RunRequest
-	if err := decodeBody(body, &req); err != nil {
-		return req, "", err
-	}
-	req, err := Normalize(req)
+	b, err := readBody(body)
 	if err != nil {
-		return req, "", err
+		return req, "", nil, err
 	}
-	return req, CacheKey(req), nil
+	if d, ok := decodeMemo.get(string(b)); ok {
+		return d.req, d.key, b, nil
+	}
+	if err := json.Unmarshal(b, &req); err != nil {
+		return req, "", b, fmt.Errorf("bad request body: %w", err)
+	}
+	if req, err = Normalize(req); err != nil {
+		return req, "", b, err
+	}
+	key := CacheKey(req)
+	if len(b) <= maxMemoBody {
+		decodeMemo.put(string(b), decoded{req, key})
+	}
+	return req, key, b, nil
 }
 
 // lookup is the one result-cache read, shared by /run, /batch and
@@ -320,12 +339,12 @@ func (s *Server) writeRun(w http.ResponseWriter, res result) {
 	switch res.status {
 	case http.StatusOK:
 		h := w.Header()
-		h.Set("X-Oldend-Cache", res.cache)
+		h["X-Oldend-Cache"] = []string{res.cache}
 		if res.phase != "" {
-			h.Set("X-Oldend-Phase-Cache", res.phase)
+			h["X-Oldend-Phase-Cache"] = []string{res.phase}
 		}
-		h.Set("X-Oldend-Trace-Digest", res.digest)
-		h.Set("Content-Type", "application/json")
+		h["X-Oldend-Trace-Digest"] = []string{res.digest}
+		h["Content-Type"] = []string{"application/json"}
 		w.WriteHeader(http.StatusOK)
 		w.Write(res.body)
 		return
@@ -338,7 +357,7 @@ func (s *Server) writeRun(w http.ResponseWriter, res result) {
 // handleRun serves one run request: prologue → cache probe → submit →
 // render, each stage a span on sampled requests.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	req, key, err := DecodeRun(r.Body)
+	req, key, _, err := DecodeRun(r.Body)
 	if err != nil {
 		WriteError(w, DecodeStatus(err), err.Error())
 		return

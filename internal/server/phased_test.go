@@ -336,3 +336,15 @@ func TestBatchValidation(t *testing.T) {
 		t.Fatalf("GET /batch = %d", resp.StatusCode)
 	}
 }
+
+// keys returns the cached keys from most to least recently used; tests
+// assert eviction order through it.
+func (c *lruCache[V]) keys() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]string, 0, c.ll.Len())
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		out = append(out, el.Value.(*lruItem[V]).key)
+	}
+	return out
+}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"testing"
 
 	"repro/internal/bench/record"
@@ -105,8 +106,8 @@ func TestCacheKeyIsTheCanonicalKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Key() != CacheKey(q) {
-		t.Fatalf("Key() %q != CacheKey() %q", q.Key(), CacheKey(q))
+	if _, key, _, err := DecodeRun(strings.NewReader(`{"benchmark":"treeadd","procs":4,"scale":64}`)); err != nil || key != CacheKey(q) {
+		t.Fatalf("DecodeRun key %q (%v) != CacheKey() %q", key, err, CacheKey(q))
 	}
 	with := q
 	with.NoCache, with.Verify, with.DeadlineMS = true, true, 123

@@ -54,10 +54,6 @@ type RunRequest struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
-// Key is the canonical cache/identity key of the (already normalized)
-// configuration. It delegates to CacheKey, the single source of truth.
-func (q RunRequest) Key() string { return CacheKey(q) }
-
 // CacheKey renders the canonical result-cache key of a normalized run
 // configuration — the single source of truth shared by the server's
 // result cache, the cluster router's consistent-hash ring and the tests.
@@ -240,8 +236,8 @@ type job struct {
 // call Shutdown to drain.
 type Server struct {
 	cfg    Config
-	cache  *resultCache
-	phases *phaseCache
+	cache  *lruCache[*cacheEntry]
+	phases *lruCache[*bench.BuildState]
 	// execute is the worker's run path: the substituted Execute or the
 	// server's own phase-cached executor.
 	execute executePhasedFunc

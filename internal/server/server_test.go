@@ -38,7 +38,7 @@ func newBlockingExec() *blockingExec {
 
 func (b *blockingExec) fn(req RunRequest, _ *obs.Span) (record.RunRecord, error) {
 	b.calls.Add(1)
-	b.started <- req.Key()
+	b.started <- CacheKey(req)
 	<-b.release
 	return record.RunRecord{
 		Benchmark:   req.Benchmark,
@@ -48,7 +48,7 @@ func (b *blockingExec) fn(req RunRequest, _ *obs.Span) (record.RunRecord, error)
 		Scale:       req.Scale,
 		Cycles:      1234,
 		Verified:    true,
-		TraceDigest: "digest-" + req.Key(),
+		TraceDigest: "digest-" + CacheKey(req),
 	}, nil
 }
 

@@ -4,7 +4,8 @@
 #   1. a routed run lands on a shard (named in X-Oldend-Shard), a repeat
 #      through the router is a byte-identical cache hit, and fetching the
 #      same configuration directly from the answering replica returns the
-#      same bytes — ⟨replica, run-config⟩ addressing is real;
+#      same bytes — ⟨replica, run-config⟩ addressing is real — and an
+#      unsampled routed request's trace id is on that replica's access log;
 #   2. a verify sweep (every 4th routed execution duplicated to a second
 #      replica) over the full kernel catalog, run twice, ends with
 #      oldenrouter_verify_mismatch_total = 0 — replicas agree
@@ -83,6 +84,17 @@ grep -qi '^X-Oldend-Trace-Digest: events=' "$OUT/h2.txt"
 SHARD_PORT=$((BASE_PORT + ${SHARD#shard}))
 curl -fsS -X POST -d "$BODY" "http://127.0.0.1:$SHARD_PORT/run" | cmp - "$OUT/r1.json"
 echo "cluster-smoke: routed repeat byte-identical ($SHARD), direct replica fetch agrees"
+
+# 1b. An unsampled routed request (no traceparent) carries one trace id
+# across the hop: the id the router answered with is the trace_id on the
+# answering replica's access line.
+curl -fsS -X POST -d "$BODY" "http://$ROUTER_ADDR/run" -o /dev/null -D "$OUT/hjoin.txt"
+JOIN_TID=$(grep -i '^X-Oldend-Trace-Id:' "$OUT/hjoin.txt" | tr -d '\r' | awk '{print $2}')
+JOIN_SHARD=$(grep -i '^X-Oldend-Shard:' "$OUT/hjoin.txt" | tr -d '\r' | awk '{print $2}')
+[ -n "$JOIN_TID" ] && [ -n "$JOIN_SHARD" ]
+grep -q "\"trace_id\":\"$JOIN_TID\"" "$OUT/oldend-${JOIN_SHARD#shard}.log" \
+  || { echo "cluster-smoke: trace id $JOIN_TID is not on $JOIN_SHARD's access log" >&2; exit 1; }
+echo "cluster-smoke: unsampled routed request joins $JOIN_SHARD's access line on trace_id"
 
 # 2. Cross-replica verify sweep: run the whole catalog through the
 # router twice — every 4th execution is duplicated to a peer; the second

@@ -2,7 +2,7 @@ GO ?= go
 
 BENCHES = treeadd power tsp mst bisort voronoi em3d barneshut perimeter health
 
-.PHONY: check build vet fmt static test perf-test perf-pairs race fuzz oldenvet lint bench report perfgate loc mutants profile serve load servesmoke cluster clustersmoke update-goldens
+.PHONY: check build vet fmt static test perf-test perf-pairs race fuzz lint bench report perfgate loc mutants profile serve load servesmoke cluster clustersmoke update-goldens
 
 # Each fuzz target gets a short smoke run in check; raise FUZZTIME for a
 # real fuzzing session.
@@ -10,9 +10,10 @@ FUZZTIME ?= 10s
 
 # The full gate CI runs: build, vet, formatting, third-party static
 # analysis, tests (the root module's, then the benchmark module's against
-# it), contract checks, the mini-C lints over every kernel and example
-# source, and a fuzz smoke.
-check: build vet fmt static test perf-test oldenvet lint fuzz
+# it; the heap-escape contract check is TestSelfHostZeroFindings among
+# them), the mini-C lints over every kernel and example source, and a fuzz
+# smoke.
+check: build vet fmt static test perf-test lint fuzz
 
 build:
 	$(GO) build ./...
@@ -87,9 +88,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRun$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzRingOwners$$' -fuzztime $(FUZZTIME) ./internal/cluster
-
-oldenvet:
-	$(GO) run ./cmd/oldenvet ./...
 
 # Persistent baselines and the deterministic perf gate. `make bench`
 # re-pins the committed BENCH_<name>.json files (do this when a change

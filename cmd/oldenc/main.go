@@ -7,7 +7,7 @@
 //	oldenc -bench treeadd     # analyze a benchmark's kernel
 //	oldenc -threshold 80 prog.c
 //	oldenc -lint prog.c       # lint diagnostics (exit 1 on errors)
-//	oldenc -lint -json prog.c # diagnostics in the oldenvet -json shape
+//	oldenc -lint -json prog.c # diagnostics as analysis.Finding JSON
 package main
 
 import (
@@ -37,7 +37,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	defAff := fs.Int("affinity", 70, "default path-affinity in percent")
 	sites := fs.Bool("sites", false, "also list every dereference site with its mechanism")
 	lint := fs.Bool("lint", false, "emit lint diagnostics instead of the analysis report (exit 1 on errors)")
-	jsonOut := fs.Bool("json", false, "with -lint, emit the diagnostics in the oldenvet -json shape")
+	jsonOut := fs.Bool("json", false, "with -lint, emit the diagnostics as analysis.Finding JSON")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

@@ -10,9 +10,8 @@ import (
 )
 
 // A Finding is one contract violation, anchored to a source position.
-// Severity is optional ("warning" or "error"); producers whose checks
-// have a single implicit severity (the vet checks — every finding is a
-// violation) leave it empty.
+// Severity is optional ("warning" or "error"); the heap-escape check,
+// every finding of which is a violation, leaves it empty.
 type Finding struct {
 	Check    string `json:"check"`
 	File     string `json:"file"`
@@ -26,25 +25,12 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s [%s]", f.File, f.Line, f.Col, f.Message, f.Check)
 }
 
-// Checks is the registry, in reporting order.
-var Checks = []struct {
-	Name string
-	Fn   func(*Package) []Finding
-}{
-	{"thread-capture", checkThreadCapture},
-	{"site-hygiene", checkSiteHygiene},
-	{"future-discipline", checkFutureDiscipline},
-	{"heap-escape", checkHeapEscape},
-}
-
-// Run applies every check to every package and returns the findings
-// sorted by position.
+// Run applies the heap-escape check to every package and returns the
+// findings sorted by position.
 func Run(pkgs []*Package) []Finding {
 	var all []Finding
 	for _, p := range pkgs {
-		for _, c := range Checks {
-			all = append(all, c.Fn(p)...)
-		}
+		all = append(all, checkHeapEscape(p)...)
 	}
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i], all[j]
@@ -54,10 +40,7 @@ func Run(pkgs []*Package) []Finding {
 		if a.Line != b.Line {
 			return a.Line < b.Line
 		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		return a.Check < b.Check
+		return a.Col < b.Col
 	})
 	return all
 }
@@ -88,17 +71,6 @@ func (p *Package) unitPath() string {
 	return strings.TrimSuffix(p.Path, "_test")
 }
 
-// rtFunc reports whether obj is the function name exported by the
-// runtime package (or its public re-export in package olden).
-func (p *Package) rtFunc(obj types.Object, name string) bool {
-	fn, ok := obj.(*types.Func)
-	if !ok || fn == nil || fn.Name() != name || fn.Pkg() == nil {
-		return false
-	}
-	path := fn.Pkg().Path()
-	return path == p.mod()+"/internal/rt" || path == p.mod()+"/olden"
-}
-
 // calleeFunc resolves a call expression to the function object it
 // invokes, looking through explicit generic instantiations.
 func (p *Package) calleeFunc(call *ast.CallExpr) *types.Func {
@@ -120,11 +92,6 @@ func (p *Package) calleeFunc(call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// isSpawn reports whether call invokes rt.Spawn (or olden.Spawn).
-func (p *Package) isSpawn(call *ast.CallExpr) bool {
-	return p.rtFunc(p.calleeFunc(call), "Spawn")
-}
-
 // namedFrom reports whether t is (a pointer to) the named type
 // pkgSuffix.name, where pkgSuffix is relative to the module root.
 // Type identity is by package path and name, not pointer identity,
@@ -143,21 +110,4 @@ func (p *Package) namedFrom(t types.Type, pkgSuffix, name string) bool {
 	obj := n.Obj()
 	return obj.Name() == name && obj.Pkg() != nil &&
 		obj.Pkg().Path() == p.mod()+"/"+pkgSuffix
-}
-
-// walkStack is ast.Inspect with an ancestor stack: fn receives each node
-// together with its ancestors, stack[len(stack)-1] being the parent.
-func walkStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if !fn(n, stack) {
-			return false
-		}
-		stack = append(stack, n)
-		return true
-	})
 }

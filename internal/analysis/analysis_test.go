@@ -132,17 +132,14 @@ func TestServingImportsNoMiniC(t *testing.T) {
 	}
 }
 
-// Each negative fixture fires its own check — and only its own check,
-// so a regression in one analysis cannot hide behind another.
+// The negative fixture fires the heap-escape check, each finding with a
+// position.
 func TestFixturesFire(t *testing.T) {
 	cases := []struct {
 		dir   string
 		check string
 		min   int // minimum findings expected
 	}{
-		{"badcapture", "thread-capture", 1},
-		{"badsites", "site-hygiene", 4},
-		{"badfuture", "future-discipline", 3},
 		{"badescape", "heap-escape", 4},
 	}
 	l := repoLoader(t)
@@ -172,25 +169,11 @@ func TestFixturesFire(t *testing.T) {
 func TestFixtureMessages(t *testing.T) {
 	l := repoLoader(t)
 	wants := map[string][]string{
-		"badsites": {
-			"has no Name",
-			"does not follow the dotted",
-			"duplicate site name \"bad.dup\"",
-			"nil site passed to LoadWord",
-		},
-		"badfuture": {
-			"never touched",
-			"not touched before this return",
-			"touched again",
-		},
 		"badescape": {
 			"unpacks a global pointer to a raw integer",
 			"gaddr method Proc",
 			"call to gaddr.Pack",
 			"arithmetic on a global pointer",
-		},
-		"badcapture": {
-			"parent thread \"t\" used inside Spawn closure",
 		},
 	}
 	for dir, fragments := range wants {
@@ -214,18 +197,18 @@ func TestFixtureMessages(t *testing.T) {
 	}
 }
 
-// Findings marshal to the JSON shape oldenvet -json documents.
+// Findings marshal to the JSON shape oldenc -lint -json emits.
 func TestFindingJSON(t *testing.T) {
-	f := Finding{Check: "site-hygiene", File: "x.go", Line: 3, Col: 7, Message: "m"}
+	f := Finding{Check: "heap-escape", File: "x.go", Line: 3, Col: 7, Message: "m"}
 	b, err := json.Marshal(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"check":"site-hygiene","file":"x.go","line":3,"col":7,"message":"m"}`
+	want := `{"check":"heap-escape","file":"x.go","line":3,"col":7,"message":"m"}`
 	if string(b) != want {
 		t.Fatalf("JSON = %s; want %s", b, want)
 	}
-	if got := f.String(); got != "x.go:3:7: m [site-hygiene]" {
+	if got := f.String(); got != "x.go:3:7: m [heap-escape]" {
 		t.Fatalf("String = %q", got)
 	}
 }

@@ -1,31 +1,21 @@
-// Package analysis is a static-analysis suite for this repository's
-// runtime-API contracts: the rules that keep benchmark and example code
-// honest about threads, futures, dereference sites, and global-pointer
-// opacity.  It is built on the standard library alone (go/ast, go/parser,
-// go/types) — package loading shells out to `go list -export` for
-// compiled export data instead of depending on golang.org/x/tools.
+// Package analysis is the static check behind this repository's one
+// runtime-API contract that no run can see, heap-escape: the ⟨processor,
+// offset⟩ packing of gaddr.GP is an implementation detail of the runtime
+// layers, and nothing else unpacks, forges, or does arithmetic on it. A
+// forged pointer can equal the one rt.FieldPtr would give, so only the
+// source tells them apart. It is built on the standard library alone
+// (go/ast, go/parser, go/types) — package loading shells out to `go list
+// -export` for compiled export data instead of depending on
+// golang.org/x/tools.
 //
-// The four checks, and the contract each one enforces:
+// The other contracts a hand port keeps are guarded where the kernels run
+// (DESIGN.md §8): machine.LoopScheduler.Sync panics when a Spawn body
+// syncs its parent, rt.Runtime.SiteFaults records a bad or shared site
+// name, and internal/bench's TestKernelContracts wants every future
+// touched exactly once.
 //
-//   - thread-capture: an rt.Thread belongs to the body that runs as it,
-//     and operating on a suspended thread moves its clock out of
-//     virtual-time order, so a Spawn closure must use its own child-thread
-//     parameter and never the parent thread it closed over.
-//   - site-hygiene: every rt.Site literal carries a nonempty, dotted
-//     "<bench>.<var>" name, unique within its package, and typed
-//     load/store calls never pass a nil site.
-//   - future-discipline: a future returned by rt.Spawn is touched on
-//     every path before it goes out of scope, and never touched twice.
-//   - heap-escape: the ⟨processor, offset⟩ packing of gaddr.GP is an
-//     implementation detail of the runtime layers; nothing else unpacks,
-//     forges, or does arithmetic on it.
-//
-// Every check reads Go source and type information only; nothing here
-// runs a kernel. The claims about what a kernel does when it runs (site
-// mechanisms, phase plans) are asserted where the kernels
-// run, in internal/bench's scheduler battery.
-//
-// cmd/oldenvet is the command-line driver.
+// TestSelfHostZeroFindings gates the whole module; perf's
+// TestSourceHygiene gates perf/.
 package analysis
 
 import (

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"repro/internal/gaddr"
 	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/trace"
@@ -68,7 +69,8 @@ type Config struct {
 	// Procs is the number of processors (1..gaddr.MaxProcs).
 	Procs int
 	// HeapBytesPerProc sizes each processor's heap section; zero means
-	// 32 MB.
+	// gaddr.MaxOffset (64 MiB), the most a 26-bit offset addresses. A
+	// section's storage grows only as it allocates.
 	HeapBytesPerProc uint32
 	// Cost is the cycle-cost model; the zero value means DefaultCost.
 	Cost Cost
@@ -97,7 +99,7 @@ func New(cfg Config) *Machine {
 		panic(fmt.Sprintf("machine: invalid processor count %d", cfg.Procs))
 	}
 	if cfg.HeapBytesPerProc == 0 {
-		cfg.HeapBytesPerProc = 32 << 20
+		cfg.HeapBytesPerProc = gaddr.MaxOffset
 	}
 	if cfg.Cost == (Cost{}) {
 		cfg.Cost = DefaultCost()

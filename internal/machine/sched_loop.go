@@ -270,7 +270,14 @@ func (s *LoopScheduler) Main(e *SchedEntry, body func()) {
 // Then e makes the switch itself (the resume chain, above): it resumes
 // each pick that is not nested and picks again when that comes back, until
 // the pick is e; a nested pick goes into handoff for the levels below.
+//
+// e must be the running thread's entry, which is off the heap. A body that
+// syncs a runnable entry — a Spawn body using the parent it closed over —
+// panics here, at the first such Sync, before the heap is touched.
 func (s *LoopScheduler) Sync(e *SchedEntry, clock int64) {
+	if e.index >= 0 {
+		panic("machine: Sync of a runnable entry: a thread body is using another thread's handle")
+	}
 	s.syncs++
 	e.clock = clock
 	if len(s.h) == 0 {

@@ -57,8 +57,12 @@ func (h *Heap) Alloc(nbytes uint32) gaddr.GP {
 	nbytes = (nbytes + gaddr.WordBytes - 1) &^ uint32(gaddr.WordBytes-1)
 	off := h.next
 	if off+nbytes > h.limit || off+nbytes < off {
-		panic(fmt.Sprintf("mem: heap section of processor %d exhausted (%d bytes in use, %d requested, limit %d); raise Config.HeapBytesPerProc",
-			h.proc, off, nbytes, h.limit))
+		hint := "raise Config.HeapBytesPerProc"
+		if h.limit >= gaddr.MaxOffset {
+			hint = "the problem does not fit one section"
+		}
+		panic(fmt.Sprintf("mem: heap section of processor %d exhausted (%d bytes in use, %d requested, limit %d; 26-bit offsets address at most gaddr.MaxOffset = %d bytes): %s",
+			h.proc, off, nbytes, h.limit, gaddr.MaxOffset, hint))
 	}
 	h.next = off + nbytes
 	need := int((off + nbytes) / gaddr.WordBytes)

@@ -31,6 +31,25 @@ func TestHeapExhaustionPanics(t *testing.T) {
 	})
 }
 
+// A Spawn body that uses the parent thread it closed over syncs the
+// parent's scheduler entry. The body starts once the parent's clock passes
+// its own, with the parent runnable on the heap, not running: the
+// scheduler panics by name at that first Sync instead of corrupting its
+// heap.
+func TestSpawnBodyUsingParentPanics(t *testing.T) {
+	r := New(Config{Procs: 1})
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "Sync of a runnable entry") {
+			t.Fatalf("panic = %q; want the scheduler's runnable-entry Sync panic", msg)
+		}
+	}()
+	r.Run(0, func(th *Thread) {
+		f := Spawn(th, func(*Thread) int { th.Work(1); return 0 })
+		th.Work(1000)
+		f.Touch(th)
+	})
+}
+
 // TestDeepCallWriteSets checks the per-frame write masks merge up through
 // deep call chains: a return to an ancestor invalidates homes written by
 // any nested call.

@@ -261,9 +261,9 @@ func TestRunWaitsForUntouchedFutures(t *testing.T) {
 	before := runtime.NumGoroutine()
 	r := newRT(2, coherence.LocalKnowledge)
 	finished := 0
-	// The futures land in a slice nobody reads: oldenvet's
-	// future-discipline check rejects a discarded Spawn result, rightly
-	// for kernels, and leaving them untouched is this test's subject.
+	// The futures land in a slice nobody touches. A kernel run must touch
+	// each future exactly once (TestKernelContracts in internal/bench), but
+	// the runtime allows an untouched one, and that is this test's subject.
 	var untouched []*Future[int]
 	spawn := func(th *Thread, body func(c *Thread)) {
 		untouched = append(untouched, Spawn(th, func(c *Thread) int {
@@ -302,17 +302,17 @@ func TestRunWaitsForUntouchedFutures(t *testing.T) {
 
 // TestDoubleTouchRecharges pins what a second touch of one future does:
 // it returns the value again, counts a second touch and charges Cost.Touch
-// a second time. Nothing panics; oldenvet's future-discipline check rejects
-// a double touch because it inflates the overhead a run reports.
+// a second time. Nothing panics here; a kernel run is held to one touch a
+// future by its counts (Stats.Touches == Stats.Futures, TestKernelContracts
+// in internal/bench), because a second touch inflates the overhead a run
+// reports.
 func TestDoubleTouchRecharges(t *testing.T) {
 	run := func(touches int) (makespan, counted, cost int64) {
 		r := newRT(1, coherence.LocalKnowledge)
 		makespan = r.Run(0, func(th *Thread) {
-			// In a slice, the future escapes the future-discipline check,
-			// which would reject this deliberate double touch.
-			fs := []*Future[int64]{Spawn(th, func(*Thread) int64 { return 7 })}
+			f := Spawn(th, func(*Thread) int64 { return 7 })
 			for i := 0; i < touches; i++ {
-				if v := fs[0].Touch(th); v != 7 {
+				if v := f.Touch(th); v != 7 {
 					t.Errorf("touch %d of %d = %d, want 7", i+1, touches, v)
 				}
 			}

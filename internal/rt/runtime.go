@@ -7,6 +7,8 @@ package rt
 
 import (
 	"fmt"
+	"regexp"
+	"slices"
 	"sort"
 
 	"repro/internal/cache"
@@ -133,7 +135,8 @@ type Config struct {
 	// and future bookkeeping: the "true sequential implementation"
 	// baseline the paper divides by is the P=1 run with NoOverhead set.
 	NoOverhead bool
-	// HeapBytesPerProc sizes heap sections (0 ⇒ machine default).
+	// HeapBytesPerProc sizes heap sections (0 ⇒ gaddr.MaxOffset, 64 MiB,
+	// the machine default).
 	HeapBytesPerProc uint32
 	// Cost overrides the cycle cost model (zero value ⇒ default).
 	Cost machine.Cost
@@ -174,13 +177,11 @@ type Runtime struct {
 	dirty []coherence.DirtySet
 
 	// sites indexes every Site that has executed on this runtime by
-	// name; dups counts extra registrations of an already-taken name by
-	// a *distinct* Site value. Two sites sharing a name would silently
-	// merge in per-site statistics (Table 3), so the collision is
-	// recorded and exposed instead. Like dirty, these are only touched
-	// by the virtual-time-active thread.
-	sites map[string]*Site
-	dups  map[string]int
+	// name; siteFaults records the names that break the site contract
+	// (registerSite). Like dirty, these are only touched by the
+	// virtual-time-active thread.
+	sites      map[string]*Site
+	siteFaults []string
 
 	// Registry-owned histograms beyond the machine's aggregate
 	// statistics; the handles are nil when Config.Metrics was nil (the
@@ -233,7 +234,6 @@ func New(cfg Config) *Runtime {
 		Overhead: !cfg.NoOverhead,
 		dirty:    dirty,
 		sites:    map[string]*Site{},
-		dups:     map[string]int{},
 
 		mMissLat:    cfg.Metrics.Histogram("olden_miss_latency_cycles"),
 		mMigLat:     cfg.Metrics.Histogram("olden_migration_transit_cycles", metrics.L("kind", "forward")),
@@ -250,15 +250,24 @@ func (r *Runtime) Metrics() *metrics.Registry { return r.M.Metrics }
 // Tracer returns the runtime's trace recorder, or nil when tracing is off.
 func (r *Runtime) Tracer() *trace.Recorder { return r.M.Tracer }
 
-// registerSite indexes a site by name on first use with this runtime,
-// recording name collisions between distinct Site values.
+// siteNameRE is the dotted "<bench>.<var>" rule for site names: at least
+// two identifier segments, e.g. "treeadd.child" or "fig2.walk".
+var siteNameRE = regexp.MustCompile(`^[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)+$`)
+
+// registerSite indexes a site by name on first use with this runtime. A
+// name that is empty or not dotted, or that a distinct Site value already
+// took — the two sites' statistics would silently merge (Table 3) — is
+// recorded as a fault instead.
 func (r *Runtime) registerSite(s *Site) {
+	if !siteNameRE.MatchString(s.Name) {
+		r.siteFaults = append(r.siteFaults, fmt.Sprintf("site name %q is not a dotted <bench>.<var> name", s.Name))
+	}
 	prev, ok := r.sites[s.Name]
 	switch {
 	case !ok:
 		r.sites[s.Name] = s
 	case prev != s:
-		r.dups[s.Name]++
+		r.siteFaults = append(r.siteFaults, fmt.Sprintf("site name %q is taken by a distinct Site", s.Name))
 	}
 }
 
@@ -277,17 +286,11 @@ func (r *Runtime) SiteStats() []SiteStats {
 	return out
 }
 
-// DuplicateSites reports, per site name, how many *distinct* Site values
-// beyond the first used that name on this runtime. A non-empty result
-// means per-site statistics under that name silently merged counters from
-// unrelated dereference sites.
-func (r *Runtime) DuplicateSites() map[string]int {
-	out := make(map[string]int, len(r.dups))
-	for n, c := range r.dups {
-		out[n] = c
-	}
-	return out
-}
+// SiteFaults lists, in registration order, each site contract fault on
+// this runtime: a name that is empty or not dotted "<bench>.<var>", and a
+// name a distinct Site value took first. Empty means every site that ran
+// is named and counted apart.
+func (r *Runtime) SiteFaults() []string { return slices.Clone(r.siteFaults) }
 
 // P returns the machine size.
 func (r *Runtime) P() int { return r.M.P() }

@@ -1,42 +1,64 @@
 package rt
 
 import (
-	"strings"
+	"slices"
 	"testing"
 
 	"repro/internal/gaddr"
 )
 
-// Sites register themselves with the runtime on first use, and two
-// distinct Site values sharing one name are detected instead of silently
-// merging their per-site statistics.
+// Sites register themselves with the runtime on first use. A name that is
+// empty or not a dotted "<bench>.<var>" name, and two distinct Site values
+// sharing one name, are recorded as site faults instead of silently
+// merging or mislabelling per-site statistics. The kernels' sites are held
+// to an empty fault list by TestKernelContracts in internal/bench.
 func TestSiteRegistrationAndDuplicates(t *testing.T) {
 	r := New(Config{Procs: 2})
 	sa := &Site{Name: "reg.a", Mech: Cache}
 	sb := &Site{Name: "reg.b", Mech: Migrate}
-	// The clashing name is assembled at run time: oldenvet's static
-	// duplicate check only sees constant names, and this test exercises
-	// precisely the dynamic case it cannot — the runtime-side detector.
-	sbClash := &Site{Name: strings.Repeat("reg.b", 1), Mech: Cache}
+	sbClash := &Site{Name: "reg.b", Mech: Cache}
+	empty := &Site{Mech: Cache}
+	undotted := &Site{Name: "undotted", Mech: Cache}
 	r.Run(0, func(th *Thread) {
 		g := th.Alloc(1, 16)
 		th.StoreInt(sa, g, 0, 1)
 		th.LoadInt(sb, g, 0)
 		th.LoadInt(sb, g, 0)
 		th.LoadInt(sbClash, g, 0)
+		th.LoadInt(empty, g, 0)
+		th.LoadInt(undotted, g, 0)
 	})
 
 	stats := r.SiteStats()
-	if len(stats) != 2 {
-		t.Fatalf("SiteStats: %d entries; want 2 (reg.a, reg.b)", len(stats))
+	if len(stats) != 4 {
+		t.Fatalf("SiteStats: %d entries; want 4 (\"\", reg.a, reg.b, undotted)", len(stats))
 	}
-	if stats[0].Name != "reg.a" || stats[1].Name != "reg.b" {
-		t.Fatalf("SiteStats order = %q, %q; want sorted by name", stats[0].Name, stats[1].Name)
+	if stats[1].Name != "reg.a" || stats[2].Name != "reg.b" {
+		t.Fatalf("SiteStats order = %q, %q; want sorted by name", stats[1].Name, stats[2].Name)
 	}
-	dups := r.DuplicateSites()
-	if len(dups) != 1 || dups["reg.b"] != 1 {
-		t.Fatalf("DuplicateSites = %v; want reg.b counted once", dups)
+	want := []string{
+		`site name "reg.b" is taken by a distinct Site`,
+		`site name "" is not a dotted <bench>.<var> name`,
+		`site name "undotted" is not a dotted <bench>.<var> name`,
 	}
+	if got := r.SiteFaults(); !slices.Equal(got, want) {
+		t.Fatalf("SiteFaults = %q; want %q", got, want)
+	}
+}
+
+// A nil site panics at the first dereference that names it, before any
+// simulated work: deref reads the site's registration.
+func TestNilSitePanics(t *testing.T) {
+	r := New(Config{Procs: 1})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("LoadWord with a nil site must panic")
+		}
+	}()
+	r.Run(0, func(th *Thread) {
+		g := th.Alloc(0, 8)
+		th.LoadWord(nil, g, 0)
+	})
 }
 
 // Reusing one Site value across runtimes (the benchmark-suite pattern:
@@ -50,8 +72,8 @@ func TestSiteReuseAcrossRuntimes(t *testing.T) {
 			g := th.Alloc(0, 8)
 			th.StoreInt(s, g, 0, int64(i))
 		})
-		if d := r.DuplicateSites(); len(d) != 0 {
-			t.Fatalf("run %d: DuplicateSites = %v; want none", i, d)
+		if f := r.SiteFaults(); len(f) != 0 {
+			t.Fatalf("run %d: SiteFaults = %q; want none", i, f)
 		}
 		if st := r.SiteStats(); len(st) != 1 || st[0].Name != "reuse.s" {
 			t.Fatalf("run %d: SiteStats = %v", i, st)

@@ -85,6 +85,7 @@ func init() {
 		Choice:      "M+C",
 		Run:         Run,
 		Source:      KernelSource,
+		MinScale:    3, // at scales 1 and 2 processor 0's section runs out
 	})
 }
 

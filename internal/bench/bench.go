@@ -145,6 +145,9 @@ type Info struct {
 	// Phased is the benchmark's build/kernel split, when the benchmark is
 	// kernel-timed.
 	Phased *Phased
+	// MinScale is the smallest scale whose problem fits a processor's heap
+	// section (gaddr.MaxOffset bytes) at every P; server.Normalize refuses less.
+	MinScale int
 }
 
 // Whole reports whole-program timing (Table 2's W rows): the benchmark has

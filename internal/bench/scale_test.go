@@ -10,30 +10,44 @@ import (
 // heap section, gaddr.MaxOffset, on one processor and on thirty-two: the
 // build of a kernel-timed benchmark, the whole run of a whole-program one
 // (power and health, whose build is not split off and which are cheap).
-// barneshut is left out: it still exhausts 64 MiB on processor 0, ROADMAP
-// item 13 step 2.
+// A kernel whose registration sets MinScale above 1 (barneshut, ROADMAP
+// item 13 step 2) is held to that rule instead, the one server.Normalize
+// enforces: its whole run at MinScale fits and verifies, and at
+// MinScale-1 it exhausts processor 0's section.
 func TestPaperScaleBuildsFit(t *testing.T) {
 	if testing.Short() || raceDetectorEnabled {
 		t.Skip("paper-size builds: a few seconds, and hundreds of MiB under -race, for allocation code with no interleaving to check")
 	}
 	for _, name := range batteryKernels {
-		if name == "barneshut" {
-			continue
-		}
 		info, _ := bench.Get(name)
 		for _, procs := range []int{1, 32} {
-			cfg := bench.Config{Procs: procs, Scale: 1}
+			cfg := bench.Config{Procs: procs, Scale: max(info.MinScale, 1)}
 			func() {
 				defer func() {
 					if p := recover(); p != nil {
-						t.Errorf("%s P=%d scale=1: %v", name, procs, p)
+						t.Errorf("%s P=%d scale=%d: %v", name, procs, cfg.Scale, p)
 					}
 				}()
-				if info.Phased != nil {
+				switch {
+				case info.MinScale > 1:
+					if r := info.Run(cfg); !r.Verified() {
+						t.Errorf("%s P=%d scale=%d: not verified", name, procs, cfg.Scale)
+					}
+				case info.Phased != nil:
 					info.Phased.Build(cfg, cfg.NewRuntime())
-				} else {
+				default:
 					info.Run(cfg)
 				}
+			}()
+		}
+		if info.MinScale > 1 {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s P=1 scale=%d ran: its MinScale %d is not the smallest that fits", name, info.MinScale-1, info.MinScale)
+					}
+				}()
+				info.Run(bench.Config{Procs: 1, Scale: info.MinScale - 1})
 			}()
 		}
 	}

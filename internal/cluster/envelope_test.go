@@ -26,7 +26,7 @@ import (
 // header included.
 func TestVerifyHitAgainstFreshPeerMatches(t *testing.T) {
 	tc := newTestCluster(t, 2, Config{VerifyEvery: 1}, fastExec)
-	owner := tc.router.Ring().Owner(keyOf(t, runBody))
+	owner := tc.router.ring.Owner(keyOf(t, runBody))
 	if st, b, _ := postJSON(t, owner+"/run", runBody); st != http.StatusOK {
 		t.Fatalf("warming the primary owner: status %d: %s", st, b)
 	}

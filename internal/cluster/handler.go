@@ -29,7 +29,14 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("/run", server.Only(http.MethodPost, rt.handleRun))
 	mux.HandleFunc("/batch", server.Only(http.MethodPost, rt.handleBatch))
 	mux.HandleFunc("/benchmarks", server.Only(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
-		rt.proxyAny(w, r, "/benchmarks")
+		st := server.RequestState(r)
+		rep, sh, ok := rt.forward(r, st.Span, rt.names, rt.names[0], "/benchmarks", nil)
+		if !ok {
+			rt.unroutable503(w, "no reachable replica")
+			return
+		}
+		st.Shard = sh.name
+		serveReply(w, rep, sh.name)
 	}))
 	mux.HandleFunc("/metrics", server.Only(http.MethodGet, server.ServeMetrics(rt.cfg.Metrics)))
 	mux.HandleFunc("/debug/requests", server.Only(http.MethodGet, rt.handleDebugRequests))
@@ -67,18 +74,7 @@ func (rt *Router) fanout(ctx context.Context, path string) []peerReply {
 		wg.Add(1)
 		go func(i int, name string) {
 			defer wg.Done()
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, name+path, nil)
-			if err != nil {
-				out[i].err = err
-				return
-			}
-			resp, err := rt.cfg.Client.Do(req)
-			if err != nil {
-				out[i].err = err
-				return
-			}
-			b, err := readReply(resp)
-			out[i] = peerReply{reply{status: resp.StatusCode, header: resp.Header, body: b}, err}
+			out[i].reply, out[i].err = rt.send(ctx, rt.shards[name], http.MethodGet, path, nil, http.Header{})
 		}(i, name)
 	}
 	wg.Wait()
@@ -92,6 +88,7 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	shards := make(map[string]string, len(rt.names))
 	ready := 0
 	for i, p := range rt.fanout(r.Context(), "/readyz") {
+		p.release()
 		switch {
 		case p.err != nil:
 			shards[rt.names[i]] = "down"
@@ -146,11 +143,7 @@ func (rt *Router) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusBadRequest, "bad trace id: "+err.Error())
 		return
 	}
-	path := "/debug/trace/" + idStr
-	if q := r.URL.RawQuery; q != "" {
-		path += "?" + q
-	}
-	for i, p := range rt.fanout(r.Context(), path) {
+	for i, p := range rt.fanout(r.Context(), r.URL.RequestURI()) {
 		switch {
 		case errors.Is(p.err, errReplyTooLarge):
 			serveReply(w, badGateway(rt.names[i], p.err), rt.names[i])

@@ -10,7 +10,9 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,26 +30,18 @@ type Config struct {
 	// VNodes is the virtual-node count per replica (0 = DefaultVNodes).
 	VNodes int
 	// ProbeOwners is R, the hot-key replication width: cacheable /run
-	// requests rotate across the key's first R owners, and the router
-	// probes those owners' caches (GET /cache/probe) before committing
-	// an execution anywhere. 1 (the default) routes every key to its
-	// primary owner only — maximum aggregate cache capacity, no
-	// replication; raise it for skewed mixes where a few hot keys
-	// deserve to be served from more than one shard.
+	// requests rotate across the key's first R owners, probing their
+	// caches (GET /cache/probe) before executing anywhere. 1 (the
+	// default) routes every key to its primary owner only.
 	ProbeOwners int
-	// VerifyEvery is K: every Kth routed execution whose primary answer
-	// was a 200 is duplicated — synchronously — to a second replica, and
-	// the two bodies plus trace digests must be byte-identical. 0
-	// disables. This is the correctness gate determinism buys the
-	// cluster: any two replicas asked the same question must agree, so a
-	// mismatch is a real bug (nondeterminism, version skew, corruption),
-	// counted in oldenrouter_verify_mismatch_total and logged.
+	// VerifyEvery is K: every Kth routed execution answered 200 is
+	// duplicated, synchronously, to a second replica, and the two bodies
+	// and trace digests must be byte-identical; a mismatch is a
+	// determinism bug, counted and logged. 0 disables.
 	VerifyEvery int
-	// MaxConnsPerReplica bounds concurrent requests (proxies, probes,
-	// verify duplicates) the router holds open to one replica
-	// (default 64). Excess requests wait; the bound is what keeps one
-	// slow shard from absorbing the router's whole file-descriptor
-	// budget.
+	// MaxConnsPerReplica bounds the requests (proxies, probes, verify
+	// duplicates) open to one replica at once (default 64); excess ones
+	// wait, so one slow shard cannot take every file descriptor.
 	MaxConnsPerReplica int
 	// RetryAfter is the backoff hint attached to 503 responses when no
 	// owner of a key is reachable (default 1s).
@@ -65,8 +59,8 @@ type Config struct {
 	SampleEvery int
 	// AccessLog, when non-nil, receives one JSON line per request.
 	AccessLog io.Writer
-	// Client substitutes the outbound HTTP client (tests); nil builds
-	// one with no global timeout (per-request contexts bound everything).
+	// Client substitutes the outbound transport (tests): only its Transport
+	// is used (http.DefaultTransport when nil), and 3xx answers are relayed.
 	Client *http.Client
 	// Now substitutes the wall clock (tests).
 	Now func() time.Time
@@ -93,8 +87,8 @@ func (c Config) withDefaults() Config {
 	if c.Metrics == nil {
 		c.Metrics = metrics.NewRegistry()
 	}
-	if c.Client == nil {
-		c.Client = &http.Client{}
+	if c.Client == nil || c.Client.Transport == nil {
+		c.Client = &http.Client{Transport: http.DefaultTransport}
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -105,10 +99,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// shard is the router's per-replica state: the connection budget and the
-// failure-cooldown clock.
+// shard is the router's per-replica state: its URL, parsed once, the
+// connection budget and the failure-cooldown clock.
 type shard struct {
 	name   string
+	url    *url.URL
 	budget chan struct{}
 	// downUntil is the unix-nano instant before which the shard is
 	// skipped on the first routing pass. Connection failures set it;
@@ -152,10 +147,11 @@ func NewRouter(cfg Config) (*Router, error) {
 		rt.log = server.NewAccessLogger(cfg.AccessLog)
 	}
 	for _, name := range rt.names {
-		rt.shards[name] = &shard{
-			name:   name,
-			budget: make(chan struct{}, cfg.MaxConnsPerReplica),
+		u, err := url.Parse(name)
+		if err != nil {
+			return nil, err
 		}
+		rt.shards[name] = &shard{name: name, url: u, budget: make(chan struct{}, cfg.MaxConnsPerReplica)}
 	}
 	m := cfg.Metrics
 	m.SetHelp("oldenrouter_requests_total", "Requests answered by the router, by path and status code.")
@@ -180,10 +176,6 @@ func NewRouter(cfg Config) (*Router, error) {
 // Metrics exposes the router's registry.
 func (rt *Router) Metrics() *metrics.Registry { return rt.cfg.Metrics }
 
-// Ring exposes the router's ring (read-only; tests and the readyz
-// handler use it).
-func (rt *Router) Ring() *Ring { return rt.ring }
-
 // alive reports whether the shard is not inside a failure cooldown.
 func (rt *Router) alive(sh *shard) bool {
 	return rt.cfg.Now().UnixNano() >= sh.downUntil.Load()
@@ -194,22 +186,31 @@ func (rt *Router) markDown(sh *shard) {
 	rt.cfg.Metrics.Counter("oldenrouter_replica_down_total", metrics.L("shard", sh.name)).Inc()
 }
 
-func (rt *Router) markUp(sh *shard) { sh.downUntil.Store(0) }
-
 // reply is one fully-read replica response: everything the router needs
 // to serve, compare or discard it without holding a connection open.
 type reply struct {
 	status int
 	header http.Header
 	body   []byte
+	buf    *[]byte // body's array when it came from replyBufs, else nil
 }
 
-// exchange performs one bounded request against a shard: acquire the
-// shard's connection budget (waiting within ctx), send, read the whole
-// body, release. A transport error marks the shard down; any HTTP
-// response — including 5xx, and a body over maxReply, which comes back as
-// errReplyTooLarge — marks it up, because a replica that answers is alive
-// even when it answers badly.
+// replyBufs holds the arrays replies of up to 64 KiB are read into. Each
+// reader releases its reply: serveReply once the client has the bytes,
+// probe, verify, batch and readyz after reading it.
+var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// release hands a pooled body back; nothing may read rep.body after it.
+func (rep reply) release() {
+	if rep.buf != nil {
+		replyBufs.Put(rep.buf)
+	}
+}
+
+// exchange is one request to a shard inside its connection budget
+// (waiting within ctx). A transport error marks the shard down; any HTTP
+// answer, a 5xx or one over maxReply (errReplyTooLarge) too, marks it up:
+// a replica that answers is alive even when it answers badly.
 func (rt *Router) exchange(ctx context.Context, sh *shard, method, path string, body []byte, hdr http.Header) (reply, error) {
 	select {
 	case sh.budget <- struct{}{}:
@@ -218,32 +219,42 @@ func (rt *Router) exchange(ctx context.Context, sh *shard, method, path string, 
 	}
 	defer func() { <-sh.budget }()
 
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, sh.name+path, rd)
-	if err != nil {
-		return reply{}, err
-	}
-	req.Header = hdr
 	start := rt.cfg.Now()
-	resp, err := rt.cfg.Client.Do(req)
-	if err != nil {
-		rt.markDown(sh)
-		return reply{}, err
-	}
-	b, err := readReply(resp)
+	rep, err := rt.send(ctx, sh, method, path, body, hdr)
 	if err != nil && !errors.Is(err, errReplyTooLarge) {
 		rt.markDown(sh)
 		return reply{}, err
 	}
-	rt.markUp(sh)
+	sh.downUntil.Store(0) // it answered: up
 	rt.cfg.Metrics.Histogram("oldenrouter_shard_latency_us", metrics.L("shard", sh.name)).
 		Observe(rt.cfg.Now().Sub(start).Microseconds())
 	rt.cfg.Metrics.Counter("oldenrouter_proxied_total",
-		metrics.L("shard", sh.name), metrics.L("code", strconv.Itoa(resp.StatusCode))).Inc()
-	return reply{status: resp.StatusCode, header: resp.Header, body: b}, err
+		metrics.L("shard", sh.name), metrics.L("code", strconv.Itoa(rep.status))).Inc()
+	return rep, err
+}
+
+// send is the outbound step exchange and fanout share: path (and query) on
+// the shard's parsed URL, sent with RoundTrip on the router's transport as
+// a reverse proxy sends (3xx relayed, deadline from ctx), the reply read
+// whole. A transport error reads as http.Client's would.
+func (rt *Router) send(ctx context.Context, sh *shard, method, path string, body []byte, hdr http.Header) (reply, error) {
+	p, q, _ := strings.Cut(path, "?")
+	u := *sh.url
+	u.Path, u.RawQuery = u.Path+p, q
+	req := (&http.Request{
+		Method: method, URL: &u, Host: u.Host, Header: hdr,
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+	}).WithContext(ctx)
+	if body != nil {
+		req.ContentLength = int64(len(body))
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil } // replay on a reused connection
+		req.Body, _ = req.GetBody()
+	}
+	resp, err := rt.cfg.Client.Transport.RoundTrip(req)
+	if err != nil {
+		return reply{}, &url.Error{Op: method[:1] + strings.ToLower(method[1:]), URL: u.String(), Err: err}
+	}
+	return readReply(resp)
 }
 
 // maxReply caps the replica reply the router holds in memory.
@@ -254,26 +265,33 @@ const maxReply = 32 << 20
 // down or retry the next owner, and it answers the client 502.
 var errReplyTooLarge = fmt.Errorf("reply exceeds the %d-byte limit", maxReply)
 
-// readReply reads a whole replica body and closes it: into one buffer of
-// Content-Length bytes when the replica declared its length, else reading
-// up to one byte past maxReply to tell a full reply from a cut one. A
-// reply over maxReply is errReplyTooLarge, never a truncated body.
-func readReply(resp *http.Response) ([]byte, error) {
+// readReply reads a whole replica response and closes its body: into a
+// buffer of the declared Content-Length (pooled up to 64 KiB), else up to
+// one byte past maxReply to tell a full reply from a cut one. Over
+// maxReply is errReplyTooLarge, cut short an error: never a short body.
+func readReply(resp *http.Response) (reply, error) {
 	defer resp.Body.Close()
+	rep := reply{status: resp.StatusCode, header: resp.Header}
 	n := resp.ContentLength
-	if n > maxReply {
-		return nil, errReplyTooLarge
+	switch {
+	case n > maxReply:
+		return rep, errReplyTooLarge
+	case n > 64<<10:
+		rep.body = make([]byte, n)
+	case n >= 0:
+		rep.buf = replyBufs.Get().(*[]byte)
+		*rep.buf = slices.Grow((*rep.buf)[:0], int(n))[:n]
+		rep.body = *rep.buf
+	default:
+		b, err := io.ReadAll(io.LimitReader(resp.Body, maxReply+1))
+		if err == nil && len(b) > maxReply {
+			return rep, errReplyTooLarge
+		}
+		rep.body = b
+		return rep, err
 	}
-	if n >= 0 {
-		b := make([]byte, n)
-		_, err := io.ReadFull(resp.Body, b)
-		return b, err
-	}
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxReply+1))
-	if err == nil && len(b) > maxReply {
-		return nil, errReplyTooLarge
-	}
-	return b, err
+	_, err := io.ReadFull(resp.Body, rep.body)
+	return rep, err
 }
 
 // badGateway is what the router serves in place of a replica reply it
@@ -315,6 +333,7 @@ func serveReply(w http.ResponseWriter, rep reply, shardName string) {
 	}
 	w.WriteHeader(rep.status)
 	w.Write(rep.body)
+	rep.release()
 }
 
 // downstreamHeader builds the headers a proxied request carries: the
@@ -346,32 +365,28 @@ func downstreamHeader(r *http.Request, sp *obs.Span) http.Header {
 // costs nothing until its cooldown expires but is still tried as the
 // last resort.
 func (rt *Router) candidates(owners []string, target string) []*shard {
-	ordered := make([]*shard, 0, len(owners))
-	ordered = append(ordered, rt.shards[target])
+	ordered := append(make([]*shard, 0, len(owners)), rt.shards[target])
 	for _, o := range owners {
 		if o != target {
 			ordered = append(ordered, rt.shards[o])
 		}
 	}
-	live := make([]*shard, 0, len(ordered))
-	var down []*shard
-	for _, sh := range ordered {
+	live := 0 // a stable partition in place: each live shard moves up past the down ones
+	for i, sh := range ordered {
 		if rt.alive(sh) {
-			live = append(live, sh)
-		} else {
-			down = append(down, sh)
+			copy(ordered[live+1:i+1], ordered[live:i])
+			ordered[live] = sh
+			live++
 		}
 	}
-	return append(live, down...)
+	return ordered
 }
 
 // forward is the router's one remote execute step: try the ordered
-// candidates, each attempt a proxy:<shard> span, retrying the next ring
-// owner on connection failure — safe even after a half-sent request,
-// because every forwarded path is deterministic and idempotent, the
-// property the whole cluster design leans on. An HTTP answer of any
-// status ends the chain; one too large to hold ends it as a 502. When no
-// candidate answers, the request is counted unroutable and ok is false.
+// candidates, each a proxy:<shard> span, retrying the next ring owner on
+// connection failure (safe after a half-sent request: every forwarded
+// path is deterministic and idempotent). Any HTTP answer ends the chain,
+// one too large to hold as a 502; if none comes, ok is false.
 func (rt *Router) forward(r *http.Request, sp *obs.Span, owners []string, target, path string, body []byte) (reply, *shard, bool) {
 	hdr := downstreamHeader(r, sp)
 	for attempt, sh := range rt.candidates(owners, target) {
@@ -462,6 +477,7 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 				serveReply(w, rep, sh.name)
 				return
 			}
+			rep.release()
 		}
 	}
 
@@ -484,9 +500,8 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 // distinct owner and demands byte-identity: same RunRecord bytes, same
 // X-Oldend-Trace-Digest. The duplicate runs synchronously (the caller
 // already holds the primary answer) so the metrics a smoke script
-// scrapes after a sweep are settled. A mismatch serves the primary
-// answer regardless — the alarm is the counter and the log line, the
-// contract with the client is unchanged.
+// scrapes after a sweep are settled. A mismatch still serves the primary
+// answer: the alarm is the counter and the log line.
 func (rt *Router) verifyAgainstPeer(r *http.Request, sp *obs.Span, owners []string, primary string, body []byte, prime reply) {
 	var peer *shard
 	for _, o := range owners {
@@ -500,6 +515,7 @@ func (rt *Router) verifyAgainstPeer(r *http.Request, sp *obs.Span, owners []stri
 	}
 	vs := sp.StartChild("verify:" + peer.name)
 	rep, err := rt.exchange(r.Context(), peer, http.MethodPost, "/run", body, downstreamHeader(r, vs))
+	defer rep.release()
 	if err != nil || rep.status != http.StatusOK {
 		rt.verifyErr.Inc()
 		vs.EndAborted()
@@ -517,21 +533,16 @@ func (rt *Router) verifyAgainstPeer(r *http.Request, sp *obs.Span, owners []stri
 	vs.SetAttr("verify", "mismatch")
 	vs.EndAborted()
 	rt.log.Error("cross-replica verify mismatch",
-		slog.String("primary", primary),
-		slog.String("peer", peer.name),
-		slog.String("primary_digest", primeDigest),
-		slog.String("peer_digest", peerDigest),
-		slog.Int("primary_bytes", len(prime.body)),
-		slog.Int("peer_bytes", len(rep.body)),
-	)
+		slog.String("primary", primary), slog.String("peer", peer.name),
+		slog.String("primary_digest", primeDigest), slog.String("peer_digest", peerDigest),
+		slog.Int("primary_bytes", len(prime.body)), slog.Int("peer_bytes", len(rep.body)))
 }
 
-// handleBatch shards a /batch body: the replicas' own prologue
+// handleBatch shards a /batch body: the replicas' prologue
 // (server.DecodeBatch), the valid runs grouped by primary owner, one
-// sub-batch forwarded per shard concurrently, and the per-item answers
-// merged back into request order. Invalid items fail 400 item-locally,
-// exactly as the replica would have answered; a shard whose whole
-// exchange fails (after retrying the next ring owner) yields 503 items.
+// sub-batch per shard forwarded concurrently, the items merged back in
+// request order. Invalid items fail 400 item-locally, as on a replica;
+// a group no owner answers yields 503 items.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	breq, items, err := server.DecodeBatch(r.Body)
 	if err != nil {
@@ -575,6 +586,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			var subItems []server.BatchItem
+			defer rep.release() // Unmarshal copies what it keeps
 			if rep.status != http.StatusOK || json.Unmarshal(rep.body, &subItems) != nil || len(subItems) != len(idxs) {
 				fail(http.StatusBadGateway, fmt.Sprintf("replica %s answered batch with status %d", owner, rep.status))
 				return
@@ -586,17 +598,4 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 	server.WriteBatch(w, items, rt.cfg.RetryAfter, fmt.Sprintf(" shards=%d", len(groups)))
-}
-
-// proxyAny forwards a shard-agnostic, bodiless request (the catalog) to
-// the first reachable replica.
-func (rt *Router) proxyAny(w http.ResponseWriter, r *http.Request, path string) {
-	st := server.RequestState(r)
-	rep, sh, ok := rt.forward(r, st.Span, rt.names, rt.names[0], path, nil)
-	if !ok {
-		rt.unroutable503(w, "no reachable replica")
-		return
-	}
-	st.Shard = sh.name
-	serveReply(w, rep, sh.name)
 }

@@ -120,7 +120,7 @@ func keyOf(t *testing.T, body string) string {
 // shard with the replica's cache/digest headers intact end to end.
 func TestRouterRoutesToOwnerAndServesCacheHits(t *testing.T) {
 	tc := newTestCluster(t, 3, Config{}, fastExec)
-	owner := tc.router.Ring().Owner(keyOf(t, runBody))
+	owner := tc.router.ring.Owner(keyOf(t, runBody))
 	wantShard := tc.shards[owner]
 
 	st, b1, h1 := postJSON(t, tc.front.URL+"/run", runBody)
@@ -156,7 +156,7 @@ func TestRouterRoutesToOwnerAndServesCacheHits(t *testing.T) {
 // errors — deterministic replicas make any owner a correct answer.
 func TestRouterRetriesNextOwner(t *testing.T) {
 	tc := newTestCluster(t, 3, Config{DownCooldown: time.Minute}, fastExec)
-	owner := tc.router.Ring().Owner(keyOf(t, runBody))
+	owner := tc.router.ring.Owner(keyOf(t, runBody))
 	tc.replicas[owner].Close()
 
 	st, body, h := postJSON(t, tc.front.URL+"/run", runBody)

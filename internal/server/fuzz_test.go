@@ -27,6 +27,9 @@ var runSeeds = []string{
 	`{"benchmark":"treeadd","procs":65}`,
 	`{"benchmark":"treeadd","procs":-1}`,
 	`{"benchmark":"treeadd","scale":-1}`,
+	`{"benchmark":"barneshut","scale":1}`,
+	`{"benchmark":"barneshut","scale":2}`,
+	`{"benchmark":"barneshut","scale":3}`,
 	`{"benchmark":"treeadd","deadline_ms":-1}`,
 	`not json`,
 	`{"benchmark":"treeadd"}{"benchmark":"power"}`,
@@ -59,8 +62,8 @@ func checkCanonical(t *testing.T, req RunRequest, key string) {
 	if _, err := rt.ParseMode(req.Mode); err != nil {
 		t.Fatalf("accepted mode does not parse: %v", err)
 	}
-	if _, ok := bench.Get(req.Benchmark); !ok {
-		t.Fatalf("accepted benchmark %q is not registered", req.Benchmark)
+	if info, ok := bench.Get(req.Benchmark); !ok || req.Scale < info.MinScale {
+		t.Fatalf("accepted benchmark %q at scale %d: not registered, or below its MinScale", req.Benchmark, req.Scale)
 	}
 	if req.Procs < 1 || req.Procs > bench.CatalogMaxProcs || req.Scale < 1 || req.DeadlineMS < 0 {
 		t.Fatalf("accepted out-of-range configuration %+v", req)

@@ -296,14 +296,14 @@ const maxMemoBody = 1 << 10
 // result cache stores under and the ring hashes. Every error is the
 // client's (413 for a body over the limit, 400 otherwise).
 func DecodeRun(body io.Reader) (RunRequest, string, []byte, error) {
-	var req RunRequest
 	b, err := readBody(body)
 	if err != nil {
-		return req, "", nil, err
+		return RunRequest{}, "", nil, err
 	}
 	if d, ok := decodeMemo.get(string(b)); ok {
 		return d.req, d.key, b, nil
 	}
+	var req RunRequest // declared past the hit path, which it would escape on
 	if err := json.Unmarshal(b, &req); err != nil {
 		return req, "", b, fmt.Errorf("bad request body: %w", err)
 	}
@@ -345,6 +345,7 @@ func (s *Server) writeRun(w http.ResponseWriter, res result) {
 		}
 		h["X-Oldend-Trace-Digest"] = []string{res.digest}
 		h["Content-Type"] = []string{"application/json"}
+		h["Content-Length"] = []string{strconv.Itoa(len(res.body))} // a router reads it into a pooled buffer
 		w.WriteHeader(http.StatusOK)
 		w.Write(res.body)
 		return

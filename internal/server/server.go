@@ -26,6 +26,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/bench/record"
 	"repro/internal/coherence"
+	"repro/internal/gaddr"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/rt"
@@ -331,9 +332,6 @@ func (s *Server) Metrics() *metrics.Registry { return s.cfg.Metrics }
 // Tracer exposes the server's request tracer (shared with Config.Tracer).
 func (s *Server) Tracer() *obs.Tracer { return s.cfg.Tracer }
 
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Shutdown begins graceful drain: readiness fails and new runs are
 // refused immediately, admitted jobs run to completion, and Shutdown
 // returns when the pool is idle or ctx expires. Safe to call twice.
@@ -517,7 +515,8 @@ func Normalize(q RunRequest) (RunRequest, error) {
 	if q.Benchmark == "" {
 		return q, fmt.Errorf("missing benchmark (GET /benchmarks lists them)")
 	}
-	if _, ok := bench.Get(q.Benchmark); !ok {
+	info, ok := bench.Get(q.Benchmark)
+	if !ok {
 		return q, fmt.Errorf("unknown benchmark %q (GET /benchmarks lists them)", q.Benchmark)
 	}
 	if q.Scale < 0 {
@@ -525,6 +524,9 @@ func Normalize(q RunRequest) (RunRequest, error) {
 	}
 	if q.Scale == 0 {
 		q.Scale = bench.DefaultScale
+	}
+	if q.Scale < info.MinScale {
+		return q, fmt.Errorf("%s at scale %d does not fit a processor's %d MiB heap section (smallest scale %d)", q.Benchmark, q.Scale, gaddr.MaxOffset>>20, info.MinScale)
 	}
 	if q.Baseline {
 		q.Procs = 1

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -267,7 +268,7 @@ func waitDraining(t *testing.T, s *Server) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if s.Draining() {
+		if s.draining.Load() {
 			return
 		}
 		time.Sleep(time.Millisecond)
@@ -417,6 +418,32 @@ func TestRequestValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /run = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestScaleBelowSectionRefused: barneshut at scale 1 or 2 exhausts
+// processor 0's heap section inside the kernel, which kills the process,
+// so the prologue refuses it with a 400 naming the limit and nothing
+// executes. Scale 3 is the smallest that fits; 4 still normalizes.
+func TestScaleBelowSectionRefused(t *testing.T) {
+	exec := &instantExec{digests: []string{"d"}}
+	s := New(Config{Workers: 1, QueueDepth: 4, Execute: exec.fn})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, scale := range []int{1, 2} {
+		body := fmt.Sprintf(`{"benchmark":"barneshut","scale":%d}`, scale)
+		if st, b, _ := postRun(t, ts, body); st != http.StatusBadRequest || !strings.Contains(string(b), "64 MiB heap section") {
+			t.Errorf("POST %s = %d %s, want a 400 naming the 64 MiB section", body, st, b)
+		}
+	}
+	if n := exec.calls.Load(); n != 0 {
+		t.Errorf("%d refused requests executed", n)
+	}
+	for _, scale := range []int{3, 4} {
+		if q, err := Normalize(RunRequest{Benchmark: "barneshut", Scale: scale}); err != nil || q.Scale != scale {
+			t.Errorf("barneshut at scale %d: %+v, %v; want it normalized", scale, q, err)
+		}
 	}
 }
 

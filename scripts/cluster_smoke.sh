@@ -6,6 +6,9 @@
 #      same configuration directly from the answering replica returns the
 #      same bytes — ⟨replica, run-config⟩ addressing is real — and an
 #      unsampled routed request's trace id is on that replica's access log;
+#      a configuration that cannot fit a heap section (barneshut at scale
+#      1) is a 400, through the router and direct, and every shard is
+#      still ready afterwards;
 #   2. a verify sweep (every 4th routed execution duplicated to a second
 #      replica) over the full kernel catalog, run twice, ends with
 #      oldenrouter_verify_mismatch_total = 0 — replicas agree
@@ -95,6 +98,21 @@ JOIN_SHARD=$(grep -i '^X-Oldend-Shard:' "$OUT/hjoin.txt" | tr -d '\r' | awk '{pr
 grep -q "\"trace_id\":\"$JOIN_TID\"" "$OUT/oldend-${JOIN_SHARD#shard}.log" \
   || { echo "cluster-smoke: trace id $JOIN_TID is not on $JOIN_SHARD's access log" >&2; exit 1; }
 echo "cluster-smoke: unsampled routed request joins $JOIN_SHARD's access line on trace_id"
+
+# 1c. The first row of the fault matrix: barneshut at scale 1 exhausts
+# processor 0's 64 MiB heap section inside the kernel, which would kill
+# the replica that ran it. It must be refused as a 400, through the router
+# and by a replica asked directly, and every shard must still be ready.
+POISON='{"benchmark":"barneshut","scale":1}'
+for target in "$ROUTER_ADDR" "127.0.0.1:$BASE_PORT"; do
+  code=$(curl -sS -o "$OUT/poison.json" -w '%{http_code}' -X POST -d "$POISON" "http://$target/run")
+  [ "$code" = 400 ] && grep -q 'heap section' "$OUT/poison.json" \
+    || { echo "cluster-smoke: $POISON on $target answered $code, want a 400 naming the heap section" >&2; exit 1; }
+done
+curl -fsS "http://$ROUTER_ADDR/readyz" >"$OUT/readyz-after-poison.json"
+grep -q '"ready_shards":3' "$OUT/readyz-after-poison.json" \
+  || { echo "cluster-smoke: a shard is not ready after the poison request: $(cat "$OUT/readyz-after-poison.json")" >&2; exit 1; }
+echo "cluster-smoke: poison request refused with 400, all three shards still ready"
 
 # 2. Cross-replica verify sweep: run the whole catalog through the
 # router twice — every 4th execution is duplicated to a peer; the second

@@ -153,14 +153,7 @@ func (rt *Router) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if root, ok := rt.cfg.Tracer.Lookup(idStr); ok {
-		if r.URL.Query().Get("format") == "tree" {
-			server.WriteJSON(w, http.StatusOK, obs.Tree(root))
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = obs.WriteChrome(w, root)
-		return
+	if !server.ServeTrace(w, r, rt.cfg.Tracer, idStr) {
+		server.WriteError(w, http.StatusNotFound, "trace not retained on any shard (unsampled or evicted)")
 	}
-	server.WriteError(w, http.StatusNotFound, "trace not retained on any shard (unsampled or evicted)")
 }

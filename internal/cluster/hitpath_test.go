@@ -101,7 +101,7 @@ func TestRoutedHitHeaders(t *testing.T) {
 	}
 
 	// As measured with this harness on go1.24, linux/amd64.
-	const maxAllocs = 73
+	const maxAllocs = 49
 	if raceDetectorEnabled {
 		return
 	}
@@ -111,25 +111,33 @@ func TestRoutedHitHeaders(t *testing.T) {
 }
 
 // TestUnsampledRoutedRequestJoinsOnTraceID: a client that sends no
-// traceparent still gets one trace id across the hop — the router's and
-// the replica's access lines for the request name the same trace_id.
+// traceparent, or one that does not parse, still gets one trace id across
+// the hop — the router's and the replica's access lines for the request
+// name the same trace_id.
 func TestUnsampledRoutedRequestJoinsOnTraceID(t *testing.T) {
-	var replicaLog, routerLog lockedBuffer
-	rec := serveRun(inProcessRouter(t, &replicaLog, &routerLog), runBody)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("run: %d %s", rec.Code, rec.Body)
-	}
-	tid := rec.Header().Get("X-Oldend-Trace-Id")
-	for name, log := range map[string]*lockedBuffer{"router": &routerLog, "replica": &replicaLog} {
-		var line struct {
-			TraceID string `json:"trace_id"`
-			Sampled bool   `json:"sampled"`
+	for _, tp := range []string{"", "garbage", "00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-00"} {
+		var replicaLog, routerLog lockedBuffer
+		req := httptest.NewRequest(http.MethodPost, "/run", strings.NewReader(runBody))
+		if tp != "" {
+			req.Header.Set("Traceparent", tp)
 		}
-		if err := json.Unmarshal([]byte(log.String()), &line); err != nil {
-			t.Fatalf("%s access log: %v: %s", name, err, log.String())
+		rec := httptest.NewRecorder()
+		inProcessRouter(t, &replicaLog, &routerLog).ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("traceparent %q: run: %d %s", tp, rec.Code, rec.Body)
 		}
-		if line.TraceID != tid || line.Sampled {
-			t.Errorf("%s access line trace_id %q (sampled %v), want %q unsampled", name, line.TraceID, line.Sampled, tid)
+		tid := rec.Header().Get("X-Oldend-Trace-Id")
+		for name, log := range map[string]*lockedBuffer{"router": &routerLog, "replica": &replicaLog} {
+			var line struct {
+				TraceID string `json:"trace_id"`
+				Sampled bool   `json:"sampled"`
+			}
+			if err := json.Unmarshal([]byte(log.String()), &line); err != nil {
+				t.Fatalf("traceparent %q: %s access log: %v: %s", tp, name, err, log.String())
+			}
+			if line.TraceID != tid || line.Sampled {
+				t.Errorf("traceparent %q: %s access line trace_id %q (sampled %v), want %q unsampled", tp, name, line.TraceID, line.Sampled, tid)
+			}
 		}
 	}
 }
@@ -143,12 +151,26 @@ func (c slowClient) Write(b []byte) (int, error) {
 	return c.ResponseRecorder.Write(b)
 }
 
+// hitHeaders renders a routed answer's headers, trace ids aside, with the
+// cache disposition a hit carries.
+func hitHeaders(h http.Header) string {
+	h = h.Clone()
+	h.Del("X-Request-Id")
+	h.Del("X-Oldend-Trace-Id")
+	h.Set("X-Oldend-Cache", "hit")
+	var b strings.Builder
+	h.Write(&b)
+	return b.String()
+}
+
 // TestPooledRepliesNeverLeak: a served /run reply's buffer goes back to
-// the pool only once the client has its bytes. Eight clients send 200
-// routed hits each over six keys whose records differ in length, through a
-// router in front of two replicas, and every answer must equal its key's
-// cold answer byte for byte. A buffer recycled early is refilled by
-// another request while its owner's client yields inside Write.
+// the pool only once the client has its bytes, and the header values a
+// cache entry shares between its responses are never written in place.
+// Eight clients send 200 routed hits each over six keys whose records
+// differ in length, through a router in front of two replicas, and every
+// answer must equal its key's cold answer byte for byte, headers (trace
+// ids aside) included. A buffer recycled early is refilled by another
+// request while its owner's client yields inside Write.
 func TestPooledRepliesNeverLeak(t *testing.T) {
 	tr := handlerTransport{}
 	var replicas []string
@@ -164,7 +186,7 @@ func TestPooledRepliesNeverLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := rt.Handler()
-	var bodies []string
+	var bodies, coldHeaders []string
 	var cold [][]byte
 	lengths := map[int]bool{}
 	for b, procs := range map[string]int{"treeadd": 1, "power": 2, "tsp": 3, "mst": 40, "bisort": 5, "voronoi": 60} {
@@ -174,6 +196,7 @@ func TestPooledRepliesNeverLeak(t *testing.T) {
 			t.Fatalf("cold %s: %d %s", body, rec.Code, rec.Body)
 		}
 		bodies, cold = append(bodies, body), append(cold, rec.Body.Bytes())
+		coldHeaders = append(coldHeaders, hitHeaders(rec.Header()))
 		lengths[rec.Body.Len()] = true
 	}
 	if len(lengths) != len(cold) {
@@ -189,9 +212,13 @@ func TestPooledRepliesNeverLeak(t *testing.T) {
 				k := (g + i) % len(bodies)
 				rec := httptest.NewRecorder()
 				h.ServeHTTP(slowClient{rec}, httptest.NewRequest(http.MethodPost, "/run", strings.NewReader(bodies[k])))
-				if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), cold[k]) {
+				if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), cold[k]) || rec.Header().Get("X-Oldend-Cache") != "hit" {
 					if wrong.Add(1) == 1 {
 						t.Errorf("hit on %s: %d %q, want the cold answer %q", bodies[k], rec.Code, rec.Body, cold[k])
+					}
+				} else if got := hitHeaders(rec.Header()); got != coldHeaders[k] {
+					if wrong.Add(1) == 1 {
+						t.Errorf("hit on %s: headers\n%s\nwant the cold answer's\n%s", bodies[k], got, coldHeaders[k])
 					}
 				}
 			}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -10,6 +11,9 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
+	"repro/internal/server"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/metric_names.golden from the current build")
@@ -124,5 +128,40 @@ func TestServedMetricNames(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("served metric ids moved (go test ./internal/cluster -run TestServedMetricNames -update):\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestRequestCountersAreBounded: the request counter is labelled by the
+// route that matched, not the path asked for, so 1 000 distinct unknown
+// paths and trace-id lookups add no series to the router's registry or a
+// replica's once each route has answered once.
+func TestRequestCountersAreBounded(t *testing.T) {
+	replicaReg, routerReg := metrics.NewRegistry(), metrics.NewRegistry()
+	replica := server.New(server.Config{Workers: 1, QueueDepth: 4, ShardName: "shard0", Metrics: replicaReg, Execute: fastExec})
+	t.Cleanup(func() { replica.Shutdown(context.Background()) })
+	rt, err := NewRouter(Config{Replicas: []string{"http://replica"}, Metrics: routerReg,
+		Client: &http.Client{Transport: handlerTransport{"replica": replica.Handler()}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func(h http.Handler, path string) {
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, path, nil))
+	}
+	ask := func(i int) {
+		for _, h := range []http.Handler{rt.Handler(), replica.Handler()} {
+			get(h, fmt.Sprintf("/nosuch/%d", i))
+			get(h, fmt.Sprintf("/debug/trace/%032x", i+1))
+		}
+	}
+	ask(0)
+	routerN, replicaN := routerReg.Len(), replicaReg.Len()
+	for i := 1; i <= 1000; i++ {
+		ask(i)
+	}
+	if n := routerReg.Len(); n != routerN {
+		t.Errorf("router registry grew from %d to %d entries over 1 000 distinct unknown paths and trace ids", routerN, n)
+	}
+	if n := replicaReg.Len(); n != replicaN {
+		t.Errorf("replica registry grew from %d to %d entries over 1 000 distinct unknown paths and trace ids", replicaN, n)
 	}
 }

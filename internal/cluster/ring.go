@@ -35,6 +35,7 @@ type Ring struct {
 	replicas []string
 	vnodes   int
 	points   []ringPoint // sorted by hash, ties broken by replica index
+	chains   []string    // per point, every replica once in ring order from it
 }
 
 type ringPoint struct {
@@ -87,6 +88,16 @@ func NewRing(replicas []string, vnodes int) (*Ring, error) {
 		}
 		return ring.points[a].replica < ring.points[b].replica
 	})
+	ring.chains = make([]string, 0, len(ring.points)*len(replicas))
+	for i := range ring.points {
+		taken := make([]bool, len(replicas))
+		for j, n := i, 0; n < len(replicas); j = (j + 1) % len(ring.points) {
+			if p := ring.points[j].replica; !taken[p] {
+				taken[p], n = true, n+1
+				ring.chains = append(ring.chains, ring.replicas[p])
+			}
+		}
+	}
 	return ring, nil
 }
 
@@ -100,27 +111,15 @@ func (r *Ring) Owner(key string) string { return r.Owners(key, 1)[0] }
 
 // Owners returns up to n distinct replicas in ring (preference) order
 // starting at the key's primary owner — the retry/replication chain for
-// the key. n is clamped to the replica count.
+// the key. n is clamped to the replica count. The slice is shared: read
+// it, never write it.
 func (r *Ring) Owners(key string, n int) []string {
-	if n > len(r.replicas) {
-		n = len(r.replicas)
-	}
-	if n < 1 {
-		n = 1
-	}
+	n = min(max(n, 1), len(r.replicas))
 	h := hashString(key)
 	// First point with hash >= h, wrapping.
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, n)
-	taken := make(map[int]bool, n)
-	for scanned := 0; scanned < len(r.points) && len(out) < n; scanned++ {
-		p := r.points[(i+scanned)%len(r.points)]
-		if !taken[p.replica] {
-			taken[p.replica] = true
-			out = append(out, r.replicas[p.replica])
-		}
-	}
-	return out
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h }) % len(r.points)
+	at := i * len(r.replicas)
+	return r.chains[at : at+n : at+n]
 }
 
 // hashString is 64-bit FNV-1a through a splitmix64 finalizer. FNV alone

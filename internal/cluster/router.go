@@ -99,16 +99,20 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// shard is the router's per-replica state: its URL, parsed once, the
-// connection budget and the failure-cooldown clock.
+// shard is the router's per-replica state: its URLs, parsed once, the
+// connection budget, the failure-cooldown clock and its metric handles.
 type shard struct {
-	name   string
-	url    *url.URL
-	budget chan struct{}
+	name      string
+	url, run  *url.URL
+	proxySpan string
+	budget    chan struct{}
 	// downUntil is the unix-nano instant before which the shard is
 	// skipped on the first routing pass. Connection failures set it;
 	// any successful exchange clears it.
 	downUntil atomic.Int64
+	latency   func() *metrics.Histogram
+	proxied   metrics.Handles[int, *metrics.Counter]    // by reply status
+	probes    metrics.Handles[string, *metrics.Counter] // by probe outcome
 }
 
 // Router shards oldend traffic across replicas by the canonical
@@ -151,7 +155,13 @@ func NewRouter(cfg Config) (*Router, error) {
 		if err != nil {
 			return nil, err
 		}
-		rt.shards[name] = &shard{name: name, url: u, budget: make(chan struct{}, cfg.MaxConnsPerReplica)}
+		run := *u
+		run.Path += "/run"
+		rt.shards[name] = &shard{name: name, url: u, run: &run, proxySpan: "proxy:" + name,
+			budget: make(chan struct{}, cfg.MaxConnsPerReplica),
+			latency: sync.OnceValue(func() *metrics.Histogram {
+				return cfg.Metrics.Histogram("oldenrouter_shard_latency_us", metrics.L("shard", name))
+			})}
 	}
 	m := cfg.Metrics
 	m.SetHelp("oldenrouter_requests_total", "Requests answered by the router, by path and status code.")
@@ -176,9 +186,11 @@ func NewRouter(cfg Config) (*Router, error) {
 // Metrics exposes the router's registry.
 func (rt *Router) Metrics() *metrics.Registry { return rt.cfg.Metrics }
 
-// alive reports whether the shard is not inside a failure cooldown.
+// alive reports whether the shard is not inside a failure cooldown; only
+// a shard that has been marked down reads the clock.
 func (rt *Router) alive(sh *shard) bool {
-	return rt.cfg.Now().UnixNano() >= sh.downUntil.Load()
+	d := sh.downUntil.Load()
+	return d == 0 || rt.cfg.Now().UnixNano() >= d
 }
 
 func (rt *Router) markDown(sh *shard) {
@@ -226,10 +238,10 @@ func (rt *Router) exchange(ctx context.Context, sh *shard, method, path string, 
 		return reply{}, err
 	}
 	sh.downUntil.Store(0) // it answered: up
-	rt.cfg.Metrics.Histogram("oldenrouter_shard_latency_us", metrics.L("shard", sh.name)).
-		Observe(rt.cfg.Now().Sub(start).Microseconds())
-	rt.cfg.Metrics.Counter("oldenrouter_proxied_total",
-		metrics.L("shard", sh.name), metrics.L("code", strconv.Itoa(rep.status))).Inc()
+	sh.latency().Observe(rt.cfg.Now().Sub(start).Microseconds())
+	sh.proxied.Get(rep.status, func(code int) *metrics.Counter {
+		return rt.cfg.Metrics.Counter("oldenrouter_proxied_total", metrics.L("shard", sh.name), metrics.L("code", strconv.Itoa(code)))
+	}).Inc()
 	return rep, err
 }
 
@@ -238,16 +250,20 @@ func (rt *Router) exchange(ctx context.Context, sh *shard, method, path string, 
 // a reverse proxy sends (3xx relayed, deadline from ctx), the reply read
 // whole. A transport error reads as http.Client's would.
 func (rt *Router) send(ctx context.Context, sh *shard, method, path string, body []byte, hdr http.Header) (reply, error) {
-	p, q, _ := strings.Cut(path, "?")
-	u := *sh.url
-	u.Path, u.RawQuery = u.Path+p, q
+	u := sh.run // shared by every /run request; never written
+	if path != "/run" {
+		p, q, _ := strings.Cut(path, "?")
+		v := *sh.url
+		v.Path, v.RawQuery = v.Path+p, q
+		u = &v
+	}
 	req := (&http.Request{
-		Method: method, URL: &u, Host: u.Host, Header: hdr,
+		Method: method, URL: u, Host: u.Host, Header: hdr,
 		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
 	}).WithContext(ctx)
 	if body != nil {
 		req.ContentLength = int64(len(body))
-		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil } // replay on a reused connection
+		req.GetBody = func() (io.ReadCloser, error) { return sentBody{bytes.NewReader(body)}, nil } // replay on a reused connection
 		req.Body, _ = req.GetBody()
 	}
 	resp, err := rt.cfg.Client.Transport.RoundTrip(req)
@@ -256,6 +272,11 @@ func (rt *Router) send(ctx context.Context, sh *shard, method, path string, body
 	}
 	return readReply(resp)
 }
+
+// sentBody is a request body one pointer wide: it boxes without allocating.
+type sentBody struct{ *bytes.Reader }
+
+func (sentBody) Close() error { return nil }
 
 // maxReply caps the replica reply the router holds in memory.
 const maxReply = 32 << 20
@@ -339,22 +360,16 @@ func serveReply(w http.ResponseWriter, rep reply, shardName string) {
 // downstreamHeader builds the headers a proxied request carries: the
 // original content type plus the trace chain — a fresh traceparent child
 // of the router's span when the request is sampled (so the replica's
-// span tree hangs off the router's), else the original traceparent
-// verbatim, else an unsampled one carrying the router's trace id (its low
-// half standing in as parent-id), so the two access lines join on it.
+// span tree hangs off the router's), else the envelope's unsampled one,
+// so the two access lines join on the trace id.
 func downstreamHeader(r *http.Request, sp *obs.Span) http.Header {
 	h := make(http.Header, 2)
 	if ct := r.Header["Content-Type"]; len(ct) > 0 {
 		h["Content-Type"] = ct[:1]
 	}
-	tid := server.RequestState(r).TraceID
-	switch tp := r.Header.Get("Traceparent"); {
-	case sp.Sampled():
+	h["Traceparent"] = server.RequestState(r).Traceparent
+	if sp.Sampled() {
 		h["Traceparent"] = []string{sp.Context().Traceparent()}
-	case tp != "":
-		h["Traceparent"] = []string{tp}
-	case len(tid) == 32:
-		h["Traceparent"] = []string{"00-" + tid + "-" + tid[16:] + "-00"}
 	}
 	return h
 }
@@ -363,9 +378,9 @@ func downstreamHeader(r *http.Request, sp *obs.Span) http.Header {
 // target first, then the remaining ring owners in preference order —
 // live shards before ones inside a failure cooldown, so a down replica
 // costs nothing until its cooldown expires but is still tried as the
-// last resort.
-func (rt *Router) candidates(owners []string, target string) []*shard {
-	ordered := append(make([]*shard, 0, len(owners)), rt.shards[target])
+// last resort. They are appended to dst.
+func (rt *Router) candidates(dst []*shard, owners []string, target string) []*shard {
+	ordered := append(dst, rt.shards[target])
 	for _, o := range owners {
 		if o != target {
 			ordered = append(ordered, rt.shards[o])
@@ -389,11 +404,12 @@ func (rt *Router) candidates(owners []string, target string) []*shard {
 // one too large to hold as a 502; if none comes, ok is false.
 func (rt *Router) forward(r *http.Request, sp *obs.Span, owners []string, target, path string, body []byte) (reply, *shard, bool) {
 	hdr := downstreamHeader(r, sp)
-	for attempt, sh := range rt.candidates(owners, target) {
+	var buf [4]*shard // holds a chain of up to four on the stack
+	for attempt, sh := range rt.candidates(buf[:0], owners, target) {
 		if attempt > 0 {
 			rt.retries.Inc()
 		}
-		ps := sp.StartChild("proxy:" + sh.name)
+		ps := sp.StartChild(sh.proxySpan)
 		rep, err := rt.exchange(r.Context(), sh, r.Method, path, body, hdr)
 		if err != nil {
 			ps.SetAttr("error", err.Error())
@@ -470,8 +486,9 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 			default:
 				ps.End()
 			}
-			rt.cfg.Metrics.Counter("oldenrouter_probe_total",
-				metrics.L("shard", sh.name), metrics.L("outcome", outcome)).Inc()
+			sh.probes.Get(outcome, func(outcome string) *metrics.Counter {
+				return rt.cfg.Metrics.Counter("oldenrouter_probe_total", metrics.L("shard", sh.name), metrics.L("outcome", outcome))
+			}).Inc()
 			if outcome == "hit" {
 				st.Shard, st.Cache = sh.name, "hit"
 				serveReply(w, rep, sh.name)

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -67,13 +68,7 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, e := range r.index {
 		entries = append(entries, e)
 	}
-	var help map[string]string
-	if len(r.help) > 0 {
-		help = make(map[string]string, len(r.help))
-		for k, v := range r.help {
-			help[k] = v
-		}
-	}
+	help := maps.Clone(r.help)
 	r.mu.Unlock()
 
 	snap := Snapshot{Help: help}
@@ -198,9 +193,5 @@ func promLabels(labels []Label) string {
 
 // promLabelsLe renders labels plus the histogram le label.
 func promLabelsLe(labels []Label, le string) string {
-	ls := make([]Label, len(labels), len(labels)+1)
-	copy(ls, labels)
-	ls = append(ls, Label{Key: "le", Value: le})
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	return promLabels(ls)
+	return promLabels(sortLabels([]Label{{Key: "le", Value: le}}, labels))
 }

@@ -15,6 +15,7 @@ package metrics
 
 import (
 	"fmt"
+	"maps"
 	"math/bits"
 	"strconv"
 	"sync"
@@ -323,6 +324,32 @@ func (r *Registry) RegisterFunc(name string, kind Kind, fn func() int64, labels 
 	r.mu.Lock()
 	r.index[id] = &entry{name: name, labels: ls, id: id, kind: kind, fn: fn}
 	r.mu.Unlock()
+}
+
+// Handles memoizes handles under a caller's key (route and status, shard
+// and status), so a hot path resolves each once and reads without a lock.
+// Keys must be as bounded as the label sets they stand for.
+type Handles[K comparable, H any] struct {
+	mu sync.Mutex
+	m  atomic.Pointer[map[K]H]
+}
+
+// Get returns the handle under k, resolving it on first use.
+func (c *Handles[K, H]) Get(k K, resolve func(K) H) H {
+	if m := c.m.Load(); m != nil {
+		if h, ok := (*m)[k]; ok {
+			return h
+		}
+	}
+	h := resolve(k) // outside the lock; resolving k twice yields the same handle
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	next := map[K]H{k: h}
+	if m := c.m.Load(); m != nil {
+		maps.Copy(next, *m)
+	}
+	c.m.Store(&next)
+	return h
 }
 
 // Len returns the number of registered metrics (zero on a nil registry).

@@ -72,14 +72,6 @@ func (s *Span) Context() Context {
 	return Context{TraceID: s.traceID, SpanID: s.spanID, Sampled: true}
 }
 
-// Name returns the span's name ("" for nil).
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
 // StartChild opens a child span. Returns nil — the disabled state — on a
 // nil receiver, on a finished span, or once the child bound is reached
 // (the drop is counted and surfaced in exports).

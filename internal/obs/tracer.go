@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"maps"
 	"math/rand/v2"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,21 +82,12 @@ type ReqSummary struct {
 	DominantDepth int    `json:"dominant_depth,omitempty"`
 }
 
-// ReqInfo is what the HTTP layer reports when a request finishes.
+// ReqInfo is what the HTTP layer reports when a request finishes: its
+// summary, less what the tracer fills in (Sampled, InFlight, Dominant).
 // TraceID carries the already-rendered id string (the same one sent in
 // the X-Oldend-Trace-Id header) so unsampled accounting reuses the
 // allocation instead of making another.
-type ReqInfo struct {
-	TraceID    string
-	Method     string
-	Path       string
-	Status     int
-	Start      time.Time
-	DurUS      int64
-	Benchmark  string
-	Cache      string
-	ShedReason string
-}
+type ReqInfo = ReqSummary
 
 // Tracer decides sampling, owns live request spans, and retains rings of
 // finished requests and sampled traces for the introspection endpoints.
@@ -195,33 +189,22 @@ func (t *Tracer) StartRequest(method, path string, parent Context) *Span {
 // root is closed, and the tree moves from in-flight to the retained
 // trace ring. Safe with sp == nil (the unsampled case) and on a nil
 // tracer.
-func (t *Tracer) FinishRequest(sp *Span, info ReqInfo) {
+func (t *Tracer) FinishRequest(sp *Span, sum ReqInfo) {
 	if t == nil {
 		return
 	}
-	sum := ReqSummary{
-		TraceID:    info.TraceID,
-		Method:     info.Method,
-		Path:       info.Path,
-		Status:     info.Status,
-		Start:      info.Start,
-		DurUS:      info.DurUS,
-		Benchmark:  info.Benchmark,
-		Cache:      info.Cache,
-		ShedReason: info.ShedReason,
-	}
 	if sp != nil {
-		if info.Status != 0 {
-			sp.SetAttrInt("status", int64(info.Status))
+		if sum.Status != 0 {
+			sp.SetAttrInt("status", int64(sum.Status))
 		}
-		if info.Benchmark != "" {
-			sp.SetAttr("benchmark", info.Benchmark)
+		if sum.Benchmark != "" {
+			sp.SetAttr("benchmark", sum.Benchmark)
 		}
-		if info.Cache != "" {
-			sp.SetAttr("cache", info.Cache)
+		if sum.Cache != "" {
+			sp.SetAttr("cache", sum.Cache)
 		}
-		if info.ShedReason != "" {
-			sp.SetAttr("shed_reason", info.ShedReason)
+		if sum.ShedReason != "" {
+			sp.SetAttr("shed_reason", sum.ShedReason)
 		}
 		// End the root cleanly before flushing: only children left
 		// dangling (a 504's queue_wait, say) deserve the aborted attr.
@@ -232,6 +215,11 @@ func (t *Tracer) FinishRequest(sp *Span, info ReqInfo) {
 		sum.Dominant, sum.DominantDepth, _ = snap.dominant()
 		t.retain(sp)
 	}
+	t.record(sum)
+}
+
+// record writes a finished request's summary into the ring.
+func (t *Tracer) record(sum ReqSummary) {
 	t.mu.Lock()
 	t.reqs[t.reqNext] = sum
 	t.reqNext = (t.reqNext + 1) % len(t.reqs)
@@ -273,10 +261,7 @@ func (t *Tracer) AbortInflight() {
 		return
 	}
 	t.mu.Lock()
-	roots := make([]*Span, 0, len(t.inflight))
-	for _, sp := range t.inflight {
-		roots = append(roots, sp)
-	}
+	roots := slices.Collect(maps.Values(t.inflight))
 	t.mu.Unlock()
 	sort.Slice(roots, func(i, j int) bool { return roots[i].startWall.Before(roots[j].startWall) })
 	for _, sp := range roots {
@@ -284,44 +269,19 @@ func (t *Tracer) AbortInflight() {
 		snap := sp.snapshot(t.now())
 		dom, depth, _ := snap.dominant()
 		t.retain(sp)
-		t.mu.Lock()
-		t.reqs[t.reqNext] = ReqSummary{
+		method, path, _ := strings.Cut(sp.name, " ")
+		t.record(ReqSummary{
 			TraceID:       sp.traceID.String(),
-			Method:        methodOf(sp.name),
-			Path:          pathOf(sp.name),
+			Method:        method,
+			Path:          path,
 			Start:         snap.start,
 			DurUS:         snap.durUS(),
 			Sampled:       true,
 			ShedReason:    "aborted_at_drain",
 			Dominant:      dom,
 			DominantDepth: depth,
-		}
-		t.reqNext = (t.reqNext + 1) % len(t.reqs)
-		if t.reqCount < len(t.reqs) {
-			t.reqCount++
-		}
-		t.mu.Unlock()
+		})
 	}
-}
-
-// methodOf / pathOf split a root span name ("POST /run") back into its
-// parts for drain-aborted summaries.
-func methodOf(name string) string {
-	for i := 0; i < len(name); i++ {
-		if name[i] == ' ' {
-			return name[:i]
-		}
-	}
-	return name
-}
-
-func pathOf(name string) string {
-	for i := 0; i < len(name); i++ {
-		if name[i] == ' ' {
-			return name[i+1:]
-		}
-	}
-	return ""
 }
 
 // Lookup resolves a trace id string to its retained (or still in-flight)
@@ -356,19 +316,17 @@ func (t *Tracer) Requests() []ReqSummary {
 	now := t.now()
 	t.mu.Lock()
 	out := make([]ReqSummary, 0, t.reqCount+len(t.inflight))
-	inflight := make([]*Span, 0, len(t.inflight))
-	for _, sp := range t.inflight {
-		inflight = append(inflight, sp)
-	}
+	inflight := slices.Collect(maps.Values(t.inflight))
 	for i := 0; i < t.reqCount; i++ {
 		out = append(out, t.reqs[(t.reqNext-1-i+len(t.reqs))%len(t.reqs)])
 	}
 	t.mu.Unlock()
 	for _, sp := range inflight {
+		method, path, _ := strings.Cut(sp.name, " ") // a root span is named "<method> <path>"
 		out = append(out, ReqSummary{
 			TraceID:   sp.TraceID().String(),
-			Method:    methodOf(sp.Name()),
-			Path:      pathOf(sp.Name()),
+			Method:    method,
+			Path:      path,
 			Start:     sp.startWall,
 			DurUS:     sp.Duration(now).Microseconds(),
 			Sampled:   true,

@@ -47,7 +47,7 @@ func (it *BatchItem) fill(res result) {
 		it.Error = res.errMsg
 		return
 	}
-	it.Record = json.RawMessage(res.body)
+	it.Record = json.RawMessage(res.entry.body)
 }
 
 // DecodeBatch is the /batch prologue replica and router share: decode,

@@ -2,14 +2,21 @@ package server
 
 import (
 	"container/list"
+	"strconv"
 	"sync"
 )
 
-// cacheEntry is one memoized run result: the canonical response bytes and
-// the trace digest the determinism argument rests on.
+// cacheEntry is one 200 run result, fresh or memoized: the canonical
+// response bytes, the trace digest the determinism argument rests on, and
+// the header values every response of it shares (none writes them).
 type cacheEntry struct {
-	body   []byte
-	digest string
+	body                 []byte
+	digest               string
+	digestHdr, lengthHdr []string
+}
+
+func newEntry(body []byte, digest string) *cacheEntry {
+	return &cacheEntry{body, digest, []string{digest}, []string{strconv.Itoa(len(body))}}
 }
 
 // lruCache is a strict-LRU memo keyed by canonical strings. Eviction
@@ -53,15 +60,16 @@ func newLRU[V any](capacity int) *lruCache[V] {
 	}
 }
 
-// get returns the value under key, promoting it to most recently used.
-func (c *lruCache[V]) get(key string) (V, bool) {
+// lruGet returns the value under key, promoting it to most recently used.
+// A key held as bytes is not copied: the map index reads it in place.
+func lruGet[K string | []byte, V any](c *lruCache[V], key K) (V, bool) {
 	var zero V
 	if c.cap <= 0 {
 		return zero, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	el, ok := c.items[string(key)]
 	if !ok {
 		return zero, false
 	}

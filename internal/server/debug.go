@@ -40,20 +40,25 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "bad trace id: "+err.Error())
 		return
 	}
-	root, ok := s.cfg.Tracer.Lookup(idStr)
-	if !ok {
+	if !ServeTrace(w, r, s.cfg.Tracer, idStr) {
 		WriteError(w, http.StatusNotFound, "trace not retained (unsampled or evicted)")
-		return
 	}
-	if r.URL.Query().Get("format") == "tree" {
+}
+
+// ServeTrace serves the tree tr retains under id, in the format r asks
+// for, and reports whether tr held it; it writes nothing when it did not.
+func ServeTrace(w http.ResponseWriter, r *http.Request, tr *obs.Tracer, id string) bool {
+	root, ok := tr.Lookup(id)
+	switch {
+	case !ok:
+		return false
+	case r.URL.Query().Get("format") == "tree":
 		WriteJSON(w, http.StatusOK, obs.Tree(root))
-		return
+	default:
+		w.Header().Set("Content-Type", "application/json")
+		_ = obs.WriteChrome(w, root) // the headers are gone: a failed write can only cut the body short
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := obs.WriteChrome(w, root); err != nil {
-		// Headers are gone; all we can do is cut the body short.
-		return
-	}
+	return true
 }
 
 // mountPprof exposes net/http/pprof on the main mux. It is opt-in

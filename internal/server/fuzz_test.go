@@ -197,7 +197,7 @@ func TestDecodeMemo(t *testing.T) {
 		return req, err
 	}
 	stored := func(body string) bool {
-		_, ok := decodeMemo.get(body)
+		_, ok := lruGet(decodeMemo, body)
 		return ok
 	}
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -44,20 +45,19 @@ func (l *AccessLogger) Error(msg string, attrs ...slog.Attr) {
 }
 
 // ReqState is the per-request state the envelope threads through the
-// context: the request's root span (nil when unsampled), the trace id
-// every response advertises, and the fields handlers contribute to the
-// access-log line and the /debug/requests ring. Every field is omitted
-// from the log line when empty.
+// context: the tracer's summary (handlers fill in Benchmark, Cache and
+// ShedReason), the root span (nil when unsampled), the traceparent an
+// unsampled hop forwards and the access-log fields; empty ones go unlogged.
 type ReqState struct {
-	Span    *obs.Span
-	TraceID string
+	obs.ReqInfo
+	Span *obs.Span
+	// Traceparent is the incoming one when it parsed, else one minted
+	// around TraceID (low half as parent-id): the next hop joins on it.
+	Traceparent []string
 
-	Benchmark   string
 	Key         string
 	Shard       string // the replica that answered (router only)
-	Cache       string
 	PhaseCache  string
-	ShedReason  string
 	QueueWaitUS int64
 	RunUS       int64
 }
@@ -74,17 +74,17 @@ func RequestState(r *http.Request) *ReqState {
 }
 
 // emit writes one access-log record, timestamped at the request's start.
-func (l *AccessLogger) emit(start time.Time, r *http.Request, sw *statusWriter, durUS int64, st *ReqState) {
+func (l *AccessLogger) emit(r *http.Request, bytes int64, st *ReqState) {
 	if l == nil {
 		return
 	}
-	rec := slog.NewRecord(start, slog.LevelInfo, "request", 0)
+	rec := slog.NewRecord(st.Start, slog.LevelInfo, "request", 0)
 	rec.AddAttrs(
-		slog.String("method", r.Method),
-		slog.String("path", r.URL.Path),
-		slog.Int("status", sw.status),
-		slog.Int64("bytes", sw.bytes),
-		slog.Int64("dur_us", durUS),
+		slog.String("method", st.Method),
+		slog.String("path", st.Path),
+		slog.Int("status", st.Status),
+		slog.Int64("bytes", bytes),
+		slog.Int64("dur_us", st.DurUS),
 	)
 	str := func(k, v string) {
 		if v != "" {
@@ -112,29 +112,6 @@ func (l *AccessLogger) emit(start time.Time, r *http.Request, sw *statusWriter, 
 	_ = l.h.Handle(context.Background(), rec) // an unloggable request must not fail the request
 }
 
-// statusWriter captures the status code and byte count a handler wrote.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	bytes  int64
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	n, err := w.ResponseWriter.Write(b)
-	w.bytes += int64(n)
-	return n, err
-}
-
 // Envelope is the one HTTP wrapper oldend and oldenrouter both serve
 // behind: tracing, access logging and request accounting, parameterised
 // only by the metric prefix and the shard name.
@@ -149,55 +126,82 @@ type Envelope struct {
 	Now       func() time.Time
 }
 
+// envState is the envelope's one allocation per request: the writer that
+// captures the status (into st.Status) and byte count the handler wrote,
+// the state, and the trace-id and traceparent header values.
+type envState struct {
+	http.ResponseWriter
+	st      ReqState
+	bytes   int64
+	tid, tp [1]string
+}
+
+func (w *envState) WriteHeader(code int) {
+	if w.st.Status == 0 {
+		w.st.Status = code
+	}
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *envState) Write(b []byte) (int, error) {
+	if w.st.Status == 0 {
+		w.st.Status = http.StatusOK
+	}
+	n, err := w.ResponseWriter.Write(b)
+	w.bytes += int64(n)
+	return n, err
+}
+
+// routeStatus keys the request counter.
+type routeStatus struct {
+	route  string
+	status int
+}
+
 // Wrap instruments next: it parses the incoming traceparent, makes the
 // sampling decision, stamps the trace id on the response before the
 // handler can write headers — so 429/503/504 answers carry the id a
 // client can quote in a bug report too — and afterwards counts the
-// request, finishes its span tree and writes its access line.
+// request under the mux pattern that matched (a path would mint a series
+// per unknown URL), finishes its span tree and writes its access line.
 func (e Envelope) Wrap(next http.Handler) http.Handler {
-	counter := e.Prefix + "_requests_total"
+	var counts metrics.Handles[routeStatus, *metrics.Counter]
+	count := func(rs routeStatus) *metrics.Counter {
+		return e.Metrics.Counter(e.Prefix+"_requests_total", metrics.L("path", rs.route), metrics.L("code", strconv.Itoa(rs.status)))
+	}
+	shard := []string{e.Shard} // shared by every response; never written in place
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := e.Now()
-		parent, _ := obs.ParseTraceparent(r.Header.Get("Traceparent"))
+		tp := r.Header.Get("Traceparent")
+		parent, _ := obs.ParseTraceparent(tp)
 		sp := e.Tracer.StartRequest(r.Method, r.URL.Path, parent)
-		var traceID string
-		switch {
-		case sp.Sampled():
-			traceID = sp.TraceID().String()
-		case parent.Valid():
-			traceID = parent.TraceID.String()
-		default:
-			traceID = e.Tracer.NewTraceID().String()
+		if !parent.Valid() { // a sampled request with a parent has the parent's id
+			id := sp.TraceID()
+			if !sp.Sampled() {
+				id = e.Tracer.NewTraceID()
+			}
+			tp = obs.Context{TraceID: id, SpanID: obs.SpanID(id[8:])}.Traceparent()
 		}
+		es := &envState{ResponseWriter: w, tid: [1]string{tp[3:35]}, tp: [1]string{tp}}
+		st := &es.st
+		*st = ReqState{ReqInfo: obs.ReqInfo{TraceID: es.tid[0], Method: r.Method, Path: r.URL.Path, Start: start},
+			Span: sp, Traceparent: es.tp[:]}
 		h := w.Header()
-		h["X-Request-Id"] = []string{traceID}
-		h["X-Oldend-Trace-Id"] = h["X-Request-Id"]
+		h["X-Request-Id"] = es.tid[:]
+		h["X-Oldend-Trace-Id"] = es.tid[:]
 		if e.Shard != "" {
-			h["X-Oldend-Shard"] = []string{e.Shard}
+			h["X-Oldend-Shard"] = shard
 		}
 
-		st := &ReqState{Span: sp, TraceID: traceID}
-		sw := &statusWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, r.WithContext(context.WithValue(r.Context(), reqStateKey{}, st)))
-		if sw.status == 0 {
-			sw.status = http.StatusOK
+		r2 := r.WithContext(context.WithValue(r.Context(), reqStateKey{}, st))
+		next.ServeHTTP(es, r2)
+		if st.Status == 0 {
+			st.Status = http.StatusOK
 		}
-		durUS := e.Now().Sub(start).Microseconds()
-		e.Metrics.Counter(counter,
-			metrics.L("path", r.URL.Path),
-			metrics.L("code", strconv.Itoa(sw.status))).Inc()
-		e.Tracer.FinishRequest(sp, obs.ReqInfo{
-			TraceID:    traceID,
-			Method:     r.Method,
-			Path:       r.URL.Path,
-			Status:     sw.status,
-			Start:      start,
-			DurUS:      durUS,
-			Benchmark:  st.Benchmark,
-			Cache:      st.Cache,
-			ShedReason: st.ShedReason,
-		})
-		e.AccessLog.emit(start, r, sw, durUS, st)
+		st.DurUS = e.Now().Sub(start).Microseconds()
+		counts.Get(routeStatus{cmp.Or(r2.Pattern, "unmatched"), st.Status}, count).Inc()
+		e.Tracer.FinishRequest(sp, st.ReqInfo)
+		e.AccessLog.emit(r, es.bytes, st)
 	})
 }
 
@@ -300,7 +304,7 @@ func DecodeRun(body io.Reader) (RunRequest, string, []byte, error) {
 	if err != nil {
 		return RunRequest{}, "", nil, err
 	}
-	if d, ok := decodeMemo.get(string(b)); ok {
+	if d, ok := lruGet(decodeMemo, b); ok {
 		return d.req, d.key, b, nil
 	}
 	var req RunRequest // declared past the hit path, which it would escape on
@@ -322,14 +326,20 @@ func DecodeRun(body io.Reader) (RunRequest, string, []byte, error) {
 // complete 200 result: the memoized bytes — verifiably identical to a
 // fresh run by determinism — and the digest they were stored with.
 func (s *Server) lookup(key string, hits, misses *metrics.Counter) (result, bool) {
-	e, ok := s.cache.get(key)
+	e, ok := lruGet(s.cache, key)
 	if !ok {
 		misses.Inc()
 		return result{}, false
 	}
 	hits.Inc()
-	return result{status: http.StatusOK, body: e.body, digest: e.digest, cache: "hit"}, true
+	return result{status: http.StatusOK, entry: e, cache: "hit"}, true
 }
+
+// Header values shared by every 200 run answer that carries them.
+var (
+	jsonType    = []string{"application/json"}
+	cacheHeader = map[string][]string{"hit": {"hit"}, "miss": {"miss"}, "bypass": {"bypass"}, "verify": {"verify"}}
+)
 
 // writeRun renders a run result as an HTTP response. It is the only
 // writer of a 200 run answer — result-cache hit, probe hit or fresh
@@ -339,15 +349,15 @@ func (s *Server) writeRun(w http.ResponseWriter, res result) {
 	switch res.status {
 	case http.StatusOK:
 		h := w.Header()
-		h["X-Oldend-Cache"] = []string{res.cache}
+		h["X-Oldend-Cache"] = cacheHeader[res.cache]
 		if res.phase != "" {
 			h["X-Oldend-Phase-Cache"] = []string{res.phase}
 		}
-		h["X-Oldend-Trace-Digest"] = []string{res.digest}
-		h["Content-Type"] = []string{"application/json"}
-		h["Content-Length"] = []string{strconv.Itoa(len(res.body))} // a router reads it into a pooled buffer
+		h["X-Oldend-Trace-Digest"] = res.entry.digestHdr
+		h["Content-Type"] = jsonType
+		h["Content-Length"] = res.entry.lengthHdr // a router reads it into a pooled buffer
 		w.WriteHeader(http.StatusOK)
-		w.Write(res.body)
+		w.Write(res.entry.body)
 		return
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 		w.Header().Set("Retry-After", RetryAfterSeconds(s.cfg.RetryAfter))

@@ -74,7 +74,7 @@ func (s *Server) defaultExecutePhased(req RunRequest, sp *obs.Span) (record.RunR
 	key, shared := info.BuildKey(cfg)
 	var bs *bench.BuildState
 	if shared {
-		bs, _ = s.phases.get(key)
+		bs, _ = lruGet(s.phases, key)
 	}
 	res, rec, nbs, reused, err := bench.RunPhasedRecorded(info, cfg, bs)
 	if simRec != nil {

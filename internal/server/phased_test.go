@@ -146,10 +146,10 @@ func TestLRUConcurrentMixed(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				rk := fmt.Sprintf("run-%d", (g+i)%12)
 				pk := fmt.Sprintf("phase-%d", (g*i)%6)
-				if _, ok := results.get(rk); !ok {
+				if _, ok := lruGet(results, rk); !ok {
 					results.put(rk, &cacheEntry{digest: rk})
 				}
-				if _, ok := phases.get(pk); !ok {
+				if _, ok := lruGet(phases, pk); !ok {
 					phases.put(pk, &bench.BuildState{Benchmark: pk})
 				}
 				results.len()
@@ -171,9 +171,9 @@ func TestLRUConcurrentMixed(t *testing.T) {
 	for _, k := range []string{"a", "b", "c"} {
 		c.put(k, &bench.BuildState{Benchmark: k})
 	}
-	c.get("a")                                    // order: a c b
+	lruGet(c, "a")                                // order: a c b
 	c.put("d", &bench.BuildState{Benchmark: "d"}) // evicts b
-	if _, ok := c.get("b"); ok {
+	if _, ok := lruGet(c, "b"); ok {
 		t.Fatal("b should have been evicted")
 	}
 	want := []string{"d", "a", "c"}

@@ -207,8 +207,7 @@ func (c Config) withDefaults() Config {
 // the worker.
 type result struct {
 	status      int
-	body        []byte
-	digest      string // trace digest of body (200 only)
+	entry       *cacheEntry // the record (200 only)
 	errMsg      string
 	cache       string // hit | miss | bypass | verify; "" when no worker answered
 	phase       string // hit | miss | none | "" (executor has no phase path)
@@ -473,9 +472,10 @@ func (s *Server) worker() {
 		}
 		s.cfg.Metrics.Counter("oldend_runs_total", metrics.L("benchmark", j.req.Benchmark)).Inc()
 		s.simCycles.Add(rec.Cycles)
-		res := result{status: http.StatusOK, body: body, digest: rec.TraceDigest, cache: j.cache, phase: phase, queueWaitUS: wait, runUS: runUS}
+		e := newEntry(body, rec.TraceDigest)
+		res := result{status: http.StatusOK, entry: e, cache: j.cache, phase: phase, queueWaitUS: wait, runUS: runUS}
 		if j.req.Verify {
-			if hit, ok := s.cache.get(j.key); ok {
+			if hit, ok := lruGet(s.cache, j.key); ok {
 				if hit.digest == rec.TraceDigest {
 					s.verifyOK.Inc()
 				} else {
@@ -491,7 +491,7 @@ func (s *Server) worker() {
 			}
 		}
 		if res.status == http.StatusOK && !j.req.NoCache {
-			s.cache.put(j.key, &cacheEntry{body: body, digest: rec.TraceDigest})
+			s.cache.put(j.key, e)
 		}
 		j.done <- res
 	}

@@ -534,14 +534,14 @@ func TestResultCacheLRU(t *testing.T) {
 	put := func(k string) { c.put(k, &cacheEntry{body: []byte(k)}) }
 	put("a")
 	put("b")
-	if _, ok := c.get("a"); !ok { // promotes a
+	if _, ok := lruGet(c, "a"); !ok { // promotes a
 		t.Fatal("a missing")
 	}
 	put("c") // evicts b (least recently used), not a
-	if _, ok := c.get("b"); ok {
+	if _, ok := lruGet(c, "b"); ok {
 		t.Fatal("b should have been evicted")
 	}
-	if _, ok := c.get("a"); !ok {
+	if _, ok := lruGet(c, "a"); !ok {
 		t.Fatal("a should have survived (was promoted)")
 	}
 	if c.len() != 2 {
@@ -549,13 +549,13 @@ func TestResultCacheLRU(t *testing.T) {
 	}
 	// refresh replaces in place
 	c.put("a", &cacheEntry{body: []byte("a2")})
-	if e, _ := c.get("a"); string(e.body) != "a2" {
+	if e, _ := lruGet(c, "a"); string(e.body) != "a2" {
 		t.Fatal("refresh did not replace body")
 	}
 	// disabled cache never stores
 	d := newLRU[*cacheEntry](-1)
 	d.put("x", &cacheEntry{})
-	if _, ok := d.get("x"); ok || d.len() != 0 {
+	if _, ok := lruGet(d, "x"); ok || d.len() != 0 {
 		t.Fatal("disabled cache stored an entry")
 	}
 }

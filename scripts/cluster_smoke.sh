@@ -21,7 +21,9 @@
 #   4. killing one replica mid-traffic costs nothing visible: requests
 #      retry to the next ring owner with zero 5xx;
 #   5. a sampled traceparent survives the router hop, and both
-#      /debug/requests and /debug/trace/<id> answer THROUGH the router.
+#      /debug/requests and /debug/trace/<id> answer THROUGH the router;
+#   6. unknown paths and unknown trace ids add no /metrics series: the
+#      request counter is labelled by route, not by the path asked for.
 # Artifacts (balance reports, router + replica logs, /metrics scrapes,
 # the fetched traces) land in $CLUSTER_OUT for CI upload.
 set -euo pipefail
@@ -193,6 +195,40 @@ grep -q '"shards"' "$OUT/debug-requests.json"
 curl -fsS "http://$ROUTER_ADDR/debug/trace/$TID?format=tree" >"$OUT/trace-$TID.json"
 grep -q "$TID" "$OUT/trace-$TID.json"
 echo "cluster-smoke: traceparent survived the router, debug endpoints fan out"
+
+# 6. Bounded request counters: two rounds of 50 distinct unknown paths
+# and 20 random trace-id lookups. Each kind answers 404 under one series
+# (path="unmatched" and path="/debug/trace/"), no series names a path that
+# was asked for, and the second round leaves the router's /metrics exactly
+# as many lines long as the first did.
+junk_round() {
+  for i in $(seq 1 50); do
+    code=$(curl -sS -o /dev/null -w '%{http_code}' "http://$ROUTER_ADDR/nosuch/$1-$i")
+    [ "$code" = 404 ] || { echo "cluster-smoke: /nosuch/$1-$i answered $code, want 404" >&2; exit 1; }
+  done
+  for _ in $(seq 1 20); do
+    tid=$(od -An -N16 -tx1 /dev/urandom | tr -d ' \n')
+    code=$(curl -sS -o /dev/null -w '%{http_code}' "http://$ROUTER_ADDR/debug/trace/$tid")
+    [ "$code" = 404 ] || { echo "cluster-smoke: /debug/trace/$tid answered $code, want 404" >&2; exit 1; }
+  done
+}
+curl -fsS "http://$ROUTER_ADDR/metrics" -o /dev/null # the scrape's own series exists before any count
+junk_round a
+curl -fsS "http://$ROUTER_ADDR/metrics" >"$OUT/router-metrics-junk1.prom"
+junk_round b
+curl -fsS "http://$ROUTER_ADDR/metrics" >"$OUT/router-metrics-junk2.prom"
+for route in unmatched /debug/trace/; do
+  n=$(grep -c "^oldenrouter_requests_total{code=\"404\",path=\"$route\"}" "$OUT/router-metrics-junk2.prom" || true)
+  [ "$n" = 1 ] || { echo "cluster-smoke: $n 404 series for route $route, want exactly 1" >&2; exit 1; }
+done
+if grep -E 'path="(/nosuch|/debug/trace/[0-9a-f])' "$OUT/router-metrics-junk2.prom"; then
+  echo "cluster-smoke: the request counter names a path that was asked for" >&2; exit 1
+fi
+l1=$(wc -l <"$OUT/router-metrics-junk1.prom")
+l2=$(wc -l <"$OUT/router-metrics-junk2.prom")
+[ "$l1" = "$l2" ] \
+  || { echo "cluster-smoke: router /metrics grew from $l1 to $l2 lines over unknown paths and trace ids" >&2; exit 1; }
+echo "cluster-smoke: 140 unknown paths and trace ids, one 404 series per route, /metrics steady at $l2 lines"
 
 # Final metrics scrape for the artifact bundle, then a clean shutdown.
 curl -fsS "http://$ROUTER_ADDR/metrics" >"$OUT/router-metrics.prom"

@@ -166,9 +166,11 @@ servesmoke:
 # oldenrouter on one box (ctrl-C tears everything down); point clients
 # or `oldenload -via-router` at the router — the surface is identical to
 # one oldend. `make clustersmoke` reproduces the CI cluster smoke:
-# routed cache-hit byte-identity, the cross-replica verify sweep at zero
-# mismatches, the three-shard balance gate, shard loss with zero 5xx,
-# and tracing through the router.
+# routed cache-hit byte-identity; the cross-replica determinism sweep
+# (every catalog key sent directly to all three replicas twice, the six
+# answers cmp-equal with one trace digest, then a routed "verify":true
+# re-run per key with zero mismatches); the three-shard balance gate;
+# shard loss with zero 5xx; and tracing through the router.
 cluster:
 	bash scripts/cluster.sh
 

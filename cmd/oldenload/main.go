@@ -17,11 +17,12 @@
 // shared catalog defaults, and names are validated against the same
 // enumeration oldend serves at GET /benchmarks:
 //
-//	oldenload -mix "treeadd:4:64,em3d:2:64" -scheme global -no-cache
+//	oldenload -mix "treeadd:4:64,em3d:2:64" -schemes global -no-cache
 //
-// A scheme sweep expands every mix entry across a set of coherence
-// schemes — the shape that exercises the server's phase cache, which
-// shares one build-phase boundary across schemes:
+// Every request runs in heuristic mode under the server's default
+// deadline. A scheme sweep expands every mix entry across a set of
+// coherence schemes — the shape that exercises the server's phase cache,
+// which shares one build-phase boundary across schemes:
 //
 //	oldenload -mix "em3d:2:64" -schemes local,global,bilateral -no-cache
 //
@@ -35,8 +36,8 @@
 //
 // Exit status: 0 when every SLO holds and no request got a 5xx; 1 on any
 // breach; 2 on usage errors. 429 shedding is the admission-control
-// contract working, not an error — it is reported separately and only
-// -max-shed-rate gates it.
+// contract working, not an error — it is reported separately and never
+// fails the gate.
 package main
 
 import (
@@ -136,17 +137,10 @@ func main() {
 	rps := flag.Float64("rps", 0, "open-loop target arrival rate; 0 selects the closed loop")
 	maxInflight := flag.Int("max-inflight", 512, "open loop: cap on in-flight requests (beyond it arrivals drop client-side)")
 	mixSpec := flag.String("mix", "", "comma-separated bench[:procs[:scale]] request mix (default: first four catalog benchmarks at scale 64)")
-	scheme := flag.String("scheme", "local", "coherence scheme for every request")
-	schemes := flag.String("schemes", "", "comma-separated scheme sweep: every mix entry expands across all of them (overrides -scheme)")
-	mode := flag.String("mode", "heuristic", "mechanism mode for every request")
+	schemes := flag.String("schemes", "local", "comma-separated coherence schemes: every mix entry expands across all of them")
 	noCache := flag.Bool("no-cache", false, "bypass the server's result cache (every request simulates)")
-	deadlineMS := flag.Int64("deadline-ms", 0, "per-request server deadline (0 = server default)")
-	timeout := flag.Duration("timeout", 2*time.Minute, "HTTP client timeout")
-	sloP50 := flag.Float64("slo-p50", 0, "fail if p50 latency exceeds this many ms (0 = off)")
 	sloP95 := flag.Float64("slo-p95", 0, "fail if p95 latency exceeds this many ms (0 = off)")
-	sloP99 := flag.Float64("slo-p99", 0, "fail if p99 latency exceeds this many ms (0 = off)")
 	sloErrRate := flag.Float64("slo-error-rate", 0, "max tolerated (5xx + transport error) fraction")
-	maxShedRate := flag.Float64("max-shed-rate", 1, "max tolerated 429 fraction (1 = shedding never fails the gate)")
 	minRequests := flag.Int64("min-requests", 1, "fail if fewer requests completed (guards against a dead server passing)")
 	out := flag.String("out", "", "write the JSON report to this file")
 	traceEvery := flag.Int("trace-every", 0, "send a sampled W3C traceparent on every Nth request so the server retains its span tree (0 = never)")
@@ -156,17 +150,13 @@ func main() {
 	maxShardSpread := flag.Float64("max-shard-spread", 0, "cluster mode: fail the gate when max/min per-shard request counts exceed this ratio (0 = off)")
 	flag.Parse()
 
-	schemeList := []string{*scheme}
-	if *schemes != "" {
-		schemeList = strings.Split(*schemes, ",")
-	}
-	mix, err := parseMix(*mixSpec, schemeList, *mode, *noCache, *deadlineMS)
+	mix, err := parseMix(*mixSpec, strings.Split(*schemes, ","), *noCache)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "oldenload: %v\n", err)
 		os.Exit(2)
 	}
 
-	client := &http.Client{Timeout: *timeout}
+	client := &http.Client{Timeout: 2 * time.Minute}
 	var (
 		mu      sync.Mutex
 		samples []sample
@@ -260,7 +250,7 @@ func main() {
 
 	rep := summarize(samples, loopMode, *url, *duration, mixNames(mix), drops.Load(), *viaRouter)
 	rep.SlowTraces = slowTraces(client, *url, samples, *slowest)
-	gate(&rep, *sloP50, *sloP95, *sloP99, *sloErrRate, *maxShedRate, *minRequests)
+	gate(&rep, *sloP95, *sloErrRate, *minRequests)
 	gateShards(&rep, *expectShards, *maxShardSpread)
 
 	fmt.Print(formatReport(rep))
@@ -365,7 +355,7 @@ func slowTraces(client *http.Client, baseURL string, samples []sample, k int) []
 // per (mix entry, scheme) pair — validating every field against the
 // shared catalog so this binary can never ask for a configuration oldend
 // does not advertise.
-func parseMix(spec string, schemes []string, mode string, noCache bool, deadlineMS int64) ([][]byte, error) {
+func parseMix(spec string, schemes []string, noCache bool) ([][]byte, error) {
 	catalog := bench.Catalog()
 	byName := map[string]bench.CatalogEntry{}
 	for _, e := range catalog {
@@ -403,13 +393,6 @@ func parseMix(spec string, schemes []string, mode string, noCache bool, deadline
 				return nil, fmt.Errorf("bad scale in mix entry %q", item)
 			}
 		}
-		modeOK := false
-		for _, m := range e.Modes {
-			modeOK = modeOK || m == mode
-		}
-		if !modeOK {
-			return nil, fmt.Errorf("mode %q not in catalog (%s)", mode, strings.Join(e.Modes, ", "))
-		}
 		for _, scheme := range schemes {
 			scheme = strings.TrimSpace(scheme)
 			schemeOK := false
@@ -420,13 +403,11 @@ func parseMix(spec string, schemes []string, mode string, noCache bool, deadline
 				return nil, fmt.Errorf("scheme %q not in catalog (%s)", scheme, strings.Join(e.Schemes, ", "))
 			}
 			body, err := json.Marshal(map[string]any{
-				"benchmark":   e.Name,
-				"procs":       procs,
-				"scale":       scale,
-				"scheme":      scheme,
-				"mode":        mode,
-				"no_cache":    noCache,
-				"deadline_ms": deadlineMS,
+				"benchmark": e.Name,
+				"procs":     procs,
+				"scale":     scale,
+				"scheme":    scheme,
+				"no_cache":  noCache,
 			})
 			if err != nil {
 				return nil, err
@@ -552,8 +533,8 @@ func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 // gate appends one breach string per violated SLO. A 5xx is always a
 // breach: the admission-control contract says overload answers 429,
-// never a server error.
-func gate(rep *Report, p50, p95, p99, errRate, shedRate float64, minRequests int64) {
+// never a server error; shedding itself never breaches.
+func gate(rep *Report, p95, errRate float64, minRequests int64) {
 	if rep.Requests < minRequests {
 		rep.Breaches = append(rep.Breaches,
 			fmt.Sprintf("completed %d requests, need >= %d", rep.Requests, minRequests))
@@ -567,20 +548,10 @@ func gate(rep *Report, p50, p95, p99, errRate, shedRate float64, minRequests int
 			rep.Breaches = append(rep.Breaches,
 				fmt.Sprintf("error rate %.4f > %.4f", er, errRate))
 		}
-		sr := float64(rep.Shed) / float64(rep.Requests)
-		if sr > shedRate {
-			rep.Breaches = append(rep.Breaches,
-				fmt.Sprintf("shed rate %.4f > %.4f", sr, shedRate))
-		}
 	}
-	check := func(name string, got, slo float64) {
-		if slo > 0 && got > slo {
-			rep.Breaches = append(rep.Breaches, fmt.Sprintf("%s %.1fms > %.1fms", name, got, slo))
-		}
+	if p95 > 0 && rep.Latency.P95 > p95 {
+		rep.Breaches = append(rep.Breaches, fmt.Sprintf("p95 %.1fms > %.1fms", rep.Latency.P95, p95))
 	}
-	check("p50", rep.Latency.P50, p50)
-	check("p95", rep.Latency.P95, p95)
-	check("p99", rep.Latency.P99, p99)
 }
 
 // gateShards appends cluster-mode breaches: fewer shards answered than

@@ -39,37 +39,33 @@ func TestPercentileNearestRank(t *testing.T) {
 	}
 }
 
-// TestGate leaves the p50/p95 SLOs off (0); cases set p99 when they test latency.
 func TestGate(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
 		rep         Report
-		p99         float64
+		p95         float64
 		errRate     float64
-		shedRate    float64
 		minRequests int64
 		want        []string // one substring per expected breach, in order
 	}{
-		{name: "clean run", rep: Report{Requests: 100, Succeeded: 100}, shedRate: 1, minRequests: 100},
+		{name: "clean run", rep: Report{Requests: 100, Succeeded: 100}, minRequests: 100},
 		{name: "a 5xx always breaches, whatever error rate is allowed",
-			rep: Report{Requests: 1000, Failed5xx: 1}, errRate: 1, shedRate: 1,
+			rep: Report{Requests: 1000, Failed5xx: 1}, errRate: 1,
 			want: []string{"1 responses were 5xx"}},
 		{name: "transport errors count toward the error rate only",
-			rep: Report{Requests: 10, Transport: 2}, errRate: 0.1, shedRate: 1,
+			rep: Report{Requests: 10, Transport: 2}, errRate: 0.1,
 			want: []string{"error rate 0.2000 > 0.1000"}},
-		{name: "shed rate at the limit passes", rep: Report{Requests: 10, Shed: 5}, shedRate: 0.5},
-		{name: "shed rate over the limit breaches", rep: Report{Requests: 10, Shed: 6}, shedRate: 0.5,
-			want: []string{"shed rate 0.6000 > 0.5000"}},
-		{name: "too few requests", rep: Report{Requests: 9}, shedRate: 1, minRequests: 10,
+		{name: "shedding never breaches", rep: Report{Requests: 10, Shed: 10}},
+		{name: "too few requests", rep: Report{Requests: 9}, minRequests: 10,
 			want: []string{"completed 9 requests, need >= 10"}},
 		{name: "zero requests: only the minimum can breach", rep: Report{}, minRequests: 1,
 			want: []string{"completed 0 requests, need >= 1"}},
-		{name: "latency SLO of 0 is off", rep: Report{Requests: 1, Latency: LatencyMS{P99: 1e6}}, shedRate: 1},
-		{name: "latency SLO breached", rep: Report{Requests: 1, Latency: LatencyMS{P99: 12.5}}, p99: 10, shedRate: 1,
-			want: []string{"p99 12.5ms > 10.0ms"}},
+		{name: "latency SLO of 0 is off", rep: Report{Requests: 1, Latency: LatencyMS{P95: 1e6}}},
+		{name: "latency SLO breached", rep: Report{Requests: 1, Latency: LatencyMS{P95: 12.5}}, p95: 10,
+			want: []string{"p95 12.5ms > 10.0ms"}},
 	} {
 		rep := tc.rep
-		gate(&rep, 0, 0, tc.p99, tc.errRate, tc.shedRate, tc.minRequests)
+		gate(&rep, tc.p95, tc.errRate, tc.minRequests)
 		if len(rep.Breaches) != len(tc.want) {
 			t.Errorf("%s: breaches %q, want %d", tc.name, rep.Breaches, len(tc.want))
 			continue
@@ -138,7 +134,7 @@ func TestParseMix(t *testing.T) {
 	}
 
 	t.Run("empty spec defaults to the first four catalog entries at scale 64", func(t *testing.T) {
-		mix, err := parseMix("", []string{"local"}, "heuristic", false, 0)
+		mix, err := parseMix("", []string{"local"}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,13 +143,13 @@ func TestParseMix(t *testing.T) {
 			t.Fatalf("%d default entries, want 4", len(got))
 		}
 		for _, b := range got {
-			if b.Scale != 64 || b.Procs < 1 || b.Scheme != "local" || b.Mode != "heuristic" {
+			if b.Scale != 64 || b.Procs < 1 || b.Scheme != "local" || b.Mode != "" || b.DeadlineMS != 0 {
 				t.Errorf("default entry %+v", b)
 			}
 		}
 	})
 	t.Run("procs and scale default per catalog entry; flags ride on every body", func(t *testing.T) {
-		mix, err := parseMix("treeadd, treeadd:2, treeadd:2:32", []string{"global"}, "heuristic", true, 250)
+		mix, err := parseMix("treeadd, treeadd:2, treeadd:2:32", []string{"global"}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,13 +158,13 @@ func TestParseMix(t *testing.T) {
 			t.Fatalf("entries %+v", got)
 		}
 		for _, b := range got {
-			if b.Benchmark != "treeadd" || !b.NoCache || b.DeadlineMS != 250 {
+			if b.Benchmark != "treeadd" || !b.NoCache || b.Scheme != "global" {
 				t.Errorf("entry %+v lost a flag", b)
 			}
 		}
 	})
 	t.Run("-schemes expands every entry, entry-major", func(t *testing.T) {
-		mix, err := parseMix("treeadd:2:64,em3d:2:64", []string{"local", " global", "bilateral"}, "heuristic", false, 0)
+		mix, err := parseMix("treeadd:2:64,em3d:2:64", []string{"local", " global", "bilateral"}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,20 +180,19 @@ func TestParseMix(t *testing.T) {
 			t.Errorf("mixNames = %q", names)
 		}
 	})
-	for _, tc := range []struct{ name, spec, scheme, mode, want string }{
-		{"four fields", "treeadd:2:64:local", "local", "heuristic", "bad mix entry"},
-		{"unknown benchmark", "nosuch:2:64", "local", "heuristic", "unknown benchmark"},
-		{"procs not a number", "treeadd:two", "local", "heuristic", "bad procs"},
-		{"procs zero", "treeadd:0", "local", "heuristic", "bad procs"},
-		{"procs beyond the catalog maximum", "treeadd:100000", "local", "heuristic", "bad procs"},
-		{"scale zero", "treeadd:2:0", "local", "heuristic", "bad scale"},
-		{"scale not a number", "treeadd:2:big", "local", "heuristic", "bad scale"},
-		{"empty entry", "treeadd,,em3d", "local", "heuristic", "unknown benchmark"},
-		{"scheme outside the catalog", "treeadd", "mesi", "heuristic", `scheme "mesi" not in catalog`},
-		{"mode outside the catalog", "treeadd", "local", "warp", `mode "warp" not in catalog`},
+	for _, tc := range []struct{ name, spec, scheme, want string }{
+		{"four fields", "treeadd:2:64:local", "local", "bad mix entry"},
+		{"unknown benchmark", "nosuch:2:64", "local", "unknown benchmark"},
+		{"procs not a number", "treeadd:two", "local", "bad procs"},
+		{"procs zero", "treeadd:0", "local", "bad procs"},
+		{"procs beyond the catalog maximum", "treeadd:100000", "local", "bad procs"},
+		{"scale zero", "treeadd:2:0", "local", "bad scale"},
+		{"scale not a number", "treeadd:2:big", "local", "bad scale"},
+		{"empty entry", "treeadd,,em3d", "local", "unknown benchmark"},
+		{"scheme outside the catalog", "treeadd", "mesi", `scheme "mesi" not in catalog`},
 	} {
 		t.Run("malformed: "+tc.name, func(t *testing.T) {
-			mix, err := parseMix(tc.spec, []string{tc.scheme}, tc.mode, false, 0)
+			mix, err := parseMix(tc.spec, []string{tc.scheme}, false)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("parseMix(%q) = %d bodies, err %v; want an error containing %q", tc.spec, len(mix), err, tc.want)
 			}

@@ -1,13 +1,11 @@
 // Command oldenrouter fronts a sharded oldend cluster: it
 // consistent-hashes each request's canonical run-config cache key across
 // a static replica list, proxies to the owning shard, probes peer caches
-// for hot keys, retries connection failures on the next ring owner, and
-// — because every replica is deterministic — can duplicate every Kth
-// request to a second replica and demand byte-identical answers.
+// for hot keys and retries connection failures on the next ring owner.
 //
 //	oldenrouter -addr :8090 \
 //	  -replicas http://127.0.0.1:8081,http://127.0.0.1:8082,http://127.0.0.1:8083 \
-//	  -probe-owners 2 -verify-every 16
+//	  -probe-owners 2
 //
 // The surface is deliberately the same as one oldend (POST /run, POST
 // /batch, GET /benchmarks, /metrics, /healthz, /readyz, /debug/...), so
@@ -21,9 +19,7 @@
 // When a shard is unreachable, requests retry on the next owner in ring
 // order (deterministic results make any replica a correct fallback);
 // when no owner of a key is reachable the answer is 503 with
-// Retry-After. A nonzero oldenrouter_verify_mismatch_total in /metrics
-// means two replicas disagreed byte-for-byte on the same configuration —
-// a determinism bug, and scripts/cluster_smoke.sh fails on it.
+// Retry-After.
 package main
 
 import (
@@ -47,7 +43,6 @@ func main() {
 	replicas := flag.String("replicas", "", "comma-separated oldend base URLs the ring shards over (required)")
 	vnodes := flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per replica on the hash ring")
 	probeOwners := flag.Int("probe-owners", 1, "hot-key replication width R: cacheable requests rotate across the key's first R owners, probing their caches first (1 = primary owner only)")
-	verifyEvery := flag.Int("verify-every", 0, "duplicate every Kth routed execution to a second replica and require byte-identical answers (0 disables)")
 	maxConns := flag.Int("max-conns", 64, "max concurrent connections the router holds open per replica")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on 503 responses")
 	downCooldown := flag.Duration("down-cooldown", 2*time.Second, "how long a replica stays marked down after a connection failure")
@@ -69,7 +64,6 @@ func main() {
 		Replicas:           list,
 		VNodes:             *vnodes,
 		ProbeOwners:        *probeOwners,
-		VerifyEvery:        *verifyEvery,
 		MaxConnsPerReplica: *maxConns,
 		RetryAfter:         *retryAfter,
 		DownCooldown:       *downCooldown,
@@ -91,8 +85,8 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "oldenrouter: listening on %s (replicas=%d vnodes=%d probe-owners=%d verify-every=%d)\n",
-		*addr, len(list), *vnodes, *probeOwners, *verifyEvery)
+	fmt.Fprintf(os.Stderr, "oldenrouter: listening on %s (replicas=%d vnodes=%d probe-owners=%d)\n",
+		*addr, len(list), *vnodes, *probeOwners)
 
 	select {
 	case err := <-errc:

@@ -11,6 +11,7 @@ import (
 	"repro/internal/bench/record"
 	"repro/internal/coherence"
 	"repro/internal/machine"
+	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/rt"
 	"repro/internal/trace"
@@ -174,8 +175,20 @@ type Phased struct {
 // the machine is still pristine: zero makespan, zero statistics, an empty
 // trace. The raw heap API charges, counts and emits nothing, so anything
 // else is a simulated access that would leak into the kernel's timing.
-func (info Info) build(cfg Config, r *rt.Runtime) (any, error) {
-	st := info.Phased.Build(cfg, r)
+// A build that exhausts a heap section returns its *mem.ExhaustedError:
+// a raw build runs on the caller's goroutine with no simulated thread
+// live, so nothing is left mid-run. Any other panic is re-raised.
+func (info Info) build(cfg Config, r *rt.Runtime) (st any, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			ex, ok := p.(*mem.ExhaustedError)
+			if !ok {
+				panic(p)
+			}
+			st, err = nil, ex
+		}
+	}()
+	st = info.Phased.Build(cfg, r)
 	if tr := r.Tracer(); r.M.Makespan() != 0 || r.M.Stats != (machine.Stats{}) || (tr != nil && tr.Len() != 0) {
 		return nil, fmt.Errorf("bench: %s build made simulated accesses; build through the raw heap API", info.Name)
 	}

@@ -1,12 +1,15 @@
 package bench_test
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/coherence"
+	"repro/internal/gaddr"
+	"repro/internal/mem"
 	"repro/internal/rt"
 	"repro/internal/trace"
 
@@ -156,6 +159,39 @@ func TestSimulatedBuildFails(t *testing.T) {
 		}
 	}()
 	info.Run(cfg)
+}
+
+// A build that outgrows its heap section is an error, not a panic: the
+// build recovers the exhaustion's *mem.ExhaustedError and returns it, and
+// RunPhased and RunPhasedRecorded hand it on without running the kernel
+// (the server answers 500). A build's other panics are re-raised.
+func TestBuildExhaustionIsAnError(t *testing.T) {
+	treeadd, _ := bench.Get("treeadd")
+	cfg := bench.Config{Procs: 2, Scale: 64, RuntimeHook: func(r *rt.Runtime) {
+		for i, p := range r.M.Procs { // sections of two pages: treeadd's tree does not fit
+			p.Heap = mem.NewHeap(i, 2*gaddr.PageBytes)
+		}
+	}}
+	var ex *mem.ExhaustedError
+	if _, bs, _, err := bench.RunPhased(treeadd, cfg, nil); !errors.As(err, &ex) || bs != nil {
+		t.Errorf("RunPhased: err = %v, build state %v; want an *mem.ExhaustedError and none", err, bs)
+	}
+	if _, _, bs, _, err := bench.RunPhasedRecorded(treeadd, cfg, nil); !errors.As(err, &ex) || bs != nil {
+		t.Errorf("RunPhasedRecorded: err = %v, build state %v; want an *mem.ExhaustedError and none", err, bs)
+	}
+
+	defer func() {
+		if p := recover(); p != "not exhaustion" {
+			t.Fatalf("a build's other panic came back as %v", p)
+		}
+	}()
+	bench.RunPhased(bench.Info{Name: "bench-test-panicking-build", Phased: &bench.Phased{
+		Build: func(bench.Config, *rt.Runtime) any { panic("not exhaustion") },
+		Kernel: func(bench.Config, *rt.Runtime, any) bench.Result {
+			t.Error("the kernel ran after a failed build")
+			return bench.Result{}
+		},
+	}}, bench.Config{Procs: 2}, nil)
 }
 
 // A build state must not serve a different benchmark, machine size or

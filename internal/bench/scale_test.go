@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/mem"
 )
 
 // At the paper's sizes (scale 1) every kernel's problem fits the default
@@ -13,7 +14,8 @@ import (
 // A kernel whose registration sets MinScale above 1 (barneshut, ROADMAP
 // item 13 step 2) is held to that rule instead, the one server.Normalize
 // enforces: its whole run at MinScale fits and verifies, and at
-// MinScale-1 it exhausts processor 0's section.
+// MinScale-1 it exhausts processor 0's section (an *mem.ExhaustedError
+// panic: barneshut runs whole, so it runs out inside its kernel).
 func TestPaperScaleBuildsFit(t *testing.T) {
 	if testing.Short() || raceDetectorEnabled {
 		t.Skip("paper-size builds: a few seconds, and hundreds of MiB under -race, for allocation code with no interleaving to check")
@@ -43,8 +45,8 @@ func TestPaperScaleBuildsFit(t *testing.T) {
 		if info.MinScale > 1 {
 			func() {
 				defer func() {
-					if recover() == nil {
-						t.Errorf("%s P=1 scale=%d ran: its MinScale %d is not the smallest that fits", name, info.MinScale-1, info.MinScale)
+					if _, ok := recover().(*mem.ExhaustedError); !ok {
+						t.Errorf("%s P=1 scale=%d did not exhaust a heap section: its MinScale %d is not the smallest that fits", name, info.MinScale-1, info.MinScale)
 					}
 				}()
 				info.Run(bench.Config{Procs: 1, Scale: info.MinScale - 1})

@@ -18,24 +18,32 @@ import (
 	"repro/internal/server"
 )
 
-// TestVerifyHitAgainstFreshPeerMatches is the regression test for the
-// false cross-replica alarm: the primary owner already holds the result
-// (warmed directly, behind the router's back), so the routed answer is a
-// cache hit while the verify duplicate executes fresh on the peer. Both
-// come from the replica's one renderer and must compare equal — digest
-// header included.
+// TestVerifyHitAgainstFreshPeerMatches requires a result-cache hit and a
+// fresh execution of one key to be the same answer on the wire, as
+// cluster_smoke.sh's cross-replica sweep compares them: one replica serves
+// the key as a hit, another executes it fresh, and the bodies and the
+// X-Oldend-Trace-Digest, Content-Type and Content-Length headers must be
+// equal. Both come from the replica's one renderer.
 func TestVerifyHitAgainstFreshPeerMatches(t *testing.T) {
-	tc := newTestCluster(t, 2, Config{VerifyEvery: 1}, fastExec)
-	owner := tc.router.ring.Owner(keyOf(t, runBody))
-	if st, b, _ := postJSON(t, owner+"/run", runBody); st != http.StatusOK {
-		t.Fatalf("warming the primary owner: status %d: %s", st, b)
+	warm, fresh := newReplica(t, "shard0", fastExec), newReplica(t, "shard1", fastExec)
+	if st, b, _ := postJSON(t, warm.URL+"/run", runBody); st != http.StatusOK {
+		t.Fatalf("warming shard0: status %d: %s", st, b)
 	}
-	st, _, h := postJSON(t, tc.front.URL+"/run", runBody)
-	if st != http.StatusOK || h.Get("X-Oldend-Cache") != "hit" {
-		t.Fatalf("routed run: status %d cache %q, want a 200 hit", st, h.Get("X-Oldend-Cache"))
+	hst, hit, hh := postJSON(t, warm.URL+"/run", runBody)
+	fst, run, fh := postJSON(t, fresh.URL+"/run", runBody)
+	if hst != http.StatusOK || hh.Get("X-Oldend-Cache") != "hit" {
+		t.Fatalf("shard0: status %d cache %q, want a 200 hit", hst, hh.Get("X-Oldend-Cache"))
 	}
-	if m, mm := tc.router.verifyMatch.Load(), tc.router.verifyMismatch.Load(); m != 1 || mm != 0 {
-		t.Errorf("verify match = %d, mismatch = %d; want 1 and 0 (hit vs fresh on byte-identical bodies)", m, mm)
+	if fst != http.StatusOK || fh.Get("X-Oldend-Cache") != "miss" {
+		t.Fatalf("shard1: status %d cache %q, want a 200 miss", fst, fh.Get("X-Oldend-Cache"))
+	}
+	if !bytes.Equal(hit, run) {
+		t.Errorf("bodies differ:\nhit   %s\nfresh %s", hit, run)
+	}
+	for _, k := range []string{"X-Oldend-Trace-Digest", "Content-Type", "Content-Length"} {
+		if hh.Get(k) == "" || hh.Get(k) != fh.Get(k) {
+			t.Errorf("%s: hit %q, fresh %q; want one non-empty value", k, hh.Get(k), fh.Get(k))
+		}
 	}
 }
 

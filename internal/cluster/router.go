@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"net/url"
 	"slices"
@@ -34,14 +33,9 @@ type Config struct {
 	// caches (GET /cache/probe) before executing anywhere. 1 (the
 	// default) routes every key to its primary owner only.
 	ProbeOwners int
-	// VerifyEvery is K: every Kth routed execution answered 200 is
-	// duplicated, synchronously, to a second replica, and the two bodies
-	// and trace digests must be byte-identical; a mismatch is a
-	// determinism bug, counted and logged. 0 disables.
-	VerifyEvery int
-	// MaxConnsPerReplica bounds the requests (proxies, probes, verify
-	// duplicates) open to one replica at once (default 64); excess ones
-	// wait, so one slow shard cannot take every file descriptor.
+	// MaxConnsPerReplica bounds the requests (proxies and probes) open
+	// to one replica at once (default 64); excess ones wait, so one slow
+	// shard cannot take every file descriptor.
 	MaxConnsPerReplica int
 	// RetryAfter is the backoff hint attached to 503 responses when no
 	// owner of a key is reachable (default 1s).
@@ -124,14 +118,10 @@ type Router struct {
 	names  []string // ring order-independent replica list (config order)
 	log    *server.AccessLogger
 
-	rr      atomic.Uint64 // round-robin cursor over a key's first R owners
-	verifyN atomic.Uint64 // every-Kth counter for cross-replica verify
+	rr atomic.Uint64 // round-robin cursor over a key's first R owners
 
-	retries        *metrics.Counter
-	unroutable     *metrics.Counter
-	verifyMatch    *metrics.Counter
-	verifyMismatch *metrics.Counter
-	verifyErr      *metrics.Counter
+	retries    *metrics.Counter
+	unroutable *metrics.Counter
 }
 
 // NewRouter builds the router and its ring.
@@ -169,16 +159,11 @@ func NewRouter(cfg Config) (*Router, error) {
 	m.SetHelp("oldenrouter_proxy_retries_total", "Proxy attempts retried on the next ring owner after a connection failure.")
 	m.SetHelp("oldenrouter_unroutable_total", "Requests answered 503 because no owner of the key was reachable.")
 	m.SetHelp("oldenrouter_probe_total", "Peer cache probes issued, by shard and outcome.")
-	m.SetHelp("oldenrouter_verify_total", "Cross-replica verify duplicates, by outcome (byte-identity of two replicas' answers).")
-	m.SetHelp("oldenrouter_verify_mismatch_total", "Cross-replica verify mismatches: two replicas answered the same key with different bytes. Any nonzero value is a determinism bug.")
 	m.SetHelp("oldenrouter_shard_latency_us", "Wall-clock latency of proxied replica exchanges, in microseconds, by shard.")
 	m.SetHelp("oldenrouter_replica_down_total", "Connection failures that marked a replica down for the cooldown, by shard.")
 	m.SetHelp("oldenrouter_shards", "Replicas in the ring (static).")
 	rt.retries = m.Counter("oldenrouter_proxy_retries_total")
 	rt.unroutable = m.Counter("oldenrouter_unroutable_total")
-	rt.verifyMatch = m.Counter("oldenrouter_verify_total", metrics.L("outcome", "match"))
-	rt.verifyMismatch = m.Counter("oldenrouter_verify_mismatch_total")
-	rt.verifyErr = m.Counter("oldenrouter_verify_total", metrics.L("outcome", "error"))
 	m.RegisterFunc("oldenrouter_shards", metrics.KindGauge, func() int64 { return int64(len(rt.names)) })
 	return rt, nil
 }
@@ -199,7 +184,7 @@ func (rt *Router) markDown(sh *shard) {
 }
 
 // reply is one fully-read replica response: everything the router needs
-// to serve, compare or discard it without holding a connection open.
+// to serve or discard it without holding a connection open.
 type reply struct {
 	status int
 	header http.Header
@@ -209,7 +194,7 @@ type reply struct {
 
 // replyBufs holds the arrays replies of up to 64 KiB are read into. Each
 // reader releases its reply: serveReply once the client has the bytes,
-// probe, verify, batch and readyz after reading it.
+// probe, batch and readyz after reading it.
 var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // release hands a pooled body back; nothing may read rep.body after it.
@@ -444,9 +429,7 @@ func (rt *Router) unroutable503(w http.ResponseWriter, msg string) {
 //     R owners' caches and serve the first hit — hot keys end up
 //     resident on R shards and any of them can answer;
 //  3. otherwise forward to the round-robin target among those owners
-//     (primary owner when R == 1);
-//  4. every Kth successful execution is duplicated to a second replica
-//     and the two answers must be byte-identical (verify mode).
+//     (primary owner when R == 1).
 func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 	req, key, body, err := server.DecodeRun(r.Body) // body is forwarded verbatim
 	if err != nil {
@@ -506,53 +489,7 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	st.Shard = sh.name
 	st.Cache = rep.header.Get("X-Oldend-Cache")
-	if rep.status == http.StatusOK && cacheable && rt.cfg.VerifyEvery > 0 &&
-		rt.verifyN.Add(1)%uint64(rt.cfg.VerifyEvery) == 0 {
-		rt.verifyAgainstPeer(r, st.Span, owners, sh.name, body, rep)
-	}
 	serveReply(w, rep, sh.name)
-}
-
-// verifyAgainstPeer duplicates one already-served execution to the next
-// distinct owner and demands byte-identity: same RunRecord bytes, same
-// X-Oldend-Trace-Digest. The duplicate runs synchronously (the caller
-// already holds the primary answer) so the metrics a smoke script
-// scrapes after a sweep are settled. A mismatch still serves the primary
-// answer: the alarm is the counter and the log line.
-func (rt *Router) verifyAgainstPeer(r *http.Request, sp *obs.Span, owners []string, primary string, body []byte, prime reply) {
-	var peer *shard
-	for _, o := range owners {
-		if o != primary && rt.alive(rt.shards[o]) {
-			peer = rt.shards[o]
-			break
-		}
-	}
-	if peer == nil {
-		return // single-replica ring or everyone else down: nothing to compare
-	}
-	vs := sp.StartChild("verify:" + peer.name)
-	rep, err := rt.exchange(r.Context(), peer, http.MethodPost, "/run", body, downstreamHeader(r, vs))
-	defer rep.release()
-	if err != nil || rep.status != http.StatusOK {
-		rt.verifyErr.Inc()
-		vs.EndAborted()
-		return
-	}
-	primeDigest := prime.header.Get("X-Oldend-Trace-Digest")
-	peerDigest := rep.header.Get("X-Oldend-Trace-Digest")
-	if bytes.Equal(prime.body, rep.body) && primeDigest == peerDigest {
-		rt.verifyMatch.Inc()
-		vs.SetAttr("verify", "match")
-		vs.End()
-		return
-	}
-	rt.verifyMismatch.Inc()
-	vs.SetAttr("verify", "mismatch")
-	vs.EndAborted()
-	rt.log.Error("cross-replica verify mismatch",
-		slog.String("primary", primary), slog.String("peer", peer.name),
-		slog.String("primary_digest", primeDigest), slog.String("peer_digest", peerDigest),
-		slog.Int("primary_bytes", len(prime.body)), slog.Int("peer_bytes", len(rep.body)))
 }
 
 // handleBatch shards a /batch body: the replicas' prologue

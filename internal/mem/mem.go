@@ -47,9 +47,26 @@ func NewHeap(proc int, capacity uint32) *Heap {
 // Proc returns the owning processor's name.
 func (h *Heap) Proc() int { return h.proc }
 
+// ExhaustedError is the panic value of an Alloc that does not fit its heap
+// section. A benchmark's build recovers it into an error (bench.Info.build);
+// anywhere else it ends the run.
+type ExhaustedError struct {
+	Proc                    int
+	InUse, Requested, Limit uint32
+}
+
+func (e *ExhaustedError) Error() string {
+	hint := "raise Config.HeapBytesPerProc"
+	if e.Limit >= gaddr.MaxOffset {
+		hint = "the problem does not fit one section"
+	}
+	return fmt.Sprintf("mem: heap section of processor %d exhausted (%d bytes in use, %d requested, limit %d; 26-bit offsets address at most gaddr.MaxOffset = %d bytes): %s",
+		e.Proc, e.InUse, e.Requested, e.Limit, gaddr.MaxOffset, hint)
+}
+
 // Alloc carves nbytes out of the heap and returns the global pointer to it.
 // Objects are word-aligned. Alloc never returns nil: exhausting a heap
-// section is a configuration error and panics with a sizing hint.
+// section is a configuration error and panics with an *ExhaustedError.
 func (h *Heap) Alloc(nbytes uint32) gaddr.GP {
 	if nbytes == 0 {
 		nbytes = gaddr.WordBytes
@@ -57,12 +74,7 @@ func (h *Heap) Alloc(nbytes uint32) gaddr.GP {
 	nbytes = (nbytes + gaddr.WordBytes - 1) &^ uint32(gaddr.WordBytes-1)
 	off := h.next
 	if off+nbytes > h.limit || off+nbytes < off {
-		hint := "raise Config.HeapBytesPerProc"
-		if h.limit >= gaddr.MaxOffset {
-			hint = "the problem does not fit one section"
-		}
-		panic(fmt.Sprintf("mem: heap section of processor %d exhausted (%d bytes in use, %d requested, limit %d; 26-bit offsets address at most gaddr.MaxOffset = %d bytes): %s",
-			h.proc, off, nbytes, h.limit, gaddr.MaxOffset, hint))
+		panic(&ExhaustedError{Proc: h.proc, InUse: off, Requested: nbytes, Limit: h.limit})
 	}
 	h.next = off + nbytes
 	need := int((off + nbytes) / gaddr.WordBytes)

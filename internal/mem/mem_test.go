@@ -67,8 +67,12 @@ func TestMisalignedPanics(t *testing.T) {
 func TestExhaustionPanics(t *testing.T) {
 	h := NewHeap(0, 2*gaddr.PageBytes)
 	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on heap exhaustion")
+		ex, ok := recover().(*ExhaustedError)
+		if !ok {
+			t.Fatal("expected an *ExhaustedError panic on heap exhaustion")
+		}
+		if ex.Proc != 0 || ex.Limit != 2*gaddr.PageBytes || ex.InUse+ex.Requested <= ex.Limit {
+			t.Fatalf("exhaustion %+v does not describe the overflowing request", *ex)
 		}
 	}()
 	for i := 0; i < 10_000; i++ {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/coherence"
 	"repro/internal/gaddr"
 	"repro/internal/machine"
+	"repro/internal/mem"
 )
 
 // TestHeapExhaustionPanics checks the failure mode of an undersized heap
@@ -16,12 +17,12 @@ import (
 func TestHeapExhaustionPanics(t *testing.T) {
 	r := New(Config{Procs: 1, HeapBytesPerProc: 2 * gaddr.PageBytes})
 	defer func() {
-		v := recover()
-		if v == nil {
-			t.Fatal("expected heap exhaustion panic")
+		ex, ok := recover().(*mem.ExhaustedError)
+		if !ok {
+			t.Fatal("expected a heap exhaustion panic")
 		}
-		if !strings.Contains(v.(string), "HeapBytesPerProc") {
-			t.Fatalf("panic lacks a sizing hint: %v", v)
+		if !strings.Contains(ex.Error(), "HeapBytesPerProc") {
+			t.Fatalf("panic lacks a sizing hint: %v", ex)
 		}
 	}()
 	r.Run(0, func(th *Thread) {

@@ -32,18 +32,6 @@ func NewAccessLogger(w io.Writer) *AccessLogger {
 	return &AccessLogger{h: slog.NewJSONHandler(w, nil)}
 }
 
-// Error logs one error-level line outside the per-request sequence (the
-// router's cross-replica verify alarm) through the same handler, so it
-// interleaves cleanly with the access lines. Nil-safe.
-func (l *AccessLogger) Error(msg string, attrs ...slog.Attr) {
-	if l == nil {
-		return
-	}
-	rec := slog.NewRecord(time.Now(), slog.LevelError, msg, 0)
-	rec.AddAttrs(attrs...)
-	_ = l.h.Handle(context.Background(), rec)
-}
-
 // ReqState is the per-request state the envelope threads through the
 // context: the tracer's summary (handlers fill in Benchmark, Cache and
 // ShedReason), the root span (nil when unsampled), the traceparent an
@@ -343,8 +331,7 @@ var (
 
 // writeRun renders a run result as an HTTP response. It is the only
 // writer of a 200 run answer — result-cache hit, probe hit or fresh
-// execution — so all three carry the same headers, which is what lets the
-// router compare any two of them byte for byte.
+// execution — so all three carry the same headers and bytes.
 func (s *Server) writeRun(w http.ResponseWriter, res result) {
 	switch res.status {
 	case http.StatusOK:

@@ -10,7 +10,6 @@ ROUTER_ADDR=${CLUSTER_ADDR:-127.0.0.1:8090}
 BASE_PORT=${CLUSTER_BASE_PORT:-8081}
 NREPLICAS=${CLUSTER_REPLICAS:-3}
 PROBE_OWNERS=${CLUSTER_PROBE_OWNERS:-2}
-VERIFY_EVERY=${CLUSTER_VERIFY_EVERY:-16}
 
 BIN=$(mktemp -d)
 trap 'kill 0 2>/dev/null; rm -rf "$BIN"' EXIT INT TERM
@@ -33,7 +32,7 @@ for _ in $(seq 1 50); do
 done
 
 "$BIN/oldenrouter" -addr "$ROUTER_ADDR" -replicas "$REPLICAS" \
-  -probe-owners "$PROBE_OWNERS" -verify-every "$VERIFY_EVERY" 2>&1 \
+  -probe-owners "$PROBE_OWNERS" 2>&1 \
   | sed 's/^/[router] /' &
 
 echo "cluster: router on http://$ROUTER_ADDR fronting $NREPLICAS replicas (ctrl-C stops everything)"

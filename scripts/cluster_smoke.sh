@@ -9,12 +9,12 @@
 #      a configuration that cannot fit a heap section (barneshut at scale
 #      1) is a 400, through the router and direct, and every shard is
 #      still ready afterwards;
-#   2. a verify sweep (every 4th routed execution duplicated to a second
-#      replica) over the full kernel catalog, run twice, ends with
-#      oldenrouter_verify_mismatch_total = 0 — replicas agree
-#      byte-for-byte, the determinism contract holds across processes —
-#      and so does the same double sweep through a second router without
-#      the probe phase, where memoized answers meet fresh executions;
+#   2. a cross-replica determinism sweep, off the request path: every
+#      catalog benchmark at P=1 and P=4 is sent directly to each of the
+#      three replicas twice (fresh runs and hits, then hits only), and all
+#      six answers must be byte-identical with one X-Oldend-Trace-Digest;
+#      then each key goes once through the router with "verify":true,
+#      every answer a 200, and no replica counts a verify mismatch;
 #   3. routed load spreads over all three shards within the balance gate
 #      (oldenload -via-router -expect-shards/-max-shard-spread) and the
 #      repeated mix is served mostly from the federated caches;
@@ -29,7 +29,6 @@
 set -euo pipefail
 
 ROUTER_ADDR=${CLUSTER_ADDR:-127.0.0.1:18090}
-VERIFY_ADDR=${CLUSTER_VERIFY_ADDR:-127.0.0.1:18089}
 BASE_PORT=${CLUSTER_BASE_PORT:-18091}
 OUT=${CLUSTER_OUT:-/tmp/oldend-cluster}
 mkdir -p "$OUT"
@@ -50,16 +49,10 @@ done
 REPLICAS=${REPLICAS#,}
 
 "$OUT/oldenrouter" -addr "$ROUTER_ADDR" -replicas "$REPLICAS" \
-  -probe-owners 2 -verify-every 4 -down-cooldown 5s \
+  -probe-owners 2 -down-cooldown 5s \
   2>"$OUT/oldenrouter.log" &
 ROUTER_PID=$!
-# A second router over the same replicas with no probe phase: its repeats
-# reach the primary owner as plain cache hits, so its verifier compares
-# memoized answers against fresh executions (step 2).
-"$OUT/oldenrouter" -addr "$VERIFY_ADDR" -replicas "$REPLICAS" -verify-every 3 \
-  2>"$OUT/oldenrouter-verify.log" &
-VERIFY_PID=$!
-trap 'kill -9 $ROUTER_PID $VERIFY_PID "${PIDS[@]}" 2>/dev/null || true' EXIT
+trap 'kill -9 $ROUTER_PID "${PIDS[@]}" 2>/dev/null || true' EXIT
 
 for _ in $(seq 1 50); do
   curl -fsS "http://$ROUTER_ADDR/readyz" >/dev/null 2>&1 && break
@@ -116,39 +109,56 @@ grep -q '"ready_shards":3' "$OUT/readyz-after-poison.json" \
   || { echo "cluster-smoke: a shard is not ready after the poison request: $(cat "$OUT/readyz-after-poison.json")" >&2; exit 1; }
 echo "cluster-smoke: poison request refused with 400, all three shards still ready"
 
-# 2. Cross-replica verify sweep: run the whole catalog through the
-# router twice — every 4th execution is duplicated to a peer; the second
-# pass is cache-hit traffic served by the probe phase. Zero mismatches is
-# the gate; at least one match proves the verifier actually ran. Then the
-# same double sweep through the probe-less router: by now some owners
-# hold a key and some do not, and its every-3rd counter lands on
-# different keys in the second pass, so hits are verified against fresh
-# runs (and the reverse) — a memoized answer and an execution must be
-# indistinguishable on the wire, digest header included.
+# 2. Cross-replica determinism, checked here rather than on the request
+# path: each catalog key at P=1 and P=4 goes directly to every replica,
+# twice. The first pass mixes fresh runs with the hits step 1 left; the
+# second is all hits. The six answers must be cmp-equal and carry one
+# X-Oldend-Trace-Digest — a memoized answer and an execution on another
+# process are indistinguishable on the wire. Then each key goes through
+# the router once with "verify":true (the replica re-executes and compares
+# with its cached digest): every answer a 200, and no replica counts a
+# mismatch.
 BENCHES=$(grep -o '"name": "[a-z0-9]*"' "$OUT/benchmarks.json" | cut -d'"' -f4)
 [ -n "$BENCHES" ]
-curl -fsS --retry 25 --retry-delay 0 --retry-connrefused "http://$VERIFY_ADDR/readyz" >/dev/null
-for target in "$ROUTER_ADDR" "$VERIFY_ADDR"; do
-  prom="$OUT/router-metrics-verify-${target##*:}.prom"
-  for _pass in 1 2; do
-    for b in $BENCHES; do
-      for p in 1 4; do
-        curl -fsS -X POST -d "{\"benchmark\":\"$b\",\"procs\":$p,\"scale\":64}" \
-          "http://$target/run" -o /dev/null
+SWEEP="$OUT/sweep"
+mkdir -p "$SWEEP"
+nkeys=0
+for b in $BENCHES; do
+  for p in 1 4; do
+    cfg="\"benchmark\":\"$b\",\"procs\":$p,\"scale\":64"
+    for pass in 1 2; do
+      for i in 0 1 2; do
+        f="$SWEEP/$b-$p-$pass-$i"
+        curl -fsS -X POST -d "{$cfg}" "http://127.0.0.1:$((BASE_PORT + i))/run" -o "$f.json" -D "$f.h"
+        if [ "$pass" = 2 ] && ! grep -qi '^X-Oldend-Cache: hit' "$f.h"; then
+          echo "cluster-smoke: $b P=$p on shard$i was not a hit on the second pass" >&2; exit 1
+        fi
+        cmp "$SWEEP/$b-$p-1-0.json" "$f.json" \
+          || { echo "cluster-smoke: CROSS-REPLICA MISMATCH: $b P=$p, shard$i pass $pass differs from shard0 pass 1" >&2; exit 1; }
       done
     done
+    ndigest=$(cat "$SWEEP/$b-$p"-*.h | grep -i '^X-Oldend-Trace-Digest:' | tr -d '\r' | sort -u | wc -l)
+    [ "$ndigest" = 1 ] \
+      || { echo "cluster-smoke: CROSS-REPLICA MISMATCH: $b P=$p carries $ndigest distinct trace digests" >&2; exit 1; }
+    code=$(curl -sS -o "$SWEEP/$b-$p-verify.json" -w '%{http_code}' -X POST -d "{$cfg,\"verify\":true}" "http://$ROUTER_ADDR/run")
+    [ "$code" = 200 ] \
+      || { echo "cluster-smoke: verify of $b P=$p through the router answered $code: $(cat "$SWEEP/$b-$p-verify.json")" >&2; exit 1; }
+    nkeys=$((nkeys + 1))
   done
-  curl -fsS "http://$target/metrics" >"$prom"
-  grep -Eq 'oldenrouter_verify_total\{outcome="match"\} [1-9]' "$prom" \
-    || { echo "cluster-smoke: verify mode never ran a duplicate on $target" >&2; exit 1; }
-  if grep -E 'oldenrouter_verify_mismatch_total [1-9]' "$prom"; then
-    echo "cluster-smoke: CROSS-REPLICA VERIFY MISMATCH on $target — replicas disagreed byte-for-byte" >&2
-    exit 1
-  fi
 done
-kill -TERM "$VERIFY_PID"
-wait "$VERIFY_PID"
-echo "cluster-smoke: double verify sweep over the catalog (fresh and memoized), zero mismatches"
+matches=0
+for i in 0 1 2; do
+  prom="$OUT/oldend-metrics-sweep-$i.prom"
+  curl -fsS "http://127.0.0.1:$((BASE_PORT + i))/metrics" >"$prom"
+  if grep -E 'oldend_cache_verify_total\{outcome="mismatch"\} [1-9]' "$prom"; then
+    echo "cluster-smoke: shard$i counted a cache verify mismatch" >&2; exit 1
+  fi
+  m=$(awk '/^oldend_cache_verify_total\{outcome="match"\}/ {print $2}' "$prom")
+  matches=$((matches + ${m:-0}))
+done
+[ "$matches" -ge "$nkeys" ] \
+  || { echo "cluster-smoke: $matches verify matches over the replicas, want at least $nkeys" >&2; exit 1; }
+echo "cluster-smoke: $nkeys catalog keys byte-identical on all three replicas (fresh and memoized), $matches verify re-runs matched"
 
 # 3. Balance: a closed-loop mix of distinct configurations must reach
 # all three shards within the spread gate, and the repeats must be

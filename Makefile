@@ -88,6 +88,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRun$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzRingOwners$$' -fuzztime $(FUZZTIME) ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime $(FUZZTIME) ./internal/obs
 
 # Persistent baselines and the deterministic perf gate. `make bench`
 # re-pins the committed BENCH_<name>.json files (do this when a change

@@ -33,13 +33,9 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/server"
@@ -79,40 +75,14 @@ func main() {
 		cfg.AccessLog = server.NewAccessLogger(os.Stderr)
 	}
 	s := server.New(cfg)
-	// A client that never finishes its request headers must not pin a
-	// connection forever.
-	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "oldend: listening on %s (workers=%d queue=%d cache=%d phase-cache=%d)\n",
 		*addr, *workers, *queue, *cacheEntries, *phaseEntries)
-
-	select {
-	case err := <-errc:
-		fatalf("listen: %v", err)
-	case <-ctx.Done():
+	// Drain order: s.Shutdown fails readiness and refuses new runs at
+	// once and finishes admitted work; then the listener closes, so
+	// in-flight responses flush before the process exits.
+	if err := server.Serve("oldend", *addr, s.Handler(), *drainTimeout, s.Shutdown); err != nil {
+		fatalf("%v", err)
 	}
-
-	// Drain order: fail readiness + refuse new runs immediately, finish
-	// admitted work, then close the listener so in-flight responses
-	// flush before the process exits.
-	fmt.Fprintln(os.Stderr, "oldend: drain started (readiness now failing)")
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := s.Shutdown(drainCtx); err != nil {
-		fmt.Fprintf(os.Stderr, "oldend: drain incomplete: %v\n", err)
-		httpSrv.Close()
-		os.Exit(1)
-	}
-	if err := httpSrv.Shutdown(drainCtx); err != nil {
-		fmt.Fprintf(os.Stderr, "oldend: http shutdown: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintln(os.Stderr, "oldend: drained cleanly")
 }
 
 func fatalf(format string, args ...any) {

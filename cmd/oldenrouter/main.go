@@ -23,17 +23,14 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/server"
 
 	_ "repro/internal/bench/all"
 )
@@ -76,35 +73,13 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	// A client that never finishes its request headers must not pin a
-	// connection forever.
-	httpSrv := &http.Server{Addr: *addr, Handler: rt.Handler(), ReadHeaderTimeout: 10 * time.Second}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "oldenrouter: listening on %s (replicas=%d vnodes=%d probe-owners=%d)\n",
 		*addr, len(list), *vnodes, *probeOwners)
-
-	select {
-	case err := <-errc:
-		fatalf("listen: %v", err)
-	case <-ctx.Done():
+	// No job state of its own: the in-flight proxied requests the
+	// listener's Shutdown waits for are all there is to flush.
+	if err := server.Serve("oldenrouter", *addr, rt.Handler(), 30*time.Second, nil); err != nil {
+		fatalf("%v", err)
 	}
-
-	// The router holds no job state of its own — in-flight proxied
-	// requests are the only thing to flush, and http.Server.Shutdown
-	// waits for exactly those.
-	fmt.Fprintln(os.Stderr, "oldenrouter: shutting down")
-	shCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shCtx); err != nil {
-		fmt.Fprintf(os.Stderr, "oldenrouter: shutdown: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintln(os.Stderr, "oldenrouter: drained cleanly")
 }
 
 func fatalf(format string, args ...any) {

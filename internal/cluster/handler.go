@@ -29,8 +29,8 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("/run", server.Only(http.MethodPost, rt.handleRun))
 	mux.HandleFunc("/batch", server.Only(http.MethodPost, rt.handleBatch))
 	mux.HandleFunc("/benchmarks", server.Only(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
-		st := server.RequestState(r)
-		rep, sh, ok := rt.forward(r, st.Span, rt.names, rt.names[0], "/benchmarks", nil)
+		st := server.RequestState(w)
+		rep, sh, ok := rt.forward(r, st, rt.names, rt.names[0], "/benchmarks", nil)
 		if !ok {
 			rt.unroutable503(w, "no reachable replica")
 			return

@@ -101,7 +101,7 @@ func TestRoutedHitHeaders(t *testing.T) {
 	}
 
 	// As measured with this harness on go1.24, linux/amd64.
-	const maxAllocs = 49
+	const maxAllocs = 43
 	if raceDetectorEnabled {
 		return
 	}
@@ -170,24 +170,31 @@ func hitHeaders(h http.Header) string {
 // differ in length, through a router in front of two replicas, and every
 // answer must equal its key's cold answer byte for byte, headers (trace
 // ids aside) included. A buffer recycled early is refilled by another
-// request while its owner's client yields inside Write.
+// request while its owner's client yields inside Write. Every access
+// line, the router's and the replicas', must name the key and trace id of
+// the request that produced it: the state a handler reaches through its
+// response writer is never another request's.
 func TestPooledRepliesNeverLeak(t *testing.T) {
+	var logs lockedBuffer
 	tr := handlerTransport{}
 	var replicas []string
 	for i := 0; i < 2; i++ {
 		host := fmt.Sprintf("replica%d", i)
-		srv := server.New(server.Config{Workers: 1, QueueDepth: 8, CacheEntries: 16, ShardName: host, Execute: fastExec})
+		srv := server.New(server.Config{Workers: 1, QueueDepth: 8, CacheEntries: 16, ShardName: host, Execute: fastExec,
+			AccessLog: server.NewAccessLogger(&logs)})
 		t.Cleanup(func() { srv.Shutdown(context.Background()) })
 		tr[host] = srv.Handler()
 		replicas = append(replicas, "http://"+host)
 	}
-	rt, err := NewRouter(Config{Replicas: replicas, Client: &http.Client{Transport: tr}})
+	rt, err := NewRouter(Config{Replicas: replicas, AccessLog: &logs, Client: &http.Client{Transport: tr}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := rt.Handler()
-	var bodies, coldHeaders []string
+	var bodies, keys, coldHeaders []string
 	var cold [][]byte
+	var mu sync.Mutex
+	keyOfTrace := map[string]string{} // every answer's X-Oldend-Trace-Id -> its request's key
 	lengths := map[int]bool{}
 	for b, procs := range map[string]int{"treeadd": 1, "power": 2, "tsp": 3, "mst": 40, "bisort": 5, "voronoi": 60} {
 		body := fmt.Sprintf(`{"benchmark":%q,"procs":%d,"scale":64}`, b, procs)
@@ -195,7 +202,8 @@ func TestPooledRepliesNeverLeak(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("cold %s: %d %s", body, rec.Code, rec.Body)
 		}
-		bodies, cold = append(bodies, body), append(cold, rec.Body.Bytes())
+		keyOfTrace[rec.Header().Get("X-Oldend-Trace-Id")] = keyOf(t, body)
+		bodies, keys, cold = append(bodies, body), append(keys, keyOf(t, body)), append(cold, rec.Body.Bytes())
 		coldHeaders = append(coldHeaders, hitHeaders(rec.Header()))
 		lengths[rec.Body.Len()] = true
 	}
@@ -212,6 +220,9 @@ func TestPooledRepliesNeverLeak(t *testing.T) {
 				k := (g + i) % len(bodies)
 				rec := httptest.NewRecorder()
 				h.ServeHTTP(slowClient{rec}, httptest.NewRequest(http.MethodPost, "/run", strings.NewReader(bodies[k])))
+				mu.Lock()
+				keyOfTrace[rec.Header().Get("X-Oldend-Trace-Id")] = keys[k]
+				mu.Unlock()
 				if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), cold[k]) || rec.Header().Get("X-Oldend-Cache") != "hit" {
 					if wrong.Add(1) == 1 {
 						t.Errorf("hit on %s: %d %q, want the cold answer %q", bodies[k], rec.Code, rec.Body, cold[k])
@@ -227,6 +238,22 @@ func TestPooledRepliesNeverLeak(t *testing.T) {
 	wg.Wait()
 	if n := wrong.Load(); n > 0 {
 		t.Errorf("%d of 1600 routed hits did not equal their key's cold answer", n)
+	}
+	lines := strings.Split(strings.TrimSpace(logs.String()), "\n")
+	if want := 2 * len(keyOfTrace); len(lines) != want || len(keyOfTrace) != 1600+len(bodies) {
+		t.Errorf("%d access lines for %d distinct trace ids; want %d lines (router and replica) for %d requests", len(lines), len(keyOfTrace), want, 1600+len(bodies))
+	}
+	for _, l := range lines {
+		var line struct {
+			TraceID string `json:"trace_id"`
+			Key     string `json:"key"`
+		}
+		if err := json.Unmarshal([]byte(l), &line); err != nil {
+			t.Fatalf("access line %q: %v", l, err)
+		}
+		if want, ok := keyOfTrace[line.TraceID]; !ok || line.Key != want {
+			t.Fatalf("access line %s: its request's key is %q", l, want)
+		}
 	}
 }
 

@@ -344,15 +344,15 @@ func serveReply(w http.ResponseWriter, rep reply, shardName string) {
 
 // downstreamHeader builds the headers a proxied request carries: the
 // original content type plus the trace chain — a fresh traceparent child
-// of the router's span when the request is sampled (so the replica's
-// span tree hangs off the router's), else the envelope's unsampled one,
-// so the two access lines join on the trace id.
-func downstreamHeader(r *http.Request, sp *obs.Span) http.Header {
+// of sp when the request is sampled (so the replica's span tree hangs off
+// the router's), else st's unsampled one, so the two access lines join on
+// the trace id.
+func downstreamHeader(r *http.Request, st *server.ReqState, sp *obs.Span) http.Header {
 	h := make(http.Header, 2)
 	if ct := r.Header["Content-Type"]; len(ct) > 0 {
 		h["Content-Type"] = ct[:1]
 	}
-	h["Traceparent"] = server.RequestState(r).Traceparent
+	h["Traceparent"] = st.Traceparent
 	if sp.Sampled() {
 		h["Traceparent"] = []string{sp.Context().Traceparent()}
 	}
@@ -383,18 +383,18 @@ func (rt *Router) candidates(dst []*shard, owners []string, target string) []*sh
 }
 
 // forward is the router's one remote execute step: try the ordered
-// candidates, each a proxy:<shard> span, retrying the next ring owner on
-// connection failure (safe after a half-sent request: every forwarded
-// path is deterministic and idempotent). Any HTTP answer ends the chain,
-// one too large to hold as a 502; if none comes, ok is false.
-func (rt *Router) forward(r *http.Request, sp *obs.Span, owners []string, target, path string, body []byte) (reply, *shard, bool) {
-	hdr := downstreamHeader(r, sp)
+// candidates, each a proxy:<shard> span under st's, retrying the next
+// ring owner on connection failure (safe after a half-sent request: every
+// forwarded path is deterministic and idempotent). Any HTTP answer ends
+// the chain, one too large to hold as a 502; if none comes, ok is false.
+func (rt *Router) forward(r *http.Request, st *server.ReqState, owners []string, target, path string, body []byte) (reply, *shard, bool) {
+	hdr := downstreamHeader(r, st, st.Span)
 	var buf [4]*shard // holds a chain of up to four on the stack
 	for attempt, sh := range rt.candidates(buf[:0], owners, target) {
 		if attempt > 0 {
 			rt.retries.Inc()
 		}
-		ps := sp.StartChild(sh.proxySpan)
+		ps := st.Span.StartChild(sh.proxySpan)
 		rep, err := rt.exchange(r.Context(), sh, r.Method, path, body, hdr)
 		if err != nil {
 			ps.SetAttr("error", err.Error())
@@ -431,13 +431,13 @@ func (rt *Router) unroutable503(w http.ResponseWriter, msg string) {
 //  3. otherwise forward to the round-robin target among those owners
 //     (primary owner when R == 1).
 func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
-	req, key, body, err := server.DecodeRun(r.Body) // body is forwarded verbatim
+	req, key, body, err := server.DecodeRun(r.Body, r.ContentLength) // body is forwarded verbatim
 	if err != nil {
 		server.WriteError(w, server.DecodeStatus(err), err.Error())
 		return
 	}
 	owners := rt.ring.Owners(key, len(rt.names))
-	st := server.RequestState(r)
+	st := server.RequestState(w)
 	st.Key = key
 	st.Benchmark = req.Benchmark
 
@@ -456,7 +456,7 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 			ps := st.Span.StartChild("probe:" + sh.name)
 			pctx, cancel := context.WithTimeout(r.Context(), peerTimeout)
 			rep, err := rt.exchange(pctx, sh, http.MethodGet,
-				"/cache/probe?key="+url.QueryEscape(key), nil, downstreamHeader(r, ps))
+				"/cache/probe?key="+url.QueryEscape(key), nil, downstreamHeader(r, st, ps))
 			cancel()
 			outcome := "miss"
 			switch {
@@ -481,7 +481,7 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	rep, sh, ok := rt.forward(r, st.Span, owners, owners[ridx%len(owners)], "/run", body)
+	rep, sh, ok := rt.forward(r, st, owners, owners[ridx%len(owners)], "/run", body)
 	if !ok {
 		st.ShedReason = "no_owner_reachable"
 		rt.unroutable503(w, fmt.Sprintf("no reachable replica for key %q (tried %d owners)", key, len(owners)))
@@ -498,7 +498,7 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 // request order. Invalid items fail 400 item-locally, as on a replica;
 // a group no owner answers yields 503 items.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	breq, items, err := server.DecodeBatch(r.Body)
+	breq, items, err := server.DecodeBatch(r.Body, r.ContentLength)
 	if err != nil {
 		server.WriteError(w, server.DecodeStatus(err), err.Error())
 		return
@@ -510,7 +510,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			groups[owner] = append(groups[owner], i)
 		}
 	}
-	sp := server.RequestState(r).Span
+	st := server.RequestState(w)
 	var wg sync.WaitGroup
 	for owner, idxs := range groups {
 		wg.Add(1)
@@ -534,7 +534,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			// the remaining ring owners of the group's first key — any
 			// replica computes the same answers, so fallback is safe.
 			owners := rt.ring.Owners(items[idxs[0]].Key, len(rt.names))
-			rep, _, ok := rt.forward(r, sp, owners, owner, "/batch", body)
+			rep, _, ok := rt.forward(r, st, owners, owner, "/batch", body)
 			if !ok {
 				fail(http.StatusServiceUnavailable, "no reachable replica for batch group")
 				return

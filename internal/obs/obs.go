@@ -152,20 +152,17 @@ func ParseTraceparent(s string) (Context, error) {
 	return c, nil
 }
 
-// hexByte decodes two hex digits without allocating (hex.Decode needs a
-// byte slice; header parsing runs per request).
+// hexByte decodes two lower-case hex digits without allocating (hex.Decode
+// needs a byte slice and accepts upper case): two table loads, one test.
 func hexByte(hi, lo byte) (byte, bool) {
-	h, ok1 := hexNibble(hi)
-	l, ok2 := hexNibble(lo)
-	return h<<4 | l, ok1 && ok2
+	h, l := hexNibble[hi]-1, hexNibble[lo]-1 // a non-digit wraps to 0xff
+	return h<<4 | l, h|l < 16
 }
 
-func hexNibble(c byte) (byte, bool) {
-	switch {
-	case c >= '0' && c <= '9':
-		return c - '0', true
-	case c >= 'a' && c <= 'f':
-		return c - 'a' + 10, true
+// hexNibble holds 1 + the value of each of [0-9a-f], 0 for any other byte.
+var hexNibble = func() (t [256]byte) {
+	for i, c := range "0123456789abcdef" {
+		t[c] = byte(i + 1)
 	}
-	return 0, false
-}
+	return t
+}()

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"encoding/hex"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -31,29 +33,32 @@ func newTestTracer(clk *fakeClock, cfg Config) *Tracer {
 
 const validSampled = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
 
+// traceparentCases are TestParseTraceparent's table and
+// FuzzParseTraceparent's seeds.
+var traceparentCases = []struct {
+	name    string
+	in      string
+	wantErr bool
+	sampled bool
+}{
+	{"valid sampled", validSampled, false, true},
+	{"valid unsampled", "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-00", false, false},
+	{"flags set high bits", "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-03", false, true},
+	{"empty", "", true, false},
+	{"too short", "00-abc", true, false},
+	{"version ff", "ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01", true, false},
+	{"version 00 with trailer", validSampled + "-extra", true, false},
+	{"future version with trailer", "cc-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-extra", false, true},
+	{"future version bad trailer", "cc-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01extra", true, false},
+	{"zero trace id", "00-00000000000000000000000000000000-b7ad6b7169203331-01", true, false},
+	{"zero parent id", "00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01", true, false},
+	{"uppercase hex", "00-0AF7651916CD43DD8448EB211C80319C-b7ad6b7169203331-01", true, false},
+	{"bad separator", "00_0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01", true, false},
+	{"non-hex version", "zz-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01", true, false},
+}
+
 func TestParseTraceparent(t *testing.T) {
-	cases := []struct {
-		name    string
-		in      string
-		wantErr bool
-		sampled bool
-	}{
-		{"valid sampled", validSampled, false, true},
-		{"valid unsampled", "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-00", false, false},
-		{"flags set high bits", "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-03", false, true},
-		{"empty", "", true, false},
-		{"too short", "00-abc", true, false},
-		{"version ff", "ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01", true, false},
-		{"version 00 with trailer", validSampled + "-extra", true, false},
-		{"future version with trailer", "cc-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-extra", false, true},
-		{"future version bad trailer", "cc-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01extra", true, false},
-		{"zero trace id", "00-00000000000000000000000000000000-b7ad6b7169203331-01", true, false},
-		{"zero parent id", "00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01", true, false},
-		{"uppercase hex", "00-0AF7651916CD43DD8448EB211C80319C-b7ad6b7169203331-01", true, false},
-		{"bad separator", "00_0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01", true, false},
-		{"non-hex version", "zz-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01", true, false},
-	}
-	for _, tc := range cases {
+	for _, tc := range traceparentCases {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, err := ParseTraceparent(tc.in)
 			if tc.wantErr {
@@ -73,6 +78,47 @@ func TestParseTraceparent(t *testing.T) {
 			}
 		})
 	}
+}
+
+// traceparentRef is ParseTraceparent built from encoding/hex, which
+// accepts upper case, plus an explicit lower-case check: the spec's
+// accepted set is [0-9a-f] only.
+func traceparentRef(s string) (Context, bool) {
+	var c Context
+	if len(s) < 55 || s[2] != '-' || s[35] != '-' || s[52] != '-' || strings.ContainsAny(s[:55], "ABCDEF") {
+		return c, false
+	}
+	ver, err1 := hex.DecodeString(s[0:2])
+	tid, err2 := hex.DecodeString(s[3:35])
+	sid, err3 := hex.DecodeString(s[36:52])
+	flags, err4 := hex.DecodeString(s[53:55])
+	if errors.Join(err1, err2, err3, err4) != nil || ver[0] == 0xff ||
+		ver[0] == 0 && len(s) != 55 || ver[0] != 0 && len(s) > 55 && s[55] != '-' {
+		return c, false
+	}
+	copy(c.TraceID[:], tid)
+	copy(c.SpanID[:], sid)
+	c.Sampled = flags[0]&1 != 0
+	return c, !c.TraceID.IsZero() && !c.SpanID.IsZero()
+}
+
+// FuzzParseTraceparent holds the table-driven hex decode against the
+// encoding/hex reference: the same verdict on every input, and the same
+// context on every accepted one.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, tc := range traceparentCases {
+		f.Add(tc.in)
+	}
+	f.Add("00-0AF7651916CD43DD8448EB211C80319C-B7AD6B7169203331-01")
+	f.Add("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-0A")
+	f.Add("ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-extra")
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := ParseTraceparent(s)
+		want, ok := traceparentRef(s)
+		if (err == nil) != ok || ok && got != want {
+			t.Fatalf("ParseTraceparent(%q) = %+v, %v; reference %+v, accepted %v", s, got, err, want, ok)
+		}
+	})
 }
 
 func TestTraceparentRoundTrip(t *testing.T) {

@@ -50,15 +50,15 @@ func (it *BatchItem) fill(res result) {
 	it.Record = json.RawMessage(res.entry.body)
 }
 
-// DecodeBatch is the /batch prologue replica and router share: decode,
-// refuse an empty batch, and canonicalise every run exactly as DecodeRun
-// would. On return Runs[i] is the normalized configuration (the batch
-// deadline folded in) and items[i] names its Benchmark and Key — or, for
-// an invalid run, is the item-local 400 the same configuration would have
-// received from /run.
-func DecodeBatch(body io.Reader) (BatchRequest, []BatchItem, error) {
+// DecodeBatch is the /batch prologue replica and router share: read the
+// body of declared length n, decode, refuse an empty batch, and
+// canonicalise every run exactly as DecodeRun would. On return Runs[i] is
+// the normalized configuration (the batch deadline folded in) and
+// items[i] names its Benchmark and Key — or, for an invalid run, is the
+// item-local 400 the same configuration would have received from /run.
+func DecodeBatch(body io.Reader, n int64) (BatchRequest, []BatchItem, error) {
 	var breq BatchRequest
-	b, err := readBody(body)
+	b, err := readBody(body, n)
 	if err != nil {
 		return breq, nil, err
 	}
@@ -124,7 +124,7 @@ func WriteBatch(w http.ResponseWriter, items []BatchItem, retryAfter time.Durati
 // Groups themselves run concurrently; the bounded worker pool is still
 // the only execution throttle.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	breq, items, err := DecodeBatch(r.Body)
+	breq, items, err := DecodeBatch(r.Body, r.ContentLength)
 	if err != nil {
 		WriteError(w, DecodeStatus(err), err.Error())
 		return
@@ -171,7 +171,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		groups[g] = append(groups[g], i)
 	}
 
-	st := RequestState(r)
+	st := RequestState(w)
 	var wg sync.WaitGroup
 	for _, idxs := range groups {
 		wg.Add(1)

@@ -123,7 +123,8 @@ func decodeRef(body string) (RunRequest, string, error) {
 // canonical configurations through, and answers a body twice — the second
 // time from the memo when the first was stored — exactly as the memo-free
 // reference does: the same configuration, key and bytes, or the same
-// error text.
+// error text. The first call declares the body's length, the second does
+// not (a chunked body).
 func FuzzDecodeRun(f *testing.F) {
 	for _, s := range runSeeds {
 		f.Add(s)
@@ -131,7 +132,11 @@ func FuzzDecodeRun(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body string) {
 		wantReq, wantKey, wantErr := decodeRef(body)
 		for i := 0; i < 2; i++ {
-			req, key, b, err := DecodeRun(strings.NewReader(body))
+			n := int64(len(body))
+			if i == 1 {
+				n = -1
+			}
+			req, key, b, err := DecodeRun(strings.NewReader(body), n)
 			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 				t.Fatalf("call %d: error %v, reference %v", i, err, wantErr)
 			}
@@ -161,7 +166,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, body string) {
-		breq, items, err := DecodeBatch(strings.NewReader(body))
+		breq, items, err := DecodeBatch(strings.NewReader(body), int64(len(body)))
 		if err != nil {
 			if items != nil {
 				t.Fatalf("error %v alongside %d items", err, len(items))
@@ -193,7 +198,7 @@ func FuzzDecodeBatch(f *testing.F) {
 func TestDecodeMemo(t *testing.T) {
 	decode := func(body string) (RunRequest, error) {
 		t.Helper()
-		req, _, _, err := DecodeRun(strings.NewReader(body))
+		req, _, _, err := DecodeRun(strings.NewReader(body), int64(len(body)))
 		return req, err
 	}
 	stored := func(body string) bool {

@@ -32,8 +32,8 @@ func NewAccessLogger(w io.Writer) *AccessLogger {
 	return &AccessLogger{h: slog.NewJSONHandler(w, nil)}
 }
 
-// ReqState is the per-request state the envelope threads through the
-// context: the tracer's summary (handlers fill in Benchmark, Cache and
+// ReqState is the per-request state the envelope hands on in its response
+// writer: the tracer's summary (handlers fill in Benchmark, Cache and
 // ShedReason), the root span (nil when unsampled), the traceparent an
 // unsampled hop forwards and the access-log fields; empty ones go unlogged.
 type ReqState struct {
@@ -50,13 +50,11 @@ type ReqState struct {
 	RunUS       int64
 }
 
-type reqStateKey struct{}
-
-// RequestState returns the request's ReqState (a throwaway one when the
-// handler runs outside an Envelope, as in direct tests).
-func RequestState(r *http.Request) *ReqState {
-	if st, ok := r.Context().Value(reqStateKey{}).(*ReqState); ok {
-		return st
+// RequestState returns the ReqState of the envelope that wrote w (a
+// throwaway one outside an Envelope, as in direct tests).
+func RequestState(w http.ResponseWriter) *ReqState {
+	if es, ok := w.(*envState); ok {
+		return &es.st
 	}
 	return &ReqState{}
 }
@@ -116,7 +114,7 @@ type Envelope struct {
 
 // envState is the envelope's one allocation per request: the writer that
 // captures the status (into st.Status) and byte count the handler wrote,
-// the state, and the trace-id and traceparent header values.
+// the state RequestState finds through it, and the header values.
 type envState struct {
 	http.ResponseWriter
 	st      ReqState
@@ -150,8 +148,8 @@ type routeStatus struct {
 // sampling decision, stamps the trace id on the response before the
 // handler can write headers — so 429/503/504 answers carry the id a
 // client can quote in a bug report too — and afterwards counts the
-// request under the mux pattern that matched (a path would mint a series
-// per unknown URL), finishes its span tree and writes its access line.
+// request under the pattern the mux recorded on r (a path would mint a
+// series per unknown URL), finishes its span tree and writes its access line.
 func (e Envelope) Wrap(next http.Handler) http.Handler {
 	var counts metrics.Handles[routeStatus, *metrics.Counter]
 	count := func(rs routeStatus) *metrics.Counter {
@@ -181,13 +179,12 @@ func (e Envelope) Wrap(next http.Handler) http.Handler {
 			h["X-Oldend-Shard"] = shard
 		}
 
-		r2 := r.WithContext(context.WithValue(r.Context(), reqStateKey{}, st))
-		next.ServeHTTP(es, r2)
+		next.ServeHTTP(es, r)
 		if st.Status == 0 {
 			st.Status = http.StatusOK
 		}
 		st.DurUS = e.Now().Sub(start).Microseconds()
-		counts.Get(routeStatus{cmp.Or(r2.Pattern, "unmatched"), st.Status}, count).Inc()
+		counts.Get(routeStatus{cmp.Or(r.Pattern, "unmatched"), st.Status}, count).Inc()
 		e.Tracer.FinishRequest(sp, st.ReqInfo)
 		e.AccessLog.emit(r, es.bytes, st)
 	})
@@ -245,14 +242,30 @@ func (s *Server) Handler() http.Handler {
 // maxBody caps a request body; a longer one is refused with 413.
 const maxBody = 1 << 20
 
-// readBody reads a request body once. A body over maxBody fails with an
-// *http.MaxBytesError in its chain.
-func readBody(body io.Reader) ([]byte, error) {
-	b, err := io.ReadAll(io.LimitReader(body, maxBody+1))
+// readBody reads a request body once. A declared length n goes into a
+// buffer one byte longer, so a body that ends early or runs past n (only
+// in-process: over a socket net/http stops at n) is a 400; an unknown one
+// (chunked, or 0 with a body) is read up to one byte past maxBody. Over
+// maxBody, declared (before a byte is read) or read, is an *http.MaxBytesError.
+func readBody(body io.Reader, n int64) ([]byte, error) {
+	var b []byte
+	var err error
+	if n <= 0 {
+		b, err = io.ReadAll(io.LimitReader(body, maxBody+1))
+		n = int64(len(b))
+	} else if n <= maxBody {
+		b = make([]byte, n+1)
+		var k int
+		if k, err = io.ReadFull(body, b); k == int(n) && err == io.ErrUnexpectedEOF {
+			return b[:n], nil
+		} else if k > int(n) {
+			err = fmt.Errorf("body longer than its %d-byte Content-Length", n)
+		}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("bad request body: %w", err)
 	}
-	if len(b) > maxBody {
+	if n > maxBody {
 		return nil, fmt.Errorf("request body over the %d-byte limit: %w", maxBody, &http.MaxBytesError{Limit: maxBody})
 	}
 	return b, nil
@@ -282,13 +295,13 @@ var decodeMemo = newLRU[decoded](256)
 const maxMemoBody = 1 << 10
 
 // DecodeRun is the /run prologue replica and router share: read the body
-// (returned, for the router to forward), decode it — json.Unmarshal
-// refuses trailing values, so {"benchmark":"treeadd"}{…} is a 400 —
-// validate and fill catalog defaults, and derive the canonical key the
-// result cache stores under and the ring hashes. Every error is the
-// client's (413 for a body over the limit, 400 otherwise).
-func DecodeRun(body io.Reader) (RunRequest, string, []byte, error) {
-	b, err := readBody(body)
+// of declared length n (returned, for the router to forward), decode it
+// (json.Unmarshal refuses trailing values: {"benchmark":"treeadd"}{…} is
+// a 400), validate and fill catalog defaults, and derive the canonical
+// key the result cache stores under and the ring hashes. Every error is
+// the client's (413 for a body over the limit, 400 otherwise).
+func DecodeRun(body io.Reader, n int64) (RunRequest, string, []byte, error) {
+	b, err := readBody(body, n)
 	if err != nil {
 		return RunRequest{}, "", nil, err
 	}
@@ -355,12 +368,12 @@ func (s *Server) writeRun(w http.ResponseWriter, res result) {
 // handleRun serves one run request: prologue → cache probe → submit →
 // render, each stage a span on sampled requests.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	req, key, _, err := DecodeRun(r.Body)
+	req, key, _, err := DecodeRun(r.Body, r.ContentLength)
 	if err != nil {
 		WriteError(w, DecodeStatus(err), err.Error())
 		return
 	}
-	st := RequestState(r)
+	st := RequestState(w)
 	st.Benchmark = req.Benchmark
 	st.Key = key
 
@@ -405,7 +418,7 @@ func (s *Server) handleCacheProbe(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "missing key (the canonical run-config cache key)")
 		return
 	}
-	st := RequestState(r)
+	st := RequestState(w)
 	st.Key = key
 	res, ok := s.lookup(key, s.probeHits, s.probeMisses)
 	if !ok {

@@ -106,7 +106,7 @@ func TestCacheKeyIsTheCanonicalKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, key, _, err := DecodeRun(strings.NewReader(`{"benchmark":"treeadd","procs":4,"scale":64}`)); err != nil || key != CacheKey(q) {
+	if _, key, _, err := DecodeRun(strings.NewReader(`{"benchmark":"treeadd","procs":4,"scale":64}`), -1); err != nil || key != CacheKey(q) {
 		t.Fatalf("DecodeRun key %q (%v) != CacheKey() %q", key, err, CacheKey(q))
 	}
 	with := q

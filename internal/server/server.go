@@ -18,9 +18,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
+	"os/signal"
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/bench"
@@ -355,6 +358,48 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
+}
+
+// HTTPServer is the http.Server oldend and oldenrouter both listen with.
+// ReadTimeout bounds the whole request, so a client that declares a body
+// and stalls does not hold a handler and its buffer for ever. IdleTimeout
+// outlives http.DefaultTransport's 90 s, so a router never reuses a
+// connection its replica just closed (a POST is not replayed: the shard
+// would be marked down). No WriteTimeout: a run may last until -max-deadline.
+func HTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: 10 * time.Second, ReadTimeout: 30 * time.Second, IdleTimeout: 120 * time.Second}
+}
+
+// Serve is the lifecycle oldend and oldenrouter share: h on HTTPServer(addr,
+// h) until SIGINT or SIGTERM, then, within timeout, drain (nil for none)
+// while the listener still answers, then the listener's Shutdown, which
+// waits for in-flight responses. Progress goes to stderr under name; the
+// error says which step failed.
+func Serve(name, addr string, h http.Handler, timeout time.Duration, drain func(context.Context) error) error {
+	srv := HTTPServer(addr, h)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	errc := make(chan error, 1)
+	go func() { errc <- srv.ListenAndServe() }()
+	select {
+	case err := <-errc:
+		return fmt.Errorf("listen: %w", err)
+	case <-ctx.Done():
+	}
+	fmt.Fprintf(os.Stderr, "%s: draining\n", name)
+	dctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	if drain != nil {
+		if err := drain(dctx); err != nil {
+			srv.Close()
+			return fmt.Errorf("drain incomplete: %w", err)
+		}
+	}
+	if err := srv.Shutdown(dctx); err != nil {
+		return fmt.Errorf("http shutdown: %w", err)
+	}
+	fmt.Fprintf(os.Stderr, "%s: drained cleanly\n", name)
+	return nil
 }
 
 // admission outcomes.

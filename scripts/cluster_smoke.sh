@@ -7,7 +7,8 @@
 #      same bytes — ⟨replica, run-config⟩ addressing is real — and an
 #      unsampled routed request's trace id is on that replica's access log;
 #      a configuration that cannot fit a heap section (barneshut at scale
-#      1) is a 400, through the router and direct, and every shard is
+#      1) is a 400, through the router and direct, and so is a /run
+#      declaring a 2 MiB body a 413 with no 100 Continue; every shard is
 #      still ready afterwards;
 #   2. a cross-replica determinism sweep, off the request path: every
 #      catalog benchmark at P=1 and P=4 is sent directly to each of the
@@ -108,6 +109,27 @@ curl -fsS "http://$ROUTER_ADDR/readyz" >"$OUT/readyz-after-poison.json"
 grep -q '"ready_shards":3' "$OUT/readyz-after-poison.json" \
   || { echo "cluster-smoke: a shard is not ready after the poison request: $(cat "$OUT/readyz-after-poison.json")" >&2; exit 1; }
 echo "cluster-smoke: poison request refused with 400, all three shards still ready"
+
+# 1d. A body declared over the 1 MiB limit is refused on its
+# Content-Length alone: a /run declaring 2 MiB with Expect: 100-continue
+# gets a 413 as its first status line, never a 100 Continue (no byte of the
+# body is asked for), from the router and from a replica asked directly,
+# and every shard is still ready.
+for target in "$ROUTER_ADDR" "127.0.0.1:$BASE_PORT"; do
+  exec 3<>"/dev/tcp/${target%:*}/${target#*:}"
+  printf 'POST /run HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\nExpect: 100-continue\r\n\r\n' \
+    "$target" $((2 << 20)) >&3
+  status=$(timeout 10 head -n 1 <&3 | tr -d '\r') || true
+  exec 3<&-
+  case "$status" in
+    "HTTP/1.1 413 "*) ;;
+    *) echo "cluster-smoke: a 2 MiB declared body on $target answered '$status', want 413 before any 100 Continue" >&2; exit 1 ;;
+  esac
+done
+curl -fsS "http://$ROUTER_ADDR/readyz" >"$OUT/readyz-after-oversize.json"
+grep -q '"ready_shards":3' "$OUT/readyz-after-oversize.json" \
+  || { echo "cluster-smoke: a shard is not ready after the oversize request: $(cat "$OUT/readyz-after-oversize.json")" >&2; exit 1; }
+echo "cluster-smoke: 2 MiB declared body refused with 413 and no 100 Continue, all three shards still ready"
 
 # 2. Cross-replica determinism, checked here rather than on the request
 # path: each catalog key at P=1 and P=4 goes directly to every replica,

@@ -55,7 +55,6 @@ func main() {
 	quiet := flag.Bool("quiet", false, "disable the JSON access log on stderr")
 	traceSample := flag.Int("trace-sample", 0, "head-sample every Nth request for span tracing (1 = all, 0 = only requests with a sampled traceparent, negative disables)")
 	traceRequests := flag.Int("trace-requests", 256, "finished-request ring size behind /debug/requests")
-	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	shardName := flag.String("shard", "", "shard name this replica advertises in X-Oldend-Shard when serving behind oldenrouter")
 	flag.Parse()
 
@@ -68,7 +67,6 @@ func main() {
 		MaxDeadline:       *maxDeadline,
 		SampleEvery:       *traceSample,
 		DebugRequests:     *traceRequests,
-		EnablePprof:       *pprofOn,
 		ShardName:         *shardName,
 	}
 	if !*quiet {

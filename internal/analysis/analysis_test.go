@@ -73,11 +73,11 @@ func nonTestImports(t *testing.T, dir string) map[string][]string {
 // synchronisation: a lock or atomic there guards nothing and costs every
 // load and store.
 func TestSimulatorPackagesImportNoSync(t *testing.T) {
-	for _, dir := range []string{"mem", "machine", "coherence", "cache", "rt"} {
+	for _, dir := range []string{"mem", "machine", "coherence", "cache", "rt", "trace"} {
 		for name, imps := range nonTestImports(t, filepath.Join("..", dir)) {
 			for _, imp := range imps {
 				if imp == "sync" || imp == "sync/atomic" {
-					t.Errorf("%s imports %s: run state has one owner and needs no lock; sharing is real only in trace.Recorder (/debug/trace reads an in-flight ring) and internal/metrics (the server's registry) — synchronise there",
+					t.Errorf("%s imports %s: run state has one owner and needs no lock; sharing is real only in internal/metrics (the server's registry) and the serving packages — synchronise there",
 						name, imp)
 				}
 			}

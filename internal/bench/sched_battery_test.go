@@ -2,6 +2,8 @@ package bench_test
 
 import (
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -17,6 +19,18 @@ const batteryScale = 64
 
 const batteryPath = "testdata/sched_battery.golden"
 
+// propsPath holds the program properties of the same sixty runs: the
+// checksum and the machine.Stats counts that say what the program did —
+// pointer tests, migrations and returns, futures and touches, cacheable
+// and remote references — rather than what the machine charged for it.
+// A change of cost model, line size or coherence protocol may move
+// cycles, misses, fetches, pages and digests, and must not move these.
+// Heap fingerprints are left out: mem.NewHeap reserves page 0, so every
+// stored pointer, and with it the fingerprint, shifts with
+// gaddr.PageBytes. The file is written by hand: -update rewrites
+// batteryPath and still checks this one.
+const propsPath = "testdata/program_properties.golden"
+
 // batteryKernels is the ten paper kernels, spelled out rather than taken
 // from bench.Names(): other tests register throwaway benchmarks that have
 // no runtime behind them.
@@ -29,9 +43,10 @@ var batteryKernels = []string{
 // exposes that a change of execution order could move: the trace digest
 // (event order, content and per-kind counts), the heap fingerprint, the
 // makespan, the checksum and every machine statistic. It checks each
-// executed site's mechanism against the kernel's claims and returns what
-// the cross-scheme claims compare.
-func batteryLine(t *testing.T, name, scheme string, cfg bench.Config, claims kernelClaims) (string, schemeObs) {
+// executed site's mechanism against the kernel's claims and returns the
+// run's program properties (propsPath) and what the cross-scheme claims
+// compare.
+func batteryLine(t *testing.T, name, scheme string, cfg bench.Config, claims kernelClaims) (string, string, schemeObs) {
 	t.Helper()
 	info, ok := bench.Get(name)
 	if !ok {
@@ -60,9 +75,13 @@ func batteryLine(t *testing.T, name, scheme string, cfg bench.Config, claims ker
 	if claims.sharedBuild {
 		o.buildHeap = buildFingerprint(info, cfg)
 	}
+	st := res.Stats
+	props := fmt.Sprintf("%s %s P=%d check=%#x PtrTests=%d Migrations=%d Returns=%d Futures=%d Touches=%d CacheableReads=%d CacheableWrites=%d RemoteReads=%d RemoteWrites=%d",
+		name, scheme, cfg.Procs, res.Check, st.PtrTests, st.Migrations, st.Returns, st.Futures, st.Touches,
+		st.CacheableReads, st.CacheableWrites, st.RemoteReads, st.RemoteWrites)
 	return fmt.Sprintf("%s %s P=%d scale=1/%d %s heap=%016x cycles=%d check=%#x stats=%+v",
 		name, scheme, cfg.Procs, cfg.Scale, rec.Digest(),
-		rtm.HeapFingerprint(), res.Cycles, res.Check, res.Stats), o
+		rtm.HeapFingerprint(), res.Cycles, res.Check, res.Stats), props, o
 }
 
 // TestSchedulerDigestEquivalence is the digest battery gating the
@@ -77,9 +96,11 @@ func batteryLine(t *testing.T, name, scheme string, cfg bench.Config, claims ker
 // a change that is meant to move them (cost model, protocol, event
 // vocabulary) reviews the diff and regenerates with `make update-goldens`.
 //
-// The same sixty runs check the static analyses' claims about each kernel
-// (kernel_claims_test.go): every site's mechanism, and per machine size,
-// what a certified plan or a shared build promises across the three schemes.
+// The same sixty runs are checked against their program properties
+// (propsPath), which no flag regenerates, and against the static analyses'
+// claims about each kernel (kernel_claims_test.go): every site's
+// mechanism, and per machine size, what a certified plan or a shared
+// build promises across the three schemes.
 //
 // Under the race detector the battery trims itself to one parallel
 // configuration per kernel (scheme rotated by kernel so all three
@@ -90,6 +111,14 @@ func TestSchedulerDigestEquivalence(t *testing.T) {
 		t.Fatal("-update needs the full battery: run it without -race")
 	}
 	g := openGolden(t, batteryPath)
+	b, err := os.ReadFile(propsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	props := strings.Split(strings.TrimRight(string(b), "\n"), "\n")
+	if len(props) != len(batteryKernels)*len(schemes)*2 {
+		t.Errorf("%s has %d lines, the battery runs %d", propsPath, len(props), len(batteryKernels)*len(schemes)*2)
+	}
 	var lines []string
 	procsList := []int{1, 4}
 	for ki, name := range batteryKernels {
@@ -105,9 +134,18 @@ func TestSchedulerDigestEquivalence(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/P%d", name, s.name, procs), func(t *testing.T) {
 					cfg := bench.Config{Procs: procs, Scheme: s.kind, Scale: batteryScale}
 					var o schemeObs
-					lines[i], o = batteryLine(t, name, s.name, cfg, claims)
+					var got string
+					lines[i], got, o = batteryLine(t, name, s.name, cfg, claims)
 					obs[procs] = append(obs[procs], o)
 					g.check(t, i, lines[i])
+					want := ""
+					if i < len(props) {
+						want = props[i]
+					}
+					if got != want {
+						t.Errorf("%s line %d moved in %v; a re-pin may move cycles and misses, never a program property:\n  got:  %s\n  want: %s",
+							propsPath, i+1, movedFields(got, want), got, want)
+					}
 				})
 			}
 		}

@@ -7,7 +7,7 @@ package machine
 type SchedEntry struct {
 	clock int64
 	seq   uint64
-	index int // heap slot; -1 when off-heap (running, parked or exited)
+	index int // heap slot; -1 while running, offRun while parked or exited
 
 	// nested marks a level of the resume chain: the thread is inside Sync,
 	// on the heap, suspended in a next call it made on the thread it handed
@@ -23,6 +23,10 @@ type SchedEntry struct {
 	stop  func()
 	yield func(struct{}) bool
 }
+
+// offRun is the index of an entry that is neither on the heap nor running:
+// Sync, which only the running entry may call, panics on it.
+const offRun = -2
 
 // Seq returns the entry's creation sequence number, which the runtime and
 // trace layers use as the logical thread id.

@@ -63,9 +63,7 @@ import (
 // of {Main, some thread body} runs at any instant, and coroutine switches
 // order all accesses. The same holds for everything else a run owns —
 // heaps, processor clocks, statistics, caches, directories, futures: plain
-// fields, read from outside only after Main has returned. The one thing a
-// second goroutine reads mid-run is the trace recorder, which therefore
-// keeps its lock.
+// fields, read from outside only after Main has returned.
 //
 // The running entry is held OFF the heap; at each Sync it continues if
 // and only if its (clock, seq) key is strictly less than the heap
@@ -271,12 +269,13 @@ func (s *LoopScheduler) Main(e *SchedEntry, body func()) {
 // each pick that is not nested and picks again when that comes back, until
 // the pick is e; a nested pick goes into handoff for the levels below.
 //
-// e must be the running thread's entry, which is off the heap. A body that
-// syncs a runnable entry — a Spawn body using the parent it closed over —
-// panics here, at the first such Sync, before the heap is touched.
+// e must be the running thread's entry, the one entry whose index is −1.
+// A body that syncs another thread's entry — a Spawn body using the parent
+// it closed over, runnable on the heap or parked on a touch — panics here,
+// at the first such Sync, before the heap is touched.
 func (s *LoopScheduler) Sync(e *SchedEntry, clock int64) {
-	if e.index >= 0 {
-		panic("machine: Sync of a runnable entry: a thread body is using another thread's handle")
+	if e.index != -1 {
+		panic("machine: Sync of a runnable, parked or exited entry: a thread body is using another thread's handle")
 	}
 	s.syncs++
 	e.clock = clock
@@ -310,6 +309,7 @@ func (s *LoopScheduler) Sync(e *SchedEntry, clock int64) {
 // whose entry is already off the heap.
 func (s *LoopScheduler) Park(e *SchedEntry) {
 	s.waiting++
+	e.index = offRun
 	e.yield(struct{}{})
 }
 
@@ -326,6 +326,7 @@ func (s *LoopScheduler) Resume(e *SchedEntry, clock int64) {
 // already off the heap; its body returns right after, which ends its
 // coroutine and hands control back to its resumer.
 func (s *LoopScheduler) Exit(e *SchedEntry) {
+	e.index = offRun
 	if s.trace != nil {
 		s.trace.Emit(trace.Event{
 			Kind: trace.EvThreadEnd, T: e.clock,

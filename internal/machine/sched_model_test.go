@@ -250,7 +250,7 @@ func checkLoopHeap(t *testing.T, s *LoopScheduler, all []*SchedEntry, running *S
 		t.Fatalf("running entry %d is marked nested", running.seq)
 	}
 	for _, e := range all {
-		if !onHeap(e) && e.index != -1 {
+		if !onHeap(e) && e.index != -1 && e.index != offRun {
 			t.Fatalf("off-heap entry %d has index %d", e.seq, e.index)
 		}
 		if e.nested && !onHeap(e) {

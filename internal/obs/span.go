@@ -45,9 +45,9 @@ type Span struct {
 	dropAttrs int
 	children  []*Span
 	dropKids  int
-	// simRec, set on the root execute path, bridges the request down to
-	// the simulator: the recorder's events render under this span tree
-	// in the merged Chrome export.
+	// simRec, set on the root execute path once the run has returned,
+	// bridges the request down to the simulator: the recorder's events
+	// render under this span tree in the merged Chrome export.
 	simRec *trace.Recorder
 }
 
@@ -159,6 +159,11 @@ func (s *Span) SetSimCycles(cycles int64) {
 // AttachSim binds the per-request simulation recorder to the span, so
 // the merged Chrome export shows the simulation events under the
 // service tree. No-op on nil.
+//
+// The recorder takes no lock, so it is attached once its run has
+// returned: the span's mutex then orders the run's last Emit before any
+// reader. Until then a view of the span shows its service spans and no
+// simulation tracks.
 func (s *Span) AttachSim(rec *trace.Recorder) {
 	if s == nil {
 		return

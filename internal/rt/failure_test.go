@@ -34,21 +34,29 @@ func TestHeapExhaustionPanics(t *testing.T) {
 
 // A Spawn body that uses the parent thread it closed over syncs the
 // parent's scheduler entry. The body starts once the parent's clock passes
-// its own, with the parent runnable on the heap, not running: the
-// scheduler panics by name at that first Sync instead of corrupting its
-// heap.
+// its own, with the parent runnable on the heap, or once the parent parks
+// on the touch, off the heap like the running entry but marked apart from
+// it: either way the scheduler panics by name at that first Sync instead
+// of corrupting its heap.
 func TestSpawnBodyUsingParentPanics(t *testing.T) {
-	r := New(Config{Procs: 1})
-	defer func() {
-		if msg, _ := recover().(string); !strings.Contains(msg, "Sync of a runnable entry") {
-			t.Fatalf("panic = %q; want the scheduler's runnable-entry Sync panic", msg)
-		}
-	}()
-	r.Run(0, func(th *Thread) {
-		f := Spawn(th, func(*Thread) int { th.Work(1); return 0 })
-		th.Work(1000)
-		f.Touch(th)
-	})
+	for _, c := range []struct {
+		parent     string
+		parentWork int64
+	}{{"runnable", 1000}, {"parked", 0}} {
+		t.Run(c.parent, func(t *testing.T) {
+			r := New(Config{Procs: 1})
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "Sync of a runnable, parked or exited entry") {
+					t.Fatalf("panic = %q; want the scheduler's Sync panic", msg)
+				}
+			}()
+			r.Run(0, func(th *Thread) {
+				f := Spawn(th, func(*Thread) int { th.Work(1); return 0 })
+				th.Work(c.parentWork)
+				f.Touch(th)
+			})
+		})
+	}
 }
 
 // TestDeepCallWriteSets checks the per-frame write masks merge up through

@@ -147,3 +147,43 @@ func TestHTTPServerTimeouts(t *testing.T) {
 		t.Errorf("WriteTimeout %v, want none: a run may last until its deadline", srv.WriteTimeout)
 	}
 }
+
+// TestBodyReadTimeout408: a client that declares a body and stalls part way
+// is cut by the server's ReadTimeout, and the prologue answers 408 with a
+// message that names neither end of the socket. /run and /batch share the
+// prologue, and so does the router.
+func TestBodyReadTimeout408(t *testing.T) {
+	exec := &instantExec{digests: []string{"d"}}
+	s := New(Config{Workers: 1, QueueDepth: 4, Execute: exec.fn})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewUnstartedServer(s.Handler())
+	ts.Config.ReadTimeout = 200 * time.Millisecond
+	ts.Start()
+	defer ts.Close()
+	for _, path := range []string{"/run", "/batch"} {
+		conn, err := net.DialTimeout("tcp", ts.Listener.Addr().String(), 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		head := "POST " + path + " HTTP/1.1\r\nHost: oldend\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n"
+		if _, err := io.WriteString(conn, head+`{"benchmark"`); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		conn.Close()
+		if resp.StatusCode != http.StatusRequestTimeout {
+			t.Errorf("%s: %s %s, want 408", path, resp.Status, body)
+		}
+		for _, addr := range []string{conn.LocalAddr().String(), conn.RemoteAddr().String(), "tcp"} {
+			if strings.Contains(string(body), addr) {
+				t.Errorf("%s: body %s names %q", path, body, addr)
+			}
+		}
+	}
+}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"net/http"
-	"net/http/pprof"
 	"strings"
 
 	"repro/internal/obs"
@@ -59,15 +58,4 @@ func ServeTrace(w http.ResponseWriter, r *http.Request, tr *obs.Tracer, id strin
 		_ = obs.WriteChrome(w, root) // the headers are gone: a failed write can only cut the body short
 	}
 	return true
-}
-
-// mountPprof exposes net/http/pprof on the main mux. It is opt-in
-// (Config.EnablePprof) because the profiles reveal host internals a
-// benchmark service does not otherwise leak.
-func mountPprof(mux *http.ServeMux) {
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"strconv"
 	"time"
@@ -215,9 +216,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/metrics", Only(http.MethodGet, ServeMetrics(s.cfg.Metrics)))
 	mux.HandleFunc("/debug/requests", Only(http.MethodGet, s.handleDebugRequests))
 	mux.HandleFunc("/debug/trace/", Only(http.MethodGet, s.handleDebugTrace))
-	if s.cfg.EnablePprof {
-		mountPprof(mux)
-	}
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
@@ -247,6 +245,7 @@ const maxBody = 1 << 20
 // in-process: over a socket net/http stops at n) is a 400; an unknown one
 // (chunked, or 0 with a body) is read up to one byte past maxBody. Over
 // maxBody, declared (before a byte is read) or read, is an *http.MaxBytesError.
+// A read cut by the server's ReadTimeout is errBodyTimeout.
 func readBody(body io.Reader, n int64) ([]byte, error) {
 	var b []byte
 	var err error
@@ -262,6 +261,10 @@ func readBody(body io.Reader, n int64) ([]byte, error) {
 			err = fmt.Errorf("body longer than its %d-byte Content-Length", n)
 		}
 	}
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		return nil, errBodyTimeout
+	}
 	if err != nil {
 		return nil, fmt.Errorf("bad request body: %w", err)
 	}
@@ -271,12 +274,20 @@ func readBody(body io.Reader, n int64) ([]byte, error) {
 	return b, nil
 }
 
+// errBodyTimeout is a body that did not arrive within the server's
+// ReadTimeout. Its text names no socket address, unlike the read error.
+var errBodyTimeout = errors.New("request body not received within the read timeout")
+
 // DecodeStatus is the status a prologue error answers with, on a replica
 // and on the router alike: 413 for a body over the limit (an
-// *http.MaxBytesError), 400 for anything else the client sent.
+// *http.MaxBytesError), 408 for a body the read timeout cut, 400 for
+// anything else the client sent.
 func DecodeStatus(err error) int {
-	if errors.As(err, new(*http.MaxBytesError)) {
+	switch {
+	case errors.As(err, new(*http.MaxBytesError)):
 		return http.StatusRequestEntityTooLarge
+	case errors.Is(err, errBodyTimeout):
+		return http.StatusRequestTimeout
 	}
 	return http.StatusBadRequest
 }
@@ -299,7 +310,8 @@ const maxMemoBody = 1 << 10
 // (json.Unmarshal refuses trailing values: {"benchmark":"treeadd"}{…} is
 // a 400), validate and fill catalog defaults, and derive the canonical
 // key the result cache stores under and the ring hashes. Every error is
-// the client's (413 for a body over the limit, 400 otherwise).
+// the client's (413 for a body over the limit, 408 for one the read
+// timeout cut, 400 otherwise).
 func DecodeRun(body io.Reader, n int64) (RunRequest, string, []byte, error) {
 	b, err := readBody(body, n)
 	if err != nil {

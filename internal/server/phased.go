@@ -30,11 +30,12 @@ import (
 // An unverified run — wrong answer versus the sequential reference — is
 // an executor error, never a cacheable result.
 //
-// When sp is sampled, the run attaches its own simulation recorder so
-// the span tree bottoms out in real cache-miss events, and each bench
-// phase ("build", "kernel", ...) becomes a child span. That recorder is
-// trace.New(0), the ring RunPhasedRecorded allocates on its own, so
-// TraceDigest is byte-identical sampled or not.
+// When sp is sampled, the run records into its own simulation recorder,
+// attached to sp when the run returns, so the span tree bottoms out in
+// real cache-miss events, and each bench phase ("build", "kernel", ...)
+// becomes a child span. That recorder is trace.New(0), the ring
+// RunPhasedRecorded allocates on its own, so TraceDigest is
+// byte-identical sampled or not.
 func (s *Server) defaultExecutePhased(req RunRequest, sp *obs.Span) (record.RunRecord, string, error) {
 	info, ok := bench.Get(req.Benchmark)
 	if !ok {
@@ -64,7 +65,6 @@ func (s *Server) defaultExecutePhased(req RunRequest, sp *obs.Span) (record.RunR
 		}
 		simRec = trace.New(0)
 		cfg.Trace = simRec
-		sp.AttachSim(simRec)
 		cfg.OnPhase = func(name string) func() {
 			ph := sp.StartChild("phase:" + name)
 			return ph.End
@@ -78,6 +78,7 @@ func (s *Server) defaultExecutePhased(req RunRequest, sp *obs.Span) (record.RunR
 	}
 	res, rec, nbs, reused, err := bench.RunPhasedRecorded(info, cfg, bs)
 	if simRec != nil {
+		sp.AttachSim(simRec)
 		if d := simRec.Dropped(); d > 0 {
 			s.traceDropped.Add(d)
 			sp.SetAttrInt("sim_dropped", d)

@@ -155,8 +155,6 @@ type Config struct {
 	// DebugRequests bounds the finished-request ring behind
 	// GET /debug/requests when Tracer is nil (0 picks the obs default).
 	DebugRequests int
-	// EnablePprof mounts net/http/pprof under /debug/pprof/.
-	EnablePprof bool
 	// Execute substitutes the run executor (tests); nil means the real
 	// phase-cached benchmark executor. A substituted executor bypasses
 	// the phase cache.

@@ -67,19 +67,18 @@ func WriteChromeEnvelope(w io.Writer, body func(emit func(obj map[string]any) er
 // "trace_dropped" records how many events were lost, so a truncated
 // timeline declares itself instead of silently looking complete.
 func (r *Recorder) EmitChrome(emit func(obj map[string]any) error) error {
-	events := r.Events()
-	sites := r.Sites()
-
 	// Name every processor and thread seen in the trace.
 	procs := map[int16]bool{}
 	threads := map[[2]int32]bool{} // (pid, tid) pairs
-	for _, ev := range events {
-		if ev.P < 0 {
-			continue
-		}
-		procs[ev.P] = true
-		if ev.Tid >= 0 {
-			threads[[2]int32{int32(ev.P), ev.Tid}] = true
+	for run := range r.runs {
+		for _, ev := range run {
+			if ev.P < 0 {
+				continue
+			}
+			procs[ev.P] = true
+			if ev.Tid >= 0 {
+				threads[[2]int32{int32(ev.P), ev.Tid}] = true
+			}
 		}
 	}
 	procList := make([]int, 0, len(procs))
@@ -113,101 +112,103 @@ func (r *Recorder) EmitChrome(emit func(obj map[string]any) error) error {
 			return err
 		}
 	}
-	if dropped := r.Dropped(); dropped > 0 {
+	if r.dropped > 0 {
 		if err := emit(map[string]any{
 			"ph": "M", "name": "trace_dropped", "pid": 0,
-			"args": map[string]any{"dropped_events": dropped},
+			"args": map[string]any{"dropped_events": r.dropped},
 		}); err != nil {
 			return err
 		}
 	}
 
 	siteName := func(id int32) string {
-		if id >= 0 && int(id) < len(sites) {
-			return sites[id]
+		if id >= 0 && int(id) < len(r.sites) {
+			return r.sites[id]
 		}
 		return ""
 	}
 	pageStr := func(p uint32) string { return gaddr.PageID(p).String() }
 
 	flowID := 0
-	for _, ev := range events {
-		var err error
-		switch ev.Kind {
-		case EvResidency:
-			err = emit(map[string]any{
-				"ph": "X", "name": "resident", "cat": "thread",
-				"pid": ev.P, "tid": ev.Tid, "ts": ev.T, "dur": ev.Dur,
-			})
-		case EvMigrate, EvReturn:
-			flowID++
-			name, cat := "migrate", "migration"
-			if ev.Kind == EvReturn {
-				name = "return"
-			}
-			args := map[string]any{"dst": ev.Arg}
-			if s := siteName(ev.Site); s != "" {
-				args["site"] = s
-			}
-			if err = emit(map[string]any{
-				"ph": "s", "id": flowID, "name": name, "cat": cat,
-				"pid": ev.P, "tid": ev.Tid, "ts": ev.T, "args": args,
-			}); err == nil {
+	for run := range r.runs {
+		for _, ev := range run {
+			var err error
+			switch ev.Kind {
+			case EvResidency:
 				err = emit(map[string]any{
-					"ph": "f", "bp": "e", "id": flowID, "name": name, "cat": cat,
-					"pid": ev.Arg, "tid": ev.Tid, "ts": ev.T + ev.Dur,
+					"ph": "X", "name": "resident", "cat": "thread",
+					"pid": ev.P, "tid": ev.Tid, "ts": ev.T, "dur": ev.Dur,
+				})
+			case EvMigrate, EvReturn:
+				flowID++
+				name, cat := "migrate", "migration"
+				if ev.Kind == EvReturn {
+					name = "return"
+				}
+				args := map[string]any{"dst": ev.Arg}
+				if s := siteName(ev.Site); s != "" {
+					args["site"] = s
+				}
+				if err = emit(map[string]any{
+					"ph": "s", "id": flowID, "name": name, "cat": cat,
+					"pid": ev.P, "tid": ev.Tid, "ts": ev.T, "args": args,
+				}); err == nil {
+					err = emit(map[string]any{
+						"ph": "f", "bp": "e", "id": flowID, "name": name, "cat": cat,
+						"pid": ev.Arg, "tid": ev.Tid, "ts": ev.T + ev.Dur,
+					})
+				}
+			case EvCacheMiss:
+				err = emit(map[string]any{
+					"ph": "X", "name": "miss " + siteName(ev.Site), "cat": "cache",
+					"pid": ev.P, "tid": ev.Tid, "ts": ev.T, "dur": ev.Dur,
+					"args": map[string]any{"page": pageStr(ev.Page), "line": ev.Line},
+				})
+			case EvLineFetch:
+				err = emit(map[string]any{
+					"ph": "X", "name": "line fetch", "cat": "cache",
+					"pid": ev.P, "tid": ev.Tid, "ts": ev.T, "dur": ev.Dur,
+					"args": map[string]any{"page": pageStr(ev.Page), "line": ev.Line, "home": ev.Arg},
+				})
+			case EvStampCheck:
+				err = emit(map[string]any{
+					"ph": "X", "name": "stamp check", "cat": "coherence",
+					"pid": ev.P, "tid": ev.Tid, "ts": ev.T, "dur": ev.Dur,
+					"args": map[string]any{"page": pageStr(ev.Page)},
+				})
+			case EvInvalAck:
+				err = emit(map[string]any{
+					"ph": "X", "name": "inval ack", "cat": "coherence",
+					"pid": ev.P, "tid": ev.Tid, "ts": ev.T, "dur": ev.Dur,
+					"args": map[string]any{"page": pageStr(ev.Page)},
+				})
+			case EvLineInval:
+				err = emit(map[string]any{
+					"ph": "i", "s": "t", "name": "invalidate", "cat": "coherence",
+					"pid": ev.P, "tid": 0, "ts": ev.T,
+					"args": map[string]any{"page": pageStr(ev.Page), "cleared": ev.Arg},
+				})
+			case EvFullFlush, EvHomeFlush, EvMarkStale:
+				err = emit(map[string]any{
+					"ph": "i", "s": "t", "name": ev.Kind.String(), "cat": "coherence",
+					"pid": ev.P, "tid": ev.Tid, "ts": ev.T,
+					"args": map[string]any{"arg": ev.Arg},
+				})
+			case EvFutureSpawn:
+				err = emit(map[string]any{
+					"ph": "i", "s": "t", "name": "spawn", "cat": "future",
+					"pid": ev.P, "tid": ev.Tid, "ts": ev.T,
+					"args": map[string]any{"child": ev.Arg},
+				})
+			case EvFutureTouch:
+				err = emit(map[string]any{
+					"ph": "X", "name": "touch", "cat": "future",
+					"pid": ev.P, "tid": ev.Tid, "ts": ev.T, "dur": ev.Dur,
 				})
 			}
-		case EvCacheMiss:
-			err = emit(map[string]any{
-				"ph": "X", "name": "miss " + siteName(ev.Site), "cat": "cache",
-				"pid": ev.P, "tid": ev.Tid, "ts": ev.T, "dur": ev.Dur,
-				"args": map[string]any{"page": pageStr(ev.Page), "line": ev.Line},
-			})
-		case EvLineFetch:
-			err = emit(map[string]any{
-				"ph": "X", "name": "line fetch", "cat": "cache",
-				"pid": ev.P, "tid": ev.Tid, "ts": ev.T, "dur": ev.Dur,
-				"args": map[string]any{"page": pageStr(ev.Page), "line": ev.Line, "home": ev.Arg},
-			})
-		case EvStampCheck:
-			err = emit(map[string]any{
-				"ph": "X", "name": "stamp check", "cat": "coherence",
-				"pid": ev.P, "tid": ev.Tid, "ts": ev.T, "dur": ev.Dur,
-				"args": map[string]any{"page": pageStr(ev.Page)},
-			})
-		case EvInvalAck:
-			err = emit(map[string]any{
-				"ph": "X", "name": "inval ack", "cat": "coherence",
-				"pid": ev.P, "tid": ev.Tid, "ts": ev.T, "dur": ev.Dur,
-				"args": map[string]any{"page": pageStr(ev.Page)},
-			})
-		case EvLineInval:
-			err = emit(map[string]any{
-				"ph": "i", "s": "t", "name": "invalidate", "cat": "coherence",
-				"pid": ev.P, "tid": 0, "ts": ev.T,
-				"args": map[string]any{"page": pageStr(ev.Page), "cleared": ev.Arg},
-			})
-		case EvFullFlush, EvHomeFlush, EvMarkStale:
-			err = emit(map[string]any{
-				"ph": "i", "s": "t", "name": ev.Kind.String(), "cat": "coherence",
-				"pid": ev.P, "tid": ev.Tid, "ts": ev.T,
-				"args": map[string]any{"arg": ev.Arg},
-			})
-		case EvFutureSpawn:
-			err = emit(map[string]any{
-				"ph": "i", "s": "t", "name": "spawn", "cat": "future",
-				"pid": ev.P, "tid": ev.Tid, "ts": ev.T,
-				"args": map[string]any{"child": ev.Arg},
-			})
-		case EvFutureTouch:
-			err = emit(map[string]any{
-				"ph": "X", "name": "touch", "cat": "future",
-				"pid": ev.P, "tid": ev.Tid, "ts": ev.T, "dur": ev.Dur,
-			})
-		}
-		if err != nil {
-			return err
+			if err != nil {
+				return err
+			}
 		}
 	}
 	return nil

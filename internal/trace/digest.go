@@ -62,10 +62,8 @@ func HashEvent(h uint64, ev Event) uint64 {
 
 // Digest computes the digest of the currently held events.
 func (r *Recorder) Digest() Digest {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	d := Digest{Dropped: r.dropped, Hash: fnvOffset}
-	for run := range r.runsLocked {
+	for run := range r.runs {
 		for _, ev := range run {
 			d.Counts[ev.Kind]++
 			d.Hash = HashEvent(d.Hash, ev)
@@ -126,10 +124,8 @@ func hashAccessEvent(ev Event) uint64 {
 // under all three schemes, and internal/bench's scheduler battery checks
 // exactly that on the pinned kernels.
 func (r *Recorder) AccessDigest() Digest {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	d := Digest{Dropped: r.dropped}
-	for run := range r.runsLocked {
+	for run := range r.runs {
 		for _, ev := range run {
 			if !accessKinds[ev.Kind] {
 				continue

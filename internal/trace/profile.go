@@ -113,17 +113,15 @@ type Profile struct {
 // profiles — the observability layer Table 3's machine-wide statistics
 // lack.
 func (r *Recorder) Profile() *Profile {
-	events := r.Events()
-	sites := r.Sites()
-	p := &Profile{Dropped: r.Dropped()}
+	p := &Profile{Dropped: r.dropped}
 	siteAgg := map[int32]*SiteProfile{}
 	pageAgg := map[uint32]*PageProfile{}
 	siteOf := func(id int32) *SiteProfile {
 		sp := siteAgg[id]
 		if sp == nil {
 			name := ""
-			if id >= 0 && int(id) < len(sites) {
-				name = sites[id]
+			if id >= 0 && int(id) < len(r.sites) {
+				name = r.sites[id]
 			}
 			sp = &SiteProfile{Site: name, FanOut: map[int]int64{}}
 			siteAgg[id] = sp
@@ -138,37 +136,39 @@ func (r *Recorder) Profile() *Profile {
 		}
 		return pp
 	}
-	for _, ev := range events {
-		switch ev.Kind {
-		case EvMigrate:
-			p.Migrations++
-			sp := siteOf(ev.Site)
-			sp.Migrations++
-			sp.FanOut[int(ev.Arg)]++
-		case EvReturn:
-			p.Returns++
-		case EvFutureSpawn:
-			p.Spawns++
-		case EvFutureTouch:
-			p.Touches++
-			p.TouchWait.Add(ev.Dur)
-		case EvCacheHit:
-			siteOf(ev.Site).Hits++
-			pageOf(ev.Page).Hits++
-		case EvCacheMiss:
-			sp := siteOf(ev.Site)
-			sp.Misses++
-			sp.MissLatency.Add(ev.Dur)
-			p.MissLatency.Add(ev.Dur)
-			pageOf(ev.Page).Misses++
-		case EvLineFetch:
-			pageOf(ev.Page).Fetches++
-		case EvLineInval:
-			pp := pageOf(ev.Page)
-			pp.InvalMsgs++
-			pp.InvalLines += int64(bits.OnesCount64(uint64(ev.Arg)))
-		case EvStampCheck:
-			pageOf(ev.Page).StampChecks++
+	for run := range r.runs {
+		for _, ev := range run {
+			switch ev.Kind {
+			case EvMigrate:
+				p.Migrations++
+				sp := siteOf(ev.Site)
+				sp.Migrations++
+				sp.FanOut[int(ev.Arg)]++
+			case EvReturn:
+				p.Returns++
+			case EvFutureSpawn:
+				p.Spawns++
+			case EvFutureTouch:
+				p.Touches++
+				p.TouchWait.Add(ev.Dur)
+			case EvCacheHit:
+				siteOf(ev.Site).Hits++
+				pageOf(ev.Page).Hits++
+			case EvCacheMiss:
+				sp := siteOf(ev.Site)
+				sp.Misses++
+				sp.MissLatency.Add(ev.Dur)
+				p.MissLatency.Add(ev.Dur)
+				pageOf(ev.Page).Misses++
+			case EvLineFetch:
+				pageOf(ev.Page).Fetches++
+			case EvLineInval:
+				pp := pageOf(ev.Page)
+				pp.InvalMsgs++
+				pp.InvalLines += int64(bits.OnesCount64(uint64(ev.Arg)))
+			case EvStampCheck:
+				pageOf(ev.Page).StampChecks++
+			}
 		}
 	}
 	for _, sp := range siteAgg {

@@ -22,10 +22,6 @@
 // unchanged.
 package trace
 
-import (
-	"sync"
-)
-
 // Kind is the type tag of an event.
 type Kind uint8
 
@@ -108,7 +104,7 @@ type Event struct {
 	Dur  int64  // duration in cycles; zero for instantaneous events
 	Arg  int64  // kind-specific argument (see the Kind docs)
 	Page uint32 // global page id, zero when not applicable
-	Site int32  // interned site id (SiteName), -1 when not applicable
+	Site int32  // interned site id (an index into Sites), -1 when not applicable
 	Tid  int32  // logical thread id, -1 when no thread is involved
 	P    int16  // processor, -1 when no processor is involved
 	Line int16  // line index within Page, -1 when not applicable
@@ -137,11 +133,11 @@ const (
 // Recorder collects events into a bounded ring. A nil *Recorder is the
 // disabled state: emit points must guard on it.
 //
-// The recorder is internally locked: the virtual-time scheduler serializes
-// emissions on one goroutine, but the ring of a run still in flight is
-// read by /debug/trace from another.
+// A recorder belongs to its run like the rest of the run's state (DESIGN.md
+// §13): it takes no lock. The virtual-time scheduler serializes emissions
+// on one control flow, and a reader on another goroutine — /debug/trace —
+// is handed the recorder only after the run has returned.
 type Recorder struct {
-	mu      sync.Mutex
 	cap     int
 	chunks  [][]Event // slot i lives at chunks[i>>chunkShift][i&(chunkEvents-1)]
 	n       int       // events held, at most cap
@@ -166,7 +162,6 @@ func New(capacity int) *Recorder {
 // Emit appends one event. When the ring is full the oldest event is
 // overwritten and counted as dropped.
 func (r *Recorder) Emit(ev Event) {
-	r.mu.Lock()
 	i := r.n
 	if i < r.cap {
 		// Only the first slot of a new chunk allocates.
@@ -183,13 +178,11 @@ func (r *Recorder) Emit(ev Event) {
 		r.dropped++
 	}
 	r.chunks[i>>chunkShift][i&(chunkEvents-1)] = ev
-	r.mu.Unlock()
 }
 
-// runsLocked yields the held events oldest-first and in place, one
-// chunk-contiguous run at a time. The caller holds r.mu and must not call
-// out of the package while ranging.
-func (r *Recorder) runsLocked(yield func([]Event) bool) {
+// runs yields the held events oldest-first and in place, one
+// chunk-contiguous run at a time.
+func (r *Recorder) runs(yield func([]Event) bool) {
 	// Oldest-first is slots [next, n) then [0, next); next is zero until
 	// the ring wraps.
 	for _, span := range [2][2]int{{r.next, r.n}, {0, r.next}} {
@@ -208,8 +201,6 @@ func (r *Recorder) runsLocked(yield func([]Event) bool) {
 // SiteID interns a site name, assigning ids in first-registration order
 // (which the deterministic scheduler makes stable run to run).
 func (r *Recorder) SiteID(name string) int32 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if id, ok := r.siteIDs[name]; ok {
 		return id
 	}
@@ -219,35 +210,18 @@ func (r *Recorder) SiteID(name string) int32 {
 	return id
 }
 
-// SiteName resolves an interned site id; out-of-range ids (including the
-// -1 sentinel) resolve to the empty string.
-func (r *Recorder) SiteName(id int32) string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if id < 0 || int(id) >= len(r.sites) {
-		return ""
-	}
-	return r.sites[id]
-}
-
 // Sites returns the interned site names in id order.
 func (r *Recorder) Sites() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]string, len(r.sites))
 	copy(out, r.sites)
 	return out
 }
 
-// Events returns a copy of the recorded events oldest-first. It is the one
-// accessor that copies: callers that go on to call out (a profile's emit
-// callback, an io.Writer) must not hold the lock of a possibly in-flight
-// run's recorder while they do.
+// Events returns a copy of the recorded events oldest-first. The package's
+// own readers walk the ring in place; this copy is for tests.
 func (r *Recorder) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]Event, 0, r.n)
-	for run := range r.runsLocked {
+	for run := range r.runs {
 		out = append(out, run...)
 	}
 	return out
@@ -255,14 +229,10 @@ func (r *Recorder) Events() []Event {
 
 // Len returns the number of events currently held.
 func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.n
 }
 
 // Dropped returns the number of events lost to ring wrap-around.
 func (r *Recorder) Dropped() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.dropped
 }

@@ -39,9 +39,6 @@ func TestSiteInterning(t *testing.T) {
 	if got := r.SiteID("a"); got != a {
 		t.Errorf("re-interning %q gave %d, want %d", "a", got, a)
 	}
-	if name := r.SiteName(-1); name != "" {
-		t.Errorf("SiteName(-1) = %q, want empty", name)
-	}
 	if sites := r.Sites(); len(sites) != 2 || sites[0] != "a" || sites[1] != "b" {
 		t.Errorf("Sites() = %v", sites)
 	}

@@ -54,7 +54,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 60*time.Second, "how long SIGTERM waits for in-flight runs")
 	quiet := flag.Bool("quiet", false, "disable the JSON access log on stderr")
 	traceSample := flag.Int("trace-sample", 0, "head-sample every Nth request for span tracing (1 = all, 0 = only requests with a sampled traceparent, negative disables)")
-	traceRequests := flag.Int("trace-requests", 256, "finished-request ring size behind /debug/requests")
 	shardName := flag.String("shard", "", "shard name this replica advertises in X-Oldend-Shard when serving behind oldenrouter")
 	flag.Parse()
 
@@ -66,7 +65,6 @@ func main() {
 		DefaultDeadline:   *deadline,
 		MaxDeadline:       *maxDeadline,
 		SampleEvery:       *traceSample,
-		DebugRequests:     *traceRequests,
 		ShardName:         *shardName,
 	}
 	if !*quiet {

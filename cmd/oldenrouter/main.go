@@ -38,7 +38,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8090", "listen address")
 	replicas := flag.String("replicas", "", "comma-separated oldend base URLs the ring shards over (required)")
-	vnodes := flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per replica on the hash ring")
 	probeOwners := flag.Int("probe-owners", 1, "hot-key replication width R: cacheable requests rotate across the key's first R owners, probing their caches first (1 = primary owner only)")
 	maxConns := flag.Int("max-conns", 64, "max concurrent connections the router holds open per replica")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on 503 responses")
@@ -59,7 +58,6 @@ func main() {
 	}
 	cfg := cluster.Config{
 		Replicas:           list,
-		VNodes:             *vnodes,
 		ProbeOwners:        *probeOwners,
 		MaxConnsPerReplica: *maxConns,
 		RetryAfter:         *retryAfter,
@@ -73,8 +71,8 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	fmt.Fprintf(os.Stderr, "oldenrouter: listening on %s (replicas=%d vnodes=%d probe-owners=%d)\n",
-		*addr, len(list), *vnodes, *probeOwners)
+	fmt.Fprintf(os.Stderr, "oldenrouter: listening on %s (replicas=%d probe-owners=%d)\n",
+		*addr, len(list), *probeOwners)
 	// No job state of its own: the in-flight proxied requests the
 	// listener's Shutdown waits for are all there is to flush.
 	if err := server.Serve("oldenrouter", *addr, rt.Handler(), 30*time.Second, nil); err != nil {

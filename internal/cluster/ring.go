@@ -43,11 +43,11 @@ type ringPoint struct {
 	replica int // index into replicas
 }
 
-// DefaultVNodes is the virtual-node count per replica when the caller
+// defaultVNodes is the virtual-node count per replica when the caller
 // passes 0: high enough that three replicas split the ten-kernel config
 // space within a few percent, low enough that building the ring is
 // trivially cheap.
-const DefaultVNodes = 128
+const defaultVNodes = 128
 
 // NewRing builds a ring over the given replica names (base URLs in the
 // router's case). Names must be unique and non-empty; order does not
@@ -57,7 +57,7 @@ func NewRing(replicas []string, vnodes int) (*Ring, error) {
 		return nil, fmt.Errorf("cluster: ring needs at least one replica")
 	}
 	if vnodes <= 0 {
-		vnodes = DefaultVNodes
+		vnodes = defaultVNodes
 	}
 	seen := make(map[string]bool, len(replicas))
 	for _, r := range replicas {

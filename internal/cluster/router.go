@@ -26,8 +26,6 @@ type Config struct {
 	// Replicas is the static replica list: base URLs (http://host:port)
 	// of the oldend processes the ring shards over.
 	Replicas []string
-	// VNodes is the virtual-node count per replica (0 = DefaultVNodes).
-	VNodes int
 	// ProbeOwners is R, the hot-key replication width: cacheable /run
 	// requests rotate across the key's first R owners, probing their
 	// caches (GET /cache/probe) before executing anywhere. 1 (the
@@ -127,7 +125,7 @@ type Router struct {
 // NewRouter builds the router and its ring.
 func NewRouter(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
-	ring, err := NewRing(cfg.Replicas, cfg.VNodes)
+	ring, err := NewRing(cfg.Replicas, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -441,7 +439,7 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 	st.Key = key
 	st.Benchmark = req.Benchmark
 
-	cacheable := !req.NoCache && !req.Verify
+	cacheable := !req.NoCache
 	ridx := 0
 	nProbe := min(rt.cfg.ProbeOwners, len(owners))
 	if cacheable && nProbe > 1 {

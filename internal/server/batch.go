@@ -8,15 +8,12 @@ import (
 	"net/http"
 	"sync"
 	"time"
-
-	"repro/internal/bench"
 )
 
 // BatchRequest is the POST /batch body: a set of run configurations to
-// resolve together. The batch is deduplicated twice before anything
-// executes — exact duplicates collapse onto one run, and configurations
-// sharing a phase-cache key are ordered so the first run materializes
-// the build state the rest restore.
+// resolve together. Exact duplicates collapse onto one run; the rest go
+// through /run's stages concurrently, so configurations sharing a build
+// key share one build in the phase cache.
 type BatchRequest struct {
 	Runs []RunRequest `json:"runs"`
 	// DeadlineMS caps each run's time in the service, like the /run
@@ -62,8 +59,8 @@ func DecodeBatch(body io.Reader, n int64) (BatchRequest, []BatchItem, error) {
 	if err != nil {
 		return breq, nil, err
 	}
-	if err := json.Unmarshal(b, &breq); err != nil {
-		return breq, nil, fmt.Errorf("bad request body: %w", err)
+	if err := decodeJSON(b, &breq); err != nil {
+		return breq, nil, err
 	}
 	if len(breq.Runs) == 0 {
 		return breq, nil, fmt.Errorf("empty batch (runs is required)")
@@ -114,15 +111,13 @@ func WriteBatch(w http.ResponseWriter, items []BatchItem, retryAfter time.Durati
 //
 //  1. normalize every run; invalid ones fail item-locally with 400;
 //  2. collapse exact duplicates onto one execution;
-//  3. serve what the result cache already holds;
-//  4. group the residue by phase-cache key and, per group, execute the
-//     first configuration alone — its build populates the phase cache —
-//     then fan the rest out concurrently as phase hits;
-//  5. answer in request order with per-item status, cache dispositions
+//  3. send every unique run concurrently through /run's two stages: the
+//     result cache (unless no_cache), then the worker pool;
+//  4. answer in request order with per-item status, cache dispositions
 //     and records.
 //
-// Groups themselves run concurrently; the bounded worker pool is still
-// the only execution throttle.
+// The bounded worker pool is the only execution throttle, and the phase
+// cache gives runs that share a build key one build between them.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	breq, items, err := DecodeBatch(r.Body, r.ContentLength)
 	if err != nil {
@@ -136,8 +131,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	st := RequestState(w)
 	first := map[string]int{} // key -> index of the item that executes it
-	var order []int           // unique, valid, unserved indices
+	var wg sync.WaitGroup
 	for i := range items {
 		if items[i].Status != 0 {
 			continue // invalid: already answered item-locally
@@ -148,48 +144,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		first[key] = i
-		if !reqs[i].NoCache && !reqs[i].Verify {
-			if res, ok := s.lookup(key, s.cacheHits, s.cacheMisses); ok {
-				items[i].fill(res)
-				continue
-			}
-		}
-		order = append(order, i)
-	}
-
-	// Group the residue by phase-cache key; configurations that cannot
-	// share build state each form their own group. The result cache was
-	// probed first, so a group's head is always a miss that builds.
-	groups := map[string][]int{}
-	for _, i := range order {
-		g := "key:" + items[i].Key
-		info, _ := bench.Get(reqs[i].Benchmark)
-		cfg := bench.Config{Baseline: reqs[i].Baseline, Procs: reqs[i].Procs, Scale: reqs[i].Scale}
-		if k, ok := info.BuildKey(cfg); ok {
-			g = "phase:" + k
-		}
-		groups[g] = append(groups[g], i)
-	}
-
-	st := RequestState(w)
-	var wg sync.WaitGroup
-	for _, idxs := range groups {
 		wg.Add(1)
-		go func(idxs []int) {
+		go func() {
 			defer wg.Done()
-			// Warm: the group head builds (or finds) the shared state.
-			s.runBatchItem(r.Context(), st, reqs[idxs[0]], &items[idxs[0]])
-			// Fan: everyone else restores it concurrently.
-			var fan sync.WaitGroup
-			for _, i := range idxs[1:] {
-				fan.Add(1)
-				go func(i int) {
-					defer fan.Done()
-					s.runBatchItem(r.Context(), st, reqs[i], &items[i])
-				}(i)
-			}
-			fan.Wait()
-		}(idxs)
+			s.runBatchItem(r.Context(), st, reqs[i], &items[i])
+		}()
 	}
 	wg.Wait()
 
@@ -203,12 +162,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	WriteBatch(w, items, s.cfg.RetryAfter, "")
 }
 
-// runBatchItem submits one normalized configuration through the same
-// admission point /run uses and fills the item in place. On sampled batch
-// requests each item hangs a "run:<benchmark>" span off the request root,
-// so one batch trace shows every item's queue wait and execution side by
-// side.
+// runBatchItem resolves one normalized configuration as /run does — the
+// result cache unless no_cache, then the same admission point — and fills
+// the item in place. On sampled batch requests each submitted item hangs a
+// "run:<benchmark>" span off the request root, so one batch trace shows
+// every item's queue wait and execution side by side.
 func (s *Server) runBatchItem(ctx context.Context, st *ReqState, req RunRequest, item *BatchItem) {
+	if !req.NoCache {
+		if res, ok := s.lookup(item.Key, s.cacheHits, s.cacheMisses); ok {
+			item.fill(res)
+			return
+		}
+	}
 	isp := st.Span.StartChild("run:" + req.Benchmark)
 	isp.SetAttr("key", item.Key)
 	res := s.submit(ctx, isp, req, item.Key)

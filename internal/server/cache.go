@@ -7,16 +7,15 @@ import (
 )
 
 // cacheEntry is one 200 run result, fresh or memoized: the canonical
-// response bytes, the trace digest the determinism argument rests on, and
-// the header values every response of it shares (none writes them).
+// response bytes and the header values every response of it shares, its
+// trace digest and length (none writes them).
 type cacheEntry struct {
 	body                 []byte
-	digest               string
 	digestHdr, lengthHdr []string
 }
 
 func newEntry(body []byte, digest string) *cacheEntry {
-	return &cacheEntry{body, digest, []string{digest}, []string{strconv.Itoa(len(body))}}
+	return &cacheEntry{body, []string{digest}, []string{strconv.Itoa(len(body))}}
 }
 
 // lruCache is a strict-LRU memo keyed by canonical strings. Eviction

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -13,13 +12,14 @@ import (
 )
 
 // runSeeds are the /run bodies the table tests post (TestRequestValidation
-// and the cache, deadline and verify tests), valid and not.
+// and the cache and deadline tests), valid and not.
 var runSeeds = []string{
 	`{"benchmark":"treeadd"}`,
 	`{"benchmark":"treeadd","procs":2,"scale":32}`,
 	`{"benchmark":"em3d","procs":4,"scheme":"bilateral","mode":"cache-only"}`,
 	`{"benchmark":"power","baseline":true,"procs":8}`,
-	`{"benchmark":"treeadd","no_cache":true,"verify":true,"deadline_ms":50}`,
+	`{"benchmark":"treeadd","no_cache":true,"deadline_ms":50}`,
+	`{"benchmark":"treeadd","nocache":true}`,
 	`{"benchmark":"nosuch"}`,
 	`{}`,
 	`{"benchmark":"treeadd","scheme":"mesi"}`,
@@ -109,8 +109,8 @@ func decodeRef(body string) (RunRequest, string, error) {
 	if len(body) > maxBody {
 		return req, "", fmt.Errorf("request body over the %d-byte limit: %w", maxBody, &http.MaxBytesError{Limit: maxBody})
 	}
-	if err := json.Unmarshal([]byte(body), &req); err != nil {
-		return req, "", fmt.Errorf("bad request body: %w", err)
+	if err := decodeJSON([]byte(body), &req); err != nil {
+		return req, "", err
 	}
 	req, err := Normalize(req)
 	if err != nil {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -305,13 +306,28 @@ var decodeMemo = newLRU[decoded](256)
 
 const maxMemoBody = 1 << 10
 
+// decodeJSON decodes the one JSON value b holds into v, refusing a field
+// v does not declare ({"nocache":true}) and anything but white space
+// after the value ({"benchmark":"treeadd"}{…}).
+func decodeJSON(b []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if _, terr := dec.Token(); err == nil && terr != io.EOF {
+		err = errors.New("invalid data after top-level value")
+	}
+	if err != nil {
+		return fmt.Errorf("bad request body: %w", err)
+	}
+	return nil
+}
+
 // DecodeRun is the /run prologue replica and router share: read the body
 // of declared length n (returned, for the router to forward), decode it
-// (json.Unmarshal refuses trailing values: {"benchmark":"treeadd"}{…} is
-// a 400), validate and fill catalog defaults, and derive the canonical
-// key the result cache stores under and the ring hashes. Every error is
-// the client's (413 for a body over the limit, 408 for one the read
-// timeout cut, 400 otherwise).
+// strictly (decodeJSON), validate and fill catalog defaults, and derive
+// the canonical key the result cache stores under and the ring hashes.
+// Every error is the client's (413 for a body over the limit, 408 for one
+// the read timeout cut, 400 otherwise).
 func DecodeRun(body io.Reader, n int64) (RunRequest, string, []byte, error) {
 	b, err := readBody(body, n)
 	if err != nil {
@@ -321,8 +337,8 @@ func DecodeRun(body io.Reader, n int64) (RunRequest, string, []byte, error) {
 		return d.req, d.key, b, nil
 	}
 	var req RunRequest // declared past the hit path, which it would escape on
-	if err := json.Unmarshal(b, &req); err != nil {
-		return req, "", b, fmt.Errorf("bad request body: %w", err)
+	if err := decodeJSON(b, &req); err != nil {
+		return req, "", b, err
 	}
 	if req, err = Normalize(req); err != nil {
 		return req, "", b, err
@@ -351,7 +367,7 @@ func (s *Server) lookup(key string, hits, misses *metrics.Counter) (result, bool
 // Header values shared by every 200 run answer that carries them.
 var (
 	jsonType    = []string{"application/json"}
-	cacheHeader = map[string][]string{"hit": {"hit"}, "miss": {"miss"}, "bypass": {"bypass"}, "verify": {"verify"}}
+	cacheHeader = map[string][]string{"hit": {"hit"}, "miss": {"miss"}, "bypass": {"bypass"}}
 )
 
 // writeRun renders a run result as an HTTP response. It is the only
@@ -389,14 +405,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	st.Benchmark = req.Benchmark
 	st.Key = key
 
-	// A request that bypasses or cross-checks the cache skips the lookup
-	// but still records the probe stage with its disposition.
+	// A request that bypasses the cache skips the lookup but still
+	// records the probe stage with its disposition.
 	probe := st.Span.StartChild("cache_probe")
 	probe.SetAttr("key", key)
 	st.Cache = req.Disposition()
 	var res result
 	hit := false
-	if !req.NoCache && !req.Verify {
+	if !req.NoCache {
 		if res, hit = s.lookup(key, s.cacheHits, s.cacheMisses); hit {
 			st.Cache = res.cache
 		}

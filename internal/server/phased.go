@@ -21,12 +21,58 @@ import (
 // image is scheme-invariant by construction, and RunPhased re-checks the
 // heap fingerprint on every restore.
 
+// phaseBuild is one build in flight: runs that miss under its key wait on
+// done, then restore bs — nil when the build failed.
+type phaseBuild struct {
+	done chan struct{}
+	bs   *bench.BuildState
+}
+
+// phaseState is the phase-cache read. Like Olden's cache, which fills a
+// missing line once, it fills a missing build once: a miss under a key
+// whose build is in flight waits for it and returns what it built. A nil
+// state (the run builds) comes with publish, which the caller calls with
+// what it built, nil on failure: that stores the state and wakes the
+// waiters. After a failed build, each waiter builds for itself.
+func (s *Server) phaseState(key string) (bs *bench.BuildState, publish func(*bench.BuildState)) {
+	s.buildMu.Lock()
+	if bs, ok := lruGet(s.phases, key); ok {
+		s.buildMu.Unlock()
+		return bs, nil
+	}
+	b, inFlight := s.building[key]
+	if !inFlight {
+		b = &phaseBuild{done: make(chan struct{})}
+		s.building[key] = b
+	}
+	s.buildMu.Unlock()
+	if inFlight {
+		<-b.done
+		if b.bs != nil {
+			return b.bs, nil
+		}
+	}
+	return nil, func(bs *bench.BuildState) {
+		if bs != nil {
+			s.phases.put(key, bs)
+		}
+		if !inFlight { // the builder; a waiter building after a failure only stores
+			s.buildMu.Lock()
+			delete(s.building, key)
+			s.buildMu.Unlock()
+			b.bs = bs
+			close(b.done)
+		}
+	}
+}
+
 // defaultExecutePhased runs the benchmark for real: a fresh machine +
 // runtime per job (nothing shared with concurrent runs), the trace
 // recorder and metrics registry attached so the record carries the
 // digest that makes memoization verifiable. Phase-cacheable requests
-// probe the phase cache first and restore the memoized build boundary on
-// a hit; the returned disposition feeds the X-Oldend-Phase-Cache header.
+// probe the phase cache first (phaseState) and restore the memoized build
+// boundary on a hit; the returned disposition feeds the
+// X-Oldend-Phase-Cache header.
 // An unverified run — wrong answer versus the sequential reference — is
 // an executor error, never a cacheable result.
 //
@@ -73,8 +119,9 @@ func (s *Server) defaultExecutePhased(req RunRequest, sp *obs.Span) (record.RunR
 
 	key, shared := info.BuildKey(cfg)
 	var bs *bench.BuildState
+	var publish func(*bench.BuildState)
 	if shared {
-		bs, _ = lruGet(s.phases, key)
+		bs, publish = s.phaseState(key)
 	}
 	res, rec, nbs, reused, err := bench.RunPhasedRecorded(info, cfg, bs)
 	if simRec != nil {
@@ -84,22 +131,24 @@ func (s *Server) defaultExecutePhased(req RunRequest, sp *obs.Span) (record.RunR
 			sp.SetAttrInt("sim_dropped", d)
 		}
 	}
-	if err != nil {
-		return rec, "none", err
+	if err == nil && !res.Verified() {
+		err = fmt.Errorf("%s run failed verification: %#x != %#x", req.Benchmark, res.Check, res.WantCheck)
 	}
-	if !res.Verified() {
-		return rec, "none", fmt.Errorf("%s run failed verification: %#x != %#x", req.Benchmark, res.Check, res.WantCheck)
-	}
-	phase := "none"
-	if shared && nbs != nil {
-		if reused {
-			phase = "hit"
-			s.phaseHits.Inc()
-		} else {
-			phase = "miss"
-			s.phaseMisses.Inc()
-			s.phases.put(key, nbs)
+	if publish != nil {
+		if err != nil {
+			nbs = nil
 		}
+		publish(nbs)
 	}
-	return rec, phase, nil
+	switch {
+	case err != nil:
+		return rec, "none", err
+	case !shared:
+		return rec, "none", nil
+	case reused:
+		s.phaseHits.Inc()
+		return rec, "hit", nil
+	}
+	s.phaseMisses.Inc()
+	return rec, "miss", nil
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -8,12 +9,15 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/bench/record"
-	"repro/internal/metrics"
+	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/rt"
 
 	_ "repro/internal/bench/all"
 )
@@ -100,8 +104,8 @@ func TestPhaseCacheNotApplied(t *testing.T) {
 }
 
 // TestPhaseCacheVerifyCrossScheme is the determinism cross-check through
-// the phased path: verify re-runs that restore another scheme's build
-// state must reproduce the memoized trace digest bit for bit.
+// the phased path: a no_cache re-run that restores another scheme's build
+// state must reproduce the memoized record and trace digest bit for bit.
 func TestPhaseCacheVerifyCrossScheme(t *testing.T) {
 	s := New(Config{Workers: 2, QueueDepth: 8})
 	defer s.Shutdown(context.Background())
@@ -109,24 +113,26 @@ func TestPhaseCacheVerifyCrossScheme(t *testing.T) {
 	defer ts.Close()
 
 	body := `{"benchmark":"em3d","procs":2,"scale":16,"scheme":"global"}`
-	if st, b, _ := postRun(t, ts, body); st != 200 {
-		t.Fatalf("seed run = %d (%s)", st, b)
+	st, memo, mh := postRun(t, ts, body)
+	if st != 200 {
+		t.Fatalf("seed run = %d (%s)", st, memo)
 	}
-	// Populate the phase cache from a different scheme, then verify the
+	// Populate the phase cache from a different scheme, then re-run the
 	// first configuration: its kernel executes on top of the restored
-	// build state and must match its own memoized digest.
+	// build state and must match its own memoized bytes and digest.
 	if st, b, _ := postRun(t, ts, `{"benchmark":"em3d","procs":2,"scale":16,"scheme":"local"}`); st != 200 {
 		t.Fatalf("warm run = %d (%s)", st, b)
 	}
-	st, b, h := postRun(t, ts, `{"benchmark":"em3d","procs":2,"scale":16,"scheme":"global","verify":true}`)
+	st, b, h := postRun(t, ts, `{"benchmark":"em3d","procs":2,"scale":16,"scheme":"global","no_cache":true}`)
 	if st != 200 {
-		t.Fatalf("verify run = %d (%s) — phased determinism violation?", st, b)
+		t.Fatalf("no_cache run = %d (%s)", st, b)
 	}
 	if got := h.Get("X-Oldend-Phase-Cache"); got != "hit" {
-		t.Fatalf("verify run phase cache = %q, want hit", got)
+		t.Fatalf("no_cache run phase cache = %q, want hit", got)
 	}
-	if got := counterValue(t, s.Metrics(), "oldend_cache_verify_total", metrics.L("outcome", "mismatch")); got != 0 {
-		t.Fatalf("verify mismatches = %d, want 0", got)
+	if !bytes.Equal(b, memo) || h.Get("X-Oldend-Trace-Digest") != mh.Get("X-Oldend-Trace-Digest") {
+		t.Fatalf("restored re-run differs from the memoized run (digest %q vs %q) — phased determinism violation",
+			h.Get("X-Oldend-Trace-Digest"), mh.Get("X-Oldend-Trace-Digest"))
 	}
 }
 
@@ -147,7 +153,7 @@ func TestLRUConcurrentMixed(t *testing.T) {
 				rk := fmt.Sprintf("run-%d", (g+i)%12)
 				pk := fmt.Sprintf("phase-%d", (g*i)%6)
 				if _, ok := lruGet(results, rk); !ok {
-					results.put(rk, &cacheEntry{digest: rk})
+					results.put(rk, newEntry(nil, rk))
 				}
 				if _, ok := lruGet(phases, pk); !ok {
 					phases.put(pk, &bench.BuildState{Benchmark: pk})
@@ -312,6 +318,7 @@ func TestBatchValidation(t *testing.T) {
 		{`not json`, http.StatusBadRequest},
 		{`{"runs":[{"benchmark":"treeadd"}]}{"runs":[{"benchmark":"power"}]}`, http.StatusBadRequest},
 		{`{"runs":[{"benchmark":"treeadd"}]} garbage`, http.StatusBadRequest},
+		{`{"runs":[{"benchmark":"treeadd"},{"benchmark":"treeadd","nocache":true}]}`, http.StatusBadRequest},
 		{`{"runs":[{"benchmark":"treeadd"}]}` + "\n", http.StatusOK},
 		{`{"runs":[{"benchmark":"treeadd"},{"benchmark":"treeadd"},{"benchmark":"treeadd"},
 		   {"benchmark":"treeadd"},{"benchmark":"treeadd"}]}`, http.StatusBadRequest}, // > QueueDepth
@@ -334,6 +341,124 @@ func TestBatchValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /batch = %d", resp.StatusCode)
+	}
+}
+
+// sharedBuildBench and failedBuildBench are phase-split benchmarks whose
+// Build holds until three jobs of buildServer have been executing at once
+// (10 s at most), so the runs of a three-scheme sweep are all in flight
+// before any build returns. Every build of failedBuildBench fails.
+const (
+	sharedBuildBench = "server-test-shared-build"
+	failedBuildBench = "server-test-failed-build"
+)
+
+var (
+	buildServer *Server
+	buildCalls  atomic.Int32
+	buildsFree  atomic.Bool // latched once three jobs were executing
+)
+
+func holdBuild() {
+	buildCalls.Add(1)
+	for end := time.Now().Add(10 * time.Second); !buildsFree.Load() && time.Now().Before(end); time.Sleep(time.Millisecond) {
+		if buildServer.inflight.Load() >= 3 {
+			buildsFree.Store(true)
+		}
+	}
+}
+
+func init() {
+	kernel := func(bench.Config, *rt.Runtime, any) bench.Result { return bench.Result{} }
+	bench.Register(bench.Info{Name: sharedBuildBench, Phased: &bench.Phased{
+		Build:  func(bench.Config, *rt.Runtime) any { holdBuild(); return nil },
+		Kernel: kernel,
+	}})
+	bench.Register(bench.Info{Name: failedBuildBench, Phased: &bench.Phased{
+		Build: func(bench.Config, *rt.Runtime) any {
+			holdBuild()
+			panic(&mem.ExhaustedError{Proc: 0, Requested: 1})
+		},
+		Kernel: kernel,
+	}})
+}
+
+// sweepConcurrently posts one /run per coherence scheme of benchmark at
+// once to a fresh Workers: 3 server and returns each answer's status and
+// phase disposition, failing the test if any takes over 30 s.
+func sweepConcurrently(t *testing.T, benchmark string) (*Server, []int, []string) {
+	t.Helper()
+	s := New(Config{Workers: 3, QueueDepth: 8})
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	buildServer = s
+	buildCalls.Store(0)
+	buildsFree.Store(false)
+
+	type answer struct {
+		status int
+		phase  string
+	}
+	answers := make(chan answer, 3)
+	for _, scheme := range []string{"local", "global", "bilateral"} {
+		go func() {
+			body := fmt.Sprintf(`{"benchmark":%q,"procs":2,"scheme":%q}`, benchmark, scheme)
+			resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
+			if err != nil {
+				answers <- answer{status: -1}
+				return
+			}
+			resp.Body.Close()
+			answers <- answer{resp.StatusCode, resp.Header.Get("X-Oldend-Phase-Cache")}
+		}()
+	}
+	var statuses []int
+	var phases []string
+	timeout := time.After(30 * time.Second)
+	for range 3 {
+		select {
+		case a := <-answers:
+			statuses, phases = append(statuses, a.status), append(phases, a.phase)
+		case <-timeout:
+			t.Fatalf("%d of 3 runs answered within 30 s: %v", len(statuses), statuses)
+		}
+	}
+	return s, statuses, phases
+}
+
+// TestConcurrentRunsShareBuild: three /run requests for one build key,
+// all executing at once, build once. The phase cache makes the runs that
+// miss while the build is in flight wait for it and restore its state.
+func TestConcurrentRunsShareBuild(t *testing.T) {
+	s, statuses, phases := sweepConcurrently(t, sharedBuildBench)
+	for i, st := range statuses {
+		if st != http.StatusOK {
+			t.Fatalf("run %d answered %d", i, st)
+		}
+	}
+	if n := buildCalls.Load(); n != 1 {
+		t.Errorf("Build ran %d times for one build key, want 1 (phase dispositions %v)", n, phases)
+	}
+	misses := counterValue(t, s.Metrics(), "oldend_phase_cache_misses_total")
+	hits := counterValue(t, s.Metrics(), "oldend_phase_cache_hits_total")
+	if misses != 1 || hits != 2 {
+		t.Errorf("phase cache: %d misses, %d hits; want 1 and 2", misses, hits)
+	}
+}
+
+// TestFailedBuildWakesWaiters: when the build others wait on fails, they
+// wake and each builds for itself; every run answers (here 500, as every
+// build fails) and none hangs.
+func TestFailedBuildWakesWaiters(t *testing.T) {
+	_, statuses, _ := sweepConcurrently(t, failedBuildBench)
+	for i, st := range statuses {
+		if st != http.StatusInternalServerError {
+			t.Errorf("run %d answered %d, want 500", i, st)
+		}
+	}
+	if n := buildCalls.Load(); n != 3 {
+		t.Errorf("Build ran %d times, want 3 (each run after the failure builds for itself)", n)
 	}
 }
 

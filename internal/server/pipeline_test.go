@@ -106,13 +106,6 @@ func TestRunAndOneItemBatchAgree(t *testing.T) {
 		{name: "phase-hit", body: cfg + `,"scheme":"global"}`, wantStatus: 200, wantCache: "miss", wantPhase: "hit",
 			setup: warm},
 		{name: "bypass", body: cfg + `,"no_cache":true}`, wantStatus: 200, wantCache: "bypass", wantPhase: "miss"},
-		{name: "verify-match", body: cfg + `,"verify":true}`, wantStatus: 200, wantCache: "verify", wantPhase: "hit",
-			setup: warm},
-		{name: "verify-mismatch", body: cfg + `,"verify":true}`, wantStatus: 500,
-			exec: func() (ExecuteFunc, *blockingExec) {
-				return (&instantExec{digests: []string{"d1", "DIVERGED"}}).fn, nil
-			},
-			setup: warm},
 		{name: "invalid", body: `{"benchmark":"no-such-bench"}`, wantStatus: 400},
 		{name: "shed", body: cfg + `}`, wantStatus: 429,
 			exec: blocking,

@@ -110,9 +110,9 @@ func TestCacheKeyIsTheCanonicalKey(t *testing.T) {
 		t.Fatalf("DecodeRun key %q (%v) != CacheKey() %q", key, err, CacheKey(q))
 	}
 	with := q
-	with.NoCache, with.Verify, with.DeadlineMS = true, true, 123
+	with.NoCache, with.DeadlineMS = true, 123
 	if CacheKey(with) != CacheKey(q) {
-		t.Error("CacheKey must ignore NoCache/Verify/DeadlineMS (handling, not identity)")
+		t.Error("CacheKey must ignore NoCache/DeadlineMS (handling, not identity)")
 	}
 }
 
@@ -127,11 +127,6 @@ func TestDisposition(t *testing.T) {
 	nc.NoCache = true
 	if d := nc.Disposition(); d != "bypass" {
 		t.Errorf("no_cache disposition %q, want bypass", d)
-	}
-	v := base
-	v.Verify = true
-	if d := v.Disposition(); d != "verify" {
-		t.Errorf("verify disposition %q, want verify", d)
 	}
 }
 

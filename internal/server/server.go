@@ -49,10 +49,6 @@ type RunRequest struct {
 	// NoCache bypasses the result cache entirely: the run executes and
 	// its result is not stored.
 	NoCache bool `json:"no_cache,omitempty"`
-	// Verify forces execution even on a cache hit and cross-checks the
-	// fresh trace digest against the memoized one; a mismatch is a
-	// determinism violation and is served as a 500.
-	Verify bool `json:"verify,omitempty"`
 	// DeadlineMS caps this request's time in the service (queue wait +
 	// execution), bounded above by the server's MaxDeadline.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
@@ -61,7 +57,7 @@ type RunRequest struct {
 // CacheKey renders the canonical result-cache key of a normalized run
 // configuration — the single source of truth shared by the server's
 // result cache, the cluster router's consistent-hash ring and the tests.
-// It deliberately excludes NoCache/Verify/DeadlineMS: those shape
+// It deliberately excludes NoCache/DeadlineMS: those shape
 // request handling, not the result. Two processes that agree on this
 // string agree on result identity, which is what lets a router shard
 // the cache across replicas without any coordination protocol. It is
@@ -83,14 +79,10 @@ func CacheKey(q RunRequest) string {
 }
 
 // Disposition returns the cache disposition a (normalized) request
-// carries into execution: "bypass" when it refuses the cache, "verify"
-// when it cross-checks it, else "miss".
+// carries into execution: "bypass" when it refuses the cache, else "miss".
 func (q RunRequest) Disposition() string {
-	switch {
-	case q.NoCache:
+	if q.NoCache {
 		return "bypass"
-	case q.Verify:
-		return "verify"
 	}
 	return "miss"
 }
@@ -144,17 +136,14 @@ type Config struct {
 	// AccessLog, when non-nil, receives one JSON object per request.
 	AccessLog *AccessLogger
 	// Tracer owns request sampling and span retention; when nil one is
-	// built from SampleEvery/DebugRequests. Supplying a tracer lets
-	// tests pin its clock and randomness.
+	// built from SampleEvery. Supplying a tracer lets tests pin its
+	// clock and randomness.
 	Tracer *obs.Tracer
 	// SampleEvery is the head-sampling rate when Tracer is nil: N >= 1
 	// samples every Nth request, 0 (the default) samples only requests
 	// carrying an upstream-sampled traceparent, negative disables
 	// tracing entirely.
 	SampleEvery int
-	// DebugRequests bounds the finished-request ring behind
-	// GET /debug/requests when Tracer is nil (0 picks the obs default).
-	DebugRequests int
 	// Execute substitutes the run executor (tests); nil means the real
 	// phase-cached benchmark executor. A substituted executor bypasses
 	// the phase cache.
@@ -194,7 +183,6 @@ func (c Config) withDefaults() Config {
 	if c.Tracer == nil {
 		c.Tracer = obs.New(obs.Config{
 			SampleEvery: c.SampleEvery,
-			RequestRing: c.DebugRequests,
 			Now:         c.Now,
 		})
 	}
@@ -210,7 +198,7 @@ type result struct {
 	status      int
 	entry       *cacheEntry // the record (200 only)
 	errMsg      string
-	cache       string // hit | miss | bypass | verify; "" when no worker answered
+	cache       string // hit | miss | bypass; "" when no worker answered
 	phase       string // hit | miss | none | "" (executor has no phase path)
 	shed        string // why admission or the worker refused the job
 	queueWaitUS int64
@@ -239,6 +227,10 @@ type Server struct {
 	cfg    Config
 	cache  *lruCache[*cacheEntry]
 	phases *lruCache[*bench.BuildState]
+	// building holds the phase-cache builds in flight, by build key
+	// (phaseState); buildMu guards it.
+	buildMu  sync.Mutex
+	building map[string]*phaseBuild
 	// execute is the worker's run path: the substituted Execute or the
 	// server's own phase-cached executor.
 	execute executePhasedFunc
@@ -253,8 +245,6 @@ type Server struct {
 	expired      *metrics.Counter
 	cacheHits    *metrics.Counter
 	cacheMisses  *metrics.Counter
-	verifyOK     *metrics.Counter
-	verifyBad    *metrics.Counter
 	phaseHits    *metrics.Counter
 	phaseMisses  *metrics.Counter
 	probeHits    *metrics.Counter
@@ -270,10 +260,11 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:    cfg,
-		cache:  newLRU[*cacheEntry](cfg.CacheEntries),
-		phases: newLRU[*bench.BuildState](cfg.PhaseCacheEntries),
-		queue:  make(chan *job, cfg.QueueDepth),
+		cfg:      cfg,
+		cache:    newLRU[*cacheEntry](cfg.CacheEntries),
+		phases:   newLRU[*bench.BuildState](cfg.PhaseCacheEntries),
+		building: map[string]*phaseBuild{},
+		queue:    make(chan *job, cfg.QueueDepth),
 	}
 	s.execute = s.defaultExecutePhased
 	if cfg.Execute != nil {
@@ -288,7 +279,6 @@ func New(cfg Config) *Server {
 	m.SetHelp("oldend_deadline_expired_total", "Admitted jobs whose deadline expired before a worker picked them up.")
 	m.SetHelp("oldend_cache_hits_total", "Run requests served from the deterministic result cache.")
 	m.SetHelp("oldend_cache_misses_total", "Run requests that executed because no memoized result existed.")
-	m.SetHelp("oldend_cache_verify_total", "Cache-verification re-runs, by outcome (determinism cross-checks).")
 	m.SetHelp("oldend_phase_cache_hits_total", "Runs that restored a memoized build-phase boundary instead of rebuilding.")
 	m.SetHelp("oldend_phase_cache_misses_total", "Phase-cacheable runs that built (and memoized) their build state.")
 	m.SetHelp("oldend_phase_cache_entries", "Build-phase boundaries resident in the phase cache right now.")
@@ -305,8 +295,6 @@ func New(cfg Config) *Server {
 	s.expired = m.Counter("oldend_deadline_expired_total")
 	s.cacheHits = m.Counter("oldend_cache_hits_total")
 	s.cacheMisses = m.Counter("oldend_cache_misses_total")
-	s.verifyOK = m.Counter("oldend_cache_verify_total", metrics.L("outcome", "match"))
-	s.verifyBad = m.Counter("oldend_cache_verify_total", metrics.L("outcome", "mismatch"))
 	s.phaseHits = m.Counter("oldend_phase_cache_hits_total")
 	s.phaseMisses = m.Counter("oldend_phase_cache_misses_total")
 	s.probeHits = m.Counter("oldend_cache_probe_total", metrics.L("outcome", "hit"))
@@ -516,27 +504,10 @@ func (s *Server) worker() {
 		s.cfg.Metrics.Counter("oldend_runs_total", metrics.L("benchmark", j.req.Benchmark)).Inc()
 		s.simCycles.Add(rec.Cycles)
 		e := newEntry(body, rec.TraceDigest)
-		res := result{status: http.StatusOK, entry: e, cache: j.cache, phase: phase, queueWaitUS: wait, runUS: runUS}
-		if j.req.Verify {
-			if hit, ok := lruGet(s.cache, j.key); ok {
-				if hit.digest == rec.TraceDigest {
-					s.verifyOK.Inc()
-				} else {
-					s.verifyBad.Inc()
-					res = result{
-						status: http.StatusInternalServerError,
-						errMsg: fmt.Sprintf("determinism violation: cached digest %s, fresh digest %s", hit.digest, rec.TraceDigest),
-						cache:  "verify",
-					}
-				}
-			} else {
-				s.verifyOK.Inc()
-			}
-		}
-		if res.status == http.StatusOK && !j.req.NoCache {
+		if !j.req.NoCache {
 			s.cache.put(j.key, e)
 		}
-		j.done <- res
+		j.done <- result{status: http.StatusOK, entry: e, cache: j.cache, phase: phase, queueWaitUS: wait, runUS: runUS}
 	}
 }
 

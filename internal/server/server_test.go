@@ -341,38 +341,6 @@ func TestCacheHitByteIdentical(t *testing.T) {
 	}
 }
 
-// TestVerifyCrossChecksDigest pins the determinism cross-check: Verify
-// re-runs a memoized config and 500s on digest divergence.
-func TestVerifyCrossChecksDigest(t *testing.T) {
-	exec := &instantExec{digests: []string{"d1", "d1", "DIVERGED"}}
-	s := New(Config{Workers: 1, QueueDepth: 4, Execute: exec.fn})
-	defer s.Shutdown(context.Background())
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	body := `{"benchmark":"treeadd","procs":2}`
-	if st, b, _ := postRun(t, ts, body); st != 200 {
-		t.Fatalf("prime = %d (%s)", st, b)
-	}
-	st, _, _ := postRun(t, ts, `{"benchmark":"treeadd","procs":2,"verify":true}`)
-	if st != 200 {
-		t.Fatalf("matching verify = %d, want 200", st)
-	}
-	if got := counterValue(t, s.Metrics(), "oldend_cache_verify_total", metrics.L("outcome", "match")); got != 1 {
-		t.Fatalf("verify match counter = %d, want 1", got)
-	}
-	st, b, _ := postRun(t, ts, `{"benchmark":"treeadd","procs":2,"verify":true}`)
-	if st != http.StatusInternalServerError {
-		t.Fatalf("diverged verify = %d, want 500 (body %s)", st, b)
-	}
-	if !strings.Contains(string(b), "determinism violation") {
-		t.Fatalf("diverged verify body %s", b)
-	}
-	if got := counterValue(t, s.Metrics(), "oldend_cache_verify_total", metrics.L("outcome", "mismatch")); got != 1 {
-		t.Fatalf("verify mismatch counter = %d, want 1", got)
-	}
-}
-
 // padBody pads a JSON body with trailing spaces to n bytes.
 func padBody(body string, n int) string { return body + strings.Repeat(" ", n-len(body)) }
 
@@ -397,6 +365,7 @@ func TestRequestValidation(t *testing.T) {
 		{`not json`, 400},
 		{`{"benchmark":"treeadd"}{"benchmark":"power"}`, 400},
 		{`{"benchmark":"treeadd"} garbage`, 400},
+		{`{"benchmark":"treeadd","nocache":true}`, 400},
 		{`{"benchmark":"treeadd"}` + "\n", 200},
 		{`{"benchmark":"treeadd"}`, 200},
 		{padBody(`{"benchmark":"treeadd"}`, maxBody), 200},
@@ -592,12 +561,10 @@ func TestRealExecutorEndToEnd(t *testing.T) {
 	if h1.Get("X-Oldend-Cache") != "miss" {
 		t.Fatalf("first run cache header = %q", h1.Get("X-Oldend-Cache"))
 	}
-	// And the verify path against a real deterministic run must match.
-	st3, b3, _ := postRun(t, ts, `{"benchmark":"treeadd","procs":2,"scale":16,"verify":true}`)
-	if st3 != 200 {
-		t.Fatalf("verify of real run = %d (%s) — determinism violation?", st3, b3)
-	}
-	if got := counterValue(t, s.Metrics(), "oldend_cache_verify_total", metrics.L("outcome", "mismatch")); got != 0 {
-		t.Fatalf("real run verify mismatches = %d, want 0", got)
+	// And a fresh re-run of a real deterministic run must reproduce it.
+	st3, b3, h3 := postRun(t, ts, `{"benchmark":"treeadd","procs":2,"scale":16,"no_cache":true}`)
+	if st3 != 200 || !bytes.Equal(b1, b3) || h3.Get("X-Oldend-Trace-Digest") != h1.Get("X-Oldend-Trace-Digest") {
+		t.Fatalf("no_cache re-run of real run = %d, digest %q vs %q — determinism violation?",
+			st3, h3.Get("X-Oldend-Trace-Digest"), h1.Get("X-Oldend-Trace-Digest"))
 	}
 }

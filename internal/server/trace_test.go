@@ -232,7 +232,7 @@ func TestSampledRunMergedChromeTrace(t *testing.T) {
 	}
 
 	// Unsampled request: no traceparent, SampleEvery -1 → not retained.
-	st2, _, h2 := postRunHdr(t, ts, `{"benchmark":"treeadd","procs":2,"scale":16,"nocache":true}`, nil)
+	st2, _, h2 := postRunHdr(t, ts, `{"benchmark":"treeadd","procs":2,"scale":16,"no_cache":true}`, nil)
 	if st2 != 200 {
 		t.Fatalf("unsampled run = %d", st2)
 	}

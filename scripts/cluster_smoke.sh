@@ -14,8 +14,8 @@
 #      catalog benchmark at P=1 and P=4 is sent directly to each of the
 #      three replicas twice (fresh runs and hits, then hits only), and all
 #      six answers must be byte-identical with one X-Oldend-Trace-Digest;
-#      then each key goes once through the router with "verify":true,
-#      every answer a 200, and no replica counts a verify mismatch;
+#      then each key runs once more through the router with "no_cache":true,
+#      and that fresh run must be byte-identical with the same digest too;
 #   3. routed load spreads over all three shards within the balance gate
 #      (oldenload -via-router -expect-shards/-max-shard-spread) and the
 #      repeated mix is served mostly from the federated caches;
@@ -137,9 +137,8 @@ echo "cluster-smoke: 2 MiB declared body refused with 413 and no 100 Continue, a
 # second is all hits. The six answers must be cmp-equal and carry one
 # X-Oldend-Trace-Digest — a memoized answer and an execution on another
 # process are indistinguishable on the wire. Then each key goes through
-# the router once with "verify":true (the replica re-executes and compares
-# with its cached digest): every answer a 200, and no replica counts a
-# mismatch.
+# the router once with "no_cache":true (the owner re-executes it), and
+# that answer must be cmp-equal with the same digest as well.
 BENCHES=$(grep -o '"name": "[a-z0-9]*"' "$OUT/benchmarks.json" | cut -d'"' -f4)
 [ -n "$BENCHES" ]
 SWEEP="$OUT/sweep"
@@ -159,28 +158,18 @@ for b in $BENCHES; do
           || { echo "cluster-smoke: CROSS-REPLICA MISMATCH: $b P=$p, shard$i pass $pass differs from shard0 pass 1" >&2; exit 1; }
       done
     done
+    f="$SWEEP/$b-$p-nocache"
+    curl -fsS -X POST -d "{$cfg,\"no_cache\":true}" "http://$ROUTER_ADDR/run" -o "$f.json" -D "$f.h" \
+      || { echo "cluster-smoke: no_cache run of $b P=$p through the router failed" >&2; exit 1; }
+    cmp "$SWEEP/$b-$p-1-0.json" "$f.json" \
+      || { echo "cluster-smoke: DETERMINISM MISMATCH: the no_cache re-run of $b P=$p differs from the sweep" >&2; exit 1; }
     ndigest=$(cat "$SWEEP/$b-$p"-*.h | grep -i '^X-Oldend-Trace-Digest:' | tr -d '\r' | sort -u | wc -l)
     [ "$ndigest" = 1 ] \
       || { echo "cluster-smoke: CROSS-REPLICA MISMATCH: $b P=$p carries $ndigest distinct trace digests" >&2; exit 1; }
-    code=$(curl -sS -o "$SWEEP/$b-$p-verify.json" -w '%{http_code}' -X POST -d "{$cfg,\"verify\":true}" "http://$ROUTER_ADDR/run")
-    [ "$code" = 200 ] \
-      || { echo "cluster-smoke: verify of $b P=$p through the router answered $code: $(cat "$SWEEP/$b-$p-verify.json")" >&2; exit 1; }
     nkeys=$((nkeys + 1))
   done
 done
-matches=0
-for i in 0 1 2; do
-  prom="$OUT/oldend-metrics-sweep-$i.prom"
-  curl -fsS "http://127.0.0.1:$((BASE_PORT + i))/metrics" >"$prom"
-  if grep -E 'oldend_cache_verify_total\{outcome="mismatch"\} [1-9]' "$prom"; then
-    echo "cluster-smoke: shard$i counted a cache verify mismatch" >&2; exit 1
-  fi
-  m=$(awk '/^oldend_cache_verify_total\{outcome="match"\}/ {print $2}' "$prom")
-  matches=$((matches + ${m:-0}))
-done
-[ "$matches" -ge "$nkeys" ] \
-  || { echo "cluster-smoke: $matches verify matches over the replicas, want at least $nkeys" >&2; exit 1; }
-echo "cluster-smoke: $nkeys catalog keys byte-identical on all three replicas (fresh and memoized), $matches verify re-runs matched"
+echo "cluster-smoke: $nkeys catalog keys byte-identical on all three replicas (fresh and memoized) and on a no_cache re-run through the router"
 
 # 3. Balance: a closed-loop mix of distinct configurations must reach
 # all three shards within the spread gate, and the repeats must be

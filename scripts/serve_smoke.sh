@@ -2,7 +2,8 @@
 # serve_smoke.sh — boots oldend, drives it with oldenload, and asserts the
 # serving-layer acceptance criteria:
 #   1. a cache-hit repeat of a traced run is byte-identical and carries the
-#      trace digest, and a verify re-run agrees with the memoized digest;
+#      trace digest, and a no_cache re-run is byte-identical to it with the
+#      same digest;
 #   2. a queue-saturating mixed burst completes with zero 5xx (429
 #      shedding is the admission-control contract, not an error) and the
 #      latency SLO holds on cached traffic;
@@ -49,9 +50,14 @@ curl -fsS -X POST -d "$BODY" "http://$ADDR/run" -o "$OUT/r2.json" -D "$OUT/h2.tx
 cmp "$OUT/r1.json" "$OUT/r2.json"
 grep -qi '^X-Oldend-Cache: hit' "$OUT/h2.txt"
 grep -qi '^X-Oldend-Trace-Digest: events=' "$OUT/h2.txt"
-curl -fsS -X POST -d '{"benchmark":"treeadd","procs":4,"scale":64,"verify":true}' \
-  "http://$ADDR/run" >/dev/null
-echo "smoke: cache hit byte-identical, digest attached, verify re-run matched"
+curl -fsS -X POST -d '{"benchmark":"treeadd","procs":4,"scale":64,"no_cache":true}' \
+  "http://$ADDR/run" -o "$OUT/r3.json" -D "$OUT/h3.txt"
+cmp "$OUT/r1.json" "$OUT/r3.json"
+grep -qi '^X-Oldend-Cache: bypass' "$OUT/h3.txt"
+digest() { grep -i '^X-Oldend-Trace-Digest:' "$1" | tr -d '\r' | cut -d' ' -f2-; }
+[ "$(digest "$OUT/h2.txt")" = "$(digest "$OUT/h3.txt")" ] \
+  || { echo "smoke: no_cache re-run digest $(digest "$OUT/h3.txt") differs from the hit's $(digest "$OUT/h2.txt")" >&2; exit 1; }
+echo "smoke: cache hit byte-identical, digest attached, no_cache re-run byte-identical with the same digest"
 
 # 3 (before the load phases, while the server is quiet). End-to-end
 # tracing: a fixed sampled traceparent must come back as the response's

@@ -83,9 +83,9 @@ func TestServedMetricNames(t *testing.T) {
 		method, url, body string
 		want              int
 	}{
-		{http.MethodPost, front.URL + "/run", runBody, 200},                                // probe miss ×2, then a miss
-		{http.MethodPost, front.URL + "/run", runBody, 200},                                // probe hit
-		{http.MethodPost, direct(rt.ring.Owner(keyOf(t, runBody))) + "/run", runBody, 200}, // result-cache hit
+		{http.MethodPost, front.URL + "/run", runBody, 200},                                       // probe miss ×2, then a miss
+		{http.MethodPost, front.URL + "/run", runBody, 200},                                       // probe hit
+		{http.MethodPost, direct(rt.ring.Owners(keyOf(t, runBody), 1)[0]) + "/run", runBody, 200}, // result-cache hit
 		{http.MethodPost, front.URL + "/run", `{`, 400},
 		{http.MethodGet, front.URL + "/nosuch", "", 404},
 		{http.MethodGet, front.URL + "/run", "", 405},

@@ -1,26 +1,20 @@
 // Package cluster is the sharded serving layer over N oldend replicas: a
 // consistent-hash ring that assigns every canonical run-config cache key
 // a stable owner (and fallback owners), and an HTTP router that proxies
-// requests to the owning shard, probes peer caches for hot keys, retries
-// connection failures on the next owner, and — because every replica is
-// deterministic — can duplicate any routed request to a second replica
-// and demand byte-identical answers.
+// requests to the owning shard, probes peer caches for hot keys, places a
+// batch's runs by bounded load and retries connection failures on the
+// next owner.
 //
 // This is the paper's ⟨processor, address⟩ addressing lifted one level:
-// the simulator names heap data by home processor and lets the compiler
-// choose between fetching the data and shipping the computation; the
-// cluster names *results* by ⟨replica, run-config⟩ and ships the request
-// to the shard that owns the result rather than copying cache state
-// around. Determinism (PR 3's digest work) is what makes the whole
-// scheme sound: any replica asked the same question produces the same
-// bytes, so ownership is a performance decision, never a correctness
-// one — and cross-replica disagreement is a bug worth failing loudly
-// over.
+// the cluster names results by ⟨replica, run-config⟩ and ships the request
+// to the shard that owns the result. Every replica is deterministic, so
+// ownership is a performance decision, never a correctness one.
 package cluster
 
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -33,7 +27,6 @@ import (
 // agrees on ownership without coordination.
 type Ring struct {
 	replicas []string
-	vnodes   int
 	points   []ringPoint // sorted by hash, ties broken by replica index
 	chains   []string    // per point, every replica once in ring order from it
 }
@@ -71,7 +64,6 @@ func NewRing(replicas []string, vnodes int) (*Ring, error) {
 	}
 	ring := &Ring{
 		replicas: append([]string(nil), replicas...),
-		vnodes:   vnodes,
 		points:   make([]ringPoint, 0, len(replicas)*vnodes),
 	}
 	for i, r := range ring.replicas {
@@ -101,14 +93,6 @@ func NewRing(replicas []string, vnodes int) (*Ring, error) {
 	return ring, nil
 }
 
-// Replicas returns the replica names the ring was built over, in the
-// order given to NewRing.
-func (r *Ring) Replicas() []string { return append([]string(nil), r.replicas...) }
-
-// Owner returns the key's primary owner: the first virtual point
-// clockwise from the key's hash.
-func (r *Ring) Owner(key string) string { return r.Owners(key, 1)[0] }
-
 // Owners returns up to n distinct replicas in ring (preference) order
 // starting at the key's primary owner — the retry/replication chain for
 // the key. n is clamped to the replica count. The slice is shared: read
@@ -120,6 +104,39 @@ func (r *Ring) Owners(key string, n int) []string {
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h }) % len(r.points)
 	at := i * len(r.replicas)
 	return r.chains[at : at+n : at+n]
+}
+
+// place groups a batch's keys, in request order, onto replicas by bounded
+// load (Mirrokni, Thorup and Zadimoghaddam): each distinct key goes to the
+// first replica of its chain that is in live and holds fewer than
+// ⌈distinct keys / live replicas⌉ keys, else to its primary owner. A
+// repeated key rides with its first occurrence; an empty key is left out.
+func (r *Ring) place(keys, live []string) map[string][]int {
+	at := make(map[string]string, len(keys)) // distinct key -> its replica
+	for _, k := range keys {
+		at[k] = ""
+	}
+	delete(at, "")
+	room := (len(at) + len(live) - 1) / max(len(live), 1)
+	load, groups := map[string]int{}, map[string][]int{}
+	for i, k := range keys {
+		if k == "" {
+			continue
+		}
+		if at[k] == "" {
+			owners := r.Owners(k, len(r.replicas))
+			at[k] = owners[0]
+			for _, o := range owners {
+				if load[o] < room && slices.Contains(live, o) {
+					at[k] = o
+					break
+				}
+			}
+			load[at[k]]++
+		}
+		groups[at[k]] = append(groups[at[k]], i)
+	}
+	return groups
 }
 
 // hashString is 64-bit FNV-1a through a splitmix64 finalizer. FNV alone

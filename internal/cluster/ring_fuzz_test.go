@@ -8,8 +8,8 @@ import (
 
 // FuzzRingOwners checks the preference chain over arbitrary replica sets,
 // vnode counts and keys: every Owners(key, n) is n distinct replicas and a
-// prefix of the full chain, Owner is its head, and dropping a replica from
-// the ring only filters it out of every key's chain — no other key moves.
+// prefix of the full chain, and dropping a replica from the ring only
+// filters it out of every key's chain — no other key moves.
 func FuzzRingOwners(f *testing.F) {
 	f.Add(uint8(3), uint8(0), "treeadd|P=4|local", uint8(1), "")
 	f.Add(uint8(1), uint8(1), "", uint8(0), "x")
@@ -39,9 +39,6 @@ func FuzzRingOwners(f *testing.F) {
 				t.Fatalf("chain %v repeats %q or names a stranger", full, r)
 			}
 			seen[r] = true
-		}
-		if o := ring.Owner(key); o != full[0] {
-			t.Fatalf("Owner(%q) = %q, chain starts %q", key, o, full[0])
 		}
 		if len(replicas) == 1 {
 			return

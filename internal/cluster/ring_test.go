@@ -2,6 +2,9 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand/v2"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/server"
@@ -55,7 +58,7 @@ func TestRingDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range configSpaceKeys() {
-		oa, ob, oc := a.Owner(key), b.Owner(key), c.Owner(key)
+		oa, ob, oc := a.Owners(key, 1)[0], b.Owners(key, 1)[0], c.Owners(key, 1)[0]
 		if oa != ob {
 			t.Fatalf("rebuild moved %q: %s vs %s", key, oa, ob)
 		}
@@ -84,7 +87,7 @@ func TestRingDistribution(t *testing.T) {
 	count := func(keys []string) map[string]int {
 		c := map[string]int{}
 		for _, k := range keys {
-			c[ring.Owner(k)]++
+			c[ring.Owners(k, 1)[0]]++
 		}
 		return c
 	}
@@ -137,7 +140,7 @@ func TestRingMinimalMovement(t *testing.T) {
 	}
 	moved, owned := 0, 0
 	for _, key := range keys {
-		before, after := big.Owner(key), small.Owner(key)
+		before, after := big.Owners(key, 1)[0], small.Owners(key, 1)[0]
 		if before == removed {
 			owned++
 			continue // must move; anywhere is legal
@@ -157,8 +160,8 @@ func TestRingMinimalMovement(t *testing.T) {
 	// one survivor.
 	redistributed := map[string]int{}
 	for _, key := range keys {
-		if big.Owner(key) == removed {
-			redistributed[small.Owner(key)]++
+		if big.Owners(key, 1)[0] == removed {
+			redistributed[small.Owners(key, 1)[0]]++
 		}
 	}
 	if len(redistributed) < 2 {
@@ -178,8 +181,8 @@ func TestRingOwners(t *testing.T) {
 		if len(owners) != len(testReplicas) {
 			t.Fatalf("Owners(%q, 10) = %v, want all %d replicas", key, owners, len(testReplicas))
 		}
-		if owners[0] != ring.Owner(key) {
-			t.Fatalf("Owners[0] %q != Owner %q", owners[0], ring.Owner(key))
+		if primary := ring.Owners(key, 1)[0]; owners[0] != primary {
+			t.Fatalf("Owners(%q, 10)[0] = %q, Owners(%q, 1)[0] = %q", key, owners[0], key, primary)
 		}
 		seen := map[string]bool{}
 		for _, o := range owners {
@@ -197,5 +200,95 @@ func TestRingOwners(t *testing.T) {
 	}
 	if _, err := NewRing([]string{"a", ""}, 0); err == nil {
 		t.Fatal("empty replica name must error")
+	}
+}
+
+// TestRingPlace checks bounded-load placement over random batches (repeats
+// and empty keys included) and random live sets. Placement is
+// deterministic; every non-empty key is placed once, in request order
+// within its replica, with every repeat on its first occurrence's replica;
+// and each distinct key lands on the first replica of its chain that was
+// live and held fewer than room = ⌈distinct keys / live replicas⌉ keys
+// when its turn came, or on its primary when none is live.
+func TestRingPlace(t *testing.T) {
+	rng := rand.New(rand.NewPCG(43, 1))
+	for c := 0; c < 2000; c++ {
+		replicas := make([]string, 1+rng.IntN(5))
+		for i := range replicas {
+			replicas[i] = fmt.Sprintf("http://10.0.0.%d:8081", i+1)
+		}
+		ring, err := NewRing(replicas, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]string, rng.IntN(24))
+		for i := range keys {
+			if rng.IntN(8) > 0 {
+				keys[i] = fmt.Sprintf("treeadd|P=%d|scale=%d", 1+rng.IntN(4), rng.IntN(6))
+			}
+		}
+		var live []string
+		for _, r := range replicas {
+			if rng.IntN(4) > 0 {
+				live = append(live, r)
+			}
+		}
+		groups := ring.place(keys, live)
+		if again := ring.place(keys, live); !reflect.DeepEqual(groups, again) {
+			t.Fatalf("case %d: place is not deterministic: %v then %v", c, groups, again)
+		}
+		at := map[int]string{}
+		for r, idxs := range groups {
+			if !slices.IsSorted(idxs) {
+				t.Fatalf("case %d: %s's indices %v are not in request order", c, r, idxs)
+			}
+			for _, i := range idxs {
+				if _, dup := at[i]; dup {
+					t.Fatalf("case %d: key %d placed twice", c, i)
+				}
+				at[i] = r
+			}
+		}
+		distinct := map[string]bool{}
+		for _, k := range keys {
+			distinct[k] = k != ""
+		}
+		delete(distinct, "")
+		room := (len(distinct) + len(live) - 1) / max(len(live), 1)
+		load, first := map[string]int{}, map[string]string{}
+		for i, k := range keys {
+			r, placed := at[i]
+			if placed != (k != "") {
+				t.Fatalf("case %d: key %d (%q) placed=%v", c, i, k, placed)
+			}
+			if k == "" {
+				continue
+			}
+			if f, seen := first[k]; seen {
+				if r != f {
+					t.Fatalf("case %d: a repeat of %q went to %s, its first occurrence to %s", c, k, r, f)
+				}
+				continue
+			}
+			first[k] = r
+			chain := ring.Owners(k, len(replicas))
+			if len(live) == 0 {
+				if r != chain[0] {
+					t.Fatalf("case %d: nothing live, %q went to %s, not its primary %s", c, k, r, chain[0])
+				}
+				continue
+			}
+			j := slices.Index(chain, r)
+			if !slices.Contains(live, r) || load[r] >= room {
+				t.Fatalf("case %d: %q went to %s (live %v, load %d, room %d)", c, k, r, live, load[r], room)
+			}
+			for _, o := range chain[:j] {
+				if slices.Contains(live, o) && load[o] < room {
+					t.Fatalf("case %d: %q went to %s, but %s comes first in its chain %v and had room (%d < %d)",
+						c, k, r, o, chain, load[o], room)
+				}
+			}
+			load[r]++
+		}
 	}
 }

@@ -133,7 +133,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		cfg:    cfg,
 		ring:   ring,
 		shards: make(map[string]*shard, len(cfg.Replicas)),
-		names:  ring.Replicas(),
+		names:  ring.replicas,
 	}
 	if cfg.AccessLog != nil {
 		rt.log = server.NewAccessLogger(cfg.AccessLog)
@@ -491,9 +491,10 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBatch shards a /batch body: the replicas' prologue
-// (server.DecodeBatch), the valid runs grouped by primary owner, one
-// sub-batch per shard forwarded concurrently, the items merged back in
-// request order. Invalid items fail 400 item-locally, as on a replica;
+// (server.DecodeBatch), the valid runs placed by bounded load (Ring.place:
+// no live shard takes more than its share of the distinct keys), one
+// sub-batch per placed shard forwarded concurrently, the items merged back
+// in request order. Invalid items fail 400 item-locally, as on a replica;
 // a group no owner answers yields 503 items.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	breq, items, err := server.DecodeBatch(r.Body, r.ContentLength)
@@ -501,13 +502,12 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, server.DecodeStatus(err), err.Error())
 		return
 	}
-	groups := map[string][]int{} // primary owner -> original indices
+	keys := make([]string, len(items))
 	for i := range items {
-		if items[i].Status == 0 {
-			owner := rt.ring.Owner(items[i].Key)
-			groups[owner] = append(groups[owner], i)
-		}
+		keys[i] = items[i].Key // "" for an invalid item: place leaves it out
 	}
+	live := slices.DeleteFunc(slices.Clone(rt.names), func(name string) bool { return !rt.alive(rt.shards[name]) })
+	groups := rt.ring.place(keys, live)
 	st := server.RequestState(w)
 	var wg sync.WaitGroup
 	for owner, idxs := range groups {
@@ -523,14 +523,9 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			for j, i := range idxs {
 				sub.Runs[j] = breq.Runs[i]
 			}
-			body, err := json.Marshal(sub)
-			if err != nil {
-				fail(http.StatusInternalServerError, err.Error())
-				return
-			}
-			// Retry chain for the sub-batch: the group's owner first, then
-			// the remaining ring owners of the group's first key — any
-			// replica computes the same answers, so fallback is safe.
+			body, _ := json.Marshal(sub) // a struct of strings, numbers and bools always marshals
+			// Retry chain: the placed shard, then the other ring owners of the
+			// group's first key; any replica computes the same answers.
 			owners := rt.ring.Owners(items[idxs[0]].Key, len(rt.names))
 			rep, _, ok := rt.forward(r, st, owners, owner, "/batch", body)
 			if !ok {

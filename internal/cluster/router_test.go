@@ -120,7 +120,7 @@ func keyOf(t *testing.T, body string) string {
 // shard with the replica's cache/digest headers intact end to end.
 func TestRouterRoutesToOwnerAndServesCacheHits(t *testing.T) {
 	tc := newTestCluster(t, 3, Config{}, fastExec)
-	owner := tc.router.ring.Owner(keyOf(t, runBody))
+	owner := tc.router.ring.Owners(keyOf(t, runBody), 1)[0]
 	wantShard := tc.shards[owner]
 
 	st, b1, h1 := postJSON(t, tc.front.URL+"/run", runBody)
@@ -156,7 +156,7 @@ func TestRouterRoutesToOwnerAndServesCacheHits(t *testing.T) {
 // errors — deterministic replicas make any owner a correct answer.
 func TestRouterRetriesNextOwner(t *testing.T) {
 	tc := newTestCluster(t, 3, Config{DownCooldown: time.Minute}, fastExec)
-	owner := tc.router.ring.Owner(keyOf(t, runBody))
+	owner := tc.router.ring.Owners(keyOf(t, runBody), 1)[0]
 	tc.replicas[owner].Close()
 
 	st, body, h := postJSON(t, tc.front.URL+"/run", runBody)
@@ -294,6 +294,91 @@ func TestRouterBatchShardsAndMerges(t *testing.T) {
 		if st, b, _ := postJSON(t, tc.front.URL+c.path, c.body); st != c.want {
 			t.Errorf("POST %s %q = %d, want %d (%s)", c.path, c.body, st, c.want, b)
 		}
+	}
+}
+
+// TestRouterBatchPlacesByBoundedLoad sends /batch bodies whose keys share
+// one primary owner to two- and three-replica clusters whose executors
+// count their runs. No replica may run more than room = ⌈distinct keys /
+// live replicas⌉; every item answers 200 in request order; a key repeated
+// in the batch runs once across the cluster; and with the shared primary
+// marked down, its share spreads over the live owners under the same cap.
+func TestRouterBatchPlacesByBoundedLoad(t *testing.T) {
+	for _, n := range []int{2, 3} {
+		t.Run(fmt.Sprintf("%d replicas", n), func(t *testing.T) {
+			runs := make([]atomic.Int64, n)
+			var urls []string
+			for i := range n {
+				ts := newReplica(t, fmt.Sprintf("shard%d", i), func(req server.RunRequest, sp *obs.Span) (record.RunRecord, error) {
+					runs[i].Add(1)
+					return fastExec(req, sp)
+				})
+				urls = append(urls, ts.URL)
+			}
+			rt, err := NewRouter(Config{Replicas: urls, DownCooldown: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			front := httptest.NewServer(rt.Handler())
+			t.Cleanup(front.Close)
+			var runBodies []string // twelve configurations whose primary owner is urls[0]
+			for scale := 16; len(runBodies) < 12; scale++ {
+				b := fmt.Sprintf(`{"benchmark":"treeadd","procs":2,"scale":%d}`, scale)
+				if rt.ring.Owners(keyOf(t, b), 1)[0] == urls[0] {
+					runBodies = append(runBodies, b)
+				}
+			}
+			send := func(batch []string, live int) {
+				t.Helper()
+				for i := range runs {
+					runs[i].Store(0)
+				}
+				distinct := map[string]bool{}
+				for _, b := range batch {
+					distinct[b] = true
+				}
+				room := int64((len(distinct) + live - 1) / live)
+				st, body, h := postJSON(t, front.URL+"/batch", `{"runs":[`+strings.Join(batch, ",")+`]}`)
+				if st != http.StatusOK {
+					t.Fatalf("batch: status %d: %s", st, body)
+				}
+				var items []server.BatchItem
+				if err := json.Unmarshal(body, &items); err != nil || len(items) != len(batch) {
+					t.Fatalf("batch answered %d items for %d runs (%v): %s", len(items), len(batch), err, body)
+				}
+				for i, it := range items {
+					if it.Status != http.StatusOK || it.Key != keyOf(t, batch[i]) || len(it.Record) == 0 {
+						t.Errorf("item %d: status %d, key %q; want 200 and a record for %q", i, it.Status, it.Key, keyOf(t, batch[i]))
+					}
+				}
+				var total int64
+				shards := 0
+				for i := range runs {
+					got := runs[i].Load()
+					if got > room {
+						t.Errorf("shard%d ran %d of %d distinct runs, more than room %d", i, got, len(distinct), room)
+					}
+					if got > 0 {
+						shards++
+					}
+					total += got
+				}
+				if total != int64(len(distinct)) {
+					t.Errorf("the cluster ran %d runs for %d distinct keys", total, len(distinct))
+				}
+				if want := fmt.Sprintf(" shards=%d", shards); !strings.HasSuffix(h.Get("X-Oldend-Batch"), want) {
+					t.Errorf("X-Oldend-Batch = %q, want it to end %q", h.Get("X-Oldend-Batch"), want)
+				}
+			}
+			b := runBodies
+			send([]string{b[0], b[0], b[1], b[0], b[2], b[3], b[4], b[5]}, n)
+
+			rt.markDown(rt.shards[urls[0]])
+			send(b[6:], n-1)
+			if got := runs[0].Load(); got != 0 {
+				t.Errorf("shard0 is marked down but ran %d runs", got)
+			}
+		})
 	}
 }
 

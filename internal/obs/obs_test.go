@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/hex"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -204,15 +205,15 @@ func finish(tr *Tracer, sp *Span, clk *fakeClock, d time.Duration, info ReqInfo)
 
 func TestTraceRingEviction(t *testing.T) {
 	clk := newFakeClock()
-	tr := newTestTracer(clk, Config{SampleEvery: 1, TraceRing: 2})
+	tr := newTestTracer(clk, Config{SampleEvery: 1})
 	var ids []string
-	for i := 0; i < 3; i++ {
+	for i := 0; i < traceRing+1; i++ {
 		sp := tr.StartRequest("POST", "/run", Context{})
 		ids = append(ids, sp.TraceID().String())
 		finish(tr, sp, clk, time.Millisecond, ReqInfo{Method: "POST", Path: "/run", Status: 200})
 	}
 	if _, ok := tr.Lookup(ids[0]); ok {
-		t.Fatal("oldest trace survived eviction from a ring of 2")
+		t.Fatalf("oldest trace survived eviction from a ring of %d", traceRing)
 	}
 	for _, id := range ids[1:] {
 		if _, ok := tr.Lookup(id); !ok {
@@ -317,14 +318,17 @@ func TestDominantSpan(t *testing.T) {
 
 func TestBoundsDropAndCount(t *testing.T) {
 	clk := newFakeClock()
-	tr := newTestTracer(clk, Config{SampleEvery: 1, MaxChildren: 2, MaxAttrs: 2})
+	tr := newTestTracer(clk, Config{SampleEvery: 1})
 	sp := tr.StartRequest("POST", "/run", Context{})
-	for i := 0; i < 4; i++ {
+	for i := 0; i < maxChildren+2; i++ {
 		c := sp.StartChild("c")
-		if (i < 2) != (c != nil) {
+		if (i < maxChildren) != (c != nil) {
 			t.Fatalf("child %d: got %v", i, c)
 		}
 		c.End()
+	}
+	for i := 0; i < maxAttrs-2; i++ {
+		sp.SetAttr("f"+strconv.Itoa(i), "0")
 	}
 	sp.SetAttr("a", "1")
 	sp.SetAttr("b", "2")
@@ -386,7 +390,7 @@ func TestStartChildOnFinishedSpan(t *testing.T) {
 
 func TestDuplicateTraceIDReplaces(t *testing.T) {
 	clk := newFakeClock()
-	tr := newTestTracer(clk, Config{SampleEvery: 0, TraceRing: 4})
+	tr := newTestTracer(clk, Config{SampleEvery: 0})
 	upstream, _ := ParseTraceparent(validSampled)
 	first := tr.StartRequest("POST", "/run", upstream)
 	finish(tr, first, clk, time.Millisecond, ReqInfo{Method: "POST", Path: "/run", Status: 200})

@@ -84,7 +84,7 @@ func (s *Span) StartChild(name string) *Span {
 	if s.finished {
 		return nil
 	}
-	if len(s.children) >= s.tracer.cfg.MaxChildren {
+	if len(s.children) >= maxChildren {
 		s.dropKids++
 		return nil
 	}
@@ -115,7 +115,7 @@ func (s *Span) SetAttr(key, value string) {
 			return
 		}
 	}
-	if len(s.attrs) >= s.tracer.cfg.MaxAttrs {
+	if len(s.attrs) >= maxAttrs {
 		s.dropAttrs++
 		return
 	}

@@ -12,25 +12,13 @@ import (
 )
 
 // Config tunes a Tracer. The zero value is usable: honor-upstream-only
-// sampling with default ring sizes.
+// sampling.
 type Config struct {
 	// SampleEvery selects local head sampling: N >= 1 samples every Nth
 	// request (1 = all), 0 samples only requests whose incoming
 	// traceparent carries the sampled flag, and a negative value
 	// disables sampling entirely (even propagated).
 	SampleEvery int
-	// RequestRing bounds the finished-request summary ring served by
-	// GET /debug/requests (default 256). Every request lands here,
-	// sampled or not; the ring is preallocated and written by value, so
-	// recording an unsampled request allocates nothing.
-	RequestRing int
-	// TraceRing bounds the retained sampled span trees served by
-	// GET /debug/trace/<id> (default 64, strictly FIFO eviction).
-	TraceRing int
-	// MaxChildren and MaxAttrs bound each span's lists (defaults 64 and
-	// 32); excess is dropped and counted, never allocated.
-	MaxChildren int
-	MaxAttrs    int
 	// Now substitutes the wall clock (tests); nil means time.Now.
 	Now func() time.Time
 	// Rand substitutes the id entropy source (tests); nil means the
@@ -40,18 +28,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.RequestRing <= 0 {
-		c.RequestRing = 256
-	}
-	if c.TraceRing <= 0 {
-		c.TraceRing = 64
-	}
-	if c.MaxChildren <= 0 {
-		c.MaxChildren = 64
-	}
-	if c.MaxAttrs <= 0 {
-		c.MaxAttrs = 32
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
@@ -60,6 +36,14 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// The tracer's bounds: the requestRing finished-request summaries served
+// by GET /debug/requests (every request lands there, sampled or not, by
+// value, so recording an unsampled one allocates nothing), the traceRing
+// sampled span trees retained for GET /debug/trace/<id> (FIFO eviction),
+// and each span's maxChildren children and maxAttrs attributes (excess is
+// dropped and counted, never allocated).
+const requestRing, traceRing, maxChildren, maxAttrs = 256, 64, 64, 32
 
 // ReqSummary is one request's introspection record: identity, outcome,
 // latency and — when sampled — the dominant span. It is a value type so
@@ -97,7 +81,7 @@ type Tracer struct {
 	counter atomic.Uint64
 
 	mu       sync.Mutex
-	reqs     []ReqSummary // finished-request ring, preallocated
+	reqs     [requestRing]ReqSummary // finished-request ring
 	reqNext  int
 	reqCount int
 
@@ -112,10 +96,9 @@ func New(cfg Config) *Tracer {
 	cfg = cfg.withDefaults()
 	return &Tracer{
 		cfg:      cfg,
-		reqs:     make([]ReqSummary, cfg.RequestRing),
 		inflight: make(map[TraceID]*Span),
 		finished: make(map[TraceID]*Span),
-		ring:     make([]TraceID, 0, cfg.TraceRing),
+		ring:     make([]TraceID, 0, traceRing),
 	}
 }
 

@@ -30,7 +30,7 @@ func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 //	GET /debug/trace/<32-hex id>              merged Chrome trace_event JSON
 //	GET /debug/trace/<32-hex id>?format=tree  nested span-tree JSON
 //
-// Only sampled requests are retained (the TraceRing newest), so a 404
+// Only sampled requests are retained (the tracer's 64 newest), so a 404
 // means the id was never sampled or has been evicted — the access log
 // line with that trace_id still exists either way.
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {

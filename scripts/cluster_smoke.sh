@@ -18,7 +18,9 @@
 #      and that fresh run must be byte-identical with the same digest too;
 #   3. routed load spreads over all three shards within the balance gate
 #      (oldenload -via-router -expect-shards/-max-shard-spread) and the
-#      repeated mix is served mostly from the federated caches;
+#      repeated mix is served mostly from the federated caches; a no_cache
+#      six-run /batch answers 200 for every item and runs at most two of
+#      them on any replica (placement by bounded load);
 #   4. killing one replica mid-traffic costs nothing visible: requests
 #      retry to the next ring owner with zero 5xx;
 #   5. a sampled traceparent survives the router hop, and both
@@ -183,6 +185,34 @@ HIT_PCT=$(awk -F'[(%]' '/^cache hits:/ {print int($2)}' "$OUT/load-balance.txt")
 [ "${HIT_PCT:-0}" -ge 50 ] \
   || { echo "cluster-smoke: federated hit rate only $HIT_PCT% on a repeated mix" >&2; exit 1; }
 echo "cluster-smoke: three-shard balance within spread gate, hit rate $HIT_PCT%"
+
+# 3b. Batch placement by bounded load: a no_cache /batch of six distinct
+# configurations through the router answers 200 for every item and runs
+# at most ceil(6/3) = 2 of them on any one replica (each replica's
+# oldend_runs_total, scraped before and after).
+runs_total() {
+  curl -fsS "http://127.0.0.1:$1/metrics" | awk '/^oldend_runs_total[{ ]/ {s += $NF} END {print s + 0}'
+}
+RUNS_BEFORE=()
+for i in 0 1 2; do RUNS_BEFORE+=("$(runs_total $((BASE_PORT + i)))"); done
+BATCH='{"runs":['
+for c in treeadd:1 treeadd:2 treeadd:4 power:1 power:2 power:4; do
+  BATCH="$BATCH{\"benchmark\":\"${c%:*}\",\"procs\":${c#*:},\"scale\":64,\"no_cache\":true},"
+done
+BATCH="${BATCH%,}]}"
+curl -fsS -X POST -d "$BATCH" "http://$ROUTER_ADDR/batch" -o "$OUT/batch.json" -D "$OUT/hbatch.txt"
+statuses=$(grep -o '"status":[0-9]*' "$OUT/batch.json" | sort | uniq -c | awk '{print $1 "x" $2}' | tr '\n' ' ')
+[ "$statuses" = '6x"status":200 ' ] \
+  || { echo "cluster-smoke: the six-run batch answered item statuses $statuses, want six 200s" >&2; exit 1; }
+ran=0
+for i in 0 1 2; do
+  d=$(( $(runs_total $((BASE_PORT + i))) - RUNS_BEFORE[i] ))
+  [ "$d" -le 2 ] \
+    || { echo "cluster-smoke: shard$i ran $d of the batch's six runs, more than its share of 2" >&2; exit 1; }
+  ran=$((ran + d))
+done
+[ "$ran" = 6 ] || { echo "cluster-smoke: the no_cache batch ran $ran runs, want 6" >&2; exit 1; }
+echo "cluster-smoke: six-run batch placed by bounded load, at most 2 runs a replica ($(grep -i '^X-Oldend-Batch:' "$OUT/hbatch.txt" | tr -d '\r'))"
 
 # 4. Shard loss under traffic: kill one replica (not with SIGTERM — a
 # hard kill, the failure the retry path exists for) and require zero

@@ -20,6 +20,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/bench"
 	_ "repro/internal/bench/all"
+	"repro/internal/core"
 	"repro/olden"
 )
 
@@ -127,9 +128,7 @@ func writeLint(stdout, stderr io.Writer, diags []olden.Diag, file string, jsonOu
 			return 1
 		}
 	} else {
-		for _, d := range diags {
-			fmt.Fprintln(stdout, d)
-		}
+		fmt.Fprint(stdout, core.LintString(diags))
 	}
 	for _, d := range diags {
 		if d.Sev == olden.DiagError {

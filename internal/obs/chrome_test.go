@@ -83,20 +83,21 @@ func TestWriteChromeMergedExport(t *testing.T) {
 	}
 }
 
-// TestDroppedSurfacedEverywhere is the satellite's contract: overflow a
-// tiny ring and the drop count must appear in Profile.Format, the Chrome
-// export metadata, and (via Dropped()) whatever metric the server exports.
+// TestDroppedSurfacedEverywhere overflows a tiny ring (one chunk of four
+// events) by two whole chunks, and the drop count must appear in
+// Profile.Format, the Chrome export metadata, and (via Dropped()) whatever
+// metric the server exports.
 func TestDroppedSurfacedEverywhere(t *testing.T) {
 	clk := newFakeClock()
 	tr := newTestTracer(clk, Config{SampleEvery: 1})
-	sp, rec := buildSampledRequest(t, clk, tr, 4, 10)
+	sp, rec := buildSampledRequest(t, clk, tr, 4, 12)
 	finish(tr, sp, clk, 0, ReqInfo{Method: "POST", Path: "/run", Status: 200})
 
-	if got := rec.Dropped(); got != 6 {
-		t.Fatalf("Dropped() = %d, want 6", got)
+	if got := rec.Dropped(); got != 8 {
+		t.Fatalf("Dropped() = %d, want 8", got)
 	}
 	text := rec.Profile().Format(5)
-	if !bytes.Contains([]byte(text), []byte("dropped 6 events")) {
+	if !bytes.Contains([]byte(text), []byte("dropped 8 events")) {
 		t.Fatalf("Profile.Format does not surface drops:\n%s", text)
 	}
 
@@ -108,13 +109,13 @@ func TestDroppedSurfacedEverywhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.DroppedEvents != 6 {
-		t.Fatalf("chrome metadata declares %d dropped, want 6", stats.DroppedEvents)
+	if stats.DroppedEvents != 8 {
+		t.Fatalf("chrome metadata declares %d dropped, want 8", stats.DroppedEvents)
 	}
 
 	tree := Tree(sp)
-	if tree.SimDropped != 6 {
-		t.Fatalf("tree SimDropped = %d, want 6", tree.SimDropped)
+	if tree.SimDropped != 8 {
+		t.Fatalf("tree SimDropped = %d, want 8", tree.SimDropped)
 	}
 	if tree.SimEvents != 4 {
 		t.Fatalf("tree SimEvents = %d, want 4 (ring capacity)", tree.SimEvents)

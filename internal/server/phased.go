@@ -79,9 +79,7 @@ func (s *Server) phaseState(key string) (bs *bench.BuildState, publish func(*ben
 // When sp is sampled, the run records into its own simulation recorder,
 // attached to sp when the run returns, so the span tree bottoms out in
 // real cache-miss events, and each bench phase ("build", "kernel", ...)
-// becomes a child span. That recorder is trace.New(0), the ring
-// RunPhasedRecorded allocates on its own, so TraceDigest is
-// byte-identical sampled or not.
+// becomes a child span.
 func (s *Server) defaultExecutePhased(req RunRequest, sp *obs.Span) (record.RunRecord, string, error) {
 	info, ok := bench.Get(req.Benchmark)
 	if !ok {

@@ -338,15 +338,16 @@ func TestDrainFlushesInflightSpans(t *testing.T) {
 
 // TestTraceCapacityDropsSurfaced pins drop reporting end to end at the
 // server layer: barneshut at P=4, scale 16 emits ~1.07 M events into the
-// default 2^18-slot ring (BENCH_barneshut.json pins dropped=806078), and
-// the drop count shows up in the oldend_trace_dropped_total counter, the
-// Chrome export's trace_dropped metadata, and the tree's sim_dropped.
+// default 2^18-event ring, and the drop count shows up in the
+// oldend_trace_dropped_total counter, the Chrome export's trace_dropped
+// metadata, and the tree's sim_dropped.
 //
-// Sampling must not change the answer: sampled and unsampled runs record
-// into the same ring, so the same request to a replica that samples every
-// request and to one with tracing disabled returns identical bytes and an
-// identical digest — the property the shared result cache and the router's
-// cross-replica verification both rest on.
+// Sampling must not change the answer: a sampled run records into that
+// ring and an unsampled one into a one-chunk ring, and the digest covers
+// every event whatever the ring held, so the same request to a replica
+// that samples every request and to one with tracing disabled returns
+// identical bytes and an identical digest — the property the shared
+// result cache and the cross-replica determinism check both rest on.
 func TestTraceCapacityDropsSurfaced(t *testing.T) {
 	const body = `{"benchmark":"barneshut","procs":4,"scale":16}`
 	s := New(Config{Workers: 1, QueueDepth: 4, SampleEvery: 1})

@@ -70,7 +70,7 @@ func (r *Recorder) EmitChrome(emit func(obj map[string]any) error) error {
 	// Name every processor and thread seen in the trace.
 	procs := map[int16]bool{}
 	threads := map[[2]int32]bool{} // (pid, tid) pairs
-	for run := range r.runs {
+	for run := range r.held {
 		for _, ev := range run {
 			if ev.P < 0 {
 				continue
@@ -112,10 +112,10 @@ func (r *Recorder) EmitChrome(emit func(obj map[string]any) error) error {
 			return err
 		}
 	}
-	if r.dropped > 0 {
+	if r.Dropped() > 0 {
 		if err := emit(map[string]any{
 			"ph": "M", "name": "trace_dropped", "pid": 0,
-			"args": map[string]any{"dropped_events": r.dropped},
+			"args": map[string]any{"dropped_events": r.Dropped()},
 		}); err != nil {
 			return err
 		}
@@ -130,7 +130,7 @@ func (r *Recorder) EmitChrome(emit func(obj map[string]any) error) error {
 	pageStr := func(p uint32) string { return gaddr.PageID(p).String() }
 
 	flowID := 0
-	for run := range r.runs {
+	for run := range r.held {
 		for _, ev := range run {
 			var err error
 			switch ev.Kind {

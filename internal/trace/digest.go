@@ -46,8 +46,8 @@ func fnvWord(h, v uint64) uint64 {
 	return h * fnvPrimePow[k]
 }
 
-// HashEvent folds one event into a running FNV-1a hash.
-func HashEvent(h uint64, ev Event) uint64 {
+// hashEvent folds one event into a running FNV-1a hash.
+func hashEvent(h uint64, ev Event) uint64 {
 	h = fnvWord(h, uint64(ev.Kind))
 	h = fnvWord(h, uint64(ev.T))
 	h = fnvWord(h, uint64(ev.Dur))
@@ -60,20 +60,26 @@ func HashEvent(h uint64, ev Event) uint64 {
 	return h
 }
 
-// Digest computes the digest of the currently held events.
+// Digest computes the digest of every event emitted, evicted or held:
+// Dropped is always zero.
 func (r *Recorder) Digest() Digest {
-	d := Digest{Dropped: r.dropped, Hash: fnvOffset}
-	for run := range r.runs {
-		for _, ev := range run {
-			d.Counts[ev.Kind]++
-			d.Hash = HashEvent(d.Hash, ev)
-		}
+	d := r.evicted
+	for run := range r.held {
+		d.fold(run)
 	}
-	d.Events = int64(r.n)
-	// Fold the drop count in so a wrapped ring cannot collide with an
-	// unwrapped one holding the same suffix.
-	d.Hash = fnvWord(d.Hash, uint64(d.Dropped))
+	// The format's last word is the count of events the hash does not
+	// cover, which is none.
+	d.Hash = fnvWord(d.Hash, 0)
 	return d
+}
+
+// fold hashes evs into d in order and counts them.
+func (d *Digest) fold(evs []Event) {
+	for _, ev := range evs {
+		d.Counts[ev.Kind]++
+		d.Hash = hashEvent(d.Hash, ev)
+	}
+	d.Events += int64(len(evs))
 }
 
 // accessKinds marks the event kinds that describe the program's semantic
@@ -91,9 +97,6 @@ var accessKinds = [NumKinds]bool{
 	EvCacheHit: true, EvCacheMiss: true, EvLineFetch: true,
 	EvResidency: true, EvThreadStart: true, EvThreadEnd: true,
 }
-
-// IsAccessKind reports whether k is part of the access projection.
-func IsAccessKind(k Kind) bool { return int(k) < NumKinds && accessKinds[k] }
 
 // hashAccessEvent hashes the scheme-invariant fields of one access
 // event: kind, site, page and line. Everything scheduling- or
@@ -124,8 +127,8 @@ func hashAccessEvent(ev Event) uint64 {
 // under all three schemes, and internal/bench's scheduler battery checks
 // exactly that on the pinned kernels.
 func (r *Recorder) AccessDigest() Digest {
-	d := Digest{Dropped: r.dropped}
-	for run := range r.runs {
+	d := Digest{Dropped: r.Dropped()}
+	for run := range r.held {
 		for _, ev := range run {
 			if !accessKinds[ev.Kind] {
 				continue

@@ -113,7 +113,7 @@ type Profile struct {
 // profiles — the observability layer Table 3's machine-wide statistics
 // lack.
 func (r *Recorder) Profile() *Profile {
-	p := &Profile{Dropped: r.dropped}
+	p := &Profile{Dropped: r.Dropped()}
 	siteAgg := map[int32]*SiteProfile{}
 	pageAgg := map[uint32]*PageProfile{}
 	siteOf := func(id int32) *SiteProfile {
@@ -136,7 +136,7 @@ func (r *Recorder) Profile() *Profile {
 		}
 		return pp
 	}
-	for run := range r.runs {
+	for run := range r.held {
 		for _, ev := range run {
 			switch ev.Kind {
 			case EvMigrate:

@@ -7,27 +7,35 @@ import (
 )
 
 // sliceRing is the reference model of the recorder's ring: a plain slice
-// that drops its head when full. It shares nothing with the chunked layout.
+// that drops its oldest chunk's worth of events when full, plus the list of
+// every event emitted. It shares nothing with the chunked layout.
 type sliceRing struct {
-	cap     int
+	cap     int // the bound, rounded down to whole chunks
+	chunk   int // events evicted at a time
+	all     []Event
 	evs     []Event
 	dropped int64
 }
 
-func (m *sliceRing) emit(ev Event) {
-	if len(m.evs) == m.cap {
-		m.evs = m.evs[1:]
-		m.dropped++
-	}
-	m.evs = append(m.evs, ev)
+func newSliceRing(capacity int) *sliceRing {
+	chunk := min(capacity, ChunkEvents)
+	return &sliceRing{cap: capacity / chunk * chunk, chunk: chunk}
 }
 
-// digest and accessDigest recompute the two digests from the model's slice
-// with the reference byte loop, so the table below checks the in-place
-// visit order and the zero-run hash end to end.
-func (m *sliceRing) digest() Digest {
-	d := Digest{Events: int64(len(m.evs)), Dropped: m.dropped, Hash: fnvOffset}
-	for _, ev := range m.evs {
+func (m *sliceRing) emit(ev Event) {
+	if len(m.evs) == m.cap {
+		m.evs = m.evs[m.chunk:]
+		m.dropped += int64(m.chunk)
+	}
+	m.evs = append(m.evs, ev)
+	m.all = append(m.all, ev)
+}
+
+// referenceDigest folds evs with the reference byte loop: what Digest must
+// give for a stream of exactly these events, whatever the ring held.
+func referenceDigest(evs []Event) Digest {
+	d := Digest{Events: int64(len(evs)), Hash: fnvOffset}
+	for _, ev := range evs {
 		d.Counts[ev.Kind]++
 		for _, v := range [...]uint64{
 			uint64(ev.Kind), uint64(ev.T), uint64(ev.Dur), uint64(ev.Arg), uint64(ev.Page),
@@ -36,14 +44,19 @@ func (m *sliceRing) digest() Digest {
 			d.Hash = fnvWordRef(d.Hash, v)
 		}
 	}
-	d.Hash = fnvWordRef(d.Hash, uint64(d.Dropped))
+	d.Hash = fnvWordRef(d.Hash, 0)
 	return d
 }
+
+// digest and accessDigest recompute the two digests from the model with
+// the reference byte loop, so the table below checks the fold on eviction,
+// the in-place visit order and the zero-run hash end to end.
+func (m *sliceRing) digest() Digest { return referenceDigest(m.all) }
 
 func (m *sliceRing) accessDigest() Digest {
 	d := Digest{Dropped: m.dropped}
 	for _, ev := range m.evs {
-		if !IsAccessKind(ev.Kind) {
+		if !accessKinds[ev.Kind] {
 			continue
 		}
 		d.Events++
@@ -58,6 +71,15 @@ func (m *sliceRing) accessDigest() Digest {
 	}
 	d.Hash = fnvWordRef(d.Hash, uint64(d.Dropped))
 	return d
+}
+
+// events copies the held events oldest-first.
+func events(r *Recorder) []Event {
+	out := make([]Event, 0, r.Len())
+	for run := range r.held {
+		out = append(out, run...)
+	}
+	return out
 }
 
 // testEvent varies every field with i, mixes access and protocol kinds and
@@ -77,13 +99,13 @@ func checkAgainstModel(t *testing.T, r *Recorder, m *sliceRing) {
 	if r.Dropped() != m.dropped {
 		t.Fatalf("Dropped = %d, model dropped %d", r.Dropped(), m.dropped)
 	}
-	got := r.Events()
+	got := events(r)
 	if got == nil || len(got) != len(m.evs) {
-		t.Fatalf("Events() has %d events (nil=%v), model %d", len(got), got == nil, len(m.evs))
+		t.Fatalf("events(r) has %d events (nil=%v), model %d", len(got), got == nil, len(m.evs))
 	}
 	for i := range got {
 		if got[i] != m.evs[i] {
-			t.Fatalf("Events()[%d] = %+v, model %+v", i, got[i], m.evs[i])
+			t.Fatalf("events(r)[%d] = %+v, model %+v", i, got[i], m.evs[i])
 		}
 	}
 	if d, want := r.Digest(), m.digest(); d != want {
@@ -95,19 +117,20 @@ func checkAgainstModel(t *testing.T, r *Recorder, m *sliceRing) {
 }
 
 // TestRingBoundaries walks capacities around the chunk size and event
-// counts around each capacity.
+// counts around each capacity and each chunk edge of the rounded bound.
 func TestRingBoundaries(t *testing.T) {
-	for _, capacity := range []int{1, 4, chunkEvents - 1, chunkEvents, chunkEvents + 1, 2*chunkEvents + 3, 4095, 4096, 4097} {
-		for _, n := range []int{0, capacity - 1, capacity, capacity + 1, 3*capacity + 7} {
+	for _, capacity := range []int{1, 4, ChunkEvents - 1, ChunkEvents, ChunkEvents + 1, 2*ChunkEvents + 3, 4095, 4096, 4097} {
+		m0 := newSliceRing(capacity)
+		for _, n := range []int{0, capacity - 1, capacity, capacity + 1, 3*capacity + 7, m0.cap + 1, m0.cap + m0.chunk, m0.cap + m0.chunk + 1} {
 			t.Run(fmt.Sprintf("cap%d/n%d", capacity, n), func(t *testing.T) {
 				r := New(capacity)
-				m := &sliceRing{cap: capacity}
+				m := newSliceRing(capacity)
 				for i := 0; i < n; i++ {
 					r.Emit(testEvent(i))
 					m.emit(testEvent(i))
 				}
 				checkAgainstModel(t, r, m)
-				if want := (min(n, capacity) + chunkEvents - 1) / chunkEvents; len(r.chunks) != want {
+				if want := min((n+m.chunk-1)/m.chunk, m.cap/m.chunk); len(r.chunks) != want {
 					t.Fatalf("%d events into capacity %d hold %d chunks, want %d", n, capacity, len(r.chunks), want)
 				}
 			})
@@ -116,33 +139,37 @@ func TestRingBoundaries(t *testing.T) {
 }
 
 // TestRingAllocations pins what the chunked ring is for: nothing up front
-// whatever the bound, one chunk per chunkEvents events received, no
-// allocation once wrapped, and digests that read the ring where it lies.
+// whatever the bound, one chunk per ChunkEvents events received, no
+// allocation once wrapped (an evicted chunk is folded and reused), and
+// digests that read the ring where it lies.
 func TestRingAllocations(t *testing.T) {
 	huge := New(100_000_000) // oldensim -tracecap 100000000
 	if len(huge.chunks) != 0 {
 		t.Fatalf("New preallocated %d chunks", len(huge.chunks))
 	}
 	huge.Emit(testEvent(0))
-	if len(huge.chunks) != 1 || len(huge.chunks[0]) != chunkEvents {
+	if len(huge.chunks) != 1 || len(huge.chunks[0]) != ChunkEvents {
 		t.Fatalf("one event holds %d chunks", len(huge.chunks))
 	}
 
-	const n = 2*chunkEvents + 1
+	const n = 2*ChunkEvents + 1
 	def := New(0)
 	for i := 0; i < n; i++ {
 		def.Emit(testEvent(i))
 	}
-	if got, want := len(def.chunks), (n+chunkEvents-1)/chunkEvents; got != want {
+	if got, want := len(def.chunks), (n+ChunkEvents-1)/ChunkEvents; got != want {
 		t.Fatalf("default-capacity recorder holds %d chunks after %d events, want %d", got, n, want)
 	}
 
-	full := New(chunkEvents + 5)
-	for i := 0; i < 2*chunkEvents; i++ {
+	full := New(2*ChunkEvents + 5)
+	for i := 0; i < 3*ChunkEvents; i++ {
 		full.Emit(testEvent(i))
 	}
+	if full.Dropped() == 0 {
+		t.Fatal("the ring never wrapped")
+	}
 	e := testEvent(1)
-	if avg := testing.AllocsPerRun(200, func() { full.Emit(e) }); avg != 0 {
+	if avg := testing.AllocsPerRun(2*ChunkEvents, func() { full.Emit(e) }); avg != 0 {
 		t.Errorf("Emit into a wrapped ring allocates %.1f times", avg)
 	}
 	if avg := testing.AllocsPerRun(20, func() { sink += full.Digest().Hash }); avg != 0 {
@@ -167,7 +194,7 @@ func fnvWordRef(h, v uint64) uint64 {
 	return h
 }
 
-// minusOne is the Site/Tid/P/Line sentinel before HashEvent widens it.
+// minusOne is the Site/Tid/P/Line sentinel before hashEvent widens it.
 var minusOne int32 = -1
 
 // fnvWordSeeds are the values whose zero-byte structure differs: none set,

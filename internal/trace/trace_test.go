@@ -10,21 +10,30 @@ func ev(k Kind, t int64) Event {
 	return Event{Kind: k, T: t, Site: -1, Tid: -1, P: -1, Line: -1}
 }
 
+// TestRingWrap pins whole-chunk eviction: a full ring drops its oldest
+// chunk, not its oldest event, and holds the rest oldest-first.
 func TestRingWrap(t *testing.T) {
-	r := New(4)
-	for i := int64(0); i < 6; i++ {
-		r.Emit(ev(EvCacheHit, i))
-	}
-	if r.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", r.Len())
-	}
-	if r.Dropped() != 2 {
-		t.Fatalf("Dropped = %d, want 2", r.Dropped())
-	}
-	got := r.Events()
-	for i, e := range got {
-		if want := int64(i + 2); e.T != want {
-			t.Errorf("event %d has T=%d, want %d (oldest-first after wrap)", i, e.T, want)
+	for _, c := range []struct {
+		capacity, n, held int
+	}{
+		{4, 6, 2}, // one chunk of 4: events 4 and 5
+		{4, 8, 4}, // events 4 to 7
+		{2 * ChunkEvents, 2*ChunkEvents + 3, ChunkEvents + 3}, // the second chunk and three
+	} {
+		r := New(c.capacity)
+		for i := 0; i < c.n; i++ {
+			r.Emit(ev(EvCacheHit, int64(i)))
+		}
+		if r.Len() != c.held {
+			t.Fatalf("cap %d, %d events: Len = %d, want %d", c.capacity, c.n, r.Len(), c.held)
+		}
+		if want := int64(c.n - c.held); r.Dropped() != want {
+			t.Fatalf("cap %d, %d events: Dropped = %d, want %d", c.capacity, c.n, r.Dropped(), want)
+		}
+		for i, e := range events(r) {
+			if want := int64(c.n - c.held + i); e.T != want {
+				t.Errorf("cap %d: event %d has T=%d, want %d (oldest-first after wrap)", c.capacity, i, e.T, want)
+			}
 		}
 	}
 }
@@ -39,8 +48,8 @@ func TestSiteInterning(t *testing.T) {
 	if got := r.SiteID("a"); got != a {
 		t.Errorf("re-interning %q gave %d, want %d", "a", got, a)
 	}
-	if sites := r.Sites(); len(sites) != 2 || sites[0] != "a" || sites[1] != "b" {
-		t.Errorf("Sites() = %v", sites)
+	if sites := r.sites; len(sites) != 2 || sites[0] != "a" || sites[1] != "b" {
+		t.Errorf("sites = %v", sites)
 	}
 }
 
@@ -65,22 +74,27 @@ func TestDigestStability(t *testing.T) {
 	}
 }
 
-// TestDigestFoldsDrops pins that a wrapped ring cannot collide with an
-// unwrapped ring holding the same surviving events.
+// TestDigestFoldsDrops pins that the digest covers every event whatever
+// the ring held: one stream, long enough to wrap every capacity below,
+// gives one Digest, the reference fold over the whole emitted list.
 func TestDigestFoldsDrops(t *testing.T) {
-	wrapped := New(2)
-	for i := int64(0); i < 4; i++ {
-		wrapped.Emit(ev(EvCacheHit, i))
+	const n = DefaultCapacity + 2*ChunkEvents + 5
+	var all []Event
+	for i := 0; i < n; i++ {
+		all = append(all, testEvent(i))
 	}
-	plain := New(4)
-	plain.Emit(ev(EvCacheHit, 2))
-	plain.Emit(ev(EvCacheHit, 3))
-	dw, dp := wrapped.Digest(), plain.Digest()
-	if dw.Dropped != 2 || dp.Dropped != 0 {
-		t.Fatalf("drop counts: wrapped=%d plain=%d", dw.Dropped, dp.Dropped)
-	}
-	if dw.Hash == dp.Hash {
-		t.Errorf("wrapped and unwrapped rings with the same suffix collide at %016x", dw.Hash)
+	want := referenceDigest(all)
+	for _, capacity := range []int{1, 511, 512, 513, 1025, DefaultCapacity} {
+		r := New(capacity)
+		for _, e := range all {
+			r.Emit(e)
+		}
+		if r.Dropped() == 0 {
+			t.Fatalf("capacity %d: the ring never wrapped", capacity)
+		}
+		if d := r.Digest(); d != want {
+			t.Errorf("capacity %d (dropped %d):\n got %s\nwant %s", capacity, r.Dropped(), d, want)
+		}
 	}
 }
 
@@ -138,8 +152,8 @@ func TestAccessDigest(t *testing.T) {
 		t.Errorf("different page collided at %016x", got.Hash)
 	}
 
-	if IsAccessKind(EvLineInval) || IsAccessKind(EvFullFlush) || !IsAccessKind(EvMigrate) {
-		t.Error("IsAccessKind misclassifies protocol/semantic kinds")
+	if accessKinds[EvLineInval] || accessKinds[EvFullFlush] || !accessKinds[EvMigrate] {
+		t.Error("accessKinds misclassifies protocol/semantic kinds")
 	}
 }
 

@@ -90,23 +90,29 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRingOwners$$' -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime $(FUZZTIME) ./internal/obs
 
-# Persistent baselines and the deterministic perf gate. `make bench`
-# re-pins the committed BENCH_<name>.json files (do this when a change
-# intentionally moves cycle counts, and commit the diff); `make perfgate`
-# reproduces the CI gate locally: record a candidate suite, compare it to
-# the pinned files at zero tolerance, and render the markdown report.
+# The pinned baselines and their gate. `make bench` re-pins the committed
+# BENCH_<name>.json files in place (do this when a change moves them on
+# purpose, and commit the diff). `make perfgate` is the CI gate: it re-pins,
+# then fails when git sees any byte of a BENCH file move, printing the diff
+# first; the indented JSON names the field. The simulator is deterministic,
+# so the gate is exact both ways: cycles that drop fail it too, and so do
+# stats, pages, metrics and digests. A failing run leaves the re-recorded
+# files in the tree: commit them as a re-pin, or git checkout -- 'BENCH_*.json'.
 BASELINE_PROCS ?= 4
-PERFGATE_DIR ?= /tmp/olden-perfgate
 
 bench:
-	$(GO) run ./cmd/oldenbench -update -maxprocs $(BASELINE_PROCS)
+	$(GO) run ./cmd/oldenbench -record . -maxprocs $(BASELINE_PROCS)
 
 report:
 	$(GO) run ./cmd/oldenbench -report
 
-perfgate:
-	$(GO) run ./cmd/oldenbench -record $(PERFGATE_DIR) -maxprocs $(BASELINE_PROCS)
-	$(GO) run ./cmd/oldenbench -report -candidate $(PERFGATE_DIR)
+perfgate: bench
+	@if [ -n "$$(git status --porcelain -- 'BENCH_*.json')" ]; then \
+		git status --short -- 'BENCH_*.json'; \
+		git --no-pager diff -- 'BENCH_*.json'; \
+		echo "perfgate: the pins moved; commit them as a re-pin or git checkout -- 'BENCH_*.json'"; \
+		exit 1; \
+	fi
 
 # The number ROADMAP item 7 tracks: non-test Go lines under internal/ and
 # cmd/. TestLocBudget (loc_budget_test.go) fails when it exceeds locBudget.
@@ -121,7 +127,7 @@ mutants:
 	bash scripts/mutants.sh
 
 # Simulator wall clock. Everything above gates on simulated cycles
-# (deterministic, zero tolerance). How fast the simulator executes them is
+# (deterministic, exact). How fast the simulator executes them is
 # measured by the repository benchmark — `go run -C perf . -workload
 # sim_table` reports records/s, ns per simulated cycle and allocations per
 # run — and `make profile` writes pprof CPU + allocation profiles over the
@@ -180,13 +186,12 @@ clustersmoke:
 
 # One flag, one verb: every golden-pinning test in the tree takes
 # `-update` to rewrite its files from the current build (lint goldens,
-# trace-digest goldens, the scheduler battery's sixty lines and the switch
-# census's ten, the rendered
-# report over the pinned baselines, the phase plans of the paper figures and
-# the hostile fixture, the metric ids the router and replicas serve), and
-# the committed BENCH_<name>.json baselines are re-pinned by `oldenbench
-# -update` (= `make bench`, kept separate because moving cycle counts is
-# a reviewed perf decision, not a golden refresh). Run this after an
+# the scheduler battery's sixty lines and the switch census's ten, the
+# rendered report over the pinned baselines, the phase plans of the paper
+# figures and the hostile fixture, the metric ids the router and replicas
+# serve), and the committed BENCH_<name>.json baselines are re-pinned by
+# `make bench` (kept separate because moving a pin is a reviewed decision,
+# not a golden refresh). Run this after an
 # intentional output change, then review and commit the diff. Not
 # refreshed, on purpose: internal/analysis/effects/testdata/
 # verdicts_parent.golden is what the deleted cost bounds said about every
@@ -203,7 +208,7 @@ clustersmoke:
 # sections).
 update-goldens:
 	$(GO) test ./internal/core -run 'TestLintGolden' -update
-	$(GO) test ./internal/bench -run 'TestTraceDigestGoldens|TestSchedulerDigestEquivalence|TestSwitchCensus' -update
+	$(GO) test ./internal/bench -run 'TestSchedulerDigestEquivalence|TestSwitchCensus' -update
 	$(GO) test ./internal/bench/record -run 'TestReportGolden' -update
 	$(GO) test ./internal/analysis/phases -run 'TestPhasesGoldens' -update
 	$(GO) test ./cmd/oldenc -run 'TestAnalyzeGoldens' -update

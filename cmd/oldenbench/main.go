@@ -16,21 +16,18 @@
 // One run at one configuration — cycles, statistics, trace, per-site
 // profile — is cmd/oldensim's job.
 //
-// Persistent records and the perf gate:
+// Persistent records and the pin gate:
 //
-//	oldenbench -update -maxprocs 4             # re-pin BENCH_<name>.json in .
-//	oldenbench -record out/ -maxprocs 4        # same suite, elsewhere
-//	oldenbench -record out/ -bench em3d        # ... for one benchmark only
+//	oldenbench -record . -maxprocs 4           # re-pin BENCH_<name>.json in .
+//	oldenbench -record out/ -bench em3d        # one benchmark, elsewhere
 //	oldenbench -table 2 -json                  # stream RunRecord JSON to stdout
 //	oldenbench -report                         # render ./BENCH_*.json
-//	oldenbench -report -candidate out/         # gate out/ against ./BENCH_*.json
-//	oldenbench -report -candidate out/ -out report.md
+//	oldenbench -report -out report.md
 //
 // -json moves the human tables to stderr and emits one JSON object per
-// benchmark run on stdout, in the order the runs executed. In gate mode
-// the exit status is 1 when any configuration regressed; the simulator is
-// deterministic, so the exact gate passes byte-identical reruns and fails
-// any slowdown at all.
+// benchmark run on stdout, in the order the runs executed. The simulator
+// is deterministic, so the gate (make perfgate) is a byte diff: re-record
+// the pins in place, and any byte git sees move fails it.
 //
 // Simulator wall-clock throughput is measured by the repository
 // benchmark: `go run -C perf . -workload sim_table`.
@@ -66,13 +63,11 @@ func main() {
 	procsFlag := flag.String("procs", "1,2,4,8,16,32", "machine sizes for Table 2")
 	maxProcs := flag.Int("maxprocs", 32, "machine size for Table 3 and Figure 2")
 	scheme := flag.String("scheme", "local", "coherence scheme for Table 2: local, global, bilateral")
-	benchName := flag.String("bench", "", "with -record/-update: collect only this benchmark")
+	benchName := flag.String("bench", "", "with -record: collect only this benchmark")
 	jsonOut := flag.Bool("json", false, "emit one RunRecord JSON object per benchmark run on stdout (human output moves to stderr)")
 	recordDir := flag.String("record", "", "run the pinned record suite at -maxprocs/-scale and write BENCH_<name>.json files into this directory")
-	update := flag.Bool("update", false, "shorthand for -record . : re-pin the committed BENCH_<name>.json baselines")
 	list := flag.Bool("list", false, "print the machine-readable benchmark catalog (names, schemes, modes, default params) as JSON and exit")
 	report := flag.Bool("report", false, "render the pinned ./BENCH_<name>.json baselines as a markdown report")
-	candidate := flag.String("candidate", "", "with -report: candidate record set to gate against the pinned baselines (exit 1 on regression)")
 	reportOut := flag.String("out", "", "with -report: write the markdown report to this file instead of stdout")
 	flag.Parse()
 
@@ -85,7 +80,7 @@ func main() {
 		return
 	}
 	if *report {
-		runReport(*candidate, *reportOut)
+		runReport(*reportOut)
 		return
 	}
 
@@ -110,17 +105,13 @@ func main() {
 	}
 
 	switch {
-	case *update || *recordDir != "":
-		dir := *recordDir
-		if *update {
-			dir = "."
-		}
-		runRecordSuite(out, enc, dir, *benchName, *maxProcs, *scale)
+	case *recordDir != "":
+		runRecordSuite(out, enc, *recordDir, *benchName, *maxProcs, *scale)
 	case *table == 1:
 		fmt.Fprint(out, bench.Table1())
 	case *table == 2:
 		files := collect(enc, bench.Names(), bench.Table2Suite(procs, *scale, kind))
-		fmt.Fprint(out, record.Table2Markdown(files, nil, procs, kind.String()))
+		fmt.Fprint(out, record.Table2Markdown(files, procs, kind.String()))
 	case *table == 3:
 		// Only the migrate-and-cache benchmarks have a Table 3 row.
 		names := slices.DeleteFunc(bench.Names(), func(name string) bool {
@@ -128,14 +119,14 @@ func main() {
 			return info.Choice != "M+C"
 		})
 		files := collect(enc, names, bench.Table3Suite(*maxProcs, *scale))
-		fmt.Fprint(out, record.Table3Markdown(files, nil, *maxProcs))
+		fmt.Fprint(out, record.Table3Markdown(files, *maxProcs))
 	case *figure == 2:
 		fmt.Fprint(out, bench.Figure2(4096, *maxProcs))
 	case *curve != "":
 		files := collect(enc, []string{*curve}, bench.CurveSuite(procs, *scale, kind))
 		fmt.Fprint(out, record.CurveMarkdown(files[0], procs, kind.String()))
 	default:
-		fmt.Fprintln(os.Stderr, "nothing to do: pass -table 1|2|3, -figure 2, -curve <bench>, -record <dir>, -update or -report")
+		fmt.Fprintln(os.Stderr, "nothing to do: pass -table 1|2|3, -figure 2, -curve <bench>, -record <dir> or -report")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -186,37 +177,17 @@ func runRecordSuite(out io.Writer, enc *json.Encoder, dir, only string, procs, s
 	}
 }
 
-// runReport renders the pinned ./BENCH_*.json as the markdown report — or,
-// given a candidate set, gates it against the pins and renders the
-// candidate with the pins as the Δ-prev columns.
-func runReport(candidate, outPath string) {
-	cur, err := record.LoadDir(".")
+// runReport renders the pinned ./BENCH_*.json as the markdown report.
+func runReport(outPath string) {
+	files, err := record.LoadDir(".")
 	if err != nil {
 		fatalf("%v", err)
 	}
-	var prev []record.File
-	var regs []record.Regression
-	if candidate != "" {
-		prev = cur
-		if cur, err = record.LoadDir(candidate); err != nil {
-			fatalf("%v", err)
-		}
-		if regs, err = record.CompareDirs(prev, cur); err != nil {
-			fatalf("%v", err)
-		}
-	}
-	report := record.Report(cur, prev, regs)
+	report := record.Report(files)
 	if outPath == "" {
 		fmt.Print(report)
 	} else if err := os.WriteFile(outPath, []byte(report), 0o644); err != nil {
 		fatalf("%v", err)
-	}
-	if len(regs) > 0 {
-		fmt.Fprintf(os.Stderr, "oldenbench: %d regression(s):\n", len(regs))
-		for _, r := range regs {
-			fmt.Fprintf(os.Stderr, "  %s\n", r)
-		}
-		os.Exit(1)
 	}
 }
 

@@ -3,7 +3,8 @@
 // simulated-cycle makespan, statistics snapshot, and metrics dump of a
 // small suite of pinned configurations. Because the simulator is
 // deterministic in virtual time, two runs of the same binary produce
-// byte-identical records, so a comparator can gate on exact cycle deltas.
+// byte-identical records, so the pins are gated as a byte diff: re-record
+// them in place and fail on any byte that moved (make perfgate).
 package record
 
 import (
@@ -19,7 +20,7 @@ import (
 
 // SchemaVersion is bumped whenever the record layout changes incompatibly;
 // Load rejects files written under a different schema so a stale pin fails
-// loudly instead of producing nonsense deltas.
+// loudly instead of rendering nonsense.
 const SchemaVersion = 1
 
 // RunRecord captures one benchmark run: its full configuration and every
@@ -33,8 +34,7 @@ type RunRecord struct {
 	Mode      string `json:"mode"`
 	Scale     int    `json:"scale"`
 
-	// Cycles is the simulated makespan of the timed region — the number
-	// the perf gate compares exactly.
+	// Cycles is the simulated makespan of the timed region.
 	Cycles   int64 `json:"cycles"`
 	Verified bool  `json:"verified"`
 	Pages    int64 `json:"pages"`
@@ -133,7 +133,7 @@ func Load(path string) (File, error) {
 		return File{}, fmt.Errorf("record: %s: %w", path, err)
 	}
 	if f.Schema != SchemaVersion {
-		return File{}, fmt.Errorf("record: %s: schema %d, want %d (re-pin with oldenbench -update)",
+		return File{}, fmt.Errorf("record: %s: schema %d, want %d (re-pin with make bench)",
 			path, f.Schema, SchemaVersion)
 	}
 	return f, nil

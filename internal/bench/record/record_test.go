@@ -120,96 +120,6 @@ func TestLoadRejectsWrongSchema(t *testing.T) {
 	}
 }
 
-func TestCompareIdenticalPasses(t *testing.T) {
-	regs, err := Compare(sampleFile(), sampleFile())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 0 {
-		t.Fatalf("identical files produced regressions: %v", regs)
-	}
-}
-
-func TestCompareCatchesSlowedRun(t *testing.T) {
-	base := sampleFile()
-	cand := sampleFile()
-	// A deliberately slowed candidate: +1 cycle on the P=4 run. The
-	// simulator is deterministic, so even one cycle fails.
-	for i := range cand.Records {
-		if cand.Records[i].Key() == HeuristicKey(4, "local") {
-			cand.Records[i].Cycles++
-		}
-	}
-	regs, err := Compare(base, cand)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 1 || regs[0].Metric != "cycles" || regs[0].Key != HeuristicKey(4, "local") {
-		t.Fatalf("regressions = %v, want one cycles regression on the P=4 local run", regs)
-	}
-	if !strings.Contains(regs[0].String(), "cycles") {
-		t.Fatalf("regression string %q should name the metric", regs[0])
-	}
-}
-
-func TestCompareCatchesMissRateAndVerification(t *testing.T) {
-	base := sampleFile()
-	cand := sampleFile()
-	for i := range cand.Records {
-		if cand.Records[i].Key() == HeuristicKey(4, "global") {
-			cand.Records[i].MissPct += 0.5
-			cand.Records[i].Verified = false
-		}
-	}
-	regs, err := Compare(base, cand)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var metrics []string
-	for _, r := range regs {
-		metrics = append(metrics, r.Metric)
-	}
-	if len(regs) != 2 || metrics[0] != "verified" || metrics[1] != "miss_pct" {
-		t.Fatalf("regressions = %v, want verified + miss_pct", regs)
-	}
-}
-
-func TestCompareStructuralErrors(t *testing.T) {
-	base := sampleFile()
-
-	missing := sampleFile()
-	missing.Records = missing.Records[:3]
-	if _, err := Compare(base, missing); err == nil {
-		t.Fatal("missing configuration must be an error, not a pass")
-	}
-
-	scaled := sampleFile()
-	for i := range scaled.Records {
-		scaled.Records[i].Scale = 8
-	}
-	if _, err := Compare(base, scaled); err == nil || !strings.Contains(err.Error(), "scale") {
-		t.Fatalf("scale mismatch: err = %v, want scale error", err)
-	}
-
-	other := sampleFile()
-	other.Benchmark = "power"
-	if _, err := Compare(base, other); err == nil {
-		t.Fatal("benchmark mismatch must be an error")
-	}
-}
-
-func TestCompareDirs(t *testing.T) {
-	base := []File{sampleFile()}
-	cand := []File{sampleFile()}
-	regs, err := CompareDirs(base, cand)
-	if err != nil || len(regs) != 0 {
-		t.Fatalf("CompareDirs identical = %v, %v", regs, err)
-	}
-	if _, err := CompareDirs(base, nil); err == nil {
-		t.Fatal("missing benchmark in candidate set must be an error")
-	}
-}
-
 func TestPaperTables(t *testing.T) {
 	if s, ok := PaperSpeedup("treeadd", 4); !ok || s != 2.93 {
 		t.Fatalf("PaperSpeedup(treeadd, 4) = %v, %v; want 2.93", s, ok)
@@ -239,15 +149,8 @@ func TestPaperTables(t *testing.T) {
 
 func TestRenderReport(t *testing.T) {
 	cur := []File{sampleFile()}
-	prev := []File{sampleFile()}
-	// Make the previous baseline slower so Δ prev is a real percentage.
-	for i := range prev[0].Records {
-		if prev[0].Records[i].Key() == HeuristicKey(4, "local") {
-			prev[0].Records[i].Cycles = 500
-		}
-	}
-	out := Report(cur, prev, nil)
-	for _, want := range []string{"Table 2", "treeadd", "2.93", "-20.00%"} {
+	out := Report(cur)
+	for _, want := range []string{"Table 2", "treeadd", "2.50", "2.93"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
@@ -258,18 +161,9 @@ func TestRenderReport(t *testing.T) {
 	for i := range mc.Records {
 		mc.Records[i].Benchmark = "em3d"
 	}
-	out = Table3Markdown([]File{mc}, nil, 4)
+	out = Table3Markdown([]File{mc}, 4)
 	if !strings.Contains(out, "em3d") || !strings.Contains(out, "2.50") {
 		t.Errorf("Table 3 should list em3d's local miss rate:\n%s", out)
-	}
-	// First pin: no previous baselines, Δ prev renders as a dash.
-	out = Table2Markdown(cur, nil, []int{4}, "local")
-	if !strings.Contains(out, "| — |") {
-		t.Errorf("first pin should dash the delta column:\n%s", out)
-	}
-	regs := []Regression{{Benchmark: "treeadd", Key: "baseline", Metric: "cycles", Old: 1, New: 2, Limit: 1}}
-	if out := Report(cur, nil, regs); !strings.Contains(out, "## Regressions") {
-		t.Errorf("report with regressions must include the gate section:\n%s", out)
 	}
 }
 
@@ -290,19 +184,19 @@ func TestTable2SchemeAndSweep(t *testing.T) {
 	}{
 		{"local", []int{4}, []RunRecord{mk(true, 1, "local", "heuristic", 1000),
 			mk(false, 4, "local", "heuristic", 400), mk(false, 4, "local", "migrate-only", 800)},
-			"| 1000 | 2.50 | 2.93 | 1.25 | — | — |"},
+			"| 1000 | 2.50 | 2.93 | 1.25 | — |"},
 		{"global", []int{4}, []RunRecord{mk(true, 1, "global", "heuristic", 1000),
 			mk(false, 4, "global", "heuristic", 400), mk(false, 4, "global", "migrate-only", 800)},
-			"| 1000 | 2.50 | 2.93 | 1.25 | — | — |"},
+			"| 1000 | 2.50 | 2.93 | 1.25 | — |"},
 		{"global", []int{4}, []RunRecord{mk(true, 1, "global", "heuristic", 1000),
 			mk(false, 4, "global", "heuristic", 400), mk(false, 4, "local", "migrate-only", 800)},
-			"| 1000 | 2.50 | 2.93 | — | — | — |"},
+			"| 1000 | 2.50 | 2.93 | — | — |"},
 		{"local", []int{2, 32}, []RunRecord{mk(true, 1, "local", "heuristic", 1000),
 			mk(false, 2, "local", "heuristic", 500), mk(false, 32, "local", "heuristic", 100), mk(false, 32, "local", "migrate-only", 250)},
-			"| 1000 | 2.00 | 1.47 | 10.00 | 16.42 | 4.00 | 16.52 | — |"},
+			"| 1000 | 2.00 | 1.47 | 10.00 | 16.42 | 4.00 | 16.52 |"},
 	} {
 		f := File{Benchmark: "health", Choice: "M+C", Whole: true, Records: tc.records}
-		out := Table2Markdown([]File{f}, nil, tc.procs, tc.scheme)
+		out := Table2Markdown([]File{f}, tc.procs, tc.scheme)
 		if want := "| health | M+C W " + tc.want + "\n"; !strings.Contains(out, want) {
 			t.Errorf("scheme %s procs %v: want row %q in\n%s", tc.scheme, tc.procs, want, out)
 		}
@@ -323,7 +217,7 @@ func TestReportGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := Report(files, nil, nil)
+	got := Report(files)
 	const path = "testdata/report.golden"
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -368,7 +262,7 @@ func TestTable3PaperCells(t *testing.T) {
 		}
 		files = append(files, f)
 	}
-	out := Table3Markdown(files, nil, 32)
+	out := Table3Markdown(files, 32)
 	for name, cells := range published {
 		var row []string
 		for _, line := range strings.Split(out, "\n") {
@@ -376,17 +270,17 @@ func TestTable3PaperCells(t *testing.T) {
 				row = strings.Split(strings.Trim(line, "| "), " | ")
 			}
 		}
-		if len(row) != 18 {
-			t.Fatalf("%s: row %v, want 18 cells in\n%s", name, row, out)
+		if len(row) != 17 {
+			t.Fatalf("%s: row %v, want 17 cells in\n%s", name, row, out)
 		}
 		for i, want := range cells {
-			col := []int{2, 4, 6, 8, 10, 12, 14, 17}[i]
+			col := []int{2, 4, 6, 8, 10, 12, 14, 16}[i]
 			if row[col] != want {
 				t.Errorf("%s column %d: %q, want the paper's %q", name, col, row[col], want)
 			}
 		}
 	}
-	if strings.Contains(Table3Markdown(files, nil, 4), "8208") {
+	if strings.Contains(Table3Markdown(files, 4), "8208") {
 		t.Error("paper cells belong to P=32 only")
 	}
 }

@@ -11,20 +11,9 @@ import (
 // and per-benchmark speedup curve as markdown, from record files alone —
 // whether `oldenbench -table/-curve` just collected them or they are the
 // pinned BENCH_<name>.json. The tables and the curve print the paper's
-// published number beside each measured one (how faithful is the
-// reproduction?); the tables annotate each row with the delta against a
-// previous record set when there is one (did this change regress anything?).
-
-func pct(new, old float64) string {
-	if old == 0 {
-		return "—"
-	}
-	d := 100 * (new - old) / old
-	if d == 0 {
-		return "0%"
-	}
-	return fmt.Sprintf("%+.2f%%", d)
-}
+// published number beside each measured one: how faithful is the
+// reproduction? Whether a change moved a pin is a diff of the pinned files,
+// not a column here.
 
 // speedup is the one Table 2 cell: the file's baseline cycles over those of
 // the run under key, a dash when either record is absent.
@@ -53,27 +42,11 @@ func pctRemote(remote, cacheable int64) float64 {
 	return 100 * float64(remote) / float64(cacheable)
 }
 
-// deltaPrev renders val's change between r and the same configuration of
-// the same benchmark in prev; deltas across scales are meaningless and
-// render, like a missing record, as a dash.
-func deltaPrev(prev []File, r RunRecord, val func(RunRecord) float64) string {
-	for _, pf := range prev {
-		if pf.Benchmark != r.Benchmark {
-			continue
-		}
-		if p, ok := pf.Lookup(r.Key()); ok && p.Scale == r.Scale {
-			return pct(val(r), val(p))
-		}
-	}
-	return "—"
-}
-
 // Table2Markdown renders one row per benchmark: baseline cycles, the
 // heuristic speedup under scheme at each machine size of procs beside the
 // paper's, and the migrate-only speedup at the largest size (the paper
-// publishes that column at P=32 only). prev may be nil or hold a previous
-// record set for the Δ-prev column, the cycle delta at the largest size.
-func Table2Markdown(cur, prev []File, procs []int, scheme string) string {
+// publishes that column at P=32 only).
+func Table2Markdown(files []File, procs []int, scheme string) string {
 	maxP := procs[len(procs)-1]
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "## Table 2 — speedups under %s coherence\n\n", scheme)
@@ -82,9 +55,9 @@ func Table2Markdown(cur, prev []File, procs []int, scheme string) string {
 		head += fmt.Sprintf(" S(%d) | paper |", p)
 		rule += "---:|---:|"
 	}
-	fmt.Fprintf(&sb, "%s M-only S(%d) | paper | Δ prev |\n%s---:|---:|---:|\n", head, maxP, rule)
+	fmt.Fprintf(&sb, "%s M-only S(%d) | paper |\n%s---:|---:|\n", head, maxP, rule)
 	scale := 0
-	for _, f := range cur {
+	for _, f := range files {
 		base, ok := f.Lookup("baseline")
 		if !ok {
 			fmt.Fprintf(&sb, "| %s | %s | _missing records_ |\n", f.Benchmark, f.Choice)
@@ -99,14 +72,11 @@ func Table2Markdown(cur, prev []File, procs []int, scheme string) string {
 		for _, p := range procs {
 			fmt.Fprintf(&sb, " %s | %s |", f.speedup(HeuristicKey(p, scheme)), paper(PaperSpeedup(f.Benchmark, p)))
 		}
-		paperMO, dPrev := "—", "—"
+		paperMO := "—"
 		if maxP == 32 {
 			paperMO = paper(PaperMigrateOnly(f.Benchmark))
 		}
-		if heur, ok := f.Lookup(HeuristicKey(maxP, scheme)); ok {
-			dPrev = deltaPrev(prev, heur, func(r RunRecord) float64 { return float64(r.Cycles) })
-		}
-		fmt.Fprintf(&sb, " %s | %s | %s |\n", f.speedup(MigrateOnlyKey(maxP, scheme)), paperMO, dPrev)
+		fmt.Fprintf(&sb, " %s | %s |\n", f.speedup(MigrateOnlyKey(maxP, scheme)), paperMO)
 	}
 	fmt.Fprintf(&sb, "\nScale 1/%d of the paper's problem sizes; paper columns are the CM-5 numbers at the same P.\n", scale)
 	return sb.String()
@@ -115,15 +85,14 @@ func Table2Markdown(cur, prev []File, procs []int, scheme string) string {
 // Table3Markdown renders caching statistics for the migrate-and-cache
 // benchmarks from their records at one machine size: reference counts under
 // local knowledge, miss rates under all three schemes, and the cumulative
-// page count, with Δ-prev on the miss rate that drives the gate. Every
-// measured cell has the paper's beside it at P=32, the size the paper
-// published, and a dash elsewhere.
-func Table3Markdown(cur, prev []File, procs int) string {
+// page count. Every measured cell has the paper's beside it at P=32, the
+// size the paper published, and a dash elsewhere.
+func Table3Markdown(files []File, procs int) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "## Table 3 — caching statistics at P=%d\n\n", procs)
-	sb.WriteString("| Benchmark | CacheWr (1k) | paper | %Remote | paper | CacheRd (1k) | paper | %Remote | paper | miss% local | paper | miss% global | paper | miss% bilateral | paper | Δ prev (local) | Pages | paper |\n")
-	sb.WriteString("|---|" + strings.Repeat("---:|", 17) + "\n")
-	for _, f := range cur {
+	sb.WriteString("| Benchmark | CacheWr (1k) | paper | %Remote | paper | CacheRd (1k) | paper | %Remote | paper | miss% local | paper | miss% global | paper | miss% bilateral | paper | Pages | paper |\n")
+	sb.WriteString("|---|" + strings.Repeat("---:|", 16) + "\n")
+	for _, f := range files {
 		if f.Choice != "M+C" {
 			continue
 		}
@@ -131,7 +100,7 @@ func Table3Markdown(cur, prev []File, procs int) string {
 		global, okG := f.Lookup(HeuristicKey(procs, "global"))
 		bilat, okB := f.Lookup(HeuristicKey(procs, "bilateral"))
 		if !okL || !okG || !okB {
-			fmt.Fprintf(&sb, "| %s | _missing records_ |%s\n", f.Benchmark, strings.Repeat(" |", 16))
+			fmt.Fprintf(&sb, "| %s | _missing records_ |%s\n", f.Benchmark, strings.Repeat(" |", 15))
 			continue
 		}
 		p, okP := PaperTable3(f.Benchmark)
@@ -142,12 +111,12 @@ func Table3Markdown(cur, prev []File, procs int) string {
 			return strconv.FormatFloat(v, 'g', -1, 64)
 		}
 		s := local.Stats
-		fmt.Fprintf(&sb, "| %s | %.1f | %s | %.3f | %s | %.1f | %s | %.3f | %s | %.2f | %s | %.2f | %s | %.2f | %s | %s | %d | %s |\n",
+		fmt.Fprintf(&sb, "| %s | %.1f | %s | %.3f | %s | %.1f | %s | %.3f | %s | %.2f | %s | %.2f | %s | %.2f | %s | %d | %s |\n",
 			f.Benchmark,
 			float64(s.CacheableWrites)/1000, cell(p.CacheWr), pctRemote(s.RemoteWrites, s.CacheableWrites), cell(p.RemoteWr),
 			float64(s.CacheableReads)/1000, cell(p.CacheRd), pctRemote(s.RemoteReads, s.CacheableReads), cell(p.RemoteRd),
 			local.MissPct, cell(p.MissLocal), global.MissPct, cell(p.MissGlobal), bilat.MissPct, cell(p.MissBilateral),
-			deltaPrev(prev, local, func(r RunRecord) float64 { return r.MissPct }), local.Pages, cell(float64(p.Pages)))
+			local.Pages, cell(float64(p.Pages)))
 	}
 	return sb.String()
 }
@@ -172,12 +141,11 @@ func CurveMarkdown(f File, procs []int, scheme string) string {
 	return sb.String()
 }
 
-// Report renders the full baseline report — both tables at the machine
-// sizes the records were collected at, under local knowledge as pinned —
-// plus a gate summary when regressions are present.
-func Report(cur, prev []File, regs []Regression) string {
+// Report renders the full baseline report: both tables at the machine
+// sizes the records were collected at, under local knowledge as pinned.
+func Report(files []File) string {
 	var procs []int
-	for _, f := range cur {
+	for _, f := range files {
 		for _, r := range f.Records {
 			if !r.Baseline && !slices.Contains(procs, r.Procs) {
 				procs = append(procs, r.Procs)
@@ -191,14 +159,8 @@ func Report(cur, prev []File, regs []Regression) string {
 		sb.WriteString("_no parallel records_\n")
 		return sb.String()
 	}
-	sb.WriteString(Table2Markdown(cur, prev, procs, "local"))
+	sb.WriteString(Table2Markdown(files, procs, "local"))
 	sb.WriteString("\n")
-	sb.WriteString(Table3Markdown(cur, prev, procs[len(procs)-1]))
-	if len(regs) > 0 {
-		sb.WriteString("\n## Regressions\n\n")
-		for _, r := range regs {
-			fmt.Fprintf(&sb, "- %s\n", r)
-		}
-	}
+	sb.WriteString(Table3Markdown(files, procs[len(procs)-1]))
 	return sb.String()
 }

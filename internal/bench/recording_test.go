@@ -8,7 +8,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/bench/record"
 	"repro/internal/coherence"
-	"repro/internal/rt"
 
 	_ "repro/internal/bench/all"
 )
@@ -17,9 +16,10 @@ import (
 // not depend on size.
 const recScale = 1024
 
-// TestCollectRecordsIsDeterministic pins the property the perf gate rests
+// TestCollectRecordsIsDeterministic pins the property the pin gate rests
 // on: two collections of the same suite from the same binary marshal to
-// byte-identical files, so zero tolerance is a usable gate.
+// byte-identical files, so a byte diff of the re-recorded pins is a usable
+// gate.
 func TestCollectRecordsIsDeterministic(t *testing.T) {
 	a, err := bench.CollectRecords("treeadd", bench.PinnedSuite(2, recScale))
 	if err != nil {
@@ -61,59 +61,6 @@ func TestCollectRecordsIsDeterministic(t *testing.T) {
 		if r.TraceDigest == "" || len(r.Metrics) == 0 {
 			t.Fatalf("%s record missing trace digest or metrics dump", key)
 		}
-	}
-
-	// A byte-identical rerun passes the gate at zero tolerance.
-	regs, err := record.Compare(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 0 {
-		t.Fatalf("identical reruns must pass the zero-tolerance gate, got %v", regs)
-	}
-}
-
-// TestGateCatchesDeliberatelySlowedRun slows the simulation for real — a
-// costlier pointer test via the runtime hook, the kind of accidental
-// overhead a code change could introduce — and checks the zero-tolerance
-// gate fails it while the run still verifies.
-func TestGateCatchesDeliberatelySlowedRun(t *testing.T) {
-	base, err := bench.CollectRecords("treeadd", bench.PinnedSuite(2, recScale))
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, _ := bench.Get("treeadd")
-	res, slowed := bench.RunRecorded(info, bench.Config{
-		Procs: 2, Scale: recScale,
-		RuntimeHook: func(r *rt.Runtime) { r.M.Cost.PtrTest += 10 },
-	})
-	if !res.Verified() {
-		t.Fatal("the slowed run must still compute the right answer")
-	}
-	want, _ := base.Lookup(slowed.Key())
-	if slowed.Cycles <= want.Cycles {
-		t.Fatalf("slowed run took %d cycles, baseline %d — hook had no effect", slowed.Cycles, want.Cycles)
-	}
-
-	cand := base
-	cand.Records = append([]record.RunRecord(nil), base.Records...)
-	for i := range cand.Records {
-		if cand.Records[i].Key() == slowed.Key() {
-			cand.Records[i] = slowed
-		}
-	}
-	regs, err := record.Compare(base, cand)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hit bool
-	for _, r := range regs {
-		if r.Metric == "cycles" && r.Key == slowed.Key() {
-			hit = true
-		}
-	}
-	if !hit {
-		t.Fatalf("gate missed the slowed run: %v", regs)
 	}
 }
 

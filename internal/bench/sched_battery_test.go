@@ -13,8 +13,8 @@ import (
 	_ "repro/internal/bench/all"
 )
 
-// batteryScale keeps the 60-run battery fast; the digest goldens pin three
-// kernels at scale 16 separately.
+// batteryScale keeps the 60-run battery fast; TestPinsReproduce re-runs
+// five kernels at the pins' scale 16 separately.
 const batteryScale = 64
 
 const batteryPath = "testdata/sched_battery.golden"

@@ -108,8 +108,8 @@ func TestTablesPrintParentNumbers(t *testing.T) {
 		return info.Choice != "M+C"
 	})
 	rendered := map[string]string{
-		"table2": record.Table2Markdown(collect(batteryKernels, bench.Table2Suite(procs, 64, coherence.LocalKnowledge)), nil, procs, "local"),
-		"table3": record.Table3Markdown(collect(mc, bench.Table3Suite(4, 64)), nil, 4),
+		"table2": record.Table2Markdown(collect(batteryKernels, bench.Table2Suite(procs, 64, coherence.LocalKnowledge)), procs, "local"),
+		"table3": record.Table3Markdown(collect(mc, bench.Table3Suite(4, 64)), 4),
 		"curve":  record.CurveMarkdown(collect([]string{"treeadd"}, bench.CurveSuite(procs, 64, coherence.LocalKnowledge))[0], procs, "local"),
 	}
 	parent := parentRows(t)

@@ -186,7 +186,7 @@ clustersmoke:
 
 # One flag, one verb: every golden-pinning test in the tree takes
 # `-update` to rewrite its files from the current build (lint goldens,
-# the scheduler battery's sixty lines and the switch census's ten, the
+# the scheduler battery's ninety lines and the switch census's ten, the
 # rendered report over the pinned baselines, the phase plans of the paper
 # figures and the hostile fixture, the metric ids the router and replicas
 # serve), and the committed BENCH_<name>.json baselines are re-pinned by

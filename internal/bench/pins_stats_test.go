@@ -105,8 +105,8 @@ func TestPinsAgreeWithStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(string(b), "\n"), "\n")
-	if len(lines) != len(batteryKernels)*len(schemes)*2 {
-		t.Fatalf("%s has %d lines, want %d", batteryPath, len(lines), len(batteryKernels)*len(schemes)*2)
+	if len(lines) != len(batteryKernels)*len(schemes)*3 {
+		t.Fatalf("%s has %d lines, want %d", batteryPath, len(lines), len(batteryKernels)*len(schemes)*3)
 	}
 	for i, line := range lines {
 		_, digest, ok1 := strings.Cut(line, " events=")

@@ -14,3 +14,24 @@ func TestAlgorithmMatchesRaster(t *testing.T) {
 		}
 	}
 }
+
+// rasterPerimeter computes the same perimeter directly from the raster:
+// every black cell contributes one unit per side facing a white cell or
+// the border.
+func rasterPerimeter(im image) int {
+	total := 0
+	for y := 0; y < im.n; y++ {
+		for x := 0; x < im.n; x++ {
+			if !im.cellBlack(x, y) {
+				continue
+			}
+			for _, d := range [4][2]int{{0, -1}, {0, 1}, {-1, 0}, {1, 0}} {
+				nx, ny := x+d[0], y+d[1]
+				if nx < 0 || ny < 0 || nx >= im.n || ny >= im.n || !im.cellBlack(nx, ny) {
+					total++
+				}
+			}
+		}
+	}
+	return total
+}

@@ -244,27 +244,6 @@ func refPerimeter(t *refNode, size int) int {
 	return total
 }
 
-// rasterPerimeter computes the same perimeter directly from the raster:
-// every black cell contributes one unit per side facing a white cell or
-// the border. Used to validate the algorithm in tests.
-func rasterPerimeter(im image) int {
-	total := 0
-	for y := 0; y < im.n; y++ {
-		for x := 0; x < im.n; x++ {
-			if !im.cellBlack(x, y) {
-				continue
-			}
-			for _, d := range [4][2]int{{0, -1}, {0, 1}, {-1, 0}, {1, 0}} {
-				nx, ny := x+d[0], y+d[1]
-				if nx < 0 || ny < 0 || nx >= im.n || ny >= im.n || !im.cellBlack(nx, ny) {
-					total++
-				}
-			}
-		}
-	}
-	return total
-}
-
 // reference builds the tree and computes the perimeter in plain Go.
 func reference(n int) uint64 {
 	im := makeImage(n)

@@ -242,18 +242,3 @@ func (c *Cache) Entries() int { return c.entries }
 // Table 3's "Total Pages Cached". Invalidations keep
 // entries, so it is Entries as the int64 the statistics use.
 func (c *Cache) PagesAllocated() int64 { return int64(c.entries) }
-
-// AvgChainLength returns the mean hash-chain length over non-empty buckets;
-// the paper reports this is approximately one in practice.
-func (c *Cache) AvgChainLength() float64 {
-	used := 0
-	for b := range c.buckets {
-		if c.buckets[b] != nil {
-			used++
-		}
-	}
-	if used == 0 {
-		return 0
-	}
-	return float64(c.entries) / float64(used)
-}

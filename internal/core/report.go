@@ -69,20 +69,6 @@ func (r *Report) FindLoop(prefix string) *Loop {
 	return cands[0].l
 }
 
-// MechanismOf reports the selected mechanism for variable v inside the
-// first loop matching the label prefix: the loop's migration variable
-// migrates, everything else caches.
-func (r *Report) MechanismOf(loopPrefix, v string) Mechanism {
-	l := r.FindLoop(loopPrefix)
-	if l == nil {
-		return ChooseCache
-	}
-	if l.Mech == ChooseMigrate && l.Var == v {
-		return ChooseMigrate
-	}
-	return ChooseCache
-}
-
 // MechanismForName reports the mechanism the heuristic assigned to the
 // dereference sites an rt.Site tag stands for. The tag is the variable
 // segment of a site name ("treeadd.t" → "t") and is matched per function

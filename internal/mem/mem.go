@@ -26,20 +26,20 @@ type Heap struct {
 	limit uint32   // exclusive upper bound on offsets
 }
 
+// nilReserve is the heap prefix no allocation gets, so that the nil pointer
+// ⟨0,0⟩ is never valid: fixed, not a page, so pointers ignore cache geometry.
+const nilReserve = 2048
+
 // NewHeap creates the heap section for processor proc with the given
-// capacity in bytes (rounded up to a whole page). The first page is
-// reserved so that the nil global pointer ⟨0,0⟩ is never a valid address.
+// capacity in bytes (rounded up to a whole page), nilReserve of it reserved.
 func NewHeap(proc int, capacity uint32) *Heap {
 	if capacity > gaddr.MaxOffset {
 		capacity = gaddr.MaxOffset
 	}
-	pages := (capacity + gaddr.PageBytes - 1) / gaddr.PageBytes
-	if pages < 2 {
-		pages = 2
-	}
+	pages := max((capacity+gaddr.PageBytes-1)/gaddr.PageBytes, 2)
 	return &Heap{
 		proc:  proc,
-		next:  gaddr.PageBytes, // reserve page 0
+		next:  nilReserve,
 		limit: pages * gaddr.PageBytes,
 	}
 }
@@ -148,18 +148,11 @@ func (h *Heap) FoldFingerprint(hash uint64) uint64 {
 	if words > len(h.words) {
 		words = len(h.words)
 	}
-	// Skip the reserved nil page: it is never addressable.
-	for i := int(gaddr.WordsPerPage); i < words; i++ {
+	// Skip the reserve: it is never addressable.
+	for i := nilReserve / gaddr.WordBytes; i < words; i++ {
 		fold(h.words[i])
 	}
 	return hash
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Snapshot copies the heap section's allocated contents and allocation

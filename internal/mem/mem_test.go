@@ -13,14 +13,14 @@ func TestAllocReservesNilPage(t *testing.T) {
 	if g.IsNil() {
 		t.Fatal("first allocation must not be nil")
 	}
-	if g.Off() < gaddr.PageBytes {
-		t.Fatalf("first allocation %v lands in the reserved page", g)
+	if g.Off() < nilReserve {
+		t.Fatalf("first allocation %v lands in the nil reserve", g)
 	}
 }
 
 func TestAllocAlignmentAndDisjointness(t *testing.T) {
 	h := NewHeap(2, 1<<16)
-	var prevEnd uint32 = gaddr.PageBytes
+	var prevEnd uint32 = nilReserve
 	for i, n := range []uint32{1, 7, 8, 9, 24, 64, 100} {
 		g := h.Alloc(n)
 		if g.Proc() != 2 {

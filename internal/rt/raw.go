@@ -48,11 +48,6 @@ func (r *Runtime) RawStore(g gaddr.GP, off uint32, v uint64) {
 	r.M.Procs[a.Proc()].Heap.StoreWord(a.Off(), v)
 }
 
-// RawLoadPtr reads a global-pointer field without charging anything.
-func (r *Runtime) RawLoadPtr(g gaddr.GP, off uint32) gaddr.GP {
-	return gaddr.GP(r.RawLoad(g, off))
-}
-
 // RawStorePtr writes a global-pointer field without charging anything.
 func (r *Runtime) RawStorePtr(g gaddr.GP, off uint32, v gaddr.GP) {
 	r.RawStore(g, off, uint64(v))

@@ -17,8 +17,10 @@ const censusPath = "testdata/switch_census.golden"
 // TestSwitchCensus pins what the virtual-time order asks of the scheduler
 // and what the scheduler pays for it: per kernel (local knowledge, P=4,
 // scale 1/64, build and kernel phases together) the Sync calls, the picks —
-// times a thread is given control, a property of the order alone — and the
-// coroutine switches they cost. A hub dispatcher makes exactly 2 × picks;
+// times a thread is given control — the coroutine switches they cost, and
+// the operations run as data, with no thread given control (sched_loop.go).
+// Picks and operations follow from the order and from which operations
+// offer themselves (rt.Thread.Offer). A hub dispatcher makes exactly 2 × picks;
 // the resume chain (machine/sched_loop.go) must never make more, and over
 // the ten kernels at most 0.80 of that. A change of order moves syncs and
 // picks (and the battery); a change of the switching discipline moves
@@ -44,13 +46,13 @@ func TestSwitchCensus(t *testing.T) {
 		if !res.Verified() {
 			t.Fatalf("%s: check %#x != %#x", name, res.Check, res.WantCheck)
 		}
-		syncs, picks, switches := rtm.Sched.Census()
+		syncs, picks, switches, ops := rtm.Sched.Census()
 		if switches > 2*picks {
 			t.Errorf("%s: %d switches for %d picks, more than a hub dispatcher's %d", name, switches, picks, 2*picks)
 		}
 		hub += 2 * picks
 		paid += switches
-		lines = append(lines, fmt.Sprintf("%s %d %d %d", name, syncs, picks, switches))
+		lines = append(lines, fmt.Sprintf("%s %d %d %d %d", name, syncs, picks, switches, ops))
 		g.check(t, i, lines[i])
 	}
 	if float64(paid) > 0.80*float64(hub) {

@@ -40,7 +40,7 @@ func Spawn[T any](t *Thread, body func(child *Thread) T) *Future[T] {
 		loc:     t.loc,
 		now:     t.now,
 		arrived: t.now,
-		frames:  []uint64{0},
+		frames:  make([]frame, 1),
 	}
 	child.se = t.rt.Sched.Register(child.now)
 	if tr := t.rt.M.Tracer; tr != nil {
@@ -77,9 +77,7 @@ func (f *Future[T]) Touch(t *Thread) T {
 		f.waiters = append(f.waiters, t.se)
 		t.rt.Sched.Park(t.se)
 	}
-	if f.when > t.now {
-		t.now = f.when
-	}
+	t.now = max(t.now, f.when)
 	if tr := t.rt.M.Tracer; tr != nil {
 		tr.Emit(trace.Event{
 			Kind: trace.EvFutureTouch, T: start, Dur: t.now - start,

@@ -87,7 +87,7 @@ type Site struct {
 
 	// The counters, like reg and traceID below, are plain fields of the
 	// run that uses the site: only the virtual-time-active thread touches
-	// them (deref starts with a sync). A Site value may serve one run
+	// them (an access runs after a sync). A Site value may serve one run
 	// after another, never two at once.
 	reads      int64
 	writes     int64
@@ -308,7 +308,7 @@ func (r *Runtime) Run(start int, f func(t *Thread)) int64 {
 	t := &Thread{
 		rt:     r,
 		loc:    start,
-		frames: []uint64{0},
+		frames: make([]frame, 1),
 	}
 	t.se = r.Sched.Register(0)
 	r.Sched.Main(t.se, func() {

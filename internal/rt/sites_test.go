@@ -47,7 +47,7 @@ func TestSiteRegistrationAndDuplicates(t *testing.T) {
 }
 
 // A nil site panics at the first dereference that names it, before any
-// simulated work: deref reads the site's registration.
+// simulated work: access reads the site's registration.
 func TestNilSitePanics(t *testing.T) {
 	r := New(Config{Procs: 1})
 	defer func() {

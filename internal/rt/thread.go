@@ -31,10 +31,23 @@ type Thread struct {
 	// the [arrived, departure) span as a residency event.
 	arrived int64
 
-	// frames holds, per active rt.Call, the bitmask of processors whose
-	// memories this thread wrote during the call — the refined
-	// local-knowledge rule invalidates exactly those homes on return.
-	frames []uint64
+	// frames holds, per active rt.Call (frames[0]: the body), its processor
+	// and the processors whose memories it wrote, the homes the refined
+	// local-knowledge rule invalidates on return; away counts those not at loc.
+	frames []frame
+	away   int
+
+	// The current operation (RunOp); opVal holds a store's value or a Work
+	// chunk's cycles (opSite workSite), and a load's result.
+	opSite  *Site
+	opAddr  gaddr.GP
+	opVal   uint64
+	opStore bool
+}
+
+type frame struct {
+	home  int
+	wrote uint64
 }
 
 // tid is the thread's logical id in traces: its scheduler sequence number.
@@ -56,18 +69,39 @@ func (t *Thread) Runtime() *Runtime { return t.rt }
 // between chunks instead of waiting out one huge charge.
 const workChunk = 256
 
+var workSite = new(Site) // the opSite of a Work chunk
+
 // Work charges cycles of local computation at the current processor.
 func (t *Thread) Work(cycles int64) {
 	for cycles > 0 {
-		c := cycles
-		if c > workChunk {
-			c = workChunk
+		c := min(cycles, workChunk)
+		t.opSite, t.opVal = workSite, uint64(c)
+		if !t.rt.Sched.SyncOp(t.se, t.now, t) {
+			t.work(c)
 		}
-		t.sync()
-		t.now = t.rt.M.Procs[t.loc].Occupy(t.now, c)
 		cycles -= c
 	}
 }
+
+// Offer says whether the recorded operation may run in place (machine.Op):
+// when it does not migrate and no frame is away, so no return stub — the one
+// simulation effect a body makes without a Sync — can follow it unsynced.
+func (t *Thread) Offer() bool {
+	return t.away == 0 && (t.opSite == workSite || t.opAddr.Proc() == t.loc || t.mech(t.opSite) == Cache)
+}
+
+// RunOp runs the recorded operation at the thread's clock, as the thread
+// itself does when its Sync returns with nobody having run it.
+func (t *Thread) RunOp() int64 {
+	if t.opSite == workSite {
+		t.work(int64(t.opVal))
+	} else {
+		t.opVal = t.access(t.opSite, t.opAddr, t.opStore, t.opVal)
+	}
+	return t.now
+}
+
+func (t *Thread) work(c int64) { t.now = t.rt.M.Procs[t.loc].Occupy(t.now, c) }
 
 // sync blocks until this thread is the globally minimal-clock runnable
 // thread; every simulation operation starts with a sync, which is what
@@ -122,7 +156,7 @@ func (t *Thread) mech(s *Site) Mechanism {
 // caller (write tracking).
 func (t *Thread) noteWrite(q int) {
 	for i := range t.frames {
-		t.frames[i] |= 1 << uint(q)
+		t.frames[i].wrote |= 1 << uint(q)
 	}
 }
 
@@ -172,6 +206,12 @@ func (t *Thread) migrate(dst int, isReturn bool, writtenProcs uint64, site int32
 	}
 	t.loc = dst
 	t.arrived = t.now
+	t.away = 0
+	for _, f := range t.frames[1:] {
+		if f.home != dst {
+			t.away++
+		}
+	}
 }
 
 // MigrateTo explicitly moves the thread (used by programs that pin work to
@@ -205,83 +245,31 @@ func (t *Thread) Finish() {
 // (registers + return address only — no stack frame), and the refined
 // local-knowledge rule invalidates exactly the homes the body wrote.
 func Call[T any](t *Thread, f func() T) T {
-	home := t.loc
-	t.frames = append(t.frames, 0)
+	t.enter()
 	v := f()
-	mask := t.frames[len(t.frames)-1]
-	t.frames = t.frames[:len(t.frames)-1]
-	t.frames[len(t.frames)-1] |= mask
-	if t.loc != home {
-		t.migrate(home, true, mask, -1)
-	}
+	t.leave()
 	return v
 }
 
-// CallVoid is Call for procedures without results. It repeats Call's body
-// instead of wrapping f: the wrapper closure was a measurable allocation
-// on the migrate hot path (every remote dereference under migrate-only
-// runs inside one of these).
+// CallVoid is Call for procedures without results. It does not wrap f:
+// the wrapper closure was a measurable allocation on the migrate hot path
+// (every remote dereference under migrate-only runs inside one of these).
 func CallVoid(t *Thread, f func()) {
-	home := t.loc
-	t.frames = append(t.frames, 0)
+	t.enter()
 	f()
-	mask := t.frames[len(t.frames)-1]
-	t.frames = t.frames[:len(t.frames)-1]
-	t.frames[len(t.frames)-1] |= mask
-	if t.loc != home {
-		t.migrate(home, true, mask, -1)
-	}
+	t.leave()
 }
 
-// deref runs the locality test and, for remote references, applies the
-// site's mechanism. It returns the heap to address with direct loads
-// (after a migration the reference is local) or a cached entry. The
-// cacheRef travels by value — it must not escape to the heap on the
-// per-access path.
-func (t *Thread) deref(s *Site, a gaddr.GP, isWrite bool) (entry cacheRef, direct bool) {
-	if a.IsNil() {
-		panic(fmt.Sprintf("rt: nil pointer dereference at site %q", s.Name))
+func (t *Thread) enter() { t.frames = append(t.frames, frame{home: t.loc}) }
+
+// leave closes the innermost frame (noteWrite gave its writes to the outer
+// ones too); the return stub takes the thread home if the body moved it.
+func (t *Thread) leave() {
+	f := t.frames[len(t.frames)-1]
+	t.frames = t.frames[:len(t.frames)-1]
+	if t.loc != f.home {
+		t.migrate(f.home, true, f.wrote, -1)
 	}
-	t.sync()
-	if s.reg != t.rt {
-		s.reg = t.rt
-		t.rt.registerSite(s)
-		if tr := t.rt.M.Tracer; tr != nil {
-			s.traceID = tr.SiteID(s.Name)
-		} else {
-			s.traceID = -1
-		}
-	}
-	t.chargeHere(t.rt.M.Cost.PtrTest)
-	t.rt.M.Stats.PtrTests++
-	if isWrite {
-		s.writes++
-	} else {
-		s.reads++
-	}
-	m := t.mech(s)
-	if m == Cache {
-		if isWrite {
-			t.rt.M.Stats.CacheableWrites++
-		} else {
-			t.rt.M.Stats.CacheableReads++
-		}
-	}
-	if a.Proc() == t.loc {
-		return cacheRef{}, true
-	}
-	s.remote++
-	if m == Migrate {
-		s.migrations++
-		t.migrate(a.Proc(), false, 0, s.traceID)
-		return cacheRef{}, true
-	}
-	if isWrite {
-		t.rt.M.Stats.RemoteWrites++
-	} else {
-		t.rt.M.Stats.RemoteReads++
-	}
-	return t.cacheAccess(s, a), false
 }
 
 // cacheRef is a resolved cached access: the entry plus the page offset.
@@ -294,22 +282,74 @@ type cacheRef struct {
 // using the site's mechanism for remote references.
 func (t *Thread) LoadWord(s *Site, g gaddr.GP, off uint32) uint64 {
 	a := g.Add(off)
-	ref, direct := t.deref(s, a, false)
-	if direct {
-		return t.rt.M.Procs[a.Proc()].Heap.LoadWord(a.Off())
+	t.opSite, t.opAddr, t.opStore = s, a, false
+	if t.rt.Sched.SyncOp(t.se, t.now, t) {
+		return t.opVal
 	}
-	return t.rt.Caches[t.loc].ReadWord(ref.e, ref.pageOff)
+	return t.access(s, a, false, 0)
 }
 
 // StoreWord writes the word at byte offset off of object g. Cached remote
 // writes are write-through; every heap write is tracked for coherence.
 func (t *Thread) StoreWord(s *Site, g gaddr.GP, off uint32, v uint64) {
 	a := g.Add(off)
-	ref, direct := t.deref(s, a, true)
+	t.opSite, t.opAddr, t.opVal, t.opStore = s, a, v, true
+	if !t.rt.Sched.SyncOp(t.se, t.now, t) {
+		t.access(s, a, true, v)
+	}
+}
+
+// access is a load or store operation past its sync: the locality test,
+// the site's mechanism for a remote reference — after a migration the
+// reference is local — and then the read, which it returns, or the write.
+// The cacheRef travels by value: it must not escape to the heap on the
+// per-access path.
+func (t *Thread) access(s *Site, a gaddr.GP, store bool, v uint64) uint64 {
+	if a.IsNil() {
+		panic(fmt.Sprintf("rt: nil pointer dereference at site %q", s.Name))
+	}
+	if s.reg != t.rt {
+		s.reg = t.rt
+		t.rt.registerSite(s)
+		if tr := t.rt.M.Tracer; tr != nil {
+			s.traceID = tr.SiteID(s.Name)
+		} else {
+			s.traceID = -1
+		}
+	}
+	t.chargeHere(t.rt.M.Cost.PtrTest)
+	st := &t.rt.M.Stats
+	st.PtrTests++
+	uses, cacheable, remote := &s.reads, &st.CacheableReads, &st.RemoteReads
+	if store {
+		uses, cacheable, remote = &s.writes, &st.CacheableWrites, &st.RemoteWrites
+	}
+	*uses++
+	m := t.mech(s)
+	if m == Cache {
+		*cacheable++
+	}
+	var ref cacheRef
+	direct := a.Proc() == t.loc
+	if !direct {
+		s.remote++
+		if direct = m == Migrate; direct {
+			s.migrations++
+			t.migrate(a.Proc(), false, 0, s.traceID)
+		} else {
+			*remote++
+			ref = t.cacheAccess(s, a)
+		}
+	}
 	home := t.rt.M.Procs[a.Proc()]
-	if direct {
+	switch {
+	case !store && direct:
+		return home.Heap.LoadWord(a.Off())
+	case !store:
+		return t.rt.Caches[t.loc].ReadWord(ref.e, ref.pageOff)
+	case direct:
 		home.Heap.StoreWord(a.Off(), v)
-	} else {
+	default:
 		// Update the local copy and write through to the home. The
 		// thread does not wait for the write-through to complete
 		// (write-buffer semantics), but the home is occupied by it.
@@ -323,6 +363,7 @@ func (t *Thread) StoreWord(s *Site, g gaddr.GP, off uint32, v uint64) {
 	}
 	t.rt.dirty[t.loc].Add(a)
 	t.noteWrite(a.Proc())
+	return v
 }
 
 // Typed accessors. Heap words hold either a packed global pointer (low 32

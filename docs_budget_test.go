@@ -9,7 +9,7 @@ import (
 // item 8 ratchets it down toward 70 KB: a change that grows the two files
 // past it condenses something else first, and a change that shrinks them
 // lowers it.
-const docsBudget = 126973
+const docsBudget = 126934
 
 func TestDocsBudget(t *testing.T) {
 	var n int64

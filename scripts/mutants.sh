@@ -4,16 +4,16 @@
 #   scripts/mutants.sh [ref=HEAD]
 #
 # Each testdata/mutants/*.patch is a small unified diff that breaks the code
-# on purpose, headed by one line naming the test that must catch it:
+# on purpose, headed by one or more lines naming the tests that must catch it:
 #
 #   kill: <package> <TestName>
 #
 # The tree at <ref> is exported with git archive into a directory under
 # $TMPDIR (nothing is added to this repository's .git). For every patch:
-# the named test must run and pass on the clean tree; the patch must
-# apply; with it applied, the test must fail by name (a build failure is
-# an error, not a kill); then the patch is reversed. A mutant whose test passes survives,
-# and the survivors must be exactly testdata/mutants/survivors.golden (one
+# each named test must run and pass on the clean tree; the patch must
+# apply; with it applied, each test must fail by name (a build failure is
+# an error, not a kill); then the patch is reversed. A mutant that one of its tests
+# passes survives, and the survivors must be exactly testdata/mutants/survivors.golden (one
 # patch name per line), so a new survivor fails the run and so does a
 # listed one that is now killed. Exit status is non-zero on any of these.
 set -euo pipefail
@@ -46,16 +46,27 @@ BAD=0
 : >"$WORK/survivors"
 for p in "${patches[@]}"; do
   name=$(basename "$p" .patch)
-  read -r pkg test < <(sed -n 's/^kill: *//p' "$p" | head -1) || true
-  if [ -z "${pkg:-}" ] || [ -z "${test:-}" ]; then
+  mapfile -t kills < <(sed -n 's/^kill: *//p' "$p")
+  if [ ${#kills[@]} -eq 0 ]; then
     echo "mutants: $name: no 'kill: <package> <TestName>' line" >&2
     BAD=1
     continue
   fi
-  run=(go test -count=1 -v -run "^${test}\$" "$pkg")
-  if ! out=$("${run[@]}" 2>&1) || ! grep -q -- "--- PASS: ${test}\b" <<<"$out"; then
-    echo "mutants: $name: $test does not pass on the clean tree" >&2
-    printf '%s\n' "$out" | tail -20 >&2
+  clean=1
+  for k in "${kills[@]}"; do
+    read -r pkg test <<<"$k"
+    if [ -z "${test:-}" ]; then
+      echo "mutants: $name: malformed line 'kill: $k'" >&2
+      clean=0
+      continue
+    fi
+    if ! out=$(go test -count=1 -v -run "^${test}\$" "$pkg" 2>&1) || ! grep -q -- "--- PASS: ${test}\b" <<<"$out"; then
+      echo "mutants: $name: $test does not pass on the clean tree" >&2
+      printf '%s\n' "$out" | tail -20 >&2
+      clean=0
+    fi
+  done
+  if [ "$clean" -eq 0 ]; then
     BAD=1
     continue
   fi
@@ -66,18 +77,25 @@ for p in "${patches[@]}"; do
     continue
   fi
   git apply "$p"
-  rc=0
-  out=$("${run[@]}" 2>&1) || rc=$?
+  survived=0
+  for k in "${kills[@]}"; do
+    read -r pkg test <<<"$k"
+    rc=0
+    out=$(go test -count=1 -v -run "^${test}\$" "$pkg" 2>&1) || rc=$?
+    if [ "$rc" -eq 0 ]; then
+      echo "mutants: $name: SURVIVED $test ($pkg)"
+      survived=1
+    elif grep -q -- "--- FAIL: ${test}\b" <<<"$out"; then
+      echo "mutants: $name: killed by $test"
+    else
+      echo "mutants: $name: $test did not run to a verdict (exit $rc)" >&2
+      printf '%s\n' "$out" | tail -20 >&2
+      BAD=1
+    fi
+  done
   git apply -R "$p"
-  if [ "$rc" -eq 0 ]; then
-    echo "mutants: $name: SURVIVED $test ($pkg)"
+  if [ "$survived" -eq 1 ]; then
     echo "$name" >>"$WORK/survivors"
-  elif grep -q -- "--- FAIL: ${test}\b" <<<"$out"; then
-    echo "mutants: $name: killed by $test"
-  else
-    echo "mutants: $name: $test did not run to a verdict (exit $rc)" >&2
-    printf '%s\n' "$out" | tail -20 >&2
-    BAD=1
   fi
 done
 

@@ -19,8 +19,8 @@ const censusPath = "testdata/switch_census.golden"
 // scale 1/64, build and kernel phases together) the Sync calls, the picks —
 // times a thread is given control — the coroutine switches they cost, and
 // the operations run as data, with no thread given control (sched_loop.go).
-// Picks and operations follow from the order and from which operations
-// offer themselves (rt.Thread.Offer). A hub dispatcher makes exactly 2 × picks;
+// Picks and operations follow from the order alone: every load, store and
+// Work chunk a waiting thread publishes runs as data. A hub dispatcher makes exactly 2 × picks;
 // the resume chain (machine/sched_loop.go) must never make more, and over
 // the ten kernels at most 0.80 of that. A change of order moves syncs and
 // picks (and the battery); a change of the switching discipline moves

@@ -16,7 +16,8 @@ import (
 // tablesParentPath holds what the live text tables printed in the last
 // commit that had them: bench.Table2([]int{1,4}, 64, local),
 // bench.Table3(4, 64) and bench.Curve("treeadd", []int{1,4}, 64, local).
-// It is that code's verdict and is never regenerated.
+// It is that code's verdict and is never regenerated; a re-pin that moves a
+// printed cell edits that cell by hand, in the re-pin commit.
 const tablesParentPath = "testdata/tables_parent.golden"
 
 var numberRE = regexp.MustCompile(`^-?\d+(\.\d+)?$`)

@@ -29,12 +29,10 @@ type SchedEntry struct {
 	yield func(struct{}) bool
 }
 
-// Op is a thread's next step when it may need no stack of its own (a load,
-// a store, a Work chunk). Offer, asked when the thread's Sync hands off,
-// says whether it may run in place; RunOp performs it at the entry's clock,
-// instead of a switch to the thread, and returns the clock after it.
+// Op is a thread's next step when it needs no stack of its own (a load, a
+// store, a Work chunk). RunOp performs it at the entry's clock, instead of a
+// switch to the thread, and returns the clock after it.
 type Op interface {
-	Offer() bool
 	RunOp() int64
 }
 

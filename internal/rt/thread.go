@@ -33,9 +33,8 @@ type Thread struct {
 
 	// frames holds, per active rt.Call (frames[0]: the body), its processor
 	// and the processors whose memories it wrote, the homes the refined
-	// local-knowledge rule invalidates on return; away counts those not at loc.
+	// local-knowledge rule invalidates on return.
 	frames []frame
-	away   int
 
 	// The current operation (RunOp); opVal holds a store's value or a Work
 	// chunk's cycles (opSite workSite), and a load's result.
@@ -81,13 +80,6 @@ func (t *Thread) Work(cycles int64) {
 		}
 		cycles -= c
 	}
-}
-
-// Offer says whether the recorded operation may run in place (machine.Op):
-// when it does not migrate and no frame is away, so no return stub — the one
-// simulation effect a body makes without a Sync — can follow it unsynced.
-func (t *Thread) Offer() bool {
-	return t.away == 0 && (t.opSite == workSite || t.opAddr.Proc() == t.loc || t.mech(t.opSite) == Cache)
 }
 
 // RunOp runs the recorded operation at the thread's clock, as the thread
@@ -206,12 +198,6 @@ func (t *Thread) migrate(dst int, isReturn bool, writtenProcs uint64, site int32
 	}
 	t.loc = dst
 	t.arrived = t.now
-	t.away = 0
-	for _, f := range t.frames[1:] {
-		if f.home != dst {
-			t.away++
-		}
-	}
 }
 
 // MigrateTo explicitly moves the thread (used by programs that pin work to
@@ -245,9 +231,9 @@ func (t *Thread) Finish() {
 // (registers + return address only — no stack frame), and the refined
 // local-knowledge rule invalidates exactly the homes the body wrote.
 func Call[T any](t *Thread, f func() T) T {
-	t.enter()
+	n := t.enter()
 	v := f()
-	t.leave()
+	t.leave(n)
 	return v
 }
 
@@ -255,21 +241,33 @@ func Call[T any](t *Thread, f func() T) T {
 // the wrapper closure was a measurable allocation on the migrate hot path
 // (every remote dereference under migrate-only runs inside one of these).
 func CallVoid(t *Thread, f func()) {
-	t.enter()
+	n := t.enter()
 	f()
-	t.leave()
+	t.leave(n)
 }
 
-func (t *Thread) enter() { t.frames = append(t.frames, frame{home: t.loc}) }
+// enter opens a frame at the thread's processor and returns its index.
+func (t *Thread) enter() int {
+	t.frames = append(t.frames, frame{home: t.loc})
+	return len(t.frames) - 1
+}
 
-// leave closes the innermost frame (noteWrite gave its writes to the outer
-// ones too); the return stub takes the thread home if the body moved it.
-func (t *Thread) leave() {
-	f := t.frames[len(t.frames)-1]
-	t.frames = t.frames[:len(t.frames)-1]
-	if t.loc != f.home {
-		t.migrate(f.home, true, f.wrote, -1)
+// leave closes frame n, the innermost (noteWrite gave its writes to the
+// outer ones too); the return stub takes the thread home if the body moved
+// it. The stub is out of line so that leave inlines into every Call.
+func (t *Thread) leave(n int) {
+	if t.frames[n].home != t.loc {
+		t.returnStub(n)
 	}
+	t.frames = t.frames[:n]
+}
+
+// returnStub migrates the thread back to frame n's processor. Like every
+// simulation effect it starts with a sync, so it runs at the thread's turn.
+func (t *Thread) returnStub(n int) {
+	f := t.frames[n]
+	t.sync()
+	t.migrate(f.home, true, f.wrote, -1)
 }
 
 // cacheRef is a resolved cached access: the entry plus the page offset.

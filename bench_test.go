@@ -192,7 +192,8 @@ func BenchmarkAblationCostRatio(b *testing.B) {
 
 // runList traverses a blocked list under the given cost model.
 func runList(cost machine.Cost, n, p int, mech olden.Mechanism) int64 {
-	r := rt.New(rt.Config{Procs: p, Cost: cost})
+	r := rt.New(rt.Config{Procs: p})
+	r.M.Cost = cost
 	nodes := make([]olden.GP, n)
 	for j := range nodes {
 		nodes[j] = r.RawAlloc(bench.BlockedProc(j, n, p), 16)

@@ -62,7 +62,7 @@ func main() {
 			}
 		})
 
-		s := r.M.Stats.Snapshot()
+		s := r.M.Stats
 		fmt.Printf("%-9s: makespan %9d cycles, remote reads %7d, misses %6d (%.1f%%), invalidation msgs %d, stamp checks %d\n",
 			scheme, cycles, s.RemoteReads, s.Misses, s.MissPct(), s.Invalidations, s.StampChecks)
 	}

@@ -56,7 +56,7 @@ func main() {
 					t.Work(10)
 				}
 			})
-			s := r.M.Stats.Snapshot()
+			s := r.M.Stats
 			fmt.Printf("%-8s %-9s %11d %12d %14d\n",
 				name, mech, s.Migrations, s.RemoteReads+s.RemoteWrites, cycles)
 		}

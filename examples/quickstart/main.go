@@ -81,7 +81,7 @@ func main() {
 		fmt.Printf("parallel sum:   %d across %d futures\n", total, procs)
 	})
 
-	s := r.M.Stats.Snapshot()
+	s := r.M.Stats
 	fmt.Printf("\nsimulated makespan: %d cycles\n", makespan)
 	fmt.Printf("migrations: %d, cache misses: %d, pointer tests: %d\n",
 		s.Migrations, s.Misses, s.PtrTests)

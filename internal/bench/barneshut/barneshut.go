@@ -339,7 +339,7 @@ func Run(cfg bench.Config) bench.Result {
 		Name:      "barneshut",
 		Procs:     r.P(),
 		Cycles:    cycles,
-		Stats:     r.M.Stats.Snapshot(),
+		Stats:     r.M.Stats,
 		Pages:     r.PagesCachedTotal(),
 		Check:     h,
 		WantCheck: reference(n, steps),

@@ -327,7 +327,7 @@ func kernelPhase(cfg bench.Config, r *rt.Runtime, st any) bench.Result {
 		Name:      "bisort",
 		Procs:     r.P(),
 		Cycles:    cycles,
-		Stats:     r.M.Stats.Snapshot(),
+		Stats:     r.M.Stats,
 		Pages:     r.PagesCachedTotal(),
 		Check:     check,
 		WantCheck: b.want,

@@ -7,8 +7,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/coherence"
 	"repro/internal/rt"
-
-	_ "repro/internal/bench/all"
 )
 
 // TestCatalogMatchesRegistry pins the catalog to the live registry and the

@@ -12,8 +12,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/rt"
 	"repro/internal/trace"
-
-	_ "repro/internal/bench/all"
 )
 
 // TestConcurrentRunsIsolated guards the per-job-isolation assumption
@@ -113,7 +111,7 @@ func runFinished(info bench.Info, cfg bench.Config) finishedRun {
 // statistics, clocks, page counts, per-site counters and heaps.
 func (f finishedRun) view() string {
 	return fmt.Sprint(f.reg.Snapshot().Flat(), f.tr.Digest(), f.tr.Len(),
-		f.rtm.M.Stats.Snapshot(), f.rtm.M.Makespan(), f.rtm.M.TotalBusy(),
+		f.rtm.M.Stats, f.rtm.M.Makespan(), f.rtm.M.TotalBusy(),
 		f.rtm.PagesCachedTotal(), f.rtm.SiteStats(), f.rtm.HeapFingerprint())
 }
 

@@ -3,62 +3,40 @@ package bench_test
 import (
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/coherence"
-	"repro/internal/trace"
-
-	_ "repro/internal/bench/all"
 )
 
-// schemes enumerates the three coherence schemes of Appendix A by the
-// names the CLI uses.
-var schemes = []struct {
-	name string
-	kind coherence.Kind
-}{
-	{"local", coherence.LocalKnowledge},
-	{"global", coherence.GlobalKnowledge},
-	{"bilateral", coherence.Bilateral},
-}
+// schemes is the three coherence schemes of Appendix A; each prints as the
+// CLI names it.
+var schemes = coherence.Kinds()
 
-// tracedRun executes one benchmark with the recorder attached and returns
-// the trace digest alongside the result.
-func tracedRun(t *testing.T, name string, procs int, kind coherence.Kind) (trace.Digest, bench.Result) {
-	t.Helper()
-	info, ok := bench.Get(name)
-	if !ok {
-		t.Fatalf("benchmark %q not registered", name)
-	}
-	rec := trace.New(0)
-	res := info.Run(bench.Config{Procs: procs, Scheme: kind, Trace: rec})
-	if !res.Verified() {
-		t.Fatalf("%s failed verification: %#x != %#x", name, res.Check, res.WantCheck)
-	}
-	return rec.Digest(), res
-}
-
-// TestDeterministicReplay runs treeadd and em3d twice at P=4 under each
-// coherence scheme and requires byte-identical trace digests and
-// statistics. Any divergence means the simulation picked up a real-time
-// dependence — goroutine scheduling, map iteration order — that the
-// virtual-time scheduler is supposed to exclude.
+// TestDeterministicReplay runs treeadd and em3d at P=4 under each
+// coherence scheme a second time beside their shared (pinned) run and
+// requires byte-identical trace digests and statistics. Any divergence
+// means the simulation picked up a real-time dependence — goroutine
+// scheduling, map iteration order — that the virtual-time scheduler is
+// supposed to exclude.
 func TestDeterministicReplay(t *testing.T) {
 	for _, name := range []string{"treeadd", "em3d"} {
 		for _, s := range schemes {
-			t.Run(name+"/"+s.name, func(t *testing.T) {
-				d1, r1 := tracedRun(t, name, 4, s.kind)
-				d2, r2 := tracedRun(t, name, 4, s.kind)
-				if d1 != d2 {
+			t.Run(name+"/"+s.String(), func(t *testing.T) {
+				cfg := pinConfig(s)
+				r1 := shared(t, name, cfg)
+				r2 := execute(name, cfg, nil)
+				if r2.fault != "" || !r2.res.Verified() {
+					t.Fatalf("%s failed verification: %#x != %#x %s", name, r2.res.Check, r2.res.WantCheck, r2.fault)
+				}
+				if d1, d2 := r1.rec.TraceDigest, r2.rec.TraceDigest; d1 != d2 {
 					t.Errorf("trace digest diverged between identical runs:\n  run 1: %s\n  run 2: %s", d1, d2)
 				}
-				if r1.Stats != r2.Stats {
-					t.Errorf("statistics diverged between identical runs:\n  run 1: %+v\n  run 2: %+v", r1.Stats, r2.Stats)
+				if r1.res.Stats != r2.res.Stats {
+					t.Errorf("statistics diverged between identical runs:\n  run 1: %+v\n  run 2: %+v", r1.res.Stats, r2.res.Stats)
 				}
-				if r1.Cycles != r2.Cycles {
-					t.Errorf("makespan diverged: %d vs %d cycles", r1.Cycles, r2.Cycles)
+				if r1.res.Cycles != r2.res.Cycles {
+					t.Errorf("makespan diverged: %d vs %d cycles", r1.res.Cycles, r2.res.Cycles)
 				}
-				if r1.Check != r2.Check {
-					t.Errorf("checksum diverged: %#x vs %#x", r1.Check, r2.Check)
+				if r1.res.Check != r2.res.Check {
+					t.Errorf("checksum diverged: %#x vs %#x", r1.res.Check, r2.res.Check)
 				}
 			})
 		}

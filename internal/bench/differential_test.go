@@ -5,9 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/rt"
-
-	_ "repro/internal/bench/all"
 )
 
 // TestCoherenceDifferential runs bisort and perimeter under all three
@@ -20,41 +17,16 @@ func TestCoherenceDifferential(t *testing.T) {
 	for _, name := range []string{"bisort", "perimeter"} {
 		for _, procs := range []int{2, 8} {
 			t.Run(fmt.Sprintf("%s/P%d", name, procs), func(t *testing.T) {
-				info, ok := bench.Get(name)
-				if !ok {
-					t.Fatalf("benchmark %q not registered", name)
-				}
-				type outcome struct {
-					scheme string
-					check  uint64
-					heap   uint64
-				}
-				var ref *outcome
-				for _, s := range schemes {
-					var rtm *rt.Runtime
-					res := info.Run(bench.Config{
-						Procs:       procs,
-						Scheme:      s.kind,
-						RuntimeHook: func(r *rt.Runtime) { rtm = r },
-					})
-					if !res.Verified() {
-						t.Fatalf("%s under %s: check %#x != %#x", name, s.name, res.Check, res.WantCheck)
-					}
-					if rtm == nil {
-						t.Fatalf("%s under %s: RuntimeHook never ran", name, s.name)
-					}
-					o := outcome{scheme: s.name, check: res.Check, heap: rtm.HeapFingerprint()}
-					if ref == nil {
-						ref = &o
-						continue
-					}
-					if o.check != ref.check {
+				ref := shared(t, name, bench.Config{Procs: procs, Scheme: schemes[0]})
+				for _, s := range schemes[1:] {
+					o := shared(t, name, bench.Config{Procs: procs, Scheme: s})
+					if o.res.Check != ref.res.Check {
 						t.Errorf("program result differs between schemes %s and %s: %#x vs %#x",
-							ref.scheme, o.scheme, ref.check, o.check)
+							schemes[0], s, ref.res.Check, o.res.Check)
 					}
 					if o.heap != ref.heap {
 						t.Errorf("final heap contents differ between schemes %s and %s: %016x vs %016x",
-							ref.scheme, o.scheme, ref.heap, o.heap)
+							schemes[0], s, ref.heap, o.heap)
 					}
 				}
 			})

@@ -334,7 +334,7 @@ func kernelPhase(cfg bench.Config, r *rt.Runtime, st any) bench.Result {
 		Name:      "em3d",
 		Procs:     r.P(),
 		Cycles:    r.M.Makespan(),
-		Stats:     r.M.Stats.Snapshot(),
+		Stats:     r.M.Stats,
 		Pages:     r.PagesCachedTotal(),
 		Check:     checksum(final),
 		WantCheck: b.want,

@@ -364,7 +364,7 @@ func Run(cfg bench.Config) bench.Result {
 		Name:      "health",
 		Procs:     r.P(),
 		Cycles:    cycles,
-		Stats:     r.M.Stats.Snapshot(),
+		Stats:     r.M.Stats,
 		Pages:     r.PagesCachedTotal(),
 		Check:     check,
 		WantCheck: reference(levels, r.P()),

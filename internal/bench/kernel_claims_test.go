@@ -109,17 +109,23 @@ type schemeObs struct {
 	scheme       string
 	check        uint64
 	kernelAccess trace.Digest // trace.AccessDigest of the timed region
-	buildHeap    uint64       // heap fingerprint of the build alone (buildFingerprint)
+	buildHeap    uint64       // heap fingerprint of the build alone (observe)
 }
 
-// buildFingerprint runs only the benchmark's build, under cfg's machine
-// size, scale and scheme on a fresh runtime, and fingerprints the heap it
-// leaves: what the phase cache would share. No kernel runs.
-func buildFingerprint(info bench.Info, cfg bench.Config) uint64 {
-	c := bench.Config{Procs: cfg.Procs, Scheme: cfg.Scheme, Scale: cfg.Scale}
-	r := c.NewRuntime()
-	info.Phased.Build(c, r)
-	return r.HeapFingerprint()
+// observe is what run r of name under cfg exposes to the cross-scheme
+// claims. A shared build is fingerprinted by running only the build once
+// more, under cfg's machine size, scale and scheme on a fresh runtime: the
+// heap the phase cache would share. No kernel runs.
+func observe(name, scheme string, cfg bench.Config, r *run, sharedBuild bool) schemeObs {
+	o := schemeObs{scheme: scheme, check: r.res.Check, kernelAccess: r.access}
+	if sharedBuild {
+		info, _ := bench.Get(name)
+		c := bench.Config{Procs: cfg.Procs, Scheme: cfg.Scheme, Scale: cfg.Scale}
+		b := c.NewRuntime()
+		info.Phased.Build(c, b)
+		o.buildHeap = b.HeapFingerprint()
+	}
+	return o
 }
 
 // crossSchemeFindings checks one kernel's claims over its runs at one
@@ -283,8 +289,8 @@ func TestCertifiedKernelsSchemeInvariant(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			var obs []schemeObs
-			for i := range schemes {
-				obs = append(obs, pinnedRun(t, name, i).obs)
+			for _, s := range schemes {
+				obs = append(obs, observe(name, s.String(), pinConfig(s), shared(t, name, pinConfig(s)), claims.sharedBuild))
 			}
 			if obs[0].kernelAccess.Events == 0 {
 				t.Fatalf("%s: empty access digest", name)
@@ -300,9 +306,8 @@ func TestCertifiedKernelsSchemeInvariant(t *testing.T) {
 // pinned scale: bisort genuinely caches, so its access digests must differ
 // across schemes.
 func TestUncertifiedKernelDigestsDiffer(t *testing.T) {
-	a := pinnedRun(t, "bisort", 0).obs
-	b := pinnedRun(t, "bisort", 1).obs
-	if a.kernelAccess == b.kernelAccess {
-		t.Errorf("bisort access digests agree across schemes; projection too coarse:\n%s", a.kernelAccess)
+	a := shared(t, "bisort", pinConfig(schemes[0])).access
+	if a == shared(t, "bisort", pinConfig(schemes[1])).access {
+		t.Errorf("bisort access digests agree across schemes; projection too coarse:\n%s", a)
 	}
 }

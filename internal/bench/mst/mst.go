@@ -235,7 +235,7 @@ func kernelPhase(cfg bench.Config, r *rt.Runtime, st any) bench.Result {
 		Name:      "mst",
 		Procs:     r.P(),
 		Cycles:    r.M.Makespan(),
-		Stats:     r.M.Stats.Snapshot(),
+		Stats:     r.M.Stats,
 		Pages:     r.PagesCachedTotal(),
 		Check:     uint64(total),
 		WantCheck: b.want,

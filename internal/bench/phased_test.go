@@ -12,8 +12,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/rt"
 	"repro/internal/trace"
-
-	_ "repro/internal/bench/all"
 )
 
 // The phased contract: skipping the build by restoring its heap image
@@ -38,9 +36,9 @@ func TestRunPhasedReuseMatchesColdRun(t *testing.T) {
 			for i, k := range []coherence.Kind{
 				coherence.LocalKnowledge, coherence.GlobalKnowledge, coherence.Bilateral,
 			} {
-				cold := runOnce(t, info, k, rt.Heuristic, nil)
+				cold, _ := runOnce(t, info, k, rt.Heuristic, nil)
 				var warm obs
-				warm, bs = runOnce2(t, info, k, rt.Heuristic, bs)
+				warm, bs = runOnce(t, info, k, rt.Heuristic, bs)
 				if i > 0 && !warm.reused {
 					t.Fatalf("%s under %s did not reuse the build state", name, k)
 				}
@@ -57,7 +55,7 @@ func TestRunPhasedReuseMatchesColdRun(t *testing.T) {
 				}
 			}
 			// The migrate-only mode must reuse the same build state too.
-			warm, _ := runOnce2(t, info, coherence.LocalKnowledge, rt.MigrateOnly, bs)
+			warm, _ := runOnce(t, info, coherence.LocalKnowledge, rt.MigrateOnly, bs)
 			if !warm.reused || !warm.res.Verified() {
 				t.Fatalf("%s migrate-only reuse: reused=%t verified=%t",
 					name, warm.reused, warm.res.Verified())
@@ -73,12 +71,7 @@ type obs struct {
 	reused       bool
 }
 
-func runOnce(t *testing.T, info bench.Info, k coherence.Kind, mode rt.Mode, bs *bench.BuildState) obs {
-	o, _ := runOnce2(t, info, k, mode, bs)
-	return o
-}
-
-func runOnce2(t *testing.T, info bench.Info, k coherence.Kind, mode rt.Mode, bs *bench.BuildState) (obs, *bench.BuildState) {
+func runOnce(t *testing.T, info bench.Info, k coherence.Kind, mode rt.Mode, bs *bench.BuildState) (obs, *bench.BuildState) {
 	t.Helper()
 	rec := trace.New(0)
 	var rtm *rt.Runtime

@@ -11,7 +11,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/bench/record"
-	"repro/internal/trace"
+	"repro/internal/coherence"
 )
 
 // pinProcs and pinScale are the machine size and problem scale of the
@@ -24,43 +24,9 @@ const pinProcs, pinScale = 4, 16
 // kernels whose phase plan certifies (kernel_claims_test.go).
 var pinKernels = []string{"treeadd", "power", "mst", "bisort", "em3d"}
 
-// pinRun is one re-run pinned configuration: its record and what the
-// cross-scheme claims compare.
-type pinRun struct {
-	rec record.RunRecord
-	obs schemeObs
-}
-
-// pinRuns holds every pinned configuration run so far, so each runs once
-// per test binary whichever tests ask for it. The tests that read it are
-// not parallel.
-var pinRuns = map[string]pinRun{}
-
-// pinnedRun runs name at P=4, scale 16 under schemes[scheme] through
-// bench.RunRecorded, with a recorder of its own for the access digest, or
-// returns that run if a test already made it.
-func pinnedRun(t *testing.T, name string, scheme int) pinRun {
-	t.Helper()
-	key := name + " " + schemes[scheme].name
-	if r, ok := pinRuns[key]; ok {
-		return r
-	}
-	info, ok := bench.Get(name)
-	if !ok {
-		t.Fatalf("benchmark %q not registered", name)
-	}
-	rec := trace.New(0)
-	cfg := bench.Config{Procs: pinProcs, Scale: pinScale, Scheme: schemes[scheme].kind, Trace: rec}
-	res, r := bench.RunRecorded(info, cfg)
-	if !res.Verified() {
-		t.Fatalf("%s under %s failed verification", name, schemes[scheme].name)
-	}
-	run := pinRun{rec: r, obs: schemeObs{scheme: schemes[scheme].name, check: res.Check, kernelAccess: rec.AccessDigest()}}
-	if info.Phased != nil {
-		run.obs.buildHeap = buildFingerprint(info, cfg)
-	}
-	pinRuns[key] = run
-	return run
+// pinConfig is the pinned parallel configuration under scheme.
+func pinConfig(scheme coherence.Kind) bench.Config {
+	return bench.Config{Procs: pinProcs, Scale: pinScale, Scheme: scheme}
 }
 
 // TestPinsReproduce re-runs the pinned P=4 heuristic configurations of
@@ -75,8 +41,8 @@ func TestPinsReproduce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range schemes {
-			got := pinnedRun(t, name, i).rec
+		for _, s := range schemes {
+			got := shared(t, name, pinConfig(s)).rec
 			want, ok := f.Lookup(got.Key())
 			if !ok {
 				t.Errorf("%s has no record %q", record.Filename(name), got.Key())

@@ -253,7 +253,7 @@ func Run(cfg bench.Config) bench.Result {
 		Name:      "power",
 		Procs:     r.P(),
 		Cycles:    cycles,
-		Stats:     r.M.Stats.Snapshot(),
+		Stats:     r.M.Stats,
 		Pages:     r.PagesCachedTotal(),
 		Check:     math.Float64bits(finalDemand) ^ math.Float64bits(finalPrice),
 		WantCheck: reference(sh.feeders, sh.leaves),

@@ -8,8 +8,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/bench/record"
 	"repro/internal/coherence"
-
-	_ "repro/internal/bench/all"
 )
 
 // recScale keeps the recording tests on tiny problems; determinism does

@@ -8,9 +8,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/rt"
-	"repro/internal/trace"
-
-	_ "repro/internal/bench/all"
 )
 
 // batteryScale keeps the 90-run battery fast; TestPinsReproduce re-runs
@@ -38,51 +35,6 @@ const propsPath = "testdata/program_properties.golden"
 var batteryKernels = []string{
 	"treeadd", "power", "tsp", "mst", "bisort",
 	"voronoi", "em3d", "barneshut", "perimeter", "health",
-}
-
-// batteryLine runs one configuration and renders everything the run
-// exposes that a change of execution order could move: the trace digest
-// (event order, content and per-kind counts), the heap fingerprint, the
-// makespan, the checksum and every machine statistic. It checks each
-// executed site's mechanism against the kernel's claims and returns the
-// run's program properties (propsPath) and what the cross-scheme claims
-// compare.
-func batteryLine(t *testing.T, name, scheme string, cfg bench.Config, claims kernelClaims) (string, string, schemeObs) {
-	t.Helper()
-	info, ok := bench.Get(name)
-	if !ok {
-		t.Fatalf("benchmark %q not registered", name)
-	}
-	rec := trace.New(0)
-	var rtm *rt.Runtime
-	cfg.Trace = rec
-	cfg.RuntimeHook = func(r *rt.Runtime) { rtm = r }
-	res := info.Run(cfg)
-	if !res.Verified() {
-		t.Fatalf("%s: check %#x != %#x", name, res.Check, res.WantCheck)
-	}
-	if rtm == nil {
-		t.Fatalf("%s: RuntimeHook never ran", name)
-	}
-	// One quantity, two counters (the caches' and the machine's): they
-	// must stay equal.
-	if res.Pages != res.Stats.PagesCached {
-		t.Errorf("%s: Result.Pages %d != Stats.PagesCached %d", name, res.Pages, res.Stats.PagesCached)
-	}
-	for _, msg := range mechFindings(claims.rep, rtm.SiteStats()) {
-		t.Error(msg)
-	}
-	o := schemeObs{scheme: scheme, check: res.Check, kernelAccess: rec.AccessDigest()}
-	if claims.sharedBuild {
-		o.buildHeap = buildFingerprint(info, cfg)
-	}
-	st := res.Stats
-	props := fmt.Sprintf("%s %s P=%d check=%#x PtrTests=%d Migrations=%d Returns=%d Futures=%d Touches=%d CacheableReads=%d CacheableWrites=%d RemoteReads=%d RemoteWrites=%d",
-		name, scheme, cfg.Procs, res.Check, st.PtrTests, st.Migrations, st.Returns, st.Futures, st.Touches,
-		st.CacheableReads, st.CacheableWrites, st.RemoteReads, st.RemoteWrites)
-	return fmt.Sprintf("%s %s P=%d scale=1/%d %s heap=%016x cycles=%d check=%#x stats=%+v",
-		name, scheme, cfg.Procs, cfg.Scale, rec.Digest(),
-		rtm.HeapFingerprint(), res.Cycles, res.Check, res.Stats), props, o
 }
 
 // TestSchedulerDigestEquivalence is the digest battery gating the
@@ -121,16 +73,33 @@ func TestSchedulerDigestEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	props := strings.Split(strings.TrimRight(string(b), "\n"), "\n")
-	if len(props) != len(batteryKernels)*len(schemes)*3 {
-		t.Errorf("%s has %d lines, the battery runs %d", propsPath, len(props), len(batteryKernels)*len(schemes)*3)
+	lines := make([]string, len(batteryKernels)*len(schemes)*3)
+	if len(props) != len(lines) {
+		t.Errorf("%s has %d lines, the battery runs %d", propsPath, len(props), len(lines))
 	}
-	var lines []string
-	// run adds configuration i's line and checks it and its properties.
-	run := func(t *testing.T, i int, name, label string, cfg bench.Config, claims kernelClaims) schemeObs {
-		var o schemeObs
-		var got string
-		lines[i], got, o = batteryLine(t, name, label, cfg, claims)
+	// line reads configuration i's shared run and renders everything it
+	// exposes that a change of execution order could move: the trace digest
+	// (event order, content and per-kind counts), the heap fingerprint, the
+	// makespan, the checksum and every machine statistic. It checks that
+	// line, the run's program properties and each executed site's mechanism
+	// against the kernel's claims.
+	line := func(t *testing.T, i int, name, label string, cfg bench.Config, claims kernelClaims) *run {
+		r := shared(t, name, cfg)
+		res, st := r.res, r.res.Stats
+		// One quantity, two counters (the caches' and the machine's): they
+		// must stay equal.
+		if res.Pages != st.PagesCached {
+			t.Errorf("%s: Result.Pages %d != Stats.PagesCached %d", name, res.Pages, st.PagesCached)
+		}
+		for _, msg := range mechFindings(claims.rep, r.sites) {
+			t.Error(msg)
+		}
+		lines[i] = fmt.Sprintf("%s %s P=%d scale=1/%d %s heap=%016x cycles=%d check=%#x stats=%+v",
+			name, label, cfg.Procs, cfg.Scale, r.rec.TraceDigest, r.heap, res.Cycles, res.Check, st)
 		g.check(t, i, lines[i])
+		got := fmt.Sprintf("%s %s P=%d check=%#x PtrTests=%d Migrations=%d Returns=%d Futures=%d Touches=%d CacheableReads=%d CacheableWrites=%d RemoteReads=%d RemoteWrites=%d",
+			name, label, cfg.Procs, res.Check, st.PtrTests, st.Migrations, st.Returns, st.Futures, st.Touches,
+			st.CacheableReads, st.CacheableWrites, st.RemoteReads, st.RemoteWrites)
 		want := ""
 		if i < len(props) {
 			want = props[i]
@@ -139,26 +108,35 @@ func TestSchedulerDigestEquivalence(t *testing.T) {
 			t.Errorf("%s line %d moved in %v; a re-pin may move cycles and misses, never a program property:\n  got:  %s\n  want: %s",
 				propsPath, i+1, movedFields(got, want), got, want)
 		}
-		return o
+		return r
 	}
-	claimsOf := map[string]kernelClaims{}
 	procsList := []int{1, 4}
 	for ki, name := range batteryKernels {
 		claims := staticClaims(t, name)
-		claimsOf[name] = claims
 		obs := map[int][]schemeObs{}
 		for si, s := range schemes {
-			for _, procs := range procsList {
-				i := len(lines)
-				lines = append(lines, "")
+			for pi, procs := range procsList {
+				i := (ki*len(schemes)+si)*len(procsList) + pi
 				if raceDetectorEnabled && (procs == 1 || si != ki%len(schemes)) {
 					continue
 				}
-				t.Run(fmt.Sprintf("%s/%s/P%d", name, s.name, procs), func(t *testing.T) {
-					cfg := bench.Config{Procs: procs, Scheme: s.kind, Scale: batteryScale}
-					obs[procs] = append(obs[procs], run(t, i, name, s.name, cfg, claims))
+				t.Run(fmt.Sprintf("%s/%s/P%d", name, s, procs), func(t *testing.T) {
+					cfg := bench.Config{Procs: procs, Scheme: s, Scale: batteryScale}
+					r := line(t, i, name, s.String(), cfg, claims)
+					obs[procs] = append(obs[procs], observe(name, s.String(), cfg, r, claims.sharedBuild))
 				})
 			}
+			// Cache-only at P=4, the last thirty lines: every remote
+			// reference goes through the software cache, so nearly every
+			// operation is a load or store that stays put.
+			i := len(batteryKernels)*len(schemes)*len(procsList) + ki*len(schemes) + si
+			if raceDetectorEnabled && si != (ki+1)%len(schemes) {
+				continue
+			}
+			t.Run(fmt.Sprintf("%s/%s/cache-only/P4", name, s), func(t *testing.T) {
+				cfg := bench.Config{Procs: 4, Scheme: s, Scale: batteryScale, Mode: rt.CacheOnly}
+				line(t, i, name, s.String()+" cache-only", cfg, claims)
+			})
 		}
 		for _, procs := range procsList {
 			if len(obs[procs]) < len(schemes) {
@@ -169,21 +147,6 @@ func TestSchedulerDigestEquivalence(t *testing.T) {
 			for _, msg := range crossSchemeFindings(name, procs, claims, obs[procs]) {
 				t.Error(msg)
 			}
-		}
-	}
-	// Cache-only at P=4: every remote reference goes through the software
-	// cache, so nearly every operation is a load or store that stays put.
-	for ki, name := range batteryKernels {
-		for si, s := range schemes {
-			i := len(lines)
-			lines = append(lines, "")
-			if raceDetectorEnabled && si != (ki+1)%len(schemes) {
-				continue
-			}
-			t.Run(fmt.Sprintf("%s/%s/cache-only/P4", name, s.name), func(t *testing.T) {
-				cfg := bench.Config{Procs: 4, Scheme: s.kind, Scale: batteryScale, Mode: rt.CacheOnly}
-				run(t, i, name, s.name+" cache-only", cfg, claimsOf[name])
-			})
 		}
 	}
 	g.finish(t, lines)

@@ -2,14 +2,10 @@ package bench_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/coherence"
-	"repro/internal/rt"
-
-	_ "repro/internal/bench/all"
 )
 
 const censusPath = "testdata/switch_census.golden"
@@ -26,40 +22,31 @@ const censusPath = "testdata/switch_census.golden"
 // picks (and the battery); a change of the switching discipline moves
 // switches only. Refresh with `make update-goldens`.
 //
-// The runs also must leave no goroutine behind: every coroutine's body
-// ended, whichever thread's Sync had resumed it.
+// The runs, the battery's local P=4 ones, also must leave no goroutine
+// behind: every coroutine's body ended, whichever thread's Sync had
+// resumed it.
 func TestSwitchCensus(t *testing.T) {
-	before := runtime.NumGoroutine()
 	g := openGolden(t, censusPath)
 	var lines []string
 	var hub, paid int64
+	leaked := 0
 	for i, name := range batteryKernels {
-		info, ok := bench.Get(name)
-		if !ok {
-			t.Fatalf("benchmark %q not registered", name)
+		r := shared(t, name, bench.Config{Procs: 4, Scheme: coherence.LocalKnowledge, Scale: batteryScale})
+		c := r.census
+		if c.switches > 2*c.picks {
+			t.Errorf("%s: %d switches for %d picks, more than a hub dispatcher's %d", name, c.switches, c.picks, 2*c.picks)
 		}
-		var rtm *rt.Runtime
-		res := info.Run(bench.Config{
-			Procs: 4, Scheme: coherence.LocalKnowledge, Scale: batteryScale,
-			RuntimeHook: func(r *rt.Runtime) { rtm = r },
-		})
-		if !res.Verified() {
-			t.Fatalf("%s: check %#x != %#x", name, res.Check, res.WantCheck)
-		}
-		syncs, picks, switches, ops := rtm.Sched.Census()
-		if switches > 2*picks {
-			t.Errorf("%s: %d switches for %d picks, more than a hub dispatcher's %d", name, switches, picks, 2*picks)
-		}
-		hub += 2 * picks
-		paid += switches
-		lines = append(lines, fmt.Sprintf("%s %d %d %d %d", name, syncs, picks, switches, ops))
+		hub += 2 * c.picks
+		paid += c.switches
+		leaked += r.leaked
+		lines = append(lines, fmt.Sprintf("%s %d %d %d %d", name, c.syncs, c.picks, c.switches, c.ops))
 		g.check(t, i, lines[i])
 	}
 	if float64(paid) > 0.80*float64(hub) {
 		t.Errorf("%d switches over the ten kernels, %.3f of a hub dispatcher's %d; want at most 0.80", paid, float64(paid)/float64(hub), hub)
 	}
 	g.finish(t, lines)
-	if n := runtime.NumGoroutine(); n != before {
-		t.Errorf("%d goroutines after the ten kernels, %d before them", n, before)
+	if leaked != 0 {
+		t.Errorf("%d goroutines left behind by the ten kernels' runs", leaked)
 	}
 }

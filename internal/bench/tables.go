@@ -70,7 +70,7 @@ func Figure2(n, p int) string {
 					t.Work(10)
 				}
 			})
-			s := r.M.Stats.Snapshot()
+			s := r.M.Stats
 			form := ""
 			switch {
 			case mech == rt.Migrate && lay.name == "blocked":

@@ -82,7 +82,7 @@ func markdownRows(md string) map[string][]string {
 }
 
 // TestTablesPrintParentNumbers renders Table 2, Table 3 and the treeadd
-// curve through the record pipeline — suite, CollectRecords, markdown —
+// curve through the record pipeline — suite, records, markdown —
 // and requires, row by row, that every number the deleted text tables
 // printed appears in the new row, in the same order with the same digits
 // (the new rows interleave the paper's columns).
@@ -92,12 +92,15 @@ func TestTablesPrintParentNumbers(t *testing.T) {
 		// build already drives every kernel through the trimmed battery.
 		t.Skip("short mode or race build")
 	}
+	// collect assembles what bench.CollectRecords would return from the
+	// shared runs: most of the suites' configurations are battery lines.
 	collect := func(names []string, suite []bench.Config) []record.File {
 		var files []record.File
 		for _, name := range names {
-			f, err := bench.CollectRecords(name, suite)
-			if err != nil {
-				t.Fatal(err)
+			info, _ := bench.Get(name)
+			f := record.File{Benchmark: name, Choice: info.Choice, Whole: info.Whole()}
+			for _, cfg := range suite {
+				f.Records = append(f.Records, shared(t, name, cfg).rec)
 			}
 			files = append(files, f)
 		}

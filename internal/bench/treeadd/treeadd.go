@@ -169,7 +169,7 @@ func kernelPhase(cfg bench.Config, r *rt.Runtime, st any) bench.Result {
 		Name:      "treeadd",
 		Procs:     r.P(),
 		Cycles:    r.M.Makespan(),
-		Stats:     r.M.Stats.Snapshot(),
+		Stats:     r.M.Stats,
 		Pages:     r.PagesCachedTotal(),
 		Check:     uint64(sum),
 		WantCheck: uint64(b.nodes * (b.nodes - 1) / 2),

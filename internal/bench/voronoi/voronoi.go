@@ -225,7 +225,7 @@ func kernelPhase(cfg bench.Config, r *rt.Runtime, st any) bench.Result {
 		Name:      "voronoi",
 		Procs:     r.P(),
 		Cycles:    r.M.Makespan(),
-		Stats:     r.M.Stats.Snapshot(),
+		Stats:     r.M.Stats,
 		Pages:     r.PagesCachedTotal(),
 		Check:     checksum(s.st.bind(nil).aliveSafe()),
 		WantCheck: b.want,

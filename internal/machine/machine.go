@@ -72,12 +72,12 @@ type Config struct {
 	// gaddr.MaxOffset (64 MiB), the most a 26-bit offset addresses. A
 	// section's storage grows only as it allocates.
 	HeapBytesPerProc uint32
-	// Cost is the cycle-cost model; the zero value means DefaultCost.
-	Cost Cost
 }
 
 // Machine is the simulated multiprocessor.
 type Machine struct {
+	// Cost is the cycle-cost model: DefaultCost, unless a caller replaces
+	// it before the run starts (bench.Config.RuntimeHook).
 	Cost  Cost
 	Procs []*Proc
 	Stats Stats
@@ -101,10 +101,7 @@ func New(cfg Config) *Machine {
 	if cfg.HeapBytesPerProc == 0 {
 		cfg.HeapBytesPerProc = gaddr.MaxOffset
 	}
-	if cfg.Cost == (Cost{}) {
-		cfg.Cost = DefaultCost()
-	}
-	m := &Machine{Cost: cfg.Cost}
+	m := &Machine{Cost: DefaultCost()}
 	for i := 0; i < cfg.Procs; i++ {
 		m.Procs = append(m.Procs, &Proc{ID: i, Heap: mem.NewHeap(i, cfg.HeapBytesPerProc)})
 	}
@@ -194,9 +191,6 @@ func (m *Machine) BindProcs(reg *metrics.Registry) {
 			p.Busy, metrics.L("proc", strconv.Itoa(p.ID)))
 	}
 }
-
-// Snapshot returns a copy of the counters for reporting.
-func (s *Stats) Snapshot() Stats { return *s }
 
 // RemoteRefs returns the total number of cacheable references to remote
 // addresses (the denominator of Table 3's miss percentages).

@@ -55,21 +55,6 @@ func TestNewValidation(t *testing.T) {
 	New(Config{Procs: 0})
 }
 
-func TestStatsSnapshot(t *testing.T) {
-	s := Stats{CacheableReads: 100, RemoteReads: 20, RemoteWrites: 5, Misses: 10}
-	snap := s.Snapshot()
-	if snap.RemoteRefs() != 25 {
-		t.Fatalf("remote refs = %d", snap.RemoteRefs())
-	}
-	if got := snap.MissPct(); got != 40 {
-		t.Fatalf("miss pct = %v", got)
-	}
-	s.Misses = 0
-	if snap.Misses != 10 {
-		t.Fatal("a snapshot is a copy: later counts must not reach it")
-	}
-}
-
 func TestMissPctZeroDenominator(t *testing.T) {
 	var snap Stats
 	if snap.MissPct() != 0 {

@@ -73,7 +73,7 @@ func TestFigure2Counts(t *testing.T) {
 					t.Errorf("sum = %d; want %d", got, wantSum)
 				}
 			})
-			s := r.M.Stats.Snapshot()
+			s := r.M.Stats
 			if s.Migrations != c.wantMigrations {
 				t.Errorf("migrations = %d; want %d", s.Migrations, c.wantMigrations)
 			}
@@ -128,7 +128,7 @@ func TestDeterminism(t *testing.T) {
 				f.Touch(th)
 			}
 		})
-		return mk, fmt.Sprintf("%+v", r.M.Stats.Snapshot())
+		return mk, fmt.Sprintf("%+v", r.M.Stats)
 	}
 	mk1, st1 := run()
 	for i := 0; i < 5; i++ {

@@ -40,7 +40,7 @@ func TestMetricsRegistryRecordsRun(t *testing.T) {
 
 	// The machine statistics are bound into the registry under olden_*
 	// names and agree with the Stats view.
-	st := r.M.Stats.Snapshot()
+	st := r.M.Stats
 	if sm, ok := snap.Get("olden_cache_misses_total"); !ok || sm.Value != st.Misses {
 		t.Fatalf("olden_cache_misses_total = %+v, want %d", sm, st.Misses)
 	}
@@ -123,7 +123,7 @@ func statsByName(s machine.Stats) map[string]int64 {
 // TestRegistryReadsStats pins the read-through binding: the run bumps plain
 // integers and the registry reads them at snapshot time, so before any
 // run, after one and after a second on the same runtime, the dump carries
-// every Stats field under its name with the value Stats.Snapshot reports,
+// every Stats field under its name with the value r.M.Stats holds,
 // and the per-cache page counts add up to Stats.PagesCached.
 func TestRegistryReadsStats(t *testing.T) {
 	for _, kind := range coherence.Kinds() {
@@ -132,7 +132,7 @@ func TestRegistryReadsStats(t *testing.T) {
 		check := func(when string, wantZero bool) {
 			t.Helper()
 			flat := reg.Snapshot().Flat()
-			st := r.M.Stats.Snapshot()
+			st := r.M.Stats
 			if (st == machine.Stats{}) != wantZero {
 				t.Errorf("%v %s: stats = %+v, want zero: %v", kind, when, st, wantZero)
 			}

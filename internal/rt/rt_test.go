@@ -51,7 +51,7 @@ func TestMigrationOnRemoteAccess(t *testing.T) {
 			t.Errorf("after migration read = %d", v)
 		}
 	})
-	s := r.M.Stats.Snapshot()
+	s := r.M.Stats
 	if s.Migrations != 1 {
 		t.Fatalf("migrations = %d; want 1 (second access is local)", s.Migrations)
 	}
@@ -78,7 +78,7 @@ func TestCachedRemoteReadAndWriteThrough(t *testing.T) {
 			t.Errorf("home copy = %d", v)
 		}
 	})
-	s := r.M.Stats.Snapshot()
+	s := r.M.Stats
 	if s.Migrations != 0 {
 		t.Fatal("caching must not migrate")
 	}
@@ -139,7 +139,7 @@ func TestCallReturnStub(t *testing.T) {
 			t.Errorf("thread at %d after return; want 0", th.Loc())
 		}
 	})
-	s := r.M.Stats.Snapshot()
+	s := r.M.Stats
 	if s.Migrations != 1 || s.Returns != 1 {
 		t.Fatalf("migrations=%d returns=%d", s.Migrations, s.Returns)
 	}

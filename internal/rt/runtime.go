@@ -138,8 +138,6 @@ type Config struct {
 	// HeapBytesPerProc sizes heap sections (0 ⇒ gaddr.MaxOffset, 64 MiB,
 	// the machine default).
 	HeapBytesPerProc uint32
-	// Cost overrides the cycle cost model (zero value ⇒ default).
-	Cost machine.Cost
 	// Trace, when non-nil, records every simulation event (migrations,
 	// cache traffic, coherence protocol actions, thread lifecycle) into
 	// the given recorder. Nil — the default — disables recording; the
@@ -197,7 +195,6 @@ func New(cfg Config) *Runtime {
 	m := machine.New(machine.Config{
 		Procs:            cfg.Procs,
 		HeapBytesPerProc: cfg.HeapBytesPerProc,
-		Cost:             cfg.Cost,
 	})
 	m.Tracer = cfg.Trace
 	m.Metrics = cfg.Metrics

@@ -13,7 +13,7 @@ import (
 // the number `make loc` prints and ROADMAP item 7 tracks: a change that
 // grows the code past it deletes something else first, and a change that
 // shrinks it lowers it.
-const locBudget = 19162
+const locBudget = 19153
 
 func TestLocBudget(t *testing.T) {
 	n := 0

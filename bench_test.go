@@ -1,14 +1,14 @@
-// Package repro_test holds the benchmark harness: one testing.B benchmark
-// per table and figure of the paper, plus ablations of the design choices
-// DESIGN.md calls out. Custom metrics carry the reproduced quantities
-// (speedups, miss rates) alongside Go's wall-clock numbers:
+// Package repro_test holds the ablations of the design choices DESIGN.md
+// calls out, the analysis benchmark and the wall-clock benchmarks, as
+// testing.B benchmarks. Custom metrics carry the simulated quantities
+// (cycles, miss rates) alongside Go's wall-clock numbers:
 //
-//	go test -bench=Table2 -benchmem
-//	BENCH_SCALE=8 go test -bench=. -benchtime=1x
+//	go test -run '^$' -bench=Ablation -benchmem
+//	BENCH_SCALE=8 go test -run '^$' -bench=. -benchtime=1x
 //
-// Problem sizes default to 1/64 of the paper's so the full suite stays
-// fast (BENCH_SCALE divides the paper sizes instead when set to a positive
-// integer); cmd/oldenbench regenerates the tables at any scale.
+// Problem sizes default to 1/64 of the paper's (BENCH_SCALE divides the
+// paper sizes instead when set to a positive integer). The paper's tables
+// and figures are cmd/oldenbench's: it renders them from run records.
 package repro_test
 
 import (
@@ -32,112 +32,8 @@ const benchScale = 64
 // suiteScale is the effective divisor for this process.
 var suiteScale = envScale(benchScale)
 
-// benchProcs is the machine size the Table 2 benchmarks report speedup at.
+// benchProcs is the machine size of the coherence ablation.
 const benchProcs = 8
-
-// BenchmarkTable2 runs every benchmark row: sequential baseline plus the
-// parallel run, reporting speedup and simulated cycles as metrics.
-func BenchmarkTable2(b *testing.B) {
-	for _, name := range bench.Names() {
-		info, _ := bench.Get(name)
-		b.Run(name, func(b *testing.B) {
-			var base, par bench.Result
-			for i := 0; i < b.N; i++ {
-				base = info.Run(bench.Config{Baseline: true, Scale: suiteScale})
-				par = info.Run(bench.Config{Procs: benchProcs, Scale: suiteScale})
-			}
-			if !base.Verified() || !par.Verified() {
-				b.Fatalf("verification failed")
-			}
-			b.ReportMetric(float64(base.Cycles)/float64(par.Cycles), "speedup")
-			b.ReportMetric(float64(par.Cycles), "sim-cycles")
-			b.ReportMetric(float64(par.Stats.Migrations), "migrations")
-		})
-	}
-}
-
-// BenchmarkTable2MigrateOnly reports the migrate-only column for the M+C
-// benchmarks — the paper's headline comparison.
-func BenchmarkTable2MigrateOnly(b *testing.B) {
-	for _, name := range bench.Names() {
-		info, _ := bench.Get(name)
-		if info.Choice != "M+C" {
-			continue
-		}
-		b.Run(name, func(b *testing.B) {
-			var base, mo bench.Result
-			for i := 0; i < b.N; i++ {
-				base = info.Run(bench.Config{Baseline: true, Scale: suiteScale})
-				mo = info.Run(bench.Config{Procs: benchProcs, Scale: suiteScale, Mode: rt.MigrateOnly})
-			}
-			if !base.Verified() || !mo.Verified() {
-				b.Fatal("verification failed")
-			}
-			b.ReportMetric(float64(base.Cycles)/float64(mo.Cycles), "speedup")
-		})
-	}
-}
-
-// BenchmarkTable3 runs the M+C benchmarks under each coherence scheme,
-// reporting the miss percentage of remote references (Table 3's columns).
-func BenchmarkTable3(b *testing.B) {
-	schemes := []coherence.Kind{coherence.LocalKnowledge, coherence.GlobalKnowledge, coherence.Bilateral}
-	for _, name := range bench.Names() {
-		info, _ := bench.Get(name)
-		if info.Choice != "M+C" {
-			continue
-		}
-		for _, scheme := range schemes {
-			b.Run(fmt.Sprintf("%s/%s", name, scheme), func(b *testing.B) {
-				var res bench.Result
-				for i := 0; i < b.N; i++ {
-					res = info.Run(bench.Config{Procs: benchProcs, Scale: suiteScale, Scheme: scheme})
-				}
-				if !res.Verified() {
-					b.Fatal("verification failed")
-				}
-				b.ReportMetric(res.Stats.MissPct(), "miss-pct")
-				b.ReportMetric(float64(res.Pages), "pages-cached")
-				b.ReportMetric(float64(res.Cycles), "sim-cycles")
-			})
-		}
-	}
-}
-
-// BenchmarkFigure2 measures the four layout×mechanism list traversals.
-func BenchmarkFigure2(b *testing.B) {
-	const n, p = 1024, 8
-	layouts := map[string]func(i int) int{
-		"blocked": func(i int) int { return bench.BlockedProc(i, n, p) },
-		"cyclic":  func(i int) int { return bench.CyclicProc(i, p) },
-	}
-	for _, lay := range []string{"blocked", "cyclic"} {
-		for _, mech := range []olden.Mechanism{olden.Migrate, olden.Cache} {
-			b.Run(fmt.Sprintf("%s/%s", lay, mech), func(b *testing.B) {
-				var cycles int64
-				for i := 0; i < b.N; i++ {
-					r := rt.New(rt.Config{Procs: p})
-					nodes := make([]olden.GP, n)
-					for j := range nodes {
-						nodes[j] = r.RawAlloc(layouts[lay](j), 16)
-					}
-					for j := range nodes {
-						if j+1 < n {
-							r.RawStorePtr(nodes[j], 8, nodes[j+1])
-						}
-					}
-					site := &rt.Site{Name: "layout.walk", Mech: mech}
-					cycles = r.Run(0, func(t *rt.Thread) {
-						for g := nodes[0]; !g.IsNil(); g = t.LoadPtr(site, g, 8) {
-							t.Work(10)
-						}
-					})
-				}
-				b.ReportMetric(float64(cycles), "sim-cycles")
-			})
-		}
-	}
-}
 
 // BenchmarkAblationThreshold sweeps the migration threshold and reports how
 // many of the ten benchmark kernels remain migration-only — the knob §4.3

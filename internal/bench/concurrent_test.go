@@ -27,15 +27,16 @@ func TestConcurrentRunsIsolated(t *testing.T) {
 		stats  machine.Stats
 		cycles int64
 		ok     bool
+		fault  string // the run's panic
 	}
-	runOnce := func(name string, kind coherence.Kind) outcome {
-		info, ok := bench.Get(name)
-		if !ok {
-			t.Fatalf("unknown benchmark %q", name)
-		}
-		rec := trace.New(0)
-		res := info.Run(bench.Config{Procs: 4, Scheme: kind, Trace: rec})
-		return outcome{digest: rec.Digest(), stats: res.Stats, cycles: res.Cycles, ok: res.Verified()}
+	runOnce := func(name string, kind coherence.Kind) (o outcome) {
+		info, _ := bench.Get(name)
+		o.fault = recovered(func() {
+			rec := trace.New(0)
+			res := info.Run(bench.Config{Procs: 4, Scheme: kind, Trace: rec})
+			o = outcome{digest: rec.Digest(), stats: res.Stats, cycles: res.Cycles, ok: res.Verified()}
+		})
+		return o
 	}
 
 	configs := []struct {
@@ -51,7 +52,7 @@ func TestConcurrentRunsIsolated(t *testing.T) {
 	for i, c := range configs {
 		golden[i] = runOnce(c.name, c.kind)
 		if !golden[i].ok {
-			t.Fatalf("%s golden run failed verification", c.name)
+			t.Fatalf("%s golden run failed verification %s", c.name, golden[i].fault)
 		}
 	}
 
@@ -71,7 +72,7 @@ func TestConcurrentRunsIsolated(t *testing.T) {
 		wg.Wait()
 		for i, c := range configs {
 			if !got[i].ok {
-				t.Fatalf("round %d: %s failed verification under concurrency", round, c.name)
+				t.Fatalf("round %d: %s failed verification under concurrency %s", round, c.name, got[i].fault)
 			}
 			if got[i].digest != golden[i].digest {
 				t.Errorf("round %d: %s trace digest diverged under concurrency:\n got %s\nwant %s",
@@ -98,10 +99,12 @@ type finishedRun struct {
 	rtm *rt.Runtime
 }
 
-func runFinished(info bench.Info, cfg bench.Config) finishedRun {
+// runFinished runs info under cfg; a panic fails t.
+func runFinished(t *testing.T, info bench.Info, cfg bench.Config) finishedRun {
 	f := finishedRun{reg: metrics.NewRegistry(), tr: trace.New(0)}
 	cfg.Metrics, cfg.Trace = f.reg, f.tr
 	cfg.RuntimeHook = func(r *rt.Runtime) { f.rtm = r }
+	defer failOnPanic(t)
 	_, f.rec = bench.RunRecorded(info, cfg)
 	return f
 }
@@ -134,15 +137,16 @@ func TestConcurrentRecordedRunsIsolated(t *testing.T) {
 	cfgT := bench.Config{Procs: 2, Scheme: coherence.LocalKnowledge}
 	cfgE := bench.Config{Procs: 4, Scheme: coherence.Bilateral}
 
-	finished := []finishedRun{runFinished(infoT, cfgT), runFinished(infoE, cfgE)}
+	finished := []finishedRun{runFinished(t, infoT, cfgT), runFinished(t, infoE, cfgE)}
 	goldT, goldE := finished[0].rec, finished[1].rec
 	views := []string{finished[0].view(), finished[1].view()}
 
 	var wg sync.WaitGroup
 	var gotT, gotE = goldT, goldE
+	faults := make([]string, 2)
 	wg.Add(2)
-	go func() { defer wg.Done(); _, gotT = bench.RunRecorded(infoT, cfgT) }()
-	go func() { defer wg.Done(); _, gotE = bench.RunRecorded(infoE, cfgE) }()
+	go func() { defer wg.Done(); faults[0] = recovered(func() { _, gotT = bench.RunRecorded(infoT, cfgT) }) }()
+	go func() { defer wg.Done(); faults[1] = recovered(func() { _, gotE = bench.RunRecorded(infoE, cfgE) }) }()
 	inFlight := make(chan struct{})
 	readerDone := make(chan struct{})
 	go func() {
@@ -167,6 +171,11 @@ func TestConcurrentRecordedRunsIsolated(t *testing.T) {
 	wg.Wait()
 	close(inFlight)
 	<-readerDone
+	for i, f := range faults {
+		if f != "" {
+			t.Fatalf("%s under concurrency: %s", finished[i].rec.Benchmark, f)
+		}
+	}
 
 	if gotT.TraceDigest != goldT.TraceDigest || gotT.Cycles != goldT.Cycles {
 		t.Errorf("treeadd record diverged under concurrency: %s / %d vs %s / %d",

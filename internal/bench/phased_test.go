@@ -73,6 +73,7 @@ type obs struct {
 
 func runOnce(t *testing.T, info bench.Info, k coherence.Kind, mode rt.Mode, bs *bench.BuildState) (obs, *bench.BuildState) {
 	t.Helper()
+	defer failOnPanic(t)
 	rec := trace.New(0)
 	var rtm *rt.Runtime
 	cfg := bench.Config{

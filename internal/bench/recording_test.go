@@ -19,6 +19,7 @@ const recScale = 1024
 // byte-identical files, so a byte diff of the re-recorded pins is a usable
 // gate.
 func TestCollectRecordsIsDeterministic(t *testing.T) {
+	defer failOnPanic(t)
 	a, err := bench.CollectRecords("treeadd", bench.PinnedSuite(2, recScale))
 	if err != nil {
 		t.Fatal(err)
@@ -69,6 +70,7 @@ func TestCollectRecordsIsDeterministic(t *testing.T) {
 // recording is free in simulated time: the record's cycles are those of a
 // plain info.Run with no registry or recorder attached.
 func TestRecordedEntryPointsAgree(t *testing.T) {
+	defer failOnPanic(t)
 	for _, name := range []string{"treeadd", "power"} {
 		info, ok := bench.Get(name)
 		if !ok {

@@ -51,36 +51,56 @@ var (
 // and a registry of its own, calling hook (when non-nil) on the fresh
 // runtime. A panic becomes the run's fault: it fails the tests that read
 // the run, not the test binary.
-func execute(name string, cfg bench.Config, hook func(*rt.Runtime)) (out *run) {
+func execute(name string, cfg bench.Config, hook func(*rt.Runtime)) *run {
 	executed++
-	out = &run{}
+	out := &run{}
+	out.fault = recovered(func() {
+		info, ok := bench.Get(name)
+		if !ok {
+			panic("benchmark not registered")
+		}
+		before := runtime.NumGoroutine()
+		rec := trace.New(0)
+		var rtm *rt.Runtime
+		cfg.Trace = rec
+		cfg.RuntimeHook = func(r *rt.Runtime) {
+			if rtm = r; hook != nil {
+				hook(r)
+			}
+		}
+		out.res, out.rec = bench.RunRecorded(info, cfg)
+		if rtm == nil {
+			panic("RuntimeHook never ran")
+		}
+		out.leaked = max(0, runtime.NumGoroutine()-before)
+		out.access, out.heap = rec.AccessDigest(), rtm.HeapFingerprint()
+		out.sites, out.faults = rtm.SiteStats(), rtm.SiteFaults()
+		out.census.syncs, out.census.picks, out.census.switches, out.census.ops = rtm.Sched.Census()
+	})
+	return out
+}
+
+// recovered calls f and returns what it panicked with, as text, or "" when
+// it returned. A kernel that runs outside execute runs inside recovered on
+// each goroutine that is not the test's own, so that its panic fails the
+// test instead of ending the test binary; on the test's goroutine a
+// deferred failOnPanic does the same.
+func recovered(f func()) (fault string) {
 	defer func() {
 		if p := recover(); p != nil {
-			out.fault = fmt.Sprint(p)
+			fault = fmt.Sprint(p)
 		}
 	}()
-	info, ok := bench.Get(name)
-	if !ok {
-		panic("benchmark not registered")
+	f()
+	return ""
+}
+
+// failOnPanic, deferred on a test's goroutine, fails the test with the
+// panic text.
+func failOnPanic(t *testing.T) {
+	if p := recover(); p != nil {
+		t.Fatalf("panic: %v", p)
 	}
-	before := runtime.NumGoroutine()
-	rec := trace.New(0)
-	var rtm *rt.Runtime
-	cfg.Trace = rec
-	cfg.RuntimeHook = func(r *rt.Runtime) {
-		if rtm = r; hook != nil {
-			hook(r)
-		}
-	}
-	out.res, out.rec = bench.RunRecorded(info, cfg)
-	if rtm == nil {
-		panic("RuntimeHook never ran")
-	}
-	out.leaked = max(0, runtime.NumGoroutine()-before)
-	out.access, out.heap = rec.AccessDigest(), rtm.HeapFingerprint()
-	out.sites, out.faults = rtm.SiteStats(), rtm.SiteFaults()
-	out.census.syncs, out.census.picks, out.census.switches, out.census.ops = rtm.Sched.Census()
-	return out
 }
 
 // shared returns the run of name under cfg, executing it the first time any
@@ -129,11 +149,15 @@ func TestRuntimeHookSetsCost(t *testing.T) {
 }
 
 // runsPerPackage is how many runs execute makes in a full `go test` of this
-// package: the battery's 90, the 15 pinned runs, the differential's 12, the
-// tables' 22 that no other test reads, the replay's 6 second runs and
-// TestRuntimeHookSetsCost's 2. Reading a configuration through shared again
-// adds nothing; a new configuration raises the pin.
-const runsPerPackage = 147
+// package: the battery's 90, the 15 pinned runs, the tables' 22 (of which
+// the shape table reads the ten baselines), the shape table's 66 others
+// (P=2, 8, 16 and 32 and migrate-only at 32 for ten kernels, global and
+// bilateral at 32 for six, and four baselines at 1/16), the
+// differential's 20 (global and bilateral at P=2 and 8 for five kernels),
+// the replay's 6 second runs and TestRuntimeHookSetsCost's 2. Reading a
+// configuration through shared again adds nothing; a new configuration
+// raises the pin.
+const runsPerPackage = 221
 
 // TestMain checks runsPerPackage after a passing run of every test.
 func TestMain(m *testing.M) {

@@ -19,26 +19,6 @@ func benchKernels() map[string]string {
 	return kernels
 }
 
-// TestHeuristicMatchesTable2 is the whole-suite integration check: the
-// compile-time heuristic's M vs M+C classification of every benchmark
-// kernel must match Table 2's "Heuristic choice" column.
-func TestHeuristicMatchesTable2(t *testing.T) {
-	for name, src := range benchKernels() {
-		info, ok := bench.Get(name)
-		if !ok {
-			t.Fatalf("benchmark %q not registered", name)
-		}
-		rep, err := olden.Analyze(src)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		wantM := info.Choice == "M"
-		if got := rep.UsesMigrationOnly(); got != wantM {
-			t.Errorf("%s: heuristic M-only=%v, Table 2 says %s", name, got, info.Choice)
-		}
-	}
-}
-
 // TestKernelsLintClean keeps the ten benchmark kernels clean under the
 // full lint suite (`oldenc -lint -bench <name>` reports nothing). The one
 // sanctioned exception is barneshut's bottleneck-demotion warning: the
@@ -59,21 +39,6 @@ func TestKernelsLintClean(t *testing.T) {
 				continue
 			}
 			t.Errorf("%s kernel: unexpected lint diagnostic %s", name, d)
-		}
-	}
-}
-
-// TestAllBenchmarksVerifyAt32 exercises the paper's full machine size once
-// per benchmark at a small problem scale.
-func TestAllBenchmarksVerifyAt32(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	for _, name := range bench.Names() {
-		info, _ := bench.Get(name)
-		res := info.Run(bench.Config{Procs: 32, Scale: 64})
-		if !res.Verified() {
-			t.Errorf("%s at P=32: checksum %#x != %#x", name, res.Check, res.WantCheck)
 		}
 	}
 }
